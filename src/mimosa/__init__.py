@@ -9,7 +9,7 @@ from .analysis import (
     infer_types,
     order_equations,
 )
-from .ast import Program, equal_expr, free_variables
+from .ast import Program, free_variables
 from .errors import (
     CausalityError,
     Diagnostic,
@@ -63,7 +63,6 @@ __all__ = [
     "check_network",
     "check_program",
     "const_seq",
-    "equal_expr",
     "eval_equations",
     "eval_expr",
     "free_variables",

@@ -308,8 +308,8 @@ class VClosure(Value):
 
 @dataclass(frozen=True)
 class VExtern(Value):
-    """A builtin or externally provided (host) step. Impure externs are
-    invoked at most once per call site per evaluation cycle."""
+    """A builtin or externally provided (host) step, invoked once for every
+    application the evaluator reaches in a cycle."""
 
     name: str
     fn: Callable = field(compare=False)
@@ -397,8 +397,3 @@ def free_variables(e: Expr) -> dict[str, DepKind]:
 
     walk(e, False, frozenset())
     return out
-
-
-def equal_expr(a: Expr, b: Expr) -> bool:
-    """Structural equality ignoring source spans (spans never compare)."""
-    return a == b

@@ -2,19 +2,24 @@
 
 Evaluating an expression yields both its current value and the expression to
 run on the next cycle; all stream state is carried by that rewriting, never by
-mutable cells. The evaluator is pure: environments are never mutated.
+mutable cells. Environments passed in by a caller are never mutated.
 
-Equation lists evaluate in two phases. Phase one walks the equations in causal
-order and computes each value under the progressively extended environment
-(sound because causal references only point backwards, and the *value* of a
-`pre` never depends on the environment). Phase two re-walks every right-hand
-side under the completed environment to build the next-cycle expressions; that
-is where `pre x` captures x's final current value.
+An equation list is one activation and evaluates in a single pass. Each
+right-hand side runs once, in causal order, under the activation's own
+environment, which is extended in place as each equation binds (sound because
+causal references only point backwards). The *value* of `pre e` is undefined
+whatever the environment, but its next expression `v -> pre e'` needs e's
+final current value, which may refer to equations bound later. So inside an
+equation list `pre e` returns a placeholder for its next expression and
+defers `e`; after the last equation every deferred operand is evaluated under
+the completed environment and its placeholder filled in before the activation
+returns. Outside an equation list the environment is already complete, and
+`pre e` evaluates its operand at once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from .ast import (
@@ -134,12 +139,9 @@ class HostContext:
 
 @dataclass
 class EvalContext:
-    """Per-evaluation bookkeeping: the host context for extern calls, and a
-    call-site memo so impure externs run exactly once per cycle even though
-    equation evaluation walks expressions twice."""
+    """Per-evaluation bookkeeping: the host context passed to extern calls."""
 
     host: HostContext | None = None
-    _extern_results: dict[int, Value] = field(default_factory=dict)
 
 
 def value_to_expr(v: Value) -> Expr:
@@ -169,62 +171,62 @@ def _const_value(c: Const) -> Value:
     return VConst(c.value)
 
 
-def _call_extern(f: VExtern, arg: Value, site: Expr, ctx: EvalContext) -> Value:
-    if f.pure:
-        return f.fn(arg, ctx.host)
-    key = id(site)
-    if key not in ctx._extern_results:
-        ctx._extern_results[key] = f.fn(arg, ctx.host)
-    return ctx._extern_results[key]
-
-
 def eval_expr(env: Env, e: Expr, ctx: EvalContext | None = None) -> EvalResult:
     """The evaluation relation: env |- e  =>  value, next expression."""
-    return _eval(env, e, ctx if ctx is not None else EvalContext())
+    return _eval(env, e, ctx if ctx is not None else EvalContext(), None)
 
 
-def _eval(env: Env, e: Expr, ctx: EvalContext) -> EvalResult:
+# A `pre` met inside an equation list: the placeholder standing for its next
+# expression, and the operand that fills it once the activation is complete.
+_Deferred = list[tuple[Arrow, Expr]]
+
+
+def _eval(env: Env, e: Expr, ctx: EvalContext, deferred: _Deferred | None) -> EvalResult:
     match e:
         case Var(name):
             return EvalResult(env.lookup(name, e.span), e)
         case Const():
             return EvalResult(_const_value(e), e)
         case Tuple(items):
-            parts = [_eval(env, item, ctx) for item in items]
+            parts = [_eval(env, item, ctx, deferred) for item in items]
             return EvalResult(
                 VTuple(tuple(r.value for r in parts)),
                 Tuple(tuple(r.next for r in parts), span=e.span),
             )
         case Pre(inner):
-            r = _eval(env, inner, ctx)
-            return EvalResult(VUndef(), Arrow(value_to_expr(r.value), Pre(r.next), span=e.span))
+            hole = Arrow(inner, e, span=e.span)  # both fields are set by _fill_pre
+            if deferred is None:
+                _fill_pre(hole, env, inner, ctx)
+            else:
+                deferred.append((hole, inner))
+            return EvalResult(VUndef(), hole)
         case Fby(first, rest):
-            r1 = _eval(env, first, ctx)
+            r1 = _eval(env, first, ctx, deferred)
             return EvalResult(r1.value, rest)
         case Arrow(first, rest):
-            r1 = _eval(env, first, ctx)
-            r2 = _eval(env, rest, ctx)
+            r1 = _eval(env, first, ctx, deferred)
+            r2 = _eval(env, rest, ctx, deferred)
             return EvalResult(r1.value, r2.next)
         case If(cond, then, orelse):
-            rc = _eval(env, cond, ctx)
+            rc = _eval(env, cond, ctx, deferred)
             taken = _branch(rc.value, e)
             if taken:
-                rt = _eval(env, then, ctx)
+                rt = _eval(env, then, ctx, deferred)
                 return EvalResult(rt.value, If(rc.next, rt.next, orelse, span=e.span))
-            ro = _eval(env, orelse, ctx)
+            ro = _eval(env, orelse, ctx, deferred)
             return EvalResult(ro.value, If(rc.next, then, ro.next, span=e.span))
         case NoneLit():
             return EvalResult(VNone(), e)
         case Some(inner):
-            r = _eval(env, inner, ctx)
+            r = _eval(env, inner, ctx, deferred)
             return EvalResult(VSome(r.value), Some(r.next, span=e.span))
         case Either(scrutinee, fallback):
-            rs = _eval(env, scrutinee, ctx)
+            rs = _eval(env, scrutinee, ctx, deferred)
             match rs.value:
                 case VSome(payload):
                     return EvalResult(payload, Either(rs.next, fallback, span=e.span))
                 case VNone():
-                    rf = _eval(env, fallback, ctx)
+                    rf = _eval(env, fallback, ctx, deferred)
                     return EvalResult(rf.value, Either(rs.next, rf.next, span=e.span))
                 case VUndef():
                     raise UndefEscape(_escape("either scrutinee", e.span))
@@ -233,8 +235,8 @@ def _eval(env: Env, e: Expr, ctx: EvalContext) -> EvalResult:
         case Lambda(in_pattern, out_pattern, equations):
             return EvalResult(VClosure(in_pattern, out_pattern, equations), e)
         case Apply(fn, arg):
-            rf = _eval(env, fn, ctx)
-            ra = _eval(env, arg, ctx)
+            rf = _eval(env, fn, ctx, deferred)
+            ra = _eval(env, arg, ctx, deferred)
             match rf.value:
                 case VClosure(in_pattern, out_pattern, equations):
                     inner = env.update(in_pattern, ra.value)
@@ -242,7 +244,7 @@ def _eval(env: Env, e: Expr, ctx: EvalContext) -> EvalResult:
                     lam = Lambda(in_pattern, out_pattern, next_eqs)
                     return EvalResult(final.project(out_pattern), Apply(lam, ra.next, span=e.span))
                 case VExtern():
-                    result = _call_extern(rf.value, ra.value, e, ctx)
+                    result = rf.value.fn(ra.value, ctx.host)
                     return EvalResult(result, Apply(rf.next, ra.next, span=e.span))
                 case VUndef():
                     raise UndefEscape(_escape("applied expression", e.span))
@@ -267,74 +269,27 @@ def _escape(where: str, span: Span) -> str:
     return f"undefined value used as {where}{at} (initialization analysis escape)"
 
 
-def _value_of(env: Env, e: Expr, ctx: EvalContext) -> Value:
-    """Value-only evaluation; skips every subtree whose value is not needed.
-
-    In particular the operand of `pre` is not visited at all, which is what
-    makes phase one legal under a partially-built environment.
-    """
-    match e:
-        case Var(name):
-            return env.lookup(name, e.span)
-        case Const():
-            return _const_value(e)
-        case Tuple(items):
-            return VTuple(tuple(_value_of(env, item, ctx) for item in items))
-        case Pre():
-            return VUndef()
-        case Fby(first, _):
-            return _value_of(env, first, ctx)
-        case Arrow(first, _):
-            return _value_of(env, first, ctx)
-        case If(cond, then, orelse):
-            taken = _branch(_value_of(env, cond, ctx), e)
-            return _value_of(env, then if taken else orelse, ctx)
-        case NoneLit():
-            return VNone()
-        case Some(inner):
-            return VSome(_value_of(env, inner, ctx))
-        case Either(scrutinee, fallback):
-            match _value_of(env, scrutinee, ctx):
-                case VSome(payload):
-                    return payload
-                case VNone():
-                    return _value_of(env, fallback, ctx)
-                case VUndef():
-                    raise UndefEscape(_escape("either scrutinee", e.span))
-                case other:
-                    raise InternalError(f"either scrutinee evaluated to non-option {other!r}")
-        case Lambda(in_pattern, out_pattern, equations):
-            return VClosure(in_pattern, out_pattern, equations)
-        case Apply(fn, arg):
-            f = _value_of(env, fn, ctx)
-            a = _value_of(env, arg, ctx)
-            match f:
-                case VClosure(in_pattern, out_pattern, equations):
-                    inner = env.update(in_pattern, a)
-                    for eq in equations:
-                        inner = inner.update(eq.lhs, _value_of(inner, eq.rhs, ctx))
-                    return inner.project(out_pattern)
-                case VExtern():
-                    return _call_extern(f, a, e, ctx)
-                case VUndef():
-                    raise UndefEscape(_escape("applied expression", e.span))
-                case other:
-                    raise EvalError(f"application of a non-function value {other!r}")
-        case _:
-            raise InternalError(f"value_of: unknown expression {e!r}")
+def _fill_pre(hole: Arrow, env: Env, operand: Expr, ctx: EvalContext) -> None:
+    """Make hole `v -> pre e'`, the next expression of `pre operand`; env must
+    already hold every final value of the activation."""
+    r = _eval(env, operand, ctx, None)
+    object.__setattr__(hole, "first", value_to_expr(r.value))
+    object.__setattr__(hole, "rest", Pre(r.next))
 
 
 def _run_equations(
     env: Env, equations: tuple[Equation, ...], ctx: EvalContext
 ) -> tuple[tuple[Equation, ...], Env]:
-    final = env
-    for eq in equations:
-        final = final.update(eq.lhs, _value_of(final, eq.rhs, ctx))
+    """One activation. It owns `env` and binds each equation into it in place."""
+    deferred: _Deferred = []
     rewritten = []
     for eq in equations:
-        r = _eval(final, eq.rhs, ctx)
+        r = _eval(env, eq.rhs, ctx, deferred)
+        _update_into(env._bindings, eq.lhs, r.value)
         rewritten.append(Equation(eq.lhs, r.next, span=eq.span))
-    return tuple(rewritten), final
+    for hole, operand in deferred:
+        _fill_pre(hole, env, operand, ctx)
+    return tuple(rewritten), env
 
 
 def eval_equations(
@@ -345,4 +300,5 @@ def eval_equations(
     Returns the rewritten equations and the environment extended with every
     left-hand binding at its final value for this cycle.
     """
-    return _run_equations(env, tuple(equations), ctx if ctx is not None else EvalContext())
+    own = Env(env._bindings)
+    return _run_equations(own, tuple(equations), ctx if ctx is not None else EvalContext())

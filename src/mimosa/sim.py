@@ -77,11 +77,6 @@ class HostRegistry:
     def instantiate(self, step: str) -> HostFn:
         return self._factories[step]()
 
-    def copy(self) -> "HostRegistry":
-        out = HostRegistry()
-        out._factories = dict(self._factories)
-        return out
-
 
 def print_host(sink=None) -> HostFactory:
     """Writes one `<time>: <value>` line per invocation, in commit order."""

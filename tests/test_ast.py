@@ -1,6 +1,6 @@
 import pytest
 
-from mimosa import equal_expr, free_variables, parse_expression
+from mimosa import free_variables, parse_expression
 from mimosa.ast import (
     Const,
     Equation,
@@ -49,21 +49,21 @@ def test_free_variables_lambda_binders_are_excluded():
 
 def test_equal_expr_identical():
     e = parse_expression("0 -> pre x")
-    assert equal_expr(e, parse_expression("0 -> pre x"))
+    assert e == parse_expression("0 -> pre x")
 
 
 def test_equal_expr_differs_on_literal():
-    assert not equal_expr(parse_expression("0 -> pre x"), parse_expression("1 -> pre x"))
+    assert parse_expression("0 -> pre x") != parse_expression("1 -> pre x")
 
 
 def test_equal_expr_differs_on_shape():
-    assert not equal_expr(parse_expression("pre x"), parse_expression("v -> pre x"))
+    assert parse_expression("pre x") != parse_expression("v -> pre x")
 
 
 def test_equal_expr_ignores_spans():
     a = parse_expression("x + 1")
     b = parse_expression("  x    +   1  ")
-    assert a is not b and equal_expr(a, b)
+    assert a is not b and a == b
 
 
 def test_tuple_arity_is_checked():

@@ -7,7 +7,6 @@ from exprgen import TOP_TYPES, base_env, gen_expr, gen_system, run_cycles, syste
 from mimosa import (
     CausalityError,
     EvalError,
-    equal_expr,
     eval_equations,
     eval_expr,
     order_equations,
@@ -133,7 +132,7 @@ class TestRules:
     def test_fby_returns_head_and_keeps_tail_unevaluated(self):
         r = eval_expr(Env(), parse_expression("1 fby 2"))
         assert r.value == VConst(1)
-        assert equal_expr(r.next, parse_expression("2"))
+        assert r.next == parse_expression("2")
 
     def test_fby_tail_untouched_even_if_unbound(self):
         # e2 is not evaluated this cycle, so an unbound name there is fine.
@@ -143,24 +142,24 @@ class TestRules:
     def test_pre_of_constant(self):
         r = eval_expr(Env(), parse_expression("pre 7"))
         assert r.value == VUndef()
-        assert equal_expr(r.next, parse_expression("7 -> pre 7"))
+        assert r.next == parse_expression("7 -> pre 7")
 
     def test_arrow_advances_right_state(self):
         r = eval_expr(env_of(x=5), parse_expression("1 -> pre x"))
         assert r.value == VConst(1)
-        assert equal_expr(r.next, parse_expression("5 -> pre x"))
+        assert r.next == parse_expression("5 -> pre x")
 
     def test_if_true_keeps_else_branch_untouched(self):
         e = parse_expression("if true then 1 else pre y")
         r = eval_expr(Env(), e)
         assert r.value == VConst(1)
-        assert equal_expr(r.next, e)  # cond and taken branch are constants
+        assert r.next == e  # cond and taken branch are constants
 
     def test_if_false_keeps_then_branch_untouched(self):
         e = parse_expression("if false then pre y else 2")
         r = eval_expr(Env(), e)
         assert r.value == VConst(2)
-        assert equal_expr(r.next, e)
+        assert r.next == e
 
     def test_some_and_none(self):
         r = eval_expr(Env(), parse_expression("Some 3"))
@@ -173,13 +172,13 @@ class TestRules:
         e = parse_expression("either o otherwise pre z")
         r = eval_expr(env, e)
         assert r.value == VConst(4)
-        assert equal_expr(r.next, e)  # fallback untouched
+        assert r.next == e  # fallback untouched
 
     def test_either_none_advances_fallback(self):
         env = env_of(o=VNone(), z=9)
         r = eval_expr(env, parse_expression("either o otherwise pre z"))
         assert r.value == VUndef()
-        assert equal_expr(r.next, parse_expression("either o otherwise (9 -> pre z)"))
+        assert r.next == parse_expression("either o otherwise (9 -> pre z)")
 
     def test_undef_condition_aborts(self):
         with pytest.raises(UndefEscape):
@@ -196,7 +195,7 @@ class TestRules:
     def test_builtin_application(self):
         r = eval_expr(env_of(x=1, y=2), parse_expression("x + y"))
         assert r.value == VConst(3)
-        assert equal_expr(r.next, parse_expression("x + y"))
+        assert r.next == parse_expression("x + y")
 
     def test_division_truncates_toward_zero(self):
         assert eval_expr(env_of(), parse_expression("7 / 2")).value == VConst(3)
@@ -219,12 +218,12 @@ class TestEquations:
         eqs = (Equation(PVar("x"), parse_expression("0 -> pre x")),)
         next_eqs, env = eval_equations(Env(), eqs)
         assert env.lookup("x") == VConst(0)
-        assert equal_expr(next_eqs[0].rhs, parse_expression("0 -> pre x"))
+        assert next_eqs[0].rhs == parse_expression("0 -> pre x")
         # Iterating keeps both the value and the equation fixed.
         for _ in range(10):
             next_eqs, env = eval_equations(Env(), next_eqs)
             assert env.lookup("x") == VConst(0)
-            assert equal_expr(next_eqs[0].rhs, parse_expression("0 -> pre x"))
+            assert next_eqs[0].rhs == parse_expression("0 -> pre x")
 
     def test_fby_pre_yields_undef_at_cycle_two(self):
         eqs = [Equation(PVar("x"), parse_expression("0 fby pre x"))]
@@ -263,7 +262,7 @@ class TestEquations:
         )
         next_eqs, env = eval_equations(Env(), eqs)
         assert env.lookup("a") == VConst(0) and env.lookup("b") == VConst(1)
-        assert equal_expr(next_eqs[0].rhs, parse_expression("1 -> pre b"))
+        assert next_eqs[0].rhs == parse_expression("1 -> pre b")
 
     def test_purity_env_is_never_mutated(self):
         env = env_of(x=1)
@@ -302,7 +301,7 @@ class TestNestedSteps:
         rhs = eqs[0].rhs
         assert isinstance(rhs, Apply) and isinstance(rhs.fn, Lambda)
         inner = rhs.fn.equations[0].rhs
-        assert equal_expr(inner, parse_expression("1 -> pre mv"))
+        assert inner == parse_expression("1 -> pre mv")
 
 
 class TestHostCalls:
@@ -318,13 +317,27 @@ class TestHostCalls:
     def test_impure_host_called_once_per_cycle_inside_equations(self):
         host, calls = self.make_counting_host()
         env = Env(dict(BUILTIN_VALUES) | {"tick": host})
-        # The host result feeds a pre, so both evaluation phases traverse the
-        # call site; it must still run once.
+        # The call sits under a pre, so its evaluation is deferred to the end
+        # of the activation; it must still run exactly once per cycle.
         eqs = (Equation(PVar("y"), parse_expression("0 -> pre (tick ())")),)
         eqs, env_out = eval_equations(env, eqs)
         assert len(calls) == 1
         eqs, env_out = eval_equations(env, eqs)
         assert len(calls) == 2
+
+    def test_shared_call_site_runs_once_per_application(self):
+        host, calls = self.make_counting_host()
+        g = VClosure(PVar("x"), PVar("y"), (Equation(PVar("y"), parse_expression("tick x")),))
+        env = Env(dict(BUILTIN_VALUES) | {"tick": host, "g": g})
+        # Both applications reach the same `tick x` node of g's body; each is
+        # a separate host call with its own argument and result.
+        eqs = (
+            Equation(PVar("a"), parse_expression("g 1")),
+            Equation(PVar("b"), parse_expression("g 2")),
+        )
+        _, env_out = eval_equations(env, eqs)
+        assert calls == [VConst(1), VConst(2)]
+        assert env_out.lookup("a") == VConst(1) and env_out.lookup("b") == VConst(2)
 
     def test_host_receives_context(self):
         seen = {}
@@ -349,12 +362,12 @@ class TestDeterminism:
         first = eval_expr(env, expr)
         second = eval_expr(env, expr)
         assert first.value == second.value
-        assert equal_expr(first.next, second.next)
+        assert first.next == second.next
 
 
 class TestEqsUniqueness:
     """Brute-force uniqueness oracle: enumerate all candidate environments over
-    a tiny value domain and check the two-phase evaluation finds the unique
+    a tiny value domain and check the single-pass evaluation finds the unique
     fixpoint."""
 
     DOMAIN = (VConst(0), VConst(1), VUndef())

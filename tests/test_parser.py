@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from exprgen import TOP_TYPES, gen_expr
-from mimosa import ParseError, equal_expr, parse_duration, parse_expression, parse_program
+from mimosa import ParseError, parse_duration, parse_expression, parse_program
 from mimosa.ast import (
     Apply,
     Arrow,
@@ -201,5 +201,5 @@ class TestRoundTrip:
         expr = gen_expr(rng, ty, depth=rng.randrange(1, 5), need_init=False)
         printed = pretty_expr(expr)
         reparsed = parse_expression(printed)
-        assert equal_expr(expr, reparsed), f"{printed!r} reparsed differently"
+        assert expr == reparsed, f"{printed!r} reparsed differently"
         assert pretty_expr(reparsed) == printed
