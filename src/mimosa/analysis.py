@@ -27,7 +27,12 @@ from .ast import (
     StepDecl,
     Tuple,
     UNDEF_LIT,
+    Value,
     Var,
+    VConst,
+    VNone,
+    VSome,
+    VTuple,
     free_variables,
 )
 from .builtins import BUILTIN_TYPES
@@ -170,31 +175,22 @@ class _InitCheck:
 
 
 def check_initialization(
-    step: StepDecl, ordered: tuple[Equation, ...] | None = None, file: str = "<string>"
+    step: StepDecl, ordered: tuple[Equation, ...], file: str = "<string>"
 ) -> dict:
     """Prove the step's outputs are defined on every cycle.
 
+    `ordered` is the step's equations in causal order (`order_equations`).
     Returns the initialization type of every bound variable. Raises InitError
     with the offending subexpression's span otherwise.
     """
-    equations = tuple(ordered) if ordered is not None else (step.equations or ())
     statuses: dict = {name: True for name in step.in_pattern.names()}
-    for eq in equations:
-        _bind_init(statuses, eq.lhs, True)
-
     checker = _InitCheck(statuses, file)
-    # Greatest fixpoint: statuses only ever move downward in the lattice.
-    for _ in range(len(equations) + 1):
-        changed = False
-        for eq in equations:
-            before = {n: statuses.get(n) for n in eq.lhs.names()}
-            _bind_init(statuses, eq.lhs, checker.status(eq.rhs, check=False))
-            if any(statuses.get(n) != v for n, v in before.items()):
-                changed = True
-        if not changed:
-            break
+    # A status reads only references outside any pre, and causal order binds
+    # those first, so one pass computes every status.
+    for eq in ordered:
+        _bind_init(statuses, eq.lhs, checker.status(eq.rhs, check=False))
 
-    for eq in equations:
+    for eq in ordered:
         checker.status(eq.rhs, check=True)
 
     for name in step.out_pattern.names():
@@ -436,6 +432,9 @@ def _step_topo_order(program: Program, diags: list[Diagnostic], file: str) -> tu
 # Type inference
 
 
+_CONST_TYPES = {bool: BOOL, int: INT, float: REAL}
+
+
 class _Infer:
     def __init__(self, file: str):
         self.u = Unifier()
@@ -501,13 +500,7 @@ class _Infer:
                     return self.u.instantiate(ctx[name])
                 self.fail(f"unknown identifier '{name}'", e.span)
             case Const(value):
-                if isinstance(value, bool):
-                    return BOOL
-                if isinstance(value, int):
-                    return INT
-                if isinstance(value, float):
-                    return REAL
-                return UNIT
+                return _CONST_TYPES.get(type(value), UNIT)
             case Tuple(items):
                 return TTuple(tuple(self.expr(i, ctx, local) for i in items))
             case Pre(inner):
@@ -543,6 +536,19 @@ class _Infer:
                 return self.lambda_type(e, ctx, dict(local))
             case _:
                 raise AssertionError(e)
+
+    def literal_type(self, v: Value) -> Type:
+        match v:
+            case VConst(value):
+                return _CONST_TYPES.get(type(value), UNIT)
+            case VTuple(items):
+                return TTuple(tuple(self.literal_type(i) for i in items))
+            case VNone():
+                return TOption(self.u.fresh())
+            case VSome(inner):
+                return TOption(self.literal_type(inner))
+            case _:
+                raise AssertionError(v)
 
     def lambda_type(self, e: Lambda, ctx: dict[str, Scheme], local: dict[str, Type]) -> Type:
         tin = self.sig_type(e.in_pattern, local, require_annot=False, step="<lambda>")
@@ -586,6 +592,9 @@ def infer_types(
     schemes = {s.name: ctx[s.name] for s in program.steps}
 
     channel_types = {c.name: c.elem_type for c in program.channels}
+    for ch in program.channels:
+        for value in ch.initial:
+            inf.u.unify(ch.elem_type, inf.literal_type(value), ch.span, file)
     node_sigs: dict[str, Type] = {}
     for node in program.nodes:
         scheme = schemes[node.step]
@@ -624,13 +633,6 @@ class CheckedProgram:
     node_step: dict[str, str]
     channel_writer: dict[str, str | None]
     channel_reader: dict[str, str | None]
-
-    @property
-    def channel_types(self) -> dict[str, Type]:
-        return {c.name: c.elem_type for c in self.program.channels}
-
-    def render_step_type(self, name: str) -> str:
-        return str(self.step_schemes[name])
 
 
 def check_program(

@@ -32,32 +32,19 @@ from .builtins import BUILTIN_VALUES
 from .errors import Diagnostic, EvalError, InternalError, SimError
 from .eval import Env, EvalContext, HostContext, UNIT_VALUE, eval_expr, value_to_expr
 from .pretty import format_duration, pretty_value
-from .types import Type
 
 FIRE = "fire"
 IDLE = "idle"
 BLOCKED = "blocked"
 
-
-@dataclass(frozen=True)
-class Available:
-    value: Value
-
-
-@dataclass(frozen=True)
-class DecidablyAbsent:
-    pass
-
-
-@dataclass(frozen=True)
-class Undecided:
-    pass
+AVAILABLE = "available"
+ABSENT = "absent"
+UNDECIDED = "undecided"
 
 
 @dataclass
 class Channel:
     name: str
-    elem_type: Type
     writer: str
     reader: str
     queue: deque  # of (value, tag_us), oldest first
@@ -67,7 +54,6 @@ class Channel:
 @dataclass
 class NodeState:
     name: str
-    step: str
     period_us: int
     activation: int
     expr: Expr
@@ -96,13 +82,19 @@ class NetworkState:
     nodes: dict[str, NodeState]
     channels: dict[str, Channel]
     env: Env
-    validate: bool = True
     trace: list[TraceEvent] = field(default_factory=list)
     steps: list[StepRecord] = field(default_factory=list)
     _last_validity: dict[str, int] = field(default_factory=dict)
 
-    def check_invariants(self) -> None:
-        for ch in self.channels.values():
+    def check_invariants(self, node: str | None = None) -> None:
+        """Check every channel, or only the input and output channels of
+        `node`: the only ones a rule applied to `node` changes."""
+        if node is None:
+            channels = self.channels.values()
+        else:
+            ports = self.nodes[node].inputs + self.nodes[node].outputs
+            channels = [self.channels[port.channel] for port in ports]
+        for ch in channels:
             tags = [tag for _, tag in ch.queue]
             if any(a > b for a, b in zip(tags, tags[1:])):
                 raise InternalError(f"channel '{ch.name}' queue is not tag-sorted: {tags}")
@@ -123,8 +115,6 @@ class NetworkState:
 def init_network(
     cp: CheckedProgram,
     hosts_by_node: Mapping[str, Value] | None = None,
-    *,
-    validate: bool = True,
 ) -> NetworkState:
     """Build the correct initial configuration: every node at activation 0,
     every channel valid from its writer's first possible write time, initial
@@ -153,7 +143,6 @@ def init_network(
             expr = Lambda(step.in_pattern, step.out_pattern, cp.ordered_equations[step.name])
         nodes[node.name] = NodeState(
             name=node.name,
-            step=node.step,
             period_us=node.period_us,
             activation=0,
             expr=expr,
@@ -171,16 +160,14 @@ def init_network(
             )
         channels[ch.name] = Channel(
             name=ch.name,
-            elem_type=ch.elem_type,
             writer=writer,
             reader=reader,
             queue=deque((value, 0) for value in ch.initial),
             validity=program.node(writer).period_us,
         )
 
-    state = NetworkState(nodes=nodes, channels=channels, env=Env(env_bindings), validate=validate)
-    if validate:
-        state.check_invariants()
+    state = NetworkState(nodes=nodes, channels=channels, env=Env(env_bindings))
+    state.check_invariants()
     return state
 
 
@@ -191,34 +178,31 @@ def _unbound_host(step_name: str) -> Value:
     return VExtern(step_name, fail)
 
 
-def port_status(ch: Channel, t: int):
+def port_status(ch: Channel, t: int) -> str:
     """Decide a port against activation time t.
 
-    Available: the oldest element is usable now. DecidablyAbsent: no element
-    can ever arrive with a tag <= t. Undecided: an element with tag <= t may
-    still arrive, so the producer must be rewritten first.
+    AVAILABLE: the oldest element is usable now. ABSENT: no element can ever
+    arrive with a tag <= t. UNDECIDED: an element with tag <= t may still
+    arrive, so the producer must be rewritten first.
     """
     if ch.queue:
-        value, tag = ch.queue[0]
-        return Available(value) if tag <= t else DecidablyAbsent()
-    return DecidablyAbsent() if ch.validity > t else Undecided()
+        return AVAILABLE if ch.queue[0][1] <= t else ABSENT
+    return ABSENT if ch.validity > t else UNDECIDED
 
 
 def node_enabled(ns: NetworkState, name: str) -> str:
+    """FIRE when every mandatory input is available and no input is
+    undecided, IDLE when none is undecided but a mandatory one is absent,
+    BLOCKED otherwise."""
     node = ns.nodes[name]
-    statuses = [(port, port_status(ns.channels[port.channel], node.activation)) for port in node.inputs]
-    can_fire = all(
-        not isinstance(status, Undecided) if port.optional else isinstance(status, Available)
-        for port, status in statuses
-    )
-    if can_fire:
-        return FIRE
-    if any(isinstance(status, Undecided) for _, status in statuses):
-        return BLOCKED
-    assert any(
-        not port.optional and isinstance(status, DecidablyAbsent) for port, status in statuses
-    ), "idle requires a decidably absent mandatory input"
-    return IDLE
+    decision = FIRE
+    for port in node.inputs:
+        status = port_status(ns.channels[port.channel], node.activation)
+        if status == UNDECIDED:
+            return BLOCKED
+        if status == ABSENT and not port.optional:
+            decision = IDLE
+    return decision
 
 
 def fire_node(ns: NetworkState, name: str) -> None:
@@ -228,13 +212,13 @@ def fire_node(ns: NetworkState, name: str) -> None:
     for port in node.inputs:
         ch = ns.channels[port.channel]
         status = port_status(ch, t)
-        if isinstance(status, Available):
-            ch.queue.popleft()
-            args.append(VSome(status.value) if port.optional else status.value)
-        else:
-            if not (port.optional and isinstance(status, DecidablyAbsent)):
-                raise InternalError(f"fire_node('{name}') called while not enabled")
+        if status == AVAILABLE:
+            value = ch.queue.popleft()[0]
+            args.append(VSome(value) if port.optional else value)
+        elif status == ABSENT and port.optional:
             args.append(VNone())
+        else:
+            raise InternalError(f"fire_node('{name}') called while not enabled")
     if not args:
         argument: Value = UNIT_VALUE
     elif len(args) == 1:
@@ -280,8 +264,7 @@ def fire_node(ns: NetworkState, name: str) -> None:
         ch.validity = t + 2 * node.period_us
     node.activation = tag
     ns.steps.append(StepRecord(FIRE, name, t))
-    if ns.validate:
-        ns.check_invariants()
+    ns.check_invariants(name)
 
 
 def _split_outputs(value: Value, outputs: tuple[PortRef, ...], name: str, t: int) -> list[Value]:
@@ -315,7 +298,7 @@ def _write(ns: NetworkState, ch: Channel, value: Value, tag: int, node: str) -> 
                 )
             ]
         )
-    if ns.validate and tag < ch.validity:
+    if tag < ch.validity:
         raise InternalError(
             f"write to '{ch.name}' tagged {tag} is below the channel validity {ch.validity}"
         )
@@ -330,5 +313,4 @@ def idle_node(ns: NetworkState, name: str) -> None:
         ns.channels[port.channel].validity = t + 2 * node.period_us
     node.activation = t + node.period_us
     ns.steps.append(StepRecord(IDLE, name, t))
-    if ns.validate:
-        ns.check_invariants()
+    ns.check_invariants(name)

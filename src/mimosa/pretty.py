@@ -44,7 +44,6 @@ from .ast import (
 )
 from .builtins import BINARY_OPS, UNARY_OPS
 from .errors import InternalError
-from .types import Type
 
 # Precedence levels, loosest to tightest. Binary operator rows share a level.
 _ARROW, _FBY, _EITHER, _IF, _OR, _AND, _CMP, _ADD, _MUL, _UNARY, _APP, _ATOM = range(12)
@@ -189,10 +188,6 @@ def _sig_entry(p: Pattern) -> str:
             return f"_ : {annot}"
         case _:
             return pretty_pattern(p)
-
-
-def pretty_type(t: Type) -> str:
-    return str(t)
 
 
 def pretty_value(v: Value) -> str:

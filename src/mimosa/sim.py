@@ -21,13 +21,16 @@ from .ast import UNIT_VALUE, VExtern, Value
 from .coord import (
     BLOCKED,
     FIRE,
+    UNDECIDED,
     NetworkState,
+    NodeState,
     StepRecord,
     TraceEvent,
     fire_node,
     idle_node,
     init_network,
     node_enabled,
+    port_status,
 )
 from .errors import Diagnostic, SimError
 from .eval import HostContext
@@ -45,7 +48,6 @@ class SimConfig:
     schedule: str = "deterministic"
     trace_path: str | None = None
     verbose_idle: bool = False
-    validate: bool = True
 
     def __post_init__(self):
         if self.horizon_us <= 0:
@@ -203,8 +205,7 @@ class Simulation:
             raise SimError(
                 [Diagnostic("unbound prototype steps: " + ", ".join(sorted(set(missing))))]
             )
-        self.state: NetworkState = init_network(cp, host_values, validate=cfg.validate)
-        self._decl_index = {node.name: i for i, node in enumerate(cp.program.nodes)}
+        self.state: NetworkState = init_network(cp, host_values)
         self._rng = random.Random(cfg.seed)
         self._observed_horizon = 0
 
@@ -222,14 +223,11 @@ class Simulation:
                 if decision != BLOCKED:
                     enabled.append((node, decision))
             if not enabled:
-                stuck = ", ".join(sorted(n.name for n in candidates))
-                raise SimError(
-                    [Diagnostic(f"livelock: no rule applies to any of {{{stuck}}} (internal invariant)")]
-                )
+                raise _livelock(state, candidates)
             if self.cfg.schedule == "deterministic":
-                node, decision = min(
-                    enabled, key=lambda nd: (nd[0].activation, self._decl_index[nd[0].name])
-                )
+                # state.nodes is in declaration order and min keeps the first
+                # minimum, so ties on activation go to the earliest declared.
+                node, decision = min(enabled, key=lambda nd: nd[0].activation)
             else:
                 node, decision = enabled[self._rng.randrange(len(enabled))]
             if decision == FIRE:
@@ -250,6 +248,20 @@ class Simulation:
         )
         steps = tuple(s for s in self.state.steps if s.time_us <= cutoff)
         return Trace(events, steps)
+
+
+def _livelock(state: NetworkState, stuck: list[NodeState]) -> SimError:
+    """Every candidate is blocked: name the undecided inputs each one waits on."""
+    waits = []
+    for node in sorted(stuck, key=lambda n: n.name):
+        channels = (state.channels[port.channel] for port in node.inputs)
+        undecided = ", ".join(
+            f"'{ch.name}' (validity {format_duration(ch.validity)})"
+            for ch in channels
+            if port_status(ch, node.activation) == UNDECIDED
+        )
+        waits.append(f"'{node.name}' at {format_duration(node.activation)} waits on {undecided}")
+    return SimError([Diagnostic("livelock (internal invariant): " + "; ".join(waits))])
 
 
 def run(cp: CheckedProgram, cfg: SimConfig, hosts: HostRegistry | None = None) -> Trace:

@@ -178,15 +178,15 @@ def test_criterion_7_initialization_conformance():
 
 def test_criterion_8_channel_invariants(fib_checked, edge_network_checked):
     with criterion(8, "channel invariants hold after every rewrite"):
-        # validate=True re-checks sortedness, tag <= validity, validity
-        # monotonicity, and write-tag >= validity after every rule application;
-        # any violation raises.
-        cfg = SimConfig(horizon_us=200 * MS, validate=True)
+        # Every run checks sortedness, tag <= validity, validity monotonicity,
+        # and write-tag >= validity after every rule application; any
+        # violation raises.
+        cfg = SimConfig(horizon_us=200 * MS)
         run(fib_checked, cfg, quiet_fib_hosts())
         hosts = edge_hosts(bools(False, True, True, False, True, False))
-        run(edge_network_checked, SimConfig(horizon_us=600 * MS, validate=True), hosts)
+        run(edge_network_checked, SimConfig(horizon_us=600 * MS), hosts)
         report = run_randomized_equivalence(
-            fib_checked, SimConfig(horizon_us=200 * MS, seed=7, validate=True), quiet_fib_hosts(), runs=10
+            fib_checked, SimConfig(horizon_us=200 * MS, seed=7), quiet_fib_hosts(), runs=10
         )
         assert report.ok, report.detail
 

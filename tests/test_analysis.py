@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from exprgen import base_env, gen_expr
+from exprgen import base_env, gen_expr, gen_system
 from mimosa import (
     CausalityError,
     InitError,
@@ -15,8 +15,9 @@ from mimosa import (
     order_equations,
     parse_program,
 )
-from mimosa.analysis import init_meet, render_init
-from mimosa.ast import Equation, PVar, StepDecl, contains_undef
+from mimosa.analysis import _bind_init, _InitCheck, init_all, init_meet, render_init
+from mimosa.ast import Equation, PUnit, PVar, StepDecl, contains_undef
+from mimosa.errors import Diagnostic
 from mimosa.eval import eval_equations
 from mimosa.types import BOOL, INT
 
@@ -95,6 +96,27 @@ node n implements f (a) --> (b) every 10ms
         with pytest.raises(TypeCheckError):
             infer_types(parse_program("step f (x : int) --> y { y = either x otherwise 0 }"))
 
+    def test_channel_initial_values_match_element_type(self):
+        src = """
+step inc (v : int) --> (w : int) { w = v + 1 }
+channel a : int = { true }
+channel b : int
+node n implements inc (a) --> (b) every 10ms
+node m implements inc (b) --> (a) every 10ms
+"""
+        with pytest.raises(TypeCheckError, match="expected int, found bool") as info:
+            check_program(parse_program(src))
+        assert info.value.diagnostics[0].span.line == 3
+
+    def test_channel_initial_values_of_structured_types(self):
+        src = """
+channel a : (int, bool?) = { (1, None), (-2, Some true) }
+channel b : real? = { None, Some 1.5 }
+"""
+        infer_types(parse_program(src))
+        with pytest.raises(TypeCheckError):
+            infer_types(parse_program("channel c : int? = { Some 1, 2 }"))
+
 
 class TestCausality:
     def test_simple_dependency_ordering(self):
@@ -131,6 +153,34 @@ class TestCausality:
         assert sorted(str(eq) for eq in ordered) == sorted(str(eq) for eq in step.equations)
         names = [eq.lhs.names()[0] for eq in ordered]
         assert names.index("y") < names.index("z") < names.index("x")
+
+
+def outcome(check):
+    try:
+        return check()
+    except InitError as exc:
+        return exc.diagnostics[0].message
+
+
+def fixpoint_initialization(step: StepDecl, ordered) -> dict:
+    """Oracle for check_initialization: iterate the statuses in declaration
+    order from all-initialized down to the greatest fixpoint, then check."""
+    statuses: dict = {name: True for name in step.in_pattern.names()}
+    for eq in step.equations:
+        _bind_init(statuses, eq.lhs, True)
+    checker = _InitCheck(statuses, "<string>")
+    while True:
+        before = dict(statuses)
+        for eq in step.equations:
+            _bind_init(statuses, eq.lhs, checker.status(eq.rhs, check=False))
+        if statuses == before:
+            break
+    for eq in ordered:
+        checker.status(eq.rhs, check=True)
+    for name in step.out_pattern.names():
+        if not init_all(statuses[name]):
+            raise InitError([Diagnostic(f"step output '{name}' may be undefined on the first cycle")])
+    return statuses
 
 
 class TestInitialization:
@@ -199,6 +249,19 @@ class TestInitialization:
             check_initialization(step, order_equations(step))
         statuses = self.check("step f (x : int) --> y { a, b = (pre x, 0); y = (0 -> a) + b }")
         assert statuses["a"] is False and statuses["b"] is True
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_single_pass_matches_fixpoint(self, seed):
+        rng = random.Random(seed)
+        equations = gen_system(rng, rng.randrange(1, 4))
+        step = StepDecl("s", PUnit(), PVar(equations[0].lhs.names()[0]), tuple(equations))
+        try:
+            ordered = order_equations(step)
+        except CausalityError:
+            return
+        assert outcome(lambda: check_initialization(step, ordered)) == outcome(
+            lambda: fixpoint_initialization(step, ordered)
+        )
 
     def test_lattice_helpers(self):
         assert init_meet(True, True) is True

@@ -5,13 +5,13 @@ import pytest
 from mimosa import check_program, parse_program
 from mimosa.ast import UNIT_VALUE, VConst, VExtern
 from mimosa.coord import (
-    Available,
+    ABSENT,
+    AVAILABLE,
     BLOCKED,
     Channel,
-    DecidablyAbsent,
     FIRE,
     IDLE,
-    Undecided,
+    UNDECIDED,
     fire_node,
     idle_node,
     init_network,
@@ -19,29 +19,27 @@ from mimosa.coord import (
     port_status,
 )
 from mimosa.errors import InternalError, SimError
-from mimosa.types import INT
 
 MS = 1_000
 
 
 def channel(queue=(), validity=0) -> Channel:
-    return Channel("x", INT, writer="w", reader="r", queue=deque(queue), validity=validity)
+    return Channel("x", writer="w", reader="r", queue=deque(queue), validity=validity)
 
 
 class TestPortStatus:
     def test_available_when_oldest_tag_reached(self):
-        st = port_status(channel([(VConst(5), 0)], validity=10 * MS), 10 * MS)
-        assert st == Available(VConst(5))
+        assert port_status(channel([(VConst(5), 0)], validity=10 * MS), 10 * MS) == AVAILABLE
 
     def test_decidably_absent_when_empty_but_valid_beyond_now(self):
-        assert port_status(channel([], validity=30 * MS), 20 * MS) == DecidablyAbsent()
+        assert port_status(channel([], validity=30 * MS), 20 * MS) == ABSENT
 
     def test_undecided_when_a_write_may_still_arrive(self):
-        assert port_status(channel([], validity=10 * MS), 20 * MS) == Undecided()
+        assert port_status(channel([], validity=10 * MS), 20 * MS) == UNDECIDED
 
     def test_decidably_absent_when_oldest_is_in_the_future(self):
         st = port_status(channel([(VConst(5), 30 * MS)], validity=40 * MS), 20 * MS)
-        assert st == DecidablyAbsent()
+        assert st == ABSENT
 
 
 class TestInitNetwork:

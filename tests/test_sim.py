@@ -1,4 +1,5 @@
 import io
+import re
 
 import pytest
 
@@ -134,10 +135,12 @@ node n2 implements g (y) --> (x) every 10ms
 
         monkeypatch.setattr("mimosa.sim.idle_node", broken_idle)
         report = run_randomized_equivalence(
-            cp, SimConfig(horizon_us=100 * MS, seed=5, validate=False), HostRegistry(), runs=3
+            cp, SimConfig(horizon_us=100 * MS, seed=5), HostRegistry(), runs=3
         )
         assert not report.ok
         assert "aborted" in (report.detail or "")
+        # The livelock report names the channel each stuck node waits on.
+        assert re.search(r"waits on '[xy]' \(validity 10ms\)", report.detail)
 
     def test_mutually_idle_network_is_fine_with_correct_rules(self):
         src = """
