@@ -313,7 +313,6 @@ class VExtern(Value):
 
     name: str
     fn: Callable = field(compare=False)
-    pure: bool = False
 
 
 @dataclass(frozen=True)

@@ -94,7 +94,7 @@ def _arith(op: str, fn) -> VExtern:
         a, b = _pair(v, op)
         return VConst(fn(_int(a, op), _int(b, op)))
 
-    return VExtern(op, run, pure=True)
+    return VExtern(op, run)
 
 
 def _compare(op: str, accept) -> VExtern:
@@ -102,7 +102,7 @@ def _compare(op: str, accept) -> VExtern:
         a, b = _pair(v, op)
         return VConst(accept(structural_cmp(a, b, op)))
 
-    return VExtern(op, run, pure=True)
+    return VExtern(op, run)
 
 
 def _logic(op: str, fn) -> VExtern:
@@ -110,7 +110,7 @@ def _logic(op: str, fn) -> VExtern:
         a, b = _pair(v, op)
         return VConst(fn(_bool(a, op), _bool(b, op)))
 
-    return VExtern(op, run, pure=True)
+    return VExtern(op, run)
 
 
 def _eq(op: str, want: bool) -> VExtern:
@@ -118,7 +118,7 @@ def _eq(op: str, want: bool) -> VExtern:
         a, b = _pair(v, op)
         return VConst(structural_eq(a, b, op) == want)
 
-    return VExtern(op, run, pure=True)
+    return VExtern(op, run)
 
 
 def _not(v, _ctx=None):
@@ -160,8 +160,11 @@ BUILTIN_VALUES: dict[str, VExtern] = {
     "!=": _eq("!=", False),
     "&&": _logic("&&", lambda a, b: a and b),
     "||": _logic("||", lambda a, b: a or b),
-    "!": VExtern("!", _not, pure=True),
+    "!": VExtern("!", _not),
 }
 
-BINARY_OPS = ("+", "-", "*", "/", "<", "<=", ">", ">=", "==", "!=", "&&", "||")
+# Infix operators by precedence, loosest first; operators of one row share a
+# level, and every level is left-associative.
+BINARY_LEVELS = (("||",), ("&&",), ("<", "<=", ">", ">=", "==", "!="), ("+", "-"), ("*", "/"))
+BINARY_OPS = tuple(op for ops in BINARY_LEVELS for op in ops)
 UNARY_OPS = ("!",)

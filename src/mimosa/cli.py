@@ -9,7 +9,7 @@ import sys
 
 from .analysis import check_program
 from .errors import MimosaError, render_diagnostics
-from .parser import parse_duration, parse_program
+from .parser import parse_duration, parse_literal, parse_program
 from .pretty import format_duration, pretty_program
 from .sim import (
     HostRegistry,
@@ -17,7 +17,6 @@ from .sim import (
     builtin_hosts,
     const_seq,
     from_file,
-    parse_literal,
     print_host,
     run,
 )

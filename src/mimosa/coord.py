@@ -17,7 +17,6 @@ from .analysis import CheckedProgram
 from .ast import (
     Apply,
     Expr,
-    Lambda,
     PortRef,
     Var,
     VClosure,
@@ -112,43 +111,34 @@ class NetworkState:
                 )
 
 
-def init_network(
-    cp: CheckedProgram,
-    hosts_by_node: Mapping[str, Value] | None = None,
-) -> NetworkState:
+def init_network(cp: CheckedProgram, hosts: Mapping[str, Value] | None = None) -> NetworkState:
     """Build the correct initial configuration: every node at activation 0,
     every channel valid from its writer's first possible write time, initial
-    values enqueued with tag 0 (oldest first)."""
-    hosts_by_node = dict(hosts_by_node or {})
+    values enqueued with tag 0 (oldest first). Every step is bound once under
+    its own name: a bodied step as its closure, a prototype as `hosts[name]`."""
+    hosts = hosts or {}
     program = cp.program
 
     env_bindings: dict[str, Value] = dict(BUILTIN_VALUES)
     for step in program.steps:
-        if not step.is_prototype:
+        if step.is_prototype:
+            env_bindings[step.name] = hosts.get(step.name) or _unbound_host(step.name)
+        else:
             env_bindings[step.name] = VClosure(
                 step.in_pattern, step.out_pattern, cp.ordered_equations[step.name]
             )
 
-    nodes: dict[str, NodeState] = {}
-    for node in program.nodes:
-        step = program.step(node.step)
-        if step.is_prototype:
-            host = hosts_by_node.get(node.name)
-            if host is None:
-                host = _unbound_host(step.name)
-            key = f"{step.name}::{node.name}"
-            env_bindings[key] = host
-            expr: Expr = Var(key)
-        else:
-            expr = Lambda(step.in_pattern, step.out_pattern, cp.ordered_equations[step.name])
-        nodes[node.name] = NodeState(
+    nodes = {
+        node.name: NodeState(
             name=node.name,
             period_us=node.period_us,
             activation=0,
-            expr=expr,
+            expr=Var(node.step),
             inputs=node.inputs,
             outputs=node.outputs,
         )
+        for node in program.nodes
+    }
 
     channels: dict[str, Channel] = {}
     for ch in program.channels:

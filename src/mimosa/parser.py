@@ -6,7 +6,10 @@ of the symbol-named builtins (`x + y` becomes `+ (x, y)`).
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass
+from typing import Callable, TypeVar
 
 from . import ast
 from .ast import (
@@ -39,60 +42,34 @@ from .ast import (
     VTuple,
     Value,
 )
+from .builtins import BINARY_LEVELS
 from .errors import Diagnostic, ParseError, Span
 from .types import BOOL, INT, REAL, UNIT, TOption, TTuple, Type
 
-KEYWORDS = {
-    "step",
-    "channel",
-    "node",
-    "implements",
-    "every",
-    "if",
-    "then",
-    "else",
-    "pre",
-    "fby",
-    "either",
-    "otherwise",
-    "Some",
-    "None",
-    "true",
-    "false",
-}
-
-# Longest first so maximal munch works.
-PUNCT = (
-    "-->",
-    "->",
-    "<=",
-    ">=",
-    "==",
-    "!=",
-    "&&",
-    "||",
-    "(",
-    ")",
-    "{",
-    "}",
-    ",",
-    ";",
-    ":",
-    "=",
-    "?",
-    "+",
-    "-",
-    "*",
-    "/",
-    "<",
-    ">",
-    "!",
-    "_",
+KEYWORDS = set(
+    "step channel node implements every if then else pre fby either otherwise Some None true false".split()
 )
+
+PUNCT = tuple("--> -> <= >= == != && || ( ) { } , ; : = ? + - * / < > !".split())
 
 DURATION_UNITS = {"us": 1, "ms": 1_000, "s": 1_000_000}
 
-CMP_OPS = ("<", "<=", ">", ">=", "==", "!=")
+_BINARY_LEVEL = {op: level for level, ops in enumerate(BINARY_LEVELS) for op in ops}
+
+# One alternative per token class, tried in order; punctuation longest first,
+# so `-->` is never read as `-` `->`, and the catch-all `error` matches any
+# character no other alternative accepts. A number's unit is any run of word
+# characters, so `1٣` and `12ab` are one malformed literal rather than a
+# number followed by something else.
+_TOKEN = re.compile(
+    r"(?P<newline>\n)"
+    r"|(?P<space>[^\S\n]+)"
+    r"|(?P<comment>--(?!>)[^\n]*)"
+    r"|(?P<number>(?P<digits>[0-9]+(?P<fraction>\.[0-9]+(?:[eE][+-]?[0-9]+)?)?)(?P<unit>\w*))"
+    r"|(?P<word>\w+)"
+    r"|(?P<punct>" + "|".join(re.escape(p) for p in sorted(PUNCT, key=len, reverse=True)) + r")"
+    r"|(?P<error>.)"
+)
 
 
 @dataclass(frozen=True)
@@ -105,98 +82,55 @@ class Token:
 
 class _Diag(Exception):
     def __init__(self, message: str, span: Span):
-        self.diagnostic = Diagnostic(message, span)
         super().__init__(message)
+        self.span = span
 
 
 def tokenize(source: str, file: str = "<string>") -> list[Token]:
     tokens: list[Token] = []
-    line, col, i = 1, 1, 0
-    n = len(source)
-
-    def span(l0, c0, l1, c1) -> Span:
-        return Span(l0, c0, l1, c1)
-
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        if source.startswith("--", i) and not source.startswith("-->", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        l0, c0 = line, col
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            text = source[i:j]
-            col += j - i
-            i = j
-            if text == "_":
-                tokens.append(Token("punct", "_", span(l0, c0, line, col - 1)))
-            elif text in KEYWORDS:
-                tokens.append(Token("kw", text, span(l0, c0, line, col - 1)))
-            else:
-                tokens.append(Token("ident", text, span(l0, c0, line, col - 1)))
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            is_real = False
-            if j < n and source[j] == "." and j + 1 < n and source[j + 1].isdigit():
-                is_real = True
-                j += 1
-                while j < n and source[j].isdigit():
-                    j += 1
-                if j < n and source[j] in "eE":
-                    k = j + 1
-                    if k < n and source[k] in "+-":
-                        k += 1
-                    if k < n and source[k].isdigit():
-                        j = k
-                        while j < n and source[j].isdigit():
-                            j += 1
-            k = j
-            while k < n and source[k].isalpha():
-                k += 1
-            suffix = source[j:k]
-            text = source[i:k]
-            col += k - i
-            i = k
-            sp = span(l0, c0, line, col - 1)
-            if suffix:
-                if is_real:
-                    raise ParseError([Diagnostic("durations take integer values", sp, file=file)])
-                if suffix not in DURATION_UNITS:
-                    raise ParseError(
-                        [Diagnostic(f"unknown duration unit '{suffix}' (use us, ms, or s)", sp, file=file)]
-                    )
-                us = int(text[: -len(suffix)]) * DURATION_UNITS[suffix]
-                tokens.append(Token("duration", text, sp, us))
-            elif is_real:
-                tokens.append(Token("real", text, sp, float(text)))
-            else:
-                tokens.append(Token("int", text, sp, int(text)))
-            continue
-        for p in PUNCT:
-            if source.startswith(p, i):
-                i += len(p)
-                col += len(p)
-                tokens.append(Token("punct", p, span(l0, c0, line, col - 1)))
-                break
-        else:
-            raise ParseError([Diagnostic(f"unexpected character {ch!r}", span(l0, c0, l0, c0), file=file)])
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(source):
+        kind = m.lastgroup
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind != "space" and kind != "comment":
+            col = m.start() - line_start + 1
+            span = Span(line, col, line, col + m.end() - m.start() - 1)
+            try:
+                tokens.append(_token(m, span))
+            except _Diag as exc:
+                raise ParseError([Diagnostic(str(exc), exc.span, file=file)]) from None
+    col = len(source) - line_start + 1
     tokens.append(Token("eof", "", Span(line, col, line, col)))
     return tokens
+
+
+def _token(m: re.Match, span: Span) -> Token:
+    kind, text, unit = m.lastgroup, m.group(), m["unit"]
+    if kind == "punct":
+        return Token("punct", text, span)
+    if kind == "word" and (text[0].isalpha() or text[0] == "_"):
+        return Token("kw" if text in KEYWORDS else "punct" if text == "_" else "ident", text, span)
+    if kind == "error":
+        raise _Diag(f"unexpected character {text!r}", span)
+    # A number, or a word that starts with a digit other than 0-9.
+    if kind == "word" or (unit and not unit.isalpha()):
+        raise _Diag(f"malformed number '{text}'", span)
+    if m["fraction"]:
+        if unit:
+            raise _Diag("durations take integer values", span)
+        if math.isinf(value := float(text)):
+            raise _Diag(f"real literal '{text}' is out of range", span)
+        return Token("real", text, span, value)
+    if unit and unit not in DURATION_UNITS:
+        raise _Diag(f"unknown duration unit '{unit}' (use us, ms, or s)", span)
+    try:
+        value = int(m["digits"])
+    except ValueError:  # beyond the interpreter's limit on integer string conversion
+        raise _Diag(f"integer literal has too many digits ({len(m['digits'])})", span) from None
+    if unit:
+        return Token("duration", text, span, value * DURATION_UNITS[unit])
+    return Token("int", text, span, value)
 
 
 def parse_duration(text: str) -> int:
@@ -211,6 +145,9 @@ def parse_duration(text: str) -> int:
     return us
 
 
+_T = TypeVar("_T")
+
+
 class Parser:
     MAX_ERRORS = 10
 
@@ -222,8 +159,8 @@ class Parser:
 
     # -- token helpers ------------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
     def prev(self) -> Token:
         return self.tokens[max(self.pos - 1, 0)]
@@ -255,6 +192,14 @@ class Parser:
         t = self.peek()
         raise _Diag(f"expected {what}, found '{t.text or 'end of input'}'", t.span)
 
+    def comma_list(self, item: Callable[[], _T]) -> list[_T]:
+        """One or more `item`s separated by commas."""
+        items = [item()]
+        while self.at(","):
+            self.advance()
+            items.append(item())
+        return items
+
     def span_from(self, start: Token) -> Span:
         end = self.prev().span
         return Span(start.span.line, start.span.col, end.end_line, end.end_col)
@@ -276,8 +221,8 @@ class Parser:
                 else:
                     t = self.peek()
                     raise _Diag(f"expected a step, channel, or node declaration, found '{t.text}'", t.span)
-            except _Diag as d:
-                self.diags.append(Diagnostic(d.diagnostic.message, d.diagnostic.span, file=self.file))
+            except (_Diag, RecursionError) as exc:
+                self.diags.append(self.diagnostic(exc))
                 if len(self.diags) >= self.MAX_ERRORS:
                     break
                 self.recover()
@@ -285,6 +230,12 @@ class Parser:
         if self.diags:
             raise ParseError(self.diags)
         return Program(tuple(steps), tuple(channels), tuple(nodes))
+
+    def diagnostic(self, exc: _Diag | RecursionError) -> Diagnostic:
+        """A syntax error, or a stack overflow reported at the current token."""
+        if isinstance(exc, RecursionError):
+            exc = _Diag("expression nested too deeply", self.peek().span)
+        return Diagnostic(str(exc), exc.span, file=self.file)
 
     def recover(self):
         """Skip to the next top-level declaration keyword."""
@@ -335,10 +286,7 @@ class Parser:
 
     def lhs_pattern(self) -> Pattern:
         start = self.peek()
-        items = [self.lhs_atom()]
-        while self.at(","):
-            self.advance()
-            items.append(self.lhs_atom())
+        items = self.comma_list(self.lhs_atom)
         if len(items) == 1:
             return items[0]
         return self.build_tuple_pattern(items, self.span_from(start))
@@ -380,10 +328,7 @@ class Parser:
             if self.at(")"):
                 self.advance()
                 return PUnit(span=self.span_from(t))
-            items = [self.signature_entry()]
-            while self.at(","):
-                self.advance()
-                items.append(self.signature_entry())
+            items = self.comma_list(self.signature_entry)
             self.expect(")")
             if len(items) == 1:
                 return items[0]
@@ -414,10 +359,7 @@ class Parser:
             ty = base
         elif self.at("("):
             self.advance()
-            items = [self.type_expr()]
-            while self.at(","):
-                self.advance()
-                items.append(self.type_expr())
+            items = self.comma_list(self.type_expr)
             self.expect(")")
             ty = items[0] if len(items) == 1 else TTuple(tuple(items))
         else:
@@ -436,12 +378,8 @@ class Parser:
         if self.at("="):
             self.advance()
             self.expect("{")
-            values = [self.literal_value()]
-            while self.at(","):
-                self.advance()
-                values.append(self.literal_value())
+            initial = tuple(self.comma_list(self.literal_value))
             self.expect("}")
-            initial = tuple(values)
         return ChannelDecl(name, ty, initial, span=self.span_from(start))
 
     def literal_value(self) -> Value:
@@ -476,10 +414,7 @@ class Parser:
             if self.at(")"):
                 self.advance()
                 return ast.UNIT_VALUE
-            items = [self.literal_value()]
-            while self.at(","):
-                self.advance()
-                items.append(self.literal_value())
+            items = self.comma_list(self.literal_value)
             self.expect(")")
             if len(items) == 1:
                 return items[0]
@@ -510,10 +445,7 @@ class Parser:
         if self.at(")"):
             self.advance()
             return ()
-        ports = [self.port()]
-        while self.at(","):
-            self.advance()
-            ports.append(self.port())
+        ports = self.comma_list(self.port)
         self.expect(")")
         return tuple(ports)
 
@@ -530,16 +462,10 @@ class Parser:
     def expr_list(self) -> Expr:
         """One or more comma-separated expressions; several build a tuple."""
         start = self.peek()
-        items = [self.expr()]
-        while self.at(","):
-            self.advance()
-            items.append(self.expr())
+        items = self.comma_list(self.arrow_expr)
         if len(items) == 1:
             return items[0]
         return Tuple(tuple(items), span=self.span_from(start))
-
-    def expr(self) -> Expr:
-        return self.arrow_expr()
 
     def arrow_expr(self) -> Expr:
         start = self.peek()
@@ -573,57 +499,23 @@ class Parser:
         start = self.peek()
         if self.at("if"):
             self.advance()
-            cond = self.or_expr()
+            cond = self.binary_expr()
             self.expect("then")
             then = self.if_expr()
             self.expect("else")
             orelse = self.if_expr()
             return If(cond, then, orelse, span=self.span_from(start))
-        return self.or_expr()
+        return self.binary_expr()
 
-    def binop(self, op_tok: Token, left: Expr, right: Expr, start: Token) -> Expr:
-        span = self.span_from(start)
-        args = Tuple((left, right), span=span)
-        return Apply(Var(op_tok.text, span=op_tok.span), args, span=span)
-
-    def or_expr(self) -> Expr:
-        start = self.peek()
-        left = self.and_expr()
-        while self.at("||"):
-            op = self.advance()
-            left = self.binop(op, left, self.and_expr(), start)
-        return left
-
-    def and_expr(self) -> Expr:
-        start = self.peek()
-        left = self.cmp_expr()
-        while self.at("&&"):
-            op = self.advance()
-            left = self.binop(op, left, self.cmp_expr(), start)
-        return left
-
-    def cmp_expr(self) -> Expr:
-        start = self.peek()
-        left = self.add_expr()
-        while any(self.at(op) for op in CMP_OPS):
-            op = self.advance()
-            left = self.binop(op, left, self.add_expr(), start)
-        return left
-
-    def add_expr(self) -> Expr:
-        start = self.peek()
-        left = self.mul_expr()
-        while self.at("+") or self.at("-"):
-            op = self.advance()
-            left = self.binop(op, left, self.mul_expr(), start)
-        return left
-
-    def mul_expr(self) -> Expr:
+    def binary_expr(self, min_level: int = 0) -> Expr:
+        """Precedence climbing over BINARY_LEVELS; every level is left-associative."""
         start = self.peek()
         left = self.unary_expr()
-        while self.at("*") or self.at("/"):
+        while (level := _BINARY_LEVEL.get(self.peek().text, -1)) >= min_level:
             op = self.advance()
-            left = self.binop(op, left, self.unary_expr(), start)
+            right = self.binary_expr(level + 1)
+            span = self.span_from(start)
+            left = Apply(Var(op.text, span=op.span), Tuple((left, right), span=span), span=span)
         return left
 
     def unary_expr(self) -> Expr:
@@ -689,12 +581,22 @@ def parse_program(source: str, file: str = "<string>") -> Program:
 
 
 def parse_expression(source: str, file: str = "<string>") -> Expr:
+    return _parse_all(source, file, Parser.expr_list)
+
+
+def parse_literal(source: str, file: str = "<literal>") -> Value:
+    """Parse one literal value, as allowed in channel initial-value lists."""
+    return _parse_all(source, file, Parser.literal_value)
+
+
+def _parse_all(source: str, file: str, rule: Callable[[Parser], _T]) -> _T:
+    """Parse `source` as exactly one `rule`."""
     parser = Parser(tokenize(source, file), file)
     try:
-        e = parser.expr_list()
+        result = rule(parser)
         if not parser.at_kind("eof"):
             t = parser.peek()
             raise _Diag(f"unexpected trailing input '{t.text}'", t.span)
-    except _Diag as d:
-        raise ParseError([Diagnostic(d.diagnostic.message, d.diagnostic.span, file=file)]) from None
-    return e
+    except (_Diag, RecursionError) as exc:
+        raise ParseError([parser.diagnostic(exc)]) from None
+    return result

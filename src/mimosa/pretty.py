@@ -42,26 +42,16 @@ from .ast import (
     VUndef,
     Value,
 )
-from .builtins import BINARY_OPS, UNARY_OPS
+from .builtins import BINARY_LEVELS, BINARY_OPS, UNARY_OPS
 from .errors import InternalError
 
-# Precedence levels, loosest to tightest. Binary operator rows share a level.
-_ARROW, _FBY, _EITHER, _IF, _OR, _AND, _CMP, _ADD, _MUL, _UNARY, _APP, _ATOM = range(12)
+# Precedence levels, loosest to tightest: the four prefix forms, one level per
+# row of BINARY_LEVELS starting at _BINARY, then unary, application and atoms.
+_ARROW, _FBY, _EITHER, _IF, _BINARY = range(5)
+_UNARY = _BINARY + len(BINARY_LEVELS)
+_APP, _ATOM = _UNARY + 1, _UNARY + 2
 
-_BINOP_LEVEL = {
-    "||": _OR,
-    "&&": _AND,
-    "<": _CMP,
-    "<=": _CMP,
-    ">": _CMP,
-    ">=": _CMP,
-    "==": _CMP,
-    "!=": _CMP,
-    "+": _ADD,
-    "-": _ADD,
-    "*": _MUL,
-    "/": _MUL,
-}
+_BINOP_LEVEL = {op: _BINARY + level for level, ops in enumerate(BINARY_LEVELS) for op in ops}
 
 
 def pretty_expr(e: Expr) -> str:
@@ -93,7 +83,7 @@ def _expr(e: Expr, minimum: int) -> str:
             text = f"{_expr(first, _FBY)} -> {_expr(rest, _ARROW)}"
             return _paren(text, _ARROW, minimum)
         case If(cond, then, orelse):
-            text = f"if {_expr(cond, _OR)} then {_expr(then, _IF)} else {_expr(orelse, _IF)}"
+            text = f"if {_expr(cond, _BINARY)} then {_expr(then, _IF)} else {_expr(orelse, _IF)}"
             return _paren(text, _IF, minimum)
         case Either(scrutinee, fallback):
             text = f"either {_expr(scrutinee, _EITHER)} otherwise {_expr(fallback, _EITHER)}"
@@ -123,8 +113,9 @@ def _literal(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        text = repr(value)
-        return text if "." in text or "e" in text else text + ".0"
+        # The grammar needs a fraction before any exponent: 1e+20 prints as 1.0e+20.
+        mantissa, e, exponent = repr(value).partition("e")
+        return (mantissa if "." in mantissa else mantissa + ".0") + e + exponent
     return str(value)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 from .analysis import CheckedProgram
-from .ast import UNIT_VALUE, VExtern, Value
+from .ast import UNIT_VALUE, Lambda, VExtern, Value, free_variables
 from .coord import (
     BLOCKED,
     FIRE,
@@ -34,7 +34,7 @@ from .coord import (
 )
 from .errors import Diagnostic, SimError
 from .eval import HostContext
-from .parser import Parser, tokenize
+from .parser import parse_literal
 from .pretty import format_duration, pretty_value
 
 HostFn = Callable[[Value, HostContext | None], Value]
@@ -59,8 +59,9 @@ class SimConfig:
 class HostRegistry:
     """Bindings from prototype step names to host-function factories.
 
-    Factories run once per node per simulation, so stateful hosts (file-driven
-    stubs, counters) start fresh on every run and on every node.
+    A factory runs once per calling node per simulation, on that node's first
+    call, so stateful hosts (file-driven stubs, counters) start fresh on every
+    run and on every node.
     """
 
     def __init__(self):
@@ -118,15 +119,6 @@ def from_values(values: Sequence[Value]) -> HostFactory:
         return fn
 
     return factory
-
-
-def parse_literal(text: str) -> Value:
-    """Parse one literal value (as allowed in channel initial-value lists)."""
-    parser = Parser(tokenize(text.strip()), "<literal>")
-    value = parser.literal_value()
-    if not parser.at_kind("eof"):
-        raise SimError([Diagnostic(f"trailing input after literal: {text!r}")])
-    return value
 
 
 def from_file(path: str) -> HostFactory:
@@ -189,23 +181,17 @@ class Simulation:
         self.cp = cp
         self.cfg = cfg
         registry = hosts if hosts is not None else builtin_hosts()
-        host_values: dict[str, Value] = {}
-        missing: list[str] = []
-        for node in cp.program.nodes:
-            step = cp.program.step(cp.node_step[node.name])
+        # Prototypes that some node implements or some step body names.
+        used = {node.step for node in cp.program.nodes}
+        for step in cp.program.steps:
             if not step.is_prototype:
-                continue
-            if not registry.bound(step.name):
-                missing.append(f"{step.name} (node {node.name})")
-                continue
-            host_values[node.name] = VExtern(
-                f"{step.name}::{node.name}", registry.instantiate(step.name), pure=False
-            )
+                used.update(free_variables(Lambda(step.in_pattern, step.out_pattern, step.equations)))
+        prototypes = [s.name for s in cp.program.steps if s.is_prototype and s.name in used]
+        missing = [name for name in prototypes if not registry.bound(name)]
         if missing:
-            raise SimError(
-                [Diagnostic("unbound prototype steps: " + ", ".join(sorted(set(missing))))]
-            )
-        self.state: NetworkState = init_network(cp, host_values)
+            raise SimError([Diagnostic("unbound prototype steps: " + ", ".join(missing))])
+        hosts_by_step = {name: _per_node_host(name, registry) for name in prototypes}
+        self.state: NetworkState = init_network(cp, hosts_by_step)
         self._rng = random.Random(cfg.seed)
         self._observed_horizon = 0
 
@@ -248,6 +234,20 @@ class Simulation:
         )
         steps = tuple(s for s in self.state.steps if s.time_us <= cutoff)
         return Trace(events, steps)
+
+
+def _per_node_host(step: str, registry: HostRegistry) -> VExtern:
+    """The binding of a prototype step: every calling node gets its own
+    instance from the step's factory, made on that node's first call."""
+    instances: dict[str, HostFn] = {}
+
+    def call(value: Value, ctx: HostContext) -> Value:
+        fn = instances.get(ctx.node)
+        if fn is None:
+            fn = instances[ctx.node] = registry.instantiate(step)
+        return fn(value, ctx)
+
+    return VExtern(step, call)
 
 
 def _livelock(state: NetworkState, stuck: list[NodeState]) -> SimError:

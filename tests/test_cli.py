@@ -1,6 +1,9 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import EDGE_NETWORK, EDGE_SOURCE, FIB_SOURCE
 from mimosa.cli import main
@@ -58,6 +61,47 @@ class TestCheck:
     def test_usage_error_is_exit_2(self, capsys):
         assert main(["check"]) == 2
         assert main(["frobnicate"]) == 2
+
+    def test_malformed_number_is_a_diagnostic(self, tmp_path, capsys):
+        path = tmp_path / "bad.mim"
+        path.write_text("step f x --> y { y = x + \u00b2 }\n", encoding="utf-8")
+        assert main(["check", str(path)]) == 1
+        assert f"{path}:1:26: error: malformed number" in capsys.readouterr().err
+
+
+# Pieces of Mimosa source, whole declarations among them so that some texts get
+# past the parser, plus letters and digits outside ASCII.
+FRAGMENTS = st.sampled_from(
+    [
+        *"step channel node implements every if then else pre fby either otherwise".split(),
+        *"Some None true false int bool x y f n a 0 1 2.5 10ms 3s".split(),
+        *"--> -> ( ) { } , ; : = ? + - * / < <= == != && || ! _ --".split(),
+        " ",
+        "\n",
+        "step f x --> y { y = x }",
+        "step p () --> (v : int)",
+        "channel a : int = { 1 }",
+        "node n implements f (a) --> (a) every 10ms",
+        "y = 0 -> pre x + 1;",
+        "\u00e9",
+        "\u03bb",
+        "\u00b2",
+        "\u00bd",
+        "\u0663",
+        "\u216b",
+        "x\u00b2",
+    ]
+) | st.characters(min_codepoint=0x80, max_codepoint=0x33FF).filter(str.isalnum)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(FRAGMENTS, max_size=40).map(lambda parts: "".join(parts)[:80]))
+def test_malformed_input_never_raises(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.mim"
+        path.write_text(text, encoding="utf-8")
+        assert main(["check", str(path)]) in (0, 1)
+        assert main(["fmt", str(path)]) in (0, 1)
 
 
 class TestRun:
@@ -146,6 +190,13 @@ class TestRun:
     def test_bad_stub_spec(self, fib_file, capsys):
         assert main(["run", fib_file, "--for", "10ms", "--stub", "oops"]) == 1
         assert "--stub" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("literal", ["foo", "1 2", ")"])
+    def test_bad_stub_literal_is_a_diagnostic(self, tmp_path, capsys, literal):
+        program = tmp_path / "edge.mim"
+        program.write_text(EDGE_NETWORK)
+        assert main(["run", str(program), "--for", "10ms", "--stub", f"pin=const:{literal}"]) == 1
+        assert "<literal>:1:" in capsys.readouterr().err
 
 
 class TestFmt:

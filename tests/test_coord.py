@@ -62,7 +62,13 @@ node p implements produce () --> (x) every 5ms
 node c implements consume (x) --> () every 1ms
 """
         cp = check_program(parse_program(src))
-        ns = init_network(cp, {"p": VExtern("p", lambda v, ctx: VConst(0)), "c": VExtern("c", lambda v, ctx: UNIT_VALUE)})
+        ns = init_network(
+            cp,
+            {
+                "produce": VExtern("produce", lambda v, ctx: VConst(0)),
+                "consume": VExtern("consume", lambda v, ctx: UNIT_VALUE),
+            },
+        )
         assert ns.channels["x"].validity == 5 * MS
 
     def test_initial_list_order_is_oldest_first(self):
@@ -113,8 +119,8 @@ node c implements consume (b) --> () every 10ms
 """
         cp = check_program(parse_program(src))
         hosts = {
-            "p": VExtern("p", lambda v, ctx: VConst(7)),
-            "c": VExtern("c", lambda v, ctx: UNIT_VALUE),
+            "produce": VExtern("produce", lambda v, ctx: VConst(7)),
+            "consume": VExtern("consume", lambda v, ctx: UNIT_VALUE),
         }
         ns = init_network(cp, hosts)
         # a is empty with validity 30ms > 0: decidably absent, fire with None.
@@ -201,7 +207,7 @@ step g (v : int) --> (w : int) { w = v }
 
 class TestInvariants:
     def test_rules_preserve_channel_invariants(self, fib_checked):
-        ns = init_network(fib_checked, {"print": VExtern("print_int", lambda v, ctx: UNIT_VALUE)})
+        ns = init_network(fib_checked, {"print_int": VExtern("print_int", lambda v, ctx: UNIT_VALUE)})
         order = ["split", "add", "print", "add", "split", "print"]
         for name in order:
             decision = node_enabled(ns, name)

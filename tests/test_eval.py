@@ -312,7 +312,7 @@ class TestHostCalls:
             calls.append(value)
             return VConst(len(calls))
 
-        return VExtern("counter", fn, pure=False), calls
+        return VExtern("counter", fn), calls
 
     def test_impure_host_called_once_per_cycle_inside_equations(self):
         host, calls = self.make_counting_host()

@@ -152,6 +152,22 @@ class TestLexer:
         assert toks[0].span.line == 1 and toks[0].span.col == 1
         assert toks[1].span.col == 6
 
+    @pytest.mark.parametrize(
+        "source, col, end_col",
+        [
+            ("x + \u00b2", 5, 5),  # superscript two: a digit to str.isdigit, not to int()
+            ("1\u0663", 1, 2),  # Arabic-Indic three: int() would read "13"
+            ("9" * 5000, 1, 5000),  # beyond the interpreter's int string limit
+            ("1.0e999", 1, 7),  # float() would read inf, which prints as `inf.0`
+        ],
+        ids=["superscript", "arabic-indic", "5000-digits", "real-overflow"],
+    )
+    def test_number_literals_use_ascii_digits(self, source, col, end_col):
+        with pytest.raises(ParseError) as err:
+            parse_expression(source)
+        (diag,) = err.value.diagnostics
+        assert (diag.span.line, diag.span.col, diag.span.end_col) == (1, col, end_col)
+
     @given(st.integers(min_value=1, max_value=10**9))
     def test_duration_print_parse_round_trip(self, us):
         assert parse_duration(format_duration(us)) == us
@@ -182,6 +198,26 @@ class TestErrors:
         assert diag.span.line == 2
 
 
+class TestNesting:
+    def test_deep_nesting_is_a_diagnostic(self):
+        source = "(" * 200 + "x" + ")" * 200
+        for parse in (parse_expression, lambda text: parse_program(f"step f x --> y {{ y = {text} }}")):
+            with pytest.raises(ParseError, match="expression nested too deeply") as err:
+                parse(source)
+            (diag,) = err.value.diagnostics
+            assert diag.span.line == 1 and diag.span.end_col == diag.span.col
+
+    def test_moderate_nesting_parses(self):
+        assert parse_expression("(" * 40 + "x" + ")" * 40) == Var("x")
+
+    def test_parsing_continues_after_deep_nesting(self):
+        deep = "(" * 200 + "x" + ")" * 200
+        with pytest.raises(ParseError) as err:
+            parse_program(f"step f x --> y {{ y = {deep} }}\nchannel c :\n")
+        messages = [d.message for d in err.value.diagnostics]
+        assert messages[0] == "expression nested too deeply" and len(messages) == 2
+
+
 class TestRoundTrip:
     def test_fibonacci_round_trip(self, fib_program):
         assert parse_program(pretty_program(fib_program)) == fib_program
@@ -193,6 +229,10 @@ class TestRoundTrip:
         for program in (fib_program, edge_program):
             once = pretty_program(program)
             assert pretty_program(parse_program(once)) == once
+
+    @pytest.mark.parametrize("value", [0.0, 1.5, 2.0, 1e20, 1e-05, 1.25e-300])
+    def test_real_literal_round_trip(self, value):
+        assert parse_expression(pretty_expr(Const(value))) == Const(value)
 
     @pytest.mark.parametrize("seed", range(200))
     def test_random_expression_round_trip(self, seed):

@@ -15,7 +15,7 @@ from mimosa import (
 )
 from mimosa.ast import UNIT_VALUE, VConst
 from mimosa.coord import NetworkState, StepRecord
-from mimosa.errors import SimError
+from mimosa.errors import ParseError, SimError
 from mimosa.sim import builtin_hosts, const_seq, from_values, parse_literal, print_host
 
 MS = 1_000
@@ -172,6 +172,44 @@ class TestHosts:
         with pytest.raises(SimError, match="unbound prototype steps"):
             Simulation(edge_network_checked, SimConfig(horizon_us=MS), HostRegistry())
 
+    TWICE = """\
+step sensor () --> (v : int)
+step sink (_ : int) --> ()
+step twice () --> (w : int) { w = sensor () + sensor () }
+channel a : int
+channel b : int
+node t1 implements twice () --> (a) every 10ms
+node t2 implements twice () --> (b) every 20ms
+node s1 implements sink (a) --> () every 10ms
+node s2 implements sink (b) --> () every 20ms
+"""
+
+    def test_step_body_calls_prototype_with_one_instance_per_node(self):
+        callers: list[set[str]] = []  # per instance, the nodes that called it
+
+        def counter():
+            seen, count = set(), iter(range(1000))
+            callers.append(seen)
+
+            def fn(_value, ctx):
+                seen.add(ctx.node)
+                return VConst(next(count))
+
+            return fn
+
+        hosts = HostRegistry().bind("sensor", counter).bind_fn("sink", silent)
+        cp = check_program(parse_program(self.TWICE))
+        trace = run(cp, SimConfig(horizon_us=40 * MS), hosts)
+        # Each node's own counter yields 0, 1 on its first firing, 2, 3 on its second...
+        assert [v.value for v in trace.values("a")] == [1, 5, 9, 13]
+        assert [v.value for v in trace.values("b")] == [1, 5]
+        assert sorted(map(sorted, callers)) == [["t1"], ["t2"]]
+
+    def test_unbound_prototype_called_from_step_body_reported(self):
+        cp = check_program(parse_program(self.TWICE))
+        with pytest.raises(SimError, match=r"unbound prototype steps: sensor$"):
+            Simulation(cp, SimConfig(horizon_us=MS), HostRegistry().bind_fn("sink", silent))
+
     def test_from_values_holds_last(self):
         fn = from_values([VConst(1), VConst(2)])()
         got = [fn(UNIT_VALUE, None) for _ in range(4)]
@@ -200,6 +238,11 @@ class TestHosts:
         assert parse_literal("-3") == VConst(-3)
         assert parse_literal("Some true").value == VConst(True)
         assert parse_literal("(1, 2)").items == (VConst(1), VConst(2))
+
+    @pytest.mark.parametrize("text", ["foo", "1 2", ")", "\u00b2"])
+    def test_malformed_literal_is_a_parse_error(self, text):
+        with pytest.raises(ParseError):
+            parse_literal(text)
 
     def test_host_instances_are_per_node(self):
         # Two nodes implementing the same prototype each get a fresh stub.
