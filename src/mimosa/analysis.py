@@ -14,7 +14,6 @@ from .ast import (
     Expr,
     Fby,
     If,
-    Lambda,
     NoneLit,
     Pattern,
     Pre,
@@ -60,8 +59,6 @@ from .types import (
 
 # ---------------------------------------------------------------------------
 # Initialization lattice: True = initialized, pointwise over tuples.
-
-InitType = "bool | tuple"
 
 
 def init_meet(a, b):
@@ -168,8 +165,6 @@ class _InitCheck:
                 if check:
                     self._require(sa, arg.span, "step argument")
                 return True
-            case Lambda():
-                return True
             case _:
                 raise InitError([Diagnostic(f"cannot analyze expression {e!r}", file=self.file)])
 
@@ -275,7 +270,6 @@ def _in_cycle(start: int, deps: list[set[int]], remaining: set[int]) -> bool:
 @dataclass(frozen=True)
 class NetworkInfo:
     step_order: tuple[str, ...]  # call-graph topological order
-    node_step: dict[str, str]
     channel_writer: dict[str, str | None]
     channel_reader: dict[str, str | None]
 
@@ -377,7 +371,7 @@ def check_network(program: Program, *, complete: bool = True, file: str = "<stri
     step_order = _step_topo_order(program, diags, file)
     if diags:
         raise NetworkError(diags)
-    return NetworkInfo(step_order, {n.name: n.step for n in program.nodes}, writer, reader)
+    return NetworkInfo(step_order, writer, reader)
 
 
 def _has_wild(p: Pattern) -> bool:
@@ -532,8 +526,6 @@ class _Infer:
                 result = self.u.fresh()
                 self.u.unify(tfn, TFunc(targ, result), e.span, self.file)
                 return result
-            case Lambda():
-                return self.lambda_type(e, ctx, dict(local))
             case _:
                 raise AssertionError(e)
 
@@ -549,17 +541,6 @@ class _Infer:
                 return TOption(self.literal_type(inner))
             case _:
                 raise AssertionError(v)
-
-    def lambda_type(self, e: Lambda, ctx: dict[str, Scheme], local: dict[str, Type]) -> Type:
-        tin = self.sig_type(e.in_pattern, local, require_annot=False, step="<lambda>")
-        for eq in e.equations:
-            for name in eq.lhs.names():
-                local.setdefault(name, self.u.fresh())
-        for eq in e.equations:
-            trhs = self.expr(eq.rhs, ctx, local)
-            self.u.unify(self.lhs_type(eq.lhs, local), trhs, eq.span, self.file)
-        tout = self.out_type(e.out_pattern, local, "<lambda>")
-        return TFunc(tin, tout)
 
 
 def infer_types(
@@ -625,12 +606,7 @@ def _ports_type(ports, channel_types) -> Type:
 @dataclass(frozen=True)
 class CheckedProgram:
     program: Program
-    step_schemes: dict[str, Scheme]
-    node_signatures: dict[str, Type]
     ordered_equations: dict[str, tuple[Equation, ...]]
-    init_types: dict[str, dict]
-    step_order: tuple[str, ...]
-    node_step: dict[str, str]
     channel_writer: dict[str, str | None]
     channel_reader: dict[str, str | None]
 
@@ -644,22 +620,16 @@ def check_program(
     source-located diagnostics.
     """
     info = check_network(program, complete=complete_network, file=file)
-    schemes, node_sigs = infer_types(program, info, file=file)
+    infer_types(program, info, file=file)
     ordered: dict[str, tuple[Equation, ...]] = {}
-    init_types: dict[str, dict] = {}
     for step in program.steps:
         if step.is_prototype:
             continue
         ordered[step.name] = order_equations(step, file=file)
-        init_types[step.name] = check_initialization(step, ordered[step.name], file=file)
+        check_initialization(step, ordered[step.name], file=file)
     return CheckedProgram(
         program=program,
-        step_schemes=schemes,
-        node_signatures=node_sigs,
         ordered_equations=ordered,
-        init_types=init_types,
-        step_order=info.step_order,
-        node_step=info.node_step,
         channel_writer=info.channel_writer,
         channel_reader=info.channel_reader,
     )

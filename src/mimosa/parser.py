@@ -56,6 +56,11 @@ DURATION_UNITS = {"us": 1, "ms": 1_000, "s": 1_000_000}
 
 _BINARY_LEVEL = {op: level for level, ops in enumerate(BINARY_LEVELS) for op in ops}
 
+# The deepest expression tree the parser accepts: the checks, the printer and
+# the evaluator recurse per level, and all of them run at this depth under the
+# interpreter's default recursion limit.
+MAX_EXPR_DEPTH = 256
+
 # One alternative per token class, tried in order; punctuation longest first,
 # so `-->` is never read as `-` `->`, and the catch-all `error` matches any
 # character no other alternative accepts. A number's unit is any run of word
@@ -86,9 +91,10 @@ class _Diag(Exception):
         self.span = span
 
 
-def tokenize(source: str, file: str = "<string>") -> list[Token]:
+def tokenize(source: str, file: str = "<string>", line: int = 1) -> list[Token]:
+    """Split `source`, whose first line is line `line` of `file`, into tokens."""
     tokens: list[Token] = []
-    line, line_start = 1, 0
+    line_start = 0
     for m in _TOKEN.finditer(source):
         kind = m.lastgroup
         if kind == "newline":
@@ -281,7 +287,7 @@ class Parser:
         start = self.peek()
         lhs = self.lhs_pattern()
         self.expect("=")
-        rhs = self.expr_list()
+        rhs = self.expression()
         return Equation(lhs, rhs, span=self.span_from(start))
 
     def lhs_pattern(self) -> Pattern:
@@ -459,6 +465,15 @@ class Parser:
 
     # -- expressions ---------------------------------------------------------
 
+    def expression(self) -> Expr:
+        """A complete expression whose tree is at most MAX_EXPR_DEPTH deep."""
+        start = self.pos
+        e = self.expr_list()
+        # A tree is never deeper than its token count: short expressions skip the walk.
+        if self.pos - start > MAX_EXPR_DEPTH and _depth(e) > MAX_EXPR_DEPTH:
+            raise _Diag("expression nested too deeply", self.span_from(self.tokens[start]))
+        return e
+
     def expr_list(self) -> Expr:
         """One or more comma-separated expressions; several build a tuple."""
         start = self.peek()
@@ -581,17 +596,34 @@ def parse_program(source: str, file: str = "<string>") -> Program:
 
 
 def parse_expression(source: str, file: str = "<string>") -> Expr:
-    return _parse_all(source, file, Parser.expr_list)
+    return _parse_all(source, file, Parser.expression)
 
 
-def parse_literal(source: str, file: str = "<literal>") -> Value:
-    """Parse one literal value, as allowed in channel initial-value lists."""
-    return _parse_all(source, file, Parser.literal_value)
+def parse_literal(source: str, file: str = "<literal>", line: int = 1) -> Value:
+    """Parse one literal value, as allowed in channel initial-value lists;
+    `source` is line `line` of `file`."""
+    return _parse_all(source, file, Parser.literal_value, line)
 
 
-def _parse_all(source: str, file: str, rule: Callable[[Parser], _T]) -> _T:
+def _depth(e: Expr) -> int:
+    """The number of levels of the expression tree, counted with an explicit
+    stack so that a deep tree cannot overflow the interpreter's."""
+    deepest = 0
+    stack = [(e, 1)]
+    while stack:
+        e, depth = stack.pop()
+        deepest = max(deepest, depth)
+        for child in vars(e).values():
+            if isinstance(child, Expr):
+                stack.append((child, depth + 1))
+            elif isinstance(child, tuple):
+                stack.extend((item, depth + 1) for item in child)
+    return deepest
+
+
+def _parse_all(source: str, file: str, rule: Callable[[Parser], _T], line: int = 1) -> _T:
     """Parse `source` as exactly one `rule`."""
-    parser = Parser(tokenize(source, file), file)
+    parser = Parser(tokenize(source, file, line), file)
     try:
         result = rule(parser)
         if not parser.at_kind("eof"):

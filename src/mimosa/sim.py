@@ -1,10 +1,14 @@
 """Discrete-event driver over the coordination layer.
 
-The deterministic schedule always rewrites the enabled node with the smallest
-activation time, breaking ties by declaration order; same-instant host side
-effects therefore happen in declaration order. The randomized schedule picks
-uniformly among enabled nodes and exists to exercise confluence: any schedule
-must produce the same per-channel timed history.
+Each step orders the candidates (nodes activated within the horizon) by the
+schedule and applies the rule of the first one that is not BLOCKED. The
+deterministic order is by activation, ties in declaration order, so
+same-instant host side effects happen in declaration order. Its first
+candidate is never BLOCKED: an input's validity is its writer's activation
+plus period, and no writer is behind the earliest activation. The randomized
+order is a lazy Fisher-Yates shuffle, so the chosen node is uniform among the
+enabled ones; it exercises confluence: any schedule must produce the same
+per-channel timed history.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import io
 import random
 import sys
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import Callable, Sequence
 
 from .analysis import CheckedProgram
@@ -124,10 +129,14 @@ def from_values(values: Sequence[Value]) -> HostFactory:
 def from_file(path: str) -> HostFactory:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            lines = [line.strip() for line in handle]
+            lines = handle.read().splitlines()
     except OSError as exc:
         raise SimError([Diagnostic(f"cannot read stub input {path!r}: {exc}")]) from exc
-    values = [parse_literal(line) for line in lines if line and not line.startswith("--")]
+    values = [
+        parse_literal(line, path, number)
+        for number, line in enumerate(lines, 1)
+        if (text := line.strip()) and not text.startswith("--")
+    ]
     if not values:
         raise SimError([Diagnostic(f"stub input {path!r} contains no values")])
     return from_values(values)
@@ -199,23 +208,24 @@ class Simulation:
         """Apply rewrite rules until every activation exceeds the horizon."""
         self._observed_horizon = max(self._observed_horizon, horizon_us)
         state = self.state
+        randomized = self.cfg.schedule == "randomized"
         while True:
             candidates = [n for n in state.nodes.values() if n.activation <= horizon_us]
             if not candidates:
                 return
-            enabled = []
-            for node in candidates:
+            if not randomized:
+                # A stable sort; state.nodes is in declaration order.
+                candidates.sort(key=attrgetter("activation"))
+            for k in range(len(candidates)):
+                if randomized:
+                    j = self._rng.randrange(k, len(candidates))
+                    candidates[k], candidates[j] = candidates[j], candidates[k]
+                node = candidates[k]
                 decision = node_enabled(state, node.name)
                 if decision != BLOCKED:
-                    enabled.append((node, decision))
-            if not enabled:
-                raise _livelock(state, candidates)
-            if self.cfg.schedule == "deterministic":
-                # state.nodes is in declaration order and min keeps the first
-                # minimum, so ties on activation go to the earliest declared.
-                node, decision = min(enabled, key=lambda nd: nd[0].activation)
+                    break
             else:
-                node, decision = enabled[self._rng.randrange(len(enabled))]
+                raise _livelock(state, candidates)
             if decision == FIRE:
                 fire_node(state, node.name)
             else:

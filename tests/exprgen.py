@@ -134,33 +134,42 @@ SYSTEM_VARS = ("x", "y", "z")
 
 
 def gen_system(rng: random.Random, n_eqs: int) -> list[Equation]:
-    """Equations binding x (and y) with right-hand sides whose values stay in
-    {0, 1, undef}; references may be causal or delayed."""
-    names = SYSTEM_VARS[:n_eqs]
+    """A causal system of equations binding x (and y, z) with right-hand
+    sides whose values stay in {0, 1, undef}.
 
-    def atom() -> Expr:
+    The names are drawn in a causal order: outside `pre`, a right-hand side
+    refers only to names earlier in that order; under `pre`, to any name. The
+    equations come out shuffled, so declaration order is independent of the
+    causal order.
+    """
+    names = list(SYSTEM_VARS[:n_eqs])
+    rng.shuffle(names)
+
+    def atom(visible: list[str]) -> Expr:
         roll = rng.random()
         if roll < 0.4:
             return Const(rng.randrange(2))
-        if roll < 0.9:
-            return Var(rng.choice(names))
+        if roll < 0.9 and visible:
+            return Var(rng.choice(visible))
         return Var("i0")
 
-    def rhs(depth: int) -> Expr:
+    def rhs(depth: int, visible: list[str]) -> Expr:
         if depth <= 0:
-            return atom()
+            return atom(visible)
         form = rng.choice(("atom", "pre", "arrow", "fby", "if"))
         if form == "atom":
-            return atom()
+            return atom(visible)
         if form == "pre":
-            return Pre(rhs(depth - 1))
+            return Pre(rhs(depth - 1, names))
         if form == "arrow":
-            return Arrow(rhs(depth - 1), rhs(depth - 1))
+            return Arrow(rhs(depth - 1, visible), rhs(depth - 1, visible))
         if form == "fby":
-            return Fby(rhs(depth - 1), rhs(depth - 1))
-        return If(Var("b1"), rhs(depth - 1), rhs(depth - 1))
+            return Fby(rhs(depth - 1, visible), rhs(depth - 1, visible))
+        return If(Var("b1"), rhs(depth - 1, visible), rhs(depth - 1, visible))
 
-    return [Equation(PVar(name), rhs(rng.randrange(1, 3))) for name in names]
+    equations = [Equation(PVar(name), rhs(rng.randrange(1, 3), names[:k])) for k, name in enumerate(names)]
+    rng.shuffle(equations)
+    return equations
 
 
 SYSTEM_BASE = {"i0": VConst(0), "b1": VConst(True)}

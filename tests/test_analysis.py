@@ -263,6 +263,21 @@ class TestInitialization:
             lambda: fixpoint_initialization(step, ordered)
         )
 
+    def test_generated_systems_are_causal(self):
+        # The seeded tests over gen_system skip non-causal systems, so most
+        # of their seeds must draw causal ones.
+        causal = 0
+        for seed in range(200):
+            rng = random.Random(seed)
+            equations = gen_system(rng, rng.randrange(1, 4))
+            step = StepDecl("s", PUnit(), PVar(equations[0].lhs.names()[0]), tuple(equations))
+            try:
+                order_equations(step)
+            except CausalityError:
+                continue
+            causal += 1
+        assert causal >= 180
+
     def test_lattice_helpers(self):
         assert init_meet(True, True) is True
         assert init_meet(True, (True, False)) == (True, False)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import EDGE_NETWORK, EDGE_SOURCE, FIB_SOURCE
 from mimosa.cli import main
+from mimosa.parser import MAX_EXPR_DEPTH
 
 BAD_INIT = """\
 step f (x : int) --> y { y = 0 -> 0 -> pre pre x }
@@ -197,6 +198,45 @@ class TestRun:
         program.write_text(EDGE_NETWORK)
         assert main(["run", str(program), "--for", "10ms", "--stub", f"pin=const:{literal}"]) == 1
         assert "<literal>:1:" in capsys.readouterr().err
+
+    def test_bad_stub_file_line_names_file_and_line(self, tmp_path, capsys):
+        program = tmp_path / "edge.mim"
+        program.write_text(EDGE_NETWORK)
+        levels = tmp_path / "levels.txt"
+        levels.write_text("true\n)\n")
+        assert main(["run", str(program), "--for", "10ms", "--stub", f"pin={levels}"]) == 1
+        assert f"{levels}:2:1: error: expected a literal value, found ')'" in capsys.readouterr().err
+
+
+def chain_program(operators: int) -> str:
+    """A runnable network whose step body is `x + 1 + ... + 1`."""
+    return f"""\
+step f (x : int) --> (y : int) {{ y = x{" + 1" * operators} }}
+step g (v : int) --> (w : int) {{ w = v }}
+channel a : int = {{ 0 }}
+channel b : int
+node n implements f (a) --> (b) every 10ms
+node m implements g (b) --> (a) every 10ms
+"""
+
+
+class TestDeepExpressions:
+    COMMANDS = [["check"], ["fmt"], ["run", "--for", "100ms"]]
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    def test_long_operator_chain_is_a_diagnostic(self, tmp_path, capsys, command):
+        path = tmp_path / "chain.mim"
+        path.write_text(chain_program(1500))
+        assert main([command[0], str(path), *command[1:]]) == 1
+        assert f"{path}:1:38: error: expression nested too deeply" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    def test_operator_chain_at_the_depth_limit_runs(self, tmp_path, capsys, command):
+        # x + 1 + ... with k operators is a tree 2k + 1 levels deep.
+        path = tmp_path / "chain.mim"
+        path.write_text(chain_program((MAX_EXPR_DEPTH - 1) // 2))
+        assert main([command[0], str(path), *command[1:]]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestFmt:

@@ -19,7 +19,7 @@ from mimosa.ast import (
     Var,
     VConst,
 )
-from mimosa.parser import tokenize
+from mimosa.parser import MAX_EXPR_DEPTH, _depth, tokenize
 from mimosa.pretty import format_duration, pretty_expr, pretty_program
 from mimosa.types import BOOL, TOption
 
@@ -206,6 +206,27 @@ class TestNesting:
                 parse(source)
             (diag,) = err.value.diagnostics
             assert diag.span.line == 1 and diag.span.end_col == diag.span.col
+
+    def test_expression_depth_limit(self):
+        # k prefix operators nest k applications above the operand.
+        assert parse_expression("!" * (MAX_EXPR_DEPTH - 1) + "x")
+        with pytest.raises(ParseError, match="expression nested too deeply") as err:
+            parse_expression("!" * MAX_EXPR_DEPTH + "x")
+        assert str(err.value.diagnostics[0].span) == "1:1"
+
+    @pytest.mark.parametrize(
+        "text",
+        ["x", "()", "x + 1 + 1", "f x y z", "!!pre x", "((x))", "(a, (b, c))", "if a then b else c"]
+        + [
+            pretty_expr(gen_expr(random.Random(seed), TOP_TYPES[seed % 5], depth=6, need_init=False))
+            for seed in range(40)
+        ],
+    )
+    def test_depth_is_at_most_the_token_count(self, text):
+        # The parser walks only expressions longer than MAX_EXPR_DEPTH
+        # tokens, which relies on this bound.
+        tokens = len(tokenize(text)) - 1  # without the end-of-input token
+        assert _depth(parse_expression(text)) <= tokens
 
     def test_moderate_nesting_parses(self):
         assert parse_expression("(" * 40 + "x" + ")" * 40) == Var("x")

@@ -14,7 +14,7 @@ from mimosa import (
     run_randomized_equivalence,
 )
 from mimosa.ast import UNIT_VALUE, VConst
-from mimosa.coord import NetworkState, StepRecord
+from mimosa.coord import NetworkState, StepRecord, idle_node, node_enabled
 from mimosa.errors import ParseError, SimError
 from mimosa.sim import builtin_hosts, const_seq, from_values, parse_literal, print_host
 
@@ -155,6 +155,95 @@ node n2 implements g (y) --> (x) every 10ms
         trace = run(cp, SimConfig(horizon_us=100 * MS), HostRegistry())
         assert trace.events == ()
         assert all(s.kind == "idle" for s in trace.steps)
+
+
+class TestSelection:
+    # Chains src -> inc -> sink whose sinks are slower than their inc, so a
+    # scan of every candidate finds sinks ahead of their input's validity.
+    WIDE = """\
+step count () --> (n : int) { n = 0 -> pre (n + 1) }
+step inc (x : int) --> (y : int) { y = x + 1 }
+step drop (_ : int) --> ()
+channel a1 : int
+channel b1 : int
+channel a2 : int
+channel b2 : int
+node src1 implements count () --> (a1) every 8ms
+node inc1 implements inc (a1) --> (b1) every 4ms
+node sink1 implements drop (b1) --> () every 8ms
+node src2 implements count () --> (a2) every 12ms
+node inc2 implements inc (a2) --> (b2) every 4ms
+node sink2 implements drop (b2) --> () every 6ms
+"""
+
+    # p writes the channel r reads; q1 and q2 are independent.
+    BLOCKING = """\
+step count () --> (n : int) { n = 0 -> pre (n + 1) }
+step drop (_ : int) --> ()
+step beat () --> ()
+channel a : int
+node p implements count () --> (a) every 20ms
+node q1 implements beat () --> () every 20ms
+node q2 implements beat () --> () every 20ms
+node r implements drop (a) --> () every 10ms
+"""
+
+    @staticmethod
+    def counting_decisions(monkeypatch) -> list[str]:
+        decisions: list[str] = []
+
+        def counted(ns, name):
+            decision = node_enabled(ns, name)
+            decisions.append(decision)
+            return decision
+
+        monkeypatch.setattr("mimosa.sim.node_enabled", counted)
+        return decisions
+
+    @pytest.mark.parametrize("network", ["fib", "edge", "wide"])
+    def test_deterministic_schedule_decides_once_per_step(
+        self, network, monkeypatch, fib_checked, edge_network_checked
+    ):
+        if network == "fib":
+            cp, hosts, horizon = fib_checked, quiet_fib_hosts(), 200 * MS
+        elif network == "edge":
+            cp, horizon = edge_network_checked, 600 * MS
+            hosts = edge_hosts(bools(False, True, True, False, True, False))
+        else:
+            cp, horizon = check_program(parse_program(self.WIDE)), 96 * MS
+            hosts = HostRegistry().bind_fn("drop", silent)
+        decisions = self.counting_decisions(monkeypatch)
+        trace = run(cp, SimConfig(horizon_us=horizon), hosts)
+        assert len(decisions) == len(trace.steps) > 0
+        assert "blocked" not in decisions
+
+    def test_randomized_schedule_is_uniform_among_enabled(self, monkeypatch):
+        cp = check_program(parse_program(self.BLOCKING))
+        hosts = HostRegistry().bind_fn("drop", silent).bind_fn("beat", silent)
+
+        class Chosen(Exception):
+            pass
+
+        def stop(_ns, name):
+            raise Chosen(name)
+
+        chosen = {"p": 0, "q1": 0, "q2": 0, "r": 0}
+        seeds = 600
+        for seed in range(seeds):
+            sim = Simulation(cp, SimConfig(horizon_us=20 * MS, schedule="randomized", seed=seed), hosts)
+            # r idles at 0ms and 10ms; at 20ms it waits on p, still at 0ms.
+            idle_node(sim.state, "r")
+            idle_node(sim.state, "r")
+            assert node_enabled(sim.state, "r") == "blocked"
+            with monkeypatch.context() as patch:
+                patch.setattr("mimosa.sim.fire_node", stop)
+                patch.setattr("mimosa.sim.idle_node", stop)
+                with pytest.raises(Chosen) as got:
+                    sim.run_until(20 * MS)
+            chosen[str(got.value)] += 1
+        assert chosen["r"] == 0
+        for name in ("p", "q1", "q2"):
+            assert abs(chosen[name] - seeds / 3) < 50, chosen
 
 
 class TestHosts:
