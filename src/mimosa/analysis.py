@@ -33,6 +33,7 @@ from .ast import (
     VSome,
     VTuple,
     free_variables,
+    nesting,
 )
 from .builtins import BUILTIN_TYPES
 from .errors import (
@@ -266,6 +267,13 @@ def _in_cycle(start: int, deps: list[set[int]], remaining: set[int]) -> bool:
 # ---------------------------------------------------------------------------
 # Network resolution
 
+# The deepest nesting a step may reach through the steps it calls: the depths
+# of the steps' deepest right-hand sides, summed along every chain of step
+# names (a step passed as an argument counts in the chain of the step that
+# names it). The evaluator takes about one interpreter frame per level, so at
+# this depth a run uses about half the interpreter's default recursion limit.
+MAX_CALL_DEPTH = 512
+
 
 @dataclass(frozen=True)
 class NetworkInfo:
@@ -384,16 +392,10 @@ def _has_wild(p: Pattern) -> bool:
             return False
 
 
-def _step_calls(step: StepDecl, step_names: set[str]) -> set[str]:
-    calls: set[str] = set()
-    for eq in step.equations or ():
-        calls.update(n for n in free_variables(eq.rhs) if n in step_names)
-    return calls
-
-
 def _step_topo_order(program: Program, diags: list[Diagnostic], file: str) -> tuple[str, ...]:
     step_names = {s.name for s in program.steps}
-    calls = {s.name: _step_calls(s, step_names) for s in program.steps}
+    # Per step: the depth of its deepest right-hand side, and the steps it names.
+    bodies = {s.name: nesting((eq.rhs for eq in s.equations or ()), step_names) for s in program.steps}
     order: list[str] = []
     state: dict[str, int] = {}  # 0 = visiting, 1 = done
 
@@ -412,13 +414,30 @@ def _step_topo_order(program: Program, diags: list[Diagnostic], file: str) -> tu
             state[name] = 1
             return
         state[name] = 0
-        for callee in sorted(calls[name]):
+        for callee in sorted(bodies[name][1]):
             visit(callee, path + [name])
         state[name] = 1
         order.append(name)
 
     for s in program.steps:
         visit(s.name, [])
+
+    # Callees come first in `order`, so one pass sums the depths along every
+    # call chain; only the first step of a chain past the limit is reported.
+    nested: dict[str, int] = {}
+    for name in order:
+        depth, callees = bodies[name]
+        below = max((nested.get(c, 0) for c in callees), default=0)
+        nested[name] = depth + below
+        if nested[name] > MAX_CALL_DEPTH and below <= MAX_CALL_DEPTH:
+            diags.append(
+                Diagnostic(
+                    f"expression nested too deeply: the calls from step '{name}' nest "
+                    f"{nested[name]} levels (at most {MAX_CALL_DEPTH})",
+                    program.step(name).span,
+                    file=file,
+                )
+            )
     return tuple(order)
 
 

@@ -8,7 +8,7 @@ trees ignores where they were parsed from.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Literal
+from typing import Callable, Container, Iterable, Literal
 
 from .errors import SYNTHETIC, InternalError, Span
 from .types import Type
@@ -396,3 +396,26 @@ def free_variables(e: Expr) -> dict[str, DepKind]:
 
     walk(e, False, frozenset())
     return out
+
+
+def nesting(roots: Iterable[Expr], names: Container[str] = ()) -> tuple[int, set[str]]:
+    """The number of levels of the deepest of `roots` (a name or a literal is
+    one level), and which of `names` they mention. Walked with an explicit
+    stack, so a deep tree cannot overflow the interpreter's."""
+    deepest = 0
+    mentioned: set[str] = set()
+    stack = [(e, 1) for e in roots]
+    while stack:
+        e, depth = stack.pop()
+        if depth > deepest:
+            deepest = depth
+        if type(e) is Var:
+            if e.name in names:
+                mentioned.add(e.name)
+            continue
+        for child in vars(e).values():
+            if isinstance(child, Expr):
+                stack.append((child, depth + 1))
+            elif isinstance(child, tuple):
+                stack.extend((item, depth + 1) for item in child)
+    return deepest, mentioned

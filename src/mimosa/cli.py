@@ -6,9 +6,10 @@ import argparse
 import csv
 import os
 import sys
+from dataclasses import replace
 
 from .analysis import check_program
-from .errors import MimosaError, render_diagnostics
+from .errors import MimosaError, SimError, render_diagnostics
 from .parser import parse_duration, parse_literal, parse_program
 from .pretty import format_duration, pretty_program
 from .sim import (
@@ -124,7 +125,14 @@ def _cmd_run(args) -> int:
             trace_path=args.trace,
             verbose_idle=args.verbose_idle,
         )
-        run(checked, cfg, registry)
+        try:
+            run(checked, cfg, registry)
+        except SimError as exc:
+            # Runtime diagnostics are about the program: name its file.
+            exc.diagnostics = [
+                replace(d, file=args.file) if d.file == "<string>" else d for d in exc.diagnostics
+            ]
+            raise
     except MimosaError as exc:
         _emit_diagnostics(exc, args.diag_format)
         return 1

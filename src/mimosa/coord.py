@@ -28,7 +28,7 @@ from .ast import (
     contains_undef,
 )
 from .builtins import BUILTIN_VALUES
-from .errors import Diagnostic, EvalError, InternalError, SimError
+from .errors import Diagnostic, EvalError, InternalError, SimError, Span
 from .eval import Env, EvalContext, HostContext, UNIT_VALUE, eval_expr, value_to_expr
 from .pretty import format_duration, pretty_value
 
@@ -58,6 +58,7 @@ class NodeState:
     expr: Expr
     inputs: tuple[PortRef, ...]
     outputs: tuple[PortRef, ...]
+    span: Span  # of the node's declaration
 
 
 @dataclass(frozen=True)
@@ -136,6 +137,7 @@ def init_network(cp: CheckedProgram, hosts: Mapping[str, Value] | None = None) -
             expr=Var(node.step),
             inputs=node.inputs,
             outputs=node.outputs,
+            span=node.span,
         )
         for node in program.nodes
     }
@@ -223,7 +225,8 @@ def fire_node(ns: NetworkState, name: str) -> None:
         raise SimError(
             [
                 Diagnostic(
-                    f"node '{name}' failed at {format_duration(t)}: {exc.diagnostics[0].message}"
+                    f"node '{name}' failed at {format_duration(t)}: {exc.diagnostics[0].message}",
+                    node.span,
                 )
             ]
         ) from exc

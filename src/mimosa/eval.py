@@ -15,6 +15,14 @@ defers `e`; after the last equation every deferred operand is evaluated under
 the completed environment and its placeholder filled in before the activation
 returns. Outside an equation list the environment is already complete, and
 `pre e` evaluates its operand at once.
+
+Next expressions share structure with the expressions they came from: a
+`Tuple`, `Apply`, `If`, `Some` or `Either` whose evaluated children all come
+back as themselves (by identity) comes back as itself, and so does an
+equation whose right-hand side does. A settled `fby`, `->` or builtin call
+therefore allocates nothing. Sharing is sound because no node reachable from
+an earlier next expression is ever mutated: `_fill_pre` sets the fields of
+the placeholder `Arrow`s created by the current activation only.
 """
 
 from __future__ import annotations
@@ -123,7 +131,7 @@ def _update_into(bindings: dict[str, Value], p: Pattern, v: Value) -> None:
             raise InternalError(f"update: unknown pattern {p!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class EvalResult:
     value: Value
     next: Expr
@@ -182,17 +190,30 @@ _Deferred = list[tuple[Arrow, Expr]]
 
 
 def _eval(env: Env, e: Expr, ctx: EvalContext, deferred: _Deferred | None) -> EvalResult:
+    # The hot productions first: names, literals, and builtin or host calls.
+    kind = type(e)
+    if kind is Var:
+        return EvalResult(env.lookup(e.name, e.span), e)
+    if kind is Const:
+        return EvalResult(_const_value(e), e)
+    if kind is Apply and type(e.fn) is Var:
+        f = env.lookup(e.fn.name, e.fn.span)
+        if type(f) is VExtern:
+            ra = _eval(env, e.arg, ctx, deferred)
+            result = f.fn(ra.value, ctx.host)
+            return EvalResult(result, e if ra.next is e.arg else Apply(e.fn, ra.next, span=e.span))
     match e:
-        case Var(name):
-            return EvalResult(env.lookup(name, e.span), e)
-        case Const():
-            return EvalResult(_const_value(e), e)
         case Tuple(items):
-            parts = [_eval(env, item, ctx, deferred) for item in items]
-            return EvalResult(
-                VTuple(tuple(r.value for r in parts)),
-                Tuple(tuple(r.next for r in parts), span=e.span),
-            )
+            # A loop, not a comprehension, so each level is one interpreter frame.
+            values = []
+            nexts = []
+            same = True
+            for item in items:
+                r = _eval(env, item, ctx, deferred)
+                values.append(r.value)
+                nexts.append(r.next)
+                same = same and r.next is item
+            return EvalResult(VTuple(tuple(values)), e if same else Tuple(tuple(nexts), span=e.span))
         case Pre(inner):
             hole = Arrow(inner, e, span=e.span)  # both fields are set by _fill_pre
             if deferred is None:
@@ -209,25 +230,28 @@ def _eval(env: Env, e: Expr, ctx: EvalContext, deferred: _Deferred | None) -> Ev
             return EvalResult(r1.value, r2.next)
         case If(cond, then, orelse):
             rc = _eval(env, cond, ctx, deferred)
-            taken = _branch(rc.value, e)
-            if taken:
+            if _branch(rc.value, e):
                 rt = _eval(env, then, ctx, deferred)
-                return EvalResult(rt.value, If(rc.next, rt.next, orelse, span=e.span))
+                same = rc.next is cond and rt.next is then
+                return EvalResult(rt.value, e if same else If(rc.next, rt.next, orelse, span=e.span))
             ro = _eval(env, orelse, ctx, deferred)
-            return EvalResult(ro.value, If(rc.next, then, ro.next, span=e.span))
+            same = rc.next is cond and ro.next is orelse
+            return EvalResult(ro.value, e if same else If(rc.next, then, ro.next, span=e.span))
         case NoneLit():
             return EvalResult(VNone(), e)
         case Some(inner):
             r = _eval(env, inner, ctx, deferred)
-            return EvalResult(VSome(r.value), Some(r.next, span=e.span))
+            return EvalResult(VSome(r.value), e if r.next is inner else Some(r.next, span=e.span))
         case Either(scrutinee, fallback):
             rs = _eval(env, scrutinee, ctx, deferred)
             match rs.value:
                 case VSome(payload):
-                    return EvalResult(payload, Either(rs.next, fallback, span=e.span))
+                    same = rs.next is scrutinee
+                    return EvalResult(payload, e if same else Either(rs.next, fallback, span=e.span))
                 case VNone():
                     rf = _eval(env, fallback, ctx, deferred)
-                    return EvalResult(rf.value, Either(rs.next, rf.next, span=e.span))
+                    same = rs.next is scrutinee and rf.next is fallback
+                    return EvalResult(rf.value, e if same else Either(rs.next, rf.next, span=e.span))
                 case VUndef():
                     raise UndefEscape(_escape("either scrutinee", e.span))
                 case other:
@@ -245,7 +269,8 @@ def _eval(env: Env, e: Expr, ctx: EvalContext, deferred: _Deferred | None) -> Ev
                     return EvalResult(final.project(out_pattern), Apply(lam, ra.next, span=e.span))
                 case VExtern():
                     result = rf.value.fn(ra.value, ctx.host)
-                    return EvalResult(result, Apply(rf.next, ra.next, span=e.span))
+                    same = rf.next is fn and ra.next is arg
+                    return EvalResult(result, e if same else Apply(rf.next, ra.next, span=e.span))
                 case VUndef():
                     raise UndefEscape(_escape("applied expression", e.span))
                 case other:
@@ -286,7 +311,7 @@ def _run_equations(
     for eq in equations:
         r = _eval(env, eq.rhs, ctx, deferred)
         _update_into(env._bindings, eq.lhs, r.value)
-        rewritten.append(Equation(eq.lhs, r.next, span=eq.span))
+        rewritten.append(eq if r.next is eq.rhs else Equation(eq.lhs, r.next, span=eq.span))
     for hole, operand in deferred:
         _fill_pre(hole, env, operand, ctx)
     return tuple(rewritten), env

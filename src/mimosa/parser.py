@@ -41,6 +41,7 @@ from .ast import (
     VSome,
     VTuple,
     Value,
+    nesting,
 )
 from .builtins import BINARY_LEVELS
 from .errors import Diagnostic, ParseError, Span
@@ -470,7 +471,7 @@ class Parser:
         start = self.pos
         e = self.expr_list()
         # A tree is never deeper than its token count: short expressions skip the walk.
-        if self.pos - start > MAX_EXPR_DEPTH and _depth(e) > MAX_EXPR_DEPTH:
+        if self.pos - start > MAX_EXPR_DEPTH and nesting((e,))[0] > MAX_EXPR_DEPTH:
             raise _Diag("expression nested too deeply", self.span_from(self.tokens[start]))
         return e
 
@@ -603,22 +604,6 @@ def parse_literal(source: str, file: str = "<literal>", line: int = 1) -> Value:
     """Parse one literal value, as allowed in channel initial-value lists;
     `source` is line `line` of `file`."""
     return _parse_all(source, file, Parser.literal_value, line)
-
-
-def _depth(e: Expr) -> int:
-    """The number of levels of the expression tree, counted with an explicit
-    stack so that a deep tree cannot overflow the interpreter's."""
-    deepest = 0
-    stack = [(e, 1)]
-    while stack:
-        e, depth = stack.pop()
-        deepest = max(deepest, depth)
-        for child in vars(e).values():
-            if isinstance(child, Expr):
-                stack.append((child, depth + 1))
-            elif isinstance(child, tuple):
-                stack.extend((item, depth + 1) for item in child)
-    return deepest
 
 
 def _parse_all(source: str, file: str, rule: Callable[[Parser], _T], line: int = 1) -> _T:

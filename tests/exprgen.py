@@ -139,8 +139,12 @@ def gen_system(rng: random.Random, n_eqs: int) -> list[Equation]:
 
     The names are drawn in a causal order: outside `pre`, a right-hand side
     refers only to names earlier in that order; under `pre`, to any name. The
-    equations come out shuffled, so declaration order is independent of the
-    causal order.
+    equation of the causally last name comes first (the tests take it as the
+    step's output), so all its references are forward ones, and the others
+    follow shuffled, so declaration order is independent of the causal order.
+    A right-hand side is often a bare earlier name or `pre` of a constant, so
+    uninitialized names are read without a `pre` in between: the shape where
+    statuses computed in declaration order differ from causal order.
     """
     names = list(SYSTEM_VARS[:n_eqs])
     rng.shuffle(names)
@@ -167,9 +171,18 @@ def gen_system(rng: random.Random, n_eqs: int) -> list[Equation]:
             return Fby(rhs(depth - 1, visible), rhs(depth - 1, visible))
         return If(Var("b1"), rhs(depth - 1, visible), rhs(depth - 1, visible))
 
-    equations = [Equation(PVar(name), rhs(rng.randrange(1, 3), names[:k])) for k, name in enumerate(names)]
-    rng.shuffle(equations)
-    return equations
+    def top(visible: list[str]) -> Expr:
+        roll = rng.random()
+        if roll < 0.3:
+            return Pre(atom([]))
+        if roll < 0.7 and visible:
+            return Var(rng.choice(visible))
+        return rhs(rng.randrange(1, 3), visible)
+
+    equations = [Equation(PVar(name), top(names[:k])) for k, name in enumerate(names)]
+    rest = equations[:-1]
+    rng.shuffle(rest)
+    return [equations[-1]] + rest
 
 
 SYSTEM_BASE = {"i0": VConst(0), "b1": VConst(True)}

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import EDGE_NETWORK, EDGE_SOURCE, FIB_SOURCE
+from mimosa.analysis import MAX_CALL_DEPTH
 from mimosa.cli import main
 from mimosa.parser import MAX_EXPR_DEPTH
 
@@ -128,6 +129,26 @@ class TestRun:
         assert main(["run", fib_file, "--for", "10parsecs"]) == 1
         assert "duration" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("diag_format", ["text", "json"])
+    def test_runtime_error_is_located_at_the_node(self, tmp_path, capsys, diag_format):
+        program = tmp_path / "div.mim"
+        program.write_text(
+            "step divide (x : int) --> (y : int) { y = 100 / x }\n"
+            "step g (v : int) --> (w : int) { w = v }\n"
+            "channel a : int = { 0 }\n"
+            "channel b : int\n"
+            "node n implements divide (a) --> (b) every 10ms\n"
+            "node m implements g (b) --> (a) every 10ms\n"
+        )
+        assert main(["run", str(program), "--for", "30ms", "--diag-format", diag_format]) == 1
+        err = capsys.readouterr().err
+        message = "node 'n' failed at 0s: division by zero"
+        if diag_format == "json":
+            (diag,) = json.loads(err)
+            assert (diag["file"], diag["line"], diag["col"], diag["message"]) == (str(program), 5, 1, message)
+        else:
+            assert err.strip() == f"{program}:5:1: error: {message}"
+
     def test_run_is_deterministic(self, fib_file, tmp_path):
         first = tmp_path / "a.csv"
         second = tmp_path / "b.csv"
@@ -237,6 +258,54 @@ class TestDeepExpressions:
         path.write_text(chain_program((MAX_EXPR_DEPTH - 1) // 2))
         assert main([command[0], str(path), *command[1:]]) == 0
         assert capsys.readouterr().err == ""
+
+
+def call_chain_program(operators: list[int]) -> str:
+    """A runnable network whose node runs s{n-1}, where step s{i} calls s{i-1}
+    under `+ 1 + ... + 1` with `operators[i]` operators (s0 starts from x)."""
+    steps = []
+    for i, count in enumerate(operators):
+        head = "x" if i == 0 else f"s{i - 1} x"
+        steps.append(f"step s{i} (x : int) --> (y : int) {{ y = {head}{' + 1' * count} }}")
+    return "\n".join(steps) + f"""
+step g (v : int) --> (w : int) {{ w = v }}
+channel a : int = {{ 0 }}
+channel b : int
+node n implements s{len(operators) - 1} (a) --> (b) every 10ms
+node m implements g (b) --> (a) every 10ms
+"""
+
+
+class TestStepCallNesting:
+    COMMANDS = [["check"], ["run", "--for", "30ms"]]
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    def test_deep_call_chain_is_a_diagnostic(self, tmp_path, capsys, command):
+        # Each body is 241 or 242 levels deep, under the per-expression limit;
+        # s2 is the first step whose chain passes MAX_CALL_DEPTH.
+        path = tmp_path / "calls.mim"
+        path.write_text(call_chain_program([120] * 5))
+        assert main([command[0], str(path), *command[1:]]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            f"{path}:3:1: error: expression nested too deeply: the calls from step 's2' nest "
+            f"725 levels (at most {MAX_CALL_DEPTH})"
+        ]
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    def test_call_chain_under_the_limit_runs(self, tmp_path, capsys, command):
+        # 255 + 256 = 511 levels.
+        path = tmp_path / "calls.mim"
+        path.write_text(call_chain_program([127, 127]))
+        assert main([command[0], str(path), *command[1:]]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_chain_just_past_the_limit_is_a_diagnostic(self, tmp_path, capsys):
+        # A third step `y = s1 x` adds two levels (the call and its name): 513.
+        path = tmp_path / "calls.mim"
+        path.write_text(call_chain_program([127, 127, 0]))
+        assert main(["check", str(path)]) == 1
+        assert "the calls from step 's2' nest 513 levels" in capsys.readouterr().err
 
 
 class TestFmt:

@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -15,15 +16,24 @@ from mimosa import (
 )
 from mimosa.ast import (
     Apply,
+    Arrow,
     Const,
+    Either,
     Equation,
+    Expr,
     Fby,
+    If,
     Lambda,
+    NoneLit,
+    Pre,
     PTuple,
     PUnit,
     PVar,
     PWild,
+    Some,
     StepDecl,
+    Tuple,
+    UNIT_LIT,
     UNIT_VALUE,
     Var,
     VClosure,
@@ -36,7 +46,17 @@ from mimosa.ast import (
 )
 from mimosa.builtins import BUILTIN_VALUES
 from mimosa.errors import InternalError, UndefEscape
-from mimosa.eval import Env, EvalContext, HostContext, value_to_expr
+from mimosa.eval import (
+    Env,
+    EvalContext,
+    EvalResult,
+    HostContext,
+    _branch,
+    _const_value,
+    _escape,
+    _update_into,
+    value_to_expr,
+)
 
 
 def env_of(**bindings) -> Env:
@@ -418,3 +438,172 @@ class TestValueEmbedding:
         ]
         for v in values:
             assert eval_expr(Env(), value_to_expr(v)).value == v
+
+
+# ---------------------------------------------------------------------------
+# The evaluator as it was before next expressions shared structure with the
+# expressions they came from: every production allocates its next expression.
+# It is the oracle for the sharing evaluator, which must agree with it on
+# every value and every next expression.
+
+
+def reference_eval(env: Env, e: Expr, ctx: EvalContext, deferred: list | None) -> EvalResult:
+    match e:
+        case Var(name):
+            return EvalResult(env.lookup(name, e.span), e)
+        case Const():
+            return EvalResult(_const_value(e), e)
+        case Tuple(items):
+            parts = [reference_eval(env, item, ctx, deferred) for item in items]
+            return EvalResult(
+                VTuple(tuple(r.value for r in parts)),
+                Tuple(tuple(r.next for r in parts), span=e.span),
+            )
+        case Pre(inner):
+            hole = Arrow(inner, e, span=e.span)
+            if deferred is None:
+                reference_fill_pre(hole, env, inner, ctx)
+            else:
+                deferred.append((hole, inner))
+            return EvalResult(VUndef(), hole)
+        case Fby(first, rest):
+            r1 = reference_eval(env, first, ctx, deferred)
+            return EvalResult(r1.value, rest)
+        case Arrow(first, rest):
+            r1 = reference_eval(env, first, ctx, deferred)
+            r2 = reference_eval(env, rest, ctx, deferred)
+            return EvalResult(r1.value, r2.next)
+        case If(cond, then, orelse):
+            rc = reference_eval(env, cond, ctx, deferred)
+            if _branch(rc.value, e):
+                rt = reference_eval(env, then, ctx, deferred)
+                return EvalResult(rt.value, If(rc.next, rt.next, orelse, span=e.span))
+            ro = reference_eval(env, orelse, ctx, deferred)
+            return EvalResult(ro.value, If(rc.next, then, ro.next, span=e.span))
+        case NoneLit():
+            return EvalResult(VNone(), e)
+        case Some(inner):
+            r = reference_eval(env, inner, ctx, deferred)
+            return EvalResult(VSome(r.value), Some(r.next, span=e.span))
+        case Either(scrutinee, fallback):
+            rs = reference_eval(env, scrutinee, ctx, deferred)
+            match rs.value:
+                case VSome(payload):
+                    return EvalResult(payload, Either(rs.next, fallback, span=e.span))
+                case VNone():
+                    rf = reference_eval(env, fallback, ctx, deferred)
+                    return EvalResult(rf.value, Either(rs.next, rf.next, span=e.span))
+                case VUndef():
+                    raise UndefEscape(_escape("either scrutinee", e.span))
+                case other:
+                    raise InternalError(f"either scrutinee evaluated to non-option {other!r}")
+        case Lambda(in_pattern, out_pattern, equations):
+            return EvalResult(VClosure(in_pattern, out_pattern, equations), e)
+        case Apply(fn, arg):
+            rf = reference_eval(env, fn, ctx, deferred)
+            ra = reference_eval(env, arg, ctx, deferred)
+            match rf.value:
+                case VClosure(in_pattern, out_pattern, equations):
+                    inner = env.update(in_pattern, ra.value)
+                    next_eqs, final = reference_run_equations(inner, equations, ctx)
+                    lam = Lambda(in_pattern, out_pattern, next_eqs)
+                    return EvalResult(final.project(out_pattern), Apply(lam, ra.next, span=e.span))
+                case VExtern():
+                    result = rf.value.fn(ra.value, ctx.host)
+                    return EvalResult(result, Apply(rf.next, ra.next, span=e.span))
+                case VUndef():
+                    raise UndefEscape(_escape("applied expression", e.span))
+                case other:
+                    raise EvalError(f"application of a non-function value {other!r}")
+        case _:
+            raise InternalError(f"eval: unknown expression {e!r}")
+
+
+def reference_fill_pre(hole: Arrow, env: Env, operand: Expr, ctx: EvalContext) -> None:
+    r = reference_eval(env, operand, ctx, None)
+    object.__setattr__(hole, "first", value_to_expr(r.value))
+    object.__setattr__(hole, "rest", Pre(r.next))
+
+
+def reference_run_equations(env: Env, equations, ctx: EvalContext):
+    deferred: list = []
+    rewritten = []
+    for eq in equations:
+        r = reference_eval(env, eq.rhs, ctx, deferred)
+        _update_into(env._bindings, eq.lhs, r.value)
+        rewritten.append(Equation(eq.lhs, r.next, span=eq.span))
+    for hole, operand in deferred:
+        reference_fill_pre(hole, env, operand, ctx)
+    return tuple(rewritten), env
+
+
+class TestSharing:
+    @pytest.mark.parametrize("seed", range(200))
+    def test_systems_match_the_reference_evaluator(self, seed):
+        rng = random.Random(seed)
+        equations = gen_system(rng, rng.randrange(1, 4))
+        out = equations[0].lhs.names()[0]
+        try:
+            ordered = order_equations(StepDecl("s", PUnit(), PVar(out), tuple(equations)))
+        except CausalityError:
+            return
+        env = Env(dict(iter(system_env())) | {"s": VClosure(PUnit(), PVar(out), ordered)})
+        # The system on its own, and as the body of a step called every cycle.
+        called = (Equation(PVar("r"), Apply(Var("s"), Const(UNIT_LIT))),)
+        for start in (ordered, called):
+            shared = reference = start
+            for _ in range(6):
+                before = copy.deepcopy(shared)
+                shared_next, got = eval_equations(env, shared)
+                reference, want = reference_run_equations(Env(env._bindings), reference, EvalContext())
+                # Evaluating a next expression leaves every node of it as it was.
+                assert shared == before
+                assert got == want
+                assert shared_next == reference
+                shared = shared_next
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_expressions_match_the_reference_evaluator(self, seed):
+        rng = random.Random(seed)
+        shared = reference = gen_expr(rng, rng.choice(TOP_TYPES), depth=rng.randrange(1, 5), need_init=False)
+        env = base_env()
+        for _ in range(6):
+            before = copy.deepcopy(shared)
+            got = eval_expr(env, shared)
+            want = reference_eval(env, reference, EvalContext(), None)
+            assert shared == before
+            assert got.value == want.value and got.next == want.next
+            shared, reference = got.next, want.next
+
+    def test_settled_fby_and_arrow_are_shared(self):
+        env = env_of(x=1)
+        for text in ("0 fby x + 1", "0 -> x + 1"):
+            e = parse_expression(text)
+            first = eval_expr(env, e).next
+            assert first is e.rest
+            assert eval_expr(env, first).next is e.rest
+
+    def test_builtin_application_is_shared(self):
+        e = parse_expression("x + y * 2")
+        assert eval_expr(env_of(x=1, y=2), e).next is e
+
+    def test_untaken_branch_is_shared(self):
+        e = parse_expression("if c then pre x else x")
+        assert eval_expr(env_of(c=False, x=1), e).next is e
+        # The taken branch holds a pre, so it changes; the rest is shared.
+        r = eval_expr(env_of(c=True, x=1), e)
+        assert r.next is not e and r.next.cond is e.cond and r.next.orelse is e.orelse
+
+    def test_tuple_some_and_either_are_shared(self):
+        env = env_of(x=1, o=VSome(VConst(2)))
+        for text in ("(x, 1)", "Some x", "either o otherwise pre x"):
+            e = parse_expression(text)
+            assert eval_expr(env, e).next is e
+
+    def test_unchanged_equation_is_reused(self):
+        eqs = (
+            Equation(PVar("a"), parse_expression("x + 1")),
+            Equation(PVar("b"), parse_expression("0 -> pre a")),
+        )
+        next_eqs, _ = eval_equations(env_of(x=1), eqs)
+        assert next_eqs[0] is eqs[0] and next_eqs[1] is not eqs[1]

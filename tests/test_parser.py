@@ -18,8 +18,9 @@ from mimosa.ast import (
     UNIT_LIT,
     Var,
     VConst,
+    nesting,
 )
-from mimosa.parser import MAX_EXPR_DEPTH, _depth, tokenize
+from mimosa.parser import MAX_EXPR_DEPTH, tokenize
 from mimosa.pretty import format_duration, pretty_expr, pretty_program
 from mimosa.types import BOOL, TOption
 
@@ -226,7 +227,7 @@ class TestNesting:
         # The parser walks only expressions longer than MAX_EXPR_DEPTH
         # tokens, which relies on this bound.
         tokens = len(tokenize(text)) - 1  # without the end-of-input token
-        assert _depth(parse_expression(text)) <= tokens
+        assert nesting((parse_expression(text),))[0] <= tokens
 
     def test_moderate_nesting_parses(self):
         assert parse_expression("(" * 40 + "x" + ")" * 40) == Var("x")
