@@ -268,10 +268,10 @@ def _in_cycle(start: int, deps: list[set[int]], remaining: set[int]) -> bool:
 # Network resolution
 
 # The deepest nesting a step may reach through the steps it calls: the depths
-# of the steps' deepest right-hand sides, summed along every chain of step
-# names (a step passed as an argument counts in the chain of the step that
-# names it). The evaluator takes about one interpreter frame per level, so at
-# this depth a run uses about half the interpreter's default recursion limit.
+# of the steps' deepest right-hand sides, summed along every chain of calls (a
+# step that applies a function value may call any step passed as a value). The
+# evaluator takes about one interpreter frame per level, so at this depth a
+# run uses about half the interpreter's default recursion limit.
 MAX_CALL_DEPTH = 512
 
 
@@ -394,8 +394,9 @@ def _has_wild(p: Pattern) -> bool:
 
 def _step_topo_order(program: Program, diags: list[Diagnostic], file: str) -> tuple[str, ...]:
     step_names = {s.name for s in program.steps}
-    # Per step: the depth of its deepest right-hand side, and the steps it names.
-    bodies = {s.name: nesting((eq.rhs for eq in s.equations or ()), step_names) for s in program.steps}
+    functions = step_names | set(BUILTIN_TYPES)
+    bodies = {s.name: nesting((eq.rhs for eq in s.equations or ()), functions) for s in program.steps}
+    callees = {name: body.mentioned & step_names for name, body in bodies.items()}
     order: list[str] = []
     state: dict[str, int] = {}  # 0 = visiting, 1 = done
 
@@ -414,7 +415,7 @@ def _step_topo_order(program: Program, diags: list[Diagnostic], file: str) -> tu
             state[name] = 1
             return
         state[name] = 0
-        for callee in sorted(bodies[name][1]):
+        for callee in sorted(callees[name]):
             visit(callee, path + [name])
         state[name] = 1
         order.append(name)
@@ -423,12 +424,35 @@ def _step_topo_order(program: Program, diags: list[Diagnostic], file: str) -> tu
         visit(s.name, [])
 
     # Callees come first in `order`, so one pass sums the depths along every
-    # call chain; only the first step of a chain past the limit is reported.
+    # chain of names. A step that applies a function value may call any step
+    # passed as a value, so the second pass adds the deepest of those chains
+    # to its own; that bound holds only if no step value's calls apply a
+    # function value, because such a step value could receive itself. Only
+    # the first step of a chain past the limit is reported.
+    passed = set().union(*(body.passed for body in bodies.values()))
+    applies: dict[str, bool] = {}
+    by_name: dict[str, int] = {}
+    for name in order:
+        body = bodies[name]
+        applies[name] = body.applies_value or any(applies.get(c, False) for c in callees[name])
+        by_name[name] = body.depth + max((by_name.get(c, 0) for c in callees[name]), default=0)
+        if name in passed and applies[name]:
+            diags.append(
+                Diagnostic(
+                    f"step '{name}' is passed as a value but applies a function value, itself or "
+                    "through the steps it calls, so the depth of its calls cannot be bounded",
+                    program.step(name).span,
+                    file=file,
+                )
+            )
+    if any(applies[name] for name in passed):
+        return tuple(order)
+    value_depth = max((by_name[name] for name in passed), default=0)
     nested: dict[str, int] = {}
     for name in order:
-        depth, callees = bodies[name]
-        below = max((nested.get(c, 0) for c in callees), default=0)
-        nested[name] = depth + below
+        body = bodies[name]
+        below = max([nested.get(c, 0) for c in callees[name]] + [value_depth if body.applies_value else 0])
+        nested[name] = body.depth + below
         if nested[name] > MAX_CALL_DEPTH and below <= MAX_CALL_DEPTH:
             diags.append(
                 Diagnostic(

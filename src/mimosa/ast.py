@@ -8,7 +8,7 @@ trees ignores where they were parsed from.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Container, Iterable, Literal
+from typing import Callable, Container, Iterable, Literal, NamedTuple
 
 from .errors import SYNTHETIC, InternalError, Span
 from .types import Type
@@ -398,12 +398,20 @@ def free_variables(e: Expr) -> dict[str, DepKind]:
     return out
 
 
-def nesting(roots: Iterable[Expr], names: Container[str] = ()) -> tuple[int, set[str]]:
-    """The number of levels of the deepest of `roots` (a name or a literal is
-    one level), and which of `names` they mention. Walked with an explicit
+class Nesting(NamedTuple):
+    depth: int  # of the deepest root; a name or a literal is one level
+    mentioned: set[str]  # which of `names` the roots mention
+    passed: set[str]  # which of `names` they mention other than as an applied function
+    applies_value: bool  # whether they apply a function that is not one of `names`
+
+
+def nesting(roots: Iterable[Expr], names: Container[str] = ()) -> Nesting:
+    """How deep `roots` nest and how they use `names`. Walked with an explicit
     stack, so a deep tree cannot overflow the interpreter's."""
     deepest = 0
-    mentioned: set[str] = set()
+    applied: set[str] = set()
+    passed: set[str] = set()
+    applies_value = False
     stack = [(e, 1) for e in roots]
     while stack:
         e, depth = stack.pop()
@@ -411,11 +419,17 @@ def nesting(roots: Iterable[Expr], names: Container[str] = ()) -> tuple[int, set
             deepest = depth
         if type(e) is Var:
             if e.name in names:
-                mentioned.add(e.name)
+                passed.add(e.name)
             continue
+        if type(e) is Apply:
+            if type(e.fn) is Var and e.fn.name in names:
+                applied.add(e.fn.name)
+                stack.append((e.arg, depth + 1))
+                continue
+            applies_value = True
         for child in vars(e).values():
             if isinstance(child, Expr):
                 stack.append((child, depth + 1))
             elif isinstance(child, tuple):
                 stack.extend((item, depth + 1) for item in child)
-    return deepest, mentioned
+    return Nesting(deepest, applied | passed, passed, applies_value)

@@ -471,7 +471,7 @@ class Parser:
         start = self.pos
         e = self.expr_list()
         # A tree is never deeper than its token count: short expressions skip the walk.
-        if self.pos - start > MAX_EXPR_DEPTH and nesting((e,))[0] > MAX_EXPR_DEPTH:
+        if self.pos - start > MAX_EXPR_DEPTH and nesting((e,)).depth > MAX_EXPR_DEPTH:
             raise _Diag("expression nested too deeply", self.span_from(self.tokens[start]))
         return e
 

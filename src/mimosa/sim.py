@@ -1,14 +1,15 @@
 """Discrete-event driver over the coordination layer.
 
-Each step orders the candidates (nodes activated within the horizon) by the
-schedule and applies the rule of the first one that is not BLOCKED. The
-deterministic order is by activation, ties in declaration order, so
-same-instant host side effects happen in declaration order. Its first
-candidate is never BLOCKED: an input's validity is its writer's activation
-plus period, and no writer is behind the earliest activation. The randomized
-order is a lazy Fisher-Yates shuffle, so the chosen node is uniform among the
-enabled ones; it exercises confluence: any schedule must produce the same
-per-channel timed history.
+Each step applies the rule of the first candidate (a node activated within the
+horizon) in schedule order that is not BLOCKED. The deterministic order is by
+activation, ties in declaration order, so same-instant host side effects
+happen in declaration order: a heap keyed on (activation, declaration index).
+Its first candidate is never BLOCKED: an input's validity is its writer's
+activation plus period, and no writer is behind the earliest activation. The
+randomized order is a lazy Fisher-Yates shuffle of a live-candidate list, so
+the chosen node is uniform among the enabled ones; it exercises confluence:
+any schedule must produce the same per-channel timed history. The heap and the
+list are built anew by each `run_until` call, so the state may change between.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import io
 import random
 import sys
 from dataclasses import dataclass, replace
-from operator import attrgetter
+from heapq import heapify, heappop, heappush
 from typing import Callable, Sequence
 
 from .analysis import CheckedProgram
@@ -209,27 +210,36 @@ class Simulation:
         self._observed_horizon = max(self._observed_horizon, horizon_us)
         state = self.state
         randomized = self.cfg.schedule == "randomized"
-        while True:
-            candidates = [n for n in state.nodes.values() if n.activation <= horizon_us]
-            if not candidates:
-                return
-            if not randomized:
-                # A stable sort; state.nodes is in declaration order.
-                candidates.sort(key=attrgetter("activation"))
-            for k in range(len(candidates)):
-                if randomized:
-                    j = self._rng.randrange(k, len(candidates))
-                    candidates[k], candidates[j] = candidates[j], candidates[k]
-                node = candidates[k]
-                decision = node_enabled(state, node.name)
-                if decision != BLOCKED:
-                    break
+        # (activation, declaration index, node) per node within the horizon: a heap
+        # if deterministic, else a draw pool whose activations go stale unread.
+        live = [(n.activation, i, n) for i, n in enumerate(state.nodes.values()) if n.activation <= horizon_us]
+        if not randomized:
+            heapify(live)
+        while live:
+            if randomized:
+                for k in range(len(live)):
+                    j = self._rng.randrange(k, len(live))
+                    live[k], live[j] = live[j], live[k]
+                    if (decision := node_enabled(state, live[k][2].name)) != BLOCKED:
+                        break
+                else:
+                    raise _livelock(state, [node for _, _, node in live])
+                _, index, node = live[k]
             else:
-                raise _livelock(state, candidates)
-            if decision == FIRE:
-                fire_node(state, node.name)
-            else:
-                idle_node(state, node.name)
+                popped = [heappop(live)]
+                while (decision := node_enabled(state, popped[-1][2].name)) == BLOCKED:
+                    if not live:
+                        raise _livelock(state, [node for _, _, node in popped])
+                    popped.append(heappop(live))
+                _, index, node = popped.pop()
+                for entry in popped:
+                    heappush(live, entry)
+            (fire_node if decision == FIRE else idle_node)(state, node.name)
+            if randomized and node.activation > horizon_us:
+                live[k] = live[-1]
+                live.pop()
+            elif not randomized and node.activation <= horizon_us:
+                heappush(live, (node.activation, index, node))
 
     def trace(self) -> Trace:
         """The timed history observed so far: writes tagged at or before the
@@ -261,16 +271,18 @@ def _per_node_host(step: str, registry: HostRegistry) -> VExtern:
 
 
 def _livelock(state: NetworkState, stuck: list[NodeState]) -> SimError:
-    """Every candidate is blocked: name the undecided inputs each one waits on."""
+    """Every candidate is blocked: name the inputs each one waits on, then list all of them."""
     waits = []
     for node in sorted(stuck, key=lambda n: n.name):
-        channels = (state.channels[port.channel] for port in node.inputs)
+        inputs = [state.channels[port.channel] for port in node.inputs]
+        status = {ch.name: port_status(ch, node.activation) for ch in inputs}
         undecided = ", ".join(
             f"'{ch.name}' (validity {format_duration(ch.validity)})"
-            for ch in channels
-            if port_status(ch, node.activation) == UNDECIDED
+            for ch in inputs
+            if status[ch.name] == UNDECIDED
         )
-        waits.append(f"'{node.name}' at {format_duration(node.activation)} waits on {undecided}")
+        listed = ", ".join(f"'{name}' {value}" for name, value in status.items())
+        waits.append(f"'{node.name}' at {format_duration(node.activation)} waits on {undecided} (inputs: {listed})")
     return SimError([Diagnostic("livelock (internal invariant): " + "; ".join(waits))])
 
 

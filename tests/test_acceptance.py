@@ -178,9 +178,10 @@ def test_criterion_7_initialization_conformance():
 
 def test_criterion_8_channel_invariants(fib_checked, edge_network_checked):
     with criterion(8, "channel invariants hold after every rewrite"):
-        # Every run checks sortedness, tag <= validity, validity monotonicity,
-        # and write-tag >= validity after every rule application; any
-        # violation raises.
+        # Every run checks tag <= validity, validity monotonicity and
+        # validity == writer's next write time after every rule application,
+        # and write-tag >= validity at every write, which keeps each queue
+        # tag-sorted; any violation raises.
         cfg = SimConfig(horizon_us=200 * MS)
         run(fib_checked, cfg, quiet_fib_hosts())
         hosts = edge_hosts(bools(False, True, True, False, True, False))

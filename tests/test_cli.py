@@ -276,6 +276,22 @@ node m implements g (b) --> (a) every 10ms
 """
 
 
+def higher_order_program(top: str, *steps: str) -> str:
+    """A runnable network src -> t -> sink whose node t runs `top`, after
+    `steps`; `{ops}` in a step stands for `+ 1 + ... + 1`, 125 operators."""
+    ops = " + 1" * 125
+    return "\n".join(step.replace("{ops}", ops) for step in steps) + f"""
+step top (x) --> y {{ y = {top} }}
+step count () --> (n : int) {{ n = 0 -> pre (n + 1) }}
+step drop (_ : int) --> ()
+channel a : int
+channel b : int
+node src implements count () --> (a) every 10ms
+node t implements top (a) --> (b) every 10ms
+node sink implements drop (b) --> () every 10ms
+"""
+
+
 class TestStepCallNesting:
     COMMANDS = [["check"], ["run", "--for", "30ms"]]
 
@@ -306,6 +322,66 @@ class TestStepCallNesting:
         path.write_text(call_chain_program([127, 127, 0]))
         assert main(["check", str(path)]) == 1
         assert "the calls from step 's2' nest 513 levels" in capsys.readouterr().err
+
+    HIGHER_ORDER = [
+        ["check"],
+        ["run", "--for", "20ms", "--stub", "drop=builtin:print"],
+    ]
+
+    @pytest.mark.parametrize("command", HIGHER_ORDER, ids=lambda c: c[0])
+    def test_step_value_that_applies_a_step_value_is_a_diagnostic(self, tmp_path, capsys, command):
+        # hof1 applies hof2, which applies d1, which calls d0: four 251-level
+        # bodies on one stack, though every chain of names stays under 512.
+        path = tmp_path / "hof.mim"
+        path.write_text(
+            higher_order_program(
+                "hof1 (hof2, d1, x)",
+                "step d0 (x) --> y { y = x{ops} }",
+                "step d1 (x) --> y { y = d0 x{ops} }",
+                "step hof2 (f, v) --> y { y = f v{ops} }",
+                "step hof1 (h, f, v) --> y { y = h (f, v){ops} }",
+            )
+        )
+        assert main([command[0], str(path), *command[1:]]) == 1
+        out, err = capsys.readouterr()
+        assert "Traceback" not in out + err
+        assert err.splitlines() == [
+            f"{path}:3:1: error: step 'hof2' is passed as a value but applies a function value, "
+            "itself or through the steps it calls, so the depth of its calls cannot be bounded"
+        ]
+
+    def test_step_value_counts_in_the_chain_of_its_applier(self, tmp_path, capsys):
+        # hof's 252 levels plus the 503 of d1 -> d0, which it applies.
+        path = tmp_path / "hof.mim"
+        path.write_text(
+            higher_order_program(
+                "hof (d1, x)",
+                "step d0 (x) --> y { y = x{ops} }",
+                "step d1 (x) --> y { y = d0 x{ops} }",
+                "step hof (f, v) --> y { y = f v{ops} }",
+            )
+        )
+        assert main(["check", str(path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"{path}:3:1: error: expression nested too deeply: the calls from step 'hof' nest "
+            f"755 levels (at most {MAX_CALL_DEPTH})"
+        ]
+
+    @pytest.mark.parametrize("command", HIGHER_ORDER, ids=lambda c: c[0])
+    def test_first_order_step_value_runs(self, tmp_path, capsys, command):
+        path = tmp_path / "hof.mim"
+        path.write_text(
+            higher_order_program(
+                "hof (d0, x)",
+                "step d0 (x) --> y { y = x{ops} }",
+                "step hof (f, v) --> y { y = f v{ops} }",
+            )
+        )
+        assert main([command[0], str(path), *command[1:]]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        if command[0] == "run":
+            assert out.splitlines() == ["20ms: 250"]
 
 
 class TestFmt:

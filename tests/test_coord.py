@@ -2,7 +2,9 @@ from collections import deque
 
 import pytest
 
-from mimosa import check_program, parse_program
+from conftest import quiet_fib_hosts, silent
+from mimosa import HostRegistry, SimConfig, Simulation, check_program, parse_program
+from mimosa import coord
 from mimosa.ast import UNIT_VALUE, VConst, VExtern
 from mimosa.coord import (
     ABSENT,
@@ -229,3 +231,65 @@ class TestInvariants:
         ns.channels["a"].queue.appendleft((VConst(9), 5 * MS))
         with pytest.raises(InternalError, match="not tag-sorted"):
             ns.check_invariants()
+
+    # A producer every 1 ms and a reader every 10 ms: the reader's input queue
+    # grows by 9 elements every 10 ms, and `check` accepts the network.
+    BACKLOG = """\
+step count () --> (n : int) { n = 0 -> pre (n + 1) }
+step inc (x : int) --> (y : int) { y = x + 1 }
+step drop (_ : int) --> ()
+channel a : int
+channel b : int
+node src implements count () --> (a) every 1ms
+node inc implements inc (a) --> (b) every 10ms
+node sink implements drop (b) --> () every 10ms
+"""
+
+    @pytest.mark.parametrize("horizon_ms", [100, 400])
+    def test_invariant_work_per_step_does_not_grow_with_the_backlog(self, horizon_ms):
+        class CountingDeque(deque):
+            iterated = 0
+
+            def __iter__(self):
+                for item in super().__iter__():
+                    self.iterated += 1
+                    yield item
+
+        sim = Simulation(
+            check_program(parse_program(self.BACKLOG)),
+            SimConfig(horizon_us=horizon_ms * MS),
+            HostRegistry().bind_fn("drop", silent),
+        )
+        backlog = sim.state.channels["a"]
+        backlog.queue = CountingDeque(backlog.queue)
+        sim.run_until(horizon_ms * MS)
+        assert len(backlog.queue) > 0.8 * horizon_ms  # about 0.9 per millisecond
+        # Checking after every rule iterates no queue: the elements iterated
+        # stay below the number of steps, however long the queue gets.
+        assert backlog.queue.iterated < len(sim.state.steps)
+
+    # One fault per invariant that the check after each rule still catches,
+    # each planted in the idle rule, which `add` applies at 0ms in fib.
+    MUTANTS = {
+        "beyond its validity": lambda ns, ch, t, period: ch.queue.append((VConst(0), t + 3 * period)),
+        "validity moved backwards": lambda ns, ch, t, period: setattr(ch, "validity", t),
+        "not its writer's next write time": lambda ns, ch, t, period: setattr(ch, "validity", t + 3 * period),
+        "below the channel validity": lambda ns, ch, t, period: coord._write(ns, ch, VConst(0), t, ch.writer),
+    }
+
+    @pytest.mark.parametrize("fault", list(MUTANTS))
+    def test_mutant_rule_is_caught(self, fib_checked, monkeypatch, fault):
+        def mutant_idle(ns, name):
+            node = ns.nodes[name]
+            t = node.activation
+            for port in node.outputs:
+                ch = ns.channels[port.channel]
+                ch.validity = t + 2 * node.period_us
+                self.MUTANTS[fault](ns, ch, t, node.period_us)
+            node.activation = t + node.period_us
+            ns.check_invariants(name)
+
+        monkeypatch.setattr("mimosa.sim.idle_node", mutant_idle)
+        sim = Simulation(fib_checked, SimConfig(horizon_us=50 * MS), quiet_fib_hosts())
+        with pytest.raises(InternalError, match=fault):
+            sim.run_until(50 * MS)

@@ -27,6 +27,23 @@ def fib_trace(fib_checked, horizon_ms=200, **kwargs):
     return run(fib_checked, cfg, quiet_fib_hosts())
 
 
+def broken_idle(ns: NetworkState, name: str) -> None:
+    node = ns.nodes[name]
+    node.activation += node.period_us  # forgets the validity update
+    ns.steps.append(StepRecord("idle", name, node.activation - node.period_us))
+
+
+# Two nodes that feed each other, so a broken idle rule leaves both undecided.
+MUTUAL = """
+step f (v : int) --> (w : int) { w = v }
+step g (v : int) --> (w : int) { w = v }
+channel x : int
+channel y : int
+node n1 implements f (x) --> (y) every 10ms
+node n2 implements g (y) --> (x) every 10ms
+"""
+
+
 class TestFibonacci:
     def test_channel_d_matches_the_hand_trace(self, fib_checked):
         # Writes tagged beyond the horizon (55@210ms) have not appeared yet.
@@ -87,6 +104,21 @@ class TestHorizon:
         assert late[: len(early)] == early
         assert len(late) > len(early)
 
+    @pytest.mark.parametrize("network", ["fib", "wide"])
+    def test_split_run_until_calls_give_the_one_shot_trace(self, network, fib_checked):
+        if network == "fib":
+            cp, hosts = fib_checked, quiet_fib_hosts()
+        else:
+            cp = check_program(parse_program(TestSelection.WIDE))
+            hosts = HostRegistry().bind_fn("drop", silent)
+        one_shot = Simulation(cp, SimConfig(horizon_us=200 * MS), hosts)
+        one_shot.run_until(200 * MS)
+        split = Simulation(cp, SimConfig(horizon_us=200 * MS), hosts)
+        for t in (20 * MS, 50 * MS, 200 * MS):
+            split.run_until(t)
+        assert split.trace() == one_shot.trace()
+        assert split.state.trace == one_shot.state.trace  # commit order too
+
     def test_incremental_equals_one_shot(self, fib_checked):
         sim = Simulation(fib_checked, SimConfig(horizon_us=200 * MS), quiet_fib_hosts())
         for t in (30 * MS, 110 * MS, 200 * MS):
@@ -118,21 +150,7 @@ class TestConfluence:
         # peer node: both end up mutually undecided, which the driver reports.
         # (On the two example networks a stale validity only delays scheduling;
         # a mutually-waiting pair makes the breakage observable.)
-        src = """
-step f (v : int) --> (w : int) { w = v }
-step g (v : int) --> (w : int) { w = v }
-channel x : int
-channel y : int
-node n1 implements f (x) --> (y) every 10ms
-node n2 implements g (y) --> (x) every 10ms
-"""
-        cp = check_program(parse_program(src))
-
-        def broken_idle(ns: NetworkState, name: str) -> None:
-            node = ns.nodes[name]
-            node.activation += node.period_us  # forgets the validity update
-            ns.steps.append(StepRecord("idle", name, node.activation - node.period_us))
-
+        cp = check_program(parse_program(MUTUAL))
         monkeypatch.setattr("mimosa.sim.idle_node", broken_idle)
         report = run_randomized_equivalence(
             cp, SimConfig(horizon_us=100 * MS, seed=5), HostRegistry(), runs=3
@@ -142,16 +160,42 @@ node n2 implements g (y) --> (x) every 10ms
         # The livelock report names the channel each stuck node waits on.
         assert re.search(r"waits on '[xy]' \(validity 10ms\)", report.detail)
 
-    def test_mutually_idle_network_is_fine_with_correct_rules(self):
+    def test_deterministic_livelock_names_every_stuck_node(self, monkeypatch):
+        monkeypatch.setattr("mimosa.sim.idle_node", broken_idle)
+        with pytest.raises(SimError) as err:
+            run(check_program(parse_program(MUTUAL)), SimConfig(horizon_us=100 * MS), HostRegistry())
+        assert err.value.diagnostics[0].message == (
+            "livelock (internal invariant): "
+            "'n1' at 10ms waits on 'x' (validity 10ms) (inputs: 'x' undecided); "
+            "'n2' at 10ms waits on 'y' (validity 10ms) (inputs: 'y' undecided)"
+        )
+
+    def test_livelock_lists_every_input_with_its_status(self, monkeypatch):
+        # MUTUAL, where n1 also reads z, which holds its initial value, and
+        # the optional w, whose writer is too slow to have written by 10ms.
         src = """
-step f (v : int) --> (w : int) { w = v }
+step f (v : int, u : int, o : int?) --> (w : int) { w = v }
 step g (v : int) --> (w : int) { w = v }
+step k () --> (n : int) { n = 1 }
 channel x : int
 channel y : int
-node n1 implements f (x) --> (y) every 10ms
+channel z : int = { 5 }
+channel w : int
+node n1 implements f (x, z, w?) --> (y) every 10ms
 node n2 implements g (y) --> (x) every 10ms
+node n3 implements k () --> (z) every 50ms
+node n4 implements k () --> (w) every 50ms
 """
-        cp = check_program(parse_program(src))
+        monkeypatch.setattr("mimosa.sim.idle_node", broken_idle)
+        with pytest.raises(SimError) as err:
+            run(check_program(parse_program(src)), SimConfig(horizon_us=100 * MS), HostRegistry())
+        assert (
+            "'n1' at 10ms waits on 'x' (validity 10ms) (inputs: 'x' undecided, 'z' available, 'w' absent)"
+            in err.value.diagnostics[0].message
+        )
+
+    def test_mutually_idle_network_is_fine_with_correct_rules(self):
+        cp = check_program(parse_program(MUTUAL))
         trace = run(cp, SimConfig(horizon_us=100 * MS), HostRegistry())
         assert trace.events == ()
         assert all(s.kind == "idle" for s in trace.steps)
@@ -216,6 +260,31 @@ node r implements drop (a) --> () every 10ms
         trace = run(cp, SimConfig(horizon_us=horizon), hosts)
         assert len(decisions) == len(trace.steps) > 0
         assert "blocked" not in decisions
+
+    def test_same_instant_ties_act_in_declaration_order(self):
+        # The printers are declared in the opposite of their name order.
+        src = """\
+step one () --> (n : int) { n = 1 }
+step two () --> (n : int) { n = 2 }
+step show (_ : int) --> ()
+channel a : int
+channel b : int
+node w1 implements one () --> (a) every 10ms
+node w2 implements two () --> (b) every 10ms
+node zed implements show (a) --> () every 10ms
+node abe implements show (b) --> () every 10ms
+"""
+        out = io.StringIO()
+        hosts = HostRegistry().bind("show", print_host(out))
+        run(check_program(parse_program(src)), SimConfig(horizon_us=30 * MS), hosts)
+        assert out.getvalue().splitlines() == [
+            "10ms: 1",
+            "10ms: 2",
+            "20ms: 1",
+            "20ms: 2",
+            "30ms: 1",
+            "30ms: 2",
+        ]
 
     def test_randomized_schedule_is_uniform_among_enabled(self, monkeypatch):
         cp = check_program(parse_program(self.BLOCKING))
