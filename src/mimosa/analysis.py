@@ -14,6 +14,7 @@ from .ast import (
     Expr,
     Fby,
     If,
+    Nesting,
     NoneLit,
     Pattern,
     Pre,
@@ -116,16 +117,18 @@ class _InitCheck:
             self._fail(f"{what} may be undefined on some cycle", span)
 
     def status(self, e: Expr, check: bool):
+        kind = type(e)
+        if kind is Var:
+            return self.statuses.get(e.name, True)
+        if kind is Const:
+            return e.value is not UNDEF_LIT
+        if kind is Pre and not check:  # undefined on the first cycle, whatever its operand
+            return False
         match e:
-            case Const(value):
-                return value is not UNDEF_LIT
-            case Var(name):
-                return self.statuses.get(name, True)
             case Tuple(items):
                 return tuple(self.status(i, check) for i in items)
             case Pre(inner):
-                s = self.status(inner, check)
-                if check and not init_all(s):
+                if not init_all(self.status(inner, check)):
                     self._fail("operand of pre may be undefined on the first cycle", inner.span)
                 return False
             case Fby(first, rest):
@@ -233,20 +236,33 @@ def order_equations(step: StepDecl, file: str = "<string>") -> tuple[Equation, .
                 )
             deps[i].add(j)
 
-    remaining = set(range(len(equations)))
+    # Kahn's algorithm in rounds: a round is every equation whose last
+    # dependency the previous round emitted, in index order.
+    waiting = [len(d) for d in deps]
+    users: list[list[int]] = [[] for _ in equations]
+    for i, d in enumerate(deps):
+        for j in d:
+            users[j].append(i)
     emitted: list[int] = []
-    while remaining:
-        ready = sorted(i for i in remaining if deps[i] <= set(emitted))
-        if not ready:
-            cycle_names = sorted(n for i in remaining for n in bound[i] if _in_cycle(i, deps, remaining))
-            names = ", ".join(cycle_names) or "equations"
-            span = equations[min(remaining)].span
-            raise CausalityError(
-                [Diagnostic(f"causality cycle through {{{names}}} (no pre breaks it)", span, file=file)]
-            )
-        for i in ready:
-            emitted.append(i)
-            remaining.discard(i)
+    ready = [i for i, n in enumerate(waiting) if n == 0]
+    while ready:
+        ready.sort()
+        emitted.extend(ready)
+        released = []
+        for j in ready:
+            for i in users[j]:
+                waiting[i] -= 1
+                if not waiting[i]:
+                    released.append(i)
+        ready = released
+    if len(emitted) < len(equations):
+        remaining = set(range(len(equations))).difference(emitted)
+        cycle_names = sorted(n for i in remaining for n in bound[i] if _in_cycle(i, deps, remaining))
+        names = ", ".join(cycle_names) or "equations"
+        span = equations[min(remaining)].span
+        raise CausalityError(
+            [Diagnostic(f"causality cycle through {{{names}}} (no pre breaks it)", span, file=file)]
+        )
     return tuple(equations[i] for i in emitted)
 
 
@@ -280,6 +296,7 @@ class NetworkInfo:
     step_order: tuple[str, ...]  # call-graph topological order
     channel_writer: dict[str, str | None]
     channel_reader: dict[str, str | None]
+    named_steps: frozenset[str]  # the steps some step body calls or passes as a value
 
 
 def check_network(program: Program, *, complete: bool = True, file: str = "<string>") -> NetworkInfo:
@@ -376,10 +393,13 @@ def check_network(program: Program, *, complete: bool = True, file: str = "<stri
                         )
                     )
 
-    step_order = _step_topo_order(program, diags, file)
+    functions = step_names | set(BUILTIN_TYPES)
+    bodies = {s.name: nesting((eq.rhs for eq in s.equations or ()), functions) for s in program.steps}
+    step_order = _step_topo_order(program, bodies, diags, file)
     if diags:
         raise NetworkError(diags)
-    return NetworkInfo(step_order, writer, reader)
+    named = frozenset().union(*(body.mentioned for body in bodies.values())) & step_names
+    return NetworkInfo(step_order, writer, reader, named)
 
 
 def _has_wild(p: Pattern) -> bool:
@@ -392,36 +412,43 @@ def _has_wild(p: Pattern) -> bool:
             return False
 
 
-def _step_topo_order(program: Program, diags: list[Diagnostic], file: str) -> tuple[str, ...]:
-    step_names = {s.name for s in program.steps}
-    functions = step_names | set(BUILTIN_TYPES)
-    bodies = {s.name: nesting((eq.rhs for eq in s.equations or ()), functions) for s in program.steps}
-    callees = {name: body.mentioned & step_names for name, body in bodies.items()}
+def _step_topo_order(
+    program: Program, bodies: dict[str, Nesting], diags: list[Diagnostic], file: str
+) -> tuple[str, ...]:
+    steps = set(bodies)
+    callees = {name: body.mentioned & steps for name, body in bodies.items()}
     order: list[str] = []
     state: dict[str, int] = {}  # 0 = visiting, 1 = done
 
-    def visit(name: str, path: list[str]) -> None:
-        if state.get(name) == 1:
-            return
-        if state.get(name) == 0:
-            cycle = path[path.index(name) :] + [name]
-            diags.append(
-                Diagnostic(
-                    "recursive steps are not allowed: " + " -> ".join(cycle),
-                    program.step(name).span,
-                    file=file,
+    # Depth-first from each step in declaration order, callees in name order,
+    # with an explicit stack: a chain of calls may be longer than the
+    # interpreter's recursion limit.
+    for root in bodies:
+        if root in state:
+            continue
+        state[root] = 0
+        stack = [(root, iter(sorted(callees[root])))]
+        while stack:
+            name, pending = stack[-1]
+            callee = next(pending, None)
+            if callee is None:
+                stack.pop()
+                state[name] = 1
+                order.append(name)
+            elif callee not in state:
+                state[callee] = 0
+                stack.append((callee, iter(sorted(callees[callee]))))
+            elif state[callee] == 0:
+                path = [n for n, _ in stack]
+                cycle = path[path.index(callee) :] + [callee]
+                diags.append(
+                    Diagnostic(
+                        "recursive steps are not allowed: " + " -> ".join(cycle),
+                        program.step(callee).span,
+                        file=file,
+                    )
                 )
-            )
-            state[name] = 1
-            return
-        state[name] = 0
-        for callee in sorted(callees[name]):
-            visit(callee, path + [name])
-        state[name] = 1
-        order.append(name)
-
-    for s in program.steps:
-        visit(s.name, [])
+                state[callee] = 1
 
     # Callees come first in `order`, so one pass sums the depths along every
     # chain of names. A step that applies a function value may call any step
@@ -529,15 +556,24 @@ class _Infer:
                 self.fail(f"invalid output pattern in step '{step}'", p.span)
 
     def expr(self, e: Expr, ctx: dict[str, Scheme], local: dict[str, Type]) -> Type:
+        # The common productions first, ahead of the match's class tests.
+        kind = type(e)
+        if kind is Var:
+            name = e.name
+            if name in local:
+                return local[name]
+            if name in ctx:
+                return self.u.instantiate(ctx[name])
+            self.fail(f"unknown identifier '{name}'", e.span)
+        if kind is Const:
+            return _CONST_TYPES.get(type(e.value), UNIT)
+        if kind is Apply:
+            tfn = self.expr(e.fn, ctx, local)
+            targ = self.expr(e.arg, ctx, local)
+            result = self.u.fresh()
+            self.u.unify(tfn, TFunc(targ, result), e.span, self.file)
+            return result
         match e:
-            case Var(name):
-                if name in local:
-                    return local[name]
-                if name in ctx:
-                    return self.u.instantiate(ctx[name])
-                self.fail(f"unknown identifier '{name}'", e.span)
-            case Const(value):
-                return _CONST_TYPES.get(type(value), UNIT)
             case Tuple(items):
                 return TTuple(tuple(self.expr(i, ctx, local) for i in items))
             case Pre(inner):
@@ -563,12 +599,6 @@ class _Infer:
                 ts = self.expr(scrutinee, ctx, local)
                 self.u.unify(ts, TOption(tf), scrutinee.span, self.file)
                 return tf
-            case Apply(fn, arg):
-                tfn = self.expr(fn, ctx, local)
-                targ = self.expr(arg, ctx, local)
-                result = self.u.fresh()
-                self.u.unify(tfn, TFunc(targ, result), e.span, self.file)
-                return result
             case _:
                 raise AssertionError(e)
 
@@ -595,9 +625,10 @@ def infer_types(
         info = check_network(program, complete=False, file=file)
     inf = _Infer(file)
     ctx: dict[str, Scheme] = dict(BUILTIN_TYPES)
+    steps = {s.name: s for s in program.steps}
 
     for name in info.step_order:
-        step = program.step(name)
+        step = steps[name]
         local: dict[str, Type] = {}
         tin = inf.sig_type(step.in_pattern, local, require_annot=step.is_prototype, step=name)
         if step.is_prototype:
@@ -652,6 +683,7 @@ class CheckedProgram:
     ordered_equations: dict[str, tuple[Equation, ...]]
     channel_writer: dict[str, str | None]
     channel_reader: dict[str, str | None]
+    named_steps: frozenset[str]  # the steps some step body calls or passes as a value
 
 
 def check_program(
@@ -675,4 +707,5 @@ def check_program(
         ordered_equations=ordered,
         channel_writer=info.channel_writer,
         channel_reader=info.channel_reader,
+        named_steps=info.named_steps,
     )

@@ -85,6 +85,13 @@ class NetworkState:
     trace: list[TraceEvent] = field(default_factory=list)
     steps: list[StepRecord] = field(default_factory=list)
     _last_validity: dict[str, int] = field(default_factory=dict)
+    _node_channels: dict[str, tuple[Channel, ...]] = field(init=False)
+
+    def __post_init__(self):
+        self._node_channels = {
+            name: tuple(self.channels[port.channel] for port in node.inputs + node.outputs)
+            for name, node in self.nodes.items()
+        }
 
     def check_invariants(self, node: str | None = None) -> None:
         """Check every channel, or only the input and output channels of
@@ -94,13 +101,13 @@ class NetworkState:
         validity, which is at least every queued tag, and `popleft` keeps it."""
         if node is None:
             channels = self.channels.values()
+            for ch in channels:
+                tags = [tag for _, tag in ch.queue]
+                if any(a > b for a, b in zip(tags, tags[1:])):
+                    raise InternalError(f"channel '{ch.name}' queue is not tag-sorted: {tags}")
         else:
-            ports = self.nodes[node].inputs + self.nodes[node].outputs
-            channels = [self.channels[port.channel] for port in ports]
+            channels = self._node_channels[node]
         for ch in channels:
-            tags = [tag for _, tag in ch.queue] if node is None else []
-            if any(a > b for a, b in zip(tags, tags[1:])):
-                raise InternalError(f"channel '{ch.name}' queue is not tag-sorted: {tags}")
             if ch.queue and ch.queue[-1][1] > ch.validity:
                 raise InternalError(
                     f"channel '{ch.name}' holds a tag beyond its validity ({ch.queue[-1][1]} > {ch.validity})"
@@ -158,7 +165,7 @@ def init_network(cp: CheckedProgram, hosts: Mapping[str, Value] | None = None) -
             writer=writer,
             reader=reader,
             queue=deque((value, 0) for value in ch.initial),
-            validity=program.node(writer).period_us,
+            validity=nodes[writer].period_us,
         )
 
     state = NetworkState(nodes=nodes, channels=channels, env=Env(env_bindings))

@@ -6,7 +6,10 @@ import json
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
+# Not frozen: the lexer and the parser make one span per token and per node,
+# and a frozen dataclass costs five times as much to construct. Nothing
+# assigns to a span's fields; the hash keeps it usable as a field default.
+@dataclass(slots=True, unsafe_hash=True)
 class Span:
     """1-based source region. Synthetic nodes use the zero span."""
 

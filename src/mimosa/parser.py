@@ -8,8 +8,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from typing import Callable, TypeVar
+from typing import Callable, NamedTuple, TypeVar
 
 from . import ast
 from .ast import (
@@ -78,8 +77,7 @@ _TOKEN = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # kw | ident | int | real | duration | punct | eof
     text: str
     span: Span
@@ -101,8 +99,12 @@ def tokenize(source: str, file: str = "<string>", line: int = 1) -> list[Token]:
         if kind == "newline":
             line, line_start = line + 1, m.end()
         elif kind != "space" and kind != "comment":
-            col = m.start() - line_start + 1
-            span = Span(line, col, line, col + m.end() - m.start() - 1)
+            start, end = m.span()
+            col = start - line_start + 1
+            span = Span(line, col, line, col + end - start - 1)
+            if kind == "punct":
+                tokens.append(Token("punct", m.group(), span))
+                continue
             try:
                 tokens.append(_token(m, span))
             except _Diag as exc:
@@ -114,8 +116,6 @@ def tokenize(source: str, file: str = "<string>", line: int = 1) -> list[Token]:
 
 def _token(m: re.Match, span: Span) -> Token:
     kind, text, unit = m.lastgroup, m.group(), m["unit"]
-    if kind == "punct":
-        return Token("punct", text, span)
     if kind == "word" and (text[0].isalpha() or text[0] == "_"):
         return Token("kw" if text in KEYWORDS else "punct" if text == "_" else "ident", text, span)
     if kind == "error":
@@ -173,8 +173,9 @@ class Parser:
         return self.tokens[max(self.pos - 1, 0)]
 
     def at(self, text: str) -> bool:
-        t = self.peek()
-        return t.kind in ("punct", "kw") and t.text == text
+        """Whether the next token is the keyword or punctuation `text`: no
+        other kind of token can spell one."""
+        return self.tokens[self.pos].text == text
 
     def at_kind(self, kind: str) -> bool:
         return self.peek().kind == kind

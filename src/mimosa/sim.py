@@ -23,7 +23,7 @@ from heapq import heapify, heappop, heappush
 from typing import Callable, Sequence
 
 from .analysis import CheckedProgram
-from .ast import UNIT_VALUE, Lambda, VExtern, Value, free_variables
+from .ast import UNIT_VALUE, VExtern, Value
 from .coord import (
     BLOCKED,
     FIRE,
@@ -192,10 +192,7 @@ class Simulation:
         self.cfg = cfg
         registry = hosts if hosts is not None else builtin_hosts()
         # Prototypes that some node implements or some step body names.
-        used = {node.step for node in cp.program.nodes}
-        for step in cp.program.steps:
-            if not step.is_prototype:
-                used.update(free_variables(Lambda(step.in_pattern, step.out_pattern, step.equations)))
+        used = cp.named_steps.union(node.step for node in cp.program.nodes)
         prototypes = [s.name for s in cp.program.steps if s.is_prototype and s.name in used]
         missing = [name for name in prototypes if not registry.bound(name)]
         if missing:

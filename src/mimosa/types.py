@@ -197,6 +197,8 @@ class Unifier:
         raise TypeCheckError([Diagnostic(message, span, file=file)])
 
     def instantiate(self, scheme: Scheme) -> Type:
+        if not scheme.vars:  # monomorphic: types are immutable, so share the body
+            return scheme.body
         mapping = {v: self.fresh() for v in scheme.vars}
 
         def walk(t: Type) -> Type:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -15,11 +16,12 @@ from mimosa import (
     order_equations,
     parse_program,
 )
-from mimosa.analysis import _bind_init, _InitCheck, init_all, init_meet, render_init
-from mimosa.ast import Equation, PUnit, PVar, StepDecl, contains_undef
-from mimosa.errors import Diagnostic
+from mimosa.analysis import _bind_init, _in_cycle, _InitCheck, init_all, init_meet, render_init
+from mimosa.ast import Equation, Expr, Pre, PUnit, PVar, StepDecl, Var, contains_undef, free_variables
+from mimosa.builtins import BUILTIN_TYPES
+from mimosa.errors import Diagnostic, Span
 from mimosa.eval import eval_equations
-from mimosa.types import BOOL, INT
+from mimosa.types import BOOL, INT, Unifier
 
 
 def step_of(source: str) -> StepDecl:
@@ -108,6 +110,17 @@ node m implements inc (b) --> (a) every 10ms
             check_program(parse_program(src))
         assert info.value.diagnostics[0].span.line == 3
 
+    def test_monomorphic_scheme_instantiates_to_its_body(self):
+        u = Unifier()
+        plus, equal = BUILTIN_TYPES["+"], BUILTIN_TYPES["=="]
+        assert u.instantiate(plus) is plus.body
+        # A polymorphic scheme still gets fresh variables on every use.
+        assert u.instantiate(equal) != u.instantiate(equal)
+
+    def test_polymorphic_builtin_at_two_types_in_one_step(self):
+        schemes, _ = infer_types(parse_program("step f (x : int, b : bool) --> y { y = (x == 1) == b }"))
+        assert str(schemes["f"]) == "(int, bool) -> bool"
+
     def test_channel_initial_values_of_structured_types(self):
         src = """
 channel a : (int, bool?) = { (1, None), (-2, Some true) }
@@ -153,6 +166,94 @@ class TestCausality:
         assert sorted(str(eq) for eq in ordered) == sorted(str(eq) for eq in step.equations)
         names = [eq.lhs.names()[0] for eq in ordered]
         assert names.index("y") < names.index("z") < names.index("x")
+
+
+def round_order_equations(step: StepDecl, file: str = "<string>") -> tuple[Equation, ...]:
+    """Reference for order_equations: each round emits, in index order, every
+    equation whose dependencies all earlier rounds emitted."""
+    equations = step.equations or ()
+    bound = [set(eq.lhs.names()) for eq in equations]
+    owner = {n: i for i, names in enumerate(bound) for n in names}
+    deps: list[set[int]] = [set() for _ in equations]
+    for i, eq in enumerate(equations):
+        for name, kind in free_variables(eq.rhs).items():
+            if kind != "causal" or name not in owner:
+                continue
+            if owner[name] == i:
+                raise CausalityError(
+                    [Diagnostic(f"equation for '{name}' depends on itself without a pre", eq.span, file=file)]
+                )
+            deps[i].add(owner[name])
+    remaining = set(range(len(equations)))
+    emitted: list[int] = []
+    while remaining:
+        ready = sorted(i for i in remaining if deps[i] <= set(emitted))
+        if not ready:
+            cycle_names = sorted(n for i in remaining for n in bound[i] if _in_cycle(i, deps, remaining))
+            names = ", ".join(cycle_names) or "equations"
+            span = equations[min(remaining)].span
+            raise CausalityError(
+                [Diagnostic(f"causality cycle through {{{names}}} (no pre breaks it)", span, file=file)]
+            )
+        for i in ready:
+            emitted.append(i)
+            remaining.discard(i)
+    return tuple(equations[i] for i in emitted)
+
+
+def rewrite(e: Expr, names: dict[str, str], keep_pre: bool = True) -> Expr:
+    """`e` with its variables renamed by `names`, and without its `pre`s
+    unless `keep_pre`, which turns the delayed references into causal ones."""
+    if isinstance(e, Var):
+        return Var(names.get(e.name, e.name))
+    if isinstance(e, Pre) and not keep_pre:
+        return rewrite(e.expr, names, keep_pre)
+    changes = {}
+    for f in dataclasses.fields(e):
+        value = getattr(e, f.name)
+        if isinstance(value, Expr):
+            changes[f.name] = rewrite(value, names, keep_pre)
+        elif isinstance(value, tuple):
+            changes[f.name] = tuple(rewrite(v, names, keep_pre) for v in value)
+    return dataclasses.replace(e, **changes)
+
+
+def ordering_outcome(order, step: StepDecl):
+    try:
+        return [eq.span for eq in order(step)]
+    except CausalityError as exc:
+        return exc.diagnostics
+
+
+class TestOrderingMatchesRounds:
+    """order_equations against the round-based reference on two generated
+    systems, the second renamed (x to X and so on) and reading the first's
+    output where it read the input i0: longer chains, and ties within a
+    round. Then the same without their `pre`s and with the first also
+    reading the second's output: 165 of the 300 are cyclic."""
+
+    @pytest.mark.parametrize("seed", range(300))
+    def test_same_order_and_same_diagnostic(self, seed):
+        rng = random.Random(seed)
+        first = gen_system(rng, rng.randrange(1, 4))
+        second = gen_system(rng, rng.randrange(1, 4))
+        upper = {name: name.upper() for name in "xyz"}
+        first_out, second_out = first[0].lhs.name, upper[second[0].lhs.name]
+        for keep_pre in (True, False):
+            system = [
+                Equation(eq.lhs, rewrite(eq.rhs, {} if keep_pre else {"i0": second_out}, keep_pre))
+                for eq in first
+            ] + [
+                Equation(PVar(upper[eq.lhs.name]), rewrite(eq.rhs, upper | {"i0": first_out}, keep_pre))
+                for eq in second
+            ]
+            random.Random(seed).shuffle(system)
+            # Distinct spans, so a diagnostic's span names the equation it cites.
+            located = tuple(
+                Equation(eq.lhs, eq.rhs, span=Span(k + 1, 1, k + 1, 1)) for k, eq in enumerate(system)
+            )
+            step = StepDecl("s", PUnit(), PVar(located[0].lhs.name), located)
+            assert ordering_outcome(order_equations, step) == ordering_outcome(round_order_equations, step)
 
 
 def outcome(check):

@@ -260,13 +260,16 @@ class TestDeepExpressions:
         assert capsys.readouterr().err == ""
 
 
-def call_chain_program(operators: list[int]) -> str:
+def call_chain_program(operators: list[int], caller_first: bool = False) -> str:
     """A runnable network whose node runs s{n-1}, where step s{i} calls s{i-1}
-    under `+ 1 + ... + 1` with `operators[i]` operators (s0 starts from x)."""
+    under `+ 1 + ... + 1` with `operators[i]` operators (s0 starts from x).
+    The steps are declared s0 first, or s{n-1} first if `caller_first`."""
     steps = []
     for i, count in enumerate(operators):
         head = "x" if i == 0 else f"s{i - 1} x"
         steps.append(f"step s{i} (x : int) --> (y : int) {{ y = {head}{' + 1' * count} }}")
+    if caller_first:
+        steps.reverse()
     return "\n".join(steps) + f"""
 step g (v : int) --> (w : int) {{ w = v }}
 channel a : int = {{ 0 }}
@@ -315,6 +318,20 @@ class TestStepCallNesting:
         path.write_text(call_chain_program([127, 127]))
         assert main([command[0], str(path), *command[1:]]) == 0
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("caller_first", [False, True], ids=["callee_first", "caller_first"])
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    def test_chain_of_more_steps_than_the_recursion_limit(self, tmp_path, capsys, command, caller_first):
+        # s{i} nests 2i + 1 levels, so s256 is the first past the limit.
+        steps = 1200
+        path = tmp_path / "calls.mim"
+        path.write_text(call_chain_program([0] * steps, caller_first))
+        assert main([command[0], str(path), *command[1:]]) == 1
+        line = steps - 256 if caller_first else 257
+        assert capsys.readouterr().err.splitlines() == [
+            f"{path}:{line}:1: error: expression nested too deeply: the calls from step 's256' nest "
+            f"513 levels (at most {MAX_CALL_DEPTH})"
+        ]
 
     def test_chain_just_past_the_limit_is_a_diagnostic(self, tmp_path, capsys):
         # A third step `y = s1 x` adds two levels (the call and its name): 513.

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,7 +21,8 @@ from mimosa.ast import (
     VConst,
     nesting,
 )
-from mimosa.parser import MAX_EXPR_DEPTH, tokenize
+from mimosa.errors import Span
+from mimosa.parser import _TOKEN, MAX_EXPR_DEPTH, tokenize
 from mimosa.pretty import format_duration, pretty_expr, pretty_program
 from mimosa.types import BOOL, TOption
 
@@ -147,6 +149,27 @@ class TestLexer:
         assert parse_expression("1.5") == Const(1.5)
         with pytest.raises(ParseError):
             parse_expression("1.")
+
+    def test_spans_match_character_offsets(self):
+        # The shipped programs, and printed expressions one per line, each
+        # followed by a comment.
+        rng = random.Random(5)
+        generated = "".join(
+            f"{pretty_expr(gen_expr(rng, rng.choice(TOP_TYPES), 3, False))}  -- expression {k}\n"
+            for k in range(200)
+        )
+        programs = sorted((Path(__file__).parent.parent / "programs").glob("*.mim"))
+        assert programs
+        for source in [path.read_text() for path in programs] + [generated]:
+            tokens = tokenize(source)
+            trivia = ("newline", "space", "comment")
+            starts = [m.start() for m in _TOKEN.finditer(source) if m.lastgroup not in trivia]
+            assert len(tokens) == len(starts) + 1
+            for token, start in zip(tokens, starts + [len(source)]):
+                assert source[start : start + len(token.text)] == token.text
+                line = source.count("\n", 0, start) + 1
+                col = start - source.rfind("\n", 0, start)
+                assert token.span == Span(line, col, line, col + max(len(token.text), 1) - 1)
 
     def test_spans_are_one_based(self):
         toks = tokenize("step f")

@@ -368,6 +368,27 @@ node s2 implements sink (b) --> () every 20ms
         with pytest.raises(SimError, match=r"unbound prototype steps: sensor$"):
             Simulation(cp, SimConfig(horizon_us=MS), HostRegistry().bind_fn("sink", silent))
 
+    HELPER = """\
+step sensor () --> (v : int)
+step spare () --> (v : int)
+step sink (_ : int) --> ()
+step helper () --> (w : int) { w = sensor () + 1 }
+step top () --> (w : int) { w = helper () }
+channel a : int
+node t implements top () --> (a) every 10ms
+node s implements sink (a) --> () every 10ms
+"""
+
+    def test_prototypes_to_bind_are_those_named_by_nodes_or_step_bodies(self):
+        # sensor is named only in the body of helper, which no node implements;
+        # spare is named nowhere, so it needs no binding.
+        cp = check_program(parse_program(self.HELPER))
+        with pytest.raises(SimError, match=r"unbound prototype steps: sensor$"):
+            Simulation(cp, SimConfig(horizon_us=MS), HostRegistry().bind_fn("sink", silent))
+        hosts = HostRegistry().bind_fn("sink", silent).bind("sensor", const_seq(VConst(4)))
+        trace = run(cp, SimConfig(horizon_us=20 * MS), hosts)
+        assert [v.value for v in trace.values("a")] == [5, 5]
+
     def test_from_values_holds_last(self):
         fn = from_values([VConst(1), VConst(2)])()
         got = [fn(UNIT_VALUE, None) for _ in range(4)]
