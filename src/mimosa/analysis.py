@@ -81,12 +81,6 @@ def init_all(t) -> bool:
     return all(init_all(x) for x in t)
 
 
-def render_init(t) -> str:
-    if isinstance(t, bool):
-        return "I" if t else "U"
-    return "(" + ", ".join(render_init(x) for x in t) + ")"
-
-
 def _bind_init(statuses: dict, p: Pattern, t) -> None:
     match p:
         case PVar(name):
@@ -526,34 +520,23 @@ class _Infer:
             case _:
                 raise AssertionError(p)
 
-    def lhs_type(self, p: Pattern, local: dict[str, Type]) -> Type:
+    def pattern_type(self, p: Pattern, local: dict[str, Type]) -> Type:
+        """The type of an equation's left-hand side or a bodied step's output
+        pattern, whose names are all in `local`; an annotation must agree."""
         match p:
-            case PVar(name):
-                return local[name]
+            case PVar(name, annot):
+                t = local[name]
+                if annot is not None:
+                    self.u.unify(t, annot, p.span, self.file)
+                return t
             case PWild():
                 return self.u.fresh()
             case PUnit():
                 return UNIT
             case PTuple(items):
-                return TTuple(tuple(self.lhs_type(i, local) for i in items))
+                return TTuple(tuple(self.pattern_type(i, local) for i in items))
             case _:
                 raise AssertionError(p)
-
-    def out_type(self, p: Pattern, local: dict[str, Type], step: str) -> Type:
-        match p:
-            case PVar(name, annot):
-                if name not in local:
-                    self.fail(f"output '{name}' of step '{step}' is never defined", p.span)
-                t = local[name]
-                if annot is not None:
-                    self.u.unify(t, annot, p.span, self.file)
-                return t
-            case PUnit():
-                return UNIT
-            case PTuple(items):
-                return TTuple(tuple(self.out_type(i, local, step) for i in items))
-            case _:
-                self.fail(f"invalid output pattern in step '{step}'", p.span)
 
     def expr(self, e: Expr, ctx: dict[str, Scheme], local: dict[str, Type]) -> Type:
         # The common productions first, ahead of the match's class tests.
@@ -640,8 +623,8 @@ def infer_types(
                     local.setdefault(n, inf.u.fresh())
             for eq in step.equations or ():
                 trhs = inf.expr(eq.rhs, ctx, local)
-                inf.u.unify(inf.lhs_type(eq.lhs, local), trhs, eq.span, file)
-            tout = inf.out_type(step.out_pattern, local, name)
+                inf.u.unify(inf.pattern_type(eq.lhs, local), trhs, eq.span, file)
+            tout = inf.pattern_type(step.out_pattern, local)
         ctx[name] = inf.u.generalize(TFunc(tin, tout))
 
     schemes = {s.name: ctx[s.name] for s in program.steps}

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import os
 import sys
 from dataclasses import replace
 
 from .analysis import check_program
-from .errors import MimosaError, SimError, render_diagnostics
+from .errors import Diagnostic, MimosaError, SimError, Span, read_text, render_diagnostics
 from .parser import parse_duration, parse_literal, parse_program
 from .pretty import format_duration, pretty_program
 from .sim import (
@@ -61,11 +62,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
-
-
 def _emit_diagnostics(exc: MimosaError, fmt: str) -> None:
     text = render_diagnostics(exc.diagnostics, fmt)
     if fmt == "text" and _use_color():
@@ -94,12 +90,7 @@ def _registry_from_stubs(stubs: list[str]) -> HostRegistry:
 
 def _cmd_check(args) -> int:
     try:
-        source = _read(args.file)
-    except OSError as exc:
-        print(f"mimosa: {exc}", file=sys.stderr)
-        return 1
-    try:
-        program = parse_program(source, file=args.file)
+        program = parse_program(read_text(args.file), file=args.file)
         check_program(program, complete_network=not args.allow_unwired, file=args.file)
     except MimosaError as exc:
         _emit_diagnostics(exc, args.diag_format)
@@ -109,13 +100,8 @@ def _cmd_check(args) -> int:
 
 def _cmd_run(args) -> int:
     try:
-        source = _read(args.file)
-    except OSError as exc:
-        print(f"mimosa: {exc}", file=sys.stderr)
-        return 1
-    try:
         horizon = parse_duration(args.horizon)
-        program = parse_program(source, file=args.file)
+        program = parse_program(read_text(args.file), file=args.file)
         checked = check_program(program, file=args.file)
         registry = _registry_from_stubs(args.stub)
         cfg = SimConfig(
@@ -141,12 +127,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_fmt(args) -> int:
     try:
-        source = _read(args.file)
-    except OSError as exc:
-        print(f"mimosa: {exc}", file=sys.stderr)
-        return 1
-    try:
-        program = parse_program(source, file=args.file)
+        program = parse_program(read_text(args.file), file=args.file)
     except MimosaError as exc:
         _emit_diagnostics(exc, "text")
         return 1
@@ -154,19 +135,30 @@ def _cmd_fmt(args) -> int:
     return 0
 
 
+def _trace_events(path: str) -> dict[str, list[tuple[int, str]]]:
+    """Channel -> (time, value) events of the trace CSV at `path`, in file order."""
+    rows = csv.DictReader(io.StringIO(read_text(path)))
+    channels: dict[str, list[tuple[int, str]]] = {}
+    try:
+        for row in rows:
+            if name := row.get("channel"):
+                time_us, value = row.get("time_us") or "", row.get("value")
+                if value is None:  # a short row
+                    raise csv.Error
+                channels.setdefault(name, []).append((int(time_us), value))
+    except (csv.Error, ValueError):
+        span = Span(rows.line_num, 1, rows.line_num, 1)
+        message = "malformed trace row: expected an integer time_us, a channel and a value"
+        raise MimosaError([Diagnostic(message, span, file=path)]) from None
+    return channels
+
+
 def _cmd_explain_trace(args) -> int:
     try:
-        with open(args.trace, "r", encoding="utf-8", newline="") as handle:
-            rows = list(csv.DictReader(handle))
-    except OSError as exc:
-        print(f"mimosa: {exc}", file=sys.stderr)
+        channels = _trace_events(args.trace)
+    except MimosaError as exc:
+        _emit_diagnostics(exc, "text")
         return 1
-    channels: dict[str, list[tuple[int, str]]] = {}
-    for row in rows:
-        name = row.get("channel") or ""
-        if not name:
-            continue
-        channels.setdefault(name, []).append((int(row["time_us"]), row["value"]))
     if not channels:
         print("no channel events")
         return 0

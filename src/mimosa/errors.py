@@ -98,3 +98,24 @@ class InternalError(MimosaError):
 
 class SimError(MimosaError):
     pass
+
+
+def read_text(path: str, error: type[MimosaError] = MimosaError) -> str:
+    """The text of the UTF-8 file at `path`, with newlines translated as open()
+    does. A file that cannot be read raises `error` naming it; one that is not
+    UTF-8, located at its first bad byte."""
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read()
+    except OSError as exc:
+        raise error([Diagnostic(f"cannot read file: {exc.strerror or exc}", file=path)]) from None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_start = data.rfind(b"\n", 0, exc.start) + 1
+        line = data.count(b"\n", 0, line_start) + 1
+        col = len(data[line_start : exc.start].decode("utf-8")) + 1
+        raise error(
+            [Diagnostic(f"file is not UTF-8 text ({exc.reason})", Span(line, col, line, col), file=path)]
+        ) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")

@@ -44,7 +44,7 @@ from .ast import (
 )
 from .builtins import BINARY_LEVELS
 from .errors import Diagnostic, ParseError, Span
-from .types import BOOL, INT, REAL, UNIT, TOption, TTuple, Type
+from .types import BOOL, INT, REAL, UNIT, TOption, TTuple, Type, _parts as _type_parts
 
 KEYWORDS = set(
     "step channel node implements every if then else pre fby either otherwise Some None true false".split()
@@ -60,6 +60,14 @@ _BINARY_LEVEL = {op: level for level, ops in enumerate(BINARY_LEVELS) for op in 
 # the evaluator recurse per level, and all of them run at this depth under the
 # interpreter's default recursion limit.
 MAX_EXPR_DEPTH = 256
+
+# The deepest type annotation or literal value the parser accepts; a literal
+# is as deep as its type. Inference wraps an annotated type in up to
+# MAX_EXPR_DEPTH more levels, and a type mismatch prints the whole of it. A
+# tuple level costs the printer the most frames: a 64-level tuple type under
+# the deepest mix of `Some` and tuple expressions still prints with about 50
+# frames to spare inside the test runner, while 96 levels overflow.
+MAX_TYPE_DEPTH = 64
 
 # One alternative per token class, tried in order; punctuation longest first,
 # so `-->` is never read as `-` `->`, and the catch-all `error` matches any
@@ -357,7 +365,23 @@ class Parser:
                     raise _Diag("type annotations attach to variables or '_' only", colon.span)
         return pat
 
+    def bounded(self, rule: Callable[[], _T], parts: Callable, what: str) -> _T:
+        """`rule`'s result, if it nests at most MAX_TYPE_DEPTH levels."""
+        start = self.pos
+        try:
+            result = rule()
+            # Every level takes a token at least, so short results skip the walk.
+            deep = self.pos - start > MAX_TYPE_DEPTH and _depth(result, parts) > MAX_TYPE_DEPTH
+        except RecursionError:
+            deep = True
+        if deep:
+            raise _Diag(f"{what} nested too deeply", self.span_from(self.tokens[start]))
+        return result
+
     def type_expr(self) -> Type:
+        return self.bounded(self.type_term, _type_parts, "type")
+
+    def type_term(self) -> Type:
         t = self.peek()
         if t.kind == "ident":
             base = {"int": INT, "bool": BOOL, "real": REAL, "unit": UNIT}.get(t.text)
@@ -367,7 +391,7 @@ class Parser:
             ty = base
         elif self.at("("):
             self.advance()
-            items = self.comma_list(self.type_expr)
+            items = self.comma_list(self.type_term)
             self.expect(")")
             ty = items[0] if len(items) == 1 else TTuple(tuple(items))
         else:
@@ -391,6 +415,9 @@ class Parser:
         return ChannelDecl(name, ty, initial, span=self.span_from(start))
 
     def literal_value(self) -> Value:
+        return self.bounded(self.literal_term, _value_parts, "literal value")
+
+    def literal_term(self) -> Value:
         t = self.peek()
         if self.at("-"):
             self.advance()
@@ -416,13 +443,13 @@ class Parser:
             return VNone()
         if self.at("Some"):
             self.advance()
-            return VSome(self.literal_value())
+            return VSome(self.literal_term())
         if self.at("("):
             self.advance()
             if self.at(")"):
                 self.advance()
                 return ast.UNIT_VALUE
-            items = self.comma_list(self.literal_value)
+            items = self.comma_list(self.literal_term)
             self.expect(")")
             if len(items) == 1:
                 return items[0]
@@ -591,6 +618,21 @@ class Parser:
         if t.kind == "duration":
             raise _Diag("durations only appear in node declarations", t.span)
         raise _Diag(f"expected an expression, found '{t.text or 'end of input'}'", t.span)
+
+
+def _value_parts(v: Value) -> tuple[Value, ...]:
+    return v.items if type(v) is VTuple else (v.value,) if type(v) is VSome else ()
+
+
+def _depth(root, parts: Callable) -> int:
+    """How many levels `root` nests, 1 for a leaf, walked with an explicit stack."""
+    deepest = 0
+    stack = [(root, 1)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        stack.extend((part, depth + 1) for part in parts(node))
+    return deepest
 
 
 def parse_program(source: str, file: str = "<string>") -> Program:

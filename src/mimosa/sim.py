@@ -18,9 +18,10 @@ import csv
 import io
 import random
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from heapq import heapify, heappop, heappush
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence, TextIO
 
 from .analysis import CheckedProgram
 from .ast import UNIT_VALUE, VExtern, Value
@@ -38,7 +39,7 @@ from .coord import (
     node_enabled,
     port_status,
 )
-from .errors import Diagnostic, SimError
+from .errors import Diagnostic, SimError, read_text
 from .eval import HostContext
 from .parser import parse_literal
 from .pretty import format_duration, pretty_value
@@ -128,11 +129,7 @@ def from_values(values: Sequence[Value]) -> HostFactory:
 
 
 def from_file(path: str) -> HostFactory:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-    except OSError as exc:
-        raise SimError([Diagnostic(f"cannot read stub input {path!r}: {exc}")]) from exc
+    lines = read_text(path, SimError).splitlines()
     values = [
         parse_literal(line, path, number)
         for number, line in enumerate(lines, 1)
@@ -174,14 +171,6 @@ class Trace:
         for time_us, _, _, channel, value, node in sorted(rows):
             writer.writerow([time_us, channel, value, node])
         return buffer.getvalue()
-
-    def write_csv(self, path: str, include_idle: bool = False) -> None:
-        text = self.render_csv(include_idle)
-        if path == "-":
-            sys.stdout.write(text)
-        else:
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(text)
 
 
 class Simulation:
@@ -285,11 +274,29 @@ def _livelock(state: NetworkState, stuck: list[NodeState]) -> SimError:
 
 def run(cp: CheckedProgram, cfg: SimConfig, hosts: HostRegistry | None = None) -> Trace:
     sim = Simulation(cp, cfg, hosts)
-    sim.run_until(cfg.horizon_us)
-    trace = sim.trace()
-    if cfg.trace_path:
-        trace.write_csv(cfg.trace_path, include_idle=cfg.verbose_idle)
+    with _trace_output(cfg.trace_path) as out:
+        sim.run_until(cfg.horizon_us)
+        trace = sim.trace()
+        if out is not None:
+            out.write(trace.render_csv(include_idle=cfg.verbose_idle))
     return trace
+
+
+@contextmanager
+def _trace_output(path: str | None) -> Iterator[TextIO | None]:
+    """Where the trace CSV goes: nowhere, standard output for "-", or a file
+    opened before the run, so that a path that cannot be written fails first."""
+    if not path:
+        yield None
+    elif path == "-":
+        yield sys.stdout
+    else:
+        try:
+            handle = open(path, "w", encoding="utf-8")
+        except OSError as exc:
+            raise SimError([Diagnostic(f"cannot write trace: {exc.strerror or exc}", file=path)]) from None
+        with handle:
+            yield handle
 
 
 @dataclass(frozen=True)

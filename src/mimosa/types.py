@@ -7,6 +7,7 @@ functions); inference introduces variables and function types internally.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import Diagnostic, Span, TypeCheckError
 
@@ -16,27 +17,11 @@ class Type:
 
 
 @dataclass(frozen=True)
-class TInt(Type):
+class TBase(Type):
+    name: str
+
     def __str__(self) -> str:
-        return "int"
-
-
-@dataclass(frozen=True)
-class TBool(Type):
-    def __str__(self) -> str:
-        return "bool"
-
-
-@dataclass(frozen=True)
-class TReal(Type):
-    def __str__(self) -> str:
-        return "real"
-
-
-@dataclass(frozen=True)
-class TUnit(Type):
-    def __str__(self) -> str:
-        return "unit"
+        return self.name
 
 
 @dataclass(frozen=True)
@@ -82,10 +67,10 @@ class TVar(Type):
         return tyvar_name(self.id)
 
 
-INT = TInt()
-BOOL = TBool()
-REAL = TReal()
-UNIT = TUnit()
+INT = TBase("int")
+BOOL = TBase("bool")
+REAL = TBase("real")
+UNIT = TBase("unit")
 
 
 def tyvar_name(i: int) -> str:
@@ -108,17 +93,33 @@ class Scheme:
         return str(self.body)
 
 
+def _parts(t: Type) -> tuple[Type, ...]:
+    """The component types of t, left to right: none for a base type or a variable."""
+    kind = type(t)
+    if kind is TOption:
+        return (t.elem,)
+    if kind is TTuple:
+        return t.items
+    if kind is TFunc:
+        return (t.arg, t.result)
+    return ()
+
+
+def _map(t: Type, leaf: Callable[[Type], Type]) -> Type:
+    """t rebuilt with `leaf` applied to each base type and variable, left to right."""
+    kind = type(t)
+    if kind is TOption:
+        return TOption(_map(t.elem, leaf))
+    if kind is TTuple:
+        return TTuple(tuple([_map(i, leaf) for i in t.items]))
+    if kind is TFunc:
+        return TFunc(_map(t.arg, leaf), _map(t.result, leaf))
+    return leaf(t)
+
+
 def is_first_order(t: Type) -> bool:
     """True if t contains no function type (channel element types must)."""
-    match t:
-        case TFunc():
-            return False
-        case TOption(elem):
-            return is_first_order(elem)
-        case TTuple(items):
-            return all(is_first_order(i) for i in items)
-        case _:
-            return True
+    return not isinstance(t, TFunc) and all(map(is_first_order, _parts(t)))
 
 
 class Unifier:
@@ -139,30 +140,16 @@ class Unifier:
         return t
 
     def deep_resolve(self, t: Type) -> Type:
-        t = self.resolve(t)
-        match t:
-            case TOption(elem):
-                return TOption(self.deep_resolve(elem))
-            case TTuple(items):
-                return TTuple(tuple(self.deep_resolve(i) for i in items))
-            case TFunc(arg, result):
-                return TFunc(self.deep_resolve(arg), self.deep_resolve(result))
-            case _:
-                return t
+        return _map(t, lambda v: v if (r := self.resolve(v)) is v else self.deep_resolve(r))
 
-    def free_vars(self, t: Type) -> set[int]:
+    def _occurs(self, i: int, t: Type) -> bool:
         t = self.resolve(t)
-        match t:
-            case TVar(i):
-                return {i}
-            case TOption(elem):
-                return self.free_vars(elem)
-            case TTuple(items):
-                return set().union(*(self.free_vars(i) for i in items))
-            case TFunc(arg, result):
-                return self.free_vars(arg) | self.free_vars(result)
-            case _:
-                return set()
+        if isinstance(t, TVar):
+            return t.id == i
+        for part in _parts(t):
+            if self._occurs(i, part):
+                return True
+        return False
 
     def unify(self, a: Type, b: Type, span: Span, file: str = "<string>") -> None:
         a = self.resolve(a)
@@ -170,7 +157,7 @@ class Unifier:
         if a == b:
             return
         if isinstance(a, TVar):
-            if a.id in self.free_vars(b):
+            if self._occurs(a.id, b):
                 self._fail(f"occurs check: {self.render(a)} in {self.render(b)}", span, file)
             self._subst[a.id] = b
             return
@@ -199,59 +186,18 @@ class Unifier:
     def instantiate(self, scheme: Scheme) -> Type:
         if not scheme.vars:  # monomorphic: types are immutable, so share the body
             return scheme.body
-        mapping = {v: self.fresh() for v in scheme.vars}
-
-        def walk(t: Type) -> Type:
-            match t:
-                case TVar(i) if i in mapping:
-                    return mapping[i]
-                case TOption(elem):
-                    return TOption(walk(elem))
-                case TTuple(items):
-                    return TTuple(tuple(walk(i) for i in items))
-                case TFunc(arg, result):
-                    return TFunc(walk(arg), walk(result))
-                case _:
-                    return t
-
-        return walk(scheme.body)
+        fresh = {TVar(v): self.fresh() for v in scheme.vars}
+        return _map(scheme.body, lambda v: fresh.get(v, v))
 
     def generalize(self, t: Type) -> Scheme:
-        """Quantify over every free variable, renumbering from 0 for display."""
-        t = self.deep_resolve(t)
-        order: list[int] = []
+        """Quantify over every free variable, numbered from 0 left to right for display."""
+        numbers: dict[int, TVar] = {}
 
-        def collect(t: Type):
-            match t:
-                case TVar(i):
-                    if i not in order:
-                        order.append(i)
-                case TOption(elem):
-                    collect(elem)
-                case TTuple(items):
-                    for i in items:
-                        collect(i)
-                case TFunc(arg, result):
-                    collect(arg)
-                    collect(result)
+        def number(v: Type) -> Type:
+            return numbers.setdefault(v.id, TVar(len(numbers))) if isinstance(v, TVar) else v
 
-        collect(t)
-        mapping = {old: TVar(new) for new, old in enumerate(order)}
-
-        def rename(t: Type) -> Type:
-            match t:
-                case TVar(i):
-                    return mapping[i]
-                case TOption(elem):
-                    return TOption(rename(elem))
-                case TTuple(items):
-                    return TTuple(tuple(rename(i) for i in items))
-                case TFunc(arg, result):
-                    return TFunc(rename(arg), rename(result))
-                case _:
-                    return t
-
-        return Scheme(tuple(range(len(order))), rename(t))
+        body = _map(self.deep_resolve(t), number)
+        return Scheme(tuple(range(len(numbers))), body)
 
     def render(self, t: Type) -> str:
         return str(self.deep_resolve(t))

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from pathlib import Path
 
 import pytest
 
@@ -16,12 +17,12 @@ from mimosa import (
     order_equations,
     parse_program,
 )
-from mimosa.analysis import _bind_init, _in_cycle, _InitCheck, init_all, init_meet, render_init
+from mimosa.analysis import _bind_init, _in_cycle, _InitCheck, init_all, init_meet
 from mimosa.ast import Equation, Expr, Pre, PUnit, PVar, StepDecl, Var, contains_undef, free_variables
 from mimosa.builtins import BUILTIN_TYPES
 from mimosa.errors import Diagnostic, Span
 from mimosa.eval import eval_equations
-from mimosa.types import BOOL, INT, Unifier
+from mimosa.types import BOOL, INT, REAL, UNIT, Scheme, TFunc, TOption, TTuple, Type, TVar, Unifier
 
 
 def step_of(source: str) -> StepDecl:
@@ -129,6 +130,179 @@ channel b : real? = { None, Some 1.5 }
         infer_types(parse_program(src))
         with pytest.raises(TypeCheckError):
             infer_types(parse_program("channel c : int? = { Some 1, 2 }"))
+
+
+    def test_output_annotation_must_agree_with_the_body(self):
+        with pytest.raises(TypeCheckError) as err:
+            infer_types(parse_program("step f x --> (y : bool) { y = x + 1 }"))
+        (diag,) = err.value.diagnostics
+        assert (diag.message, str(diag.span)) == ("type mismatch: expected int, found bool", "1:15")
+
+
+# The type traversals as they were written before they shared one structural
+# map, one match per function, kept as the reference for the shared one.
+
+
+def reference_deep_resolve(u: Unifier, t: Type) -> Type:
+    t = u.resolve(t)
+    match t:
+        case TOption(elem):
+            return TOption(reference_deep_resolve(u, elem))
+        case TTuple(items):
+            return TTuple(tuple(reference_deep_resolve(u, i) for i in items))
+        case TFunc(arg, result):
+            return TFunc(reference_deep_resolve(u, arg), reference_deep_resolve(u, result))
+        case _:
+            return t
+
+
+def reference_free_vars(u: Unifier, t: Type) -> set[int]:
+    t = u.resolve(t)
+    match t:
+        case TVar(i):
+            return {i}
+        case TOption(elem):
+            return reference_free_vars(u, elem)
+        case TTuple(items):
+            return set().union(*(reference_free_vars(u, i) for i in items))
+        case TFunc(arg, result):
+            return reference_free_vars(u, arg) | reference_free_vars(u, result)
+        case _:
+            return set()
+
+
+def reference_instantiate(u: Unifier, scheme: Scheme) -> Type:
+    if not scheme.vars:
+        return scheme.body
+    mapping = {v: u.fresh() for v in scheme.vars}
+
+    def walk(t: Type) -> Type:
+        match t:
+            case TVar(i) if i in mapping:
+                return mapping[i]
+            case TOption(elem):
+                return TOption(walk(elem))
+            case TTuple(items):
+                return TTuple(tuple(walk(i) for i in items))
+            case TFunc(arg, result):
+                return TFunc(walk(arg), walk(result))
+            case _:
+                return t
+
+    return walk(scheme.body)
+
+
+def reference_generalize(u: Unifier, t: Type) -> Scheme:
+    t = reference_deep_resolve(u, t)
+    order: list[int] = []
+
+    def collect(t: Type):
+        match t:
+            case TVar(i):
+                if i not in order:
+                    order.append(i)
+            case TOption(elem):
+                collect(elem)
+            case TTuple(items):
+                for i in items:
+                    collect(i)
+            case TFunc(arg, result):
+                collect(arg)
+                collect(result)
+
+    collect(t)
+    mapping = {old: TVar(new) for new, old in enumerate(order)}
+
+    def rename(t: Type) -> Type:
+        match t:
+            case TVar(i):
+                return mapping[i]
+            case TOption(elem):
+                return TOption(rename(elem))
+            case TTuple(items):
+                return TTuple(tuple(rename(i) for i in items))
+            case TFunc(arg, result):
+                return TFunc(rename(arg), rename(result))
+            case _:
+                return t
+
+    return Scheme(tuple(range(len(order))), rename(t))
+
+
+VARIABLES = 12
+
+
+def random_type(rng: random.Random, depth: int, lowest: int = 0) -> Type:
+    """A type at most `depth` levels deep over variables `lowest` and up."""
+    if depth == 1 or rng.random() < 0.25:
+        if lowest < VARIABLES and rng.random() < 0.6:
+            return TVar(rng.randrange(lowest, VARIABLES))
+        return rng.choice([INT, BOOL, REAL, UNIT])
+    kind = rng.randrange(3)
+    if kind == 0:
+        return TOption(random_type(rng, depth - 1, lowest))
+    if kind == 1:
+        return TTuple(tuple(random_type(rng, depth - 1, lowest) for _ in range(rng.randrange(2, 4))))
+    return TFunc(random_type(rng, depth - 1, lowest), random_type(rng, depth - 1, lowest))
+
+
+def random_unifier(rng: random.Random) -> Unifier:
+    """A unifier that binds some variables, each to a type over higher-numbered
+    ones only, so every chain of bindings ends."""
+    u = Unifier()
+    u._next = VARIABLES
+    for v in range(VARIABLES - 1):
+        if rng.random() < 0.5:
+            u._subst[v] = random_type(rng, rng.randrange(1, 4), v + 1)
+    return u
+
+
+class TestTypeTraversal:
+    @pytest.mark.parametrize("seed", range(300))
+    def test_traversals_match_the_reference(self, seed):
+        rng = random.Random(seed)
+        u = random_unifier(rng)
+        t = random_type(rng, rng.randrange(1, 9))
+        assert u.deep_resolve(t) == reference_deep_resolve(u, t)
+        scheme = u.generalize(t)
+        want = reference_generalize(u, t)
+        # The same variables in the same order, so the same printed scheme.
+        assert scheme == want and str(scheme) == str(want)
+        other = Unifier()
+        other._next = u._next
+        assert u.instantiate(scheme) == reference_instantiate(other, scheme)
+        assert u._next == other._next
+
+    @pytest.mark.parametrize("seed", range(300))
+    def test_occurs_check_matches_the_reference(self, seed):
+        rng = random.Random(seed)
+        u = random_unifier(rng)
+        unbound = [v for v in range(VARIABLES) if v not in u._subst]
+        var, t = TVar(rng.choice(unbound)), random_type(rng, rng.randrange(1, 9))
+        occurs = u.resolve(t) != var and var.id in reference_free_vars(u, t)
+        try:
+            u.unify(var, t, Span())
+        except TypeCheckError as exc:
+            assert occurs and exc.diagnostics[0].message.startswith("occurs check")
+        else:
+            assert not occurs
+
+    def test_shipped_programs_print_as_before(self):
+        programs = Path(__file__).resolve().parent.parent / "programs"
+        printed = {}
+        for name in ("edge", "fib"):
+            schemes, node_sigs = infer_types(parse_program((programs / f"{name}.mim").read_text()))
+            printed[name] = ({n: str(s) for n, s in schemes.items()}, {n: str(s) for n, s in node_sigs.items()})
+        assert printed == {
+            "edge": (
+                {"pin": "unit -> bool", "watch": "bool -> unit", "edge_detect": "bool -> bool?"},
+                {"pin": "unit -> bool", "edge": "bool -> bool?", "watch": "bool -> unit"},
+            ),
+            "fib": (
+                {"print_int": "int -> unit", "add": "(int, int) -> int", "split": "'a -> ('a, 'a, 'a)"},
+                {"add": "(int, int) -> int", "split": "int -> (int, int, int)", "print": "int -> unit"},
+            ),
+        }
 
 
 class TestCausality:
@@ -382,7 +556,6 @@ class TestInitialization:
     def test_lattice_helpers(self):
         assert init_meet(True, True) is True
         assert init_meet(True, (True, False)) == (True, False)
-        assert render_init((True, False)) == "(I, U)"
 
 
 class TestNetwork:

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import EDGE_NETWORK, EDGE_SOURCE, FIB_SOURCE
 from mimosa.analysis import MAX_CALL_DEPTH
 from mimosa.cli import main
-from mimosa.parser import MAX_EXPR_DEPTH
+from mimosa.parser import MAX_EXPR_DEPTH, MAX_TYPE_DEPTH
 
 BAD_INIT = """\
 step f (x : int) --> y { y = 0 -> 0 -> pre pre x }
@@ -58,7 +58,7 @@ class TestCheck:
 
     def test_missing_file(self, capsys):
         assert main(["check", "/nonexistent.mim"]) == 1
-        assert "mimosa:" in capsys.readouterr().err
+        assert capsys.readouterr().err == "/nonexistent.mim:0:0: error: cannot read file: No such file or directory\n"
 
     def test_usage_error_is_exit_2(self, capsys):
         assert main(["check"]) == 2
@@ -259,6 +259,148 @@ class TestDeepExpressions:
         assert main([command[0], str(path), *command[1:]]) == 0
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    def test_option_chain_at_the_depth_limit_runs(self, tmp_path, capsys, command):
+        # if (1), == (2), its argument tuple (3), 252 Somes and x: 256 levels,
+        # and a type 253 options deep for the type walkers.
+        somes = "Some " * 252
+        path = tmp_path / "chain.mim"
+        path.write_text(chain_program(0).replace("y = x", f"y = if {somes}x == {somes}x then x + 1 else 0"))
+        assert main([command[0], str(path), *command[1:]]) == 0
+        assert capsys.readouterr().err == ""
+
+
+def deep_type(shape: str, depth: int) -> str:
+    """`int` under depth - 1 options, or nested as the last of pairs."""
+    if shape == "option":
+        return "int" + "?" * (depth - 1)
+    return "(int, " * (depth - 1) + "int" + ")" * (depth - 1)
+
+
+def deep_literal(shape: str, depth: int) -> str:
+    """A literal value of `deep_type(shape, depth)`."""
+    if shape == "option":
+        return "Some " * (depth - 1) + "1"
+    return "(1, " * (depth - 1) + "1" + ")" * (depth - 1)
+
+
+def printed_options(inner: str, count: int) -> str:
+    """How the printer shows type `inner` under `count` options."""
+    return "(" * (count - 1) + inner + "?" + ")?" * (count - 1) if count else inner
+
+
+def printed_type(shape: str, depth: int) -> str:
+    """How the printer shows `deep_type(shape, depth)`."""
+    return printed_options("int", depth - 1) if shape == "option" else deep_type(shape, depth)
+
+
+def printed_literal(shape: str, depth: int) -> str:
+    """How the printer shows `deep_literal(shape, depth)`."""
+    if shape == "option":
+        return "Some (" * (depth - 2) + "Some 1" + ")" * (depth - 2)
+    return deep_literal(shape, depth)
+
+
+def typed_network(ty: str, value: str) -> str:
+    """A runnable network src -> copy -> sink carrying `ty`, whose first
+    channel starts with `value`; src and sink are prototypes."""
+    return f"""\
+step src () --> (y : {ty})
+step copy (x : {ty}) --> (y : {ty}) {{ y = x }}
+step sink (x : {ty}) --> ()
+channel a : {ty} = {{ {value} }}
+channel b : {ty}
+node n implements src () --> (a) every 10ms
+node k implements copy (a) --> (b) every 10ms
+node m implements sink (b) --> () every 10ms
+"""
+
+
+class TestDeepTypesAndLiterals:
+    SHAPES = ["option", "tuple"]
+
+    def commands(self, tmp_path, shape: str, depth: int) -> list[list[str]]:
+        """check, fmt, and a run whose source prototype reads the deepest value from a stub file."""
+        stub = tmp_path / "values.txt"
+        stub.write_text(deep_literal(shape, depth) + "\n")
+        return [["check"], ["fmt"], ["run", "--for", "30ms", "--stub", f"src={stub}", "--stub", "sink=builtin:print"]]
+
+    @pytest.mark.parametrize(
+        "shape, depth", [("option", 350), ("option", 3000), ("tuple", 250), ("tuple", MAX_TYPE_DEPTH + 1)]
+    )
+    def test_deep_annotation_is_a_diagnostic(self, tmp_path, capsys, shape, depth):
+        path = tmp_path / "deep.mim"
+        path.write_text(typed_network(deep_type(shape, depth), deep_literal(shape, depth)))
+        for command in self.commands(tmp_path, shape, depth):
+            assert main([command[0], str(path), *command[1:]]) == 1
+            out, err = capsys.readouterr()
+            assert "Traceback" not in out + err
+            # Every declaration that names the type is reported at the type.
+            assert err.splitlines() == [
+                f"{path}:{line}:{col}: error: type nested too deeply"
+                for line, col in [(1, 22), (2, 16), (3, 16), (4, 13), (5, 13)]
+            ]
+
+    @pytest.mark.parametrize("depth", [900, MAX_TYPE_DEPTH + 1])
+    def test_deep_literal_is_a_diagnostic(self, tmp_path, capsys, depth):
+        path = tmp_path / "deep.mim"
+        path.write_text(typed_network("int", deep_literal("option", depth)))
+        for command in self.commands(tmp_path, "option", 1):
+            assert main([command[0], str(path), *command[1:]]) == 1
+            out, err = capsys.readouterr()
+            assert "Traceback" not in out + err
+            assert err.splitlines() == [f"{path}:4:21: error: literal value nested too deeply"]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_deep_stub_value_is_a_diagnostic(self, tmp_path, capsys, shape):
+        path = tmp_path / "deep.mim"
+        path.write_text(typed_network("int", "1"))
+        value = deep_literal(shape, MAX_TYPE_DEPTH + 1)
+        stub = tmp_path / "values.txt"
+        stub.write_text(f"1\n{value}\n")
+        for spec, where in [(f"src={stub}", f"{stub}:2:1"), (f"src=const:{value}", "<literal>:1:1")]:
+            assert main(["run", str(path), "--for", "30ms", "--stub", spec, "--stub", "sink=builtin:print"]) == 1
+            assert capsys.readouterr().err == f"{where}: error: literal value nested too deeply\n"
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_types_and_literals_at_the_limit_run(self, tmp_path, capsys, shape):
+        value = deep_literal(shape, MAX_TYPE_DEPTH)
+        shown = printed_literal(shape, MAX_TYPE_DEPTH)
+        path = tmp_path / "deep.mim"
+        path.write_text(typed_network(deep_type(shape, MAX_TYPE_DEPTH), value))
+        for command in self.commands(tmp_path, shape, MAX_TYPE_DEPTH):
+            assert main([command[0], str(path), *command[1:]]) == 0
+            out, err = capsys.readouterr()
+            assert err == ""
+            if command[0] == "run":
+                assert out.splitlines() == [f"{t}ms: {shown}" for t in (10, 20, 30)]
+        stub = f"src=const:{value}"
+        assert main(["run", str(path), "--for", "10ms", "--stub", stub, "--stub", "sink=builtin:print"]) == 0
+        assert capsys.readouterr() == (f"10ms: {shown}\n", "")
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_mismatch_prints_the_deepest_type(self, tmp_path, capsys, shape):
+        ty, value = deep_type(shape, MAX_TYPE_DEPTH), deep_literal(shape, MAX_TYPE_DEPTH)
+        shown = printed_type(shape, MAX_TYPE_DEPTH)
+        # The deepest annotation under an expression at MAX_EXPR_DEPTH.
+        somes = MAX_EXPR_DEPTH - 1
+        if shape == "option":
+            wrapped = printed_options("int", MAX_TYPE_DEPTH - 1 + somes)
+        else:
+            wrapped = printed_options(shown, somes)
+        path = tmp_path / "deep.mim"
+        for source, message in [
+            (f"channel a : {ty} = {{ true }}", f"1:1: error: type mismatch: expected {shown}, found bool"),
+            (f"channel a : int = {{ {value} }}", f"1:1: error: type mismatch: expected int, found {shown}"),
+            (
+                f"step f (x : {ty}) --> (y : bool) {{ y = {'Some ' * somes}x }}",
+                f"1:{len(ty) + 20}: error: type mismatch: expected {wrapped}, found bool",
+            ),
+        ]:
+            path.write_text(source + "\n")
+            assert main(["check", str(path), "--allow-unwired"]) == 1
+            assert capsys.readouterr().err == f"{path}:{message}\n"
+
 
 def call_chain_program(operators: list[int], caller_first: bool = False) -> str:
     """A runnable network whose node runs s{n-1}, where step s{i} calls s{i-1}
@@ -416,6 +558,46 @@ class TestFmt:
         again.write_text(once)
         assert main(["fmt", str(again)]) == 0
         assert capsys.readouterr().out == once
+
+
+class TestInputOutputErrors:
+    NOT_UTF8 = b"\xff\xfe\x00bad"
+
+    @pytest.mark.parametrize("command", [["check"], ["fmt"], ["run", "--for", "10ms"]], ids=lambda c: c[0])
+    def test_source_that_is_not_utf8(self, tmp_path, capsys, command):
+        path = tmp_path / "bad.mim"
+        path.write_bytes(self.NOT_UTF8)
+        assert main([command[0], str(path), *command[1:]]) == 1
+        assert capsys.readouterr().err == f"{path}:1:1: error: file is not UTF-8 text (invalid start byte)\n"
+
+    def test_bad_byte_is_located(self, tmp_path, capsys):
+        path = tmp_path / "bad.mim"
+        # Columns count characters: the é before the bad byte is two bytes.
+        path.write_bytes(b"step f x --> y { y = x }\r\n-- caf\xc3\xa9 \xe9\n")
+        assert main(["check", str(path)]) == 1
+        assert capsys.readouterr().err == f"{path}:2:9: error: file is not UTF-8 text (invalid continuation byte)\n"
+
+    def test_stub_file_that_is_not_utf8(self, tmp_path, capsys):
+        program = tmp_path / "edge.mim"
+        program.write_text(EDGE_NETWORK)
+        levels = tmp_path / "levels.txt"
+        levels.write_bytes(self.NOT_UTF8)
+        assert main(["run", str(program), "--for", "10ms", "--stub", f"pin={levels}"]) == 1
+        assert capsys.readouterr().err == f"{levels}:1:1: error: file is not UTF-8 text (invalid start byte)\n"
+
+    def test_unwritable_trace_fails_before_the_run(self, fib_file, tmp_path, capsys):
+        trace = tmp_path / "missing" / "fib.csv"
+        assert main(["run", fib_file, "--for", "100ms", "--trace", str(trace)]) == 1
+        # print_int would print each value of the run.
+        assert capsys.readouterr() == ("", f"{trace}:0:0: error: cannot write trace: No such file or directory\n")
+
+    def test_trace_with_a_bad_time(self, tmp_path, capsys):
+        trace = tmp_path / "bad.csv"
+        trace.write_text("time_us,channel,value,node\n10000,a,1,n\nx,a,2,n\n")
+        assert main(["explain-trace", str(trace)]) == 1
+        assert capsys.readouterr().err == (
+            f"{trace}:3:1: error: malformed trace row: expected an integer time_us, a channel and a value\n"
+        )
 
 
 class TestExplainTrace:

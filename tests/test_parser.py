@@ -22,9 +22,9 @@ from mimosa.ast import (
     nesting,
 )
 from mimosa.errors import Span
-from mimosa.parser import _TOKEN, MAX_EXPR_DEPTH, tokenize
+from mimosa.parser import _TOKEN, MAX_EXPR_DEPTH, MAX_TYPE_DEPTH, parse_literal, tokenize
 from mimosa.pretty import format_duration, pretty_expr, pretty_program
-from mimosa.types import BOOL, TOption
+from mimosa.types import BOOL, INT, TOption
 
 
 class TestExamplePrograms:
@@ -261,6 +261,65 @@ class TestNesting:
             parse_program(f"step f x --> y {{ y = {deep} }}\nchannel c :\n")
         messages = [d.message for d in err.value.diagnostics]
         assert messages[0] == "expression nested too deeply" and len(messages) == 2
+
+
+class TestTypeAndLiteralDepth:
+    @staticmethod
+    def option_type(depth: int) -> str:
+        return "int" + "?" * (depth - 1)
+
+    @staticmethod
+    def tuple_type(depth: int) -> str:
+        return "(int, " * (depth - 1) + "int" + ")" * (depth - 1)
+
+    def test_types_at_the_limit_parse(self):
+        program = parse_program(
+            f"channel a : {self.option_type(MAX_TYPE_DEPTH)}\nchannel b : {self.tuple_type(MAX_TYPE_DEPTH)}"
+        )
+        a, b = (channel.elem_type for channel in program.channels)
+        for _ in range(MAX_TYPE_DEPTH - 1):
+            a, b = a.elem, b.items[1]
+        assert a == b == INT
+
+    @pytest.mark.parametrize(
+        "shape, depth",
+        [("option", MAX_TYPE_DEPTH + 1), ("option", 3000), ("tuple", MAX_TYPE_DEPTH + 1), ("tuple", 3000), ("parens", 3000)],
+    )
+    def test_deep_type_is_a_diagnostic(self, shape, depth):
+        # Parentheses that group one type add no level, but 3000 of them
+        # overflow the parser's stack; the diagnostic is the same.
+        ty = {
+            "option": self.option_type(depth),
+            "tuple": self.tuple_type(depth),
+            "parens": "(" * depth + "int, int" + ")" * depth,
+        }[shape]
+        for source in (f"channel a : {ty} = {{ 1 }}", f"step f (x : {ty}) --> ()"):
+            with pytest.raises(ParseError) as err:
+                parse_program(source + "\nchannel b :\n")
+            first, second = err.value.diagnostics
+            assert (first.message, str(first.span)) == ("type nested too deeply", f"1:{source.index(ty) + 1}")
+            assert second.message == "expected a type, found 'end of input'"
+
+    def test_literals_at_the_limit_parse(self):
+        some = parse_literal("Some " * (MAX_TYPE_DEPTH - 1) + "1")
+        pair = parse_literal("(1, " * (MAX_TYPE_DEPTH - 1) + "1" + ")" * (MAX_TYPE_DEPTH - 1))
+        for _ in range(MAX_TYPE_DEPTH - 1):
+            some, pair = some.value, pair.items[1]
+        assert some == pair == VConst(1)
+
+    @pytest.mark.parametrize("depth", [MAX_TYPE_DEPTH + 1, 3000])
+    @pytest.mark.parametrize("shape", ["option", "tuple"])
+    def test_deep_literal_is_a_diagnostic(self, shape, depth):
+        if shape == "option":
+            value = "Some " * (depth - 1) + "1"
+        else:
+            value = "(1, " * (depth - 1) + "1" + ")" * (depth - 1)
+        with pytest.raises(ParseError, match="literal value nested too deeply") as err:
+            parse_literal(value, "values.txt", 4)
+        assert str(err.value.diagnostics[0].span) == "4:1"
+        with pytest.raises(ParseError, match="literal value nested too deeply") as err:
+            parse_program(f"channel a : int = {{ 1, {value} }}")
+        assert str(err.value.diagnostics[0].span) == "1:24"
 
 
 class TestRoundTrip:
