@@ -1,8 +1,11 @@
 """Abstract syntax: expressions, patterns, equations, declarations, and runtime values.
 
-Everything is immutable after construction and safe to share across threads.
-Source spans never participate in equality, so structural comparison of two
-trees ignores where they were parsed from.
+Patterns and declarations are frozen. Expressions, equations and runtime
+values are never mutated after construction, except `_fill_pre`'s fresh holes
+in the evaluator; they are not frozen, for speed: the evaluator builds them on
+every firing, and a frozen dataclass costs several times as much to construct.
+Source spans never participate in equality or hashing, so structural
+comparison of two trees ignores where they were parsed from.
 """
 
 from __future__ import annotations
@@ -105,22 +108,23 @@ def _pattern_names(p: Pattern) -> list[str]:
 
 
 class Expr:
+    __slots__ = ()
     span: Span
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Var(Expr):
     name: str
     span: Span = field(default=SYNTHETIC, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Const(Expr):
     value: "int | bool | float | _Unit | _Undef"
     span: Span = field(default=SYNTHETIC, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Tuple(Expr):
     items: tuple[Expr, ...]
     span: Span = field(default=SYNTHETIC, compare=False, repr=False)
@@ -130,34 +134,34 @@ class Tuple(Expr):
             raise ValueError("tuple expressions have at least two components")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Pre(Expr):
     expr: Expr
     span: Span = field(default=SYNTHETIC, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Fby(Expr):
     first: Expr
     rest: Expr
     span: Span = field(default=SYNTHETIC, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Arrow(Expr):
     first: Expr
     rest: Expr
     span: Span = field(default=SYNTHETIC, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Apply(Expr):
     fn: Expr
     arg: Expr
     span: Span = field(default=SYNTHETIC, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class If(Expr):
     cond: Expr
     then: Expr
@@ -165,18 +169,18 @@ class If(Expr):
     span: Span = field(default=SYNTHETIC, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class NoneLit(Expr):
     span: Span = field(default=SYNTHETIC, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Some(Expr):
     expr: Expr
     span: Span = field(default=SYNTHETIC, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Either(Expr):
     """Option match: value of `scrutinee` if it is Some, else value of `fallback`."""
 
@@ -185,14 +189,14 @@ class Either(Expr):
     span: Span = field(default=SYNTHETIC, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Equation:
     lhs: Pattern
     rhs: Expr
     span: Span = field(default=SYNTHETIC, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Lambda(Expr):
     in_pattern: Pattern
     out_pattern: Pattern
@@ -276,37 +280,37 @@ class Program:
 
 
 class Value:
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class VConst(Value):
     value: "int | bool | float | _Unit"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class VTuple(Value):
     items: tuple[Value, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class VNone(Value):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class VSome(Value):
     value: Value
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class VClosure(Value):
     in_pattern: Pattern
     out_pattern: Pattern
     equations: tuple[Equation, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class VExtern(Value):
     """A builtin or externally provided (host) step, invoked once for every
     application the evaluator reaches in a cycle."""
@@ -315,7 +319,7 @@ class VExtern(Value):
     fn: Callable = field(compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class VUndef(Value):
     """Bottom: the not-yet-defined value produced by `pre` on its first cycle."""
 
@@ -427,7 +431,8 @@ def nesting(roots: Iterable[Expr], names: Container[str] = ()) -> Nesting:
                 stack.append((e.arg, depth + 1))
                 continue
             applies_value = True
-        for child in vars(e).values():
+        for slot in type(e).__slots__:
+            child = getattr(e, slot)
             if isinstance(child, Expr):
                 stack.append((child, depth + 1))
             elif isinstance(child, tuple):

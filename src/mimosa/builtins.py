@@ -89,8 +89,22 @@ def structural_cmp(a: Value, b: Value, op: str) -> int:
             raise EvalError(f"'{op}' cannot compare {a!r} and {b!r}")
 
 
+def _int_pair(v: Value) -> tuple[int, int] | None:
+    """The two operands of `v` if it is a pair of plain integer constants;
+    otherwise None, and the caller takes its checked path. Bools take that
+    path too: `type(x) is int` is false for them."""
+    if type(v) is VTuple and len(v.items) == 2:
+        a, b = v.items
+        if type(a) is VConst and type(b) is VConst and type(a.value) is int and type(b.value) is int:
+            return a.value, b.value
+    return None
+
+
 def _arith(op: str, fn) -> VExtern:
     def run(v, _ctx=None):
+        ints = _int_pair(v)
+        if ints is not None:
+            return VConst(fn(*ints))
         a, b = _pair(v, op)
         return VConst(fn(_int(a, op), _int(b, op)))
 
@@ -99,6 +113,10 @@ def _arith(op: str, fn) -> VExtern:
 
 def _compare(op: str, accept) -> VExtern:
     def run(v, _ctx=None):
+        ints = _int_pair(v)
+        if ints is not None:
+            x, y = ints
+            return VConst(accept((x > y) - (x < y)))
         a, b = _pair(v, op)
         return VConst(accept(structural_cmp(a, b, op)))
 

@@ -8,6 +8,7 @@ import io
 import os
 import sys
 from dataclasses import replace
+from typing import Callable, TypeVar
 
 from .analysis import check_program
 from .errors import Diagnostic, MimosaError, SimError, Span, read_text, render_diagnostics
@@ -22,6 +23,8 @@ from .sim import (
     print_host,
     run,
 )
+
+_T = TypeVar("_T")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -73,16 +76,28 @@ def _use_color() -> bool:
     return sys.stderr.isatty() and os.environ.get("MIMOSA_COLOR", "1") != "0"
 
 
+def _option_value(option: str, text: str, parse: Callable[[], _T]) -> _T:
+    """`parse()` of `text`, the value of `option`; its errors name the option,
+    since the value has no place in any file."""
+    try:
+        return parse()
+    except MimosaError as exc:
+        raise MimosaError(
+            [Diagnostic(f"in {text!r}, {d.message}", argument=option) for d in exc.diagnostics]
+        ) from None
+
+
 def _registry_from_stubs(stubs: list[str]) -> HostRegistry:
     registry = builtin_hosts()
     for stub in stubs:
         name, sep, spec = stub.partition("=")
         if not sep or not name or not spec:
-            raise MimosaError(f"bad --stub {stub!r}; expected STEP=SPEC")
+            raise MimosaError([Diagnostic(f"expected STEP=SPEC, got {stub!r}", argument="--stub")])
         if spec == "builtin:print":
             registry.bind(name, print_host())
         elif spec.startswith("const:"):
-            registry.bind(name, const_seq(parse_literal(spec[len("const:") :])))
+            value = _option_value("--stub", stub, lambda: parse_literal(spec[len("const:") :]))
+            registry.bind(name, const_seq(value))
         else:
             registry.bind(name, from_file(spec))
     return registry
@@ -100,7 +115,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_run(args) -> int:
     try:
-        horizon = parse_duration(args.horizon)
+        horizon = _option_value("--for", args.horizon, lambda: parse_duration(args.horizon))
         program = parse_program(read_text(args.file), file=args.file)
         checked = check_program(program, file=args.file)
         registry = _registry_from_stubs(args.stub)

@@ -61,7 +61,7 @@ class NodeState:
     span: Span  # of the node's declaration
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TraceEvent:
     time_us: int
     channel: str
@@ -70,7 +70,7 @@ class TraceEvent:
     seq: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StepRecord:
     kind: str  # fire | idle
     node: str

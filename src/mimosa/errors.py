@@ -31,11 +31,16 @@ class Diagnostic:
     span: Span = SYNTHETIC
     severity: str = "error"
     file: str = "<string>"
+    argument: str | None = None  # a command-line option, reported instead of a file position
 
     def text(self) -> str:
+        if self.argument is not None:
+            return f"argument {self.argument}: {self.severity}: {self.message}"
         return f"{self.file}:{self.span.line}:{self.span.col}: {self.severity}: {self.message}"
 
     def as_dict(self) -> dict:
+        if self.argument is not None:
+            return {"argument": self.argument, "severity": self.severity, "message": self.message}
         return {
             "file": self.file,
             "line": self.span.line,

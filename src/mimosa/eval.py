@@ -137,7 +137,7 @@ class EvalResult:
     next: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class HostContext:
     """Passed through to host (external) steps on every invocation."""
 
@@ -145,7 +145,7 @@ class HostContext:
     node: str
 
 
-@dataclass
+@dataclass(slots=True)
 class EvalContext:
     """Per-evaluation bookkeeping: the host context passed to extern calls."""
 
@@ -181,7 +181,8 @@ def _const_value(c: Const) -> Value:
 
 def eval_expr(env: Env, e: Expr, ctx: EvalContext | None = None) -> EvalResult:
     """The evaluation relation: env |- e  =>  value, next expression."""
-    return _eval(env, e, ctx if ctx is not None else EvalContext(), None)
+    value, next_expr = _eval(env, e, ctx if ctx is not None else EvalContext(), None)
+    return EvalResult(value, next_expr)
 
 
 # A `pre` met inside an equation list: the placeholder standing for its next
@@ -189,19 +190,19 @@ def eval_expr(env: Env, e: Expr, ctx: EvalContext | None = None) -> EvalResult:
 _Deferred = list[tuple[Arrow, Expr]]
 
 
-def _eval(env: Env, e: Expr, ctx: EvalContext, deferred: _Deferred | None) -> EvalResult:
+def _eval(env: Env, e: Expr, ctx: EvalContext, deferred: _Deferred | None) -> tuple[Value, Expr]:
+    """`eval_expr` as a (value, next expression) pair."""
     # The hot productions first: names, literals, and builtin or host calls.
     kind = type(e)
     if kind is Var:
-        return EvalResult(env.lookup(e.name, e.span), e)
+        return env.lookup(e.name, e.span), e
     if kind is Const:
-        return EvalResult(_const_value(e), e)
+        return _const_value(e), e
     if kind is Apply and type(e.fn) is Var:
         f = env.lookup(e.fn.name, e.fn.span)
         if type(f) is VExtern:
-            ra = _eval(env, e.arg, ctx, deferred)
-            result = f.fn(ra.value, ctx.host)
-            return EvalResult(result, e if ra.next is e.arg else Apply(e.fn, ra.next, span=e.span))
+            arg, arg_next = _eval(env, e.arg, ctx, deferred)
+            return f.fn(arg, ctx.host), e if arg_next is e.arg else Apply(e.fn, arg_next, span=e.span)
     match e:
         case Tuple(items):
             # A loop, not a comprehension, so each level is one interpreter frame.
@@ -209,68 +210,65 @@ def _eval(env: Env, e: Expr, ctx: EvalContext, deferred: _Deferred | None) -> Ev
             nexts = []
             same = True
             for item in items:
-                r = _eval(env, item, ctx, deferred)
-                values.append(r.value)
-                nexts.append(r.next)
-                same = same and r.next is item
-            return EvalResult(VTuple(tuple(values)), e if same else Tuple(tuple(nexts), span=e.span))
+                value, item_next = _eval(env, item, ctx, deferred)
+                values.append(value)
+                nexts.append(item_next)
+                same = same and item_next is item
+            return VTuple(tuple(values)), e if same else Tuple(tuple(nexts), span=e.span)
         case Pre(inner):
             hole = Arrow(inner, e, span=e.span)  # both fields are set by _fill_pre
             if deferred is None:
                 _fill_pre(hole, env, inner, ctx)
             else:
                 deferred.append((hole, inner))
-            return EvalResult(VUndef(), hole)
+            return VUndef(), hole
         case Fby(first, rest):
-            r1 = _eval(env, first, ctx, deferred)
-            return EvalResult(r1.value, rest)
+            return _eval(env, first, ctx, deferred)[0], rest
         case Arrow(first, rest):
-            r1 = _eval(env, first, ctx, deferred)
-            r2 = _eval(env, rest, ctx, deferred)
-            return EvalResult(r1.value, r2.next)
+            value = _eval(env, first, ctx, deferred)[0]
+            return value, _eval(env, rest, ctx, deferred)[1]
         case If(cond, then, orelse):
-            rc = _eval(env, cond, ctx, deferred)
-            if _branch(rc.value, e):
-                rt = _eval(env, then, ctx, deferred)
-                same = rc.next is cond and rt.next is then
-                return EvalResult(rt.value, e if same else If(rc.next, rt.next, orelse, span=e.span))
-            ro = _eval(env, orelse, ctx, deferred)
-            same = rc.next is cond and ro.next is orelse
-            return EvalResult(ro.value, e if same else If(rc.next, then, ro.next, span=e.span))
+            c, cond_next = _eval(env, cond, ctx, deferred)
+            if _branch(c, e):
+                value, then_next = _eval(env, then, ctx, deferred)
+                same = cond_next is cond and then_next is then
+                return value, e if same else If(cond_next, then_next, orelse, span=e.span)
+            value, else_next = _eval(env, orelse, ctx, deferred)
+            same = cond_next is cond and else_next is orelse
+            return value, e if same else If(cond_next, then, else_next, span=e.span)
         case NoneLit():
-            return EvalResult(VNone(), e)
+            return VNone(), e
         case Some(inner):
-            r = _eval(env, inner, ctx, deferred)
-            return EvalResult(VSome(r.value), e if r.next is inner else Some(r.next, span=e.span))
+            value, inner_next = _eval(env, inner, ctx, deferred)
+            return VSome(value), e if inner_next is inner else Some(inner_next, span=e.span)
         case Either(scrutinee, fallback):
-            rs = _eval(env, scrutinee, ctx, deferred)
-            match rs.value:
+            option, scrutinee_next = _eval(env, scrutinee, ctx, deferred)
+            match option:
                 case VSome(payload):
-                    same = rs.next is scrutinee
-                    return EvalResult(payload, e if same else Either(rs.next, fallback, span=e.span))
+                    same = scrutinee_next is scrutinee
+                    return payload, e if same else Either(scrutinee_next, fallback, span=e.span)
                 case VNone():
-                    rf = _eval(env, fallback, ctx, deferred)
-                    same = rs.next is scrutinee and rf.next is fallback
-                    return EvalResult(rf.value, e if same else Either(rs.next, rf.next, span=e.span))
+                    value, fallback_next = _eval(env, fallback, ctx, deferred)
+                    same = scrutinee_next is scrutinee and fallback_next is fallback
+                    return value, e if same else Either(scrutinee_next, fallback_next, span=e.span)
                 case VUndef():
                     raise UndefEscape(_escape("either scrutinee", e.span))
                 case other:
                     raise InternalError(f"either scrutinee evaluated to non-option {other!r}")
         case Lambda(in_pattern, out_pattern, equations):
-            return EvalResult(VClosure(in_pattern, out_pattern, equations), e)
+            return VClosure(in_pattern, out_pattern, equations), e
         case Apply(fn, arg):
-            rf = _eval(env, fn, ctx, deferred)
-            ra = _eval(env, arg, ctx, deferred)
-            match rf.value:
+            f, fn_next = _eval(env, fn, ctx, deferred)
+            a, arg_next = _eval(env, arg, ctx, deferred)
+            match f:
                 case VClosure(in_pattern, out_pattern, equations):
-                    inner = env.update(in_pattern, ra.value)
+                    inner = env.update(in_pattern, a)
                     next_eqs, final = _run_equations(inner, equations, ctx)
                     lam = Lambda(in_pattern, out_pattern, next_eqs)
-                    return EvalResult(final.project(out_pattern), Apply(lam, ra.next, span=e.span))
+                    return final.project(out_pattern), Apply(lam, arg_next, span=e.span)
                 case VExtern():
-                    result = rf.value.fn(ra.value, ctx.host)
-                    same = rf.next is fn and ra.next is arg
-                    return EvalResult(result, e if same else Apply(rf.next, ra.next, span=e.span))
+                    same = fn_next is fn and arg_next is arg
+                    return f.fn(a, ctx.host), e if same else Apply(fn_next, arg_next, span=e.span)
                 case VUndef():
                     raise UndefEscape(_escape("applied expression", e.span))
                 case other:
@@ -297,9 +295,9 @@ def _escape(where: str, span: Span) -> str:
 def _fill_pre(hole: Arrow, env: Env, operand: Expr, ctx: EvalContext) -> None:
     """Make hole `v -> pre e'`, the next expression of `pre operand`; env must
     already hold every final value of the activation."""
-    r = _eval(env, operand, ctx, None)
-    object.__setattr__(hole, "first", value_to_expr(r.value))
-    object.__setattr__(hole, "rest", Pre(r.next))
+    value, operand_next = _eval(env, operand, ctx, None)
+    hole.first = value_to_expr(value)
+    hole.rest = Pre(operand_next)
 
 
 def _run_equations(
@@ -309,9 +307,9 @@ def _run_equations(
     deferred: _Deferred = []
     rewritten = []
     for eq in equations:
-        r = _eval(env, eq.rhs, ctx, deferred)
-        _update_into(env._bindings, eq.lhs, r.value)
-        rewritten.append(eq if r.next is eq.rhs else Equation(eq.lhs, r.next, span=eq.span))
+        value, rhs_next = _eval(env, eq.rhs, ctx, deferred)
+        _update_into(env._bindings, eq.lhs, value)
+        rewritten.append(eq if rhs_next is eq.rhs else Equation(eq.lhs, rhs_next, span=eq.span))
     for hole, operand in deferred:
         _fill_pre(hole, env, operand, ctx)
     return tuple(rewritten), env

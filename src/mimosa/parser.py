@@ -227,6 +227,7 @@ class Parser:
         channels: list[ChannelDecl] = []
         nodes: list[NodeDecl] = []
         while not self.at_kind("eof"):
+            start = self.pos
             try:
                 if self.at("step"):
                     steps.append(self.step_decl())
@@ -241,7 +242,7 @@ class Parser:
                 self.diags.append(self.diagnostic(exc))
                 if len(self.diags) >= self.MAX_ERRORS:
                     break
-                self.recover()
+                self.recover(start)
         self.check_duplicates(steps, channels, nodes)
         if self.diags:
             raise ParseError(self.diags)
@@ -253,9 +254,13 @@ class Parser:
             exc = _Diag("expression nested too deeply", self.peek().span)
         return Diagnostic(str(exc), exc.span, file=self.file)
 
-    def recover(self):
-        """Skip to the next top-level declaration keyword."""
-        self.advance()
+    def recover(self, start: int):
+        """Skip to the next top-level declaration keyword after the one that
+        failed at token `start`. The failing token itself is skipped only if
+        nothing past `start` was read, so parsing always progresses, and a
+        declaration right after the last token read is still parsed."""
+        if self.pos == start:
+            self.advance()
         while not self.at_kind("eof") and not (self.at("step") or self.at("channel") or self.at("node")):
             self.advance()
 

@@ -1,16 +1,31 @@
+import copy
+
 import pytest
 
-from mimosa import free_variables, parse_expression
+from mimosa import check_program, eval_equations, free_variables, parse_expression, parse_program
 from mimosa.ast import (
+    UNIT_VALUE,
     Const,
     Equation,
+    Expr,
     Lambda,
     PTuple,
     PVar,
     PWild,
     Tuple,
+    Value,
     Var,
+    VClosure,
+    VConst,
+    VExtern,
+    VNone,
+    VSome,
+    VTuple,
+    VUndef,
 )
+from mimosa.builtins import BUILTIN_VALUES
+from mimosa.errors import Span
+from mimosa.eval import Env
 
 
 def test_free_variables_delayed_under_pre():
@@ -85,3 +100,78 @@ def test_duplicate_pattern_names_rejected():
 def test_lambda_requires_equations():
     with pytest.raises(ValueError):
         Lambda(PVar("a"), PVar("z"), ())
+
+
+# Every production once, so each expression class is compared and hashed.
+EVERY_PRODUCTION = "if c then (x fby 1, 0 -> pre x) else (None, either Some (f x) otherwise 2)"
+
+
+def nodes(root):
+    """Every expression node and equation under `root`."""
+    stack, out = [root], []
+    while stack:
+        e = stack.pop()
+        out.append(e)
+        for slot in type(e).__slots__:
+            child = getattr(e, slot)
+            if isinstance(child, (Expr, Equation)):
+                stack.append(child)
+            elif isinstance(child, tuple):
+                stack.extend(c for c in child if isinstance(c, (Expr, Equation)))
+    return out
+
+
+def test_equality_and_hash_ignore_spans():
+    assert Var("x", span=Span(1, 1)) == Var("x")
+    assert hash(Var("x", span=Span(1, 1))) == hash(Var("x"))
+    a = parse_expression(EVERY_PRODUCTION)
+    b = parse_expression("\n\n   " + EVERY_PRODUCTION)
+    assert a.span != b.span
+    assert a == b and hash(a) == hash(b)
+    assert {a: "found"}[b] == "found"
+    kinds = {type(e).__name__ for e in nodes(a)}
+    assert kinds >= {"If", "Tuple", "Fby", "Arrow", "Pre", "NoneLit", "Either", "Some", "Apply", "Var", "Const"}
+    for e in nodes(a):
+        assert not hasattr(e, "__dict__")
+
+
+def test_values_are_structural_dict_keys():
+    closure = VClosure(PVar("a"), PVar("z"), (Equation(PVar("z"), Var("a"), span=Span(3, 4)),))
+    values = [
+        VConst(1),
+        UNIT_VALUE,
+        VTuple((VConst(1), VConst(False))),
+        VNone(),
+        VSome(VConst(2)),
+        VUndef(),
+        closure,
+        BUILTIN_VALUES["+"],
+    ]
+    table = {v: i for i, v in enumerate(values)}
+    assert len(table) == len(values)
+    twins = [
+        VConst(1),
+        UNIT_VALUE,
+        VTuple((VConst(1), VConst(False))),
+        VNone(),
+        VSome(VConst(2)),
+        VUndef(),
+        VClosure(PVar("a"), PVar("z"), (Equation(PVar("z"), Var("a")),)),
+        VExtern("+", lambda v, ctx: v),  # the host function is not compared
+    ]
+    assert [table[v] for v in twins] == list(range(len(values)))
+    for v in values:
+        assert isinstance(v, Value) and not hasattr(v, "__dict__")
+
+
+def test_deepcopy_of_a_rewritten_body_is_equal():
+    program = parse_program(
+        "step f (x : int) --> (y : int) { ps = 0 -> pre s; s = ps + x; p = 1 fby s * 2; y = if x > 0 then p else s }"
+    )
+    body = check_program(program, complete_network=False).ordered_equations["f"]
+    env = Env(dict(BUILTIN_VALUES) | {"x": VConst(3)})
+    for _ in range(3):
+        body, _final = eval_equations(env, body)
+        twin = copy.deepcopy(body)
+        assert twin == body and hash(twin) == hash(body)
+        assert all(a is not b for a, b in zip(nodes(twin[0]), nodes(body[0])))

@@ -129,6 +129,22 @@ class TestRun:
         assert main(["run", fib_file, "--for", "10parsecs"]) == 1
         assert "duration" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, option, message",
+        [
+            (["--for", "10parsecs"], "--for", "in '10parsecs', unknown duration unit 'parsecs' (use us, ms, or s)"),
+            (["--for", "0ms"], "--for", "in '0ms', durations must be positive"),
+            (["--for", "10ms", "--stub", "oops"], "--stub", "expected STEP=SPEC, got 'oops'"),
+            (["--for", "10ms", "--stub", "p=const:(1"], "--stub", "in 'p=const:(1', expected ')'"),
+        ],
+    )
+    def test_argument_errors_name_the_option(self, fib_file, capsys, argv, option, message):
+        assert main(["run", fib_file, *argv]) == 1
+        assert capsys.readouterr().err == f"argument {option}: error: {message}\n"
+        assert main(["run", fib_file, *argv, "--diag-format", "json"]) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload == [{"argument": option, "severity": "error", "message": message}]
+
     @pytest.mark.parametrize("diag_format", ["text", "json"])
     def test_runtime_error_is_located_at_the_node(self, tmp_path, capsys, diag_format):
         program = tmp_path / "div.mim"
@@ -218,7 +234,7 @@ class TestRun:
         program = tmp_path / "edge.mim"
         program.write_text(EDGE_NETWORK)
         assert main(["run", str(program), "--for", "10ms", "--stub", f"pin=const:{literal}"]) == 1
-        assert "<literal>:1:" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"argument --stub: error: in 'pin=const:{literal}', ")
 
     def test_bad_stub_file_line_names_file_and_line(self, tmp_path, capsys):
         program = tmp_path / "edge.mim"
@@ -358,9 +374,11 @@ class TestDeepTypesAndLiterals:
         value = deep_literal(shape, MAX_TYPE_DEPTH + 1)
         stub = tmp_path / "values.txt"
         stub.write_text(f"1\n{value}\n")
-        for spec, where in [(f"src={stub}", f"{stub}:2:1"), (f"src=const:{value}", "<literal>:1:1")]:
-            assert main(["run", str(path), "--for", "30ms", "--stub", spec, "--stub", "sink=builtin:print"]) == 1
-            assert capsys.readouterr().err == f"{where}: error: literal value nested too deeply\n"
+        assert main(["run", str(path), "--for", "30ms", "--stub", f"src={stub}", "--stub", "sink=builtin:print"]) == 1
+        assert capsys.readouterr().err == f"{stub}:2:1: error: literal value nested too deeply\n"
+        const = f"src=const:{value}"
+        assert main(["run", str(path), "--for", "30ms", "--stub", const, "--stub", "sink=builtin:print"]) == 1
+        assert capsys.readouterr().err == f"argument --stub: error: in {const!r}, literal value nested too deeply\n"
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_types_and_literals_at_the_limit_run(self, tmp_path, capsys, shape):

@@ -209,6 +209,23 @@ class TestErrors:
             parse_program(src)
         assert len(err.value.diagnostics) >= 2
 
+    def test_recovery_keeps_the_declaration_after_the_last_token_read(self):
+        # The period error is raised after `0ms`, the node's last token.
+        src = "step f () --> ()\nnode n implements f () --> () every 0ms\nchannel b :\n"
+        with pytest.raises(ParseError) as err:
+            parse_program(src)
+        assert [(d.message, d.span.line) for d in err.value.diagnostics] == [
+            ("periods must be positive", 2),
+            ("expected a type, found 'end of input'", 4),
+        ]
+
+    @pytest.mark.parametrize("src", ["step", "step step", "node node channel", "channel step node", "foo step"])
+    def test_recovery_at_a_declaration_keyword_terminates(self, src):
+        with pytest.raises(ParseError) as err:
+            parse_program(src)
+        # One diagnostic per keyword at most: each failing declaration reads a token.
+        assert 1 <= len(err.value.diagnostics) <= len(src.split())
+
     def test_error_cap_at_ten(self):
         src = "\n".join("step f -->" for _ in range(25))
         with pytest.raises(ParseError) as err:
