@@ -9,7 +9,7 @@ from .analysis import (
     infer_types,
     order_equations,
 )
-from .ast import Program, free_variables
+from .ast import Program
 from .errors import (
     CausalityError,
     Diagnostic,
@@ -65,7 +65,6 @@ __all__ = [
     "const_seq",
     "eval_equations",
     "eval_expr",
-    "free_variables",
     "from_file",
     "from_values",
     "infer_types",

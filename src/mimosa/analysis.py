@@ -15,7 +15,6 @@ from .ast import (
     Fby,
     If,
     Nesting,
-    NoneLit,
     Pattern,
     Pre,
     Program,
@@ -26,14 +25,13 @@ from .ast import (
     Some,
     StepDecl,
     Tuple,
-    UNDEF_LIT,
     Value,
     Var,
     VConst,
     VNone,
     VSome,
     VTuple,
-    free_variables,
+    contains_undef,
     nesting,
 )
 from .builtins import BUILTIN_TYPES
@@ -115,7 +113,7 @@ class _InitCheck:
         if kind is Var:
             return self.statuses.get(e.name, True)
         if kind is Const:
-            return e.value is not UNDEF_LIT
+            return not contains_undef(e.value)
         if kind is Pre and not check:  # undefined on the first cycle, whatever its operand
             return False
         match e:
@@ -147,8 +145,6 @@ class _InitCheck:
                 if check:
                     self._require(sc, cond.span, "if condition")
                 return init_meet(st, so)
-            case NoneLit():
-                return True
             case Some(inner):
                 return self.status(inner, check)
             case Either(scrutinee, fallback):
@@ -214,9 +210,7 @@ def order_equations(step: StepDecl, file: str = "<string>") -> tuple[Equation, .
 
     deps: list[set[int]] = [set() for _ in equations]
     for i, eq in enumerate(equations):
-        for name, kind in free_variables(eq.rhs).items():
-            if kind != "causal" or name not in owner:
-                continue
+        for name in sorted(nesting((eq.rhs,)).causal & owner.keys()):
             j = owner[name]
             if j == i:
                 raise CausalityError(
@@ -549,7 +543,7 @@ class _Infer:
                 return self.u.instantiate(ctx[name])
             self.fail(f"unknown identifier '{name}'", e.span)
         if kind is Const:
-            return _CONST_TYPES.get(type(e.value), UNIT)
+            return self.literal_type(e.value)
         if kind is Apply:
             tfn = self.expr(e.fn, ctx, local)
             targ = self.expr(e.arg, ctx, local)
@@ -573,8 +567,6 @@ class _Infer:
                 to = self.expr(orelse, ctx, local)
                 self.u.unify(tt, to, e.span, self.file)
                 return tt
-            case NoneLit():
-                return TOption(self.u.fresh())
             case Some(inner):
                 return TOption(self.expr(inner, ctx, local))
             case Either(scrutinee, fallback):

@@ -6,14 +6,18 @@ in the evaluator; they are not frozen, for speed: the evaluator builds them on
 every firing, and a frozen dataclass costs several times as much to construct.
 Source spans never participate in equality or hashing, so structural
 comparison of two trees ignores where they were parsed from.
+
+A literal is its value: `Const` holds the runtime `Value` it evaluates to, so
+when `pre e` rewrites to `v -> pre e'` the current value `v` goes back into
+the program text as one `Const(v)`. `VUndef` is the only undefined value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Container, Iterable, Literal, NamedTuple
+from typing import Callable, Container, Iterable, NamedTuple
 
-from .errors import SYNTHETIC, InternalError, Span
+from .errors import SYNTHETIC, Span
 from .types import Type
 
 
@@ -29,22 +33,7 @@ class _Unit:
         return "()"
 
 
-class _Undef:
-    """The bottom value introduced by `pre`, embeddable as an internal literal."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "<undef>"
-
-
 UNIT_LIT = _Unit()
-UNDEF_LIT = _Undef()
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +109,10 @@ class Var(Expr):
 
 @dataclass(slots=True, unsafe_hash=True)
 class Const(Expr):
-    value: "int | bool | float | _Unit | _Undef"
+    """A literal, holding the value it evaluates to: a `VConst` or `VNone` as
+    parsed, or any first-order value, `VUndef` included, that `pre` embeds."""
+
+    value: "Value"
     span: Span = field(default=SYNTHETIC, compare=False, repr=False)
 
 
@@ -166,11 +158,6 @@ class If(Expr):
     cond: Expr
     then: Expr
     orelse: Expr
-    span: Span = field(default=SYNTHETIC, compare=False, repr=False)
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class NoneLit(Expr):
     span: Span = field(default=SYNTHETIC, compare=False, repr=False)
 
 
@@ -331,8 +318,6 @@ def contains_undef(v: Value) -> bool:
     match v:
         case VUndef():
             return True
-        case VConst(x):
-            return x is UNDEF_LIT
         case VTuple(items):
             return any(contains_undef(i) for i in items)
         case VSome(inner):
@@ -345,96 +330,50 @@ def contains_undef(v: Value) -> bool:
 # Operations
 
 
-DepKind = Literal["causal", "delayed"]
-
-
-def free_variables(e: Expr) -> dict[str, DepKind]:
-    """Free variable names of e with their strongest dependency kind.
-
-    A name is "delayed" when every occurrence sits under a `pre`; any
-    occurrence evaluated in the current cycle (including the right arms of
-    `fby` and `->`, which become current-cycle references after rewriting)
-    makes it "causal".
-    """
-    out: dict[str, DepKind] = {}
-
-    def record(name: str, kind: DepKind):
-        if out.get(name) != "causal":
-            out[name] = kind
-
-    def walk(e: Expr, delayed: bool, bound: frozenset[str]):
-        match e:
-            case Var(name):
-                if name not in bound:
-                    record(name, "delayed" if delayed else "causal")
-            case Const() | NoneLit():
-                pass
-            case Tuple(items):
-                for item in items:
-                    walk(item, delayed, bound)
-            case Pre(inner):
-                walk(inner, True, bound)
-            case Fby(first, rest) | Arrow(first, rest):
-                walk(first, delayed, bound)
-                walk(rest, delayed, bound)
-            case Apply(fn, arg):
-                walk(fn, delayed, bound)
-                walk(arg, delayed, bound)
-            case If(cond, then, orelse):
-                walk(cond, delayed, bound)
-                walk(then, delayed, bound)
-                walk(orelse, delayed, bound)
-            case Some(inner):
-                walk(inner, delayed, bound)
-            case Either(scrutinee, fallback):
-                walk(scrutinee, delayed, bound)
-                walk(fallback, delayed, bound)
-            case Lambda(in_pattern, _, equations):
-                inner = set(bound) | set(in_pattern.names())
-                for eq in equations:
-                    inner.update(eq.lhs.names())
-                for eq in equations:
-                    walk(eq.rhs, delayed, frozenset(inner))
-            case _:
-                raise InternalError(f"free_variables: unknown expression {e!r}")
-
-    walk(e, False, frozenset())
-    return out
-
-
 class Nesting(NamedTuple):
     depth: int  # of the deepest root; a name or a literal is one level
     mentioned: set[str]  # which of `names` the roots mention
     passed: set[str]  # which of `names` they mention other than as an applied function
     applies_value: bool  # whether they apply a function that is not one of `names`
+    causal: set[str]  # every name they read outside any `pre`, right arms of `fby` and `->` included
 
 
 def nesting(roots: Iterable[Expr], names: Container[str] = ()) -> Nesting:
     """How deep `roots` nest and how they use `names`. Walked with an explicit
-    stack, so a deep tree cannot overflow the interpreter's."""
+    stack, so a deep tree cannot overflow the interpreter's. The right arms
+    of `fby` and `->` are causal reads: after one cycle each is the whole
+    expression."""
     deepest = 0
     applied: set[str] = set()
     passed: set[str] = set()
+    causal: set[str] = set()
     applies_value = False
-    stack = [(e, 1) for e in roots]
+    stack = [(e, 1, False) for e in roots]
     while stack:
-        e, depth = stack.pop()
+        e, depth, delayed = stack.pop()
         if depth > deepest:
             deepest = depth
-        if type(e) is Var:
+        kind = type(e)
+        if kind is Var:
+            if not delayed:
+                causal.add(e.name)
             if e.name in names:
                 passed.add(e.name)
             continue
-        if type(e) is Apply:
+        if kind is Pre:
+            delayed = True
+        elif kind is Apply:
             if type(e.fn) is Var and e.fn.name in names:
                 applied.add(e.fn.name)
-                stack.append((e.arg, depth + 1))
+                if not delayed:
+                    causal.add(e.fn.name)
+                stack.append((e.arg, depth + 1, delayed))
                 continue
             applies_value = True
-        for slot in type(e).__slots__:
+        for slot in kind.__slots__:
             child = getattr(e, slot)
             if isinstance(child, Expr):
-                stack.append((child, depth + 1))
+                stack.append((child, depth + 1, delayed))
             elif isinstance(child, tuple):
-                stack.extend((item, depth + 1) for item in child)
-    return Nesting(deepest, applied | passed, passed, applies_value)
+                stack.extend((item, depth + 1, delayed) for item in child)
+    return Nesting(deepest, applied | passed, passed, applies_value, causal)

@@ -16,6 +16,7 @@ from typing import Mapping
 from .analysis import CheckedProgram
 from .ast import (
     Apply,
+    Const,
     Expr,
     PortRef,
     Var,
@@ -29,7 +30,7 @@ from .ast import (
 )
 from .builtins import BUILTIN_VALUES
 from .errors import Diagnostic, EvalError, InternalError, SimError, Span
-from .eval import Env, EvalContext, HostContext, UNIT_VALUE, eval_expr, value_to_expr
+from .eval import Env, EvalContext, HostContext, UNIT_VALUE, eval_expr
 from .pretty import format_duration, pretty_value
 
 FIRE = "fire"
@@ -230,7 +231,7 @@ def fire_node(ns: NetworkState, name: str) -> None:
 
     ctx = EvalContext(host=HostContext(time_us=t, node=name))
     try:
-        result = eval_expr(ns.env, Apply(node.expr, value_to_expr(argument)), ctx)
+        result = eval_expr(ns.env, Apply(node.expr, Const(argument)), ctx)
     except EvalError as exc:
         raise SimError(
             [
@@ -245,7 +246,7 @@ def fire_node(ns: NetworkState, name: str) -> None:
     node.expr = result.next.fn
 
     tag = t + node.period_us
-    for port, component in zip(node.outputs, _split_outputs(result.value, node.outputs, name, t)):
+    for port, component in zip(node.outputs, _split_outputs(result.value, node, t)):
         ch = ns.channels[port.channel]
         if port.optional:
             match component:
@@ -258,7 +259,8 @@ def fire_node(ns: NetworkState, name: str) -> None:
                         [
                             Diagnostic(
                                 f"node '{name}': optional output '{port.channel}' produced "
-                                f"non-option value {pretty_value(component)}"
+                                f"non-option value {pretty_value(component)}",
+                                node.span,
                             )
                         ]
                     )
@@ -270,11 +272,17 @@ def fire_node(ns: NetworkState, name: str) -> None:
     ns.check_invariants(name)
 
 
-def _split_outputs(value: Value, outputs: tuple[PortRef, ...], name: str, t: int) -> list[Value]:
+def _split_outputs(value: Value, node: NodeState, t: int) -> list[Value]:
+    outputs = node.outputs
     if not outputs:
         if value != UNIT_VALUE:
             raise SimError(
-                [Diagnostic(f"node '{name}' has no output ports but produced {pretty_value(value)}")]
+                [
+                    Diagnostic(
+                        f"node '{node.name}' has no output ports but produced {pretty_value(value)}",
+                        node.span,
+                    )
+                ]
             )
         return []
     if len(outputs) == 1:
@@ -283,8 +291,9 @@ def _split_outputs(value: Value, outputs: tuple[PortRef, ...], name: str, t: int
         raise SimError(
             [
                 Diagnostic(
-                    f"node '{name}' at {format_duration(t)}: output {pretty_value(value)} does not "
-                    f"match its {len(outputs)} ports"
+                    f"node '{node.name}' at {format_duration(t)}: output {pretty_value(value)} does not "
+                    f"match its {len(outputs)} ports",
+                    node.span,
                 )
             ]
         )
@@ -297,7 +306,8 @@ def _write(ns: NetworkState, ch: Channel, value: Value, tag: int, node: str) -> 
             [
                 Diagnostic(
                     f"node '{node}' wrote an undefined value to channel '{ch.name}' at tag "
-                    f"{format_duration(tag)}"
+                    f"{format_duration(tag)}",
+                    ns.nodes[node].span,
                 )
             ]
         )

@@ -36,18 +36,15 @@ class Diagnostic:
     def text(self) -> str:
         if self.argument is not None:
             return f"argument {self.argument}: {self.severity}: {self.message}"
-        return f"{self.file}:{self.span.line}:{self.span.col}: {self.severity}: {self.message}"
+        where = self.file if self.span == SYNTHETIC else f"{self.file}:{self.span}"
+        return f"{where}: {self.severity}: {self.message}"
 
     def as_dict(self) -> dict:
+        """The JSON form; a diagnostic about a whole file has no line or column."""
         if self.argument is not None:
             return {"argument": self.argument, "severity": self.severity, "message": self.message}
-        return {
-            "file": self.file,
-            "line": self.span.line,
-            "col": self.span.col,
-            "severity": self.severity,
-            "message": self.message,
-        }
+        where = {} if self.span == SYNTHETIC else {"line": self.span.line, "col": self.span.col}
+        return {"file": self.file, **where, "severity": self.severity, "message": self.message}
 
 
 def render_diagnostics(diags: list[Diagnostic], fmt: str = "text") -> str:

@@ -14,7 +14,10 @@ equation list `pre e` returns a placeholder for its next expression and
 defers `e`; after the last equation every deferred operand is evaluated under
 the completed environment and its placeholder filled in before the activation
 returns. Outside an equation list the environment is already complete, and
-`pre e` evaluates its operand at once.
+`pre e` evaluates its operand at once. The value `v` goes into the next
+expression as one literal holding it, `Const(v)`, and a literal evaluates to
+the value it holds, so a value that waits in a `pre` is never rebuilt. The
+value of `pre e` itself is `VUndef`, the only undefined value.
 
 Next expressions share structure with the expressions they came from: a
 `Tuple`, `Apply`, `If`, `Some` or `Either` whose evaluated children all come
@@ -40,7 +43,6 @@ from .ast import (
     Fby,
     If,
     Lambda,
-    NoneLit,
     Pattern,
     Pre,
     PTuple,
@@ -49,7 +51,6 @@ from .ast import (
     PWild,
     Some,
     Tuple,
-    UNDEF_LIT,
     UNIT_VALUE,
     Var,
     VClosure,
@@ -153,30 +154,15 @@ class EvalContext:
 
 
 def value_to_expr(v: Value) -> Expr:
-    """Embed a runtime value as a literal expression (the Pre rule needs it)."""
+    """Embed a runtime value in an expression (the Pre rule needs it): a step
+    value as the step it came from, any other value as a literal holding it."""
     match v:
-        case VConst(x):
-            return Const(x)
-        case VUndef():
-            return Const(UNDEF_LIT)
-        case VTuple(items):
-            return Tuple(tuple(value_to_expr(i) for i in items))
-        case VNone():
-            return NoneLit()
-        case VSome(inner):
-            return Some(value_to_expr(inner))
         case VClosure(in_pattern, out_pattern, equations):
             return Lambda(in_pattern, out_pattern, equations)
         case VExtern(name):
             return Var(name)
         case _:
-            raise InternalError(f"value_to_expr: unknown value {v!r}")
-
-
-def _const_value(c: Const) -> Value:
-    if c.value is UNDEF_LIT:
-        return VUndef()
-    return VConst(c.value)
+            return Const(v)
 
 
 def eval_expr(env: Env, e: Expr, ctx: EvalContext | None = None) -> EvalResult:
@@ -197,7 +183,7 @@ def _eval(env: Env, e: Expr, ctx: EvalContext, deferred: _Deferred | None) -> tu
     if kind is Var:
         return env.lookup(e.name, e.span), e
     if kind is Const:
-        return _const_value(e), e
+        return e.value, e
     if kind is Apply and type(e.fn) is Var:
         f = env.lookup(e.fn.name, e.fn.span)
         if type(f) is VExtern:
@@ -236,8 +222,6 @@ def _eval(env: Env, e: Expr, ctx: EvalContext, deferred: _Deferred | None) -> tu
             value, else_next = _eval(env, orelse, ctx, deferred)
             same = cond_next is cond and else_next is orelse
             return value, e if same else If(cond_next, then, else_next, span=e.span)
-        case NoneLit():
-            return VNone(), e
         case Some(inner):
             value, inner_next = _eval(env, inner, ctx, deferred)
             return VSome(value), e if inner_next is inner else Some(inner_next, span=e.span)

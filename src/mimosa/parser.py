@@ -22,7 +22,6 @@ from .ast import (
     Fby,
     If,
     NodeDecl,
-    NoneLit,
     Pattern,
     PortRef,
     Pre,
@@ -599,16 +598,16 @@ class Parser:
         t = self.peek()
         if t.kind == "int" or t.kind == "real":
             self.advance()
-            return Const(t.value, span=t.span)
+            return Const(VConst(t.value), span=t.span)
         if self.at("true"):
             self.advance()
-            return Const(True, span=t.span)
+            return Const(VConst(True), span=t.span)
         if self.at("false"):
             self.advance()
-            return Const(False, span=t.span)
+            return Const(VConst(False), span=t.span)
         if self.at("None"):
             self.advance()
-            return NoneLit(span=t.span)
+            return Const(VNone(), span=t.span)
         if t.kind == "ident":
             self.advance()
             return Var(t.text, span=t.span)
@@ -616,7 +615,7 @@ class Parser:
             self.advance()
             if self.at(")"):
                 self.advance()
-                return Const(ast.UNIT_LIT, span=self.span_from(t))
+                return Const(ast.UNIT_VALUE, span=self.span_from(t))
             inner = self.expr_list()
             self.expect(")")
             return inner

@@ -18,7 +18,6 @@ from .ast import (
     If,
     Lambda,
     NodeDecl,
-    NoneLit,
     Pattern,
     PortRef,
     Pre,
@@ -30,7 +29,6 @@ from .ast import (
     Some,
     StepDecl,
     Tuple,
-    UNDEF_LIT,
     UNIT_LIT,
     Var,
     VClosure,
@@ -67,15 +65,15 @@ def _expr(e: Expr, minimum: int) -> str:
         case Var(name):
             return name
         case Const(value):
-            return _literal(value)
+            # A literal `Some v` is the prefix form `Some e`, parenthesised alike.
+            text = pretty_value(value)
+            return _paren(text, _UNARY, minimum) if type(value) is VSome else text
         case Tuple(items):
             return "(" + ", ".join(_expr(i, _ARROW) for i in items) + ")"
         case Pre(inner):
             return _paren(f"pre {_expr(inner, _UNARY)}", _UNARY, minimum)
         case Some(inner):
             return _paren(f"Some {_expr(inner, _UNARY)}", _UNARY, minimum)
-        case NoneLit():
-            return "None"
         case Fby(first, rest):
             text = f"{_expr(first, _EITHER)} fby {_expr(rest, _FBY)}"
             return _paren(text, _FBY, minimum)
@@ -108,8 +106,6 @@ def _expr(e: Expr, minimum: int) -> str:
 def _literal(value) -> str:
     if value is UNIT_LIT:
         return "()"
-    if value is UNDEF_LIT:
-        return "⊥"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):

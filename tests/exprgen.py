@@ -19,7 +19,6 @@ from mimosa.ast import (
     Expr,
     Fby,
     If,
-    NoneLit,
     Pre,
     PVar,
     Some,
@@ -64,14 +63,14 @@ def _leaf(rng: random.Random, ty: Type) -> Expr:
     if names and rng.random() < 0.5:
         return Var(rng.choice(names))
     if ty == INT:
-        return Const(rng.randrange(10))
+        return Const(VConst(rng.randrange(10)))
     if ty == REAL:
-        return Const(rng.choice((0.5, 1.25, 3.0)))
+        return Const(VConst(rng.choice((0.5, 1.25, 3.0))))
     if ty == BOOL:
-        return Const(rng.random() < 0.5)
+        return Const(VConst(rng.random() < 0.5))
     if isinstance(ty, TOption):
         if rng.random() < 0.4:
-            return NoneLit()
+            return Const(VNone())
         return Some(_leaf(rng, ty.elem))
     raise AssertionError(ty)
 
@@ -152,7 +151,7 @@ def gen_system(rng: random.Random, n_eqs: int) -> list[Equation]:
     def atom(visible: list[str]) -> Expr:
         roll = rng.random()
         if roll < 0.4:
-            return Const(rng.randrange(2))
+            return Const(VConst(rng.randrange(2)))
         if roll < 0.9 and visible:
             return Var(rng.choice(visible))
         return Var("i0")

@@ -18,7 +18,7 @@ from mimosa import (
     parse_program,
 )
 from mimosa.analysis import _bind_init, _in_cycle, _InitCheck, init_all, init_meet
-from mimosa.ast import Equation, Expr, Pre, PUnit, PVar, StepDecl, Var, contains_undef, free_variables
+from mimosa.ast import Equation, Expr, Pre, PUnit, PVar, StepDecl, Var, contains_undef, nesting
 from mimosa.builtins import BUILTIN_TYPES
 from mimosa.errors import Diagnostic, Span
 from mimosa.eval import eval_equations
@@ -350,9 +350,7 @@ def round_order_equations(step: StepDecl, file: str = "<string>") -> tuple[Equat
     owner = {n: i for i, names in enumerate(bound) for n in names}
     deps: list[set[int]] = [set() for _ in equations]
     for i, eq in enumerate(equations):
-        for name, kind in free_variables(eq.rhs).items():
-            if kind != "causal" or name not in owner:
-                continue
+        for name in sorted(nesting((eq.rhs,)).causal & owner.keys()):
             if owner[name] == i:
                 raise CausalityError(
                     [Diagnostic(f"equation for '{name}' depends on itself without a pre", eq.span, file=file)]

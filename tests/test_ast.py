@@ -2,7 +2,7 @@ import copy
 
 import pytest
 
-from mimosa import check_program, eval_equations, free_variables, parse_expression, parse_program
+from mimosa import check_program, eval_equations, parse_expression, parse_program
 from mimosa.ast import (
     UNIT_VALUE,
     Const,
@@ -22,44 +22,44 @@ from mimosa.ast import (
     VSome,
     VTuple,
     VUndef,
+    nesting,
 )
 from mimosa.builtins import BUILTIN_VALUES
 from mimosa.errors import Span
 from mimosa.eval import Env
 
 
+def causal(text: str) -> set[str]:
+    """The names an expression reads in the current cycle (`nesting().causal`)."""
+    return nesting((parse_expression(text),)).causal
+
+
 def test_free_variables_delayed_under_pre():
-    assert free_variables(parse_expression("0 -> pre x")) == {"x": "delayed"}
+    # A name read only under a `pre` is not causal.
+    assert causal("0 -> pre x") == set()
 
 
 def test_free_variables_operator_application():
-    assert free_variables(parse_expression("x + y")) == {
-        "+": "causal",
-        "x": "causal",
-        "y": "causal",
-    }
+    assert causal("x + y") == {"+", "x", "y"}
+    # An operator named among the functions is still a causal read.
+    assert nesting((parse_expression("x + y"),), {"+"}).causal == {"+", "x", "y"}
 
 
 def test_free_variables_constant():
-    assert free_variables(parse_expression("42")) == {}
+    assert causal("42") == set()
 
 
 def test_free_variables_causal_wins_over_delayed():
-    assert free_variables(parse_expression("x + pre x")) == {"+": "causal", "x": "causal"}
+    assert causal("x + pre x") == {"+", "x"}
+    assert causal("pre (x + y) + y") == {"+", "y"}
 
 
 def test_free_variables_fby_right_arm_is_causal():
     # After one cycle `a fby e` rewrites to `e`, so e's references are
     # current-cycle references.
-    assert free_variables(parse_expression("0 fby x")) == {"x": "causal"}
-    assert free_variables(parse_expression("0 -> x")) == {"x": "causal"}
-
-
-def test_free_variables_lambda_binders_are_excluded():
-    lam = Lambda(PVar("a"), PVar("z"), (Equation(PVar("z"), Var("a")),))
-    assert free_variables(lam) == {}
-    lam = Lambda(PVar("a"), PVar("z"), (Equation(PVar("z"), Var("outer")),))
-    assert free_variables(lam) == {"outer": "causal"}
+    assert causal("0 fby x") == {"x"}
+    assert causal("0 -> x") == {"x"}
+    assert causal("0 -> pre (1 fby x)") == set()
 
 
 def test_equal_expr_identical():
@@ -83,7 +83,7 @@ def test_equal_expr_ignores_spans():
 
 def test_tuple_arity_is_checked():
     with pytest.raises(ValueError):
-        Tuple((Const(1),))
+        Tuple((Const(VConst(1)),))
     with pytest.raises(ValueError):
         PTuple((PVar("x"),))
 
@@ -130,7 +130,7 @@ def test_equality_and_hash_ignore_spans():
     assert a == b and hash(a) == hash(b)
     assert {a: "found"}[b] == "found"
     kinds = {type(e).__name__ for e in nodes(a)}
-    assert kinds >= {"If", "Tuple", "Fby", "Arrow", "Pre", "NoneLit", "Either", "Some", "Apply", "Var", "Const"}
+    assert kinds >= {"If", "Tuple", "Fby", "Arrow", "Pre", "Either", "Some", "Apply", "Var", "Const"}
     for e in nodes(a):
         assert not hasattr(e, "__dict__")
 

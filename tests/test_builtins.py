@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from mimosa.ast import UNDEF_LIT, UNIT_VALUE, VConst, VNone, VSome, VTuple, VUndef
+from mimosa.ast import UNIT_VALUE, VConst, VNone, VSome, VTuple, VUndef
 from mimosa.builtins import (
     BUILTIN_VALUES,
     _bool,
@@ -77,7 +77,7 @@ REFERENCE = {
 
 def gen_value(rng: random.Random, depth: int = 2):
     """A runtime value of any first-order shape, ints and bools most often."""
-    kinds = ["int", "int", "int", "bool", "bool", "unit", "real", "undef", "undef_const", "option", "tuple"]
+    kinds = ["int", "int", "int", "bool", "bool", "unit", "real", "undef", "option", "tuple"]
     kind = rng.choice(kinds)
     if kind == "int":
         return VConst(rng.choice([0, 1, -1, 2, -7, 10**20, -(10**20), rng.randrange(-1000, 1000)]))
@@ -89,8 +89,6 @@ def gen_value(rng: random.Random, depth: int = 2):
         return VConst(rng.choice([0.0, 1.0, -2.5]))
     if kind == "undef":
         return VUndef()
-    if kind == "undef_const":
-        return VConst(UNDEF_LIT)
     if kind == "option" and depth > 0:
         return VNone() if rng.random() < 0.3 else VSome(gen_value(rng, depth - 1))
     if kind == "tuple" and depth > 0:

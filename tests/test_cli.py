@@ -58,7 +58,16 @@ class TestCheck:
 
     def test_missing_file(self, capsys):
         assert main(["check", "/nonexistent.mim"]) == 1
-        assert capsys.readouterr().err == "/nonexistent.mim:0:0: error: cannot read file: No such file or directory\n"
+        assert capsys.readouterr().err == "/nonexistent.mim: error: cannot read file: No such file or directory\n"
+
+    def test_missing_file_json_has_no_position(self, capsys):
+        assert main(["check", "/nonexistent.mim", "--diag-format=json"]) == 1
+        (diag,) = json.loads(capsys.readouterr().err)
+        assert diag == {
+            "file": "/nonexistent.mim",
+            "severity": "error",
+            "message": "cannot read file: No such file or directory",
+        }
 
     def test_usage_error_is_exit_2(self, capsys):
         assert main(["check"]) == 2
@@ -159,6 +168,28 @@ class TestRun:
         assert main(["run", str(program), "--for", "30ms", "--diag-format", diag_format]) == 1
         err = capsys.readouterr().err
         message = "node 'n' failed at 0s: division by zero"
+        if diag_format == "json":
+            (diag,) = json.loads(err)
+            assert (diag["file"], diag["line"], diag["col"], diag["message"]) == (str(program), 5, 1, message)
+        else:
+            assert err.strip() == f"{program}:5:1: error: {message}"
+
+    @pytest.mark.parametrize("diag_format", ["text", "json"])
+    def test_output_shape_error_is_located_at_the_node(self, tmp_path, capsys, diag_format):
+        program = tmp_path / "pair.mim"
+        program.write_text(
+            "step pair () --> (y : int, z : int)\n"
+            "step sink (v : int, w : int) --> ()\n"
+            "channel b : int\n"
+            "channel c : int\n"
+            "node n implements pair () --> (b, c) every 10ms\n"
+            "node m implements sink (b, c) --> () every 10ms\n"
+        )
+        stubs = ["--stub", "pair=const:1", "--stub", "sink=builtin:print"]
+        argv = ["run", str(program), "--for", "30ms", *stubs, "--diag-format", diag_format]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        message = "node 'n' at 0s: output 1 does not match its 2 ports"
         if diag_format == "json":
             (diag,) = json.loads(err)
             assert (diag["file"], diag["line"], diag["col"], diag["message"]) == (str(program), 5, 1, message)
@@ -607,7 +638,7 @@ class TestInputOutputErrors:
         trace = tmp_path / "missing" / "fib.csv"
         assert main(["run", fib_file, "--for", "100ms", "--trace", str(trace)]) == 1
         # print_int would print each value of the run.
-        assert capsys.readouterr() == ("", f"{trace}:0:0: error: cannot write trace: No such file or directory\n")
+        assert capsys.readouterr() == ("", f"{trace}: error: cannot write trace: No such file or directory\n")
 
     def test_trace_with_a_bad_time(self, tmp_path, capsys):
         trace = tmp_path / "bad.csv"

@@ -5,7 +5,7 @@ import pytest
 from conftest import quiet_fib_hosts, silent
 from mimosa import HostRegistry, SimConfig, Simulation, check_program, parse_program
 from mimosa import coord
-from mimosa.ast import UNIT_VALUE, VConst, VExtern
+from mimosa.ast import UNIT_VALUE, VConst, VExtern, VUndef
 from mimosa.coord import (
     ABSENT,
     AVAILABLE,
@@ -20,7 +20,7 @@ from mimosa.coord import (
     node_enabled,
     port_status,
 )
-from mimosa.errors import InternalError, SimError
+from mimosa.errors import SYNTHETIC, InternalError, SimError
 
 MS = 1_000
 
@@ -205,6 +205,30 @@ step g (v : int) --> (w : int) { w = v }
         ns = init_network(cp)
         with pytest.raises(SimError, match=r"node 'n' failed at 0s: division by zero"):
             fire_node(ns, "n")
+
+    # Output signature of `h`, the ports of node `n`, what the host returns, the message.
+    OUTPUT_FAULTS = {
+        "undefined": ("(w : int)", "(y)", VUndef(), "wrote an undefined value to channel 'y'"),
+        "non-option": ("(w : int?)", "(y?)", VConst(1), "optional output 'y' produced non-option value 1"),
+        "shape": ("(w : int, z : int)", "(y, z)", VConst(1), "output 1 does not match its 2 ports"),
+        "no outputs": ("()", "()", VConst(1), "has no output ports but produced 1"),
+    }
+
+    @pytest.mark.parametrize("fault", OUTPUT_FAULTS)
+    def test_output_errors_are_located_at_the_node(self, fault):
+        signature, ports, result, message = self.OUTPUT_FAULTS[fault]
+        channels = [c for c in "yz" if c in ports]
+        src = "\n".join(
+            [f"step h () --> {signature}", "step sink (_ : int) --> ()"]
+            + [f"channel {c} : int" for c in channels]
+            + [f"node n implements h () --> {ports} every 10ms"]
+            + [f"node s{c} implements sink ({c}) --> () every 10ms" for c in channels]
+        )
+        cp = check_program(parse_program(src))
+        ns = init_network(cp, {"h": VExtern("h", lambda _arg, _ctx: result)})
+        with pytest.raises(SimError, match=message) as info:
+            fire_node(ns, "n")
+        assert info.value.diagnostics[0].span == cp.program.node("n").span != SYNTHETIC
 
 
 class TestInvariants:

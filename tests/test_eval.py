@@ -24,7 +24,6 @@ from mimosa.ast import (
     Fby,
     If,
     Lambda,
-    NoneLit,
     Pre,
     PTuple,
     PUnit,
@@ -33,7 +32,6 @@ from mimosa.ast import (
     Some,
     StepDecl,
     Tuple,
-    UNIT_LIT,
     UNIT_VALUE,
     Var,
     VClosure,
@@ -52,7 +50,6 @@ from mimosa.eval import (
     EvalResult,
     HostContext,
     _branch,
-    _const_value,
     _escape,
     _update_into,
     value_to_expr,
@@ -147,7 +144,25 @@ class TestRules:
 
     def test_const(self):
         r = eval_expr(Env(), parse_expression("7"))
-        assert r.value == VConst(7) and r.next == Const(7)
+        assert r.value == VConst(7) and r.next == Const(VConst(7))
+
+    @pytest.mark.parametrize("text", ["7", "2.5", "true", "None", "()"])
+    def test_literal_evaluates_to_its_own_value(self, text):
+        e = parse_expression(text)
+        r = eval_expr(Env(), e)
+        assert r.value is e.value and r.next is e
+
+    @pytest.mark.parametrize(
+        "value",
+        [VTuple((VConst(1), VNone())), VSome(VConst(2)), VSome(VTuple((VConst(1), VSome(VConst(True)))))],
+    )
+    def test_pre_embeds_its_value_as_one_literal(self, value):
+        r = eval_expr(env_of(x=value), parse_expression("pre x"))
+        assert r.value == VUndef()
+        assert r.next == Arrow(Const(value), Pre(Var("x")))
+        assert r.next.first.value is value
+        # Next cycle the literal gives the same object back.
+        assert eval_expr(env_of(x=VNone()), r.next).value is value
 
     def test_fby_returns_head_and_keeps_tail_unevaluated(self):
         r = eval_expr(Env(), parse_expression("1 fby 2"))
@@ -156,7 +171,7 @@ class TestRules:
 
     def test_fby_tail_untouched_even_if_unbound(self):
         # e2 is not evaluated this cycle, so an unbound name there is fine.
-        r = eval_expr(Env(), Fby(Const(1), Var("nope")))
+        r = eval_expr(Env(), Fby(Const(VConst(1)), Var("nope")))
         assert r.value == VConst(1) and r.next == Var("nope")
 
     def test_pre_of_constant(self):
@@ -452,7 +467,7 @@ def reference_eval(env: Env, e: Expr, ctx: EvalContext, deferred: list | None) -
         case Var(name):
             return EvalResult(env.lookup(name, e.span), e)
         case Const():
-            return EvalResult(_const_value(e), e)
+            return EvalResult(e.value, e)
         case Tuple(items):
             parts = [reference_eval(env, item, ctx, deferred) for item in items]
             return EvalResult(
@@ -480,8 +495,6 @@ def reference_eval(env: Env, e: Expr, ctx: EvalContext, deferred: list | None) -
                 return EvalResult(rt.value, If(rc.next, rt.next, orelse, span=e.span))
             ro = reference_eval(env, orelse, ctx, deferred)
             return EvalResult(ro.value, If(rc.next, then, ro.next, span=e.span))
-        case NoneLit():
-            return EvalResult(VNone(), e)
         case Some(inner):
             r = reference_eval(env, inner, ctx, deferred)
             return EvalResult(VSome(r.value), Some(r.next, span=e.span))
@@ -549,7 +562,7 @@ class TestSharing:
             return
         env = Env(dict(iter(system_env())) | {"s": VClosure(PUnit(), PVar(out), ordered)})
         # The system on its own, and as the body of a step called every cycle.
-        called = (Equation(PVar("r"), Apply(Var("s"), Const(UNIT_LIT))),)
+        called = (Equation(PVar("r"), Apply(Var("s"), Const(UNIT_VALUE))),)
         for start in (ordered, called):
             shared = reference = start
             for _ in range(6):

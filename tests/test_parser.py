@@ -5,20 +5,23 @@ import pytest
 from hypothesis import given, strategies as st
 
 from exprgen import TOP_TYPES, gen_expr
-from mimosa import ParseError, parse_duration, parse_expression, parse_program
+from mimosa import Env, ParseError, eval_expr, parse_duration, parse_expression, parse_program
 from mimosa.ast import (
     Apply,
     Arrow,
     Const,
     Either,
     If,
-    NoneLit,
     Pre,
     Some,
     Tuple,
-    UNIT_LIT,
+    UNIT_VALUE,
     Var,
     VConst,
+    VExtern,
+    VNone,
+    VSome,
+    VTuple,
     nesting,
 )
 from mimosa.errors import Span
@@ -68,10 +71,10 @@ class TestExpressions:
             "if !pre_in && in then (Some true) else if pre_in && !in then (Some false) else None"
         )
         assert isinstance(e, If)
-        assert e.then == Some(Const(True))
+        assert e.then == Some(Const(VConst(True)))
         inner = e.orelse
         assert isinstance(inner, If)
-        assert inner.orelse == NoneLit()
+        assert inner.orelse == Const(VNone())
         cond = e.cond
         assert cond == Apply(Var("&&"), Tuple((Apply(Var("!"), Var("pre_in")), Var("in"))))
 
@@ -102,7 +105,7 @@ class TestExpressions:
 
     def test_either_otherwise(self):
         e = parse_expression("either o otherwise 0")
-        assert e == Either(Var("o"), Const(0))
+        assert e == Either(Var("o"), Const(VConst(0)))
 
     def test_either_nests_to_the_right(self):
         assert parse_expression("either a otherwise either b otherwise c") == Either(
@@ -110,7 +113,7 @@ class TestExpressions:
         )
 
     def test_unit_and_tuples(self):
-        assert parse_expression("()") == Const(UNIT_LIT)
+        assert parse_expression("()") == Const(UNIT_VALUE)
         assert parse_expression("(a)") == Var("a")
         assert parse_expression("(a, b)") == Tuple((Var("a"), Var("b")))
 
@@ -146,7 +149,7 @@ class TestLexer:
         assert p.step("f")
 
     def test_real_literals(self):
-        assert parse_expression("1.5") == Const(1.5)
+        assert parse_expression("1.5") == Const(VConst(1.5))
         with pytest.raises(ParseError):
             parse_expression("1.")
 
@@ -353,7 +356,21 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("value", [0.0, 1.5, 2.0, 1e20, 1e-05, 1.25e-300])
     def test_real_literal_round_trip(self, value):
-        assert parse_expression(pretty_expr(Const(value))) == Const(value)
+        assert parse_expression(pretty_expr(Const(VConst(value)))) == Const(VConst(value))
+
+    @pytest.mark.parametrize(
+        "value, text",
+        [(VSome(VConst(1)), "f (Some 1)"), (VSome(VTuple((VConst(2), VNone()))), "f (Some (2, None))")],
+    )
+    def test_some_literal_argument_round_trip(self, value, text):
+        # A firing applies the node's step to its argument as one literal.
+        rewritten = Apply(Var("f"), Const(value))
+        printed = pretty_expr(rewritten)
+        assert printed == text
+        reparsed = parse_expression(printed)
+        assert pretty_expr(reparsed) == printed
+        env = Env({"f": VExtern("f", lambda v, _host: v)})
+        assert eval_expr(env, reparsed).value == eval_expr(env, rewritten).value == value
 
     @pytest.mark.parametrize("seed", range(200))
     def test_random_expression_round_trip(self, seed):
