@@ -9,7 +9,10 @@ comparison of two trees ignores where they were parsed from.
 
 A literal is its value: `Const` holds the runtime `Value` it evaluates to, so
 when `pre e` rewrites to `v -> pre e'` the current value `v` goes back into
-the program text as one `Const(v)`. `VUndef` is the only undefined value.
+the program text as one `Const(v)`. `VUndef` is the only undefined value. A
+step value, too, has one form: a call `f a` rewrites to `Apply(Const(c), a')`,
+where the closure `c` holds the callee's next equations, so the closure
+carries the call's state.
 """
 
 from __future__ import annotations
@@ -110,7 +113,8 @@ class Var(Expr):
 @dataclass(slots=True, unsafe_hash=True)
 class Const(Expr):
     """A literal, holding the value it evaluates to: a `VConst` or `VNone` as
-    parsed, or any first-order value, `VUndef` included, that `pre` embeds."""
+    parsed, any value, `VUndef` included, that `pre` embeds, or the closure a
+    called step rewrites to."""
 
     value: "Value"
     span: Span = field(default=SYNTHETIC, compare=False, repr=False)
@@ -181,18 +185,6 @@ class Equation:
     lhs: Pattern
     rhs: Expr
     span: Span = field(default=SYNTHETIC, compare=False, repr=False)
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class Lambda(Expr):
-    in_pattern: Pattern
-    out_pattern: Pattern
-    equations: tuple[Equation, ...]
-    span: Span = field(default=SYNTHETIC, compare=False, repr=False)
-
-    def __post_init__(self):
-        if not self.equations:
-            raise ValueError("function bodies have at least one equation")
 
 
 # ---------------------------------------------------------------------------

@@ -189,22 +189,15 @@ def _cmd_explain_trace(args) -> int:
     return 0
 
 
+_COMMANDS = {"check": _cmd_check, "run": _cmd_run, "fmt": _cmd_fmt, "explain-trace": _cmd_explain_trace}
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    if args.command == "check":
-        return _cmd_check(args)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "fmt":
-        return _cmd_fmt(args)
-    if args.command == "explain-trace":
-        return _cmd_explain_trace(args)
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    return _COMMANDS[args.command](args)
 
 
 if __name__ == "__main__":

@@ -131,7 +131,7 @@ def init_network(cp: CheckedProgram, hosts: Mapping[str, Value] | None = None) -
     hosts = hosts or {}
     program = cp.program
 
-    env_bindings: dict[str, Value] = dict(BUILTIN_VALUES)
+    env_bindings: Env = dict(BUILTIN_VALUES)
     for step in program.steps:
         if step.is_prototype:
             env_bindings[step.name] = hosts.get(step.name) or _unbound_host(step.name)
@@ -169,7 +169,7 @@ def init_network(cp: CheckedProgram, hosts: Mapping[str, Value] | None = None) -
             validity=nodes[writer].period_us,
         )
 
-    state = NetworkState(nodes=nodes, channels=channels, env=Env(env_bindings))
+    state = NetworkState(nodes=nodes, channels=channels, env=env_bindings)
     state.check_invariants()
     return state
 

@@ -1,8 +1,10 @@
-"""Step-layer interpreter: environments and the big-step evaluation relation.
+"""Step-layer interpreter: the big-step evaluation relation.
 
 Evaluating an expression yields both its current value and the expression to
 run on the next cycle; all stream state is carried by that rewriting, never by
-mutable cells. Environments passed in by a caller are never mutated.
+mutable cells. An environment is a plain dict from names to values, and one
+passed in by a caller is never mutated: a closure application copies the
+caller's, and an activation binds into its own copy.
 
 An equation list is one activation and evaluates in a single pass. Each
 right-hand side runs once, in causal order, under the activation's own
@@ -17,7 +19,10 @@ returns. Outside an equation list the environment is already complete, and
 `pre e` evaluates its operand at once. The value `v` goes into the next
 expression as one literal holding it, `Const(v)`, and a literal evaluates to
 the value it holds, so a value that waits in a `pre` is never rebuilt. The
-value of `pre e` itself is `VUndef`, the only undefined value.
+value of `pre e` itself is `VUndef`, the only undefined value. A call of a
+step rewrites the same way: `f a` rewrites to `c a'`, where the literal `c`
+holds the callee's closure value with its next equations, so the closure
+carries the call's state.
 
 Next expressions share structure with the expressions they came from: a
 `Tuple`, `Apply`, `If`, `Some` or `Either` whose evaluated children all come
@@ -31,7 +36,6 @@ the placeholder `Arrow`s created by the current activation only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from .ast import (
     Arrow,
@@ -42,7 +46,6 @@ from .ast import (
     Expr,
     Fby,
     If,
-    Lambda,
     Pattern,
     Pre,
     PTuple,
@@ -64,60 +67,30 @@ from .ast import (
 )
 from .errors import EvalError, InternalError, Span, UndefEscape
 
-
-class Env:
-    """Insertion-ordered map from names to values; updates build a new Env."""
-
-    __slots__ = ("_bindings",)
-
-    def __init__(self, bindings: dict[str, Value] | None = None):
-        self._bindings: dict[str, Value] = dict(bindings) if bindings else {}
-
-    def lookup(self, name: str, span: Span | None = None) -> Value:
-        try:
-            return self._bindings[name]
-        except KeyError:
-            where = f" at {span}" if span else ""
-            raise InternalError(f"unbound name '{name}'{where}") from None
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._bindings
-
-    def __iter__(self) -> Iterator[tuple[str, Value]]:
-        return iter(self._bindings.items())
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Env) and self._bindings == other._bindings
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{k} -> {v!r}" for k, v in self._bindings.items())
-        return f"Env({inner})"
-
-    def project(self, p: Pattern) -> Value:
-        match p:
-            case PVar(name):
-                return self.lookup(name, p.span)
-            case PTuple(items):
-                return VTuple(tuple(self.project(i) for i in items))
-            case PUnit():
-                return UNIT_VALUE
-            case PWild():
-                raise InternalError("wildcard patterns cannot be projected")
-            case _:
-                raise InternalError(f"project: unknown pattern {p!r}")
-
-    def update(self, p: Pattern, v: Value) -> "Env":
-        fresh = dict(self._bindings)
-        _update_into(fresh, p, v)
-        out = Env.__new__(Env)
-        out._bindings = fresh
-        return out
+Env = dict[str, Value]
 
 
-def _update_into(bindings: dict[str, Value], p: Pattern, v: Value) -> None:
+def project(env: Env, p: Pattern) -> Value:
+    """The value of pattern `p` under `env`."""
     match p:
         case PVar(name):
-            bindings[name] = v
+            if name in env:
+                return env[name]
+            raise _unbound(p)
+        case PTuple(items):
+            return VTuple(tuple(project(env, i) for i in items))
+        case PUnit():
+            return UNIT_VALUE
+        case PWild():
+            raise InternalError("wildcard patterns cannot be projected")
+        case _:
+            raise InternalError(f"project: unknown pattern {p!r}")
+
+
+def _update_into(env: Env, p: Pattern, v: Value) -> None:
+    match p:
+        case PVar(name):
+            env[name] = v
         case PWild():
             pass
         case PUnit():
@@ -127,7 +100,7 @@ def _update_into(bindings: dict[str, Value], p: Pattern, v: Value) -> None:
             if not isinstance(v, VTuple) or len(v.items) != len(items):
                 raise EvalError(f"value {v!r} does not match tuple pattern of arity {len(items)}")
             for sub, item in zip(items, v.items):
-                _update_into(bindings, sub, item)
+                _update_into(env, sub, item)
         case _:
             raise InternalError(f"update: unknown pattern {p!r}")
 
@@ -153,18 +126,6 @@ class EvalContext:
     host: HostContext | None = None
 
 
-def value_to_expr(v: Value) -> Expr:
-    """Embed a runtime value in an expression (the Pre rule needs it): a step
-    value as the step it came from, any other value as a literal holding it."""
-    match v:
-        case VClosure(in_pattern, out_pattern, equations):
-            return Lambda(in_pattern, out_pattern, equations)
-        case VExtern(name):
-            return Var(name)
-        case _:
-            return Const(v)
-
-
 def eval_expr(env: Env, e: Expr, ctx: EvalContext | None = None) -> EvalResult:
     """The evaluation relation: env |- e  =>  value, next expression."""
     value, next_expr = _eval(env, e, ctx if ctx is not None else EvalContext(), None)
@@ -181,11 +142,15 @@ def _eval(env: Env, e: Expr, ctx: EvalContext, deferred: _Deferred | None) -> tu
     # The hot productions first: names, literals, and builtin or host calls.
     kind = type(e)
     if kind is Var:
-        return env.lookup(e.name, e.span), e
+        try:
+            return env[e.name], e
+        except KeyError:
+            raise _unbound(e) from None
     if kind is Const:
         return e.value, e
     if kind is Apply and type(e.fn) is Var:
-        f = env.lookup(e.fn.name, e.fn.span)
+        # An unbound name falls through to the general case, which reports it.
+        f = env.get(e.fn.name)
         if type(f) is VExtern:
             arg, arg_next = _eval(env, e.arg, ctx, deferred)
             return f.fn(arg, ctx.host), e if arg_next is e.arg else Apply(e.fn, arg_next, span=e.span)
@@ -239,17 +204,15 @@ def _eval(env: Env, e: Expr, ctx: EvalContext, deferred: _Deferred | None) -> tu
                     raise UndefEscape(_escape("either scrutinee", e.span))
                 case other:
                     raise InternalError(f"either scrutinee evaluated to non-option {other!r}")
-        case Lambda(in_pattern, out_pattern, equations):
-            return VClosure(in_pattern, out_pattern, equations), e
         case Apply(fn, arg):
             f, fn_next = _eval(env, fn, ctx, deferred)
             a, arg_next = _eval(env, arg, ctx, deferred)
             match f:
                 case VClosure(in_pattern, out_pattern, equations):
-                    inner = env.update(in_pattern, a)
-                    next_eqs, final = _run_equations(inner, equations, ctx)
-                    lam = Lambda(in_pattern, out_pattern, next_eqs)
-                    return final.project(out_pattern), Apply(lam, arg_next, span=e.span)
+                    inner = dict(env)
+                    _update_into(inner, in_pattern, a)
+                    callee = VClosure(in_pattern, out_pattern, _run_equations(inner, equations, ctx))
+                    return project(inner, out_pattern), Apply(Const(callee), arg_next, span=e.span)
                 case VExtern():
                     same = fn_next is fn and arg_next is arg
                     return f.fn(a, ctx.host), e if same else Apply(fn_next, arg_next, span=e.span)
@@ -271,32 +234,39 @@ def _branch(cond: Value, site: Expr) -> bool:
             raise InternalError(f"if condition evaluated to non-boolean {other!r}")
 
 
+def _at(span: Span) -> str:
+    """Where a runtime error happened, if the node came from source text."""
+    return f" at {span}" if span.line else ""
+
+
 def _escape(where: str, span: Span) -> str:
-    at = f" at {span}" if span.line else ""
-    return f"undefined value used as {where}{at} (initialization analysis escape)"
+    return f"undefined value used as {where}{_at(span)} (initialization analysis escape)"
+
+
+def _unbound(var: Var | PVar) -> InternalError:
+    return InternalError(f"unbound name '{var.name}'{_at(var.span)}")
 
 
 def _fill_pre(hole: Arrow, env: Env, operand: Expr, ctx: EvalContext) -> None:
     """Make hole `v -> pre e'`, the next expression of `pre operand`; env must
     already hold every final value of the activation."""
     value, operand_next = _eval(env, operand, ctx, None)
-    hole.first = value_to_expr(value)
+    hole.first = Const(value)
     hole.rest = Pre(operand_next)
 
 
-def _run_equations(
-    env: Env, equations: tuple[Equation, ...], ctx: EvalContext
-) -> tuple[tuple[Equation, ...], Env]:
-    """One activation. It owns `env` and binds each equation into it in place."""
+def _run_equations(env: Env, equations: tuple[Equation, ...], ctx: EvalContext) -> tuple[Equation, ...]:
+    """One activation, returning the rewritten equations. It owns `env` and
+    binds each equation into it in place."""
     deferred: _Deferred = []
     rewritten = []
     for eq in equations:
         value, rhs_next = _eval(env, eq.rhs, ctx, deferred)
-        _update_into(env._bindings, eq.lhs, value)
+        _update_into(env, eq.lhs, value)
         rewritten.append(eq if rhs_next is eq.rhs else Equation(eq.lhs, rhs_next, span=eq.span))
     for hole, operand in deferred:
         _fill_pre(hole, env, operand, ctx)
-    return tuple(rewritten), env
+    return tuple(rewritten)
 
 
 def eval_equations(
@@ -307,5 +277,5 @@ def eval_equations(
     Returns the rewritten equations and the environment extended with every
     left-hand binding at its final value for this cycle.
     """
-    own = Env(env._bindings)
-    return _run_equations(own, tuple(equations), ctx if ctx is not None else EvalContext())
+    own = dict(env)
+    return _run_equations(own, tuple(equations), ctx if ctx is not None else EvalContext()), own

@@ -421,18 +421,19 @@ class Parser:
     def literal_value(self) -> Value:
         return self.bounded(self.literal_term, _value_parts, "literal value")
 
+    def negative_number(self) -> VConst:
+        """`-` and the int or real token after it, as one literal."""
+        self.advance()
+        num = self.peek()
+        if num.kind not in ("int", "real"):
+            raise _Diag("expected a number after '-'", num.span)
+        self.advance()
+        return VConst(-num.value)
+
     def literal_term(self) -> Value:
         t = self.peek()
         if self.at("-"):
-            self.advance()
-            num = self.peek()
-            if num.kind == "int":
-                self.advance()
-                return VConst(-num.value)
-            if num.kind == "real":
-                self.advance()
-                return VConst(-num.value)
-            raise _Diag("expected a number after '-'", num.span)
+            return self.negative_number()
         if t.kind in ("int", "real"):
             self.advance()
             return VConst(t.value)
@@ -578,6 +579,8 @@ class Parser:
         if self.at("Some"):
             self.advance()
             return Some(self.unary_expr(), span=self.span_from(start))
+        if self.at("-") and self.tokens[self.pos + 1].kind in ("int", "real"):
+            return Const(self.negative_number(), span=self.span_from(start))
         return self.app_expr()
 
     def starts_atom(self) -> bool:

@@ -16,7 +16,6 @@ from .ast import (
     Expr,
     Fby,
     If,
-    Lambda,
     NodeDecl,
     Pattern,
     PortRef,
@@ -65,9 +64,11 @@ def _expr(e: Expr, minimum: int) -> str:
         case Var(name):
             return name
         case Const(value):
-            # A literal `Some v` is the prefix form `Some e`, parenthesised alike.
+            # A literal `Some v` is the prefix form `Some e`, and a negative
+            # number `-n` a prefix form too: both are parenthesised alike.
             text = pretty_value(value)
-            return _paren(text, _UNARY, minimum) if type(value) is VSome else text
+            prefix = type(value) is VSome or text.startswith("-")
+            return _paren(text, _UNARY, minimum) if prefix else text
         case Tuple(items):
             return "(" + ", ".join(_expr(i, _ARROW) for i in items) + ")"
         case Pre(inner):
@@ -95,10 +96,6 @@ def _expr(e: Expr, minimum: int) -> str:
         case Apply(fn, arg):
             text = f"{_expr(fn, _APP)} {_expr(arg, _ATOM)}"
             return _paren(text, _APP, minimum)
-        case Lambda(in_pattern, out_pattern, equations):
-            # Debug form only; the concrete syntax has no expression lambdas.
-            eqs = " ".join(_equation(eq) for eq in equations)
-            return f"<step {pretty_pattern(in_pattern)} --> {pretty_pattern(out_pattern)} {{ {eqs} }}>"
         case _:
             raise InternalError(f"pretty_expr: unknown expression {e!r}")
 

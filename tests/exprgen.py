@@ -53,9 +53,7 @@ TOP_TYPES = (INT, BOOL, REAL, TOption(INT), TOption(BOOL))
 
 
 def base_env() -> Env:
-    bindings = dict(BUILTIN_VALUES)
-    bindings.update(BASE_VALUES)
-    return Env(bindings)
+    return BUILTIN_VALUES | BASE_VALUES
 
 
 def _leaf(rng: random.Random, ty: Type) -> Expr:
@@ -188,7 +186,7 @@ SYSTEM_BASE = {"i0": VConst(0), "b1": VConst(True)}
 
 
 def system_env() -> Env:
-    return Env(dict(SYSTEM_BASE))
+    return dict(SYSTEM_BASE)
 
 
 def run_cycles(equations, make_base_env, cycles: int) -> list[dict[str, Value]]:
@@ -199,5 +197,5 @@ def run_cycles(equations, make_base_env, cycles: int) -> list[dict[str, Value]]:
     out = []
     for _ in range(cycles):
         eqs, env = eval_equations(make_base_env(), eqs)
-        out.append({n: env.lookup(n) for n in names})
+        out.append({n: env[n] for n in names})
     return out

@@ -145,7 +145,7 @@ def test_criterion_6_eqs_fixpoint():
         eqs = (Equation(PVar("x"), original),)
         for cycle in range(100):
             eqs, env = eval_equations(Env(), eqs)
-            assert env.lookup("x") == VConst(0), f"cycle {cycle}: value drifted"
+            assert env["x"] == VConst(0), f"cycle {cycle}: value drifted"
             assert eqs[0].rhs == original, f"cycle {cycle}: equation rewrote"
 
 
@@ -162,7 +162,7 @@ def test_criterion_7_initialization_conformance():
         values = []
         for _ in range(4):
             eqs, env = eval_equations(Env(), eqs)
-            values.append(env.lookup("x"))
+            values.append(env["x"])
         assert values[0] == VConst(0)
         assert values[1] == VUndef(), "undefined value must appear exactly at cycle 2"
         assert values[2] == VConst(0)
@@ -173,7 +173,7 @@ def test_criterion_7_initialization_conformance():
         eqs = (Equation(PVar("y"), parse_expression("0 -> pre (0 -> pre x)")),)
         for cycle in range(100):
             eqs, env = eval_equations(Env({"x": VConst(cycle)}), eqs)
-            assert not contains_undef(env.lookup("y")), f"cycle {cycle} produced undef"
+            assert not contains_undef(env["y"]), f"cycle {cycle} produced undef"
 
 
 def test_criterion_8_channel_invariants(fib_checked, edge_network_checked):

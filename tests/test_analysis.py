@@ -658,4 +658,4 @@ class TestInitSoundness:
         eqs = ordered
         for _ in range(8):
             eqs, env = eval_equations(base_env(), eqs)
-            assert not contains_undef(env.lookup("out")), "accepted step leaked undef"
+            assert not contains_undef(env["out"]), "accepted step leaked undef"

@@ -8,7 +8,6 @@ from mimosa.ast import (
     Const,
     Equation,
     Expr,
-    Lambda,
     PTuple,
     PVar,
     PWild,
@@ -95,11 +94,6 @@ def test_duplicate_pattern_names_rejected():
         PTuple((PVar("x"), PTuple((PVar("y"), PVar("x")))))
     # Wildcards never bind, so several are fine.
     PTuple((PWild(), PWild()))
-
-
-def test_lambda_requires_equations():
-    with pytest.raises(ValueError):
-        Lambda(PVar("a"), PVar("z"), ())
 
 
 # Every production once, so each expression class is compared and hashed.

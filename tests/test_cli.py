@@ -1,3 +1,4 @@
+import argparse
 import json
 import tempfile
 from pathlib import Path
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import EDGE_NETWORK, EDGE_SOURCE, FIB_SOURCE
 from mimosa.analysis import MAX_CALL_DEPTH
-from mimosa.cli import main
+from mimosa.cli import _COMMANDS, _build_parser, main
 from mimosa.parser import MAX_EXPR_DEPTH, MAX_TYPE_DEPTH
 
 BAD_INIT = """\
@@ -72,6 +73,10 @@ class TestCheck:
     def test_usage_error_is_exit_2(self, capsys):
         assert main(["check"]) == 2
         assert main(["frobnicate"]) == 2
+
+    def test_every_command_has_a_handler(self):
+        sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == set(_COMMANDS)
 
     def test_malformed_number_is_a_diagnostic(self, tmp_path, capsys):
         path = tmp_path / "bad.mim"

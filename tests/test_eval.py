@@ -23,7 +23,6 @@ from mimosa.ast import (
     Expr,
     Fby,
     If,
-    Lambda,
     Pre,
     PTuple,
     PUnit,
@@ -52,7 +51,7 @@ from mimosa.eval import (
     _branch,
     _escape,
     _update_into,
-    value_to_expr,
+    project,
 )
 
 
@@ -60,50 +59,57 @@ def env_of(**bindings) -> Env:
     values = dict(BUILTIN_VALUES)
     for name, v in bindings.items():
         values[name] = VConst(v) if not isinstance(v, (VConst, VTuple, VSome, VNone, VClosure)) else v
-    return Env(values)
+    return values
 
 
 class TestProjection:
     def test_single_variable(self):
-        env = Env({"x": VConst(1), "y": VConst(2)})
-        assert env.project(PVar("x")) == VConst(1)
+        env = {"x": VConst(1), "y": VConst(2)}
+        assert project(env, PVar("x")) == VConst(1)
 
     def test_tuple(self):
-        env = Env({"x": VConst(1), "y": VConst(2)})
-        assert env.project(PTuple((PVar("x"), PVar("y")))) == VTuple((VConst(1), VConst(2)))
+        env = {"x": VConst(1), "y": VConst(2)}
+        assert project(env, PTuple((PVar("x"), PVar("y")))) == VTuple((VConst(1), VConst(2)))
 
     def test_unit(self):
-        assert Env().project(PUnit()) == UNIT_VALUE
+        assert project(Env(), PUnit()) == UNIT_VALUE
 
     def test_wildcard_never_projects(self):
         with pytest.raises(InternalError):
-            Env({"x": VConst(1)}).project(PWild())
+            project({"x": VConst(1)}, PWild())
+
+    def test_unbound_name_is_an_internal_error(self):
+        with pytest.raises(InternalError, match="unbound name 'x'$"):
+            project(Env(), PVar("x"))
 
 
 class TestUpdate:
     def test_extends(self):
-        env = Env({"x": VConst(1), "y": VConst(2)})
-        new = env.update(PVar("z"), VConst(3))
-        assert new.lookup("z") == VConst(3)
-        assert [n for n, _ in new] == ["x", "y", "z"]
+        env = {"x": VConst(1), "y": VConst(2)}
+        _update_into(env, PVar("z"), VConst(3))
+        assert env["z"] == VConst(3)
+        assert list(env) == ["x", "y", "z"]
 
     def test_previous_bindings_are_lost(self):
-        env = Env({"x": VConst(1), "y": VConst(2)})
-        new = env.update(PTuple((PVar("x"), PVar("y"))), VTuple((VConst(3), VConst(4))))
-        assert new.lookup("x") == VConst(3) and new.lookup("y") == VConst(4)
+        env = {"x": VConst(1), "y": VConst(2)}
+        _update_into(env, PTuple((PVar("x"), PVar("y"))), VTuple((VConst(3), VConst(4))))
+        assert env["x"] == VConst(3) and env["y"] == VConst(4)
 
     def test_wildcard_discards(self):
-        env = Env({"x": VConst(1)})
-        assert env.update(PWild(), VConst(5)) == env
+        env = {"x": VConst(1)}
+        _update_into(env, PWild(), VConst(5))
+        assert env == {"x": VConst(1)}
 
     def test_update_does_not_mutate(self):
-        env = Env({"x": VConst(1)})
-        env.update(PVar("x"), VConst(9))
-        assert env.lookup("x") == VConst(1)
+        # A closure binds its parameter in a copy of the caller's bindings.
+        ident = VClosure(PVar("x"), PVar("y"), (Equation(PVar("y"), Var("x")),))
+        env = {"x": VConst(1), "f": ident}
+        assert eval_expr(env, parse_expression("f 9")).value == VConst(9)
+        assert env == {"x": VConst(1), "f": ident}
 
     def test_shape_mismatch(self):
         with pytest.raises(EvalError):
-            Env().update(PTuple((PVar("a"), PVar("b"))), VConst(1))
+            _update_into(Env(), PTuple((PVar("a"), PVar("b"))), VConst(1))
 
 
 @st.composite
@@ -124,16 +130,19 @@ class TestEnvProperties:
     @given(pattern_with_value())
     def test_update_then_project_round_trips(self, pv):
         pattern, value = pv
-        env = Env({"keep": VConst(99)}).update(pattern, value)
-        assert env.project(pattern) == value
-        assert env.lookup("keep") == VConst(99)
+        env = {"keep": VConst(99)}
+        _update_into(env, pattern, value)
+        assert project(env, pattern) == value
+        assert env["keep"] == VConst(99)
 
     @given(pattern_with_value(), pattern_with_value())
     def test_update_is_destructive_per_name(self, first, second):
         pattern, value = first
         other_pattern, other_value = second
-        env = Env().update(pattern, value).update(other_pattern, other_value)
-        assert env.project(other_pattern) == other_value
+        env = Env()
+        _update_into(env, pattern, value)
+        _update_into(env, other_pattern, other_value)
+        assert project(env, other_pattern) == other_value
 
 
 class TestRules:
@@ -240,24 +249,46 @@ class TestRules:
         with pytest.raises(EvalError, match="division by zero"):
             eval_expr(env_of(), parse_expression("1 / 0"))
 
-    def test_closure_application_rewrites_to_lambda(self):
+    def test_closure_application_rewrites_to_closure_literal(self):
         double = VClosure(PVar("a"), PVar("z"), (Equation(PVar("z"), parse_expression("a + a")),))
-        env = Env(dict(BUILTIN_VALUES) | {"double": double, "x": VConst(21)})
+        env = BUILTIN_VALUES | {"double": double, "x": VConst(21)}
         r = eval_expr(env, parse_expression("double x"))
         assert r.value == VConst(42)
-        assert isinstance(r.next, Apply) and isinstance(r.next.fn, Lambda)
+        assert r.next == Apply(Const(double), Var("x"))
+
+    def test_called_step_holds_its_rewritten_equations(self):
+        mem = VClosure(PVar("mv"), PVar("mw"), (Equation(PVar("mw"), parse_expression("0 -> pre mv")),))
+        r = eval_expr(env_of(mem=mem, v=4), parse_expression("mem v"))
+        assert r.value == VConst(0)
+        callee = r.next.fn.value
+        assert type(r.next.fn) is Const and type(callee) is VClosure
+        assert callee.equations == (Equation(PVar("mw"), parse_expression("4 -> pre mv")),)
+        # The literal evaluates to its stored closure, not to a rebuilt one.
+        assert eval_expr(Env(), r.next.fn).value is callee
+        # Next cycle the call runs the rewritten equations.
+        r = eval_expr(env_of(v=5), r.next)
+        assert r.value == VConst(4)
+        assert r.next.fn.value.equations[0].rhs == parse_expression("5 -> pre mv")
+
+    def test_unbound_name_has_no_made_up_position(self):
+        with pytest.raises(InternalError, match="unbound name 'x'$"):
+            eval_expr(Env(), Var("x"))
+        with pytest.raises(InternalError, match="unbound name 'x' at 1:5$"):
+            eval_expr(env_of(), parse_expression("1 + x"))
+        with pytest.raises(InternalError, match="unbound name 'g' at 1:1$"):
+            eval_expr(Env(), parse_expression("g 1"))
 
 
 class TestEquations:
     def test_constant_stream_fixpoint(self):
         eqs = (Equation(PVar("x"), parse_expression("0 -> pre x")),)
         next_eqs, env = eval_equations(Env(), eqs)
-        assert env.lookup("x") == VConst(0)
+        assert env["x"] == VConst(0)
         assert next_eqs[0].rhs == parse_expression("0 -> pre x")
         # Iterating keeps both the value and the equation fixed.
         for _ in range(10):
             next_eqs, env = eval_equations(Env(), next_eqs)
-            assert env.lookup("x") == VConst(0)
+            assert env["x"] == VConst(0)
             assert next_eqs[0].rhs == parse_expression("0 -> pre x")
 
     def test_fby_pre_yields_undef_at_cycle_two(self):
@@ -285,7 +316,7 @@ class TestEquations:
         outs = []
         for level in (False, True, True, False):
             eqs, env = eval_equations(env_of(**{"in": level}), eqs)
-            outs.append(env.lookup("out"))
+            outs.append(env["out"])
         assert outs == [VNone(), VSome(VConst(True)), VNone(), VSome(VConst(False))]
 
     def test_later_equation_value_captured_by_earlier_pre(self):
@@ -296,22 +327,22 @@ class TestEquations:
             Equation(PVar("b"), parse_expression("1")),
         )
         next_eqs, env = eval_equations(Env(), eqs)
-        assert env.lookup("a") == VConst(0) and env.lookup("b") == VConst(1)
+        assert env["a"] == VConst(0) and env["b"] == VConst(1)
         assert next_eqs[0].rhs == parse_expression("1 -> pre b")
 
     def test_purity_env_is_never_mutated(self):
         env = env_of(x=1)
-        snapshot = dict(iter(env))
+        snapshot = dict(env)
         eval_expr(env, parse_expression("pre (x + 1)"))
         eqs = (Equation(PVar("y"), parse_expression("x + 1")),)
         eval_equations(env, eqs)
-        assert dict(iter(env)) == snapshot
+        assert env == snapshot
 
 
 class TestNestedSteps:
     def make_env(self, v):
         mem = VClosure(PVar("mv"), PVar("mw"), (Equation(PVar("mw"), parse_expression("0 -> pre mv")),))
-        return Env(dict(BUILTIN_VALUES) | {"mem": mem, "v": VConst(v)})
+        return BUILTIN_VALUES | {"mem": mem, "v": VConst(v)}
 
     def test_each_call_site_gets_its_own_memory(self):
         eqs = (
@@ -322,20 +353,20 @@ class TestNestedSteps:
         observed = []
         for v in (5, 7, 9):
             eqs, env = eval_equations(self.make_env(v), eqs)
-            observed.append((env.lookup("a"), env.lookup("b"), env.lookup("w")))
+            observed.append((env["a"], env["b"], env["w"]))
         assert observed == [
             (VConst(0), VConst(0), VConst(0)),
             (VConst(5), VConst(6), VConst(11)),
             (VConst(7), VConst(8), VConst(15)),
         ]
 
-    def test_call_state_survives_in_the_rewritten_lambda(self):
+    def test_call_state_survives_in_the_closure_literal(self):
         eqs = (Equation(PVar("w"), parse_expression("mem v")),)
         eqs, _ = eval_equations(self.make_env(1), eqs)
-        # The callee variable was replaced by an updated literal closure.
+        # The callee variable was replaced by a literal of the updated closure.
         rhs = eqs[0].rhs
-        assert isinstance(rhs, Apply) and isinstance(rhs.fn, Lambda)
-        inner = rhs.fn.equations[0].rhs
+        assert isinstance(rhs, Apply) and isinstance(rhs.fn, Const)
+        inner = rhs.fn.value.equations[0].rhs
         assert inner == parse_expression("1 -> pre mv")
 
 
@@ -351,7 +382,7 @@ class TestHostCalls:
 
     def test_impure_host_called_once_per_cycle_inside_equations(self):
         host, calls = self.make_counting_host()
-        env = Env(dict(BUILTIN_VALUES) | {"tick": host})
+        env = BUILTIN_VALUES | {"tick": host}
         # The call sits under a pre, so its evaluation is deferred to the end
         # of the activation; it must still run exactly once per cycle.
         eqs = (Equation(PVar("y"), parse_expression("0 -> pre (tick ())")),)
@@ -363,7 +394,7 @@ class TestHostCalls:
     def test_shared_call_site_runs_once_per_application(self):
         host, calls = self.make_counting_host()
         g = VClosure(PVar("x"), PVar("y"), (Equation(PVar("y"), parse_expression("tick x")),))
-        env = Env(dict(BUILTIN_VALUES) | {"tick": host, "g": g})
+        env = BUILTIN_VALUES | {"tick": host, "g": g}
         # Both applications reach the same `tick x` node of g's body; each is
         # a separate host call with its own argument and result.
         eqs = (
@@ -372,7 +403,7 @@ class TestHostCalls:
         )
         _, env_out = eval_equations(env, eqs)
         assert calls == [VConst(1), VConst(2)]
-        assert env_out.lookup("a") == VConst(1) and env_out.lookup("b") == VConst(2)
+        assert env_out["a"] == VConst(1) and env_out["b"] == VConst(2)
 
     def test_host_receives_context(self):
         seen = {}
@@ -381,7 +412,7 @@ class TestHostCalls:
             seen["ctx"] = ctx
             return VConst(0)
 
-        env = Env({"h": VExtern("h", fn)})
+        env = {"h": VExtern("h", fn)}
         ctx = EvalContext(host=HostContext(time_us=1234, node="n"))
         eval_expr(env, parse_expression("h ()"), ctx)
         assert seen["ctx"] == HostContext(time_us=1234, node="n")
@@ -413,13 +444,11 @@ class TestEqsUniqueness:
         names = [eq.lhs.names()[0] for eq in equations]
         solutions = []
         for candidate in itertools.product(self.DOMAIN, repeat=len(names)):
-            env = system_env()
-            for name, value in zip(names, candidate):
-                env = env.update(PVar(name), value)
+            env = system_env() | dict(zip(names, candidate))
             derived = system_env()
             try:
                 for eq in equations:
-                    derived = derived.update(eq.lhs, eval_expr(env, eq.rhs).value)
+                    _update_into(derived, eq.lhs, eval_expr(env, eq.rhs).value)
             except EvalError:
                 continue
             if derived == env:
@@ -439,7 +468,7 @@ class TestEqsUniqueness:
         assert len(solutions) == 1, f"expected a unique fixpoint, found {solutions}"
         _, env = eval_equations(system_env(), ordered)
         for name, value in solutions[0].items():
-            assert env.lookup(name) == value
+            assert env[name] == value
 
 
 class TestValueEmbedding:
@@ -450,9 +479,10 @@ class TestValueEmbedding:
             VTuple((VConst(1), VNone())),
             VSome(VConst(2)),
             VUndef(),
+            VClosure(PVar("a"), PVar("z"), (Equation(PVar("z"), Var("a")),)),
         ]
         for v in values:
-            assert eval_expr(Env(), value_to_expr(v)).value == v
+            assert eval_expr(Env(), Const(v)).value is v
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +495,7 @@ class TestValueEmbedding:
 def reference_eval(env: Env, e: Expr, ctx: EvalContext, deferred: list | None) -> EvalResult:
     match e:
         case Var(name):
-            return EvalResult(env.lookup(name, e.span), e)
+            return EvalResult(env[name], e)
         case Const():
             return EvalResult(e.value, e)
         case Tuple(items):
@@ -510,17 +540,16 @@ def reference_eval(env: Env, e: Expr, ctx: EvalContext, deferred: list | None) -
                     raise UndefEscape(_escape("either scrutinee", e.span))
                 case other:
                     raise InternalError(f"either scrutinee evaluated to non-option {other!r}")
-        case Lambda(in_pattern, out_pattern, equations):
-            return EvalResult(VClosure(in_pattern, out_pattern, equations), e)
         case Apply(fn, arg):
             rf = reference_eval(env, fn, ctx, deferred)
             ra = reference_eval(env, arg, ctx, deferred)
             match rf.value:
                 case VClosure(in_pattern, out_pattern, equations):
-                    inner = env.update(in_pattern, ra.value)
+                    inner = dict(env)
+                    _update_into(inner, in_pattern, ra.value)
                     next_eqs, final = reference_run_equations(inner, equations, ctx)
-                    lam = Lambda(in_pattern, out_pattern, next_eqs)
-                    return EvalResult(final.project(out_pattern), Apply(lam, ra.next, span=e.span))
+                    callee = VClosure(in_pattern, out_pattern, next_eqs)
+                    return EvalResult(project(final, out_pattern), Apply(Const(callee), ra.next, span=e.span))
                 case VExtern():
                     result = rf.value.fn(ra.value, ctx.host)
                     return EvalResult(result, Apply(rf.next, ra.next, span=e.span))
@@ -534,7 +563,7 @@ def reference_eval(env: Env, e: Expr, ctx: EvalContext, deferred: list | None) -
 
 def reference_fill_pre(hole: Arrow, env: Env, operand: Expr, ctx: EvalContext) -> None:
     r = reference_eval(env, operand, ctx, None)
-    object.__setattr__(hole, "first", value_to_expr(r.value))
+    object.__setattr__(hole, "first", Const(r.value))
     object.__setattr__(hole, "rest", Pre(r.next))
 
 
@@ -543,7 +572,7 @@ def reference_run_equations(env: Env, equations, ctx: EvalContext):
     rewritten = []
     for eq in equations:
         r = reference_eval(env, eq.rhs, ctx, deferred)
-        _update_into(env._bindings, eq.lhs, r.value)
+        _update_into(env, eq.lhs, r.value)
         rewritten.append(Equation(eq.lhs, r.next, span=eq.span))
     for hole, operand in deferred:
         reference_fill_pre(hole, env, operand, ctx)
@@ -560,7 +589,7 @@ class TestSharing:
             ordered = order_equations(StepDecl("s", PUnit(), PVar(out), tuple(equations)))
         except CausalityError:
             return
-        env = Env(dict(iter(system_env())) | {"s": VClosure(PUnit(), PVar(out), ordered)})
+        env = system_env() | {"s": VClosure(PUnit(), PVar(out), ordered)}
         # The system on its own, and as the body of a step called every cycle.
         called = (Equation(PVar("r"), Apply(Var("s"), Const(UNIT_VALUE))),)
         for start in (ordered, called):
@@ -568,7 +597,7 @@ class TestSharing:
             for _ in range(6):
                 before = copy.deepcopy(shared)
                 shared_next, got = eval_equations(env, shared)
-                reference, want = reference_run_equations(Env(env._bindings), reference, EvalContext())
+                reference, want = reference_run_equations(dict(env), reference, EvalContext())
                 # Evaluating a next expression leaves every node of it as it was.
                 assert shared == before
                 assert got == want

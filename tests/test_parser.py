@@ -4,8 +4,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from exprgen import TOP_TYPES, gen_expr
-from mimosa import Env, ParseError, eval_expr, parse_duration, parse_expression, parse_program
+from exprgen import TOP_TYPES, base_env, gen_expr
+from mimosa import ParseError, eval_expr, parse_duration, parse_expression, parse_program
 from mimosa.ast import (
     Apply,
     Arrow,
@@ -369,8 +369,53 @@ class TestRoundTrip:
         assert printed == text
         reparsed = parse_expression(printed)
         assert pretty_expr(reparsed) == printed
-        env = Env({"f": VExtern("f", lambda v, _host: v)})
+        env = {"f": VExtern("f", lambda v, _host: v)}
         assert eval_expr(env, reparsed).value == eval_expr(env, rewritten).value == value
+
+    def test_negative_pre_value_reparses(self):
+        # After one cycle `pre x` holds x's value as a literal, here negative.
+        rewritten = eval_expr({"x": VConst(-3)}, parse_expression("pre x")).next
+        printed = pretty_expr(rewritten)
+        assert printed == "-3 -> pre x"
+        assert parse_expression(printed) == rewritten
+        assert pretty_expr(parse_expression(printed)) == printed
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("f (-3)", Apply(Var("f"), Const(VConst(-3)))),
+            ("-2.5", Const(VConst(-2.5))),
+            ("x - -3", Apply(Var("-"), Tuple((Var("x"), Const(VConst(-3)))))),
+            ("-3 * x", Apply(Var("*"), Tuple((Const(VConst(-3)), Var("x"))))),
+            ("Some -1", Some(Const(VConst(-1)))),
+            ("(-1, -2)", Tuple((Const(VConst(-1)), Const(VConst(-2))))),
+        ],
+    )
+    def test_negative_literal_round_trip(self, text, expected):
+        assert parse_expression(text) == expected
+        assert pretty_expr(expected) == text
+
+    @pytest.mark.parametrize("text", ["x -3", "f -3"])
+    def test_minus_after_an_operand_is_subtraction(self, text):
+        assert parse_expression(text) == Apply(Var("-"), Tuple((Var(text[0]), Const(VConst(3)))))
+
+    def test_minus_before_a_name_is_not_a_literal(self):
+        with pytest.raises(ParseError, match="expected an expression, found '-'"):
+            parse_expression("-x")
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_random_next_expression_round_trip(self, seed):
+        # Next expressions hold any value as a literal; all but ⊥ print as text
+        # that parses back to an expression printing the same. Negative
+        # numbers in the environment make negative literals common.
+        rng = random.Random(seed)
+        expr = gen_expr(rng, rng.choice(TOP_TYPES), depth=rng.randrange(1, 5), need_init=False)
+        env = base_env() | {"i1": VConst(-3), "r1": VConst(-2.5)}
+        for _ in range(4):
+            expr = eval_expr(env, expr).next
+            printed = pretty_expr(expr)
+            if "⊥" not in printed:
+                assert pretty_expr(parse_expression(printed)) == printed
 
     @pytest.mark.parametrize("seed", range(200))
     def test_random_expression_round_trip(self, seed):
