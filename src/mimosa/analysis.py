@@ -4,6 +4,7 @@ analysis, and Hindley-Milner type inference for steps and node wiring."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .ast import (
     Apply,
@@ -36,6 +37,7 @@ from .ast import (
 )
 from .builtins import BUILTIN_TYPES
 from .errors import (
+    SYNTHETIC,
     CausalityError,
     Diagnostic,
     InitError,
@@ -97,70 +99,83 @@ def _bind_init(statuses: dict, p: Pattern, t) -> None:
 
 
 class _InitCheck:
+    """Computes and checks initialization statuses in one traversal.
+
+    The operand of a `pre` may read names bound later in causal order, so it
+    is deferred to the end of the step, as the evaluator defers it. Each
+    failure is recorded at its position in a post-order traversal that
+    descends into `pre` operands, and the earliest is reported: a position is
+    a tuple, and a deferred operand's positions extend its `pre`'s.
+    """
+
     def __init__(self, statuses: dict, file: str):
         self.statuses = statuses
         self.file = file
+        self.prefix: tuple[int, ...] = ()
+        self.count = 0  # the last position taken under `prefix`
+        self.deferred: list[tuple[tuple[int, ...], Expr]] = []
+        self.failures: list[tuple[tuple[int, ...], str, Span]] = []
 
-    def _fail(self, message: str, span: Span):
-        raise InitError([Diagnostic(message, span, file=self.file)])
+    def _require(self, t, span: Span, what: str, when: str = "on some cycle"):
+        self.count += 1
+        if t is not True and not init_all(t):
+            self.failures.append((self.prefix + (self.count,), f"{what} may be undefined {when}", span))
 
-    def _require(self, t, span: Span, what: str):
-        if not init_all(t):
-            self._fail(f"{what} may be undefined on some cycle", span)
-
-    def status(self, e: Expr, check: bool):
+    def status(self, e: Expr):
         kind = type(e)
         if kind is Var:
             return self.statuses.get(e.name, True)
         if kind is Const:
             return not contains_undef(e.value)
-        if kind is Pre and not check:  # undefined on the first cycle, whatever its operand
+        if kind is Apply:
+            self.status(e.fn)
+            self._require(self.status(e.arg), e.arg.span, "step argument")
+            return True
+        if kind is Pre:  # undefined on the first cycle, whatever its operand
+            self.count += 1
+            self.deferred.append((self.prefix + (self.count,), e.expr))
             return False
-        match e:
-            case Tuple(items):
-                return tuple(self.status(i, check) for i in items)
-            case Pre(inner):
-                if not init_all(self.status(inner, check)):
-                    self._fail("operand of pre may be undefined on the first cycle", inner.span)
-                return False
-            case Fby(first, rest):
-                s1 = self.status(first, check)
-                s2 = self.status(rest, check)
-                if check:
-                    self._require(s1, first.span, "left operand of fby")
-                    # After the first cycle the right operand becomes the whole
-                    # stream, so its own first value must be defined.
-                    self._require(s2, rest.span, "right operand of fby")
-                return True
-            case Arrow(first, rest):
-                s1 = self.status(first, check)
-                self.status(rest, check)
-                if check:
-                    self._require(s1, first.span, "left operand of ->")
-                return s1
-            case If(cond, then, orelse):
-                sc = self.status(cond, check)
-                st = self.status(then, check)
-                so = self.status(orelse, check)
-                if check:
-                    self._require(sc, cond.span, "if condition")
-                return init_meet(st, so)
-            case Some(inner):
-                return self.status(inner, check)
-            case Either(scrutinee, fallback):
-                ss = self.status(scrutinee, check)
-                sf = self.status(fallback, check)
-                if check:
-                    self._require(ss, scrutinee.span, "either scrutinee")
-                return sf
-            case Apply(fn, arg):
-                self.status(fn, check)
-                sa = self.status(arg, check)
-                if check:
-                    self._require(sa, arg.span, "step argument")
-                return True
-            case _:
-                raise InitError([Diagnostic(f"cannot analyze expression {e!r}", file=self.file)])
+        if kind is Tuple:
+            return tuple([self.status(i) for i in e.items])
+        if kind is Fby:
+            s1 = self.status(e.first)
+            s2 = self.status(e.rest)
+            self._require(s1, e.first.span, "left operand of fby")
+            # After the first cycle the right operand becomes the whole
+            # stream, so its own first value must be defined.
+            self._require(s2, e.rest.span, "right operand of fby")
+            return True
+        if kind is Arrow:
+            s1 = self.status(e.first)
+            self.status(e.rest)
+            self._require(s1, e.first.span, "left operand of ->")
+            return s1
+        if kind is If:
+            sc = self.status(e.cond)
+            st = self.status(e.then)
+            so = self.status(e.orelse)
+            self._require(sc, e.cond.span, "if condition")
+            return init_meet(st, so)
+        if kind is Some:
+            return self.status(e.expr)
+        if kind is Either:
+            ss = self.status(e.scrutinee)
+            sf = self.status(e.fallback)
+            self._require(ss, e.scrutinee.span, "either scrutinee")
+            return sf
+        self.fail(f"cannot analyze expression {e!r}")
+
+    def fail(self, message: str, span: Span = SYNTHETIC):
+        raise InitError([Diagnostic(message, span, file=self.file)])
+
+    def finish(self):
+        """Check the deferred `pre` operands, then raise the earliest failure."""
+        for prefix, operand in self.deferred:  # grows while it is walked
+            self.prefix, self.count = prefix, 0
+            t = self.status(operand)
+            self._require(t, operand.span, "operand of pre", "on the first cycle")
+        if self.failures:
+            self.fail(*min(self.failures)[1:])
 
 
 def check_initialization(
@@ -177,22 +192,12 @@ def check_initialization(
     # A status reads only references outside any pre, and causal order binds
     # those first, so one pass computes every status.
     for eq in ordered:
-        _bind_init(statuses, eq.lhs, checker.status(eq.rhs, check=False))
-
-    for eq in ordered:
-        checker.status(eq.rhs, check=True)
+        _bind_init(statuses, eq.lhs, checker.status(eq.rhs))
+    checker.finish()
 
     for name in step.out_pattern.names():
         if not init_all(statuses.get(name, True)):
-            raise InitError(
-                [
-                    Diagnostic(
-                        f"step output '{name}' may be undefined on the first cycle",
-                        step.out_pattern.span,
-                        file=file,
-                    )
-                ]
-            )
+            checker.fail(f"step output '{name}' may be undefined on the first cycle", step.out_pattern.span)
     return dict(statuses)
 
 
@@ -200,29 +205,23 @@ def check_initialization(
 # Causality: order equations so causal references only point backwards.
 
 
-def order_equations(step: StepDecl, file: str = "<string>") -> tuple[Equation, ...]:
+def order_equations(
+    step: StepDecl, file: str = "<string>", reads: tuple[set[str], ...] | None = None
+) -> tuple[Equation, ...]:
+    """The step's equations in causal order. `reads` holds the causal names
+    of each right-hand side in declaration order, as `check_network` records
+    them; without it each right-hand side is walked here."""
     equations = step.equations or ()
+    if reads is None:
+        reads = tuple(nesting((eq.rhs,)).causal for eq in equations)
     bound: list[set[str]] = [set(eq.lhs.names()) for eq in equations]
-    owner: dict[str, int] = {}
-    for i, names in enumerate(bound):
-        for n in names:
-            owner[n] = i
-
-    deps: list[set[int]] = [set() for _ in equations]
-    for i, eq in enumerate(equations):
-        for name in sorted(nesting((eq.rhs,)).causal & owner.keys()):
-            j = owner[name]
-            if j == i:
-                raise CausalityError(
-                    [
-                        Diagnostic(
-                            f"equation for '{name}' depends on itself without a pre",
-                            eq.span,
-                            file=file,
-                        )
-                    ]
-                )
-            deps[i].add(j)
+    owner = {n: i for i, names in enumerate(bound) for n in names}
+    deps: list[set[int]] = []
+    for eq, names, causal in zip(equations, bound, reads):
+        if own := names & causal:
+            message = f"equation for '{min(own)}' depends on itself without a pre"
+            raise CausalityError([Diagnostic(message, eq.span, file=file)])
+        deps.append({owner[name] for name in causal & owner.keys()})
 
     # Kahn's algorithm in rounds: a round is every equation whose last
     # dependency the previous round emitted, in index order.
@@ -285,123 +284,98 @@ class NetworkInfo:
     channel_writer: dict[str, str | None]
     channel_reader: dict[str, str | None]
     named_steps: frozenset[str]  # the steps some step body calls or passes as a value
+    # Per step, the causal names (`Nesting.causal`) of each right-hand side,
+    # in declaration order: the one dependency walk `order_equations` reads.
+    causal_reads: dict[str, tuple[set[str], ...]]
 
 
 def check_network(program: Program, *, complete: bool = True, file: str = "<string>") -> NetworkInfo:
     diags: list[Diagnostic] = []
+
+    def report(message: str, span: Span) -> None:
+        diags.append(Diagnostic(message, span, file=file))
+
     step_names = {s.name for s in program.steps}
     channel_names = {c.name for c in program.channels}
 
     for ch in program.channels:
         if not is_first_order(ch.elem_type):
-            diags.append(
-                Diagnostic(f"channel '{ch.name}' must carry first-order data", ch.span, file=file)
-            )
+            report(f"channel '{ch.name}' must carry first-order data", ch.span)
 
     writer: dict[str, str | None] = {c.name: None for c in program.channels}
     reader: dict[str, str | None] = {c.name: None for c in program.channels}
     for node in program.nodes:
         if node.step not in step_names:
-            diags.append(Diagnostic(f"unknown step '{node.step}'", node.span, file=file))
-        for port in node.inputs:
-            if port.channel not in channel_names:
-                diags.append(Diagnostic(f"unknown channel '{port.channel}'", port.span, file=file))
-            elif reader[port.channel] is not None:
-                diags.append(
-                    Diagnostic(
-                        f"channel '{port.channel}' already read by node '{reader[port.channel]}'",
-                        port.span,
-                        file=file,
-                    )
-                )
-            else:
-                reader[port.channel] = node.name
-        for port in node.outputs:
-            if port.channel not in channel_names:
-                diags.append(Diagnostic(f"unknown channel '{port.channel}'", port.span, file=file))
-            elif writer[port.channel] is not None:
-                diags.append(
-                    Diagnostic(
-                        f"channel '{port.channel}' already written by node '{writer[port.channel]}'",
-                        port.span,
-                        file=file,
-                    )
-                )
-            else:
-                writer[port.channel] = node.name
+            report(f"unknown step '{node.step}'", node.span)
+        for ports, user, verb in ((node.inputs, reader, "read"), (node.outputs, writer, "written")):
+            for port in ports:
+                if port.channel not in channel_names:
+                    report(f"unknown channel '{port.channel}'", port.span)
+                elif user[port.channel] is not None:
+                    report(f"channel '{port.channel}' already {verb} by node '{user[port.channel]}'", port.span)
+                else:
+                    user[port.channel] = node.name
 
     if complete:
         for ch in program.channels:
             if writer.get(ch.name) is None:
-                diags.append(Diagnostic(f"channel '{ch.name}' has no writing node", ch.span, file=file))
+                report(f"channel '{ch.name}' has no writing node", ch.span)
             if reader.get(ch.name) is None:
-                diags.append(Diagnostic(f"channel '{ch.name}' has no reading node", ch.span, file=file))
+                report(f"channel '{ch.name}' has no reading node", ch.span)
 
     # Per-step name hygiene.
     reserved = step_names | set(BUILTIN_TYPES)
     for step in program.steps:
-        binders = list(step.in_pattern.names())
-        for name in binders:
+        binders = set(step.in_pattern.names())
+        for name in step.in_pattern.names():
             if name in reserved:
-                diags.append(
-                    Diagnostic(
-                        f"input '{name}' of step '{step.name}' shadows a step or builtin",
-                        step.span,
-                        file=file,
-                    )
-                )
+                report(f"input '{name}' of step '{step.name}' shadows a step or builtin", step.span)
         for eq in step.equations or ():
             for name in eq.lhs.names():
                 if name in reserved:
-                    diags.append(
-                        Diagnostic(f"'{name}' shadows a step or builtin", eq.span, file=file)
-                    )
+                    report(f"'{name}' shadows a step or builtin", eq.span)
                 elif name in binders:
-                    diags.append(
-                        Diagnostic(f"'{name}' is defined more than once in step '{step.name}'", eq.span, file=file)
-                    )
+                    report(f"'{name}' is defined more than once in step '{step.name}'", eq.span)
                 else:
-                    binders.append(name)
+                    binders.add(name)
         if _has_wild(step.out_pattern):
-            diags.append(
-                Diagnostic(
-                    f"step '{step.name}' cannot use '_' in its output pattern",
-                    step.out_pattern.span,
-                    file=file,
-                )
-            )
+            report(f"step '{step.name}' cannot use '_' in its output pattern", step.out_pattern.span)
         if not step.is_prototype:
             for name in step.out_pattern.names():
                 if name not in binders:
-                    diags.append(
-                        Diagnostic(
-                            f"output '{name}' of step '{step.name}' is never defined",
-                            step.out_pattern.span,
-                            file=file,
-                        )
-                    )
+                    report(f"output '{name}' of step '{step.name}' is never defined", step.out_pattern.span)
 
     functions = step_names | set(BUILTIN_TYPES)
-    bodies = {s.name: nesting((eq.rhs for eq in s.equations or ()), functions) for s in program.steps}
-    step_order = _step_topo_order(program, bodies, diags, file)
+    bodies: dict[str, Nesting] = {}
+    reads: dict[str, tuple[set[str], ...]] = {}
+    for step in program.steps:
+        facts = [nesting((eq.rhs,), functions) for eq in step.equations or ()]
+        bodies[step.name] = _merged(facts)
+        reads[step.name] = tuple(f.causal for f in facts)
+    step_order = _step_topo_order(program, bodies, report)
     if diags:
         raise NetworkError(diags)
     named = frozenset().union(*(body.mentioned for body in bodies.values())) & step_names
-    return NetworkInfo(step_order, writer, reader, named)
+    return NetworkInfo(step_order, writer, reader, named, reads)
+
+
+def _merged(facts: list[Nesting]) -> Nesting:
+    """The `Nesting` of all the roots whose separate `Nesting`s are `facts`."""
+    return Nesting(
+        max((f.depth for f in facts), default=0),
+        set().union(*(f.mentioned for f in facts)),
+        set().union(*(f.passed for f in facts)),
+        any(f.applies_value for f in facts),
+        set().union(*(f.causal for f in facts)),
+    )
 
 
 def _has_wild(p: Pattern) -> bool:
-    match p:
-        case PWild():
-            return True
-        case PTuple(items):
-            return any(_has_wild(i) for i in items)
-        case _:
-            return False
+    return type(p) is PWild or type(p) is PTuple and any(map(_has_wild, p.items))
 
 
 def _step_topo_order(
-    program: Program, bodies: dict[str, Nesting], diags: list[Diagnostic], file: str
+    program: Program, bodies: dict[str, Nesting], report: Callable[[str, Span], None]
 ) -> tuple[str, ...]:
     steps = set(bodies)
     callees = {name: body.mentioned & steps for name, body in bodies.items()}
@@ -429,13 +403,7 @@ def _step_topo_order(
             elif state[callee] == 0:
                 path = [n for n, _ in stack]
                 cycle = path[path.index(callee) :] + [callee]
-                diags.append(
-                    Diagnostic(
-                        "recursive steps are not allowed: " + " -> ".join(cycle),
-                        program.step(callee).span,
-                        file=file,
-                    )
-                )
+                report("recursive steps are not allowed: " + " -> ".join(cycle), program.step(callee).span)
                 state[callee] = 1
 
     # Callees come first in `order`, so one pass sums the depths along every
@@ -452,13 +420,10 @@ def _step_topo_order(
         applies[name] = body.applies_value or any(applies.get(c, False) for c in callees[name])
         by_name[name] = body.depth + max((by_name.get(c, 0) for c in callees[name]), default=0)
         if name in passed and applies[name]:
-            diags.append(
-                Diagnostic(
-                    f"step '{name}' is passed as a value but applies a function value, itself or "
-                    "through the steps it calls, so the depth of its calls cannot be bounded",
-                    program.step(name).span,
-                    file=file,
-                )
+            report(
+                f"step '{name}' is passed as a value but applies a function value, itself or "
+                "through the steps it calls, so the depth of its calls cannot be bounded",
+                program.step(name).span,
             )
     if any(applies[name] for name in passed):
         return tuple(order)
@@ -469,13 +434,10 @@ def _step_topo_order(
         below = max([nested.get(c, 0) for c in callees[name]] + [value_depth if body.applies_value else 0])
         nested[name] = body.depth + below
         if nested[name] > MAX_CALL_DEPTH and below <= MAX_CALL_DEPTH:
-            diags.append(
-                Diagnostic(
-                    f"expression nested too deeply: the calls from step '{name}' nest "
-                    f"{nested[name]} levels (at most {MAX_CALL_DEPTH})",
-                    program.step(name).span,
-                    file=file,
-                )
+            report(
+                f"expression nested too deeply: the calls from step '{name}' nest "
+                f"{nested[name]} levels (at most {MAX_CALL_DEPTH})",
+                program.step(name).span,
             )
     return tuple(order)
 
@@ -533,7 +495,6 @@ class _Infer:
                 raise AssertionError(p)
 
     def expr(self, e: Expr, ctx: dict[str, Scheme], local: dict[str, Type]) -> Type:
-        # The common productions first, ahead of the match's class tests.
         kind = type(e)
         if kind is Var:
             name = e.name
@@ -550,45 +511,42 @@ class _Infer:
             result = self.u.fresh()
             self.u.unify(tfn, TFunc(targ, result), e.span, self.file)
             return result
-        match e:
-            case Tuple(items):
-                return TTuple(tuple(self.expr(i, ctx, local) for i in items))
-            case Pre(inner):
-                return self.expr(inner, ctx, local)
-            case Fby(first, rest) | Arrow(first, rest):
-                t1 = self.expr(first, ctx, local)
-                t2 = self.expr(rest, ctx, local)
-                self.u.unify(t1, t2, e.span, self.file)
-                return t1
-            case If(cond, then, orelse):
-                tc = self.expr(cond, ctx, local)
-                self.u.unify(tc, BOOL, cond.span, self.file)
-                tt = self.expr(then, ctx, local)
-                to = self.expr(orelse, ctx, local)
-                self.u.unify(tt, to, e.span, self.file)
-                return tt
-            case Some(inner):
-                return TOption(self.expr(inner, ctx, local))
-            case Either(scrutinee, fallback):
-                tf = self.expr(fallback, ctx, local)
-                ts = self.expr(scrutinee, ctx, local)
-                self.u.unify(ts, TOption(tf), scrutinee.span, self.file)
-                return tf
-            case _:
-                raise AssertionError(e)
+        if kind is Tuple:
+            return TTuple(tuple([self.expr(i, ctx, local) for i in e.items]))
+        if kind is Pre:
+            return self.expr(e.expr, ctx, local)
+        if kind is Fby or kind is Arrow:
+            t1 = self.expr(e.first, ctx, local)
+            t2 = self.expr(e.rest, ctx, local)
+            self.u.unify(t1, t2, e.span, self.file)
+            return t1
+        if kind is If:
+            tc = self.expr(e.cond, ctx, local)
+            self.u.unify(tc, BOOL, e.cond.span, self.file)
+            tt = self.expr(e.then, ctx, local)
+            to = self.expr(e.orelse, ctx, local)
+            self.u.unify(tt, to, e.span, self.file)
+            return tt
+        if kind is Some:
+            return TOption(self.expr(e.expr, ctx, local))
+        if kind is Either:
+            tf = self.expr(e.fallback, ctx, local)
+            ts = self.expr(e.scrutinee, ctx, local)
+            self.u.unify(ts, TOption(tf), e.scrutinee.span, self.file)
+            return tf
+        raise AssertionError(e)
 
     def literal_type(self, v: Value) -> Type:
-        match v:
-            case VConst(value):
-                return _CONST_TYPES.get(type(value), UNIT)
-            case VTuple(items):
-                return TTuple(tuple(self.literal_type(i) for i in items))
-            case VNone():
-                return TOption(self.u.fresh())
-            case VSome(inner):
-                return TOption(self.literal_type(inner))
-            case _:
-                raise AssertionError(v)
+        kind = type(v)
+        if kind is VConst:
+            return _CONST_TYPES.get(type(v.value), UNIT)
+        if kind is VTuple:
+            return TTuple(tuple([self.literal_type(i) for i in v.items]))
+        if kind is VNone:
+            return TOption(self.u.fresh())
+        if kind is VSome:
+            return TOption(self.literal_type(v.value))
+        raise AssertionError(v)
 
 
 def infer_types(
@@ -675,7 +633,7 @@ def check_program(
     for step in program.steps:
         if step.is_prototype:
             continue
-        ordered[step.name] = order_equations(step, file=file)
+        ordered[step.name] = order_equations(step, file, info.causal_reads[step.name])
         check_initialization(step, ordered[step.name], file=file)
     return CheckedProgram(
         program=program,

@@ -18,6 +18,7 @@ carries the call's state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Container, Iterable, NamedTuple
 
 from .errors import SYNTHETIC, Span
@@ -330,6 +331,17 @@ class Nesting(NamedTuple):
     causal: set[str]  # every name they read outside any `pre`, right arms of `fby` and `->` included
 
 
+# The child expressions of each node with children, left to right, for the
+# classes `nesting` does not take apart itself.
+_CHILDREN: dict[type, Callable[[Expr], tuple[Expr, ...]]] = {
+    Tuple: attrgetter("items"),
+    Fby: attrgetter("first", "rest"),
+    Arrow: attrgetter("first", "rest"),
+    If: attrgetter("cond", "then", "orelse"),
+    Either: attrgetter("scrutinee", "fallback"),
+}
+
+
 def nesting(roots: Iterable[Expr], names: Container[str] = ()) -> Nesting:
     """How deep `roots` nest and how they use `names`. Walked with an explicit
     stack, so a deep tree cannot overflow the interpreter's. The right arms
@@ -341,8 +353,9 @@ def nesting(roots: Iterable[Expr], names: Container[str] = ()) -> Nesting:
     causal: set[str] = set()
     applies_value = False
     stack = [(e, 1, False) for e in roots]
+    pop, push = stack.pop, stack.append
     while stack:
-        e, depth, delayed = stack.pop()
+        e, depth, delayed = pop()
         if depth > deepest:
             deepest = depth
         kind = type(e)
@@ -352,20 +365,22 @@ def nesting(roots: Iterable[Expr], names: Container[str] = ()) -> Nesting:
             if e.name in names:
                 passed.add(e.name)
             continue
-        if kind is Pre:
-            delayed = True
-        elif kind is Apply:
-            if type(e.fn) is Var and e.fn.name in names:
-                applied.add(e.fn.name)
+        if kind is Const:
+            continue
+        depth += 1
+        if kind is Apply:
+            fn = e.fn
+            if type(fn) is Var and fn.name in names:
+                applied.add(fn.name)
                 if not delayed:
-                    causal.add(e.fn.name)
-                stack.append((e.arg, depth + 1, delayed))
-                continue
-            applies_value = True
-        for slot in kind.__slots__:
-            child = getattr(e, slot)
-            if isinstance(child, Expr):
-                stack.append((child, depth + 1, delayed))
-            elif isinstance(child, tuple):
-                stack.extend((item, depth + 1, delayed) for item in child)
+                    causal.add(fn.name)
+            else:
+                applies_value = True
+                push((fn, depth, delayed))
+            push((e.arg, depth, delayed))
+        elif kind is Pre or kind is Some:
+            push((e.expr, depth, delayed or kind is Pre))
+        else:
+            for child in _CHILDREN[kind](e):
+                push((child, depth, delayed))
     return Nesting(deepest, applied | passed, passed, applies_value, causal)

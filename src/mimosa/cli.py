@@ -197,7 +197,16 @@ def main(argv: list[str] | None = None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    return _COMMANDS[args.command](args)
+    try:
+        status = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed standard output early (`mimosa run … | head`).
+        # Send what is still buffered to the null device, so the flush at exit
+        # cannot fail again, and stop without a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":

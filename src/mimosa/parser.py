@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import re
+from functools import partial
 from typing import Callable, NamedTuple, TypeVar
 
 from . import ast
@@ -72,15 +73,17 @@ MAX_TYPE_DEPTH = 64
 # so `-->` is never read as `-` `->`, and the catch-all `error` matches any
 # character no other alternative accepts. A number's unit is any run of word
 # characters, so `1٣` and `12ab` are one malformed literal rather than a
-# number followed by something else.
+# number followed by something else. Each match takes the spaces after its
+# token too, so a match starts where its token does and only spaces at the
+# start of the source are a match of their own.
 _TOKEN = re.compile(
-    r"(?P<newline>\n)"
+    r"(?:(?P<newline>\n)"
     r"|(?P<space>[^\S\n]+)"
     r"|(?P<comment>--(?!>)[^\n]*)"
     r"|(?P<number>(?P<digits>[0-9]+(?P<fraction>\.[0-9]+(?:[eE][+-]?[0-9]+)?)?)(?P<unit>\w*))"
     r"|(?P<word>\w+)"
     r"|(?P<punct>" + "|".join(re.escape(p) for p in sorted(PUNCT, key=len, reverse=True)) + r")"
-    r"|(?P<error>.)"
+    r"|(?P<error>.))[^\S\n]*"
 )
 
 
@@ -89,6 +92,10 @@ class Token(NamedTuple):
     text: str
     span: Span
     value: object = None
+
+
+# Token((kind, text, span, value)) without the named tuple's Python-level __new__.
+_new_token = partial(tuple.__new__, Token)
 
 
 class _Diag(Exception):
@@ -104,27 +111,28 @@ def tokenize(source: str, file: str = "<string>", line: int = 1) -> list[Token]:
     for m in _TOKEN.finditer(source):
         kind = m.lastgroup
         if kind == "newline":
-            line, line_start = line + 1, m.end()
+            line, line_start = line + 1, m.start() + 1
         elif kind != "space" and kind != "comment":
-            start, end = m.span()
-            col = start - line_start + 1
-            span = Span(line, col, line, col + end - start - 1)
-            if kind == "punct":
-                tokens.append(Token("punct", m.group(), span))
+            text = m[kind]
+            col = m.start() - line_start + 1
+            span = Span(line, col, line, col + len(text) - 1)
+            if kind == "word" and (text[0].isalpha() or text[0] == "_"):
+                kind = "kw" if text in KEYWORDS else "punct" if text == "_" else "ident"
+            elif kind != "punct":
+                try:
+                    tokens.append(_literal(m, kind, text, span))
+                except _Diag as exc:
+                    raise ParseError([Diagnostic(str(exc), exc.span, file=file)]) from None
                 continue
-            try:
-                tokens.append(_token(m, span))
-            except _Diag as exc:
-                raise ParseError([Diagnostic(str(exc), exc.span, file=file)]) from None
+            tokens.append(_new_token((kind, text, span, None)))
     col = len(source) - line_start + 1
     tokens.append(Token("eof", "", Span(line, col, line, col)))
     return tokens
 
 
-def _token(m: re.Match, span: Span) -> Token:
-    kind, text, unit = m.lastgroup, m.group(), m["unit"]
-    if kind == "word" and (text[0].isalpha() or text[0] == "_"):
-        return Token("kw" if text in KEYWORDS else "punct" if text == "_" else "ident", text, span)
+def _literal(m: re.Match, kind: str, text: str, span: Span) -> Token:
+    """The number token `m` matched, or the error it is."""
+    unit = m["unit"]
     if kind == "error":
         raise _Diag(f"unexpected character {text!r}", span)
     # A number, or a word that starts with a digit other than 0-9.
@@ -176,9 +184,6 @@ class Parser:
     def peek(self) -> Token:
         return self.tokens[self.pos]
 
-    def prev(self) -> Token:
-        return self.tokens[max(self.pos - 1, 0)]
-
     def at(self, text: str) -> bool:
         """Whether the next token is the keyword or punctuation `text`: no
         other kind of token can spell one."""
@@ -216,7 +221,7 @@ class Parser:
         return items
 
     def span_from(self, start: Token) -> Span:
-        end = self.prev().span
+        end = self.tokens[self.pos - 1 if self.pos else 0].span
         return Span(start.span.line, start.span.col, end.end_line, end.end_col)
 
     # -- program ------------------------------------------------------------
@@ -516,28 +521,33 @@ class Parser:
             return items[0]
         return Tuple(tuple(items), span=self.span_from(start))
 
+    # The descent below reads `self.tokens[self.pos]` itself rather than
+    # through `at` and `peek`: it runs several tests per token. A keyword or
+    # punctuation test that passes is never at the end-of-input token, so it
+    # advances with `self.pos += 1`.
+
     def arrow_expr(self) -> Expr:
-        start = self.peek()
+        start = self.tokens[self.pos]
         left = self.fby_expr()
-        if self.at("->"):
-            self.advance()
+        if self.tokens[self.pos].text == "->":
+            self.pos += 1
             right = self.arrow_expr()
             return Arrow(left, right, span=self.span_from(start))
         return left
 
     def fby_expr(self) -> Expr:
-        start = self.peek()
+        start = self.tokens[self.pos]
         left = self.either_expr()
-        if self.at("fby"):
-            self.advance()
+        if self.tokens[self.pos].text == "fby":
+            self.pos += 1
             right = self.fby_expr()
             return Fby(left, right, span=self.span_from(start))
         return left
 
     def either_expr(self) -> Expr:
-        start = self.peek()
-        if self.at("either"):
-            self.advance()
+        start = self.tokens[self.pos]
+        if start.text == "either":
+            self.pos += 1
             scrutinee = self.either_expr()
             self.expect("otherwise")
             fallback = self.either_expr()
@@ -545,9 +555,9 @@ class Parser:
         return self.if_expr()
 
     def if_expr(self) -> Expr:
-        start = self.peek()
-        if self.at("if"):
-            self.advance()
+        start = self.tokens[self.pos]
+        if start.text == "if":
+            self.pos += 1
             cond = self.binary_expr()
             self.expect("then")
             then = self.if_expr()
@@ -558,39 +568,40 @@ class Parser:
 
     def binary_expr(self, min_level: int = 0) -> Expr:
         """Precedence climbing over BINARY_LEVELS; every level is left-associative."""
-        start = self.peek()
+        tokens = self.tokens
+        start = tokens[self.pos]
         left = self.unary_expr()
-        while (level := _BINARY_LEVEL.get(self.peek().text, -1)) >= min_level:
-            op = self.advance()
+        while (level := _BINARY_LEVEL.get((op := tokens[self.pos]).text, -1)) >= min_level:
+            self.pos += 1
             right = self.binary_expr(level + 1)
             span = self.span_from(start)
             left = Apply(Var(op.text, span=op.span), Tuple((left, right), span=span), span=span)
         return left
 
     def unary_expr(self) -> Expr:
-        start = self.peek()
-        if self.at("!"):
-            op = self.advance()
+        start = self.tokens[self.pos]
+        text = start.text
+        if text == "!":
+            self.pos += 1
             operand = self.unary_expr()
-            return Apply(Var("!", span=op.span), operand, span=self.span_from(start))
-        if self.at("pre"):
-            self.advance()
+            return Apply(Var("!", span=start.span), operand, span=self.span_from(start))
+        if text == "pre":
+            self.pos += 1
             return Pre(self.unary_expr(), span=self.span_from(start))
-        if self.at("Some"):
-            self.advance()
+        if text == "Some":
+            self.pos += 1
             return Some(self.unary_expr(), span=self.span_from(start))
-        if self.at("-") and self.tokens[self.pos + 1].kind in ("int", "real"):
+        if text == "-" and self.tokens[self.pos + 1].kind in ("int", "real"):
             return Const(self.negative_number(), span=self.span_from(start))
         return self.app_expr()
 
     def starts_atom(self) -> bool:
-        t = self.peek()
-        return t.kind in ("int", "real", "ident") or (
-            t.kind == "kw" and t.text in ("true", "false", "None")
-        ) or self.at("(")
+        t = self.tokens[self.pos]
+        kind = t.kind
+        return kind == "ident" or kind == "int" or kind == "real" or t.text in ("(", "true", "false", "None")
 
     def app_expr(self) -> Expr:
-        start = self.peek()
+        start = self.tokens[self.pos]
         e = self.atom()
         while self.starts_atom():
             arg = self.atom()
@@ -598,33 +609,32 @@ class Parser:
         return e
 
     def atom(self) -> Expr:
-        t = self.peek()
-        if t.kind == "int" or t.kind == "real":
-            self.advance()
-            return Const(VConst(t.value), span=t.span)
-        if self.at("true"):
-            self.advance()
-            return Const(VConst(True), span=t.span)
-        if self.at("false"):
-            self.advance()
-            return Const(VConst(False), span=t.span)
-        if self.at("None"):
-            self.advance()
-            return Const(VNone(), span=t.span)
-        if t.kind == "ident":
-            self.advance()
+        t = self.tokens[self.pos]
+        kind = t.kind
+        if kind == "ident":
+            self.pos += 1
             return Var(t.text, span=t.span)
-        if self.at("("):
-            self.advance()
-            if self.at(")"):
-                self.advance()
+        if kind == "int" or kind == "real":
+            self.pos += 1
+            return Const(VConst(t.value), span=t.span)
+        text = t.text
+        if text == "(":
+            self.pos += 1
+            if self.tokens[self.pos].text == ")":
+                self.pos += 1
                 return Const(ast.UNIT_VALUE, span=self.span_from(t))
             inner = self.expr_list()
             self.expect(")")
             return inner
-        if t.kind == "duration":
+        if text == "true" or text == "false":
+            self.pos += 1
+            return Const(VConst(text == "true"), span=t.span)
+        if text == "None":
+            self.pos += 1
+            return Const(VNone(), span=t.span)
+        if kind == "duration":
             raise _Diag("durations only appear in node declarations", t.span)
-        raise _Diag(f"expected an expression, found '{t.text or 'end of input'}'", t.span)
+        raise _Diag(f"expected an expression, found '{text or 'end of input'}'", t.span)
 
 
 def _value_parts(v: Value) -> tuple[Value, ...]:

@@ -2,6 +2,9 @@
 
 Channels and step signatures use the concrete fragment (no variables, no
 functions); inference introduces variables and function types internally.
+Types are never mutated after construction; like expression nodes they are
+slotted and not frozen, because inference builds them on every application
+and a frozen dataclass costs several times as much to construct.
 """
 
 from __future__ import annotations
@@ -13,10 +16,10 @@ from .errors import Diagnostic, Span, TypeCheckError
 
 
 class Type:
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TBase(Type):
     name: str
 
@@ -24,7 +27,7 @@ class TBase(Type):
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TOption(Type):
     elem: Type
 
@@ -35,7 +38,7 @@ class TOption(Type):
         return f"{inner}?"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TTuple(Type):
     items: tuple[Type, ...]
 
@@ -47,7 +50,7 @@ class TTuple(Type):
         return "(" + ", ".join(str(t) for t in self.items) + ")"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TFunc(Type):
     arg: Type
     result: Type
@@ -59,7 +62,7 @@ class TFunc(Type):
         return f"{left} -> {self.result}"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TVar(Type):
     id: int
 
@@ -135,7 +138,7 @@ class Unifier:
 
     def resolve(self, t: Type) -> Type:
         """Follow variable bindings one level (the root of t only)."""
-        while isinstance(t, TVar) and t.id in self._subst:
+        while type(t) is TVar and t.id in self._subst:
             t = self._subst[t.id]
         return t
 
@@ -152,33 +155,38 @@ class Unifier:
         return False
 
     def unify(self, a: Type, b: Type, span: Span, file: str = "<string>") -> None:
-        a = self.resolve(a)
-        b = self.resolve(b)
-        if a == b:
+        subst = self._subst
+        while type(a) is TVar and a.id in subst:
+            a = subst[a.id]
+        while type(b) is TVar and b.id in subst:
+            b = subst[b.id]
+        if a is b:
             return
-        if isinstance(a, TVar):
+        kind = type(a)
+        if kind is not TVar and type(b) is TVar:
+            a, b, kind = b, a, TVar
+        if kind is TVar:
+            if type(b) is TVar and b.id == a.id:
+                return
             if self._occurs(a.id, b):
                 self._fail(f"occurs check: {self.render(a)} in {self.render(b)}", span, file)
-            self._subst[a.id] = b
+            subst[a.id] = b
             return
-        if isinstance(b, TVar):
-            self.unify(b, a, span, file)
-            return
-        match (a, b):
-            case (TOption(x), TOption(y)):
-                self.unify(x, y, span, file)
-            case (TTuple(xs), TTuple(ys)) if len(xs) == len(ys):
-                for x, y in zip(xs, ys):
+        if kind is type(b):
+            if kind is TOption:
+                self.unify(a.elem, b.elem, span, file)
+                return
+            if kind is TFunc:
+                self.unify(a.arg, b.arg, span, file)
+                self.unify(a.result, b.result, span, file)
+                return
+            if kind is TTuple and len(a.items) == len(b.items):
+                for x, y in zip(a.items, b.items):
                     self.unify(x, y, span, file)
-            case (TFunc(a1, r1), TFunc(a2, r2)):
-                self.unify(a1, a2, span, file)
-                self.unify(r1, r2, span, file)
-            case _:
-                self._fail(
-                    f"type mismatch: expected {self.render(a)}, found {self.render(b)}",
-                    span,
-                    file,
-                )
+                return
+            if kind is TBase and a.name == b.name:
+                return
+        self._fail(f"type mismatch: expected {self.render(a)}, found {self.render(b)}", span, file)
 
     def _fail(self, message: str, span: Span, file: str):
         raise TypeCheckError([Diagnostic(message, span, file=file)])

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from exprgen import base_env, gen_expr, gen_system
+from exprgen import BASE_VALUES, TOP_TYPES, base_env, gen_expr, gen_system
 from mimosa import (
     CausalityError,
     InitError,
@@ -17,11 +17,31 @@ from mimosa import (
     order_equations,
     parse_program,
 )
-from mimosa.analysis import _bind_init, _in_cycle, _InitCheck, init_all, init_meet
-from mimosa.ast import Equation, Expr, Pre, PUnit, PVar, StepDecl, Var, contains_undef, nesting
+from mimosa.analysis import _bind_init, _in_cycle, init_all, init_meet
+from mimosa.ast import (
+    Apply,
+    Arrow,
+    Const,
+    Either,
+    Equation,
+    Expr,
+    Fby,
+    If,
+    Pre,
+    Program,
+    PUnit,
+    PVar,
+    Some,
+    StepDecl,
+    Tuple,
+    Var,
+    contains_undef,
+    nesting,
+)
 from mimosa.builtins import BUILTIN_TYPES
 from mimosa.errors import Diagnostic, Span
 from mimosa.eval import eval_equations
+from mimosa.pretty import pretty_expr
 from mimosa.types import BOOL, INT, REAL, UNIT, Scheme, TFunc, TOption, TTuple, Type, TVar, Unifier
 
 
@@ -287,6 +307,42 @@ class TestTypeTraversal:
         else:
             assert not occurs
 
+    def test_types_compare_and_hash_by_structure(self):
+        assert TVar(3) == TVar(3) and TVar(3) is not TVar(3)
+        assert {TVar(3): "a"}[TVar(3)] == "a"
+        f1 = TFunc(TTuple((INT, TVar(0))), TOption(BOOL))
+        f2 = TFunc(TTuple((INT, TVar(0))), TOption(BOOL))
+        assert f1 is not f2 and len({f1, f2}) == 1
+        assert TFunc(INT, BOOL) != TFunc(BOOL, INT) and TOption(INT) != TOption(REAL)
+        assert not hasattr(f1, "__dict__")  # slotted
+
+    @pytest.mark.parametrize("items", [(), (INT,)])
+    def test_tuple_type_needs_two_items(self, items):
+        with pytest.raises(ValueError, match="at least two components"):
+            TTuple(items)
+
+    def test_unifying_a_variable_with_itself_binds_nothing(self):
+        u = Unifier()
+        v = u.fresh()
+        u.unify(v, v, Span())
+        u.unify(v, TVar(v.id), Span())
+        u.unify(TOption(v), TOption(TVar(v.id)), Span())
+        assert u._subst == {}
+
+    def test_unify_messages(self):
+        u = Unifier()
+        v = u.fresh()
+        with pytest.raises(TypeCheckError) as err:
+            u.unify(TOption(v), v, Span(1, 2, 1, 3))
+        assert err.value.diagnostics[0].message == "occurs check: 'a in 'a?"
+        with pytest.raises(TypeCheckError) as err:
+            u.unify(TTuple((INT, BOOL)), TTuple((INT, BOOL, INT)), Span())
+        assert err.value.diagnostics[0].message == "type mismatch: expected (int, bool), found (int, bool, int)"
+        with pytest.raises(TypeCheckError) as err:
+            u.unify(TFunc(INT, v), TFunc(REAL, BOOL), Span())
+        assert err.value.diagnostics[0].message == "type mismatch: expected int, found real"
+        assert u._subst == {}
+
     def test_shipped_programs_print_as_before(self):
         programs = Path(__file__).resolve().parent.parent / "programs"
         printed = {}
@@ -435,13 +491,92 @@ def outcome(check):
         return exc.diagnostics[0].message
 
 
+class TwoPassInitCheck:
+    """The initialization checker before it became one pass: with
+    `check=False` a status skips every `pre` operand, with `check=True` it
+    walks everything and raises at the first failure, in post-order."""
+
+    def __init__(self, statuses: dict):
+        self.statuses = statuses
+
+    def _fail(self, message: str, span: Span):
+        raise InitError([Diagnostic(message, span)])
+
+    def _require(self, t, span: Span, what: str):
+        if not init_all(t):
+            self._fail(f"{what} may be undefined on some cycle", span)
+
+    def status(self, e: Expr, check: bool):
+        match e:
+            case Var(name):
+                return self.statuses.get(name, True)
+            case Const(value):
+                return not contains_undef(value)
+            case Pre(inner):
+                if check and not init_all(self.status(inner, check)):
+                    self._fail("operand of pre may be undefined on the first cycle", inner.span)
+                return False
+            case Tuple(items):
+                return tuple(self.status(i, check) for i in items)
+            case Fby(first, rest):
+                s1 = self.status(first, check)
+                s2 = self.status(rest, check)
+                if check:
+                    self._require(s1, first.span, "left operand of fby")
+                    self._require(s2, rest.span, "right operand of fby")
+                return True
+            case Arrow(first, rest):
+                s1 = self.status(first, check)
+                self.status(rest, check)
+                if check:
+                    self._require(s1, first.span, "left operand of ->")
+                return s1
+            case If(cond, then, orelse):
+                sc = self.status(cond, check)
+                st = self.status(then, check)
+                so = self.status(orelse, check)
+                if check:
+                    self._require(sc, cond.span, "if condition")
+                return init_meet(st, so)
+            case Some(inner):
+                return self.status(inner, check)
+            case Either(scrutinee, fallback):
+                ss = self.status(scrutinee, check)
+                sf = self.status(fallback, check)
+                if check:
+                    self._require(ss, scrutinee.span, "either scrutinee")
+                return sf
+            case Apply(fn, arg):
+                self.status(fn, check)
+                sa = self.status(arg, check)
+                if check:
+                    self._require(sa, arg.span, "step argument")
+                return True
+
+
+def two_pass_initialization(step: StepDecl, ordered) -> dict:
+    """Reference for check_initialization's diagnostics: bind every status in
+    causal order, then check every equation in causal order."""
+    statuses: dict = {name: True for name in step.in_pattern.names()}
+    checker = TwoPassInitCheck(statuses)
+    for eq in ordered:
+        _bind_init(statuses, eq.lhs, checker.status(eq.rhs, check=False))
+    for eq in ordered:
+        checker.status(eq.rhs, check=True)
+    for name in step.out_pattern.names():
+        if not init_all(statuses[name]):
+            message = f"step output '{name}' may be undefined on the first cycle"
+            raise InitError([Diagnostic(message, step.out_pattern.span)])
+    return statuses
+
+
 def fixpoint_initialization(step: StepDecl, ordered) -> dict:
     """Oracle for check_initialization: iterate the statuses in declaration
     order from all-initialized down to the greatest fixpoint, then check."""
     statuses: dict = {name: True for name in step.in_pattern.names()}
     for eq in step.equations:
         _bind_init(statuses, eq.lhs, True)
-    checker = _InitCheck(statuses, "<string>")
+    checker = TwoPassInitCheck(statuses)
     while True:
         before = dict(statuses)
         for eq in step.equations:
@@ -454,6 +589,58 @@ def fixpoint_initialization(step: StepDecl, ordered) -> dict:
         if not init_all(statuses[name]):
             raise InitError([Diagnostic(f"step output '{name}' may be undefined on the first cycle")])
     return statuses
+
+
+def located_step(seed: int) -> StepDecl:
+    """A generated equation system and generated expressions over the base
+    names, printed and parsed back so every subexpression has a span."""
+    rng = random.Random(seed)
+    system = gen_system(rng, rng.randrange(1, 4))
+    equations = system[1:] + [
+        Equation(PVar(f"e{k}"), sprinkle_pre(rng, gen_expr(rng, rng.choice(TOP_TYPES), rng.randrange(1, 5), False)))
+        for k in range(rng.randrange(0, 3))
+    ]
+    rng.shuffle(equations)
+    body = ";\n".join(f"  {eq.lhs.name} = {pretty_expr(eq.rhs)}" for eq in [system[0], *equations])
+    inputs = ", ".join(["i0", *BASE_VALUES])
+    return step_of(f"step s ({inputs}) --> {system[0].lhs.name} {{\n{body}\n}}")
+
+
+def sprinkle_pre(rng: random.Random, e: Expr) -> Expr:
+    """`e` with about one subexpression in seven, applied functions and
+    operator arguments aside, under a `pre`: many guarded positions then fail."""
+    changes = {}
+    for f in dataclasses.fields(e):
+        value = getattr(e, f.name)
+        if isinstance(value, Expr) and f.name != "fn":
+            changes[f.name] = sprinkle_pre(rng, value)
+        elif isinstance(value, tuple):
+            changes[f.name] = tuple(sprinkle_pre(rng, item) for item in value)
+    e = dataclasses.replace(e, **changes) if changes else e
+    return Pre(e) if type(e) is not Tuple and rng.random() < 0.15 else e
+
+
+def located_outcome(check):
+    try:
+        return check()
+    except InitError as exc:
+        return [(d.message, d.span) for d in exc.diagnostics]
+
+
+def two_pass_failures(step: StepDecl, e: Expr) -> list[str]:
+    """Every guarded position of `e` that fails, with all statuses bound."""
+    statuses = {name: True for name in step.in_pattern.names()}
+    checker = TwoPassInitCheck(statuses)
+    for eq in order_equations(step):
+        _bind_init(statuses, eq.lhs, checker.status(eq.rhs, check=False))
+    failures = []
+
+    def fail(message, span):
+        failures.append(message)
+
+    checker._fail = fail
+    checker.status(e, check=True)
+    return failures
 
 
 class TestInitialization:
@@ -551,6 +738,79 @@ class TestInitialization:
             causal += 1
         assert causal >= 180
 
+    # A bad `pre` operand and a bad `if` condition in two equations, each
+    # order, and in one equation: the first diagnostic is the one the
+    # two-pass checker raised, message and span.
+    @pytest.mark.parametrize(
+        "body, message, span",
+        [
+            (
+                "a = 0 -> pre (pre x);\n  b = if pre c then 1 else 2;\n  y = a + b",
+                "operand of pre may be undefined on the first cycle",
+                Span(2, 17, 2, 21),
+            ),
+            (
+                "b = if pre c then 1 else 2;\n  a = 0 -> pre (pre x);\n  y = a + b",
+                "if condition may be undefined on some cycle",
+                Span(2, 10, 2, 14),
+            ),
+            (
+                # Declared first, but it reads `a`, so it is checked second.
+                "y = a + b;\n  b = if pre c then a else 2;\n  a = 0 -> pre (pre x)",
+                "operand of pre may be undefined on the first cycle",
+                Span(4, 17, 4, 21),
+            ),
+            (
+                "y = if pre c then (0 -> pre (pre x)) else 2",
+                "operand of pre may be undefined on the first cycle",
+                Span(2, 32, 2, 36),
+            ),
+            (
+                "y = if pre c then (0 -> pre (pre x)) else 2 fby pre x",
+                "operand of pre may be undefined on the first cycle",
+                Span(2, 32, 2, 36),
+            ),
+            (
+                "y = if pre (pre c) then 1 else 2",
+                "operand of pre may be undefined on the first cycle",
+                Span(2, 15, 2, 19),
+            ),
+        ],
+    )
+    def test_first_diagnostic_is_the_two_pass_one(self, body, message, span):
+        step = step_of(f"step f (x : int, c : bool) --> y {{\n  {body}\n}}")
+        ordered = order_equations(step)
+        for check in (check_initialization, two_pass_initialization):
+            with pytest.raises(InitError) as err:
+                check(step, ordered)
+            (diag,) = err.value.diagnostics
+            assert (diag.message, diag.span) == (message, span)
+
+    @pytest.mark.parametrize("seed", range(300))
+    def test_first_diagnostic_matches_two_passes(self, seed):
+        step = located_step(seed)
+        try:
+            ordered = order_equations(step)
+        except CausalityError:
+            return
+        assert located_outcome(lambda: check_initialization(step, ordered)) == located_outcome(
+            lambda: two_pass_initialization(step, ordered)
+        )
+
+    def test_located_steps_fail_in_several_places(self):
+        # The comparison above is only as strong as the number of steps with
+        # more than one failure to choose among.
+        several = 0
+        for seed in range(300):
+            step = located_step(seed)
+            try:
+                order_equations(step)
+            except CausalityError:
+                continue
+            if sum(len(two_pass_failures(step, eq.rhs)) for eq in step.equations) > 1:
+                several += 1
+        assert several >= 80
+
     def test_lattice_helpers(self):
         assert init_meet(True, True) is True
         assert init_meet(True, (True, False)) == (True, False)
@@ -631,6 +891,71 @@ class TestGoldenPrograms:
     def test_checked_program_carries_ordered_equations(self, fib_checked):
         assert set(fib_checked.ordered_equations) == {"add", "split"}
         assert "print_int" not in fib_checked.ordered_equations
+
+
+def shuffled_chain(seed: int, length: int = 40) -> str:
+    """A step whose equations each read earlier ones, in several of the
+    forms the `deep` benchmark mixes, declared in a shuffled order."""
+    rng = random.Random(seed)
+    forms = [
+        "x{p} + {c}",
+        "0 -> pre x{j}",
+        "{c} fby (x{p} - x{j})",
+        "if x{p} > {c} then x{j} else {c}",
+        "mix (x{p}, x{j})",
+        "pre x{k}",
+    ]
+    equations = ["x0 = u"]
+    for k in range(1, length + 1):
+        form = forms[0] if k < 2 else rng.choice(forms)
+        rhs = form.format(p=k - 1, j=rng.randrange(k), k=min(k + 1, length), c=rng.randint(1, 9))
+        equations.append(f"x{k} = {'0 -> ' + rhs if form.startswith('pre') else rhs}")
+    equations.append(f"y = x{length}")
+    rng.shuffle(equations)
+    return (
+        "step mix (a, b) --> r { r = a + b }\n"
+        f"step chain (u : int) --> (y : int) {{ {'; '.join(equations)} }}\n"
+    )
+
+
+class TestSharedWalk:
+    """`check_program` orders each step's equations from the walks
+    `check_network` records; `order_equations` alone walks them itself."""
+
+    def assert_stored_order_is_standalone(self, program):
+        checked = check_program(program, complete_network=False)
+        bodied = [s for s in program.steps if not s.is_prototype]
+        assert set(checked.ordered_equations) == {s.name for s in bodied}
+        for step in bodied:
+            alone = order_equations(step)
+            assert checked.ordered_equations[step.name] == alone
+            assert all(a is b for a, b in zip(checked.ordered_equations[step.name], alone))
+
+    @pytest.mark.parametrize("path", sorted((Path(__file__).resolve().parent.parent / "programs").glob("*.mim")))
+    def test_shipped_programs(self, path):
+        self.assert_stored_order_is_standalone(parse_program(path.read_text()))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_shuffled_chains(self, seed):
+        program = parse_program(shuffled_chain(seed))
+        self.assert_stored_order_is_standalone(program)
+        ordered = check_program(program, complete_network=False).ordered_equations["chain"]
+        position = {eq.lhs.name: i for i, eq in enumerate(ordered)}
+        reads = [(position[n], i) for i, eq in enumerate(ordered) for n in nesting((eq.rhs,)).causal & position.keys()]
+        assert reads and all(j < i for j, i in reads)
+        assert [eq.lhs.name for eq in ordered] != [eq.lhs.name for eq in program.step("chain").equations]
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_recorded_walks_order_like_fresh_ones(self, seed):
+        # Causality errors included: the same order or the same diagnostic.
+        rng = random.Random(seed)
+        equations = gen_system(rng, rng.randrange(1, 4))
+        step = StepDecl("s", PUnit(), PVar(equations[0].lhs.names()[0]), tuple(equations))
+        recorded = check_network(Program((step,), (), ()), complete=False).causal_reads["s"]
+        assert recorded == tuple(nesting((eq.rhs,)).causal for eq in equations)
+        assert ordering_outcome(lambda st: order_equations(st, "<string>", recorded), step) == ordering_outcome(
+            order_equations, step
+        )
 
 
 class TestInitSoundness:

@@ -1,11 +1,21 @@
 import copy
+import random
 
 import pytest
+
+from exprgen import TOP_TYPES, gen_expr, gen_system
 
 from mimosa import check_program, eval_equations, parse_expression, parse_program
 from mimosa.ast import (
     UNIT_VALUE,
+    Apply,
+    Arrow,
     Const,
+    Either,
+    Fby,
+    If,
+    Pre,
+    Some,
     Equation,
     Expr,
     PTuple,
@@ -59,6 +69,70 @@ def test_free_variables_fby_right_arm_is_causal():
     assert causal("0 fby x") == {"x"}
     assert causal("0 -> x") == {"x"}
     assert causal("0 -> pre (1 fby x)") == set()
+
+
+def reference_nesting(roots, names=()) -> tuple:
+    """A plain recursive `nesting`, field by field."""
+    applied: set[str] = set()
+    passed: set[str] = set()
+    causal: set[str] = set()
+    applies_value = False
+
+    def walk(e, delayed: bool) -> int:
+        nonlocal applies_value
+        match e:
+            case Var(name):
+                if not delayed:
+                    causal.add(name)
+                if name in names:
+                    passed.add(name)
+                return 1
+            case Const():
+                return 1
+            case Apply(Var(name), arg) if name in names:
+                applied.add(name)
+                if not delayed:
+                    causal.add(name)
+                return 1 + walk(arg, delayed)
+            case Apply(fn, arg):
+                applies_value = True
+                return 1 + max(walk(fn, delayed), walk(arg, delayed))
+            case Pre(inner):
+                return 1 + walk(inner, True)
+            case Some(inner):
+                return 1 + walk(inner, delayed)
+            case Tuple(items):
+                return 1 + max([walk(i, delayed) for i in items])
+            case Fby(first, rest) | Arrow(first, rest):
+                return 1 + max(walk(first, delayed), walk(rest, delayed))
+            case Either(scrutinee, fallback):
+                return 1 + max(walk(scrutinee, delayed), walk(fallback, delayed))
+            case If(cond, then, orelse):
+                return 1 + max(walk(cond, delayed), walk(then, delayed), walk(orelse, delayed))
+        raise AssertionError(e)
+
+    depth = max([walk(root, False) for root in roots], default=0)
+    return (depth, applied | passed, passed, applies_value, causal)
+
+
+NAME_SETS = [(), frozenset(BUILTIN_VALUES), frozenset(BUILTIN_VALUES) | {"i1", "b1", "x", "f"}, {"+", "i2", "y"}]
+
+
+def nesting_trees(seed: int) -> list[tuple]:
+    """Root lists: a generated expression, the same under `Some`, a tuple, a
+    `pre` and an applied function value, and a generated equation system."""
+    rng = random.Random(seed)
+    e = gen_expr(rng, rng.choice(TOP_TYPES), rng.randrange(1, 7), False)
+    wrapped = Apply(If(Var("b1"), Var("f"), Pre(Var("g"))), Tuple((Some(e), Pre(e), Var("i2"))))
+    system = [eq.rhs for eq in gen_system(rng, rng.randrange(1, 4))]
+    return [(e,), (wrapped,), tuple(system), (e, wrapped, *system), ()]
+
+
+@pytest.mark.parametrize("seed", range(500))
+def test_nesting_matches_the_recursive_reference(seed):
+    for roots in nesting_trees(seed):
+        for names in NAME_SETS:
+            assert tuple(nesting(roots, names)) == reference_nesting(roots, names)
 
 
 def test_equal_expr_identical():

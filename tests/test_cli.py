@@ -1,5 +1,8 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -666,3 +669,38 @@ class TestExplainTrace:
 
     def test_missing_trace(self, capsys):
         assert main(["explain-trace", "/nonexistent.csv"]) == 1
+
+
+class TestClosedOutput:
+    """A reader that stops early (`mimosa … | head -1`) ends the command
+    quietly: exit 1 and nothing on stderr, where a traceback used to be."""
+
+    SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+    def first_line_then_close(self, argv: list[str]) -> tuple[bytes, int, bytes]:
+        env = {**os.environ, "PYTHONPATH": self.SRC}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "mimosa", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        line = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        return line, proc.wait(timeout=60), err
+
+    def test_run_into_a_closed_pipe(self, fib_file):
+        # 2,000 printed Fibonacci numbers are far more than a pipe buffer holds.
+        line, status, err = self.first_line_then_close(["run", fib_file, "--for", "20000ms"])
+        assert line == b"10ms: 0\n"
+        assert (status, err) == (1, b"")
+
+    def test_explain_trace_into_a_closed_pipe(self, fib_file, tmp_path, capsys):
+        trace = tmp_path / "fib.csv"
+        assert main(["run", fib_file, "--for", "20000ms", "--trace", str(trace)]) == 0
+        capsys.readouterr()
+        line, status, err = self.first_line_then_close(["explain-trace", str(trace)])
+        assert line.startswith(b"a: 1000 events, first 0@10ms")
+        assert (status, err) == (1, b"")

@@ -1,4 +1,6 @@
+import math
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -24,8 +26,18 @@ from mimosa.ast import (
     VTuple,
     nesting,
 )
-from mimosa.errors import Span
-from mimosa.parser import _TOKEN, MAX_EXPR_DEPTH, MAX_TYPE_DEPTH, parse_literal, tokenize
+from mimosa.errors import Diagnostic, Span
+from mimosa.parser import (
+    _TOKEN,
+    DURATION_UNITS,
+    KEYWORDS,
+    MAX_EXPR_DEPTH,
+    MAX_TYPE_DEPTH,
+    PUNCT,
+    Token,
+    parse_literal,
+    tokenize,
+)
 from mimosa.pretty import format_duration, pretty_expr, pretty_program
 from mimosa.types import BOOL, INT, TOption
 
@@ -200,6 +212,141 @@ class TestLexer:
         assert parse_duration(format_duration(us)) == us
 
 
+# The tokenizer as it was with one regex match per token class, spaces
+# included: the oracle for the one-match-per-token tokenizer.
+REFERENCE_TOKEN = re.compile(
+    r"(?P<newline>\n)"
+    r"|(?P<space>[^\S\n]+)"
+    r"|(?P<comment>--(?!>)[^\n]*)"
+    r"|(?P<number>(?P<digits>[0-9]+(?P<fraction>\.[0-9]+(?:[eE][+-]?[0-9]+)?)?)(?P<unit>\w*))"
+    r"|(?P<word>\w+)"
+    r"|(?P<punct>" + "|".join(re.escape(p) for p in sorted(PUNCT, key=len, reverse=True)) + r")"
+    r"|(?P<error>.)"
+)
+
+
+def reference_tokenize(source: str, file: str = "<string>", line: int = 1) -> list[Token]:
+    tokens: list[Token] = []
+    line_start = 0
+    for m in REFERENCE_TOKEN.finditer(source):
+        kind = m.lastgroup
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind != "space" and kind != "comment":
+            start, end = m.span()
+            col = start - line_start + 1
+            span = Span(line, col, line, col + end - start - 1)
+            if kind == "punct":
+                tokens.append(Token("punct", m.group(), span))
+                continue
+            try:
+                tokens.append(reference_token(m, span))
+            except ValueError as exc:
+                raise ParseError([Diagnostic(str(exc), span, file=file)]) from None
+    col = len(source) - line_start + 1
+    tokens.append(Token("eof", "", Span(line, col, line, col)))
+    return tokens
+
+
+def reference_token(m: re.Match, span: Span) -> Token:
+    kind, text, unit = m.lastgroup, m.group(), m["unit"]
+    if kind == "word" and (text[0].isalpha() or text[0] == "_"):
+        return Token("kw" if text in KEYWORDS else "punct" if text == "_" else "ident", text, span)
+    if kind == "error":
+        raise ValueError(f"unexpected character {text!r}")
+    if kind == "word" or (unit and not unit.isalpha()):
+        raise ValueError(f"malformed number '{text}'")
+    if m["fraction"]:
+        if unit:
+            raise ValueError("durations take integer values")
+        if math.isinf(value := float(text)):
+            raise ValueError(f"real literal '{text}' is out of range")
+        return Token("real", text, span, value)
+    if unit and unit not in DURATION_UNITS:
+        raise ValueError(f"unknown duration unit '{unit}' (use us, ms, or s)")
+    try:
+        value = int(m["digits"])
+    except ValueError:
+        raise ValueError(f"integer literal has too many digits ({len(m['digits'])})") from None
+    if unit:
+        return Token("duration", text, span, value * DURATION_UNITS[unit])
+    return Token("int", text, span, value)
+
+
+def token_outcome(tokenizer, source: str, line: int = 1):
+    """The tokens, as plain tuples, or the diagnostics as (text, span)."""
+    try:
+        return [tuple(t) for t in tokenizer(source, "f.mim", line)]
+    except ParseError as exc:
+        return [(d.text(), d.span) for d in exc.diagnostics]
+
+
+TOKEN_EDGE_CASES = [
+    "",
+    "   ",
+    "x   ",
+    "1\u0663",
+    "12ab",
+    "1.5ms",
+    "3xs",
+    "x --> y",
+    "x -- comment",
+    "x --comment\ny",
+    "x -->y --> z",
+    "x\ty",
+    "\tx",
+    "x\r\ny\r\n",
+    "x = 1 -- trailing comment with no newline",
+    "-- only a comment",
+    "   $",
+    "x\n    \u00a7",
+    "x \x0c y \u2003 z",
+    "step f x --> y { y = 0 fby pre x }",
+    "12 1.5 3e 2.5e3 1e400 4.0e999 10us 3s 7ms 0ms",
+    "_ _x x_ \u00e9t\u00e9 true None Some",
+    "1" * 5000,
+]
+
+
+class TestTokenizerOracle:
+    """The tokenizer against the one-match-per-class reference: the same
+    tokens (kind, text, span and value), or the same diagnostic and span."""
+
+    @pytest.mark.parametrize("path", sorted((Path(__file__).parent.parent / "programs").glob("*.mim")))
+    def test_shipped_programs(self, path):
+        source = path.read_text()
+        assert token_outcome(tokenize, source) == token_outcome(reference_tokenize, source)
+
+    def test_printed_expressions(self):
+        rng = random.Random(13)
+        for k in range(300):
+            ty = rng.choice(TOP_TYPES)
+            source = pretty_expr(gen_expr(rng, ty, rng.randrange(1, 6), False))
+            if k % 3 == 0:  # also as a line of a larger text, with a comment and indentation
+                source = f"  {source}  -- expression {k}\n\t{source}\n"
+            assert token_outcome(tokenize, source) == token_outcome(reference_tokenize, source)
+
+    @pytest.mark.parametrize("source", TOKEN_EDGE_CASES)
+    def test_edge_cases(self, source):
+        assert token_outcome(tokenize, source) == token_outcome(reference_tokenize, source)
+        assert token_outcome(tokenize, source, line=7) == token_outcome(reference_tokenize, source, line=7)
+
+    def test_edge_case_diagnostics(self):
+        # A few outcomes pinned outright, so the oracle cannot drift with the tokenizer.
+        assert token_outcome(tokenize, "1\u0663") == [("f.mim:1:1: error: malformed number '1\u0663'", Span(1, 1, 1, 2))]
+        assert token_outcome(tokenize, "3xs") == [
+            ("f.mim:1:1: error: unknown duration unit 'xs' (use us, ms, or s)", Span(1, 1, 1, 3))
+        ]
+        assert token_outcome(tokenize, "   $") == [("f.mim:1:4: error: unexpected character '$'", Span(1, 4, 1, 4))]
+        assert [t.text for t in tokenize("x --> y -- z")] == ["x", "-->", "y", ""]
+
+    def test_tokens_are_named_tuples(self):
+        token = tokenize("x")[0]
+        assert type(token) is Token
+        assert (token.kind, token.text, token.span, token.value) == ("ident", "x", Span(1, 1, 1, 1), None)
+        assert token == Token("ident", "x", Span(1, 1, 1, 1))
+
+
 class TestErrors:
     def test_duplicate_top_level_names(self):
         src = "channel a : int\nchannel a : bool"
@@ -271,6 +418,14 @@ class TestNesting:
         # tokens, which relies on this bound.
         tokens = len(tokenize(text)) - 1  # without the end-of-input token
         assert nesting((parse_expression(text),))[0] <= tokens
+
+    @pytest.mark.parametrize("prefix", ["!", "pre ", "Some ", "0 -> "])
+    def test_257_levels_is_a_diagnostic(self, prefix):
+        # 256 levels parse and 257 do not, alone or as a step's right-hand side.
+        for parse in (parse_expression, lambda text: parse_program(f"step f x --> y {{ y = {text} }}")):
+            assert parse(prefix * (MAX_EXPR_DEPTH - 1) + "x")
+            with pytest.raises(ParseError, match="expression nested too deeply"):
+                parse(prefix * MAX_EXPR_DEPTH + "x")
 
     def test_moderate_nesting_parses(self):
         assert parse_expression("(" * 40 + "x" + ")" * 40) == Var("x")
