@@ -12,12 +12,19 @@ from .errors import EvalError, UndefEscape
 from .types import BOOL, INT, Scheme, TFunc, TTuple, TVar
 
 
+def _show(v: Value) -> str:
+    """`v` in Mimosa notation, for the messages of ill-typed operands."""
+    from .pretty import pretty_value  # pretty imports this module
+
+    return pretty_value(v)
+
+
 def _int(v: Value, op: str) -> int:
     if isinstance(v, VUndef):
         raise UndefEscape(f"undefined operand for '{op}'")
     if isinstance(v, VConst) and not isinstance(v.value, bool) and isinstance(v.value, int):
         return v.value
-    raise EvalError(f"'{op}' expects integer operands, got {v!r}")
+    raise EvalError(f"'{op}' expects integer operands, got {_show(v)}")
 
 
 def _bool(v: Value, op: str) -> bool:
@@ -25,13 +32,13 @@ def _bool(v: Value, op: str) -> bool:
         raise UndefEscape(f"undefined operand for '{op}'")
     if isinstance(v, VConst) and isinstance(v.value, bool):
         return v.value
-    raise EvalError(f"'{op}' expects boolean operands, got {v!r}")
+    raise EvalError(f"'{op}' expects boolean operands, got {_show(v)}")
 
 
 def _pair(v: Value, op: str) -> tuple[Value, Value]:
     if isinstance(v, VTuple) and len(v.items) == 2:
         return v.items[0], v.items[1]
-    raise EvalError(f"'{op}' expects a pair of operands, got {v!r}")
+    raise EvalError(f"'{op}' expects a pair of operands, got {_show(v)}")
 
 
 def _trunc_div(a: int, b: int) -> int:
@@ -56,7 +63,7 @@ def structural_eq(a: Value, b: Value, op: str = "==") -> bool:
         case (VTuple(xs), VTuple(ys)):
             return len(xs) == len(ys) and all(structural_eq(x, y, op) for x, y in zip(xs, ys))
         case _:
-            raise EvalError(f"'{op}' cannot compare {a!r} and {b!r}")
+            raise EvalError(f"'{op}' cannot compare {_show(a)} and {_show(b)}")
 
 
 def structural_cmp(a: Value, b: Value, op: str) -> int:
@@ -86,7 +93,7 @@ def structural_cmp(a: Value, b: Value, op: str) -> int:
                     return c
             return 0
         case _:
-            raise EvalError(f"'{op}' cannot compare {a!r} and {b!r}")
+            raise EvalError(f"'{op}' cannot compare {_show(a)} and {_show(b)}")
 
 
 def _int_pair(v: Value) -> tuple[int, int] | None:

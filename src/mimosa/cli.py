@@ -11,6 +11,7 @@ from dataclasses import replace
 from typing import Callable, TypeVar
 
 from .analysis import check_program
+from .ast import Program
 from .errors import Diagnostic, MimosaError, SimError, Span, read_text, render_diagnostics
 from .parser import parse_duration, parse_literal, parse_program
 from .pretty import format_duration, pretty_program
@@ -87,19 +88,27 @@ def _option_value(option: str, text: str, parse: Callable[[], _T]) -> _T:
         ) from None
 
 
-def _registry_from_stubs(stubs: list[str]) -> HostRegistry:
+def _registry_from_stubs(stubs: list[str], program: Program) -> HostRegistry:
+    """The builtin hosts, and a binding for each stub, which must name a
+    prototype step of `program`."""
+    prototype = {step.name: step.is_prototype for step in program.steps}
     registry = builtin_hosts()
     for stub in stubs:
         name, sep, spec = stub.partition("=")
         if not sep or not name or not spec:
             raise MimosaError([Diagnostic(f"expected STEP=SPEC, got {stub!r}", argument="--stub")])
         if spec == "builtin:print":
-            registry.bind(name, print_host())
+            factory = print_host()
         elif spec.startswith("const:"):
             value = _option_value("--stub", stub, lambda: parse_literal(spec[len("const:") :]))
-            registry.bind(name, const_seq(value))
+            factory = const_seq(value)
         else:
-            registry.bind(name, from_file(spec))
+            factory = from_file(spec)
+        if not prototype.get(name):
+            why = "has a body" if name in prototype else "is not a step of the program"
+            message = f"in {stub!r}, step '{name}' {why}; only a prototype step takes a stub"
+            raise MimosaError([Diagnostic(message, argument="--stub")])
+        registry.bind(name, factory)
     return registry
 
 
@@ -118,7 +127,7 @@ def _cmd_run(args) -> int:
         horizon = _option_value("--for", args.horizon, lambda: parse_duration(args.horizon))
         program = parse_program(read_text(args.file), file=args.file)
         checked = check_program(program, file=args.file)
-        registry = _registry_from_stubs(args.stub)
+        registry = _registry_from_stubs(args.stub, program)
         cfg = SimConfig(
             horizon_us=horizon,
             seed=args.seed,

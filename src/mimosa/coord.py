@@ -5,6 +5,11 @@ A channel's validity time is the earliest tag any future write may carry, so
 a node can decide emptiness "up to its own activation time" locally. Both
 rewriting rules advance the acting node by one period and push its output
 channels' validity to activation + 2 * period.
+
+`init_network` resolves names once: each node gets its ports as (channel,
+optional) pairs, and each channel its writer's state. The rules and the
+invariant check after each rule read these, and keep the last validity the
+check saw on the channel itself, so a step does no lookup by name.
 """
 
 from __future__ import annotations
@@ -42,16 +47,18 @@ ABSENT = "absent"
 UNDECIDED = "undecided"
 
 
-@dataclass
+@dataclass(slots=True)
 class Channel:
     name: str
     writer: str
     reader: str
     queue: deque  # of (value, tag_us), oldest first
     validity: int
+    writer_node: NodeState | None = field(default=None, repr=False, compare=False)  # set by init_network
+    last_validity: int = 0  # as the last invariant check saw it
 
 
-@dataclass
+@dataclass(slots=True)
 class NodeState:
     name: str
     period_us: int
@@ -60,6 +67,9 @@ class NodeState:
     inputs: tuple[PortRef, ...]
     outputs: tuple[PortRef, ...]
     span: Span  # of the node's declaration
+    # The ports resolved by init_network: (channel, optional) pairs.
+    in_ports: tuple[tuple[Channel, bool], ...] = field(repr=False, compare=False)
+    out_ports: tuple[tuple[Channel, bool], ...] = field(repr=False, compare=False)
 
 
 @dataclass(slots=True)
@@ -85,14 +95,6 @@ class NetworkState:
     env: Env
     trace: list[TraceEvent] = field(default_factory=list)
     steps: list[StepRecord] = field(default_factory=list)
-    _last_validity: dict[str, int] = field(default_factory=dict)
-    _node_channels: dict[str, tuple[Channel, ...]] = field(init=False)
-
-    def __post_init__(self):
-        self._node_channels = {
-            name: tuple(self.channels[port.channel] for port in node.inputs + node.outputs)
-            for name, node in self.nodes.items()
-        }
 
     def check_invariants(self, node: str | None = None) -> None:
         """Check every channel, or only the input and output channels of
@@ -101,25 +103,27 @@ class NetworkState:
         order follows from the other checks: `_write` rejects a tag below the
         validity, which is at least every queued tag, and `popleft` keeps it."""
         if node is None:
-            channels = self.channels.values()
-            for ch in channels:
+            ports = [(ch, False) for ch in self.channels.values()]
+            for ch, _ in ports:
                 tags = [tag for _, tag in ch.queue]
                 if any(a > b for a, b in zip(tags, tags[1:])):
                     raise InternalError(f"channel '{ch.name}' queue is not tag-sorted: {tags}")
         else:
-            channels = self._node_channels[node]
-        for ch in channels:
-            if ch.queue and ch.queue[-1][1] > ch.validity:
+            acting = self.nodes[node]
+            ports = acting.in_ports + acting.out_ports
+        for ch, _ in ports:
+            validity = ch.validity
+            if ch.queue and ch.queue[-1][1] > validity:
                 raise InternalError(
-                    f"channel '{ch.name}' holds a tag beyond its validity ({ch.queue[-1][1]} > {ch.validity})"
+                    f"channel '{ch.name}' holds a tag beyond its validity ({ch.queue[-1][1]} > {validity})"
                 )
-            if ch.validity < self._last_validity.get(ch.name, 0):
+            if validity < ch.last_validity:
                 raise InternalError(f"channel '{ch.name}' validity moved backwards")
-            self._last_validity[ch.name] = ch.validity
-            writer = self.nodes[ch.writer]
-            if ch.validity != writer.activation + writer.period_us:
+            ch.last_validity = validity
+            writer = ch.writer_node
+            if validity != writer.activation + writer.period_us:
                 raise InternalError(
-                    f"channel '{ch.name}' validity {ch.validity} is not its writer's next write time"
+                    f"channel '{ch.name}' validity {validity} is not its writer's next write time"
                 )
 
 
@@ -140,19 +144,6 @@ def init_network(cp: CheckedProgram, hosts: Mapping[str, Value] | None = None) -
                 step.in_pattern, step.out_pattern, cp.ordered_equations[step.name]
             )
 
-    nodes = {
-        node.name: NodeState(
-            name=node.name,
-            period_us=node.period_us,
-            activation=0,
-            expr=Var(node.step),
-            inputs=node.inputs,
-            outputs=node.outputs,
-            span=node.span,
-        )
-        for node in program.nodes
-    }
-
     channels: dict[str, Channel] = {}
     for ch in program.channels:
         writer = cp.channel_writer.get(ch.name)
@@ -161,13 +152,24 @@ def init_network(cp: CheckedProgram, hosts: Mapping[str, Value] | None = None) -
             raise SimError(
                 [Diagnostic(f"channel '{ch.name}' is not fully wired; simulation needs a complete network")]
             )
-        channels[ch.name] = Channel(
-            name=ch.name,
-            writer=writer,
-            reader=reader,
-            queue=deque((value, 0) for value in ch.initial),
-            validity=nodes[writer].period_us,
+        channels[ch.name] = Channel(ch.name, writer, reader, deque((value, 0) for value in ch.initial), 0)
+
+    nodes: dict[str, NodeState] = {}
+    for decl in program.nodes:
+        node = nodes[decl.name] = NodeState(
+            decl.name,
+            decl.period_us,
+            0,
+            Var(decl.step),
+            decl.inputs,
+            decl.outputs,
+            decl.span,
+            tuple([(channels[port.channel], port.optional) for port in decl.inputs]),
+            tuple([(channels[port.channel], port.optional) for port in decl.outputs]),
         )
+        for ch, _ in node.out_ports:
+            ch.writer_node = node
+            ch.validity = node.period_us
 
     state = NetworkState(nodes=nodes, channels=channels, env=env_bindings)
     state.check_invariants()
@@ -196,14 +198,17 @@ def port_status(ch: Channel, t: int) -> str:
 def node_enabled(ns: NetworkState, name: str) -> str:
     """FIRE when every mandatory input is available and no input is
     undecided, IDLE when none is undecided but a mandatory one is absent,
-    BLOCKED otherwise."""
+    BLOCKED otherwise. Each port is decided as `port_status` does."""
     node = ns.nodes[name]
+    t = node.activation
     decision = FIRE
-    for port in node.inputs:
-        status = port_status(ns.channels[port.channel], node.activation)
-        if status == UNDECIDED:
+    for ch, optional in node.in_ports:
+        if ch.queue:
+            if ch.queue[0][1] > t and not optional:
+                decision = IDLE
+        elif ch.validity <= t:
             return BLOCKED
-        if status == ABSENT and not port.optional:
+        elif not optional:
             decision = IDLE
     return decision
 
@@ -212,13 +217,12 @@ def fire_node(ns: NetworkState, name: str) -> None:
     node = ns.nodes[name]
     t = node.activation
     args: list[Value] = []
-    for port in node.inputs:
-        ch = ns.channels[port.channel]
-        status = port_status(ch, t)
-        if status == AVAILABLE:
-            value = ch.queue.popleft()[0]
-            args.append(VSome(value) if port.optional else value)
-        elif status == ABSENT and port.optional:
+    for ch, optional in node.in_ports:
+        queue = ch.queue
+        if queue and queue[0][1] <= t:
+            value = queue.popleft()[0]
+            args.append(VSome(value) if optional else value)
+        elif optional and (queue or ch.validity > t):
             args.append(VNone())
         else:
             raise InternalError(f"fire_node('{name}') called while not enabled")
@@ -229,7 +233,7 @@ def fire_node(ns: NetworkState, name: str) -> None:
     else:
         argument = VTuple(tuple(args))
 
-    ctx = EvalContext(host=HostContext(time_us=t, node=name))
+    ctx = EvalContext(HostContext(t, name))
     try:
         result = eval_expr(ns.env, Apply(node.expr, Const(argument)), ctx)
     except EvalError as exc:
@@ -246,27 +250,32 @@ def fire_node(ns: NetworkState, name: str) -> None:
     node.expr = result.next.fn
 
     tag = t + node.period_us
-    for port, component in zip(node.outputs, _split_outputs(result.value, node, t)):
-        ch = ns.channels[port.channel]
-        if port.optional:
-            match component:
-                case VSome(payload):
-                    _write(ns, ch, payload, tag, name)
-                case VNone():
-                    pass
-                case _:
-                    raise SimError(
-                        [
-                            Diagnostic(
-                                f"node '{name}': optional output '{port.channel}' produced "
-                                f"non-option value {pretty_value(component)}",
-                                node.span,
-                            )
-                        ]
-                    )
-        else:
-            _write(ns, ch, component, tag, name)
-        ch.validity = t + 2 * node.period_us
+    outs = node.out_ports
+    if len(outs) == 1 and not outs[0][1]:
+        ch = outs[0][0]
+        _write(ns, ch, result.value, tag, name)
+        ch.validity = tag + node.period_us
+    else:
+        for (ch, optional), component in zip(outs, _split_outputs(result.value, node, t)):
+            if optional:
+                match component:
+                    case VSome(payload):
+                        _write(ns, ch, payload, tag, name)
+                    case VNone():
+                        pass
+                    case _:
+                        raise SimError(
+                            [
+                                Diagnostic(
+                                    f"node '{name}': optional output '{ch.name}' produced "
+                                    f"non-option value {pretty_value(component)}",
+                                    node.span,
+                                )
+                            ]
+                        )
+            else:
+                _write(ns, ch, component, tag, name)
+            ch.validity = tag + node.period_us
     node.activation = tag
     ns.steps.append(StepRecord(FIRE, name, t))
     ns.check_invariants(name)
@@ -322,8 +331,8 @@ def _write(ns: NetworkState, ch: Channel, value: Value, tag: int, node: str) -> 
 def idle_node(ns: NetworkState, name: str) -> None:
     node = ns.nodes[name]
     t = node.activation
-    for port in node.outputs:
-        ns.channels[port.channel].validity = t + 2 * node.period_us
+    for ch, _ in node.out_ports:
+        ch.validity = t + 2 * node.period_us
     node.activation = t + node.period_us
     ns.steps.append(StepRecord(IDLE, name, t))
     ns.check_invariants(name)

@@ -66,6 +66,7 @@ from .ast import (
     Value,
 )
 from .errors import EvalError, InternalError, Span, UndefEscape
+from .pretty import pretty_value
 
 Env = dict[str, Value]
 
@@ -95,10 +96,10 @@ def _update_into(env: Env, p: Pattern, v: Value) -> None:
             pass
         case PUnit():
             if v != UNIT_VALUE:
-                raise EvalError(f"expected the unit value for pattern (), got {v!r}")
+                raise EvalError(f"expected the unit value for pattern (), got {pretty_value(v)}")
         case PTuple(items):
             if not isinstance(v, VTuple) or len(v.items) != len(items):
-                raise EvalError(f"value {v!r} does not match tuple pattern of arity {len(items)}")
+                raise EvalError(f"value {pretty_value(v)} does not match tuple pattern of arity {len(items)}")
             for sub, item in zip(items, v.items):
                 _update_into(env, sub, item)
         case _:
@@ -139,7 +140,7 @@ _Deferred = list[tuple[Arrow, Expr]]
 
 def _eval(env: Env, e: Expr, ctx: EvalContext, deferred: _Deferred | None) -> tuple[Value, Expr]:
     """`eval_expr` as a (value, next expression) pair."""
-    # The hot productions first: names, literals, and builtin or host calls.
+    # The hot productions first: names, literals, and applications.
     kind = type(e)
     if kind is Var:
         try:
@@ -148,12 +149,27 @@ def _eval(env: Env, e: Expr, ctx: EvalContext, deferred: _Deferred | None) -> tu
             raise _unbound(e) from None
     if kind is Const:
         return e.value, e
-    if kind is Apply and type(e.fn) is Var:
-        # An unbound name falls through to the general case, which reports it.
-        f = env.get(e.fn.name)
+    if kind is Apply:
+        # A named or literal function is read in place; an unbound name, which
+        # _eval reports, or any other expression is evaluated.
+        fn = e.fn
+        f = env.get(fn.name) if type(fn) is Var else fn.value if type(fn) is Const else None
+        fn_next = fn
+        if f is None:
+            f, fn_next = _eval(env, fn, ctx, deferred)
+        arg, arg_next = _eval(env, e.arg, ctx, deferred)
         if type(f) is VExtern:
-            arg, arg_next = _eval(env, e.arg, ctx, deferred)
-            return f.fn(arg, ctx.host), e if arg_next is e.arg else Apply(e.fn, arg_next, span=e.span)
+            same = fn_next is fn and arg_next is e.arg
+            return f.fn(arg, ctx.host), e if same else Apply(fn_next, arg_next, span=e.span)
+        if type(f) is VClosure:
+            # A call of a step, and every firing of a bodied node.
+            inner = dict(env)
+            _update_into(inner, f.in_pattern, arg)
+            callee = VClosure(f.in_pattern, f.out_pattern, _run_equations(inner, f.equations, ctx))
+            return project(inner, f.out_pattern), Apply(Const(callee), arg_next, span=e.span)
+        if type(f) is VUndef:
+            raise UndefEscape(_escape("applied expression", e.span))
+        raise EvalError(f"application of a non-function value {pretty_value(f)}")
     match e:
         case Tuple(items):
             # A loop, not a comprehension, so each level is one interpreter frame.
@@ -204,22 +220,6 @@ def _eval(env: Env, e: Expr, ctx: EvalContext, deferred: _Deferred | None) -> tu
                     raise UndefEscape(_escape("either scrutinee", e.span))
                 case other:
                     raise InternalError(f"either scrutinee evaluated to non-option {other!r}")
-        case Apply(fn, arg):
-            f, fn_next = _eval(env, fn, ctx, deferred)
-            a, arg_next = _eval(env, arg, ctx, deferred)
-            match f:
-                case VClosure(in_pattern, out_pattern, equations):
-                    inner = dict(env)
-                    _update_into(inner, in_pattern, a)
-                    callee = VClosure(in_pattern, out_pattern, _run_equations(inner, equations, ctx))
-                    return project(inner, out_pattern), Apply(Const(callee), arg_next, span=e.span)
-                case VExtern():
-                    same = fn_next is fn and arg_next is arg
-                    return f.fn(a, ctx.host), e if same else Apply(fn_next, arg_next, span=e.span)
-                case VUndef():
-                    raise UndefEscape(_escape("applied expression", e.span))
-                case other:
-                    raise EvalError(f"application of a non-function value {other!r}")
         case _:
             raise InternalError(f"eval: unknown expression {e!r}")
 

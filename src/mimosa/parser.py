@@ -262,10 +262,19 @@ class Parser:
         """Skip to the next top-level declaration keyword after the one that
         failed at token `start`. The failing token itself is skipped only if
         nothing past `start` was read, so parsing always progresses, and a
-        declaration right after the last token read is still parsed."""
+        declaration right after the last token read is still parsed. Inside a
+        `{` that the failing declaration left open, a keyword is a misplaced
+        word of the body, unless it starts a line."""
         if self.pos == start:
             self.advance()
-        while not self.at_kind("eof") and not (self.at("step") or self.at("channel") or self.at("node")):
+        depth = sum((t.text == "{") - (t.text == "}") for t in self.tokens[start : self.pos])
+        while not self.at_kind("eof"):
+            t = self.peek()
+            if t.text in ("step", "channel", "node") and (
+                depth <= 0 or self.tokens[self.pos - 1].span.end_line < t.span.line
+            ):
+                return
+            depth += (t.text == "{") - (t.text == "}")
             self.advance()
 
     def check_duplicates(self, steps, channels, nodes):

@@ -5,11 +5,16 @@ horizon) in schedule order that is not BLOCKED. The deterministic order is by
 activation, ties in declaration order, so same-instant host side effects
 happen in declaration order: a heap keyed on (activation, declaration index).
 Its first candidate is never BLOCKED: an input's validity is its writer's
-activation plus period, and no writer is behind the earliest activation. The
-randomized order is a lazy Fisher-Yates shuffle of a live-candidate list, so
-the chosen node is uniform among the enabled ones; it exercises confluence:
-any schedule must produce the same per-channel timed history. The heap and the
-list are built anew by each `run_until` call, so the state may change between.
+activation plus period, and no writer is behind the earliest activation. So a
+deterministic step decides the head in place and then does one heap operation:
+it replaces the head with the node's next activation, or pops it once that is
+past the horizon. Should a broken rule leave the head BLOCKED, the driver pops
+it, sets it aside and tries the next, as if popping until a node is decidable,
+and pushes what it set aside back after the next rule. The randomized order is
+a lazy Fisher-Yates shuffle of a live-candidate list, so the chosen node is
+uniform among the enabled ones; it exercises confluence: any schedule must
+produce the same per-channel timed history. The heap and the list are built
+anew by each `run_until` call, so the state may change between.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import random
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from heapq import heapify, heappop, heappush
+from heapq import heapify, heappop, heappush, heapreplace
 from typing import Callable, Iterator, Sequence, TextIO
 
 from .analysis import CheckedProgram
@@ -201,6 +206,7 @@ class Simulation:
         live = [(n.activation, i, n) for i, n in enumerate(state.nodes.values()) if n.activation <= horizon_us]
         if not randomized:
             heapify(live)
+        blocked = []  # heap entries set aside while the heap's head is BLOCKED
         while live:
             if randomized:
                 for k in range(len(live)):
@@ -209,23 +215,26 @@ class Simulation:
                     if (decision := node_enabled(state, live[k][2].name)) != BLOCKED:
                         break
                 else:
-                    raise _livelock(state, [node for _, _, node in live])
+                    raise _livelock([node for _, _, node in live])
                 _, index, node = live[k]
             else:
-                popped = [heappop(live)]
-                while (decision := node_enabled(state, popped[-1][2].name)) == BLOCKED:
+                _, index, node = live[0]
+                if (decision := node_enabled(state, node.name)) == BLOCKED:
+                    blocked.append(heappop(live))
                     if not live:
-                        raise _livelock(state, [node for _, _, node in popped])
-                    popped.append(heappop(live))
-                _, index, node = popped.pop()
-                for entry in popped:
-                    heappush(live, entry)
+                        raise _livelock([node for _, _, node in blocked])
+                    continue
             (fire_node if decision == FIRE else idle_node)(state, node.name)
             if randomized and node.activation > horizon_us:
                 live[k] = live[-1]
                 live.pop()
-            elif not randomized and node.activation <= horizon_us:
-                heappush(live, (node.activation, index, node))
+            elif not randomized:
+                if node.activation <= horizon_us:
+                    heapreplace(live, (node.activation, index, node))
+                else:
+                    heappop(live)
+                while blocked:
+                    heappush(live, blocked.pop())
 
     def trace(self) -> Trace:
         """The timed history observed so far: writes tagged at or before the
@@ -256,11 +265,11 @@ def _per_node_host(step: str, registry: HostRegistry) -> VExtern:
     return VExtern(step, call)
 
 
-def _livelock(state: NetworkState, stuck: list[NodeState]) -> SimError:
+def _livelock(stuck: list[NodeState]) -> SimError:
     """Every candidate is blocked: name the inputs each one waits on, then list all of them."""
     waits = []
     for node in sorted(stuck, key=lambda n: n.name):
-        inputs = [state.channels[port.channel] for port in node.inputs]
+        inputs = [ch for ch, _ in node.in_ports]
         status = {ch.name: port_status(ch, node.activation) for ch in inputs}
         undecided = ", ".join(
             f"'{ch.name}' (validity {format_duration(ch.validity)})"

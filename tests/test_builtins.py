@@ -129,3 +129,24 @@ def test_builtins_match_the_checked_reference(op, seed):
         v = gen_argument(rng)
         assert outcome(fast, v) == outcome(REFERENCE[op], v), v
 
+
+
+# An ill-typed operand, as a host can pass one, is named in Mimosa notation.
+ILL_TYPED = {
+    "_int": (lambda: _int(VConst(True), "+"), "'+' expects integer operands, got true"),
+    "_bool": (lambda: _bool(VConst(3), "!"), "'!' expects boolean operands, got 3"),
+    "_pair": (lambda: _pair(VSome(VConst(1)), "-"), "'-' expects a pair of operands, got Some 1"),
+    "structural_eq": (lambda: structural_eq(VConst(1), VNone()), "'==' cannot compare 1 and None"),
+    "structural_cmp": (
+        lambda: structural_cmp(VTuple((VConst(1), VConst(False))), VConst(-3), "<"),
+        "'<' cannot compare (1, false) and -3",
+    ),
+}
+
+
+@pytest.mark.parametrize("function", ILL_TYPED)
+def test_ill_typed_operands_print_in_mimosa_notation(function):
+    call, message = ILL_TYPED[function]
+    with pytest.raises(MimosaError) as info:
+        call()
+    assert info.value.diagnostics[0].message == message

@@ -264,6 +264,27 @@ class TestRun:
         assert main(["run", str(program), "--for", "100ms"]) == 1
         assert "unbound prototype" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "stub, why",
+        [
+            ("nosuch=builtin:print", "step 'nosuch' is not a step of the program"),
+            ("add=const:1", "step 'add' has a body"),
+        ],
+    )
+    def test_stub_for_a_step_that_is_not_a_prototype(self, fib_file, capsys, stub, why):
+        assert main(["run", fib_file, "--for", "10ms", "--stub", stub]) == 1
+        message = f"in {stub!r}, {why}; only a prototype step takes a stub"
+        assert capsys.readouterr() == ("", f"argument --stub: error: {message}\n")
+        assert main(["run", fib_file, "--for", "10ms", "--stub", stub, "--diag-format", "json"]) == 1
+        assert json.loads(capsys.readouterr().err) == [{"argument": "--stub", "severity": "error", "message": message}]
+
+    def test_ill_typed_stub_value_prints_in_mimosa_notation(self, tmp_path, capsys):
+        program = tmp_path / "edge.mim"
+        program.write_text(EDGE_NETWORK)
+        assert main(["run", str(program), "--for", "600ms", "--stub", "pin=const:3", "--stub", "watch=builtin:print"]) == 1
+        err = capsys.readouterr().err
+        assert err.endswith("error: node 'edge' failed at 100ms: '!' expects boolean operands, got 3\n"), err
+
     def test_bad_stub_spec(self, fib_file, capsys):
         assert main(["run", fib_file, "--for", "10ms", "--stub", "oops"]) == 1
         assert "--stub" in capsys.readouterr().err

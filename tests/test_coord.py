@@ -1,3 +1,4 @@
+import random
 from collections import deque
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from conftest import quiet_fib_hosts, silent
 from mimosa import HostRegistry, SimConfig, Simulation, check_program, parse_program
 from mimosa import coord
-from mimosa.ast import UNIT_VALUE, VConst, VExtern, VUndef
+from mimosa.ast import UNIT_VALUE, VConst, VExtern, VNone, VSome, VTuple, VUndef
 from mimosa.coord import (
     ABSENT,
     AVAILABLE,
@@ -229,6 +230,112 @@ step g (v : int) --> (w : int) { w = v }
         with pytest.raises(SimError, match=message) as info:
             fire_node(ns, "n")
         assert info.value.diagnostics[0].span == cp.program.node("n").span != SYNTHETIC
+
+
+def reference_decision(ns, name):
+    """The enabling rule from `port_status`, one port at a time."""
+    node = ns.nodes[name]
+    statuses = [(port_status(ns.channels[p.channel], node.activation), p.optional) for p in node.inputs]
+    if any(status == UNDECIDED for status, _ in statuses):
+        return BLOCKED
+    if any(status == ABSENT and not optional for status, optional in statuses):
+        return IDLE
+    return FIRE
+
+
+def reference_firing(ns, name):
+    """The argument a firing of `name` passes to its step, and the queues it
+    leaves, from `port_status`."""
+    node = ns.nodes[name]
+    args, queues = [], []
+    for port in node.inputs:
+        queue = list(ns.channels[port.channel].queue)
+        if port_status(ns.channels[port.channel], node.activation) == AVAILABLE:
+            value, queue = queue[0][0], queue[1:]
+            args.append(VSome(value) if port.optional else value)
+        else:
+            args.append(VNone())
+        queues.append(queue)
+    argument = UNIT_VALUE if not args else args[0] if len(args) == 1 else VTuple(tuple(args))
+    return argument, queues
+
+
+class TestResolvedPorts:
+    """`node_enabled` and `fire_node` decide ports inline, through the ports
+    `init_network` resolved; `port_status` is their reference."""
+
+    T = 20 * MS
+
+    def random_network(self, rng):
+        """A reader `n` at activation T with up to three ports, mandatory or
+        optional, each fed by its own writer every 5ms. Each channel's validity
+        is below, at or above T, and its queue holds tags below, at or above
+        T up to that validity, so every channel invariant holds."""
+        optional = [rng.random() < 0.5 for _ in range(rng.randrange(4))]
+        params = ", ".join(f"p{i} : int{'?' if opt else ''}" for i, opt in enumerate(optional))
+        ports = ", ".join(f"c{i}{'?' if opt else ''}" for i, opt in enumerate(optional))
+        src = "\n".join(
+            ["step w () --> (v : int)", f"step h ({params}) --> ()"]
+            + [f"channel c{i} : int" for i in range(len(optional))]
+            + [f"node w{i} implements w () --> (c{i}) every 5ms" for i in range(len(optional))]
+            + [f"node n implements h ({ports}) --> () every 10ms"]
+        )
+        seen = []
+        hosts = {
+            "w": VExtern("w", lambda _v, _ctx: VConst(0)),
+            "h": VExtern("h", lambda v, _ctx: seen.append(v) or UNIT_VALUE),
+        }
+        ns = init_network(check_program(parse_program(src)), hosts)
+        ns.nodes["n"].activation = self.T
+        for i in range(len(optional)):
+            ch = ns.channels[f"c{i}"]
+            ch.validity = self.T + rng.choice((-5, 0, 5)) * MS
+            ns.nodes[f"w{i}"].activation = ch.validity - 5 * MS
+            tags = sorted(self.T + rng.choice((-5, 0, 5)) * MS for _ in range(rng.randrange(3)))
+            ch.queue = deque((VConst(k), tag) for k, tag in enumerate(tags) if tag <= ch.validity)
+        return ns, seen
+
+    @pytest.mark.parametrize("seed", range(300))
+    def test_decisions_and_firings_match_port_status(self, seed):
+        ns, seen = self.random_network(random.Random(seed))
+        decision = reference_decision(ns, "n")
+        assert node_enabled(ns, "n") == decision
+        if decision != FIRE:
+            with pytest.raises(InternalError, match=r"fire_node\('n'\) called while not enabled"):
+                fire_node(ns, "n")
+            return
+        argument, queues = reference_firing(ns, "n")
+        fire_node(ns, "n")
+        assert seen == [argument]
+        assert [list(ch.queue) for ch, _ in ns.nodes["n"].in_ports] == queues
+
+    def test_the_random_states_cover_every_case(self):
+        cases = set()
+        for seed in range(300):
+            ns, _ = self.random_network(random.Random(seed))
+            node = ns.nodes["n"]
+            cases.add(reference_decision(ns, "n"))
+            for port in node.inputs:
+                cases.add((port.optional, port_status(ns.channels[port.channel], self.T)))
+        assert cases == {FIRE, IDLE, BLOCKED} | {
+            (optional, status) for optional in (False, True) for status in (AVAILABLE, ABSENT, UNDECIDED)
+        }
+
+    def test_ports_and_writers_are_resolved_once(self, fib_checked):
+        ns = init_network(fib_checked)
+        for node in ns.nodes.values():
+            assert [(ch.name, optional) for ch, optional in node.in_ports] == [
+                (p.channel, p.optional) for p in node.inputs
+            ]
+            assert [ch for ch, _ in node.out_ports] == [ns.channels[p.channel] for p in node.outputs]
+        for ch in ns.channels.values():
+            assert ch.writer_node is ns.nodes[ch.writer]
+            assert ch.last_validity == ch.validity
+
+    def test_channel_built_with_a_writer_name_only(self):
+        ch = channel([(VConst(1), 0)], validity=10 * MS)
+        assert (ch.writer, ch.writer_node, ch.last_validity) == ("w", None, 0)
+        assert "writer_node" not in repr(ch)
 
 
 class TestInvariants:

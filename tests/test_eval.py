@@ -111,6 +111,15 @@ class TestUpdate:
         with pytest.raises(EvalError):
             _update_into(Env(), PTuple((PVar("a"), PVar("b"))), VConst(1))
 
+    # Ill-typed values, as a host can return them, are named in Mimosa notation.
+    def test_shape_mismatch_message(self):
+        with pytest.raises(EvalError, match=r"^value Some 1 does not match tuple pattern of arity 2$"):
+            _update_into(Env(), PTuple((PVar("a"), PVar("b"))), VSome(VConst(1)))
+
+    def test_unit_mismatch(self):
+        with pytest.raises(EvalError, match=r"^expected the unit value for pattern \(\), got \(1, true\)$"):
+            _update_into(Env(), PUnit(), VTuple((VConst(1), VConst(True))))
+
 
 @st.composite
 def pattern_with_value(draw, depth=2):
@@ -236,6 +245,20 @@ class TestRules:
         with pytest.raises(EvalError, match="non-function"):
             eval_expr(env_of(f=1), parse_expression("f 2"))
 
+    # The function position as a name, as a literal and as any other expression.
+    FUNCTIONS = {"name": Var("f"), "literal": Const(VTuple((VConst(1), VConst(True)))), "if": "if true then f else f"}
+
+    @pytest.mark.parametrize("form", FUNCTIONS)
+    def test_apply_non_function_prints_the_value(self, form):
+        fn = self.FUNCTIONS[form]
+        e = Apply(parse_expression(fn) if isinstance(fn, str) else fn, Const(VConst(2)))
+        with pytest.raises(EvalError, match=r"^application of a non-function value \(1, true\)$"):
+            eval_expr(env_of(f=VTuple((VConst(1), VConst(True)))), e)
+
+    def test_apply_undefined_literal_aborts(self):
+        with pytest.raises(UndefEscape, match="applied expression"):
+            eval_expr(Env(), Apply(Const(VUndef()), Const(VConst(2))))
+
     def test_builtin_application(self):
         r = eval_expr(env_of(x=1, y=2), parse_expression("x + y"))
         assert r.value == VConst(3)
@@ -255,6 +278,18 @@ class TestRules:
         r = eval_expr(env, parse_expression("double x"))
         assert r.value == VConst(42)
         assert r.next == Apply(Const(double), Var("x"))
+
+    @pytest.mark.parametrize("form", ["double x", "(if true then double else double) x"])
+    def test_closure_literal_application_matches_the_named_call(self, form):
+        # A step called through its closure literal, as after its first call,
+        # gives what a call by name or through any other expression gives.
+        double = VClosure(PVar("a"), PVar("z"), (Equation(PVar("z"), parse_expression("0 -> pre (a + a)")),))
+        env = BUILTIN_VALUES | {"double": double, "x": VConst(21)}
+        r = eval_expr(env, parse_expression(form))
+        assert r.value == VConst(0) and type(r.next.fn) is Const
+        again = eval_expr(env | {"x": VConst(5)}, r.next)
+        assert again.value == VConst(42) and type(again.next.fn) is Const
+        assert again.next.fn.value.equations == (Equation(PVar("z"), parse_expression("10 -> pre (a + a)")),)
 
     def test_called_step_holds_its_rewritten_equations(self):
         mem = VClosure(PVar("mv"), PVar("mw"), (Equation(PVar("mw"), parse_expression("0 -> pre mv")),))

@@ -369,6 +369,27 @@ class TestErrors:
             ("expected a type, found 'end of input'", 4),
         ]
 
+    # A keyword inside the body a failing step left open is a misplaced word,
+    # unless it starts a line: then it begins the next declaration.
+    RECOVERY_IN_BODY = {
+        "keyword as an expression": ("step f () --> (y : int) { y = node }", [("expected an expression, found 'node'", 1)]),
+        "missing close brace": (
+            "step f (x : int) --> (y : int) {\n    y = x\nnode n implements f (a) --> (b) every 0ms\n",
+            [("expected '}', found 'node'", 3), ("periods must be positive", 3)],
+        ),
+        "keyword mid-line, then one starting a line": (
+            "step f () --> (y : int) { y = 1 + step;\n  z = 2 }\n  channel c :\n",
+            [("expected an expression, found 'step'", 1), ("expected a type, found 'end of input'", 4)],
+        ),
+    }
+
+    @pytest.mark.parametrize("case", RECOVERY_IN_BODY)
+    def test_recovery_inside_an_open_body(self, case):
+        src, expected = self.RECOVERY_IN_BODY[case]
+        with pytest.raises(ParseError) as err:
+            parse_program(src)
+        assert [(d.message, d.span.line) for d in err.value.diagnostics] == expected
+
     @pytest.mark.parametrize("src", ["step", "step step", "node node channel", "channel step node", "foo step"])
     def test_recovery_at_a_declaration_keyword_terminates(self, src):
         with pytest.raises(ParseError) as err:

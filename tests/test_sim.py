@@ -1,5 +1,6 @@
 import io
 import re
+from heapq import heapify, heappop, heappush
 
 import pytest
 
@@ -14,9 +15,9 @@ from mimosa import (
     run_randomized_equivalence,
 )
 from mimosa.ast import UNIT_VALUE, VConst
-from mimosa.coord import NetworkState, StepRecord, idle_node, node_enabled
+from mimosa.coord import BLOCKED, FIRE, NetworkState, StepRecord, fire_node, idle_node, node_enabled
 from mimosa.errors import ParseError, SimError
-from mimosa.sim import builtin_hosts, const_seq, from_values, parse_literal, print_host
+from mimosa.sim import _livelock, builtin_hosts, const_seq, from_values, parse_literal, print_host
 
 MS = 1_000
 FIB = [0, 1, 1, 2, 3, 5, 8, 13, 21, 34, 55]
@@ -193,6 +194,91 @@ node n4 implements k () --> (w) every 50ms
             "'n1' at 10ms waits on 'x' (validity 10ms) (inputs: 'x' undecided, 'z' available, 'w' absent)"
             in err.value.diagnostics[0].message
         )
+
+    # Decisions the patched rule reports as BLOCKED once, so that the heap's
+    # head is BLOCKED and a later node acts first.
+    SPURIOUS = {("split", 10 * MS), ("add", 20 * MS), ("print", 20 * MS), ("add", 40 * MS)}
+
+    def logged_rules(self, patch, log, spurious):
+        def decide(ns, name):
+            key = (name, ns.nodes[name].activation)
+            decision = BLOCKED if key in spurious else node_enabled(ns, name)
+            spurious.discard(key)
+            log.append(("decide", *key, decision))
+            return decision
+
+        def act(rule):
+            def apply(ns, name):
+                log.append((rule.__name__, name, ns.nodes[name].activation))
+                rule(ns, name)
+
+            return apply
+
+        patch.setattr("mimosa.sim.node_enabled", decide)
+        patch.setattr("mimosa.sim.fire_node", act(fire_node))
+        patch.setattr("mimosa.sim.idle_node", act(idle_node))
+        return decide
+
+    @staticmethod
+    def reference_deterministic_run(sim, horizon_us, decide):
+        """The deterministic loop as it was before it decided the heap's head
+        in place: pop until a node is decidable, apply its rule, push back."""
+        from mimosa import sim as module
+
+        state = sim.state
+        sim._observed_horizon = horizon_us
+        live = [(n.activation, i, n) for i, n in enumerate(state.nodes.values()) if n.activation <= horizon_us]
+        heapify(live)
+        while live:
+            popped = [heappop(live)]
+            while (decision := decide(state, popped[-1][2].name)) == BLOCKED:
+                if not live:
+                    raise _livelock([node for _, _, node in popped])
+                popped.append(heappop(live))
+            _, index, node = popped.pop()
+            for entry in popped:
+                heappush(live, entry)
+            (module.fire_node if decision == FIRE else module.idle_node)(state, node.name)
+            if node.activation <= horizon_us:
+                heappush(live, (node.activation, index, node))
+
+    def test_blocked_head_falls_back_to_the_reference_order(self, fib_checked, monkeypatch):
+        horizon = 60 * MS
+        logs = []
+        for runner in ("run_until", "reference"):
+            log: list = []
+            with monkeypatch.context() as patch:
+                decide = self.logged_rules(patch, log, set(self.SPURIOUS))
+                sim = Simulation(fib_checked, SimConfig(horizon_us=horizon), quiet_fib_hosts())
+                if runner == "run_until":
+                    sim.run_until(horizon)
+                else:
+                    self.reference_deterministic_run(sim, horizon, decide)
+            logs.append((log, sim.trace().render_csv(include_idle=True)))
+        assert logs[0] == logs[1]
+        log = logs[0][0]
+        # Each spurious BLOCKED was met at the heap's head, and the next entry was decided next.
+        for name, t in self.SPURIOUS:
+            i = log.index(("decide", name, t, BLOCKED))
+            assert log[i + 1][0] == "decide" and log[i + 1][1:3] != (name, t)
+            # It is decided again, once, after that node's rule.
+            assert [entry[:3] for entry in log].count(("decide", name, t)) == 2
+
+    def test_livelock_text_matches_the_reference_loop(self, monkeypatch):
+        cp = check_program(parse_program(MUTUAL))
+        messages = []
+        for runner in ("run_until", "reference"):
+            with monkeypatch.context() as patch:
+                patch.setattr("mimosa.sim.idle_node", broken_idle)
+                sim = Simulation(cp, SimConfig(horizon_us=100 * MS), HostRegistry())
+                with pytest.raises(SimError) as err:
+                    if runner == "run_until":
+                        sim.run_until(100 * MS)
+                    else:
+                        self.reference_deterministic_run(sim, 100 * MS, node_enabled)
+            messages.append(err.value.diagnostics[0].message)
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("livelock (internal invariant): 'n1' at 10ms waits on 'x'")
 
     def test_mutually_idle_network_is_fine_with_correct_rules(self):
         cp = check_program(parse_program(MUTUAL))
