@@ -293,10 +293,12 @@ class VClosure(Value):
 @dataclass(slots=True, unsafe_hash=True)
 class VExtern(Value):
     """A builtin or externally provided (host) step, invoked once for every
-    application the evaluator reaches in a cycle."""
+    application the evaluator reaches in a cycle. An integer operator also
+    has `ints`, the same operation on two plain ints."""
 
     name: str
     fn: Callable = field(compare=False)
+    ints: Callable | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(slots=True, unsafe_hash=True)

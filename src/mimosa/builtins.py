@@ -3,9 +3,15 @@
 Builtins are named by their operator symbol, which no identifier can spell,
 so user steps can never shadow them (programs may freely define steps called
 `add` and the like).
+
+A builtin's `run` is its checked path, which reports undefined and ill-typed
+operands. The integer operators and orderings also carry a kernel
+(`VExtern.ints`): what the evaluator applies to two plain ints (not bools).
 """
 
 from __future__ import annotations
+
+import operator
 
 from .ast import VConst, VExtern, VNone, VSome, VTuple, VUndef, Value
 from .errors import EvalError, UndefEscape
@@ -96,38 +102,21 @@ def structural_cmp(a: Value, b: Value, op: str) -> int:
             raise EvalError(f"'{op}' cannot compare {_show(a)} and {_show(b)}")
 
 
-def _int_pair(v: Value) -> tuple[int, int] | None:
-    """The two operands of `v` if it is a pair of plain integer constants;
-    otherwise None, and the caller takes its checked path. Bools take that
-    path too: `type(x) is int` is false for them."""
-    if type(v) is VTuple and len(v.items) == 2:
-        a, b = v.items
-        if type(a) is VConst and type(b) is VConst and type(a.value) is int and type(b.value) is int:
-            return a.value, b.value
-    return None
-
-
 def _arith(op: str, fn) -> VExtern:
     def run(v, _ctx=None):
-        ints = _int_pair(v)
-        if ints is not None:
-            return VConst(fn(*ints))
         a, b = _pair(v, op)
         return VConst(fn(_int(a, op), _int(b, op)))
 
-    return VExtern(op, run)
+    return VExtern(op, run, fn)
 
 
-def _compare(op: str, accept) -> VExtern:
+def _compare(op: str, order) -> VExtern:
+    # `order(a, b)` on ints is `order(structural_cmp(a, b), 0)` on anything.
     def run(v, _ctx=None):
-        ints = _int_pair(v)
-        if ints is not None:
-            x, y = ints
-            return VConst(accept((x > y) - (x < y)))
         a, b = _pair(v, op)
-        return VConst(accept(structural_cmp(a, b, op)))
+        return VConst(order(structural_cmp(a, b, op), 0))
 
-    return VExtern(op, run)
+    return VExtern(op, run, order)
 
 
 def _logic(op: str, fn) -> VExtern:
@@ -173,14 +162,14 @@ BUILTIN_TYPES: dict[str, Scheme] = {
 }
 
 BUILTIN_VALUES: dict[str, VExtern] = {
-    "+": _arith("+", lambda a, b: a + b),
-    "-": _arith("-", lambda a, b: a - b),
-    "*": _arith("*", lambda a, b: a * b),
+    "+": _arith("+", operator.add),
+    "-": _arith("-", operator.sub),
+    "*": _arith("*", operator.mul),
     "/": _arith("/", _trunc_div),
-    "<": _compare("<", lambda c: c < 0),
-    "<=": _compare("<=", lambda c: c <= 0),
-    ">": _compare(">", lambda c: c > 0),
-    ">=": _compare(">=", lambda c: c >= 0),
+    "<": _compare("<", operator.lt),
+    "<=": _compare("<=", operator.le),
+    ">": _compare(">", operator.gt),
+    ">=": _compare(">=", operator.ge),
     "==": _eq("==", True),
     "!=": _eq("!=", False),
     "&&": _logic("&&", lambda a, b: a and b),

@@ -93,10 +93,15 @@ def _registry_from_stubs(stubs: list[str], program: Program) -> HostRegistry:
     prototype step of `program`."""
     prototype = {step.name: step.is_prototype for step in program.steps}
     registry = builtin_hosts()
+    specs: dict[str, str] = {}
     for stub in stubs:
         name, sep, spec = stub.partition("=")
         if not sep or not name or not spec:
             raise MimosaError([Diagnostic(f"expected STEP=SPEC, got {stub!r}", argument="--stub")])
+        if name in specs:
+            message = f"step '{name}' has two stubs, {specs[name]!r} and {spec!r}; give it one"
+            raise MimosaError([Diagnostic(message, argument="--stub")])
+        specs[name] = spec
         if spec == "builtin:print":
             factory = print_host()
         elif spec.startswith("const:"):

@@ -3,8 +3,7 @@
 Evaluating an expression yields both its current value and the expression to
 run on the next cycle; all stream state is carried by that rewriting, never by
 mutable cells. An environment is a plain dict from names to values, and one
-passed in by a caller is never mutated: a closure application copies the
-caller's, and an activation binds into its own copy.
+passed in by a caller is never mutated: each activation binds into its own.
 
 An equation list is one activation and evaluates in a single pass. Each
 right-hand side runs once, in causal order, under the activation's own
@@ -24,18 +23,23 @@ step rewrites the same way: `f a` rewrites to `c a'`, where the literal `c`
 holds the callee's closure value with its next equations, so the closure
 carries the call's state.
 
-Next expressions share structure with the expressions they came from: a
-`Tuple`, `Apply`, `If`, `Some` or `Either` whose evaluated children all come
-back as themselves (by identity) comes back as itself, and so does an
-equation whose right-hand side does. A settled `fby`, `->` or builtin call
-therefore allocates nothing. Sharing is sound because no node reachable from
-an earlier next expression is ever mutated: `_fill_pre` sets the fields of
-the placeholder `Arrow`s created by the current activation only.
+The hot path is direct: `_eval` dispatches on the node's class, hot ones
+first. An integer operator on a pair expression evaluates both operands in
+place, and two plain ints go to the builtin's kernel with no pair built;
+other operands take its checked `run`. A node firing or step call starts its
+activation from the globals, not the caller's locals, which no checked body
+can read (a local may not shadow a step). Next expressions share structure:
+a `Tuple`, `Apply`, `If`, `Some` or `Either` whose evaluated children all
+come back as themselves (by identity) comes back as itself, and so does an
+equation whose right-hand side does, so a settled `fby`, `->` or operator
+allocates nothing. Sharing is sound because no node reachable from an
+earlier next expression is ever mutated: `_fill_pre` sets the fields of the
+placeholder `Arrow`s created by the current activation only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .ast import (
     Arrow,
@@ -122,14 +126,19 @@ class HostContext:
 
 @dataclass(slots=True)
 class EvalContext:
-    """Per-evaluation bookkeeping: the host context passed to extern calls."""
+    """Per-evaluation bookkeeping: the host context passed to extern calls,
+    and the globals each step activation starts from, which `eval_expr` and
+    `eval_equations` set to the environment they are given."""
 
     host: HostContext | None = None
+    globals: Env | None = field(default=None, init=False)
 
 
 def eval_expr(env: Env, e: Expr, ctx: EvalContext | None = None) -> EvalResult:
     """The evaluation relation: env |- e  =>  value, next expression."""
-    value, next_expr = _eval(env, e, ctx if ctx is not None else EvalContext(), None)
+    ctx = ctx if ctx is not None else EvalContext()
+    ctx.globals = env
+    value, next_expr = _eval(env, e, ctx, None)
     return EvalResult(value, next_expr)
 
 
@@ -140,7 +149,7 @@ _Deferred = list[tuple[Arrow, Expr]]
 
 def _eval(env: Env, e: Expr, ctx: EvalContext, deferred: _Deferred | None) -> tuple[Value, Expr]:
     """`eval_expr` as a (value, next expression) pair."""
-    # The hot productions first: names, literals, and applications.
+    # One class test per production, the hot ones first.
     kind = type(e)
     if kind is Var:
         try:
@@ -152,86 +161,94 @@ def _eval(env: Env, e: Expr, ctx: EvalContext, deferred: _Deferred | None) -> tu
     if kind is Apply:
         # A named or literal function is read in place; an unbound name, which
         # _eval reports, or any other expression is evaluated.
-        fn = e.fn
+        fn, arg = e.fn, e.arg
         f = env.get(fn.name) if type(fn) is Var else fn.value if type(fn) is Const else None
         fn_next = fn
         if f is None:
             f, fn_next = _eval(env, fn, ctx, deferred)
-        arg, arg_next = _eval(env, e.arg, ctx, deferred)
+        if type(f) is VExtern and f.ints is not None and type(arg) is Tuple and len(arg.items) == 2:
+            # An integer operator on two operands, evaluated in place: two
+            # plain ints go to its kernel, anything else to its checked path.
+            left, right = arg.items
+            a, left_next = _eval(env, left, ctx, deferred)
+            b, right_next = _eval(env, right, ctx, deferred)
+            if type(a) is VConst and type(b) is VConst and type(a.value) is int and type(b.value) is int:
+                value = VConst(f.ints(a.value, b.value))
+            else:
+                value = f.fn(VTuple((a, b)), ctx.host)
+            same = fn_next is fn and left_next is left and right_next is right
+            return value, e if same else Apply(fn_next, Tuple((left_next, right_next), span=arg.span), span=e.span)
+        arg_value, arg_next = _eval(env, arg, ctx, deferred)
         if type(f) is VExtern:
-            same = fn_next is fn and arg_next is e.arg
-            return f.fn(arg, ctx.host), e if same else Apply(fn_next, arg_next, span=e.span)
+            same = fn_next is fn and arg_next is arg
+            return f.fn(arg_value, ctx.host), e if same else Apply(fn_next, arg_next, span=e.span)
         if type(f) is VClosure:
-            # A call of a step, and every firing of a bodied node.
-            inner = dict(env)
-            _update_into(inner, f.in_pattern, arg)
+            # A call of a step, and every firing of a bodied node: an
+            # activation that starts from the globals, not the caller's locals.
+            inner = dict(ctx.globals)
+            _update_into(inner, f.in_pattern, arg_value)
             callee = VClosure(f.in_pattern, f.out_pattern, _run_equations(inner, f.equations, ctx))
             return project(inner, f.out_pattern), Apply(Const(callee), arg_next, span=e.span)
         if type(f) is VUndef:
             raise UndefEscape(_escape("applied expression", e.span))
         raise EvalError(f"application of a non-function value {pretty_value(f)}")
-    match e:
-        case Tuple(items):
-            # A loop, not a comprehension, so each level is one interpreter frame.
-            values = []
-            nexts = []
-            same = True
-            for item in items:
-                value, item_next = _eval(env, item, ctx, deferred)
-                values.append(value)
-                nexts.append(item_next)
-                same = same and item_next is item
-            return VTuple(tuple(values)), e if same else Tuple(tuple(nexts), span=e.span)
-        case Pre(inner):
-            hole = Arrow(inner, e, span=e.span)  # both fields are set by _fill_pre
-            if deferred is None:
-                _fill_pre(hole, env, inner, ctx)
-            else:
-                deferred.append((hole, inner))
-            return VUndef(), hole
-        case Fby(first, rest):
-            return _eval(env, first, ctx, deferred)[0], rest
-        case Arrow(first, rest):
-            value = _eval(env, first, ctx, deferred)[0]
-            return value, _eval(env, rest, ctx, deferred)[1]
-        case If(cond, then, orelse):
-            c, cond_next = _eval(env, cond, ctx, deferred)
-            if _branch(c, e):
-                value, then_next = _eval(env, then, ctx, deferred)
-                same = cond_next is cond and then_next is then
-                return value, e if same else If(cond_next, then_next, orelse, span=e.span)
-            value, else_next = _eval(env, orelse, ctx, deferred)
-            same = cond_next is cond and else_next is orelse
-            return value, e if same else If(cond_next, then, else_next, span=e.span)
-        case Some(inner):
-            value, inner_next = _eval(env, inner, ctx, deferred)
-            return VSome(value), e if inner_next is inner else Some(inner_next, span=e.span)
-        case Either(scrutinee, fallback):
-            option, scrutinee_next = _eval(env, scrutinee, ctx, deferred)
-            match option:
-                case VSome(payload):
-                    same = scrutinee_next is scrutinee
-                    return payload, e if same else Either(scrutinee_next, fallback, span=e.span)
-                case VNone():
-                    value, fallback_next = _eval(env, fallback, ctx, deferred)
-                    same = scrutinee_next is scrutinee and fallback_next is fallback
-                    return value, e if same else Either(scrutinee_next, fallback_next, span=e.span)
-                case VUndef():
-                    raise UndefEscape(_escape("either scrutinee", e.span))
-                case other:
-                    raise InternalError(f"either scrutinee evaluated to non-option {other!r}")
-        case _:
-            raise InternalError(f"eval: unknown expression {e!r}")
+    if kind is Arrow:
+        return _eval(env, e.first, ctx, deferred)[0], _eval(env, e.rest, ctx, deferred)[1]
+    if kind is Pre:
+        hole = Arrow(e.expr, e, span=e.span)  # both fields are set by _fill_pre
+        if deferred is None:
+            _fill_pre(hole, env, e.expr, ctx)
+        else:
+            deferred.append((hole, e.expr))
+        return VUndef(), hole
+    if kind is If:
+        cond, then, orelse = e.cond, e.then, e.orelse
+        c, cond_next = _eval(env, cond, ctx, deferred)
+        if _branch(c, e):
+            value, then_next = _eval(env, then, ctx, deferred)
+            same = cond_next is cond and then_next is then
+            return value, e if same else If(cond_next, then_next, orelse, span=e.span)
+        value, else_next = _eval(env, orelse, ctx, deferred)
+        same = cond_next is cond and else_next is orelse
+        return value, e if same else If(cond_next, then, else_next, span=e.span)
+    if kind is Fby:
+        return _eval(env, e.first, ctx, deferred)[0], e.rest
+    if kind is Tuple:
+        # A loop, not a comprehension, so each level is one interpreter frame.
+        values = []
+        nexts = []
+        same = True
+        for item in e.items:
+            value, item_next = _eval(env, item, ctx, deferred)
+            values.append(value)
+            nexts.append(item_next)
+            same = same and item_next is item
+        return VTuple(tuple(values)), e if same else Tuple(tuple(nexts), span=e.span)
+    if kind is Some:
+        value, inner_next = _eval(env, e.expr, ctx, deferred)
+        return VSome(value), e if inner_next is e.expr else Some(inner_next, span=e.span)
+    if kind is Either:
+        scrutinee, fallback = e.scrutinee, e.fallback
+        option, scrutinee_next = _eval(env, scrutinee, ctx, deferred)
+        if type(option) is VSome:
+            same = scrutinee_next is scrutinee
+            return option.value, e if same else Either(scrutinee_next, fallback, span=e.span)
+        if type(option) is VNone:
+            value, fallback_next = _eval(env, fallback, ctx, deferred)
+            same = scrutinee_next is scrutinee and fallback_next is fallback
+            return value, e if same else Either(scrutinee_next, fallback_next, span=e.span)
+        if type(option) is VUndef:
+            raise UndefEscape(_escape("either scrutinee", e.span))
+        raise InternalError(f"either scrutinee evaluated to non-option {option!r}")
+    raise InternalError(f"eval: unknown expression {e!r}")
 
 
 def _branch(cond: Value, site: Expr) -> bool:
-    match cond:
-        case VConst(bool() as b):
-            return b
-        case VUndef():
-            raise UndefEscape(_escape("if condition", site.span))
-        case other:
-            raise InternalError(f"if condition evaluated to non-boolean {other!r}")
+    if type(cond) is VConst and type(cond.value) is bool:
+        return cond.value
+    if type(cond) is VUndef:
+        raise UndefEscape(_escape("if condition", site.span))
+    raise InternalError(f"if condition evaluated to non-boolean {cond!r}")
 
 
 def _at(span: Span) -> str:
@@ -262,7 +279,10 @@ def _run_equations(env: Env, equations: tuple[Equation, ...], ctx: EvalContext) 
     rewritten = []
     for eq in equations:
         value, rhs_next = _eval(env, eq.rhs, ctx, deferred)
-        _update_into(env, eq.lhs, value)
+        if type(eq.lhs) is PVar:
+            env[eq.lhs.name] = value
+        else:
+            _update_into(env, eq.lhs, value)
         rewritten.append(eq if rhs_next is eq.rhs else Equation(eq.lhs, rhs_next, span=eq.span))
     for hole, operand in deferred:
         _fill_pre(hole, env, operand, ctx)
@@ -277,5 +297,7 @@ def eval_equations(
     Returns the rewritten equations and the environment extended with every
     left-hand binding at its final value for this cycle.
     """
+    ctx = ctx if ctx is not None else EvalContext()
+    ctx.globals = env
     own = dict(env)
-    return _run_equations(own, tuple(equations), ctx if ctx is not None else EvalContext()), own
+    return _run_equations(own, tuple(equations), ctx), own

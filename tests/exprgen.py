@@ -124,6 +124,41 @@ def gen_expr(rng: random.Random, ty: Type, depth: int, need_init: bool) -> Expr:
 
 
 # ---------------------------------------------------------------------------
+# Integer operator forms, not always well typed.
+
+INT_OPS = ("+", "-", "*", "/")
+COMPARISON_OPS = ("<", "<=", ">", ">=", "==")
+
+
+def gen_operator_expr(rng: random.Random, depth: int, ops: tuple[str, ...] = INT_OPS + COMPARISON_OPS) -> Expr:
+    """An application of one of `ops` to two operands, closed under
+    `base_env()`. An operand is a small int literal (zero and negatives
+    included, so divisors are zero and quotients negative), an int name, `pre`
+    of an operand (undefined on the first cycle), `v -> pre e`, a `fby`, a
+    bool or real written by hand, or a nested form, usually arithmetic. So
+    on some cycle an expression may raise: an undefined or ill-typed operand,
+    or division by zero."""
+
+    def operand(depth: int) -> Expr:
+        roll = rng.random()
+        if depth <= 0 or roll < 0.35:
+            return Var(rng.choice(("i1", "i2"))) if roll < 0.1 else Const(VConst(rng.randrange(-4, 5)))
+        if roll < 0.45:
+            return Pre(operand(depth - 1))
+        if roll < 0.55:
+            return Arrow(operand(depth - 1), Pre(operand(depth - 1)))
+        if roll < 0.6:
+            return Fby(operand(depth - 1), operand(depth - 1))
+        if roll < 0.65:
+            return Var(rng.choice(("b1", "b2"))) if rng.random() < 0.5 else Const(VConst(rng.random() < 0.5))
+        if roll < 0.7:
+            return Var("r1") if rng.random() < 0.5 else Const(VConst(-1.5))
+        return gen_operator_expr(rng, depth - 1, INT_OPS if rng.random() < 0.85 else ops)
+
+    return _binop(rng.choice(ops), operand(depth), operand(depth))
+
+
+# ---------------------------------------------------------------------------
 # Tiny equation systems over the value domain {0, 1, undef}.
 
 

@@ -278,6 +278,21 @@ class TestRun:
         assert main(["run", fib_file, "--for", "10ms", "--stub", stub, "--diag-format", "json"]) == 1
         assert json.loads(capsys.readouterr().err) == [{"argument": "--stub", "severity": "error", "message": message}]
 
+    @pytest.mark.parametrize("first, second", [("levels", "const:false"), ("const:false", "levels")])
+    def test_two_stubs_for_one_step_are_an_option_error(self, tmp_path, capsys, first, second):
+        program = tmp_path / "edge.mim"
+        program.write_text(EDGE_NETWORK)
+        levels = tmp_path / "levels.txt"
+        levels.write_text("false\ntrue\n")
+        first, second = (str(levels) if spec == "levels" else spec for spec in (first, second))
+        argv = ["run", str(program), "--for", "600ms", "--stub", f"pin={first}", "--stub", f"pin={second}"]
+        argv += ["--stub", "watch=builtin:print"]
+        message = f"step 'pin' has two stubs, {first!r} and {second!r}; give it one"
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"argument --stub: error: {message}\n")
+        assert main([*argv, "--diag-format", "json"]) == 1
+        assert json.loads(capsys.readouterr().err) == [{"argument": "--stub", "severity": "error", "message": message}]
+
     def test_ill_typed_stub_value_prints_in_mimosa_notation(self, tmp_path, capsys):
         program = tmp_path / "edge.mim"
         program.write_text(EDGE_NETWORK)

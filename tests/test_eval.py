@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from exprgen import TOP_TYPES, base_env, gen_expr, gen_system, run_cycles, system_env
+from exprgen import INT_OPS, TOP_TYPES, base_env, gen_expr, gen_operator_expr, gen_system, run_cycles, system_env
 from mimosa import (
     CausalityError,
     EvalError,
@@ -405,6 +405,28 @@ class TestNestedSteps:
         assert inner == parse_expression("1 -> pre mv")
 
 
+class TestLexicalScope:
+    READ_Z = VClosure(PUnit(), PVar("y"), (Equation(PVar("y"), Var("z")),))
+
+    def test_a_callee_does_not_see_its_callers_locals(self):
+        # Unchecked: `z` is a local of the caller, which the body of `f` reads.
+        eqs = (Equation(PVar("z"), Const(VConst(1))), Equation(PVar("r"), parse_expression("f ()")))
+        with pytest.raises(InternalError, match=r"^unbound name 'z'"):
+            eval_equations(BUILTIN_VALUES | {"f": self.READ_Z}, eqs)
+
+    def test_a_callee_sees_the_globals(self):
+        eqs = (Equation(PVar("r"), parse_expression("f ()")),)
+        _, env = eval_equations(BUILTIN_VALUES | {"f": self.READ_Z, "z": VConst(4)}, eqs)
+        assert env["r"] == VConst(4)
+
+    def test_a_reused_context_takes_each_evaluations_globals(self):
+        e = parse_expression("f ()")
+        ctx = EvalContext()
+        assert eval_expr({"f": self.READ_Z, "z": VConst(5)}, e, ctx).value == VConst(5)
+        env = {"f": self.READ_Z, "z": VConst(6)}
+        assert eval_expr(env, e, ctx).value == VConst(6) and ctx.globals is env
+
+
 class TestHostCalls:
     def make_counting_host(self):
         calls = []
@@ -684,3 +706,97 @@ class TestSharing:
         )
         next_eqs, _ = eval_equations(env_of(x=1), eqs)
         assert next_eqs[0] is eqs[0] and next_eqs[1] is not eqs[1]
+
+
+def outcome(evaluate):
+    """What an evaluation gave: its value and next expression, or the class
+    and message of what it raised."""
+    try:
+        result = evaluate()
+    except Exception as exc:  # a kernel could raise a Python error
+        return type(exc), str(exc)
+    return result.value, result.next
+
+
+class TestOperatorKernels:
+    SEEDS = range(400)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_operators_match_the_reference_evaluator(self, seed):
+        rng = random.Random(seed)
+        shared = reference = gen_operator_expr(rng, rng.randrange(1, 4))
+        env = base_env()
+        for _ in range(5):
+            got = outcome(lambda: eval_expr(env, shared))
+            want = outcome(lambda: reference_eval(env, reference, EvalContext(), None))
+            assert got == want
+            if isinstance(got[0], type):
+                break
+            shared, reference = got[1], want[1]
+
+    def test_the_generator_reaches_every_path(self):
+        seen = set()
+        for seed in self.SEEDS:
+            rng = random.Random(seed)
+            e = gen_operator_expr(rng, rng.randrange(1, 4))
+            for _ in range(5):
+                got = outcome(lambda: eval_expr(base_env(), e))
+                if isinstance(got[0], type):
+                    seen.add(got[1].split(",")[0])
+                    break
+                seen.add(type(got[0].value).__name__)
+                e = got[1]
+        assert {"int", "bool", "division by zero", "undefined operand for '+'"} <= seen
+        assert any(kind.endswith("expects integer operands") for kind in seen)
+
+    @pytest.mark.parametrize(
+        "x, y, quotient", [(7, 2, 3), (-7, 2, -3), (7, -2, -3), (-7, -2, 3), (0, 5, 0), (-1, 3, 0)]
+    )
+    def test_division_truncates_toward_zero(self, x, y, quotient):
+        assert eval_expr(env_of(x=x, y=y), parse_expression("x / y")).value == VConst(quotient)
+
+    def test_division_by_zero(self):
+        with pytest.raises(EvalError, match="^division by zero$"):
+            eval_expr(env_of(x=-7, y=0), parse_expression("x / y"))
+
+    @pytest.mark.parametrize("op", ["+", "-", "*", "/", "<", "<=", ">", ">="])
+    def test_bool_operands_take_the_checked_path(self, op):
+        for left, right in ((True, 1), (1, False), (True, True)):
+            e = Apply(Var(op), Tuple((Const(VConst(left)), Const(VConst(right)))))
+            want = outcome(lambda: reference_eval(BUILTIN_VALUES, e, EvalContext(), None))
+            assert outcome(lambda: eval_expr(BUILTIN_VALUES, e)) == want
+        if op in INT_OPS:
+            e = Apply(Var(op), Tuple((Const(VConst(True)), Const(VConst(1)))))
+            with pytest.raises(EvalError, match=f"^'\\{op}' expects integer operands, got true$"):
+                eval_expr(BUILTIN_VALUES, e)
+        else:  # false < true
+            e = Apply(Var(op), Tuple((Const(VConst(True)), Const(VConst(False)))))
+            assert eval_expr(BUILTIN_VALUES, e).value == VConst(op in (">", ">="))
+
+    def test_undefined_operand(self):
+        with pytest.raises(UndefEscape, match="^undefined operand for '\\+'$"):
+            eval_expr(env_of(x=1), parse_expression("pre x + 1"))
+
+    @pytest.mark.parametrize("x, y", [(3, 5), (5, 3), (4, 4), (-2, 2)])
+    def test_orderings_on_ints(self, x, y):
+        env = env_of(x=x, y=y)
+        for op, want in (("<", x < y), ("<=", x <= y), (">", x > y), (">=", x >= y), ("==", x == y)):
+            value = eval_expr(env, parse_expression(f"x {op} y")).value
+            assert value == VConst(want) and type(value.value) is bool
+
+    def test_settled_operator_comes_back_as_itself(self):
+        e = parse_expression("x + 1")
+        for x in (1, -4, 2**70):
+            r = eval_expr(env_of(x=x), e)
+            assert r.value == VConst(x + 1) and r.next is e
+        e = parse_expression("(x + 1) * (x - 2) < x / 3")
+        assert eval_expr(env_of(x=9), e).next is e
+        e = parse_expression("r < 1.5")  # the checked path
+        assert eval_expr(env_of(r=2.5), e).next is e
+
+    def test_an_operand_that_rewrites_rebuilds_the_pair(self):
+        e = parse_expression("x + (0 -> pre x)")
+        r = eval_expr(env_of(x=2), e)
+        assert r.value == VConst(2)
+        assert r.next == parse_expression("x + (2 -> pre x)")
+        assert r.next.fn is e.fn and r.next.arg.items[0] is e.arg.items[0] and r.next.arg.span == e.arg.span

@@ -586,6 +586,29 @@ node consumer implements sink (y) --> () every 10ms
         # delay pipes x through a nested stateful step: one-cycle delay, 0 seed.
         assert [v.value for _, v in per["y"]] == [0, 1, 2, 3, 4, 5, 6, 7, 8]
 
+    @pytest.mark.parametrize("schedule, seed", [("deterministic", None), ("randomized", 3), ("randomized", 11)])
+    def test_helper_and_caller_with_the_same_local_names(self, schedule, seed):
+        # The helper binds its own `m` and `s`; the caller's stay its own.
+        src = """
+step acc (x : int) --> (s : int) {
+  m = x * 2;
+  s = m + (0 -> pre s)
+}
+step top () --> (out : int) {
+  m = 0 -> pre (m + 1);
+  s = acc m;
+  out = s * 10 + m
+}
+step sink (_ : int) --> ()
+channel x : int
+node producer implements top () --> (x) every 10ms
+node consumer implements sink (x) --> () every 10ms
+"""
+        cp = check_program(parse_program(src))
+        hosts = HostRegistry().bind_fn("sink", silent)
+        trace = run(cp, SimConfig(horizon_us=100 * MS, schedule=schedule, seed=seed), hosts)
+        assert [v.value for _, v in trace.per_channel()["x"]] == [k * (k + 1) * 10 + k for k in range(10)]
+
 
 class TestTraceOutput:
     def test_csv_is_deterministic(self, fib_checked):
