@@ -594,6 +594,18 @@ def infer_types(
     return schemes, node_sigs
 
 
+def check_host_value(step: StepDecl, value: Value, span: Span = SYNTHETIC, file: str = "<string>") -> None:
+    """Raise TypeCheckError unless the host value `value` can be a result of
+    the prototype `step`, whose output signature is fully annotated."""
+    inf = _Infer(file)
+    declared = inf.sig_type(step.out_pattern, {}, require_annot=True, step=step.name)
+    found = inf.literal_type(value)
+    try:
+        inf.u.unify(declared, found, span, file)
+    except TypeCheckError:
+        inf.fail(f"step '{step.name}' returns {declared}, but its host value has type {found}", span)
+
+
 def _ports_type(ports, channel_types) -> Type:
     tys = []
     for p in ports:

@@ -7,11 +7,12 @@ import csv
 import io
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
-from typing import Callable, TypeVar
+from typing import Callable, Iterator, TextIO, TypeVar
 
-from .analysis import check_program
-from .ast import Program
+from .analysis import check_host_value, check_program
+from .ast import UNIT_VALUE, Program
 from .errors import Diagnostic, MimosaError, SimError, Span, read_text, render_diagnostics
 from .parser import parse_duration, parse_literal, parse_program
 from .pretty import format_duration, pretty_program
@@ -90,7 +91,8 @@ def _option_value(option: str, text: str, parse: Callable[[], _T]) -> _T:
 
 def _registry_from_stubs(stubs: list[str], program: Program) -> HostRegistry:
     """The builtin hosts, and a binding for each stub, which must name a
-    prototype step of `program`."""
+    prototype step of `program`. Each value a binding can return is checked
+    against the step's declared result type."""
     prototype = {step.name: step.is_prototype for step in program.steps}
     registry = builtin_hosts()
     specs: dict[str, str] = {}
@@ -102,18 +104,25 @@ def _registry_from_stubs(stubs: list[str], program: Program) -> HostRegistry:
             message = f"step '{name}' has two stubs, {specs[name]!r} and {spec!r}; give it one"
             raise MimosaError([Diagnostic(message, argument="--stub")])
         specs[name] = spec
+        step = program.step(name) if prototype.get(name) else None
         if spec == "builtin:print":
-            factory = print_host()
+            factory, value = print_host(), UNIT_VALUE
         elif spec.startswith("const:"):
             value = _option_value("--stub", stub, lambda: parse_literal(spec[len("const:") :]))
             factory = const_seq(value)
         else:
-            factory = from_file(spec)
-        if not prototype.get(name):
+            factory, value = from_file(spec, step), None  # checks each of its values itself
+        if step is None:
             why = "has a body" if name in prototype else "is not a step of the program"
             message = f"in {stub!r}, step '{name}' {why}; only a prototype step takes a stub"
             raise MimosaError([Diagnostic(message, argument="--stub")])
+        if value is not None:
+            _option_value("--stub", stub, lambda: check_host_value(step, value))
         registry.bind(name, factory)
+    # The default binding of print_int prints, and so returns ().
+    if prototype.get("print_int") and "print_int" not in specs:
+        step = program.step("print_int")
+        _option_value("--stub", "print_int=builtin:print", lambda: check_host_value(step, UNIT_VALUE))
     return registry
 
 
@@ -133,25 +142,39 @@ def _cmd_run(args) -> int:
         program = parse_program(read_text(args.file), file=args.file)
         checked = check_program(program, file=args.file)
         registry = _registry_from_stubs(args.stub, program)
-        cfg = SimConfig(
-            horizon_us=horizon,
-            seed=args.seed,
-            schedule=args.schedule,
-            trace_path=args.trace,
-            verbose_idle=args.verbose_idle,
-        )
-        try:
-            run(checked, cfg, registry)
-        except SimError as exc:
-            # Runtime diagnostics are about the program: name its file.
-            exc.diagnostics = [
-                replace(d, file=args.file) if d.file == "<string>" else d for d in exc.diagnostics
-            ]
-            raise
+        cfg = SimConfig(horizon_us=horizon, seed=args.seed, schedule=args.schedule)
+        with _trace_output(args.trace) as out:
+            try:
+                trace = run(checked, cfg, registry)
+            except SimError as exc:
+                # Runtime diagnostics are about the program: name its file.
+                exc.diagnostics = [
+                    replace(d, file=args.file) if d.file == "<string>" else d for d in exc.diagnostics
+                ]
+                raise
+            if out is not None:
+                out.write(trace.render_csv(include_idle=args.verbose_idle))
     except MimosaError as exc:
         _emit_diagnostics(exc, args.diag_format)
         return 1
     return 0
+
+
+@contextmanager
+def _trace_output(path: str | None) -> Iterator[TextIO | None]:
+    """Where the trace CSV goes: nowhere, standard output for "-", or a file
+    opened before the run, so that a path that cannot be written fails first."""
+    if not path:
+        yield None
+    elif path == "-":
+        yield sys.stdout
+    else:
+        try:
+            handle = open(path, "w", encoding="utf-8")
+        except OSError as exc:
+            raise SimError([Diagnostic(f"cannot write trace: {exc.strerror or exc}", file=path)]) from None
+        with handle:
+            yield handle
 
 
 def _cmd_fmt(args) -> int:
@@ -169,6 +192,9 @@ def _trace_events(path: str) -> dict[str, list[tuple[int, str]]]:
     rows = csv.DictReader(io.StringIO(read_text(path)))
     channels: dict[str, list[tuple[int, str]]] = {}
     try:
+        if not {"time_us", "channel", "value"}.issubset(rows.fieldnames or ()):
+            message = "not a trace: the header must name the columns time_us, channel and value"
+            raise MimosaError([Diagnostic(message, Span(1, 1, 1, 1), file=path)])
         for row in rows:
             if name := row.get("channel"):
                 time_us, value = row.get("time_us") or "", row.get("value")

@@ -78,7 +78,6 @@ class TraceEvent:
     channel: str
     value: Value
     node: str
-    seq: int
 
 
 @dataclass(slots=True)
@@ -249,64 +248,32 @@ def fire_node(ns: NetworkState, name: str) -> None:
         raise InternalError(f"node '{name}': rewriting did not produce an application")
     node.expr = result.next.fn
 
-    tag = t + node.period_us
+    # One component per output port: a single port takes the whole value.
+    value = result.value
     outs = node.out_ports
-    if len(outs) == 1 and not outs[0][1]:
-        ch = outs[0][0]
-        _write(ns, ch, result.value, tag, name)
-        ch.validity = tag + node.period_us
+    if len(outs) == 1:
+        components = (value,)
+    elif outs and type(value) is VTuple and len(value.items) == len(outs):
+        components = value.items
+    elif not outs and value == UNIT_VALUE:
+        components = ()
     else:
-        for (ch, optional), component in zip(outs, _split_outputs(result.value, node, t)):
-            if optional:
-                match component:
-                    case VSome(payload):
-                        _write(ns, ch, payload, tag, name)
-                    case VNone():
-                        pass
-                    case _:
-                        raise SimError(
-                            [
-                                Diagnostic(
-                                    f"node '{name}': optional output '{ch.name}' produced "
-                                    f"non-option value {pretty_value(component)}",
-                                    node.span,
-                                )
-                            ]
-                        )
-            else:
-                _write(ns, ch, component, tag, name)
-            ch.validity = tag + node.period_us
-    node.activation = tag
-    ns.steps.append(StepRecord(FIRE, name, t))
-    ns.check_invariants(name)
-
-
-def _split_outputs(value: Value, node: NodeState, t: int) -> list[Value]:
-    outputs = node.outputs
-    if not outputs:
-        if value != UNIT_VALUE:
-            raise SimError(
-                [
-                    Diagnostic(
-                        f"node '{node.name}' has no output ports but produced {pretty_value(value)}",
-                        node.span,
-                    )
-                ]
-            )
-        return []
-    if len(outputs) == 1:
-        return [value]
-    if not isinstance(value, VTuple) or len(value.items) != len(outputs):
-        raise SimError(
-            [
-                Diagnostic(
-                    f"node '{node.name}' at {format_duration(t)}: output {pretty_value(value)} does not "
-                    f"match its {len(outputs)} ports",
-                    node.span,
-                )
-            ]
+        shape = (
+            f"at {format_duration(t)}: output {pretty_value(value)} does not match its {len(outs)} ports"
+            if outs
+            else f"has no output ports but produced {pretty_value(value)}"
         )
-    return list(value.items)
+        raise SimError([Diagnostic(f"node '{name}' {shape}", node.span)])
+    tag = t + node.period_us
+    for (ch, optional), component in zip(outs, components):
+        if not optional:
+            _write(ns, ch, component, tag, name)
+        elif type(component) is VSome:
+            _write(ns, ch, component.value, tag, name)
+        elif type(component) is not VNone:
+            message = f"node '{name}': optional output '{ch.name}' produced non-option value {pretty_value(component)}"
+            raise SimError([Diagnostic(message, node.span)])
+    _advance(ns, node, FIRE)
 
 
 def _write(ns: NetworkState, ch: Channel, value: Value, tag: int, node: str) -> None:
@@ -325,14 +292,22 @@ def _write(ns: NetworkState, ch: Channel, value: Value, tag: int, node: str) -> 
             f"write to '{ch.name}' tagged {tag} is below the channel validity {ch.validity}"
         )
     ch.queue.append((value, tag))
-    ns.trace.append(TraceEvent(tag, ch.name, value, node, len(ns.trace)))
+    ns.trace.append(TraceEvent(tag, ch.name, value, node))
 
 
 def idle_node(ns: NetworkState, name: str) -> None:
-    node = ns.nodes[name]
+    _advance(ns, ns.nodes[name], IDLE)
+
+
+def _advance(ns: NetworkState, node: NodeState, kind: str) -> None:
+    """The ending of both rules: move `node` one period on, push its output
+    channels' validity to activation + 2 * period, record the step and check
+    the invariants. A firing writes first, since `_write` rejects a tag below
+    the validity."""
     t = node.activation
+    period = node.period_us
+    node.activation = t + period
     for ch, _ in node.out_ports:
-        ch.validity = t + 2 * node.period_us
-    node.activation = t + node.period_us
-    ns.steps.append(StepRecord(IDLE, name, t))
-    ns.check_invariants(name)
+        ch.validity = t + 2 * period
+    ns.steps.append(StepRecord(kind, node.name, t))
+    ns.check_invariants(node.name)

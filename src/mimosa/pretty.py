@@ -123,22 +123,8 @@ def _equation(eq: Equation) -> str:
 
 def _lhs(p: Pattern) -> str:
     if isinstance(p, PTuple):
-        return ", ".join(_lhs_atom(i) for i in p.items)
-    return _lhs_atom(p)
-
-
-def _lhs_atom(p: Pattern) -> str:
-    match p:
-        case PVar(name):
-            return name
-        case PWild():
-            return "_"
-        case PUnit():
-            return "()"
-        case PTuple():
-            return f"({_lhs(p)})"
-        case _:
-            raise InternalError(f"unknown pattern {p!r}")
+        return ", ".join(pretty_pattern(i) for i in p.items)
+    return pretty_pattern(p)
 
 
 def pretty_pattern(p: Pattern) -> str:

@@ -23,13 +23,12 @@ import csv
 import io
 import random
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from heapq import heapify, heappop, heappush, heapreplace
-from typing import Callable, Iterator, Sequence, TextIO
+from typing import Callable, Sequence
 
-from .analysis import CheckedProgram
-from .ast import UNIT_VALUE, VExtern, Value
+from .analysis import CheckedProgram, check_host_value
+from .ast import UNIT_VALUE, StepDecl, VExtern, Value
 from .coord import (
     BLOCKED,
     FIRE,
@@ -44,7 +43,7 @@ from .coord import (
     node_enabled,
     port_status,
 )
-from .errors import Diagnostic, SimError, read_text
+from .errors import Diagnostic, SimError, Span, read_text
 from .eval import HostContext
 from .parser import parse_literal
 from .pretty import format_duration, pretty_value
@@ -58,8 +57,6 @@ class SimConfig:
     horizon_us: int
     seed: int | None = None
     schedule: str = "deterministic"
-    trace_path: str | None = None
-    verbose_idle: bool = False
 
     def __post_init__(self):
         if self.horizon_us <= 0:
@@ -133,13 +130,15 @@ def from_values(values: Sequence[Value]) -> HostFactory:
     return factory
 
 
-def from_file(path: str) -> HostFactory:
-    lines = read_text(path, SimError).splitlines()
-    values = [
-        parse_literal(line, path, number)
-        for number, line in enumerate(lines, 1)
-        if (text := line.strip()) and not text.startswith("--")
-    ]
+def from_file(path: str, step: StepDecl | None = None) -> HostFactory:
+    """The values of the literal lines of the file at `path`, as `from_values`
+    emits them; with `step`, each must be a result of that prototype step."""
+    values = []
+    for number, line in enumerate(read_text(path, SimError).splitlines(), 1):
+        if (text := line.strip()) and not text.startswith("--"):
+            values.append(parse_literal(line, path, number))
+            if step is not None:
+                check_host_value(step, values[-1], Span(number, 1, number, 1), path)
     if not values:
         raise SimError([Diagnostic(f"stub input {path!r} contains no values")])
     return from_values(values)
@@ -169,7 +168,7 @@ class Trace:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(["time_us", "channel", "value", "node"])
-        rows = [(ev.time_us, 1, ev.seq, ev.channel, pretty_value(ev.value), ev.node) for ev in self.events]
+        rows = [(ev.time_us, 1, i, ev.channel, pretty_value(ev.value), ev.node) for i, ev in enumerate(self.events)]
         if include_idle:
             idles = [s for s in self.steps if s.kind != FIRE]
             rows.extend((s.time_us, 0, i, "", "idle", s.node) for i, s in enumerate(idles))
@@ -239,14 +238,10 @@ class Simulation:
     def trace(self) -> Trace:
         """The timed history observed so far: writes tagged at or before the
         horizon (a node's last firing may produce a write tagged beyond it,
-        which has not appeared yet)."""
+        which has not appeared yet), sorted stably by time: `state.trace` is
+        in commit order."""
         cutoff = self._observed_horizon
-        events = tuple(
-            sorted(
-                (ev for ev in self.state.trace if ev.time_us <= cutoff),
-                key=lambda ev: (ev.time_us, ev.seq),
-            )
-        )
+        events = tuple(sorted((ev for ev in self.state.trace if ev.time_us <= cutoff), key=lambda ev: ev.time_us))
         steps = tuple(s for s in self.state.steps if s.time_us <= cutoff)
         return Trace(events, steps)
 
@@ -283,29 +278,8 @@ def _livelock(stuck: list[NodeState]) -> SimError:
 
 def run(cp: CheckedProgram, cfg: SimConfig, hosts: HostRegistry | None = None) -> Trace:
     sim = Simulation(cp, cfg, hosts)
-    with _trace_output(cfg.trace_path) as out:
-        sim.run_until(cfg.horizon_us)
-        trace = sim.trace()
-        if out is not None:
-            out.write(trace.render_csv(include_idle=cfg.verbose_idle))
-    return trace
-
-
-@contextmanager
-def _trace_output(path: str | None) -> Iterator[TextIO | None]:
-    """Where the trace CSV goes: nowhere, standard output for "-", or a file
-    opened before the run, so that a path that cannot be written fails first."""
-    if not path:
-        yield None
-    elif path == "-":
-        yield sys.stdout
-    else:
-        try:
-            handle = open(path, "w", encoding="utf-8")
-        except OSError as exc:
-            raise SimError([Diagnostic(f"cannot write trace: {exc.strerror or exc}", file=path)]) from None
-        with handle:
-            yield handle
+    sim.run_until(cfg.horizon_us)
+    return sim.trace()
 
 
 @dataclass(frozen=True)
@@ -328,7 +302,7 @@ def run_randomized_equivalence(
     per-channel (tag, value) histories exactly. Host bindings must be
     deterministic functions of their inputs and call count."""
     registry = hosts if hosts is not None else builtin_hosts()
-    base = replace(cfg, trace_path=None, schedule="deterministic")
+    base = replace(cfg, schedule="deterministic")
     try:
         reference = run(cp, base, registry).per_channel()
     except SimError as exc:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import EDGE_NETWORK, EDGE_SOURCE, FIB_SOURCE
+from mimosa import SimConfig, builtin_hosts, check_program, parse_program, run
 from mimosa.analysis import MAX_CALL_DEPTH
 from mimosa.cli import _COMMANDS, _build_parser, main
 from mimosa.parser import MAX_EXPR_DEPTH, MAX_TYPE_DEPTH
@@ -183,7 +184,7 @@ class TestRun:
             assert err.strip() == f"{program}:5:1: error: {message}"
 
     @pytest.mark.parametrize("diag_format", ["text", "json"])
-    def test_output_shape_error_is_located_at_the_node(self, tmp_path, capsys, diag_format):
+    def test_stub_of_the_wrong_shape_is_an_option_error(self, tmp_path, capsys, diag_format):
         program = tmp_path / "pair.mim"
         program.write_text(
             "step pair () --> (y : int, z : int)\n"
@@ -197,12 +198,11 @@ class TestRun:
         argv = ["run", str(program), "--for", "30ms", *stubs, "--diag-format", diag_format]
         assert main(argv) == 1
         err = capsys.readouterr().err
-        message = "node 'n' at 0s: output 1 does not match its 2 ports"
+        message = "in 'pair=const:1', step 'pair' returns (int, int), but its host value has type int"
         if diag_format == "json":
-            (diag,) = json.loads(err)
-            assert (diag["file"], diag["line"], diag["col"], diag["message"]) == (str(program), 5, 1, message)
+            assert json.loads(err) == [{"argument": "--stub", "severity": "error", "message": message}]
         else:
-            assert err.strip() == f"{program}:5:1: error: {message}"
+            assert err == f"argument --stub: error: {message}\n"
 
     def test_run_is_deterministic(self, fib_file, tmp_path):
         first = tmp_path / "a.csv"
@@ -293,12 +293,58 @@ class TestRun:
         assert main([*argv, "--diag-format", "json"]) == 1
         assert json.loads(capsys.readouterr().err) == [{"argument": "--stub", "severity": "error", "message": message}]
 
-    def test_ill_typed_stub_value_prints_in_mimosa_notation(self, tmp_path, capsys):
+    def test_stub_of_the_wrong_type_is_an_option_error(self, tmp_path, capsys):
         program = tmp_path / "edge.mim"
         program.write_text(EDGE_NETWORK)
         assert main(["run", str(program), "--for", "600ms", "--stub", "pin=const:3", "--stub", "watch=builtin:print"]) == 1
-        err = capsys.readouterr().err
-        assert err.endswith("error: node 'edge' failed at 100ms: '!' expects boolean operands, got 3\n"), err
+        message = "in 'pin=const:3', step 'pin' returns bool, but its host value has type int"
+        assert capsys.readouterr() == ("", f"argument --stub: error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "spec, found",
+        [("const:Some 3", "int?"), ("const:None", "'a?"), ("builtin:print", "unit")],
+    )
+    def test_host_value_must_have_the_declared_result_type(self, tmp_path, capsys, spec, found):
+        program = tmp_path / "p.mim"
+        program.write_text(
+            "step f (x : int) --> (y : int)\n"
+            "channel a : int = { 1 }\n"
+            "channel b : int\n"
+            "node n implements f (a) --> (b) every 10ms\n"
+            "node m implements f (b) --> (a) every 10ms\n"
+        )
+        argv = ["run", str(program), "--for", "20ms", "--stub", f"f={spec}", "--trace", "-"]
+        message = f"in 'f={spec}', step 'f' returns int, but its host value has type {found}"
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"argument --stub: error: {message}\n")
+        assert main([*argv, "--diag-format", "json"]) == 1
+        assert json.loads(capsys.readouterr().err) == [{"argument": "--stub", "severity": "error", "message": message}]
+
+    def test_stub_file_value_of_the_wrong_type_names_file_and_line(self, tmp_path, capsys):
+        program = tmp_path / "edge.mim"
+        program.write_text(EDGE_NETWORK)
+        levels = tmp_path / "levels.txt"
+        levels.write_text("true\n-- a comment\nSome true\n")
+        argv = ["run", str(program), "--for", "10ms", "--stub", f"pin={levels}", "--stub", "watch=builtin:print"]
+        message = "step 'pin' returns bool, but its host value has type bool?"
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"{levels}:3:1: error: {message}\n")
+        assert main([*argv, "--diag-format", "json"]) == 1
+        (diag,) = json.loads(capsys.readouterr().err)
+        assert (diag["file"], diag["line"], diag["col"], diag["message"]) == (str(levels), 3, 1, message)
+
+    def test_default_print_int_must_return_unit(self, tmp_path, capsys):
+        program = tmp_path / "p.mim"
+        program.write_text(
+            "step print_int (x : int) --> (y : int)\n"
+            "channel a : int = { 1 }\n"
+            "channel b : int\n"
+            "node n implements print_int (a) --> (b) every 10ms\n"
+            "node m implements print_int (b) --> (a) every 10ms\n"
+        )
+        assert main(["run", str(program), "--for", "20ms"]) == 1
+        message = "in 'print_int=builtin:print', step 'print_int' returns int, but its host value has type unit"
+        assert capsys.readouterr() == ("", f"argument --stub: error: {message}\n")
 
     def test_bad_stub_spec(self, fib_file, capsys):
         assert main(["run", fib_file, "--for", "10ms", "--stub", "oops"]) == 1
@@ -705,6 +751,45 @@ class TestExplainTrace:
 
     def test_missing_trace(self, capsys):
         assert main(["explain-trace", "/nonexistent.csv"]) == 1
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", FIB_SOURCE, "time,chan,val,node\n10000,a,1,n\n", "time_us,channel,node\n10000,a,n\n"],
+        ids=["empty", "program", "other columns", "no value column"],
+    )
+    def test_a_file_that_is_not_a_trace(self, tmp_path, capsys, text):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        assert main(["explain-trace", str(path)]) == 1
+        message = "not a trace: the header must name the columns time_us, channel and value"
+        assert capsys.readouterr() == ("", f"{path}:1:1: error: {message}\n")
+
+    def test_a_run_without_writes_has_no_channel_events(self, fib_file, tmp_path, capsys):
+        # The first write of the Fibonacci network is tagged 10ms.
+        trace = tmp_path / "fib.csv"
+        assert main(["run", fib_file, "--for", "5ms", "--trace", str(trace)]) == 0
+        assert trace.read_text() == "time_us,channel,value,node\n"
+        assert main(["explain-trace", str(trace)]) == 0
+        assert capsys.readouterr() == ("no channel events\n", "")
+
+
+class TestTraceFile:
+    FIB = Path(__file__).resolve().parent.parent / "programs" / "fib.mim"
+
+    def test_verbose_idle_writes_the_librarys_idle_rows(self, tmp_path, capsys):
+        path = tmp_path / "fib.csv"
+        assert main(["run", str(self.FIB), "--for", "60ms", "--verbose-idle", "--trace", str(path)]) == 0
+        text = path.read_text()
+        assert any(row.endswith(",idle,split") for row in text.splitlines())
+        checked = check_program(parse_program(self.FIB.read_text()))
+        library = run(checked, SimConfig(horizon_us=60_000), builtin_hosts())
+        assert text == library.render_csv(include_idle=True)
+
+    def test_without_verbose_idle_there_are_no_idle_rows(self, tmp_path, capsys):
+        path = tmp_path / "fib.csv"
+        assert main(["run", str(self.FIB), "--for", "60ms", "--trace", str(path)]) == 0
+        rows = path.read_text().splitlines()
+        assert len(rows) > 1 and not any(",idle," in row for row in rows)
 
 
 class TestClosedOutput:

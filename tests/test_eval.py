@@ -50,6 +50,7 @@ from mimosa.eval import (
     HostContext,
     _branch,
     _escape,
+    _unbound,
     _update_into,
     project,
 )
@@ -549,9 +550,18 @@ class TestValueEmbedding:
 # every value and every next expression.
 
 
+def reference_context(globals_: Env) -> EvalContext:
+    """A context whose step activations start from `globals_`."""
+    ctx = EvalContext()
+    ctx.globals = globals_
+    return ctx
+
+
 def reference_eval(env: Env, e: Expr, ctx: EvalContext, deferred: list | None) -> EvalResult:
     match e:
         case Var(name):
+            if name not in env:
+                raise _unbound(e)
             return EvalResult(env[name], e)
         case Const():
             return EvalResult(e.value, e)
@@ -602,7 +612,7 @@ def reference_eval(env: Env, e: Expr, ctx: EvalContext, deferred: list | None) -
             ra = reference_eval(env, arg, ctx, deferred)
             match rf.value:
                 case VClosure(in_pattern, out_pattern, equations):
-                    inner = dict(env)
+                    inner = dict(ctx.globals)
                     _update_into(inner, in_pattern, ra.value)
                     next_eqs, final = reference_run_equations(inner, equations, ctx)
                     callee = VClosure(in_pattern, out_pattern, next_eqs)
@@ -654,7 +664,7 @@ class TestSharing:
             for _ in range(6):
                 before = copy.deepcopy(shared)
                 shared_next, got = eval_equations(env, shared)
-                reference, want = reference_run_equations(dict(env), reference, EvalContext())
+                reference, want = reference_run_equations(dict(env), reference, reference_context(env))
                 # Evaluating a next expression leaves every node of it as it was.
                 assert shared == before
                 assert got == want
@@ -669,10 +679,20 @@ class TestSharing:
         for _ in range(6):
             before = copy.deepcopy(shared)
             got = eval_expr(env, shared)
-            want = reference_eval(env, reference, EvalContext(), None)
+            want = reference_eval(env, reference, reference_context(env), None)
             assert shared == before
             assert got.value == want.value and got.next == want.next
             shared, reference = got.next, want.next
+
+    def test_a_callee_reads_the_globals_in_both_evaluators(self):
+        # Unchecked: `g` calls `f`, whose body reads `z`, a local of `g`.
+        read_z = VClosure(PUnit(), PVar("y"), (Equation(PVar("y"), Var("z")),))
+        body = (Equation(PVar("z"), Const(VConst(1))), Equation(PVar("r"), parse_expression("f ()")))
+        env = BUILTIN_VALUES | {"f": read_z, "g": VClosure(PUnit(), PVar("r"), body)}
+        e = parse_expression("g ()")
+        got = outcome(lambda: eval_expr(env, e))
+        want = outcome(lambda: reference_eval(env, e, reference_context(env), None))
+        assert got == want == (InternalError, "unbound name 'z'")
 
     def test_settled_fby_and_arrow_are_shared(self):
         env = env_of(x=1)
@@ -728,7 +748,7 @@ class TestOperatorKernels:
         env = base_env()
         for _ in range(5):
             got = outcome(lambda: eval_expr(env, shared))
-            want = outcome(lambda: reference_eval(env, reference, EvalContext(), None))
+            want = outcome(lambda: reference_eval(env, reference, reference_context(env), None))
             assert got == want
             if isinstance(got[0], type):
                 break
@@ -763,7 +783,7 @@ class TestOperatorKernels:
     def test_bool_operands_take_the_checked_path(self, op):
         for left, right in ((True, 1), (1, False), (True, True)):
             e = Apply(Var(op), Tuple((Const(VConst(left)), Const(VConst(right)))))
-            want = outcome(lambda: reference_eval(BUILTIN_VALUES, e, EvalContext(), None))
+            want = outcome(lambda: reference_eval(BUILTIN_VALUES, e, reference_context(BUILTIN_VALUES), None))
             assert outcome(lambda: eval_expr(BUILTIN_VALUES, e)) == want
         if op in INT_OPS:
             e = Apply(Var(op), Tuple((Const(VConst(True)), Const(VConst(1)))))

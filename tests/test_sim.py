@@ -4,7 +4,7 @@ from heapq import heapify, heappop, heappush
 
 import pytest
 
-from conftest import bools, edge_hosts, quiet_fib_hosts, silent
+from conftest import FIB_SOURCE, bools, edge_hosts, quiet_fib_hosts, silent
 from mimosa import (
     HostRegistry,
     SimConfig,
@@ -15,6 +15,7 @@ from mimosa import (
     run_randomized_equivalence,
 )
 from mimosa.ast import UNIT_VALUE, VConst
+from mimosa.cli import main
 from mimosa.coord import BLOCKED, FIRE, NetworkState, StepRecord, fire_node, idle_node, node_enabled
 from mimosa.errors import ParseError, SimError
 from mimosa.sim import _livelock, builtin_hosts, const_seq, from_values, parse_literal, print_host
@@ -629,11 +630,12 @@ class TestTraceOutput:
         assert times == sorted(times)
 
     def test_verbose_idle_rows(self, fib_checked):
-        text = fib_trace(fib_checked, horizon_ms=30, verbose_idle=True).render_csv(include_idle=True)
+        text = fib_trace(fib_checked, horizon_ms=30).render_csv(include_idle=True)
         assert any(",idle," in line for line in text.splitlines())
 
-    def test_write_csv_to_file(self, fib_checked, tmp_path):
+    def test_write_csv_to_file(self, tmp_path, capsys):
+        program = tmp_path / "fib.mim"
+        program.write_text(FIB_SOURCE)
         path = tmp_path / "trace.csv"
-        cfg = SimConfig(horizon_us=50 * MS, trace_path=str(path))
-        run(fib_checked, cfg, quiet_fib_hosts())
+        assert main(["run", str(program), "--for", "50ms", "--trace", str(path)]) == 0
         assert path.read_text().startswith("time_us,channel,value,node\n")
