@@ -12,7 +12,8 @@ when `pre e` rewrites to `v -> pre e'` the current value `v` goes back into
 the program text as one `Const(v)`. `VUndef` is the only undefined value. A
 step value, too, has one form: a call `f a` rewrites to `Apply(Const(c), a')`,
 where the closure `c` holds the callee's next equations, so the closure
-carries the call's state.
+carries the call's state. A settled activation's closure is its own next
+state, so a stateless step allocates nothing after its first cycle.
 """
 
 from __future__ import annotations

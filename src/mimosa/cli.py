@@ -163,18 +163,28 @@ def _cmd_run(args) -> int:
 @contextmanager
 def _trace_output(path: str | None) -> Iterator[TextIO | None]:
     """Where the trace CSV goes: nowhere, standard output for "-", or a file
-    opened before the run, so that a path that cannot be written fails first."""
+    written once the run succeeds. Opening it to append first changes no byte
+    but fails on a path that cannot be written, and a failed run leaves the
+    path as it found it."""
     if not path:
         yield None
     elif path == "-":
         yield sys.stdout
     else:
+        existed = os.path.lexists(path)
         try:
-            handle = open(path, "w", encoding="utf-8")
+            open(path, "a", encoding="utf-8").close()
         except OSError as exc:
             raise SimError([Diagnostic(f"cannot write trace: {exc.strerror or exc}", file=path)]) from None
-        with handle:
-            yield handle
+        out = io.StringIO()
+        try:
+            yield out
+        except BaseException:
+            if not existed:
+                os.remove(path)
+            raise
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(out.getvalue())
 
 
 def _cmd_fmt(args) -> int:

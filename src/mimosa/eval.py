@@ -32,9 +32,11 @@ can read (a local may not shadow a step). Next expressions share structure:
 a `Tuple`, `Apply`, `If`, `Some` or `Either` whose evaluated children all
 come back as themselves (by identity) comes back as itself, and so does an
 equation whose right-hand side does, so a settled `fby`, `->` or operator
-allocates nothing. Sharing is sound because no node reachable from an
-earlier next expression is ever mutated: `_fill_pre` sets the fields of the
-placeholder `Arrow`s created by the current activation only.
+allocates nothing. A settled activation's closure is its own next state, so
+a stateless step allocates nothing after its first cycle. Sharing is sound
+because no node reachable from an earlier next expression is ever mutated:
+`_fill_pre` sets the fields of the placeholder `Arrow`s created by the
+current activation only.
 """
 
 from __future__ import annotations
@@ -77,37 +79,33 @@ Env = dict[str, Value]
 
 def project(env: Env, p: Pattern) -> Value:
     """The value of pattern `p` under `env`."""
-    match p:
-        case PVar(name):
-            if name in env:
-                return env[name]
-            raise _unbound(p)
-        case PTuple(items):
-            return VTuple(tuple(project(env, i) for i in items))
-        case PUnit():
-            return UNIT_VALUE
-        case PWild():
-            raise InternalError("wildcard patterns cannot be projected")
-        case _:
-            raise InternalError(f"project: unknown pattern {p!r}")
+    kind = type(p)
+    if kind is PVar:
+        if p.name in env:
+            return env[p.name]
+        raise _unbound(p)
+    if kind is PTuple:
+        return VTuple(tuple([project(env, i) for i in p.items]))
+    if kind is PUnit:
+        return UNIT_VALUE
+    if kind is PWild:
+        raise InternalError("wildcard patterns cannot be projected")
+    raise InternalError(f"project: unknown pattern {p!r}")
 
 
 def _update_into(env: Env, p: Pattern, v: Value) -> None:
-    match p:
-        case PVar(name):
-            env[name] = v
-        case PWild():
-            pass
-        case PUnit():
-            if v != UNIT_VALUE:
-                raise EvalError(f"expected the unit value for pattern (), got {pretty_value(v)}")
-        case PTuple(items):
-            if not isinstance(v, VTuple) or len(v.items) != len(items):
-                raise EvalError(f"value {pretty_value(v)} does not match tuple pattern of arity {len(items)}")
-            for sub, item in zip(items, v.items):
-                _update_into(env, sub, item)
-        case _:
-            raise InternalError(f"update: unknown pattern {p!r}")
+    kind = type(p)
+    if kind is PVar:
+        env[p.name] = v
+    elif kind is PTuple:
+        if type(v) is not VTuple or len(v.items) != len(p.items):
+            raise EvalError(f"value {pretty_value(v)} does not match tuple pattern of arity {len(p.items)}")
+        for sub, item in zip(p.items, v.items):
+            _update_into(env, sub, item)
+    elif kind is PUnit and v != UNIT_VALUE:
+        raise EvalError(f"expected the unit value for pattern (), got {pretty_value(v)}")
+    elif kind is not PUnit and kind is not PWild:
+        raise InternalError(f"update: unknown pattern {p!r}")
 
 
 @dataclass(slots=True)
@@ -138,8 +136,7 @@ def eval_expr(env: Env, e: Expr, ctx: EvalContext | None = None) -> EvalResult:
     """The evaluation relation: env |- e  =>  value, next expression."""
     ctx = ctx if ctx is not None else EvalContext()
     ctx.globals = env
-    value, next_expr = _eval(env, e, ctx, None)
-    return EvalResult(value, next_expr)
+    return EvalResult(*_eval(env, e, ctx, None))
 
 
 # A `pre` met inside an equation list: the placeholder standing for its next
@@ -187,7 +184,12 @@ def _eval(env: Env, e: Expr, ctx: EvalContext, deferred: _Deferred | None) -> tu
             # activation that starts from the globals, not the caller's locals.
             inner = dict(ctx.globals)
             _update_into(inner, f.in_pattern, arg_value)
-            callee = VClosure(f.in_pattern, f.out_pattern, _run_equations(inner, f.equations, ctx))
+            equations = _run_equations(inner, f.equations, ctx)
+            # A settled call of a literal is its own next expression; a named
+            # callee still becomes a literal, as the name may change meaning.
+            if equations is f.equations and type(fn) is Const and arg_next is arg:
+                return project(inner, f.out_pattern), e
+            callee = f if equations is f.equations else VClosure(f.in_pattern, f.out_pattern, equations)
             return project(inner, f.out_pattern), Apply(Const(callee), arg_next, span=e.span)
         if type(f) is VUndef:
             raise UndefEscape(_escape("applied expression", e.span))
@@ -273,20 +275,22 @@ def _fill_pre(hole: Arrow, env: Env, operand: Expr, ctx: EvalContext) -> None:
 
 
 def _run_equations(env: Env, equations: tuple[Equation, ...], ctx: EvalContext) -> tuple[Equation, ...]:
-    """One activation, returning the rewritten equations. It owns `env` and
-    binds each equation into it in place."""
+    """One activation, returning the rewritten equations, `equations` itself
+    if none changed. It owns `env` and binds each equation into it in place."""
     deferred: _Deferred = []
     rewritten = []
+    same = True
     for eq in equations:
         value, rhs_next = _eval(env, eq.rhs, ctx, deferred)
         if type(eq.lhs) is PVar:
             env[eq.lhs.name] = value
         else:
             _update_into(env, eq.lhs, value)
+        same = same and rhs_next is eq.rhs
         rewritten.append(eq if rhs_next is eq.rhs else Equation(eq.lhs, rhs_next, span=eq.span))
     for hole, operand in deferred:
         _fill_pre(hole, env, operand, ctx)
-    return tuple(rewritten)
+    return equations if same else tuple(rewritten)
 
 
 def eval_equations(

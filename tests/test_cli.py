@@ -791,6 +791,43 @@ class TestTraceFile:
         rows = path.read_text().splitlines()
         assert len(rows) > 1 and not any(",idle," in row for row in rows)
 
+    # Checks cleanly, fails at run time: the first firing divides by zero.
+    DIVIDE = (
+        "step divide (x : int) --> (y : int) { y = x / 0 }\n"
+        "step g (v : int) --> (w : int) { w = v }\n"
+        "channel a : int = { 1 }\n"
+        "channel b : int\n"
+        "node n implements divide (a) --> (b) every 10ms\n"
+        "node m implements g (b) --> (a) every 10ms\n"
+    )
+
+    def run_divide(self, tmp_path, capsys, trace):
+        program = tmp_path / "div.mim"
+        program.write_text(self.DIVIDE)
+        assert main(["run", str(program), "--for", "30ms", "--trace", str(trace)]) == 1
+        assert capsys.readouterr() == ("", f"{program}:5:1: error: node 'n' failed at 0s: division by zero\n")
+
+    def test_a_failed_run_keeps_the_previous_trace(self, tmp_path, capsys):
+        trace = tmp_path / "div.csv"
+        assert main(["run", str(self.FIB), "--for", "60ms", "--trace", str(trace)]) == 0
+        before = trace.read_bytes()
+        capsys.readouterr()
+        self.run_divide(tmp_path, capsys, trace)
+        assert trace.read_bytes() == before and len(before) > len("time_us,channel,value,node\n")
+
+    def test_a_failed_run_makes_no_trace_file(self, tmp_path, capsys):
+        trace = tmp_path / "div.csv"
+        self.run_divide(tmp_path, capsys, trace)
+        assert not trace.exists()
+
+    def test_a_directory_is_not_written_and_fails_before_the_run(self, tmp_path, capsys):
+        trace = tmp_path / "dir.csv"
+        trace.mkdir()
+        assert main(["run", str(self.FIB), "--for", "60ms", "--trace", str(trace)]) == 1
+        # print_int would print each value of the run.
+        assert capsys.readouterr() == ("", f"{trace}: error: cannot write trace: Is a directory\n")
+        assert trace.is_dir() and not any(trace.iterdir())
+
 
 class TestClosedOutput:
     """A reader that stops early (`mimosa … | head -1`) ends the command

@@ -4,10 +4,13 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import quiet_fib_hosts
 from exprgen import INT_OPS, TOP_TYPES, base_env, gen_expr, gen_operator_expr, gen_system, run_cycles, system_env
 from mimosa import (
     CausalityError,
     EvalError,
+    SimConfig,
+    Simulation,
     eval_equations,
     eval_expr,
     order_equations,
@@ -31,6 +34,7 @@ from mimosa.ast import (
     Some,
     StepDecl,
     Tuple,
+    UNIT_LIT,
     UNIT_VALUE,
     Var,
     VClosure,
@@ -120,6 +124,38 @@ class TestUpdate:
     def test_unit_mismatch(self):
         with pytest.raises(EvalError, match=r"^expected the unit value for pattern \(\), got \(1, true\)$"):
             _update_into(Env(), PUnit(), VTuple((VConst(1), VConst(True))))
+
+
+class TestPatternDispatch:
+    def test_wildcard_and_unit_inside_a_tuple(self):
+        env = {"x": VConst(1)}
+        pattern = PTuple((PVar("a"), PWild(), PTuple((PUnit(), PVar("b")))))
+        _update_into(env, pattern, VTuple((VConst(2), VConst(3), VTuple((UNIT_VALUE, VConst(4))))))
+        assert env == {"x": VConst(1), "a": VConst(2), "b": VConst(4)}
+        assert project(env, PTuple((PVar("a"), PUnit()))) == VTuple((VConst(2), UNIT_VALUE))
+        with pytest.raises(InternalError, match="^wildcard patterns cannot be projected$"):
+            project(env, pattern)
+
+    def test_a_unit_equal_to_the_singleton_binds(self):
+        fresh = VConst(UNIT_LIT)
+        assert fresh is not UNIT_VALUE
+        env = Env()
+        _update_into(env, PTuple((PUnit(), PVar("a"))), VTuple((fresh, VConst(1))))
+        assert env == {"a": VConst(1)}
+
+    def test_a_nested_unit_mismatch(self):
+        with pytest.raises(EvalError, match=r"^expected the unit value for pattern \(\), got 3$"):
+            _update_into(Env(), PTuple((PVar("a"), PUnit())), VTuple((VConst(1), VConst(3))))
+
+    @pytest.mark.parametrize("value, shown", [(VSome(VConst(1)), "Some 1"), (VConst(7), "7"), (VNone(), "None")])
+    def test_a_tuple_pattern_given_a_non_tuple(self, value, shown):
+        with pytest.raises(EvalError, match=f"^value {shown} does not match tuple pattern of arity 2$"):
+            _update_into(Env(), PTuple((PVar("a"), PVar("b"))), value)
+
+    def test_a_tuple_of_the_wrong_arity(self):
+        value = VTuple((VConst(1), VConst(2), VConst(3)))
+        with pytest.raises(EvalError, match=r"^value \(1, 2, 3\) does not match tuple pattern of arity 2$"):
+            _update_into(Env(), PTuple((PVar("a"), PVar("b"))), value)
 
 
 @st.composite
@@ -726,6 +762,55 @@ class TestSharing:
         )
         next_eqs, _ = eval_equations(env_of(x=1), eqs)
         assert next_eqs[0] is eqs[0] and next_eqs[1] is not eqs[1]
+
+    INC = VClosure(PVar("a"), PVar("b"), (Equation(PVar("b"), parse_expression("a + 1")),))
+    DOUBLE = VClosure(PVar("a"), PVar("b"), (Equation(PVar("b"), parse_expression("a * 2")),))
+
+    def test_a_settled_activation_is_its_own_next_state(self):
+        env = env_of(f=self.INC, x=1)
+        first = eval_expr(env, parse_expression("f x"))
+        assert first.value == VConst(2) and first.next.fn.value is self.INC
+        second = eval_expr(env, first.next)
+        assert second.value == VConst(2) and second.next is first.next
+
+    def test_a_settled_node_keeps_its_expression(self, fib_checked):
+        sim = Simulation(fib_checked, SimConfig(horizon_us=200_000), quiet_fib_hosts())
+        sim.run_until(50_000)
+        exprs = {name: node.expr for name, node in sim.state.nodes.items()}
+        sim.run_until(200_000)
+        for name in ("add", "split"):
+            assert sim.state.nodes[name].expr is exprs[name]
+            assert exprs[name].value is sim.state.env[name]
+
+    @pytest.mark.parametrize("body, fresh", [("0 -> pre a", 5), ("0 fby 1 fby a", 2)])
+    def test_a_step_with_memory_gets_a_fresh_closure_until_it_settles(self, body, fresh):
+        f = VClosure(PVar("a"), PVar("b"), (Equation(PVar("b"), parse_expression(body)),))
+        shared = reference = parse_expression("f x")
+        callees = [f]
+        for x in range(5):
+            env = env_of(f=f, x=x)
+            got = eval_expr(env, shared)
+            want = reference_eval(env, reference, reference_context(env), None)
+            assert got.value == want.value and got.next == want.next
+            callees.append(got.next.fn.value)
+            shared, reference = got.next, want.next
+        # A callee is new exactly when its equations changed in that cycle.
+        assert [new is not old for old, new in zip(callees, callees[1:])] == [True] * fresh + [False] * (5 - fresh)
+
+    def test_a_step_valued_parameter_keeps_its_first_callee(self):
+        # `app` calls its parameter `g`, a name that may hold another step on
+        # a later cycle; the call keeps the closure of its first cycle.
+        app = VClosure(PTuple((PVar("g"), PVar("v"))), PVar("w"), (Equation(PVar("w"), parse_expression("g v")),))
+        shared = reference = parse_expression("app (h, x)")
+        values = []
+        for h in (self.INC, self.DOUBLE, self.DOUBLE):
+            env = env_of(app=app, h=h, x=5)
+            got = eval_expr(env, shared)
+            want = reference_eval(env, reference, reference_context(env), None)
+            assert got.value == want.value and got.next == want.next
+            values.append(got.value)
+            shared, reference = got.next, want.next
+        assert values == [VConst(6)] * 3
 
 
 def outcome(evaluate):
