@@ -294,12 +294,12 @@ class VClosure(Value):
 @dataclass(slots=True, unsafe_hash=True)
 class VExtern(Value):
     """A builtin or externally provided (host) step, invoked once for every
-    application the evaluator reaches in a cycle. An integer operator also
-    has `ints`, the same operation on two plain ints."""
+    application the evaluator reaches in a cycle. An operator may also have a
+    `kernel`: its plain operand type and the operation on two such operands."""
 
     name: str
     fn: Callable = field(compare=False)
-    ints: Callable | None = field(default=None, compare=False, repr=False)
+    kernel: tuple[type, Callable] | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(slots=True, unsafe_hash=True)

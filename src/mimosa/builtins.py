@@ -5,8 +5,9 @@ so user steps can never shadow them (programs may freely define steps called
 `add` and the like).
 
 A builtin's `run` is its checked path, which reports undefined and ill-typed
-operands. The integer operators and orderings also carry a kernel
-(`VExtern.ints`): what the evaluator applies to two plain ints (not bools).
+operands. Binary operators but `==` and `!=` also carry a kernel
+(`VExtern.kernel`): the plain operand type, `int` (a bool is none) or `bool`
+for `&&` and `||`, and what the evaluator applies to two operands of it.
 """
 
 from __future__ import annotations
@@ -107,7 +108,7 @@ def _arith(op: str, fn) -> VExtern:
         a, b = _pair(v, op)
         return VConst(fn(_int(a, op), _int(b, op)))
 
-    return VExtern(op, run, fn)
+    return VExtern(op, run, (int, fn))
 
 
 def _compare(op: str, order) -> VExtern:
@@ -116,7 +117,7 @@ def _compare(op: str, order) -> VExtern:
         a, b = _pair(v, op)
         return VConst(order(structural_cmp(a, b, op), 0))
 
-    return VExtern(op, run, order)
+    return VExtern(op, run, (int, order))
 
 
 def _logic(op: str, fn) -> VExtern:
@@ -124,7 +125,7 @@ def _logic(op: str, fn) -> VExtern:
         a, b = _pair(v, op)
         return VConst(fn(_bool(a, op), _bool(b, op)))
 
-    return VExtern(op, run)
+    return VExtern(op, run, (bool, fn))
 
 
 def _eq(op: str, want: bool) -> VExtern:
@@ -136,6 +137,8 @@ def _eq(op: str, want: bool) -> VExtern:
 
 
 def _not(v, _ctx=None):
+    if type(v) is VConst and type(v.value) is bool:
+        return VConst(not v.value)
     return VConst(not _bool(v, "!"))
 
 
@@ -172,8 +175,8 @@ BUILTIN_VALUES: dict[str, VExtern] = {
     ">=": _compare(">=", operator.ge),
     "==": _eq("==", True),
     "!=": _eq("!=", False),
-    "&&": _logic("&&", lambda a, b: a and b),
-    "||": _logic("||", lambda a, b: a or b),
+    "&&": _logic("&&", operator.and_),
+    "||": _logic("||", operator.or_),
     "!": VExtern("!", _not),
 }
 

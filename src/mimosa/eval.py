@@ -24,19 +24,20 @@ holds the callee's closure value with its next equations, so the closure
 carries the call's state.
 
 The hot path is direct: `_eval` dispatches on the node's class, hot ones
-first. An integer operator on a pair expression evaluates both operands in
-place, and two plain ints go to the builtin's kernel with no pair built;
-other operands take its checked `run`. A node firing or step call starts its
-activation from the globals, not the caller's locals, which no checked body
-can read (a local may not shadow a step). Next expressions share structure:
-a `Tuple`, `Apply`, `If`, `Some` or `Either` whose evaluated children all
-come back as themselves (by identity) comes back as itself, and so does an
-equation whose right-hand side does, so a settled `fby`, `->` or operator
-allocates nothing. A settled activation's closure is its own next state, so
-a stateless step allocates nothing after its first cycle. Sharing is sound
-because no node reachable from an earlier next expression is ever mutated:
-`_fill_pre` sets the fields of the placeholder `Arrow`s created by the
-current activation only.
+first. An operator with a kernel on a pair expression evaluates both operands
+in place, and two operands of the kernel's plain type (`int`, or `bool` for
+`&&` and `||`) go to it with no pair built; other operands take its checked
+`run`. A node firing or step call starts its activation from the globals, not
+the caller's locals, which no checked body can read (a local may not shadow a
+step). Next expressions share structure: a `Tuple`, `Apply`, `If`, `Some` or
+`Either` whose evaluated children all come back as themselves (by identity)
+comes back as itself, and so does an equation whose right-hand side does, so
+a settled `fby`, `->` or operator allocates nothing, and a `pre` of a settled
+operand only the `v -> pre e` around its own node. A settled activation's
+closure is its own next state, so a stateless step allocates nothing after
+its first cycle. Sharing is sound because no node reachable from an earlier
+next expression is ever mutated: `_fill_pre` sets the fields of the
+placeholder `Arrow`s created by the current activation only.
 """
 
 from __future__ import annotations
@@ -103,7 +104,8 @@ def _update_into(env: Env, p: Pattern, v: Value) -> None:
         for sub, item in zip(p.items, v.items):
             _update_into(env, sub, item)
     elif kind is PUnit and v != UNIT_VALUE:
-        raise EvalError(f"expected the unit value for pattern (), got {pretty_value(v)}")
+        got = "an empty tuple value" if v == VTuple(()) else pretty_value(v)
+        raise EvalError(f"expected the unit value for pattern (), got {got}")
     elif kind is not PUnit and kind is not PWild:
         raise InternalError(f"update: unknown pattern {p!r}")
 
@@ -163,14 +165,15 @@ def _eval(env: Env, e: Expr, ctx: EvalContext, deferred: _Deferred | None) -> tu
         fn_next = fn
         if f is None:
             f, fn_next = _eval(env, fn, ctx, deferred)
-        if type(f) is VExtern and f.ints is not None and type(arg) is Tuple and len(arg.items) == 2:
-            # An integer operator on two operands, evaluated in place: two
-            # plain ints go to its kernel, anything else to its checked path.
+        if type(f) is VExtern and f.kernel is not None and type(arg) is Tuple and len(arg.items) == 2:
+            # An operator on two operands, evaluated in place: two operands of
+            # its plain type go to its kernel, anything else to its checked path.
+            plain, kernel = f.kernel
             left, right = arg.items
             a, left_next = _eval(env, left, ctx, deferred)
             b, right_next = _eval(env, right, ctx, deferred)
-            if type(a) is VConst and type(b) is VConst and type(a.value) is int and type(b.value) is int:
-                value = VConst(f.ints(a.value, b.value))
+            if type(a) is VConst and type(b) is VConst and type(a.value) is plain and type(b.value) is plain:
+                value = VConst(kernel(a.value, b.value))
             else:
                 value = f.fn(VTuple((a, b)), ctx.host)
             same = fn_next is fn and left_next is left and right_next is right
@@ -267,11 +270,12 @@ def _unbound(var: Var | PVar) -> InternalError:
 
 
 def _fill_pre(hole: Arrow, env: Env, operand: Expr, ctx: EvalContext) -> None:
-    """Make hole `v -> pre e'`, the next expression of `pre operand`; env must
-    already hold every final value of the activation."""
+    """Make hole `v -> pre e'`, the next expression of `pre operand`, keeping
+    the `pre` if e' is operand; env must hold the activation's final values."""
     value, operand_next = _eval(env, operand, ctx, None)
     hole.first = Const(value)
-    hole.rest = Pre(operand_next)
+    if operand_next is not operand:
+        hole.rest = Pre(operand_next)
 
 
 def _run_equations(env: Env, equations: tuple[Equation, ...], ctx: EvalContext) -> tuple[Equation, ...]:

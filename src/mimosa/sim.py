@@ -11,10 +11,11 @@ it replaces the head with the node's next activation, or pops it once that is
 past the horizon. Should a broken rule leave the head BLOCKED, the driver pops
 it, sets it aside and tries the next, as if popping until a node is decidable,
 and pushes what it set aside back after the next rule. The randomized order is
-a lazy Fisher-Yates shuffle of a live-candidate list, so the chosen node is
-uniform among the enabled ones; it exercises confluence: any schedule must
-produce the same per-channel timed history. The heap and the list are built
-anew by each `run_until` call, so the state may change between.
+a lazy Fisher-Yates shuffle of a live-candidate list, one `random()` call a
+draw, so the chosen node is uniform among the enabled ones; it exercises
+confluence: any schedule must produce the same per-channel timed history. The
+heap and the list are built anew by each `run_until` call, so the state may
+change between.
 """
 
 from __future__ import annotations
@@ -206,10 +207,12 @@ class Simulation:
         if not randomized:
             heapify(live)
         blocked = []  # heap entries set aside while the heap's head is BLOCKED
+        draw = self._rng.random
         while live:
             if randomized:
-                for k in range(len(live)):
-                    j = self._rng.randrange(k, len(live))
+                n = len(live)
+                for k in range(n):
+                    j = k + int(draw() * (n - k))  # uniform in [k, n), one call
                     live[k], live[j] = live[j], live[k]
                     if (decision := node_enabled(state, live[k][2].name)) != BLOCKED:
                         break

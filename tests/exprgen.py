@@ -128,6 +128,7 @@ def gen_expr(rng: random.Random, ty: Type, depth: int, need_init: bool) -> Expr:
 
 INT_OPS = ("+", "-", "*", "/")
 COMPARISON_OPS = ("<", "<=", ">", ">=", "==")
+LOGIC_OPS = ("&&", "||")
 
 
 def gen_operator_expr(rng: random.Random, depth: int, ops: tuple[str, ...] = INT_OPS + COMPARISON_OPS) -> Expr:
@@ -137,11 +138,15 @@ def gen_operator_expr(rng: random.Random, depth: int, ops: tuple[str, ...] = INT
     of an operand (undefined on the first cycle), `v -> pre e`, a `fby`, a
     bool or real written by hand, or a nested form, usually arithmetic. So
     on some cycle an expression may raise: an undefined or ill-typed operand,
-    or division by zero."""
+    or division by zero. When `ops` are logical operators, a leaf is a bool
+    name or literal instead, and a nested form usually a comparison."""
+    logic = set(ops) <= set(LOGIC_OPS)
 
     def operand(depth: int) -> Expr:
         roll = rng.random()
         if depth <= 0 or roll < 0.35:
+            if logic:
+                return Var(rng.choice(("b1", "b2"))) if roll < 0.1 else Const(VConst(rng.random() < 0.5))
             return Var(rng.choice(("i1", "i2"))) if roll < 0.1 else Const(VConst(rng.randrange(-4, 5)))
         if roll < 0.45:
             return Pre(operand(depth - 1))
@@ -153,7 +158,8 @@ def gen_operator_expr(rng: random.Random, depth: int, ops: tuple[str, ...] = INT
             return Var(rng.choice(("b1", "b2"))) if rng.random() < 0.5 else Const(VConst(rng.random() < 0.5))
         if roll < 0.7:
             return Var("r1") if rng.random() < 0.5 else Const(VConst(-1.5))
-        return gen_operator_expr(rng, depth - 1, INT_OPS if rng.random() < 0.85 else ops)
+        usual = COMPARISON_OPS if logic else INT_OPS
+        return gen_operator_expr(rng, depth - 1, usual if rng.random() < 0.85 else ops)
 
     return _binop(rng.choice(ops), operand(depth), operand(depth))
 

@@ -1,11 +1,22 @@
 import copy
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import quiet_fib_hosts
-from exprgen import INT_OPS, TOP_TYPES, base_env, gen_expr, gen_operator_expr, gen_system, run_cycles, system_env
+from exprgen import (
+    INT_OPS,
+    LOGIC_OPS,
+    TOP_TYPES,
+    base_env,
+    gen_expr,
+    gen_operator_expr,
+    gen_system,
+    run_cycles,
+    system_env,
+)
 from mimosa import (
     CausalityError,
     EvalError,
@@ -124,6 +135,11 @@ class TestUpdate:
     def test_unit_mismatch(self):
         with pytest.raises(EvalError, match=r"^expected the unit value for pattern \(\), got \(1, true\)$"):
             _update_into(Env(), PUnit(), VTuple((VConst(1), VConst(True))))
+
+    def test_empty_tuple_is_told_apart_from_unit(self):
+        # Both print as `()`, so the message names the empty tuple in words.
+        with pytest.raises(EvalError, match=r"^expected the unit value for pattern \(\), got an empty tuple value$"):
+            _update_into(Env(), PUnit(), VTuple(()))
 
 
 class TestPatternDispatch:
@@ -755,6 +771,24 @@ class TestSharing:
             e = parse_expression(text)
             assert eval_expr(env, e).next is e
 
+    def test_a_settled_pre_keeps_its_node(self):
+        eqs = (Equation(PVar("y"), parse_expression("0 -> pre x")),)
+        pre = eqs[0].rhs.rest
+        shared = reference = eqs
+        for x in (3, 4, 5):
+            env = env_of(x=x)
+            shared, got = eval_equations(env, shared)
+            reference, want = reference_run_equations(dict(env), reference, reference_context(env))
+            assert got == want and shared == reference
+        # From the first cycle on the next expression is `v -> pre x`: a new
+        # arrow each cycle around the parsed `pre`.
+        assert shared[0].rhs == Arrow(Const(VConst(5)), pre) and shared[0].rhs.rest is pre
+
+    def test_a_pre_whose_operand_rewrites_gets_a_new_node(self):
+        e = parse_expression("pre (0 -> pre x)")
+        r = eval_expr(env_of(x=1), e)
+        assert r.next == parse_expression("0 -> pre (1 -> pre x)") and r.next.rest is not e
+
     def test_unchanged_equation_is_reused(self):
         eqs = (
             Equation(PVar("a"), parse_expression("x + 1")),
@@ -877,6 +911,61 @@ class TestOperatorKernels:
         else:  # false < true
             e = Apply(Var(op), Tuple((Const(VConst(True)), Const(VConst(False)))))
             assert eval_expr(BUILTIN_VALUES, e).value == VConst(op in (">", ">="))
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_logical_operators_match_the_reference_evaluator(self, seed):
+        rng = random.Random(seed)
+        shared = reference = gen_operator_expr(rng, rng.randrange(1, 4), LOGIC_OPS)
+        env = base_env()
+        for _ in range(5):
+            got = outcome(lambda: eval_expr(env, shared))
+            want = outcome(lambda: reference_eval(env, reference, reference_context(env), None))
+            assert got == want
+            if isinstance(got[0], type):
+                break
+            shared, reference = got[1], want[1]
+
+    def test_the_logical_generator_reaches_every_path(self):
+        seen = set()
+        for seed in range(200):
+            rng = random.Random(seed)
+            e = gen_operator_expr(rng, rng.randrange(1, 4), LOGIC_OPS)
+            for _ in range(5):
+                got = outcome(lambda: eval_expr(base_env(), e))
+                if isinstance(got[0], type):
+                    seen.add(got[1])
+                    break
+                seen.add(type(got[0].value).__name__)
+                e = got[1]
+        assert "bool" in seen and "int" not in seen
+        for op in LOGIC_OPS:
+            assert f"undefined operand for '{op}'" in seen
+            assert any(kind.startswith(f"'{op}' expects boolean operands") for kind in seen)
+
+    @pytest.mark.parametrize("op", LOGIC_OPS)
+    def test_int_operands_of_a_logical_operator_take_the_checked_path(self, op):
+        for left, right in ((1, True), (False, 1), (1, 0)):
+            e = Apply(Var(op), Tuple((Const(VConst(left)), Const(VConst(right)))))
+            want = outcome(lambda: reference_eval(BUILTIN_VALUES, e, reference_context(BUILTIN_VALUES), None))
+            assert outcome(lambda: eval_expr(BUILTIN_VALUES, e)) == want
+        e = Apply(Var(op), Tuple((Const(VConst(1)), Const(VConst(True)))))
+        with pytest.raises(EvalError, match="^" + re.escape(f"'{op}' expects boolean operands, got 1") + "$"):
+            eval_expr(BUILTIN_VALUES, e)
+
+    @pytest.mark.parametrize("a, b", [(False, False), (False, True), (True, False), (True, True)])
+    def test_logical_operators_on_bools(self, a, b):
+        env = env_of(a=a, b=b)
+        for text, want in (("a && b", a and b), ("a || b", a or b), ("!a", not a)):
+            e = parse_expression(text)
+            r = eval_expr(env, e)
+            # A settled operator comes back as itself.
+            assert r.value == VConst(want) and type(r.value.value) is bool and r.next is e
+
+    def test_not_reports_an_ill_typed_operand(self):
+        with pytest.raises(EvalError, match="^'!' expects boolean operands, got 1$"):
+            eval_expr(env_of(x=1), parse_expression("!x"))
+        with pytest.raises(UndefEscape, match="^undefined operand for '!'$"):
+            eval_expr(env_of(x=True), parse_expression("!(pre x)"))
 
     def test_undefined_operand(self):
         with pytest.raises(UndefEscape, match="^undefined operand for '\\+'$"):

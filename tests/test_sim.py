@@ -147,6 +147,16 @@ class TestConfluence:
         rnd = fib_trace(fib_checked, schedule="randomized", seed=99).per_channel()
         assert det == rnd
 
+    def test_one_seed_draws_one_schedule(self, fib_checked):
+        def rule_order(**kwargs):
+            sim = Simulation(fib_checked, SimConfig(horizon_us=200 * MS, **kwargs), quiet_fib_hosts())
+            sim.run_until(200 * MS)
+            return list(sim.state.steps)
+
+        first = rule_order(schedule="randomized", seed=5)
+        assert rule_order(schedule="randomized", seed=5) == first
+        assert first != rule_order(schedule="randomized", seed=6) and first != rule_order()
+
     def test_broken_idle_rule_is_caught(self, monkeypatch):
         # An idle step that forgets to advance its output validity starves the
         # peer node: both end up mutually undecided, which the driver reports.
