@@ -1,5 +1,11 @@
 """Static checks: network well-formedness, causality ordering, initialization
-analysis, and Hindley-Milner type inference for steps and node wiring."""
+analysis, and Hindley-Milner type inference for steps and node wiring.
+
+A builtin binary operator applied to operands that already have its operand
+type is typed in place, without unification; the variables it would have
+used are taken all the same, so messages name variables as the general path
+does. Compared values must be first-order, like the equality type variables
+of Standard ML."""
 
 from __future__ import annotations
 
@@ -35,15 +41,17 @@ from .ast import (
     contains_undef,
     nesting,
 )
-from .builtins import BUILTIN_TYPES
+from .builtins import BINARY_OPS, BUILTIN_TYPES
 from .errors import (
     SYNTHETIC,
     CausalityError,
     Diagnostic,
     InitError,
+    Loc,
     NetworkError,
     Span,
     TypeCheckError,
+    span_of,
 )
 from .types import (
     BOOL,
@@ -51,9 +59,11 @@ from .types import (
     REAL,
     UNIT,
     Scheme,
+    TBase,
     TFunc,
     TOption,
     TTuple,
+    TVar,
     Type,
     Unifier,
     is_first_order,
@@ -78,7 +88,7 @@ def init_meet(a, b):
 def init_all(t) -> bool:
     if isinstance(t, bool):
         return t
-    return all(init_all(x) for x in t)
+    return all(map(init_all, t))
 
 
 def _bind_init(statuses: dict, p: Pattern, t) -> None:
@@ -114,12 +124,12 @@ class _InitCheck:
         self.prefix: tuple[int, ...] = ()
         self.count = 0  # the last position taken under `prefix`
         self.deferred: list[tuple[tuple[int, ...], Expr]] = []
-        self.failures: list[tuple[tuple[int, ...], str, Span]] = []
+        self.failures: list[tuple[tuple[int, ...], str, Loc]] = []
 
-    def _require(self, t, span: Span, what: str, when: str = "on some cycle"):
+    def _require(self, t, loc: Loc, what: str, when: str = "on some cycle"):
         self.count += 1
         if t is not True and not init_all(t):
-            self.failures.append((self.prefix + (self.count,), f"{what} may be undefined {when}", span))
+            self.failures.append((self.prefix + (self.count,), f"{what} may be undefined {when}", loc))
 
     def status(self, e: Expr):
         kind = type(e)
@@ -129,7 +139,7 @@ class _InitCheck:
             return not contains_undef(e.value)
         if kind is Apply:
             self.status(e.fn)
-            self._require(self.status(e.arg), e.arg.span, "step argument")
+            self._require(self.status(e.arg), e.arg.loc, "step argument")
             return True
         if kind is Pre:  # undefined on the first cycle, whatever its operand
             self.count += 1
@@ -140,40 +150,40 @@ class _InitCheck:
         if kind is Fby:
             s1 = self.status(e.first)
             s2 = self.status(e.rest)
-            self._require(s1, e.first.span, "left operand of fby")
+            self._require(s1, e.first.loc, "left operand of fby")
             # After the first cycle the right operand becomes the whole
             # stream, so its own first value must be defined.
-            self._require(s2, e.rest.span, "right operand of fby")
+            self._require(s2, e.rest.loc, "right operand of fby")
             return True
         if kind is Arrow:
             s1 = self.status(e.first)
             self.status(e.rest)
-            self._require(s1, e.first.span, "left operand of ->")
+            self._require(s1, e.first.loc, "left operand of ->")
             return s1
         if kind is If:
             sc = self.status(e.cond)
             st = self.status(e.then)
             so = self.status(e.orelse)
-            self._require(sc, e.cond.span, "if condition")
+            self._require(sc, e.cond.loc, "if condition")
             return init_meet(st, so)
         if kind is Some:
             return self.status(e.expr)
         if kind is Either:
             ss = self.status(e.scrutinee)
             sf = self.status(e.fallback)
-            self._require(ss, e.scrutinee.span, "either scrutinee")
+            self._require(ss, e.scrutinee.loc, "either scrutinee")
             return sf
         self.fail(f"cannot analyze expression {e!r}")
 
-    def fail(self, message: str, span: Span = SYNTHETIC):
-        raise InitError([Diagnostic(message, span, file=self.file)])
+    def fail(self, message: str, loc: Loc = SYNTHETIC):
+        raise InitError([Diagnostic(message, span_of(loc), file=self.file)])
 
     def finish(self):
         """Check the deferred `pre` operands, then raise the earliest failure."""
         for prefix, operand in self.deferred:  # grows while it is walked
             self.prefix, self.count = prefix, 0
             t = self.status(operand)
-            self._require(t, operand.span, "operand of pre", "on the first cycle")
+            self._require(t, operand.loc, "operand of pre", "on the first cycle")
         if self.failures:
             self.fail(*min(self.failures)[1:])
 
@@ -197,7 +207,7 @@ def check_initialization(
 
     for name in step.out_pattern.names():
         if not init_all(statuses.get(name, True)):
-            checker.fail(f"step output '{name}' may be undefined on the first cycle", step.out_pattern.span)
+            checker.fail(f"step output '{name}' may be undefined on the first cycle", step.out_pattern.loc)
     return dict(statuses)
 
 
@@ -448,6 +458,10 @@ def _step_topo_order(
 
 _CONST_TYPES = {bool: BOOL, int: INT, float: REAL}
 
+# The operand type of each builtin binary operator; None for a comparison,
+# whose operands may have any one (first-order) type.
+_OPERAND = {op: None if BUILTIN_TYPES[op].vars else BUILTIN_TYPES[op].body.arg.items[0] for op in BINARY_OPS}
+
 
 class _Infer:
     def __init__(self, file: str):
@@ -483,7 +497,7 @@ class _Infer:
             case PVar(name, annot):
                 t = local[name]
                 if annot is not None:
-                    self.u.unify(t, annot, p.span, self.file)
+                    self.u.unify(t, annot, p.loc, self.file)
                 return t
             case PWild():
                 return self.u.fresh()
@@ -506,10 +520,13 @@ class _Infer:
         if kind is Const:
             return self.literal_type(e.value)
         if kind is Apply:
-            tfn = self.expr(e.fn, ctx, local)
-            targ = self.expr(e.arg, ctx, local)
+            fn, arg = e.fn, e.arg
+            if type(fn) is Var and fn.name in _OPERAND and type(arg) is Tuple and len(arg.items) == 2:
+                return self.operator(e, ctx, local)
+            tfn = self.expr(fn, ctx, local)
+            targ = self.expr(arg, ctx, local)
             result = self.u.fresh()
-            self.u.unify(tfn, TFunc(targ, result), e.span, self.file)
+            self.u.unify(tfn, TFunc(targ, result), e.loc, self.file)
             return result
         if kind is Tuple:
             return TTuple(tuple([self.expr(i, ctx, local) for i in e.items]))
@@ -518,23 +535,45 @@ class _Infer:
         if kind is Fby or kind is Arrow:
             t1 = self.expr(e.first, ctx, local)
             t2 = self.expr(e.rest, ctx, local)
-            self.u.unify(t1, t2, e.span, self.file)
+            self.u.unify(t1, t2, e.loc, self.file)
             return t1
         if kind is If:
             tc = self.expr(e.cond, ctx, local)
-            self.u.unify(tc, BOOL, e.cond.span, self.file)
+            self.u.unify(tc, BOOL, e.cond.loc, self.file)
             tt = self.expr(e.then, ctx, local)
             to = self.expr(e.orelse, ctx, local)
-            self.u.unify(tt, to, e.span, self.file)
+            self.u.unify(tt, to, e.loc, self.file)
             return tt
         if kind is Some:
             return TOption(self.expr(e.expr, ctx, local))
         if kind is Either:
             tf = self.expr(e.fallback, ctx, local)
             ts = self.expr(e.scrutinee, ctx, local)
-            self.u.unify(ts, TOption(tf), e.scrutinee.span, self.file)
+            self.u.unify(ts, TOption(tf), e.scrutinee.loc, self.file)
             return tf
         raise AssertionError(e)
+
+    def operator(self, e: Apply, ctx: dict[str, Scheme], local: dict[str, Type]) -> Type:
+        """`e` applies a builtin binary operator to a pair. If both operands
+        resolve to the operator's operand type (for a comparison, to one base
+        type), its result type is the operator's, with no unification; else
+        `e` is typed as any application is. Either way the operator's
+        variables, then the result's, take the ids the general path gives
+        them, since messages print variables by id."""
+        u = self.u
+        name = e.fn.name
+        scheme = ctx[name]
+        first = u.reserve(len(scheme.vars))
+        left, right = e.arg.items
+        t1 = u.resolve(self.expr(left, ctx, local))
+        t2 = u.resolve(self.expr(right, ctx, local))
+        result = u.reserve(1)
+        operand = _OPERAND[name]
+        if t1 is t2 and (t1 is operand or operand is None and type(t1) is TBase):
+            return scheme.body.result
+        tfn = u.instantiate(scheme, first)
+        u.unify(tfn, TFunc(TTuple((t1, t2)), TVar(result)), e.loc, self.file)
+        return TVar(result)
 
     def literal_type(self, v: Value) -> Type:
         kind = type(v)
@@ -573,7 +612,7 @@ def infer_types(
                     local.setdefault(n, inf.u.fresh())
             for eq in step.equations or ():
                 trhs = inf.expr(eq.rhs, ctx, local)
-                inf.u.unify(inf.pattern_type(eq.lhs, local), trhs, eq.span, file)
+                inf.u.unify(inf.pattern_type(eq.lhs, local), trhs, eq.loc, file)
             tout = inf.pattern_type(step.out_pattern, local)
         ctx[name] = inf.u.generalize(TFunc(tin, tout))
 
@@ -582,14 +621,14 @@ def infer_types(
     channel_types = {c.name: c.elem_type for c in program.channels}
     for ch in program.channels:
         for value in ch.initial:
-            inf.u.unify(ch.elem_type, inf.literal_type(value), ch.span, file)
+            inf.u.unify(ch.elem_type, inf.literal_type(value), ch.loc, file)
     node_sigs: dict[str, Type] = {}
     for node in program.nodes:
         scheme = schemes[node.step]
         sig = inf.u.instantiate(scheme)
         tin = _ports_type(node.inputs, channel_types)
         tout = _ports_type(node.outputs, channel_types)
-        inf.u.unify(sig, TFunc(tin, tout), node.span, file)
+        inf.u.unify(sig, TFunc(tin, tout), node.loc, file)
         node_sigs[node.name] = inf.u.deep_resolve(sig)
     return schemes, node_sigs
 

@@ -4,8 +4,9 @@ Patterns and declarations are frozen. Expressions, equations and runtime
 values are never mutated after construction, except `_fill_pre`'s fresh holes
 in the evaluator; they are not frozen, for speed: the evaluator builds them on
 every firing, and a frozen dataclass costs several times as much to construct.
-Source spans never participate in equality or hashing, so structural
-comparison of two trees ignores where they were parsed from.
+Source locations (`loc`, resolved by the `span` property) never participate
+in equality or hashing, so structural comparison of two trees ignores where
+they were parsed from.
 
 A literal is its value: `Const` holds the runtime `Value` it evaluates to, so
 when `pre e` rewrites to `v -> pre e'` the current value `v` goes back into
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Callable, Container, Iterable, NamedTuple
 
-from .errors import SYNTHETIC, Span
+from .errors import SYNTHETIC, Loc, Located
 from .types import Type
 
 
@@ -45,9 +46,7 @@ UNIT_LIT = _Unit()
 # Patterns
 
 
-class Pattern:
-    span: Span
-
+class Pattern(Located):
     def names(self) -> list[str]:
         return _pattern_names(self)
 
@@ -56,24 +55,24 @@ class Pattern:
 class PVar(Pattern):
     name: str
     annot: Type | None = None
-    span: Span = field(default=SYNTHETIC, compare=False, repr=False)
+    loc: Loc = field(default=SYNTHETIC, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class PWild(Pattern):
     annot: Type | None = None
-    span: Span = field(default=SYNTHETIC, compare=False, repr=False)
+    loc: Loc = field(default=SYNTHETIC, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class PUnit(Pattern):
-    span: Span = field(default=SYNTHETIC, compare=False, repr=False)
+    loc: Loc = field(default=SYNTHETIC, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class PTuple(Pattern):
     items: tuple[Pattern, ...]
-    span: Span = field(default=SYNTHETIC, compare=False, repr=False)
+    loc: Loc = field(default=SYNTHETIC, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.items) < 2:
@@ -101,15 +100,14 @@ def _pattern_names(p: Pattern) -> list[str]:
 # Expressions (one variant per abstract-syntax production)
 
 
-class Expr:
+class Expr(Located):
     __slots__ = ()
-    span: Span
 
 
 @dataclass(slots=True, unsafe_hash=True)
 class Var(Expr):
     name: str
-    span: Span = field(default=SYNTHETIC, compare=False, repr=False)
+    loc: Loc = field(default=SYNTHETIC, compare=False, repr=False)
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -119,13 +117,13 @@ class Const(Expr):
     called step rewrites to."""
 
     value: "Value"
-    span: Span = field(default=SYNTHETIC, compare=False, repr=False)
+    loc: Loc = field(default=SYNTHETIC, compare=False, repr=False)
 
 
 @dataclass(slots=True, unsafe_hash=True)
 class Tuple(Expr):
     items: tuple[Expr, ...]
-    span: Span = field(default=SYNTHETIC, compare=False, repr=False)
+    loc: Loc = field(default=SYNTHETIC, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.items) < 2:
@@ -135,28 +133,28 @@ class Tuple(Expr):
 @dataclass(slots=True, unsafe_hash=True)
 class Pre(Expr):
     expr: Expr
-    span: Span = field(default=SYNTHETIC, compare=False, repr=False)
+    loc: Loc = field(default=SYNTHETIC, compare=False, repr=False)
 
 
 @dataclass(slots=True, unsafe_hash=True)
 class Fby(Expr):
     first: Expr
     rest: Expr
-    span: Span = field(default=SYNTHETIC, compare=False, repr=False)
+    loc: Loc = field(default=SYNTHETIC, compare=False, repr=False)
 
 
 @dataclass(slots=True, unsafe_hash=True)
 class Arrow(Expr):
     first: Expr
     rest: Expr
-    span: Span = field(default=SYNTHETIC, compare=False, repr=False)
+    loc: Loc = field(default=SYNTHETIC, compare=False, repr=False)
 
 
 @dataclass(slots=True, unsafe_hash=True)
 class Apply(Expr):
     fn: Expr
     arg: Expr
-    span: Span = field(default=SYNTHETIC, compare=False, repr=False)
+    loc: Loc = field(default=SYNTHETIC, compare=False, repr=False)
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -164,13 +162,13 @@ class If(Expr):
     cond: Expr
     then: Expr
     orelse: Expr
-    span: Span = field(default=SYNTHETIC, compare=False, repr=False)
+    loc: Loc = field(default=SYNTHETIC, compare=False, repr=False)
 
 
 @dataclass(slots=True, unsafe_hash=True)
 class Some(Expr):
     expr: Expr
-    span: Span = field(default=SYNTHETIC, compare=False, repr=False)
+    loc: Loc = field(default=SYNTHETIC, compare=False, repr=False)
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -179,14 +177,14 @@ class Either(Expr):
 
     scrutinee: Expr
     fallback: Expr
-    span: Span = field(default=SYNTHETIC, compare=False, repr=False)
+    loc: Loc = field(default=SYNTHETIC, compare=False, repr=False)
 
 
 @dataclass(slots=True, unsafe_hash=True)
-class Equation:
+class Equation(Located):
     lhs: Pattern
     rhs: Expr
-    span: Span = field(default=SYNTHETIC, compare=False, repr=False)
+    loc: Loc = field(default=SYNTHETIC, compare=False, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -194,12 +192,12 @@ class Equation:
 
 
 @dataclass(frozen=True)
-class StepDecl:
+class StepDecl(Located):
     name: str
     in_pattern: Pattern
     out_pattern: Pattern
     equations: tuple[Equation, ...] | None  # None marks a prototype
-    span: Span = field(default=SYNTHETIC, compare=False, repr=False)
+    loc: Loc = field(default=SYNTHETIC, compare=False, repr=False)
 
     @property
     def is_prototype(self) -> bool:
@@ -207,28 +205,28 @@ class StepDecl:
 
 
 @dataclass(frozen=True)
-class ChannelDecl:
+class ChannelDecl(Located):
     name: str
     elem_type: Type
     initial: "tuple[Value, ...]"
-    span: Span = field(default=SYNTHETIC, compare=False, repr=False)
+    loc: Loc = field(default=SYNTHETIC, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
-class PortRef:
+class PortRef(Located):
     channel: str
     optional: bool
-    span: Span = field(default=SYNTHETIC, compare=False, repr=False)
+    loc: Loc = field(default=SYNTHETIC, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
-class NodeDecl:
+class NodeDecl(Located):
     name: str
     step: str
     inputs: tuple[PortRef, ...]
     outputs: tuple[PortRef, ...]
     period_us: int
-    span: Span = field(default=SYNTHETIC, compare=False, repr=False)
+    loc: Loc = field(default=SYNTHETIC, compare=False, repr=False)
 
 
 @dataclass(frozen=True)

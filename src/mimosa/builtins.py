@@ -145,7 +145,7 @@ def _not(v, _ctx=None):
 _A = TVar(0)
 
 _INT_BINOP = Scheme((), TFunc(TTuple((INT, INT)), INT))
-_CMP = Scheme((0,), TFunc(TTuple((_A, _A)), BOOL))
+_CMP = Scheme((0,), TFunc(TTuple((_A, _A)), BOOL), first_order=(0,))
 _BOOL_BINOP = Scheme((), TFunc(TTuple((BOOL, BOOL)), BOOL))
 
 BUILTIN_TYPES: dict[str, Scheme] = {

@@ -34,7 +34,7 @@ from .ast import (
     contains_undef,
 )
 from .builtins import BUILTIN_VALUES
-from .errors import Diagnostic, EvalError, InternalError, SimError, Span
+from .errors import Diagnostic, EvalError, InternalError, Loc, Located, SimError
 from .eval import Env, EvalContext, HostContext, UNIT_VALUE, eval_expr
 from .pretty import format_duration, pretty_value
 
@@ -59,14 +59,14 @@ class Channel:
 
 
 @dataclass(slots=True)
-class NodeState:
+class NodeState(Located):
     name: str
     period_us: int
     activation: int
     expr: Expr
     inputs: tuple[PortRef, ...]
     outputs: tuple[PortRef, ...]
-    span: Span  # of the node's declaration
+    loc: Loc  # of the node's declaration; `span` resolves it
     # The ports resolved by init_network: (channel, optional) pairs.
     in_ports: tuple[tuple[Channel, bool], ...] = field(repr=False, compare=False)
     out_ports: tuple[tuple[Channel, bool], ...] = field(repr=False, compare=False)
@@ -162,7 +162,7 @@ def init_network(cp: CheckedProgram, hosts: Mapping[str, Value] | None = None) -
             Var(decl.step),
             decl.inputs,
             decl.outputs,
-            decl.span,
+            decl.loc,
             tuple([(channels[port.channel], port.optional) for port in decl.inputs]),
             tuple([(channels[port.channel], port.optional) for port in decl.outputs]),
         )

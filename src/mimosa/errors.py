@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import json
+import re
+from bisect import bisect_right
 from dataclasses import dataclass
+from typing import Union
 
 
-# Not frozen: the lexer and the parser make one span per token and per node,
-# and a frozen dataclass costs five times as much to construct. Nothing
-# assigns to a span's fields; the hash keeps it usable as a field default.
+# Built only when a diagnostic or an evaluator message needs one: the lexer
+# and the parser record locations (see `Loc`), not spans. Nothing assigns to
+# a span's fields; the hash keeps it usable as a field default.
 @dataclass(slots=True, unsafe_hash=True)
 class Span:
     """1-based source region. Synthetic nodes use the zero span."""
@@ -23,6 +26,50 @@ class Span:
 
 
 SYNTHETIC = Span()
+
+# Where a node came from: a `Span` (the zero span for a synthetic node), a
+# token of the parser (a leaf's), or a pair of tokens (the first and last of
+# a composite node). A token has a `span` property of its own.
+Loc = Union[Span, tuple]
+
+
+def span_of(loc: Loc) -> Span:
+    """The `Span` of a location."""
+    if type(loc) is tuple:
+        first, last = loc[0].span, loc[1].span
+        return Span(first.line, first.col, last.end_line, last.end_col)
+    return loc if isinstance(loc, Span) else loc.span
+
+
+class Located:
+    """A node whose source location is its field `loc`."""
+
+    __slots__ = ()
+
+    @property
+    def span(self) -> Span:
+        return span_of(self.loc)
+
+
+class Source:
+    """A source text whose first line is line `first_line` of its file. It
+    turns offsets into lines and columns through a table of line starts, made
+    on first use: a source that raises no diagnostic never needs it."""
+
+    __slots__ = ("text", "first_line", "_starts")
+
+    def __init__(self, text: str, first_line: int = 1):
+        self.text = text
+        self.first_line = first_line
+        self._starts: list[int] | None = None
+
+    def locate(self, offset: int) -> tuple[int, int]:
+        """The line and column of the character at `offset`."""
+        starts = self._starts
+        if starts is None:
+            starts = self._starts = [0, *(m.end() for m in re.finditer("\n", self.text))]
+        i = bisect_right(starts, offset) - 1
+        return self.first_line + i, offset - starts[i] + 1
 
 
 @dataclass(frozen=True)

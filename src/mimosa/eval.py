@@ -177,11 +177,11 @@ def _eval(env: Env, e: Expr, ctx: EvalContext, deferred: _Deferred | None) -> tu
             else:
                 value = f.fn(VTuple((a, b)), ctx.host)
             same = fn_next is fn and left_next is left and right_next is right
-            return value, e if same else Apply(fn_next, Tuple((left_next, right_next), span=arg.span), span=e.span)
+            return value, e if same else Apply(fn_next, Tuple((left_next, right_next), loc=arg.loc), loc=e.loc)
         arg_value, arg_next = _eval(env, arg, ctx, deferred)
         if type(f) is VExtern:
             same = fn_next is fn and arg_next is arg
-            return f.fn(arg_value, ctx.host), e if same else Apply(fn_next, arg_next, span=e.span)
+            return f.fn(arg_value, ctx.host), e if same else Apply(fn_next, arg_next, loc=e.loc)
         if type(f) is VClosure:
             # A call of a step, and every firing of a bodied node: an
             # activation that starts from the globals, not the caller's locals.
@@ -193,14 +193,14 @@ def _eval(env: Env, e: Expr, ctx: EvalContext, deferred: _Deferred | None) -> tu
             if equations is f.equations and type(fn) is Const and arg_next is arg:
                 return project(inner, f.out_pattern), e
             callee = f if equations is f.equations else VClosure(f.in_pattern, f.out_pattern, equations)
-            return project(inner, f.out_pattern), Apply(Const(callee), arg_next, span=e.span)
+            return project(inner, f.out_pattern), Apply(Const(callee), arg_next, loc=e.loc)
         if type(f) is VUndef:
             raise UndefEscape(_escape("applied expression", e.span))
         raise EvalError(f"application of a non-function value {pretty_value(f)}")
     if kind is Arrow:
         return _eval(env, e.first, ctx, deferred)[0], _eval(env, e.rest, ctx, deferred)[1]
     if kind is Pre:
-        hole = Arrow(e.expr, e, span=e.span)  # both fields are set by _fill_pre
+        hole = Arrow(e.expr, e, loc=e.loc)  # both fields are set by _fill_pre
         if deferred is None:
             _fill_pre(hole, env, e.expr, ctx)
         else:
@@ -212,10 +212,10 @@ def _eval(env: Env, e: Expr, ctx: EvalContext, deferred: _Deferred | None) -> tu
         if _branch(c, e):
             value, then_next = _eval(env, then, ctx, deferred)
             same = cond_next is cond and then_next is then
-            return value, e if same else If(cond_next, then_next, orelse, span=e.span)
+            return value, e if same else If(cond_next, then_next, orelse, loc=e.loc)
         value, else_next = _eval(env, orelse, ctx, deferred)
         same = cond_next is cond and else_next is orelse
-        return value, e if same else If(cond_next, then, else_next, span=e.span)
+        return value, e if same else If(cond_next, then, else_next, loc=e.loc)
     if kind is Fby:
         return _eval(env, e.first, ctx, deferred)[0], e.rest
     if kind is Tuple:
@@ -228,20 +228,20 @@ def _eval(env: Env, e: Expr, ctx: EvalContext, deferred: _Deferred | None) -> tu
             values.append(value)
             nexts.append(item_next)
             same = same and item_next is item
-        return VTuple(tuple(values)), e if same else Tuple(tuple(nexts), span=e.span)
+        return VTuple(tuple(values)), e if same else Tuple(tuple(nexts), loc=e.loc)
     if kind is Some:
         value, inner_next = _eval(env, e.expr, ctx, deferred)
-        return VSome(value), e if inner_next is e.expr else Some(inner_next, span=e.span)
+        return VSome(value), e if inner_next is e.expr else Some(inner_next, loc=e.loc)
     if kind is Either:
         scrutinee, fallback = e.scrutinee, e.fallback
         option, scrutinee_next = _eval(env, scrutinee, ctx, deferred)
         if type(option) is VSome:
             same = scrutinee_next is scrutinee
-            return option.value, e if same else Either(scrutinee_next, fallback, span=e.span)
+            return option.value, e if same else Either(scrutinee_next, fallback, loc=e.loc)
         if type(option) is VNone:
             value, fallback_next = _eval(env, fallback, ctx, deferred)
             same = scrutinee_next is scrutinee and fallback_next is fallback
-            return value, e if same else Either(scrutinee_next, fallback_next, span=e.span)
+            return value, e if same else Either(scrutinee_next, fallback_next, loc=e.loc)
         if type(option) is VUndef:
             raise UndefEscape(_escape("either scrutinee", e.span))
         raise InternalError(f"either scrutinee evaluated to non-option {option!r}")
@@ -291,7 +291,7 @@ def _run_equations(env: Env, equations: tuple[Equation, ...], ctx: EvalContext) 
         else:
             _update_into(env, eq.lhs, value)
         same = same and rhs_next is eq.rhs
-        rewritten.append(eq if rhs_next is eq.rhs else Equation(eq.lhs, rhs_next, span=eq.span))
+        rewritten.append(eq if rhs_next is eq.rhs else Equation(eq.lhs, rhs_next, loc=eq.loc))
     for hole, operand in deferred:
         _fill_pre(hole, env, operand, ctx)
     return equations if same else tuple(rewritten)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import Diagnostic, Span, TypeCheckError
+from .errors import Diagnostic, Loc, TypeCheckError, span_of
 
 
 class Type:
@@ -87,10 +87,12 @@ def tyvar_name(i: int) -> str:
 
 @dataclass(frozen=True)
 class Scheme:
-    """A type quantified over the listed variable ids."""
+    """A type quantified over the listed variable ids. Those in `first_order`
+    stand only for first-order types (they type compared values)."""
 
     vars: tuple[int, ...]
     body: Type
+    first_order: tuple[int, ...] = ()
 
     def __str__(self) -> str:
         return str(self.body)
@@ -126,15 +128,27 @@ def is_first_order(t: Type) -> bool:
 
 
 class Unifier:
-    """Substitution store with unification and scheme instantiation."""
+    """Substitution store with unification and scheme instantiation.
+
+    A variable in `_first_order` may be bound only to a first-order type, as
+    an equality type variable of Standard ML: binding it to a type with a
+    function in it is an error, and binding it to any other type passes the
+    constraint on to that type's variables.
+    """
 
     def __init__(self):
         self._subst: dict[int, Type] = {}
         self._next = 0
+        self._first_order: set[int] = set()
 
     def fresh(self) -> TVar:
         self._next += 1
         return TVar(self._next - 1)
+
+    def reserve(self, n: int) -> int:
+        """Take the next n variable ids without making their variables; the first of them."""
+        self._next += n
+        return self._next - n
 
     def resolve(self, t: Type) -> Type:
         """Follow variable bindings one level (the root of t only)."""
@@ -154,7 +168,8 @@ class Unifier:
                 return True
         return False
 
-    def unify(self, a: Type, b: Type, span: Span, file: str = "<string>") -> None:
+    def unify(self, a: Type, b: Type, loc: Loc, file: str = "<string>") -> None:
+        """Make a and b equal, or raise TypeCheckError at `loc`."""
         subst = self._subst
         while type(a) is TVar and a.id in subst:
             a = subst[a.id]
@@ -169,32 +184,52 @@ class Unifier:
             if type(b) is TVar and b.id == a.id:
                 return
             if self._occurs(a.id, b):
-                self._fail(f"occurs check: {self.render(a)} in {self.render(b)}", span, file)
+                self._fail(f"occurs check: {self.render(a)} in {self.render(b)}", loc, file)
+            if a.id in self._first_order:
+                self._only_first_order(b, loc, file)
             subst[a.id] = b
             return
         if kind is type(b):
             if kind is TOption:
-                self.unify(a.elem, b.elem, span, file)
+                self.unify(a.elem, b.elem, loc, file)
                 return
             if kind is TFunc:
-                self.unify(a.arg, b.arg, span, file)
-                self.unify(a.result, b.result, span, file)
+                self.unify(a.arg, b.arg, loc, file)
+                self.unify(a.result, b.result, loc, file)
                 return
             if kind is TTuple and len(a.items) == len(b.items):
                 for x, y in zip(a.items, b.items):
-                    self.unify(x, y, span, file)
+                    self.unify(x, y, loc, file)
                 return
             if kind is TBase and a.name == b.name:
                 return
-        self._fail(f"type mismatch: expected {self.render(a)}, found {self.render(b)}", span, file)
+        self._fail(f"type mismatch: expected {self.render(a)}, found {self.render(b)}", loc, file)
 
-    def _fail(self, message: str, span: Span, file: str):
-        raise TypeCheckError([Diagnostic(message, span, file=file)])
+    def _only_first_order(self, t: Type, loc: Loc, file: str) -> None:
+        """Check that t, bound to a first-order variable, has no function in it,
+        and make its variables first-order too."""
+        t = self.deep_resolve(t)
+        if not is_first_order(t):
+            self._fail(f"only first-order values can be compared, found {t}", loc, file)
+        parts = [t]
+        while parts:
+            part = parts.pop()
+            if type(part) is TVar:
+                self._first_order.add(part.id)
+            parts.extend(_parts(part))
 
-    def instantiate(self, scheme: Scheme) -> Type:
+    def _fail(self, message: str, loc: Loc, file: str):
+        raise TypeCheckError([Diagnostic(message, span_of(loc), file=file)])
+
+    def instantiate(self, scheme: Scheme, first: int | None = None) -> Type:
+        """`scheme`'s body with fresh variables, numbered from `first` if the
+        caller reserved their ids."""
         if not scheme.vars:  # monomorphic: types are immutable, so share the body
             return scheme.body
-        fresh = {TVar(v): self.fresh() for v in scheme.vars}
+        if first is None:
+            first = self.reserve(len(scheme.vars))
+        fresh = {TVar(v): TVar(first + k) for k, v in enumerate(scheme.vars)}
+        self._first_order.update(fresh[TVar(v)].id for v in scheme.first_order)
         return _map(scheme.body, lambda v: fresh.get(v, v))
 
     def generalize(self, t: Type) -> Scheme:
@@ -205,7 +240,8 @@ class Unifier:
             return numbers.setdefault(v.id, TVar(len(numbers))) if isinstance(v, TVar) else v
 
         body = _map(self.deep_resolve(t), number)
-        return Scheme(tuple(range(len(numbers))), body)
+        first_order = tuple(new.id for old, new in numbers.items() if old in self._first_order)
+        return Scheme(tuple(range(len(numbers))), body, first_order)
 
     def render(self, t: Type) -> str:
         return str(self.deep_resolve(t))

@@ -4,7 +4,17 @@ from pathlib import Path
 
 import pytest
 
-from exprgen import BASE_VALUES, TOP_TYPES, base_env, gen_expr, gen_system
+from exprgen import (
+    BASE_VALUES,
+    COMPARISON_OPS,
+    INT_OPS,
+    LOGIC_OPS,
+    TOP_TYPES,
+    base_env,
+    gen_expr,
+    gen_operator_expr,
+    gen_system,
+)
 from mimosa import (
     CausalityError,
     InitError,
@@ -15,9 +25,10 @@ from mimosa import (
     check_program,
     infer_types,
     order_equations,
+    parse_expression,
     parse_program,
 )
-from mimosa.analysis import _bind_init, _in_cycle, init_all, init_meet
+from mimosa.analysis import _Infer, _bind_init, _in_cycle, init_all, init_meet
 from mimosa.ast import (
     Apply,
     Arrow,
@@ -35,10 +46,12 @@ from mimosa.ast import (
     StepDecl,
     Tuple,
     Var,
+    VConst,
+    VNone,
     contains_undef,
     nesting,
 )
-from mimosa.builtins import BUILTIN_TYPES
+from mimosa.builtins import BINARY_OPS, BUILTIN_TYPES
 from mimosa.errors import Diagnostic, Span
 from mimosa.eval import eval_equations
 from mimosa.pretty import pretty_expr
@@ -157,6 +170,144 @@ channel b : real? = { None, Some 1.5 }
             infer_types(parse_program("step f x --> (y : bool) { y = x + 1 }"))
         (diag,) = err.value.diagnostics
         assert (diag.message, str(diag.span)) == ("type mismatch: expected int, found bool", "1:15")
+
+
+    def test_type_variable_names_count_the_operator_result(self):
+        # Each operator application takes a result variable, typed in place
+        # or not, so the variable in this message is still 'f.
+        source = "step f (x : int) --> y { a = x + 1; b = a * 2; y = (b, None) fby Some a }"
+        with pytest.raises(TypeCheckError) as err:
+            check_program(parse_program(source, "f.mim"), file="f.mim")
+        (diag,) = err.value.diagnostics
+        assert diag.text() == "f.mim:1:52: error: type mismatch: expected (int, 'f?), found int?"
+        assert diag.span == Span(1, 52, 1, 71)
+
+
+FIRST_ORDER_STEPS = """
+step g (x) --> y { y = x }
+step same (a, b) --> y { y = a == b }
+step app (f, x) --> y { y = f x == x }
+"""
+
+
+class TestFirstOrderComparison:
+    """Compared values are first-order: a variable compared in a step stands
+    only for types without a function in them."""
+
+    def diagnostic(self, body: str):
+        with pytest.raises(TypeCheckError) as err:
+            infer_types(parse_program(FIRST_ORDER_STEPS + f"step h (x : int) --> y {{ y = {body} }}"))
+        (diag,) = err.value.diagnostics
+        return diag.message, str(diag.span)
+
+    def test_comparing_step_values_is_rejected_at_the_comparison(self):
+        message = "only first-order values can be compared, found "
+        assert self.diagnostic("g == g") == (message + "'p -> 'p", "5:30")
+        assert self.diagnostic("(g, x) < (g, x)") == (message + "('p -> 'p, int)", "5:30")
+
+    def test_instantiating_a_compared_variable_with_a_step_is_rejected_at_the_call(self):
+        message = "only first-order values can be compared, found "
+        assert self.diagnostic("x == 1 && same (g, g)") == (message + "'r -> 'r", "5:40")
+        # Through the argument of a higher-order step, too.
+        assert self.diagnostic("app (g, g)") == (message + "'q -> 'q", "5:30")
+
+    def test_first_order_uses_are_accepted(self):
+        schemes, _ = infer_types(
+            parse_program(FIRST_ORDER_STEPS + "step h (x : int) --> y { y = same ((x, Some 1), (1, None)) && app (g, x) }")
+        )
+        assert str(schemes["same"]) == "('a, 'a) -> bool" and schemes["same"].first_order == (0,)
+        assert str(schemes["app"]) == "('a -> 'a, 'a) -> bool" and schemes["app"].first_order == (0,)
+        assert schemes["g"].first_order == ()
+
+
+class GeneralInfer(_Infer):
+    """Types every application by unifying, operators included: the
+    reference for the operators typed in place."""
+
+    def expr(self, e, ctx, local):
+        if type(e) is not Apply:
+            return super().expr(e, ctx, local)
+        tfn = self.expr(e.fn, ctx, local)
+        targ = self.expr(e.arg, ctx, local)
+        result = self.u.fresh()
+        self.u.unify(tfn, TFunc(targ, result), e.loc, self.file)
+        return result
+
+
+OPERAND_VARIANTS = (
+    Const(VConst(True)),
+    Tuple((Var("i1"), Var("b1"))),
+    Const(VNone()),
+    Var("g"),
+    Var("v"),
+)
+
+
+def is_operator(e: Expr) -> bool:
+    return type(e) is Apply and type(e.fn) is Var and e.fn.name in BINARY_OPS
+
+
+def operator_count(e: Expr) -> int:
+    children = [getattr(e, f.name) for f in dataclasses.fields(e)]
+    children = [c for v in children for c in (v if isinstance(v, tuple) else (v,)) if isinstance(c, Expr)]
+    return is_operator(e) + sum(map(operator_count, children))
+
+
+def replace_operand(e: Expr, k: int, side: int, new: Expr) -> tuple[Expr, int]:
+    """`e` with operand `side` (0 or 1) of its k-th operator application, in
+    preorder, replaced by `new`; and k less the applications passed."""
+    if is_operator(e):
+        if k == 0:
+            items = list(e.arg.items)
+            items[side] = new
+            return dataclasses.replace(e, arg=Tuple(tuple(items))), -1
+        k -= 1
+    changes = {}
+    for f in dataclasses.fields(e):
+        value = getattr(e, f.name)
+        if isinstance(value, Expr) and k >= 0:
+            changes[f.name], k = replace_operand(value, k, side, new)
+        elif isinstance(value, tuple) and k >= 0:
+            items = []
+            for item in value:
+                if k >= 0:
+                    item, k = replace_operand(item, k, side, new)
+                items.append(item)
+            changes[f.name] = tuple(items)
+    return (dataclasses.replace(e, **changes) if changes else e), k
+
+
+def typing_outcome(infer: type, e: Expr, untyped_ints: bool):
+    """The scheme of `e` over the base names and a name `v` of unknown type,
+    with the variables used; or the first diagnostic. If `untyped_ints`, the
+    int names share one unknown type too, as unannotated inputs would."""
+    inf = infer("f.mim")
+    ctx = dict(BUILTIN_TYPES) | {"g": inf.u.generalize(TFunc(inf.u.fresh(), TVar(0)))}
+    local = {name: inf.literal_type(value) for name, value in BASE_VALUES.items()} | {"v": inf.u.fresh()}
+    if untyped_ints:
+        local["i1"] = local["i2"] = inf.u.fresh()
+    try:
+        t = inf.expr(e, ctx, local)
+    except TypeCheckError as exc:
+        (diag,) = exc.diagnostics
+        return diag.text(), diag.span
+    return inf.u.generalize(TTuple((local["v"], local["i1"], t))), inf.u._next
+
+
+class TestOperatorTyping:
+    """Operators typed in place against the general path: the same scheme,
+    the same variable ids, or the same first diagnostic."""
+
+    @pytest.mark.parametrize("seed", range(300))
+    def test_matches_the_general_path(self, seed):
+        rng = random.Random(seed)
+        e = gen_operator_expr(rng, rng.randrange(1, 4), INT_OPS + COMPARISON_OPS + LOGIC_OPS)
+        n = operator_count(e)
+        cases = [e] + [replace_operand(e, rng.randrange(n), rng.randrange(2), new)[0] for new in OPERAND_VARIANTS]
+        for case in cases:
+            located = parse_expression(pretty_expr(case), "f.mim")
+            untyped = seed % 2 == 1
+            assert typing_outcome(_Infer, located, untyped) == typing_outcome(GeneralInfer, located, untyped)
 
 
 # The type traversals as they were written before they shared one structural
@@ -478,7 +629,7 @@ class TestOrderingMatchesRounds:
             random.Random(seed).shuffle(system)
             # Distinct spans, so a diagnostic's span names the equation it cites.
             located = tuple(
-                Equation(eq.lhs, eq.rhs, span=Span(k + 1, 1, k + 1, 1)) for k, eq in enumerate(system)
+                Equation(eq.lhs, eq.rhs, loc=Span(k + 1, 1, k + 1, 1)) for k, eq in enumerate(system)
             )
             step = StepDecl("s", PUnit(), PVar(located[0].lhs.name), located)
             assert ordering_outcome(order_equations, step) == ordering_outcome(round_order_equations, step)

@@ -190,8 +190,8 @@ def nodes(root):
 
 
 def test_equality_and_hash_ignore_spans():
-    assert Var("x", span=Span(1, 1)) == Var("x")
-    assert hash(Var("x", span=Span(1, 1))) == hash(Var("x"))
+    assert Var("x", loc=Span(1, 1)) == Var("x")
+    assert hash(Var("x", loc=Span(1, 1))) == hash(Var("x"))
     a = parse_expression(EVERY_PRODUCTION)
     b = parse_expression("\n\n   " + EVERY_PRODUCTION)
     assert a.span != b.span
@@ -204,7 +204,7 @@ def test_equality_and_hash_ignore_spans():
 
 
 def test_values_are_structural_dict_keys():
-    closure = VClosure(PVar("a"), PVar("z"), (Equation(PVar("z"), Var("a"), span=Span(3, 4)),))
+    closure = VClosure(PVar("a"), PVar("z"), (Equation(PVar("z"), Var("a"), loc=Span(3, 4)),))
     values = [
         VConst(1),
         UNIT_VALUE,

@@ -15,6 +15,8 @@ from mimosa.analysis import MAX_CALL_DEPTH
 from mimosa.cli import _COMMANDS, _build_parser, main
 from mimosa.parser import MAX_EXPR_DEPTH, MAX_TYPE_DEPTH
 
+DIAGNOSTICS_ORACLE = Path(__file__).parent / "oracles" / "diagnostics.json"
+
 BAD_INIT = """\
 step f (x : int) --> y { y = 0 -> 0 -> pre pre x }
 channel a : int
@@ -35,6 +37,15 @@ def fib_file(tmp_path):
 class TestCheck:
     def test_fibonacci_checks_clean(self, fib_file):
         assert main(["check", fib_file]) == 0
+
+    @pytest.mark.parametrize("name", sorted(json.loads(DIAGNOSTICS_ORACLE.read_text())))
+    def test_recorded_diagnostics(self, name, tmp_path, capsys, monkeypatch):
+        # The JSON of each program's diagnostics, byte for byte, as CI checks it too.
+        case = json.loads(DIAGNOSTICS_ORACLE.read_text())[name]
+        (tmp_path / name).write_text(case["source"])
+        monkeypatch.chdir(tmp_path)
+        assert main(["check", "--diag-format", "json", name]) == 1
+        assert capsys.readouterr().err == json.dumps(case["diagnostics"], indent=2) + "\n"
 
     def test_unwired_detector_needs_allow_unwired(self, tmp_path, capsys):
         path = tmp_path / "edge.mim"

@@ -621,10 +621,10 @@ def reference_eval(env: Env, e: Expr, ctx: EvalContext, deferred: list | None) -
             parts = [reference_eval(env, item, ctx, deferred) for item in items]
             return EvalResult(
                 VTuple(tuple(r.value for r in parts)),
-                Tuple(tuple(r.next for r in parts), span=e.span),
+                Tuple(tuple(r.next for r in parts), loc=e.loc),
             )
         case Pre(inner):
-            hole = Arrow(inner, e, span=e.span)
+            hole = Arrow(inner, e, loc=e.loc)
             if deferred is None:
                 reference_fill_pre(hole, env, inner, ctx)
             else:
@@ -641,20 +641,20 @@ def reference_eval(env: Env, e: Expr, ctx: EvalContext, deferred: list | None) -
             rc = reference_eval(env, cond, ctx, deferred)
             if _branch(rc.value, e):
                 rt = reference_eval(env, then, ctx, deferred)
-                return EvalResult(rt.value, If(rc.next, rt.next, orelse, span=e.span))
+                return EvalResult(rt.value, If(rc.next, rt.next, orelse, loc=e.loc))
             ro = reference_eval(env, orelse, ctx, deferred)
-            return EvalResult(ro.value, If(rc.next, then, ro.next, span=e.span))
+            return EvalResult(ro.value, If(rc.next, then, ro.next, loc=e.loc))
         case Some(inner):
             r = reference_eval(env, inner, ctx, deferred)
-            return EvalResult(VSome(r.value), Some(r.next, span=e.span))
+            return EvalResult(VSome(r.value), Some(r.next, loc=e.loc))
         case Either(scrutinee, fallback):
             rs = reference_eval(env, scrutinee, ctx, deferred)
             match rs.value:
                 case VSome(payload):
-                    return EvalResult(payload, Either(rs.next, fallback, span=e.span))
+                    return EvalResult(payload, Either(rs.next, fallback, loc=e.loc))
                 case VNone():
                     rf = reference_eval(env, fallback, ctx, deferred)
-                    return EvalResult(rf.value, Either(rs.next, rf.next, span=e.span))
+                    return EvalResult(rf.value, Either(rs.next, rf.next, loc=e.loc))
                 case VUndef():
                     raise UndefEscape(_escape("either scrutinee", e.span))
                 case other:
@@ -668,10 +668,10 @@ def reference_eval(env: Env, e: Expr, ctx: EvalContext, deferred: list | None) -
                     _update_into(inner, in_pattern, ra.value)
                     next_eqs, final = reference_run_equations(inner, equations, ctx)
                     callee = VClosure(in_pattern, out_pattern, next_eqs)
-                    return EvalResult(project(final, out_pattern), Apply(Const(callee), ra.next, span=e.span))
+                    return EvalResult(project(final, out_pattern), Apply(Const(callee), ra.next, loc=e.loc))
                 case VExtern():
                     result = rf.value.fn(ra.value, ctx.host)
-                    return EvalResult(result, Apply(rf.next, ra.next, span=e.span))
+                    return EvalResult(result, Apply(rf.next, ra.next, loc=e.loc))
                 case VUndef():
                     raise UndefEscape(_escape("applied expression", e.span))
                 case other:
@@ -692,7 +692,7 @@ def reference_run_equations(env: Env, equations, ctx: EvalContext):
     for eq in equations:
         r = reference_eval(env, eq.rhs, ctx, deferred)
         _update_into(env, eq.lhs, r.value)
-        rewritten.append(Equation(eq.lhs, r.next, span=eq.span))
+        rewritten.append(Equation(eq.lhs, r.next, loc=eq.loc))
     for hole, operand in deferred:
         reference_fill_pre(hole, env, operand, ctx)
     return tuple(rewritten), env

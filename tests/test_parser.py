@@ -1,7 +1,9 @@
+import dataclasses
 import math
 import random
 import re
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, strategies as st
@@ -26,7 +28,7 @@ from mimosa.ast import (
     VTuple,
     nesting,
 )
-from mimosa.errors import Diagnostic, Span
+from mimosa.errors import Diagnostic, Located, Span
 from mimosa.parser import (
     _TOKEN,
     DURATION_UNITS,
@@ -34,6 +36,7 @@ from mimosa.parser import (
     MAX_EXPR_DEPTH,
     MAX_TYPE_DEPTH,
     PUNCT,
+    Parser,
     Token,
     parse_literal,
     tokenize,
@@ -225,8 +228,17 @@ REFERENCE_TOKEN = re.compile(
 )
 
 
-def reference_tokenize(source: str, file: str = "<string>", line: int = 1) -> list[Token]:
-    tokens: list[Token] = []
+class RefToken(NamedTuple):
+    """A token as the reference tokenizer gives it: with its span."""
+
+    kind: str
+    text: str
+    span: Span
+    value: object = None
+
+
+def reference_tokenize(source: str, file: str = "<string>", line: int = 1) -> list[RefToken]:
+    tokens: list[RefToken] = []
     line_start = 0
     for m in REFERENCE_TOKEN.finditer(source):
         kind = m.lastgroup
@@ -237,21 +249,21 @@ def reference_tokenize(source: str, file: str = "<string>", line: int = 1) -> li
             col = start - line_start + 1
             span = Span(line, col, line, col + end - start - 1)
             if kind == "punct":
-                tokens.append(Token("punct", m.group(), span))
+                tokens.append(RefToken("punct", m.group(), span))
                 continue
             try:
                 tokens.append(reference_token(m, span))
             except ValueError as exc:
                 raise ParseError([Diagnostic(str(exc), span, file=file)]) from None
     col = len(source) - line_start + 1
-    tokens.append(Token("eof", "", Span(line, col, line, col)))
+    tokens.append(RefToken("eof", "", Span(line, col, line, col)))
     return tokens
 
 
-def reference_token(m: re.Match, span: Span) -> Token:
+def reference_token(m: re.Match, span: Span) -> RefToken:
     kind, text, unit = m.lastgroup, m.group(), m["unit"]
     if kind == "word" and (text[0].isalpha() or text[0] == "_"):
-        return Token("kw" if text in KEYWORDS else "punct" if text == "_" else "ident", text, span)
+        return RefToken("kw" if text in KEYWORDS else "punct" if text == "_" else "ident", text, span)
     if kind == "error":
         raise ValueError(f"unexpected character {text!r}")
     if kind == "word" or (unit and not unit.isalpha()):
@@ -261,7 +273,7 @@ def reference_token(m: re.Match, span: Span) -> Token:
             raise ValueError("durations take integer values")
         if math.isinf(value := float(text)):
             raise ValueError(f"real literal '{text}' is out of range")
-        return Token("real", text, span, value)
+        return RefToken("real", text, span, value)
     if unit and unit not in DURATION_UNITS:
         raise ValueError(f"unknown duration unit '{unit}' (use us, ms, or s)")
     try:
@@ -269,14 +281,14 @@ def reference_token(m: re.Match, span: Span) -> Token:
     except ValueError:
         raise ValueError(f"integer literal has too many digits ({len(m['digits'])})") from None
     if unit:
-        return Token("duration", text, span, value * DURATION_UNITS[unit])
-    return Token("int", text, span, value)
+        return RefToken("duration", text, span, value * DURATION_UNITS[unit])
+    return RefToken("int", text, span, value)
 
 
 def token_outcome(tokenizer, source: str, line: int = 1):
-    """The tokens, as plain tuples, or the diagnostics as (text, span)."""
+    """The tokens as (kind, text, span, value), or the diagnostics as (text, span)."""
     try:
-        return [tuple(t) for t in tokenizer(source, "f.mim", line)]
+        return [(t.kind, t.text, t.span, t.value) for t in tokenizer(source, "f.mim", line)]
     except ParseError as exc:
         return [(d.text(), d.span) for d in exc.diagnostics]
 
@@ -344,7 +356,79 @@ class TestTokenizerOracle:
         token = tokenize("x")[0]
         assert type(token) is Token
         assert (token.kind, token.text, token.span, token.value) == ("ident", "x", Span(1, 1, 1, 1), None)
-        assert token == Token("ident", "x", Span(1, 1, 1, 1))
+        assert token == Token("ident", "x", 0, None, token.source)
+
+
+def generated_steps(seed: int, count: int) -> str:
+    """Printed expressions as step bodies, one per line, each followed by a comment."""
+    rng = random.Random(seed)
+    return "".join(
+        f"step s{k} () --> y {{\n  y = {pretty_expr(gen_expr(rng, rng.choice(TOP_TYPES), 3, False))}  -- expression {k}\n}}\n"
+        for k in range(count)
+    )
+
+
+STUB_SOURCE = """step f (x : int, _ : bool?) --> (y : int) {
+  y = if x > 0 then x - 1 else -2; -- a comment
+  (a, _) = (Some x, ())
+}
+channel c : (int, bool?) = { (1, None), (-2, Some true) }
+node n implements f (c, d?) --> (e) every 10ms
+"""
+
+
+def position_children(node) -> list:
+    """The located nodes directly under `node`: in its fields, or in tuples there."""
+    children = []
+    for f in dataclasses.fields(node):
+        if f.name == "loc":
+            continue
+        value = getattr(node, f.name)
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, Located):
+                children.append(item)
+    return children
+
+
+class TestPositionOracle:
+    """Every node's resolved span runs from its first token's start to its
+    last token's end, and every token's span is its characters, both as the
+    reference tokenizer computes them."""
+
+    def check(self, source: str, line: int = 1):
+        tokens = tokenize(source, "f.mim", line)
+        reference = [t.span for t in reference_tokenize(source, "f.mim", line)]
+        assert [t.span for t in tokens] == reference
+        for t, span in zip(tokens, reference):
+            assert span == Span(span.line, span.col, span.line, span.col + max(len(t.text), 1) - 1)
+        index = {id(t): k for k, t in enumerate(tokens)}
+        program = Parser(tokens, "f.mim").parse_program()
+        seen = 0
+        stack = [(node, 0, len(tokens) - 1) for node in program.steps + program.channels + program.nodes]
+        while stack:
+            node, lowest, highest = stack.pop()
+            loc = node.loc
+            first, last = loc if type(loc) is tuple else (loc, loc)
+            i, j = index[id(first)], index[id(last)]
+            # A node's tokens lie within its parent's.
+            assert lowest <= i <= j <= highest
+            start, end = reference[i], reference[j]
+            assert node.span == Span(start.line, start.col, end.end_line, end.end_col)
+            stack.extend((child, i, j) for child in position_children(node))
+            seen += 1
+        return seen
+
+    @pytest.mark.parametrize("path", sorted((Path(__file__).parent.parent / "programs").glob("*.mim")))
+    def test_shipped_programs(self, path):
+        assert self.check(path.read_text()) > 40
+
+    def test_generated_steps(self):
+        assert self.check(generated_steps(5, 200)) > 2000
+
+    def test_stub_lines(self):
+        assert self.check(STUB_SOURCE, line=7) > 30
+        (step,) = parse_program(STUB_SOURCE).steps
+        assert step.span == Span(1, 1, 4, 1)
 
 
 class TestErrors:
