@@ -84,16 +84,15 @@ class PTuple(Pattern):
 
 
 def _pattern_names(p: Pattern) -> list[str]:
-    match p:
-        case PVar(name):
-            return [name]
-        case PTuple(items):
-            out: list[str] = []
-            for item in items:
-                out.extend(_pattern_names(item))
-            return out
-        case _:
-            return []
+    kind = type(p)
+    if kind is PVar:
+        return [p.name]
+    if kind is PTuple:
+        out: list[str] = []
+        for item in p.items:
+            out.extend(_pattern_names(item))
+        return out
+    return []
 
 
 # ---------------------------------------------------------------------------

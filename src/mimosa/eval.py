@@ -24,20 +24,24 @@ holds the callee's closure value with its next equations, so the closure
 carries the call's state.
 
 The hot path is direct: `_eval` dispatches on the node's class, hot ones
-first. An operator with a kernel on a pair expression evaluates both operands
-in place, and two operands of the kernel's plain type (`int`, or `bool` for
-`&&` and `||`) go to it with no pair built; other operands take its checked
-`run`. A node firing or step call starts its activation from the globals, not
-the caller's locals, which no checked body can read (a local may not shadow a
-step). Next expressions share structure: a `Tuple`, `Apply`, `If`, `Some` or
-`Either` whose evaluated children all come back as themselves (by identity)
-comes back as itself, and so does an equation whose right-hand side does, so
-a settled `fby`, `->` or operator allocates nothing, and a `pre` of a settled
-operand only the `v -> pre e` around its own node. A settled activation's
-closure is its own next state, so a stateless step allocates nothing after
-its first cycle. Sharing is sound because no node reachable from an earlier
-next expression is ever mutated: `_fill_pre` sets the fields of the
-placeholder `Arrow`s created by the current activation only.
+first. A name or literal child (of an application, either operand of an
+operator, a tuple item, or the head of `->` or `fby`) is read by its parent
+with no recursive call, and is its own next expression; an unbound name goes
+to `_eval`, which reports it. An operator with a kernel on a pair expression
+evaluates both operands in place, and two operands of the kernel's plain type
+(`int`, or `bool` for `&&` and `||`) go to it with no pair built; other
+operands take its checked `run`. A node firing or step call starts its
+activation from the globals, not the caller's locals, which no checked body
+can read (a local may not shadow a step). Next expressions share structure: a
+`Tuple`, `Apply`, `If`, `Some` or `Either` whose evaluated children all come
+back as themselves (by identity) comes back as itself, and so does an
+equation whose right-hand side does, so a settled `fby`, `->` or operator
+allocates nothing, and a `pre` of a settled operand only the `v -> pre e`
+around its own node. A settled activation's closure is its own next state, so
+a stateless step allocates nothing after its first cycle. Sharing is sound
+because no node reachable from an earlier next expression is ever mutated:
+`_fill_pre` sets the fields of the placeholder `Arrow`s created by the
+current activation only.
 """
 
 from __future__ import annotations
@@ -158,8 +162,10 @@ def _eval(env: Env, e: Expr, ctx: EvalContext, deferred: _Deferred | None) -> tu
     if kind is Const:
         return e.value, e
     if kind is Apply:
-        # A named or literal function is read in place; an unbound name, which
-        # _eval reports, or any other expression is evaluated.
+        # A name or literal child is read in place, and is its own next
+        # expression; an unbound name (`get` gives None) or any other child
+        # goes to _eval, which reports every error. Arrow, Fby and Tuple below
+        # read their leaf children the same way.
         fn, arg = e.fn, e.arg
         f = env.get(fn.name) if type(fn) is Var else fn.value if type(fn) is Const else None
         fn_next = fn
@@ -170,18 +176,27 @@ def _eval(env: Env, e: Expr, ctx: EvalContext, deferred: _Deferred | None) -> tu
             # its plain type go to its kernel, anything else to its checked path.
             plain, kernel = f.kernel
             left, right = arg.items
-            a, left_next = _eval(env, left, ctx, deferred)
-            b, right_next = _eval(env, right, ctx, deferred)
+            a = env.get(left.name) if type(left) is Var else left.value if type(left) is Const else None
+            left_next = left
+            if a is None:
+                a, left_next = _eval(env, left, ctx, deferred)
+            b = env.get(right.name) if type(right) is Var else right.value if type(right) is Const else None
+            right_next = right
+            if b is None:
+                b, right_next = _eval(env, right, ctx, deferred)
             if type(a) is VConst and type(b) is VConst and type(a.value) is plain and type(b.value) is plain:
                 value = VConst(kernel(a.value, b.value))
             else:
                 value = f.fn(VTuple((a, b)), ctx.host)
             same = fn_next is fn and left_next is left and right_next is right
-            return value, e if same else Apply(fn_next, Tuple((left_next, right_next), loc=arg.loc), loc=e.loc)
-        arg_value, arg_next = _eval(env, arg, ctx, deferred)
+            return value, e if same else Apply(fn_next, Tuple((left_next, right_next), arg.loc), e.loc)
+        arg_value = env.get(arg.name) if type(arg) is Var else arg.value if type(arg) is Const else None
+        arg_next = arg
+        if arg_value is None:
+            arg_value, arg_next = _eval(env, arg, ctx, deferred)
         if type(f) is VExtern:
             same = fn_next is fn and arg_next is arg
-            return f.fn(arg_value, ctx.host), e if same else Apply(fn_next, arg_next, loc=e.loc)
+            return f.fn(arg_value, ctx.host), e if same else Apply(fn_next, arg_next, e.loc)
         if type(f) is VClosure:
             # A call of a step, and every firing of a bodied node: an
             # activation that starts from the globals, not the caller's locals.
@@ -193,14 +208,18 @@ def _eval(env: Env, e: Expr, ctx: EvalContext, deferred: _Deferred | None) -> tu
             if equations is f.equations and type(fn) is Const and arg_next is arg:
                 return project(inner, f.out_pattern), e
             callee = f if equations is f.equations else VClosure(f.in_pattern, f.out_pattern, equations)
-            return project(inner, f.out_pattern), Apply(Const(callee), arg_next, loc=e.loc)
+            return project(inner, f.out_pattern), Apply(Const(callee), arg_next, e.loc)
         if type(f) is VUndef:
             raise UndefEscape(_escape("applied expression", e.span))
         raise EvalError(f"application of a non-function value {pretty_value(f)}")
     if kind is Arrow:
-        return _eval(env, e.first, ctx, deferred)[0], _eval(env, e.rest, ctx, deferred)[1]
+        first = e.first
+        value = env.get(first.name) if type(first) is Var else first.value if type(first) is Const else None
+        if value is None:
+            value = _eval(env, first, ctx, deferred)[0]
+        return value, _eval(env, e.rest, ctx, deferred)[1]
     if kind is Pre:
-        hole = Arrow(e.expr, e, loc=e.loc)  # both fields are set by _fill_pre
+        hole = Arrow(e.expr, e, e.loc)  # both fields are set by _fill_pre
         if deferred is None:
             _fill_pre(hole, env, e.expr, ctx)
         else:
@@ -209,39 +228,47 @@ def _eval(env: Env, e: Expr, ctx: EvalContext, deferred: _Deferred | None) -> tu
     if kind is If:
         cond, then, orelse = e.cond, e.then, e.orelse
         c, cond_next = _eval(env, cond, ctx, deferred)
-        if _branch(c, e):
+        # A plain bool is tested here; _branch reports any other value.
+        if c.value if type(c) is VConst and type(c.value) is bool else _branch(c, e):
             value, then_next = _eval(env, then, ctx, deferred)
             same = cond_next is cond and then_next is then
-            return value, e if same else If(cond_next, then_next, orelse, loc=e.loc)
+            return value, e if same else If(cond_next, then_next, orelse, e.loc)
         value, else_next = _eval(env, orelse, ctx, deferred)
         same = cond_next is cond and else_next is orelse
-        return value, e if same else If(cond_next, then, else_next, loc=e.loc)
+        return value, e if same else If(cond_next, then, else_next, e.loc)
     if kind is Fby:
-        return _eval(env, e.first, ctx, deferred)[0], e.rest
+        first = e.first
+        value = env.get(first.name) if type(first) is Var else first.value if type(first) is Const else None
+        if value is None:
+            value = _eval(env, first, ctx, deferred)[0]
+        return value, e.rest
     if kind is Tuple:
         # A loop, not a comprehension, so each level is one interpreter frame.
         values = []
         nexts = []
         same = True
         for item in e.items:
-            value, item_next = _eval(env, item, ctx, deferred)
+            value = env.get(item.name) if type(item) is Var else item.value if type(item) is Const else None
+            item_next = item
+            if value is None:
+                value, item_next = _eval(env, item, ctx, deferred)
+                same = same and item_next is item
             values.append(value)
             nexts.append(item_next)
-            same = same and item_next is item
-        return VTuple(tuple(values)), e if same else Tuple(tuple(nexts), loc=e.loc)
+        return VTuple(tuple(values)), e if same else Tuple(tuple(nexts), e.loc)
     if kind is Some:
         value, inner_next = _eval(env, e.expr, ctx, deferred)
-        return VSome(value), e if inner_next is e.expr else Some(inner_next, loc=e.loc)
+        return VSome(value), e if inner_next is e.expr else Some(inner_next, e.loc)
     if kind is Either:
         scrutinee, fallback = e.scrutinee, e.fallback
         option, scrutinee_next = _eval(env, scrutinee, ctx, deferred)
         if type(option) is VSome:
             same = scrutinee_next is scrutinee
-            return option.value, e if same else Either(scrutinee_next, fallback, loc=e.loc)
+            return option.value, e if same else Either(scrutinee_next, fallback, e.loc)
         if type(option) is VNone:
             value, fallback_next = _eval(env, fallback, ctx, deferred)
             same = scrutinee_next is scrutinee and fallback_next is fallback
-            return value, e if same else Either(scrutinee_next, fallback_next, loc=e.loc)
+            return value, e if same else Either(scrutinee_next, fallback_next, e.loc)
         if type(option) is VUndef:
             raise UndefEscape(_escape("either scrutinee", e.span))
         raise InternalError(f"either scrutinee evaluated to non-option {option!r}")
@@ -291,7 +318,7 @@ def _run_equations(env: Env, equations: tuple[Equation, ...], ctx: EvalContext) 
         else:
             _update_into(env, eq.lhs, value)
         same = same and rhs_next is eq.rhs
-        rewritten.append(eq if rhs_next is eq.rhs else Equation(eq.lhs, rhs_next, loc=eq.loc))
+        rewritten.append(eq if rhs_next is eq.rhs else Equation(eq.lhs, rhs_next, eq.loc))
     for hole, operand in deferred:
         _fill_pre(hole, env, operand, ctx)
     return equations if same else tuple(rewritten)

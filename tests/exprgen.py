@@ -1,15 +1,17 @@
 """Seeded generator for well-typed expressions and equation systems.
 
-Used by the determinism, round-trip, Eqs-uniqueness, and initialization
-soundness tests. Generation mirrors the initialization rules: with
+Used by the determinism, round-trip, Eqs-uniqueness, initialization
+soundness and evaluator differential tests. Generation mirrors the initialization rules: with
 `need_init=True` the produced expression is defined from the first cycle on,
 so it never feeds an undefined value to a guarded position.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 
+from mimosa import parse_expression
 from mimosa.ast import (
     Arrow,
     Apply,
@@ -20,13 +22,15 @@ from mimosa.ast import (
     Fby,
     If,
     Pre,
+    PTuple,
     PVar,
     Some,
     Tuple,
     Var,
 )
 from mimosa.builtins import BUILTIN_VALUES
-from mimosa.ast import VConst, VNone, VSome, Value
+from mimosa.ast import VClosure, VConst, VNone, VSome, VTuple, Value
+from mimosa.errors import Span
 from mimosa.eval import Env, eval_equations
 from mimosa.types import BOOL, INT, REAL, TOption, Type
 
@@ -162,6 +166,83 @@ def gen_operator_expr(rng: random.Random, depth: int, ops: tuple[str, ...] = INT
         return gen_operator_expr(rng, depth - 1, usual if rng.random() < 0.85 else ops)
 
     return _binop(rng.choice(ops), operand(depth), operand(depth))
+
+
+# ---------------------------------------------------------------------------
+# Leaves in every position a parent reads in place.
+
+UNBOUND = "u"
+
+# Two steps: `inc`, stateless, and `mix`, on a pair, whose `pre` gives each
+# call site its own memory.
+INC = VClosure(PVar("a"), PVar("b"), (Equation(PVar("b"), parse_expression("a + 1")),))
+MIX = VClosure(
+    PTuple((PVar("a"), PVar("b"))),
+    PVar("r"),
+    (
+        Equation(PVar("s"), parse_expression("a + b")),
+        Equation(PVar("m"), parse_expression("0 -> pre (s + 1)")),
+        Equation(PVar("r"), parse_expression("if m > s then m - s else s - m + b")),
+    ),
+)
+
+
+def leaf_env() -> Env:
+    return base_env() | {"inc": INC, "mix": MIX}
+
+
+def gen_leaf_expr(rng: random.Random, depth: int) -> Expr:
+    """An int expression whose children that a parent reads in place (both
+    operands of an operator, the argument of an application, the items of a
+    tuple, and the head of `->` and `fby`) are often leaves: a name, a
+    literal, or now and then the unbound name `u`. Each `u` has its own
+    column, so the error it raises tells which one was read first. Closed
+    under `leaf_env()` but for `u`; an `if` condition may be `pre` of a
+    leaf, undefined on the first cycle."""
+    columns = itertools.count(1)
+
+    def leaf(names: tuple[str, ...], literal: Value) -> Expr:
+        roll = rng.random()
+        if roll < 0.04:
+            return Var(UNBOUND, Span(1, next(columns)))
+        return Var(rng.choice(names)) if roll < 0.5 else Const(literal)
+
+    def int_child(depth: int) -> Expr:
+        if depth <= 0 or rng.random() < 0.5:
+            return leaf(("i1", "i2"), VConst(rng.randrange(-4, 5)))
+        return form(depth - 1)
+
+    def bool_leaf() -> Expr:
+        return leaf(("b1", "b2"), VConst(rng.random() < 0.5))
+
+    def condition(depth: int) -> Expr:
+        roll = rng.random()
+        if roll < 0.3:
+            return bool_leaf()
+        if roll < 0.55:
+            return Apply(Var("!"), bool_leaf())
+        if roll < 0.9:
+            return _binop("<", int_child(depth), int_child(depth))
+        return Pre(bool_leaf())
+
+    def form(depth: int) -> Expr:
+        kind = rng.randrange(7)
+        if kind == 0:
+            return _binop(rng.choice(("+", "-", "*")), int_child(depth), int_child(depth))
+        if kind == 1:
+            return Apply(Var("mix"), Tuple((int_child(depth), int_child(depth))))
+        if kind == 2:  # a node firing: a step applied to the literal of its inputs
+            argument = Const(VTuple((VConst(rng.randrange(5)), VConst(rng.randrange(5)))))
+            return Apply(rng.choice((Var("mix"), Const(MIX))), argument)
+        if kind == 3:
+            return Apply(rng.choice((Var("inc"), Const(INC))), int_child(depth))
+        if kind == 4:
+            return Arrow(int_child(depth), Pre(int_child(depth)))
+        if kind == 5:
+            return Fby(int_child(depth), int_child(depth))
+        return If(condition(depth), int_child(depth), int_child(depth))
+
+    return form(depth)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from mimosa.ast import (
     Equation,
     Expr,
     PTuple,
+    PUnit,
     PVar,
     PWild,
     Tuple,
@@ -168,6 +169,12 @@ def test_duplicate_pattern_names_rejected():
         PTuple((PVar("x"), PTuple((PVar("y"), PVar("x")))))
     # Wildcards never bind, so several are fine.
     PTuple((PWild(), PWild()))
+
+
+def test_pattern_names_are_in_binding_order():
+    nested = PTuple((PVar("a"), PTuple((PWild(), PVar("b"), PUnit())), PVar("c")))
+    assert nested.names() == ["a", "b", "c"]
+    assert PVar("x").names() == ["x"] and PWild().names() == [] and PUnit().names() == []
 
 
 # Every production once, so each expression class is compared and hashed.

@@ -7,16 +7,21 @@ from hypothesis import given, strategies as st
 
 from conftest import quiet_fib_hosts
 from exprgen import (
+    INC,
     INT_OPS,
     LOGIC_OPS,
     TOP_TYPES,
+    UNBOUND,
     base_env,
     gen_expr,
+    gen_leaf_expr,
     gen_operator_expr,
     gen_system,
+    leaf_env,
     run_cycles,
     system_env,
 )
+import mimosa.eval
 from mimosa import (
     CausalityError,
     EvalError,
@@ -797,13 +802,12 @@ class TestSharing:
         next_eqs, _ = eval_equations(env_of(x=1), eqs)
         assert next_eqs[0] is eqs[0] and next_eqs[1] is not eqs[1]
 
-    INC = VClosure(PVar("a"), PVar("b"), (Equation(PVar("b"), parse_expression("a + 1")),))
     DOUBLE = VClosure(PVar("a"), PVar("b"), (Equation(PVar("b"), parse_expression("a * 2")),))
 
     def test_a_settled_activation_is_its_own_next_state(self):
-        env = env_of(f=self.INC, x=1)
+        env = env_of(f=INC, x=1)
         first = eval_expr(env, parse_expression("f x"))
-        assert first.value == VConst(2) and first.next.fn.value is self.INC
+        assert first.value == VConst(2) and first.next.fn.value is INC
         second = eval_expr(env, first.next)
         assert second.value == VConst(2) and second.next is first.next
 
@@ -837,7 +841,7 @@ class TestSharing:
         app = VClosure(PTuple((PVar("g"), PVar("v"))), PVar("w"), (Equation(PVar("w"), parse_expression("g v")),))
         shared = reference = parse_expression("app (h, x)")
         values = []
-        for h in (self.INC, self.DOUBLE, self.DOUBLE):
+        for h in (INC, self.DOUBLE, self.DOUBLE):
             env = env_of(app=app, h=h, x=5)
             got = eval_expr(env, shared)
             want = reference_eval(env, reference, reference_context(env), None)
@@ -845,6 +849,102 @@ class TestSharing:
             values.append(got.value)
             shared, reference = got.next, want.next
         assert values == [VConst(6)] * 3
+
+    @pytest.mark.parametrize("seed", range(300))
+    def test_leaves_read_in_place_match_the_reference_evaluator(self, seed):
+        rng = random.Random(seed)
+        shared = reference = gen_leaf_expr(rng, rng.randrange(1, 5))
+        env = leaf_env()
+        for _ in range(5):
+            before = copy.deepcopy(shared)
+            got = outcome(lambda: eval_expr(env, shared))
+            want = outcome(lambda: reference_eval(env, reference, reference_context(env), None))
+            assert shared == before
+            assert got == want
+            if isinstance(got[0], type):
+                break
+            # Every node of its input that the reference keeps, the sharing
+            # evaluator keeps too, in the same place.
+            counterpart = {id(r): s for r, s in corresponding(reference, shared)}
+            for w, g in corresponding(want[1], got[1]):
+                if id(w) in counterpart:
+                    assert g is counterpart[id(w)]
+            shared, reference = got[1], want[1]
+
+    def test_the_leaf_generator_reaches_every_position(self):
+        positions = {"operand", "argument", "item", "head of ->", "head of fby"}
+        seen = set()
+        for seed in range(300):
+            rng = random.Random(seed)
+            seen |= set(leaves_read_in_place(gen_leaf_expr(rng, rng.randrange(1, 5))))
+        assert seen == {(p, leaf) for p in positions for leaf in ("name", "literal", "unbound name")}
+
+    @pytest.mark.parametrize(
+        "text, name, col",
+        [
+            ("u + v", "u", 1),
+            ("1 + v", "v", 5),
+            ("i1 * (u - 1)", "u", 7),
+            ("!u", "u", 2),
+            ("inc u", "u", 5),
+            ("mix (i1, u)", "u", 10),
+            ("mix (u, v)", "u", 6),
+            ("u -> v", "u", 1),
+            ("u fby v", "u", 1),
+            ("if u then 1 else 2", "u", 4),
+        ],
+    )
+    def test_an_unbound_leaf_fails_as_in_the_reference_evaluator(self, text, name, col):
+        env = leaf_env()
+        e = parse_expression(text)
+        got = outcome(lambda: eval_expr(env, e))
+        want = outcome(lambda: reference_eval(env, e, reference_context(env), None))
+        assert got == want == (InternalError, f"unbound name '{name}' at 1:{col}")
+
+
+def corresponding(a, b):
+    """The pairs of corresponding nodes of two equal expressions, the
+    equations of step literals included."""
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        yield x, y
+        stack.extend(zip(children(x), children(y)))
+
+
+def children(node) -> list:
+    if type(node) is Const:
+        return [eq.rhs for eq in node.value.equations] if type(node.value) is VClosure else []
+    out = []
+    for slot in type(node).__slots__:
+        child = getattr(node, slot)
+        out.extend(c for c in (child if type(child) is tuple else (child,)) if isinstance(c, Expr))
+    return out
+
+
+def leaves_read_in_place(e: Expr):
+    """(position, leaf kind) for each name or literal under `e` that its
+    parent reads in place."""
+    operand_pairs = set()
+    for node, _ in corresponding(e, e):
+        kind = type(node)
+        f = BUILTIN_VALUES.get(node.fn.name) if kind is Apply and type(node.fn) is Var else None
+        if f is not None and f.kernel is not None and type(node.arg) is Tuple:
+            operand_pairs.add(id(node.arg))
+            pairs = [("operand", item) for item in node.arg.items]
+        elif kind is Apply:
+            pairs = [("argument", node.arg)]
+        elif kind is Tuple and id(node) not in operand_pairs:
+            pairs = [("item", item) for item in node.items]
+        elif kind is Arrow or kind is Fby:
+            pairs = [(f"head of {'->' if kind is Arrow else 'fby'}", node.first)]
+        else:
+            pairs = []
+        for position, leaf in pairs:
+            if type(leaf) is Var:
+                yield position, "unbound name" if leaf.name == UNBOUND else "name"
+            elif type(leaf) is Const:
+                yield position, "literal"
 
 
 def outcome(evaluate):
@@ -994,3 +1094,42 @@ class TestOperatorKernels:
         assert r.value == VConst(2)
         assert r.next == parse_expression("x + (2 -> pre x)")
         assert r.next.fn is e.fn and r.next.arg.items[0] is e.arg.items[0] and r.next.arg.span == e.arg.span
+
+
+@pytest.fixture
+def eval_calls(monkeypatch):
+    """The class of each node `_eval` is called on, in call order."""
+    calls = []
+    inner = mimosa.eval._eval
+
+    def counting(env, e, ctx, deferred):
+        calls.append(type(e).__name__)
+        return inner(env, e, ctx, deferred)
+
+    monkeypatch.setattr(mimosa.eval, "_eval", counting)
+    return calls
+
+
+class TestCallCount:
+    """A name or literal child is read by its parent: it costs no call."""
+
+    def test_an_operator_on_two_leaves_is_one_call(self, eval_calls):
+        assert eval_expr(env_of(x=1), parse_expression("x + 1")).value == VConst(2)
+        assert eval_calls == ["Apply"]
+
+    def test_one_activation_of_a_chain_step(self, eval_calls):
+        body = [
+            ("s", "mix (u, 1)"),
+            ("a", "0 -> pre (s + 1)"),
+            ("b", "1 fby a"),
+            ("y", "if a < b then a + b else b - a"),
+        ]
+        step = VClosure(PVar("u"), PVar("y"), tuple(Equation(PVar(n), parse_expression(t)) for n, t in body))
+        mix = VClosure(PTuple((PVar("a"), PVar("b"))), PVar("r"), (Equation(PVar("r"), parse_expression("a * b")),))
+        # A node firing: the step's literal applied to the literal of its input.
+        firing = Apply(Const(step), Const(VConst(5)))
+        assert eval_expr(env_of(mix=mix), firing).value == VConst(1)
+        # The firing, then `mix`: its call, the pair, and `a * b` in its
+        # body; `->` and its `pre`; `fby`; `if`, its condition and the taken
+        # branch; and last the deferred `pre` operand `s + 1`.
+        assert eval_calls == ["Apply", "Apply", "Tuple", "Apply", "Arrow", "Pre", "Fby", "If", "Apply", "Apply", "Apply"]
