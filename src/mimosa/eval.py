@@ -25,23 +25,23 @@ carries the call's state.
 
 The hot path is direct: `_eval` dispatches on the node's class, hot ones
 first. A name or literal child (of an application, either operand of an
-operator, a tuple item, or the head of `->` or `fby`) is read by its parent
-with no recursive call, and is its own next expression; an unbound name goes
-to `_eval`, which reports it. An operator with a kernel on a pair expression
-evaluates both operands in place, and two operands of the kernel's plain type
-(`int`, or `bool` for `&&` and `||`) go to it with no pair built; other
-operands take its checked `run`. A node firing or step call starts its
-activation from the globals, not the caller's locals, which no checked body
-can read (a local may not shadow a step). Next expressions share structure: a
-`Tuple`, `Apply`, `If`, `Some` or `Either` whose evaluated children all come
-back as themselves (by identity) comes back as itself, and so does an
-equation whose right-hand side does, so a settled `fby`, `->` or operator
-allocates nothing, and a `pre` of a settled operand only the `v -> pre e`
-around its own node. A settled activation's closure is its own next state, so
-a stateless step allocates nothing after its first cycle. Sharing is sound
-because no node reachable from an earlier next expression is ever mutated:
-`_fill_pre` sets the fields of the placeholder `Arrow`s created by the
-current activation only.
+operator, or a tuple item) is read by its parent with no recursive call, and
+is its own next expression; an unbound name goes to `_eval`, which reports it.
+So is the literal head of the `v -> pre e` that each `pre` leaves. An operator
+with a kernel on a pair expression evaluates both operands in place, and two
+operands of the kernel's plain type (`int`, or `bool` for `&&` and `||`) go to
+it with no pair built; other operands take its checked `run`. A node firing or
+step call starts its activation from the globals, not the caller's locals,
+which no checked body can read (a local may not shadow a step). Next
+expressions share structure: a `Tuple`, `Apply`, `If`, `Some` or `Either`
+whose evaluated children all come back as themselves (by identity) comes back
+as itself, and so does an equation whose right-hand side does, so a settled
+`fby`, `->` or operator allocates nothing, and a `pre` of a settled operand
+only the `v -> pre e` around its own node. A settled activation's closure is
+its own next state, so a stateless step allocates nothing after its first
+cycle. Sharing is sound because no node reachable from an earlier next
+expression is ever mutated: `_fill_pre` sets the fields of the placeholder
+`Arrow`s created by the current activation only.
 """
 
 from __future__ import annotations
@@ -164,8 +164,8 @@ def _eval(env: Env, e: Expr, ctx: EvalContext, deferred: _Deferred | None) -> tu
     if kind is Apply:
         # A name or literal child is read in place, and is its own next
         # expression; an unbound name (`get` gives None) or any other child
-        # goes to _eval, which reports every error. Arrow, Fby and Tuple below
-        # read their leaf children the same way.
+        # goes to _eval, which reports every error. Tuple below reads its
+        # items the same way.
         fn, arg = e.fn, e.arg
         f = env.get(fn.name) if type(fn) is Var else fn.value if type(fn) is Const else None
         fn_next = fn
@@ -213,10 +213,10 @@ def _eval(env: Env, e: Expr, ctx: EvalContext, deferred: _Deferred | None) -> tu
             raise UndefEscape(_escape("applied expression", e.span))
         raise EvalError(f"application of a non-function value {pretty_value(f)}")
     if kind is Arrow:
+        # Every firing evaluates the `v -> pre e` hole of each `pre`, whose head
+        # is a literal; a parsed `->` is evaluated once and is then its rest.
         first = e.first
-        value = env.get(first.name) if type(first) is Var else first.value if type(first) is Const else None
-        if value is None:
-            value = _eval(env, first, ctx, deferred)[0]
+        value = first.value if type(first) is Const else _eval(env, first, ctx, deferred)[0]
         return value, _eval(env, e.rest, ctx, deferred)[1]
     if kind is Pre:
         hole = Arrow(e.expr, e, e.loc)  # both fields are set by _fill_pre
@@ -228,8 +228,7 @@ def _eval(env: Env, e: Expr, ctx: EvalContext, deferred: _Deferred | None) -> tu
     if kind is If:
         cond, then, orelse = e.cond, e.then, e.orelse
         c, cond_next = _eval(env, cond, ctx, deferred)
-        # A plain bool is tested here; _branch reports any other value.
-        if c.value if type(c) is VConst and type(c.value) is bool else _branch(c, e):
+        if _branch(c, e):
             value, then_next = _eval(env, then, ctx, deferred)
             same = cond_next is cond and then_next is then
             return value, e if same else If(cond_next, then_next, orelse, e.loc)
@@ -237,11 +236,7 @@ def _eval(env: Env, e: Expr, ctx: EvalContext, deferred: _Deferred | None) -> tu
         same = cond_next is cond and else_next is orelse
         return value, e if same else If(cond_next, then, else_next, e.loc)
     if kind is Fby:
-        first = e.first
-        value = env.get(first.name) if type(first) is Var else first.value if type(first) is Const else None
-        if value is None:
-            value = _eval(env, first, ctx, deferred)[0]
-        return value, e.rest
+        return _eval(env, e.first, ctx, deferred)[0], e.rest
     if kind is Tuple:
         # A loop, not a comprehension, so each level is one interpreter frame.
         values = []

@@ -193,9 +193,9 @@ def leaf_env() -> Env:
 
 def gen_leaf_expr(rng: random.Random, depth: int) -> Expr:
     """An int expression whose children that a parent reads in place (both
-    operands of an operator, the argument of an application, the items of a
-    tuple, and the head of `->` and `fby`) are often leaves: a name, a
-    literal, or now and then the unbound name `u`. Each `u` has its own
+    operands of an operator, the argument of an application, and the items
+    of a tuple) are often leaves: a name, a literal, or now and then the
+    unbound name `u`. Each `u` has its own
     column, so the error it raises tells which one was read first. Closed
     under `leaf_env()` but for `u`; an `if` condition may be `pre` of a
     leaf, undefined on the first cycle."""
