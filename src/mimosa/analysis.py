@@ -216,15 +216,21 @@ def check_initialization(
 
 
 def order_equations(
-    step: StepDecl, file: str = "<string>", reads: tuple[set[str], ...] | None = None
+    step: StepDecl,
+    file: str = "<string>",
+    reads: tuple[set[str], ...] | None = None,
+    binds: tuple[list[str], ...] | None = None,
 ) -> tuple[Equation, ...]:
     """The step's equations in causal order. `reads` holds the causal names
-    of each right-hand side in declaration order, as `check_network` records
-    them; without it each right-hand side is walked here."""
+    of each right-hand side and `binds` the names of each left-hand side, in
+    declaration order, as `check_network` records them; without them each
+    equation is walked here."""
     equations = step.equations or ()
     if reads is None:
         reads = tuple(nesting((eq.rhs,)).causal for eq in equations)
-    bound: list[set[str]] = [set(eq.lhs.names()) for eq in equations]
+    if binds is None:
+        binds = tuple(eq.lhs.names() for eq in equations)
+    bound: list[set[str]] = [set(names) for names in binds]
     owner = {n: i for i, names in enumerate(bound) for n in names}
     deps: list[set[int]] = []
     for eq, names, causal in zip(equations, bound, reads):
@@ -297,6 +303,8 @@ class NetworkInfo:
     # Per step, the causal names (`Nesting.causal`) of each right-hand side,
     # in declaration order: the one dependency walk `order_equations` reads.
     causal_reads: dict[str, tuple[set[str], ...]]
+    # Per step, the names each left-hand side binds, in declaration order.
+    bound_names: dict[str, tuple[list[str], ...]]
 
 
 def check_network(program: Program, *, complete: bool = True, file: str = "<string>") -> NetworkInfo:
@@ -335,13 +343,16 @@ def check_network(program: Program, *, complete: bool = True, file: str = "<stri
 
     # Per-step name hygiene.
     reserved = step_names | set(BUILTIN_TYPES)
+    bound: dict[str, tuple[list[str], ...]] = {}
     for step in program.steps:
-        binders = set(step.in_pattern.names())
-        for name in step.in_pattern.names():
+        inputs = step.in_pattern.names()
+        binders = set(inputs)
+        for name in inputs:
             if name in reserved:
                 report(f"input '{name}' of step '{step.name}' shadows a step or builtin", step.span)
-        for eq in step.equations or ():
-            for name in eq.lhs.names():
+        bound[step.name] = tuple(eq.lhs.names() for eq in step.equations or ())
+        for eq, names in zip(step.equations or (), bound[step.name]):
+            for name in names:
                 if name in reserved:
                     report(f"'{name}' shadows a step or builtin", eq.span)
                 elif name in binders:
@@ -366,7 +377,7 @@ def check_network(program: Program, *, complete: bool = True, file: str = "<stri
     if diags:
         raise NetworkError(diags)
     named = frozenset().union(*(body.mentioned for body in bodies.values())) & step_names
-    return NetworkInfo(step_order, writer, reader, named, reads)
+    return NetworkInfo(step_order, writer, reader, named, reads, bound)
 
 
 def _merged(facts: list[Nesting]) -> Nesting:
@@ -607,8 +618,8 @@ def infer_types(
             out_local: dict[str, Type] = {}
             tout = inf.sig_type(step.out_pattern, out_local, require_annot=True, step=name)
         else:
-            for eq in step.equations or ():
-                for n in eq.lhs.names():
+            for names in info.bound_names[name]:
+                for n in names:
                     local.setdefault(n, inf.u.fresh())
             for eq in step.equations or ():
                 trhs = inf.expr(eq.rhs, ctx, local)
@@ -684,7 +695,7 @@ def check_program(
     for step in program.steps:
         if step.is_prototype:
             continue
-        ordered[step.name] = order_equations(step, file, info.causal_reads[step.name])
+        ordered[step.name] = order_equations(step, file, info.causal_reads[step.name], info.bound_names[step.name])
         check_initialization(step, ordered[step.name], file=file)
     return CheckedProgram(
         program=program,

@@ -29,16 +29,21 @@ SYNTHETIC = Span()
 
 # Where a node came from: a `Span` (the zero span for a synthetic node), a
 # token of the parser (a leaf's), or a pair of tokens (the first and last of
-# a composite node). A token has a `span` property of its own.
+# a composite node). A token is a 5-tuple (kind, text, offset, value, source).
 Loc = Union[Span, tuple]
 
 
 def span_of(loc: Loc) -> Span:
-    """The `Span` of a location."""
-    if type(loc) is tuple:
-        first, last = loc[0].span, loc[1].span
+    """The `Span` of a location; a token's is its characters, and the end of
+    input's the column after the last."""
+    if type(loc) is not tuple:
+        return loc
+    if len(loc) == 2:
+        first, last = span_of(loc[0]), span_of(loc[1])
         return Span(first.line, first.col, last.end_line, last.end_col)
-    return loc if isinstance(loc, Span) else loc.span
+    _, text, offset, _, source = loc
+    line, col = source.locate(offset)
+    return Span(line, col, line, col + max(len(text), 1) - 1)
 
 
 class Located:

@@ -25,23 +25,25 @@ carries the call's state.
 
 The hot path is direct: `_eval` dispatches on the node's class, hot ones
 first. A name or literal child (of an application, either operand of an
-operator, or a tuple item) is read by its parent with no recursive call, and
-is its own next expression; an unbound name goes to `_eval`, which reports it.
-So is the literal head of the `v -> pre e` that each `pre` leaves. An operator
-with a kernel on a pair expression evaluates both operands in place, and two
-operands of the kernel's plain type (`int`, or `bool` for `&&` and `||`) go to
-it with no pair built; other operands take its checked `run`. A node firing or
-step call starts its activation from the globals, not the caller's locals,
-which no checked body can read (a local may not shadow a step). Next
-expressions share structure: a `Tuple`, `Apply`, `If`, `Some` or `Either`
-whose evaluated children all come back as themselves (by identity) comes back
-as itself, and so does an equation whose right-hand side does, so a settled
-`fby`, `->` or operator allocates nothing, and a `pre` of a settled operand
-only the `v -> pre e` around its own node. A settled activation's closure is
-its own next state, so a stateless step allocates nothing after its first
-cycle. Sharing is sound because no node reachable from an earlier next
-expression is ever mutated: `_fill_pre` sets the fields of the placeholder
-`Arrow`s created by the current activation only.
+operator, a tuple item, the taken `if` branch, the operand of `Some` or of
+`pre`, or a whole right-hand side) is read by its parent with no recursive
+call, and is its own next expression; an unbound name goes to `_eval`, which
+reports it. So is the literal head of the `v -> pre e` that each `pre`
+leaves. An operator with a kernel on a pair expression evaluates both
+operands in place, and two operands of the kernel's plain type (`int`, or
+`bool` for `&&` and `||`) go to it with no pair built; other operands take
+its checked `run`. A node firing or step call starts its activation from
+the globals, not the caller's locals, which no checked body can read (a
+local may not shadow a step). Next expressions share structure: a `Tuple`,
+`Apply`, `If`, `Some` or `Either` whose evaluated children all come back as
+themselves (by identity) comes back as itself, and so does an equation whose
+right-hand side does, so a settled `fby`, `->` or operator allocates
+nothing, and a `pre` of a settled operand only the `v -> pre e` around its
+own node. A settled activation's closure is its own next state, so a
+stateless step allocates nothing after its first cycle. Sharing is sound
+because no node reachable from an earlier next expression is ever mutated:
+`_fill_pre` sets the fields of the placeholder `Arrow`s created by the
+current activation only.
 """
 
 from __future__ import annotations
@@ -226,15 +228,19 @@ def _eval(env: Env, e: Expr, ctx: EvalContext, deferred: _Deferred | None) -> tu
             deferred.append((hole, e.expr))
         return VUndef(), hole
     if kind is If:
-        cond, then, orelse = e.cond, e.then, e.orelse
+        cond = e.cond
         c, cond_next = _eval(env, cond, ctx, deferred)
-        if _branch(c, e):
-            value, then_next = _eval(env, then, ctx, deferred)
-            same = cond_next is cond and then_next is then
-            return value, e if same else If(cond_next, then_next, orelse, e.loc)
-        value, else_next = _eval(env, orelse, ctx, deferred)
-        same = cond_next is cond and else_next is orelse
-        return value, e if same else If(cond_next, then, else_next, e.loc)
+        took_then = _branch(c, e)
+        branch = e.then if took_then else e.orelse
+        value = env.get(branch.name) if type(branch) is Var else branch.value if type(branch) is Const else None
+        branch_next = branch
+        if value is None:
+            value, branch_next = _eval(env, branch, ctx, deferred)
+        if cond_next is cond and branch_next is branch:
+            return value, e
+        if took_then:
+            return value, If(cond_next, branch_next, e.orelse, e.loc)
+        return value, If(cond_next, e.then, branch_next, e.loc)
     if kind is Fby:
         return _eval(env, e.first, ctx, deferred)[0], e.rest
     if kind is Tuple:
@@ -252,8 +258,13 @@ def _eval(env: Env, e: Expr, ctx: EvalContext, deferred: _Deferred | None) -> tu
             nexts.append(item_next)
         return VTuple(tuple(values)), e if same else Tuple(tuple(nexts), e.loc)
     if kind is Some:
-        value, inner_next = _eval(env, e.expr, ctx, deferred)
-        return VSome(value), e if inner_next is e.expr else Some(inner_next, e.loc)
+        inner = e.expr
+        value = env.get(inner.name) if type(inner) is Var else inner.value if type(inner) is Const else None
+        if value is None:
+            value, inner_next = _eval(env, inner, ctx, deferred)
+            if inner_next is not inner:
+                return VSome(value), Some(inner_next, e.loc)
+        return VSome(value), e
     if kind is Either:
         scrutinee, fallback = e.scrutinee, e.fallback
         option, scrutinee_next = _eval(env, scrutinee, ctx, deferred)
@@ -294,10 +305,12 @@ def _unbound(var: Var | PVar) -> InternalError:
 def _fill_pre(hole: Arrow, env: Env, operand: Expr, ctx: EvalContext) -> None:
     """Make hole `v -> pre e'`, the next expression of `pre operand`, keeping
     the `pre` if e' is operand; env must hold the activation's final values."""
-    value, operand_next = _eval(env, operand, ctx, None)
+    value = env.get(operand.name) if type(operand) is Var else operand.value if type(operand) is Const else None
+    if value is None:
+        value, operand_next = _eval(env, operand, ctx, None)
+        if operand_next is not operand:
+            hole.rest = Pre(operand_next)
     hole.first = Const(value)
-    if operand_next is not operand:
-        hole.rest = Pre(operand_next)
 
 
 def _run_equations(env: Env, equations: tuple[Equation, ...], ctx: EvalContext) -> tuple[Equation, ...]:
@@ -307,13 +320,21 @@ def _run_equations(env: Env, equations: tuple[Equation, ...], ctx: EvalContext) 
     rewritten = []
     same = True
     for eq in equations:
-        value, rhs_next = _eval(env, eq.rhs, ctx, deferred)
+        # One class test for the common case, a right-hand side that is no leaf.
+        rhs = eq.rhs
+        kind = type(rhs)
+        if kind is Const:
+            value, rhs_next = rhs.value, rhs
+        elif kind is Var and (value := env.get(rhs.name)) is not None:
+            rhs_next = rhs
+        else:
+            value, rhs_next = _eval(env, rhs, ctx, deferred)
         if type(eq.lhs) is PVar:
             env[eq.lhs.name] = value
         else:
             _update_into(env, eq.lhs, value)
-        same = same and rhs_next is eq.rhs
-        rewritten.append(eq if rhs_next is eq.rhs else Equation(eq.lhs, rhs_next, eq.loc))
+        same = same and rhs_next is rhs
+        rewritten.append(eq if rhs_next is rhs else Equation(eq.lhs, rhs_next, eq.loc))
     for hole, operand in deferred:
         _fill_pre(hole, env, operand, ctx)
     return equations if same else tuple(rewritten)

@@ -3,18 +3,19 @@
 Grammar reference: docs/grammar.md. Infix operators desugar to applications
 of the symbol-named builtins (`x + y` becomes `+ (x, y)`).
 
-Positions are offsets: a token records where it starts in the source, a leaf
-node's location is its token and a composite node's its first and last token.
-A line and column are computed, from the source's table of line starts, only
-when a diagnostic or a runtime message asks a node or token for its `span`.
+A token is a plain tuple `(kind, text, offset, value, source)`. Positions are
+offsets: a leaf node's location is its token and a composite node's its first
+and last token. A line and column are computed, from the source's table of
+line starts, only when a diagnostic or a runtime message asks for a `span`
+(`errors.span_of`). The descent reads a name or number operand in place when
+no argument and no tighter operator follows it.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from functools import partial
-from typing import Callable, NamedTuple, TypeVar
+from typing import Callable, TypeVar
 
 from . import ast
 from .ast import (
@@ -48,7 +49,7 @@ from .ast import (
     nesting,
 )
 from .builtins import BINARY_LEVELS
-from .errors import Diagnostic, Loc, ParseError, Source, Span, span_of
+from .errors import Diagnostic, Loc, ParseError, Source, span_of
 from .types import BOOL, INT, REAL, UNIT, TOption, TTuple, Type, _parts as _type_parts
 
 KEYWORDS = set(
@@ -78,6 +79,8 @@ MAX_EXPR_DEPTH = 256
 # frames to spare inside the test runner, while 96 levels overflow.
 MAX_TYPE_DEPTH = 64
 
+_PUNCT = "|".join(re.escape(p) for p in sorted(PUNCT, key=len, reverse=True))
+
 # One alternative per token class, tried in order; punctuation longest first,
 # so `-->` is never read as `-` `->`, and the catch-all `error` matches any
 # character no other alternative accepts. A number's unit is any run of word
@@ -90,27 +93,20 @@ _TOKEN = re.compile(
     r"|(?P<comment>--(?!>)[^\n]*)"
     r"|(?P<number>(?P<digits>[0-9]+(?P<fraction>\.[0-9]+(?:[eE][+-]?[0-9]+)?)?)(?P<unit>\w*))"
     r"|(?P<word>\w+)"
-    r"|(?P<punct>" + "|".join(re.escape(p) for p in sorted(PUNCT, key=len, reverse=True)) + r")"
+    r"|(?P<punct>" + _PUNCT + r")"
     r"|(?P<error>.))\s*"
 )
 
+# The lexer's pattern: `_TOKEN`'s alternatives, unnamed, as one group, and the
+# white space after the token as a second.
+_SPELLING = re.compile(
+    r"(--(?!>)[^\n]*|[0-9]+(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?)?\w*|\w+|" + _PUNCT + r"|.)(\s*)"
+)
 
-class Token(NamedTuple):
-    kind: str  # kw | ident | int | real | duration | punct | eof
-    text: str
-    offset: int  # of its first character in the source
-    value: object = None
-    source: Source | None = None
-
-    @property
-    def span(self) -> Span:
-        """The token's characters; for the end of input, the column after the last."""
-        line, col = self.source.locate(self.offset)
-        return Span(line, col, line, col + max(len(self.text), 1) - 1)
-
-
-# Token((kind, text, offset, value, source)) without the named tuple's Python-level __new__.
-_new_token = partial(tuple.__new__, Token)
+# The kind and value of each spelling of a keyword or punctuation; a comment's
+# kind is None.
+_SPELLED = {**dict.fromkeys(KEYWORDS, ("kw", None)), **dict.fromkeys((*PUNCT, "_"), ("punct", None))}
+_COMMENT = (None, None)
 
 
 class _Diag(Exception):
@@ -122,34 +118,46 @@ class _Diag(Exception):
         self.loc = loc
 
 
-def tokenize(source: str, file: str = "<string>", line: int = 1) -> list[Token]:
-    """Split `source`, whose first line is line `line` of `file`, into tokens.
-    A token records its offset; its line and column are worked out only when
-    something asks for its `span`."""
+def tokenize(source: str, file: str = "<string>", line: int = 1) -> list[tuple]:
+    """Split `source`, whose first line is line `line` of `file`, into tokens:
+    tuples (kind, text, offset, value, source), where the kind is kw, ident,
+    int, real, duration, punct or eof, and the offset is that of the token's
+    first character. `errors.span_of` gives a token's line and column. Each
+    distinct spelling is classified once."""
     origin = Source(source, line)
-    tokens: list[Token] = []
-    for m in _TOKEN.finditer(source):
-        kind = m.lastgroup
-        if kind == "space" or kind == "comment":
-            continue
-        text = m[kind]
-        if kind == "word" and (text[0].isalpha() or text[0] == "_"):
-            kind = "kw" if text in KEYWORDS else "punct" if text == "_" else "ident"
-        elif kind != "punct":
-            try:
-                tokens.append(_literal(m, kind, text, origin))
-            except _Diag as exc:
-                where = Token(kind, text, m.start(), None, origin)
-                raise ParseError([Diagnostic(str(exc), where.span, file=file)]) from None
-            continue
-        tokens.append(_new_token((kind, text, m.start(), None, origin)))
-    tokens.append(Token("eof", "", len(source), None, origin))
+    spelled = dict(_SPELLED)
+    tokens: list[tuple] = []
+    offset = len(source) - len(source.lstrip())  # `lstrip` strips what `\s` matches
+    for text, space in _SPELLING.findall(source, offset):
+        entry = spelled.get(text)
+        if entry is None:
+            entry = spelled[text] = _classify(text, offset, origin, file)
+        if entry is not _COMMENT:
+            tokens.append((entry[0], text, offset, entry[1], origin))
+        offset += len(text) + len(space)
+    tokens.append(("eof", "", len(source), None, origin))
     return tokens
 
 
-def _literal(m: re.Match, kind: str, text: str, source: Source) -> Token:
-    """The number token `m` matched, or the error it is."""
-    unit = m["unit"]
+def _classify(text: str, offset: int, origin: Source, file: str) -> tuple[str | None, object]:
+    """The kind and value of `text`, a spelling first seen at `offset` that
+    is no keyword or punctuation."""
+    if text[0].isalpha() or text[0] == "_":
+        return "ident", None
+    if text.startswith("--"):
+        return _COMMENT
+    m = _TOKEN.match(origin.text, offset)
+    try:
+        return _literal(m)
+    except _Diag as exc:
+        where = (m.lastgroup, text, offset, None, origin)
+        raise ParseError([Diagnostic(str(exc), span_of(where), file=file)]) from None
+
+
+def _literal(m: re.Match) -> tuple[str, object]:
+    """The kind and value of the number `m` matched, or the error it is."""
+    kind, unit = m.lastgroup, m["unit"]
+    text = m[kind]
     if kind == "error":
         raise _Diag(f"unexpected character {text!r}")
     # A number, or a word that starts with a digit other than 0-9.
@@ -160,7 +168,7 @@ def _literal(m: re.Match, kind: str, text: str, source: Source) -> Token:
             raise _Diag("durations take integer values")
         if math.isinf(value := float(text)):
             raise _Diag(f"real literal '{text}' is out of range")
-        return _new_token(("real", text, m.start(), value, source))
+        return "real", value
     if unit and unit not in DURATION_UNITS:
         raise _Diag(f"unknown duration unit '{unit}' (use us, ms, or s)")
     try:
@@ -168,16 +176,16 @@ def _literal(m: re.Match, kind: str, text: str, source: Source) -> Token:
     except ValueError:  # beyond the interpreter's limit on integer string conversion
         raise _Diag(f"integer literal has too many digits ({len(m['digits'])})") from None
     if unit:
-        return _new_token(("duration", text, m.start(), value * DURATION_UNITS[unit], source))
-    return _new_token(("int", text, m.start(), value, source))
+        return "duration", value * DURATION_UNITS[unit]
+    return "int", value
 
 
 def parse_duration(text: str) -> int:
     """Parse a standalone duration literal like '200ms' into microseconds."""
     toks = tokenize(text)
-    if len(toks) != 2 or toks[0].kind != "duration":
+    if len(toks) != 2 or toks[0][0] != "duration":
         raise ParseError(f"expected a duration like 10ms, got {text!r}")
-    us = toks[0].value
+    us = toks[0][3]
     assert isinstance(us, int)
     if us <= 0:
         raise ParseError("durations must be positive")
@@ -190,7 +198,7 @@ _T = TypeVar("_T")
 class Parser:
     MAX_ERRORS = 10
 
-    def __init__(self, tokens: list[Token], file: str):
+    def __init__(self, tokens: list[tuple], file: str):
         self.tokens = tokens
         self.file = file
         self.pos = 0
@@ -198,36 +206,36 @@ class Parser:
 
     # -- token helpers ------------------------------------------------------
 
-    def peek(self) -> Token:
+    def peek(self) -> tuple:
         return self.tokens[self.pos]
 
     def at(self, text: str) -> bool:
         """Whether the next token is the keyword or punctuation `text`: no
         other kind of token can spell one."""
-        return self.tokens[self.pos].text == text
+        return self.tokens[self.pos][1] == text
 
     def at_kind(self, kind: str) -> bool:
-        return self.peek().kind == kind
+        return self.peek()[0] == kind
 
-    def advance(self) -> Token:
+    def advance(self) -> tuple:
         t = self.tokens[self.pos]
-        if t.kind != "eof":
+        if t[0] != "eof":
             self.pos += 1
         return t
 
-    def expect(self, text: str, what: str | None = None) -> Token:
+    def expect(self, text: str, what: str | None = None) -> tuple:
         if self.at(text):
             return self.advance()
         t = self.peek()
-        found = t.text or "end of input"
+        found = t[1] or "end of input"
         wanted = what or f"'{text}'"
-        raise _Diag(f"expected {wanted}, found '{found}'" if t.text else f"expected {wanted}", t)
+        raise _Diag(f"expected {wanted}, found '{found}'" if t[1] else f"expected {wanted}", t)
 
-    def expect_ident(self, what: str) -> Token:
+    def expect_ident(self, what: str) -> tuple:
         if self.at_kind("ident"):
             return self.advance()
         t = self.peek()
-        raise _Diag(f"expected {what}, found '{t.text or 'end of input'}'", t)
+        raise _Diag(f"expected {what}, found '{t[1] or 'end of input'}'", t)
 
     def comma_list(self, item: Callable[[], _T]) -> list[_T]:
         """One or more `item`s separated by commas."""
@@ -237,7 +245,7 @@ class Parser:
             items.append(item())
         return items
 
-    def loc_from(self, start: Token) -> Loc:
+    def loc_from(self, start: tuple) -> Loc:
         """The location of a node from token `start` to the last token read:
         the token itself if it is the only one."""
         end = self.tokens[self.pos - 1 if self.pos else 0]
@@ -260,7 +268,7 @@ class Parser:
                     nodes.append(self.node_decl())
                 else:
                     t = self.peek()
-                    raise _Diag(f"expected a step, channel, or node declaration, found '{t.text}'", t)
+                    raise _Diag(f"expected a step, channel, or node declaration, found '{t[1]}'", t)
             except (_Diag, RecursionError) as exc:
                 self.diags.append(self.diagnostic(exc))
                 if len(self.diags) >= self.MAX_ERRORS:
@@ -286,14 +294,14 @@ class Parser:
         word of the body, unless it starts a line."""
         if self.pos == start:
             self.advance()
-        depth = sum((t.text == "{") - (t.text == "}") for t in self.tokens[start : self.pos])
+        depth = sum((t[1] == "{") - (t[1] == "}") for t in self.tokens[start : self.pos])
         while not self.at_kind("eof"):
             t = self.peek()
-            if t.text in ("step", "channel", "node") and (
-                depth <= 0 or self.tokens[self.pos - 1].span.end_line < t.span.line
+            if t[1] in ("step", "channel", "node") and (
+                depth <= 0 or span_of(self.tokens[self.pos - 1]).end_line < span_of(t).line
             ):
                 return
-            depth += (t.text == "{") - (t.text == "}")
+            depth += (t[1] == "{") - (t[1] == "}")
             self.advance()
 
     def check_duplicates(self, steps, channels, nodes):
@@ -308,7 +316,7 @@ class Parser:
 
     def step_decl(self) -> StepDecl:
         start = self.expect("step")
-        name = self.expect_ident("step name").text
+        name = self.expect_ident("step name")[1]
         in_pat = self.signature_pattern()
         self.expect("-->")
         out_pat = self.signature_pattern()
@@ -323,9 +331,9 @@ class Parser:
             raise _Diag("step body must contain at least one equation", open_tok)
         eqs = [self.equation()]
         tokens = self.tokens
-        while tokens[self.pos].text == ";":
+        while tokens[self.pos][1] == ";":
             self.pos += 1
-            if tokens[self.pos].text == "}":
+            if tokens[self.pos][1] == "}":
                 break
             eqs.append(self.equation())
         self.expect("}")
@@ -333,9 +341,9 @@ class Parser:
 
     def equation(self) -> Equation:
         start = self.tokens[self.pos]
-        if start.kind == "ident" and self.tokens[self.pos + 1].text == "=":
+        if start[0] == "ident" and self.tokens[self.pos + 1][1] == "=":
             self.pos += 2
-            lhs = PVar(start.text, loc=start)
+            lhs = PVar(start[1], loc=start)
         else:
             lhs = self.lhs_pattern()
             self.expect("=")
@@ -351,9 +359,9 @@ class Parser:
 
     def lhs_atom(self) -> Pattern:
         t = self.peek()
-        if t.kind == "ident":
+        if t[0] == "ident":
             self.advance()
-            return PVar(t.text, loc=t)
+            return PVar(t[1], loc=t)
         if self.at("_"):
             self.advance()
             return PWild(loc=t)
@@ -365,7 +373,7 @@ class Parser:
             inner = self.lhs_pattern()
             self.expect(")")
             return inner
-        raise _Diag(f"expected a pattern, found '{t.text or 'end of input'}'", t)
+        raise _Diag(f"expected a pattern, found '{t[1] or 'end of input'}'", t)
 
     def build_tuple_pattern(self, items: list[Pattern], loc: Loc) -> Pattern:
         try:
@@ -375,9 +383,9 @@ class Parser:
 
     def signature_pattern(self) -> Pattern:
         t = self.peek()
-        if t.kind == "ident":
+        if t[0] == "ident":
             self.advance()
-            return PVar(t.text, loc=t)
+            return PVar(t[1], loc=t)
         if self.at("_"):
             self.advance()
             return PWild(loc=t)
@@ -391,7 +399,7 @@ class Parser:
             if len(items) == 1:
                 return items[0]
             return self.build_tuple_pattern(items, self.loc_from(t))
-        raise _Diag(f"expected a parameter pattern, found '{t.text or 'end of input'}'", t)
+        raise _Diag(f"expected a parameter pattern, found '{t[1] or 'end of input'}'", t)
 
     def signature_entry(self) -> Pattern:
         pat = self.signature_pattern()
@@ -425,10 +433,10 @@ class Parser:
 
     def type_term(self) -> Type:
         t = self.peek()
-        if t.kind == "ident":
-            base = {"int": INT, "bool": BOOL, "real": REAL, "unit": UNIT}.get(t.text)
+        if t[0] == "ident":
+            base = {"int": INT, "bool": BOOL, "real": REAL, "unit": UNIT}.get(t[1])
             if base is None:
-                raise _Diag(f"unknown type '{t.text}'", t)
+                raise _Diag(f"unknown type '{t[1]}'", t)
             self.advance()
             ty = base
         elif self.at("("):
@@ -437,7 +445,7 @@ class Parser:
             self.expect(")")
             ty = items[0] if len(items) == 1 else TTuple(tuple(items))
         else:
-            raise _Diag(f"expected a type, found '{t.text or 'end of input'}'", t)
+            raise _Diag(f"expected a type, found '{t[1] or 'end of input'}'", t)
         while self.at("?"):
             self.advance()
             ty = TOption(ty)
@@ -445,7 +453,7 @@ class Parser:
 
     def channel_decl(self) -> ChannelDecl:
         start = self.expect("channel")
-        name = self.expect_ident("channel name").text
+        name = self.expect_ident("channel name")[1]
         self.expect(":")
         ty = self.type_expr()
         initial: tuple[Value, ...] = ()
@@ -463,18 +471,18 @@ class Parser:
         """`-` and the int or real token after it, as one literal."""
         self.advance()
         num = self.peek()
-        if num.kind not in ("int", "real"):
+        if num[0] not in ("int", "real"):
             raise _Diag("expected a number after '-'", num)
         self.advance()
-        return VConst(-num.value)
+        return VConst(-num[3])
 
     def literal_term(self) -> Value:
         t = self.peek()
         if self.at("-"):
             return self.negative_number()
-        if t.kind in ("int", "real"):
+        if t[0] in ("int", "real"):
             self.advance()
-            return VConst(t.value)
+            return VConst(t[3])
         if self.at("true"):
             self.advance()
             return VConst(True)
@@ -497,22 +505,22 @@ class Parser:
             if len(items) == 1:
                 return items[0]
             return VTuple(tuple(items))
-        raise _Diag(f"expected a literal value, found '{t.text or 'end of input'}'", t)
+        raise _Diag(f"expected a literal value, found '{t[1] or 'end of input'}'", t)
 
     def node_decl(self) -> NodeDecl:
         start = self.expect("node")
-        name = self.expect_ident("node name").text
+        name = self.expect_ident("node name")[1]
         self.expect("implements")
-        step = self.expect_ident("step name").text
+        step = self.expect_ident("step name")[1]
         inputs = self.port_list()
         self.expect("-->")
         outputs = self.port_list()
         self.expect("every")
         t = self.peek()
-        if t.kind != "duration":
-            raise _Diag(f"expected a period like 10ms, found '{t.text or 'end of input'}'", t)
+        if t[0] != "duration":
+            raise _Diag(f"expected a period like 10ms, found '{t[1] or 'end of input'}'", t)
         self.advance()
-        period = t.value
+        period = t[3]
         assert isinstance(period, int)
         if period <= 0:
             raise _Diag("periods must be positive", t)
@@ -533,7 +541,7 @@ class Parser:
         if self.at("?"):
             self.advance()
             optional = True
-        return PortRef(t.text, optional, loc=self.loc_from(t))
+        return PortRef(t[1], optional, loc=self.loc_from(t))
 
     # -- expressions ---------------------------------------------------------
 
@@ -550,7 +558,7 @@ class Parser:
         """One or more comma-separated expressions; several build a tuple."""
         start = self.tokens[self.pos]
         items = [self.arrow_expr()]
-        while self.tokens[self.pos].text == ",":
+        while self.tokens[self.pos][1] == ",":
             self.pos += 1
             items.append(self.arrow_expr())
         if len(items) == 1:
@@ -567,7 +575,7 @@ class Parser:
     def arrow_expr(self) -> Expr:
         start = self.tokens[self.pos]
         left = self.fby_expr()
-        if self.tokens[self.pos].text == "->":
+        if self.tokens[self.pos][1] == "->":
             self.pos += 1
             right = self.arrow_expr()
             return Arrow(left, right, self.loc_from(start))
@@ -576,7 +584,7 @@ class Parser:
     def fby_expr(self) -> Expr:
         start = self.tokens[self.pos]
         left = self.either_expr()
-        if self.tokens[self.pos].text == "fby":
+        if self.tokens[self.pos][1] == "fby":
             self.pos += 1
             right = self.fby_expr()
             return Fby(left, right, self.loc_from(start))
@@ -584,7 +592,7 @@ class Parser:
 
     def either_expr(self) -> Expr:
         start = self.tokens[self.pos]
-        if start.text == "either":
+        if start[1] == "either":
             self.pos += 1
             scrutinee = self.either_expr()
             self.expect("otherwise")
@@ -594,7 +602,7 @@ class Parser:
 
     def if_expr(self) -> Expr:
         start = self.tokens[self.pos]
-        if start.text == "if":
+        if start[1] == "if":
             self.pos += 1
             cond = self.binary_expr()
             self.expect("then")
@@ -609,16 +617,34 @@ class Parser:
         tokens = self.tokens
         start = tokens[self.pos]
         left = self.unary_expr()
-        while (level := _BINARY_LEVEL.get((op := tokens[self.pos]).text, -1)) >= min_level:
-            self.pos += 1
-            right = self.binary_expr(level + 1)
-            loc = self.loc_from(start)
-            left = Apply(Var(op.text, op), Tuple((left, right), loc), loc)
+        while (level := _BINARY_LEVEL.get((op := tokens[self.pos])[1], -1)) >= min_level:
+            # A name or number followed by neither an argument nor a tighter
+            # operator is the whole right operand: it is read in place.
+            if (operand := tokens[self.pos + 1])[0] in _ATOM_KINDS and not (
+                (after := tokens[self.pos + 2])[0] in _ATOM_KINDS
+                or after[1] in _ATOM_WORDS
+                or _BINARY_LEVEL.get(after[1], -1) > level
+            ):
+                self.pos += 2
+                right = _leaf(operand)
+            else:
+                self.pos += 1
+                right = self.binary_expr(level + 1)
+            loc = (start, tokens[self.pos - 1])
+            left = Apply(Var(op[1], op), Tuple((left, right), loc), loc)
         return left
 
     def unary_expr(self) -> Expr:
-        start = self.tokens[self.pos]
-        text = start.text
+        tokens = self.tokens
+        start = tokens[self.pos]
+        if start[0] in _ATOM_KINDS:
+            # A name or number that no argument follows, read in place.
+            after = tokens[self.pos + 1]
+            if after[0] in _ATOM_KINDS or after[1] in _ATOM_WORDS:
+                return self.app_expr()
+            self.pos += 1
+            return _leaf(start)
+        text = start[1]
         if text == "!":
             self.pos += 1
             operand = self.unary_expr()
@@ -629,7 +655,7 @@ class Parser:
         if text == "Some":
             self.pos += 1
             return Some(self.unary_expr(), self.loc_from(start))
-        if text == "-" and self.tokens[self.pos + 1].kind in ("int", "real"):
+        if text == "-" and tokens[self.pos + 1][0] in ("int", "real"):
             return Const(self.negative_number(), self.loc_from(start))
         return self.app_expr()
 
@@ -637,24 +663,20 @@ class Parser:
         tokens = self.tokens
         start = tokens[self.pos]
         e = self.atom()
-        while (t := tokens[self.pos]).kind in _ATOM_KINDS or t.text in _ATOM_WORDS:
+        while (t := tokens[self.pos])[0] in _ATOM_KINDS or t[1] in _ATOM_WORDS:
             arg = self.atom()
             e = Apply(e, arg, self.loc_from(start))
         return e
 
     def atom(self) -> Expr:
         t = self.tokens[self.pos]
-        kind = t.kind
-        if kind == "ident":
+        kind, text = t[0], t[1]
+        if kind in _ATOM_KINDS:
             self.pos += 1
-            return Var(t.text, t)
-        if kind == "int" or kind == "real":
-            self.pos += 1
-            return Const(VConst(t.value), t)
-        text = t.text
+            return _leaf(t)
         if text == "(":
             self.pos += 1
-            if self.tokens[self.pos].text == ")":
+            if self.tokens[self.pos][1] == ")":
                 self.pos += 1
                 return Const(ast.UNIT_VALUE, self.loc_from(t))
             inner = self.expr_list()
@@ -669,6 +691,11 @@ class Parser:
         if kind == "duration":
             raise _Diag("durations only appear in node declarations", t)
         raise _Diag(f"expected an expression, found '{text or 'end of input'}'", t)
+
+
+def _leaf(t: tuple) -> Expr:
+    """The name or number token `t` as an expression."""
+    return Var(t[1], t) if t[0] == "ident" else Const(VConst(t[3]), t)
 
 
 def _value_parts(v: Value) -> tuple[Value, ...]:
@@ -707,7 +734,7 @@ def _parse_all(source: str, file: str, rule: Callable[[Parser], _T], line: int =
         result = rule(parser)
         if not parser.at_kind("eof"):
             t = parser.peek()
-            raise _Diag(f"unexpected trailing input '{t.text}'", t)
+            raise _Diag(f"unexpected trailing input '{t[1]}'", t)
     except (_Diag, RecursionError) as exc:
         raise ParseError([parser.diagnostic(exc)]) from None
     return result

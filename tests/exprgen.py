@@ -185,17 +185,34 @@ MIX = VClosure(
         Equation(PVar("r"), parse_expression("if m > s then m - s else s - m + b")),
     ),
 )
+# And `hold`, whose whole right-hand sides, `if` branches, and `Some` and
+# `pre` operands are names and literals.
+HOLD = VClosure(
+    PVar("a"),
+    PVar("r"),
+    tuple(
+        Equation(PVar(name), parse_expression(text))
+        for name, text in (
+            ("c", "a"),
+            ("k", "2"),
+            ("m", "0 -> pre c"),
+            ("o", "Some m"),
+            ("r", "either (if c > k then o else None) otherwise k"),
+        )
+    ),
+)
 
 
 def leaf_env() -> Env:
-    return base_env() | {"inc": INC, "mix": MIX}
+    return base_env() | {"inc": INC, "mix": MIX, "hold": HOLD}
 
 
 def gen_leaf_expr(rng: random.Random, depth: int) -> Expr:
     """An int expression whose children that a parent reads in place (both
-    operands of an operator, the argument of an application, and the items
-    of a tuple) are often leaves: a name, a literal, or now and then the
-    unbound name `u`. Each `u` has its own
+    operands of an operator, the argument of an application, the items of a
+    tuple, the branches of an `if`, and the operands of `Some` and `pre`) are
+    often leaves: a name, a literal, or now and then the unbound name `u`;
+    `hold`'s body has leaves as whole right-hand sides. Each `u` has its own
     column, so the error it raises tells which one was read first. Closed
     under `leaf_env()` but for `u`; an `if` condition may be `pre` of a
     leaf, undefined on the first cycle."""
@@ -226,7 +243,7 @@ def gen_leaf_expr(rng: random.Random, depth: int) -> Expr:
         return Pre(bool_leaf())
 
     def form(depth: int) -> Expr:
-        kind = rng.randrange(7)
+        kind = rng.randrange(8)
         if kind == 0:
             return _binop(rng.choice(("+", "-", "*")), int_child(depth), int_child(depth))
         if kind == 1:
@@ -235,11 +252,13 @@ def gen_leaf_expr(rng: random.Random, depth: int) -> Expr:
             argument = Const(VTuple((VConst(rng.randrange(5)), VConst(rng.randrange(5)))))
             return Apply(rng.choice((Var("mix"), Const(MIX))), argument)
         if kind == 3:
-            return Apply(rng.choice((Var("inc"), Const(INC))), int_child(depth))
+            return Apply(rng.choice((Var("inc"), Const(INC), Var("hold"), Const(HOLD))), int_child(depth))
         if kind == 4:
             return Arrow(int_child(depth), Pre(int_child(depth)))
         if kind == 5:
             return Fby(int_child(depth), int_child(depth))
+        if kind == 6:
+            return Either(Some(int_child(depth)), int_child(depth))
         return If(condition(depth), int_child(depth), int_child(depth))
 
     return form(depth)

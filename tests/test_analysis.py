@@ -1102,11 +1102,12 @@ class TestSharedWalk:
         rng = random.Random(seed)
         equations = gen_system(rng, rng.randrange(1, 4))
         step = StepDecl("s", PUnit(), PVar(equations[0].lhs.names()[0]), tuple(equations))
-        recorded = check_network(Program((step,), (), ()), complete=False).causal_reads["s"]
+        info = check_network(Program((step,), (), ()), complete=False)
+        recorded, binds = info.causal_reads["s"], info.bound_names["s"]
         assert recorded == tuple(nesting((eq.rhs,)).causal for eq in equations)
-        assert ordering_outcome(lambda st: order_equations(st, "<string>", recorded), step) == ordering_outcome(
-            order_equations, step
-        )
+        assert binds == tuple(eq.lhs.names() for eq in equations)
+        fresh = ordering_outcome(order_equations, step)
+        assert ordering_outcome(lambda st: order_equations(st, "<string>", recorded, binds), step) == fresh
 
 
 class TestInitSoundness:

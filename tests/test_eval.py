@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from conftest import quiet_fib_hosts
 from exprgen import (
+    HOLD,
     INC,
     INT_OPS,
     LOGIC_OPS,
@@ -872,13 +873,15 @@ class TestSharing:
             shared, reference = got[1], want[1]
 
     def test_the_leaf_generator_reaches_every_position(self):
-        positions = {"operand", "argument", "item"}
+        positions = {"operand", "argument", "item", "branch", "Some operand", "pre operand"}
         seen = set()
         for seed in range(300):
             rng = random.Random(seed)
             seen |= set(leaves_read_in_place(gen_leaf_expr(rng, rng.randrange(1, 5))))
         kinds = ("name", "literal", "unbound name")
-        assert seen == {(p, leaf) for p in positions for leaf in kinds} | {("head of ->", "literal")}
+        # `hold`'s body is fixed: its right-hand sides hold no unbound name.
+        fixed = {("head of ->", "literal"), ("right-hand side", "name"), ("right-hand side", "literal")}
+        assert seen == {(p, leaf) for p in positions for leaf in kinds} | fixed
 
     @pytest.mark.parametrize(
         "text, name, col",
@@ -939,6 +942,14 @@ def leaves_read_in_place(e: Expr):
             pairs = [("item", item) for item in node.items]
         elif kind is Arrow and type(node.first) is Const:
             pairs = [("head of ->", node.first)]
+        elif kind is If:
+            pairs = [("branch", node.then), ("branch", node.orelse)]
+        elif kind is Some:
+            pairs = [("Some operand", node.expr)]
+        elif kind is Pre:
+            pairs = [("pre operand", node.expr)]
+        elif kind is Const and type(node.value) is VClosure:
+            pairs = [("right-hand side", eq.rhs) for eq in node.value.equations]
         else:
             pairs = []
         for position, leaf in pairs:
@@ -1136,3 +1147,12 @@ class TestCallCount:
         # last the deferred `pre` operand `s + 1`.
         calls = ["Apply", "Apply", "Tuple", "Apply", "Arrow", "Pre", "Fby", "Const", "If", "Apply", "Apply", "Apply"]
         assert eval_calls == calls
+
+    def test_leaves_of_a_body_cost_no_call(self, eval_calls):
+        # A firing of `hold`, whose right-hand sides `a` and `2`, `Some` operand
+        # `m`, taken branch `o` and `pre` operand `c` are read in place: the
+        # firing; `->` and its `pre`; `Some`; `either`, its `if` and the
+        # condition `c > k`.
+        firing = Apply(Const(HOLD), Const(VConst(5)))
+        assert eval_expr(leaf_env(), firing).value == VConst(0)
+        assert eval_calls == ["Apply", "Arrow", "Pre", "Some", "Either", "If", "Apply"]

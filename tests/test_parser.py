@@ -2,6 +2,7 @@ import dataclasses
 import math
 import random
 import re
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -15,6 +16,8 @@ from mimosa.ast import (
     Arrow,
     Const,
     Either,
+    Expr,
+    Fby,
     If,
     Pre,
     Some,
@@ -28,7 +31,8 @@ from mimosa.ast import (
     VTuple,
     nesting,
 )
-from mimosa.errors import Diagnostic, Located, Span
+from mimosa.builtins import BINARY_OPS
+from mimosa.errors import Diagnostic, Located, Source, Span, span_of
 from mimosa.parser import (
     _TOKEN,
     DURATION_UNITS,
@@ -37,7 +41,6 @@ from mimosa.parser import (
     MAX_TYPE_DEPTH,
     PUNCT,
     Parser,
-    Token,
     parse_literal,
     tokenize,
 )
@@ -184,15 +187,16 @@ class TestLexer:
             starts = [m.start() for m in _TOKEN.finditer(source) if m.lastgroup not in trivia]
             assert len(tokens) == len(starts) + 1
             for token, start in zip(tokens, starts + [len(source)]):
-                assert source[start : start + len(token.text)] == token.text
+                text = token[1]
+                assert token[2] == start and source[start : start + len(text)] == text
                 line = source.count("\n", 0, start) + 1
                 col = start - source.rfind("\n", 0, start)
-                assert token.span == Span(line, col, line, col + max(len(token.text), 1) - 1)
+                assert span_of(token) == Span(line, col, line, col + max(len(text), 1) - 1)
 
     def test_spans_are_one_based(self):
         toks = tokenize("step f")
-        assert toks[0].span.line == 1 and toks[0].span.col == 1
-        assert toks[1].span.col == 6
+        assert span_of(toks[0]).line == 1 and span_of(toks[0]).col == 1
+        assert span_of(toks[1]).col == 6
 
     @pytest.mark.parametrize(
         "source, col, end_col",
@@ -288,9 +292,11 @@ def reference_token(m: re.Match, span: Span) -> RefToken:
 def token_outcome(tokenizer, source: str, line: int = 1):
     """The tokens as (kind, text, span, value), or the diagnostics as (text, span)."""
     try:
-        return [(t.kind, t.text, t.span, t.value) for t in tokenizer(source, "f.mim", line)]
+        tokens = tokenizer(source, "f.mim", line)
     except ParseError as exc:
         return [(d.text(), d.span) for d in exc.diagnostics]
+    # A reference token is already (kind, text, span, value).
+    return [t if type(t) is RefToken else (t[0], t[1], span_of(t), t[3]) for t in tokens]
 
 
 TOKEN_EDGE_CASES = [
@@ -350,13 +356,25 @@ class TestTokenizerOracle:
             ("f.mim:1:1: error: unknown duration unit 'xs' (use us, ms, or s)", Span(1, 1, 1, 3))
         ]
         assert token_outcome(tokenize, "   $") == [("f.mim:1:4: error: unexpected character '$'", Span(1, 4, 1, 4))]
-        assert [t.text for t in tokenize("x --> y -- z")] == ["x", "-->", "y", ""]
+        assert [t[1] for t in tokenize("x --> y -- z")] == ["x", "-->", "y", ""]
 
-    def test_tokens_are_named_tuples(self):
-        token = tokenize("x")[0]
-        assert type(token) is Token
-        assert (token.kind, token.text, token.span, token.value) == ("ident", "x", Span(1, 1, 1, 1), None)
-        assert token == Token("ident", "x", 0, None, token.source)
+    def test_tokens_are_plain_tuples(self):
+        # (kind, text, offset, value, source), one source for all.
+        tokens = tokenize("  x\n 2.5 3ms 12 ")
+        source = tokens[0][4]
+        assert type(source) is Source and source.text == "  x\n 2.5 3ms 12 "
+        assert all(type(t) is tuple and len(t) == 5 and t[4] is source for t in tokens)
+        assert [t[:4] for t in tokens] == [
+            ("ident", "x", 2, None),
+            ("real", "2.5", 5, 2.5),
+            ("duration", "3ms", 9, 3000),
+            ("int", "12", 13, 12),
+            ("eof", "", 16, None),
+        ]
+        spans = [Span(1, 3, 1, 3), Span(2, 2, 2, 4), Span(2, 6, 2, 8), Span(2, 10, 2, 11), Span(2, 13, 2, 13)]
+        assert [span_of(t) for t in tokens] == spans
+        # A composite node's location is a pair: its first and last token.
+        assert span_of((tokens[0], tokens[3])) == Span(1, 3, 2, 11)
 
 
 def generated_steps(seed: int, count: int) -> str:
@@ -366,6 +384,62 @@ def generated_steps(seed: int, count: int) -> str:
         f"step s{k} () --> y {{\n  y = {pretty_expr(gen_expr(rng, rng.choice(TOP_TYPES), 3, False))}  -- expression {k}\n}}\n"
         for k in range(count)
     )
+
+
+def gen_leafy_expr(rng: random.Random, depth: int) -> Expr:
+    """An expression, not always well typed, whose operands are often a name
+    or a number, negative ones included: on either side of every binary
+    operator, under `!`, `pre` and `Some`, as an application's argument, and
+    right before `->`, `fby`, `then`, `else`, `otherwise`, `)` and `,`."""
+
+    def leaf() -> Expr:
+        roll = rng.random()
+        if roll < 0.45:
+            return Var(rng.choice(("a", "b", "c")))
+        if roll < 0.8:
+            return Const(VConst(rng.randrange(-20, 100)))
+        if roll < 0.9:
+            return Const(VConst(rng.choice((0.5, -2.25))))
+        return Const(VConst(rng.random() < 0.5))
+
+    def expr(depth: int) -> Expr:
+        if depth <= 0 or rng.random() < 0.25:
+            return leaf()
+        kind = rng.randrange(11)
+        if kind < 4:
+            return Apply(Var(rng.choice(BINARY_OPS)), Tuple((expr(depth - 1), expr(depth - 1))))
+        if kind == 4:
+            fn = Var("f") if rng.random() < 0.7 else Apply(Var("f"), expr(depth - 1))
+            return Apply(fn, expr(depth - 1))
+        if kind == 5:
+            return Arrow(expr(depth - 1), expr(depth - 1))
+        if kind == 6:
+            return Fby(expr(depth - 1), expr(depth - 1))
+        if kind == 7:
+            return If(expr(depth - 1), expr(depth - 1), expr(depth - 1))
+        if kind == 8:
+            return Either(expr(depth - 1), expr(depth - 1))
+        if kind == 9:
+            return Tuple(tuple(expr(depth - 1) for _ in range(rng.randrange(2, 4))))
+        wrap = rng.choice((Pre, Some, partial(Apply, Var("!"))))
+        return wrap(expr(depth - 1))
+
+    return expr(depth)
+
+
+def leafy_steps(seed: int, count: int) -> tuple[str, list[list[Expr]]]:
+    """Steps whose equations have `gen_leafy_expr` right-hand sides, and those
+    right-hand sides. A tuple right-hand side is printed without parentheses,
+    and the last equation of a body ends at `;` or at `}`."""
+    rng = random.Random(seed)
+    steps, trees = [], []
+    for k in range(count):
+        rhs = [gen_leafy_expr(rng, rng.randrange(1, 4)) for _ in range(rng.randrange(1, 4))]
+        printed = [", ".join(map(pretty_expr, e.items)) if type(e) is Tuple else pretty_expr(e) for e in rhs]
+        body = "; ".join(f"y{i} = {text}" for i, text in enumerate(printed)) + rng.choice(("", ";"))
+        steps.append(f"step s{k} () --> y0 {{\n  {body}\n}}\n")
+        trees.append(rhs)
+    return "".join(steps), trees
 
 
 STUB_SOURCE = """step f (x : int, _ : bool?) --> (y : int) {
@@ -398,9 +472,9 @@ class TestPositionOracle:
     def check(self, source: str, line: int = 1):
         tokens = tokenize(source, "f.mim", line)
         reference = [t.span for t in reference_tokenize(source, "f.mim", line)]
-        assert [t.span for t in tokens] == reference
+        assert [span_of(t) for t in tokens] == reference
         for t, span in zip(tokens, reference):
-            assert span == Span(span.line, span.col, span.line, span.col + max(len(t.text), 1) - 1)
+            assert span == Span(span.line, span.col, span.line, span.col + max(len(t[1]), 1) - 1)
         index = {id(t): k for k, t in enumerate(tokens)}
         program = Parser(tokens, "f.mim").parse_program()
         seen = 0
@@ -408,7 +482,7 @@ class TestPositionOracle:
         while stack:
             node, lowest, highest = stack.pop()
             loc = node.loc
-            first, last = loc if type(loc) is tuple else (loc, loc)
+            first, last = loc if len(loc) == 2 else (loc, loc)
             i, j = index[id(first)], index[id(last)]
             # A node's tokens lie within its parent's.
             assert lowest <= i <= j <= highest
@@ -424,6 +498,23 @@ class TestPositionOracle:
 
     def test_generated_steps(self):
         assert self.check(generated_steps(5, 200)) > 2000
+
+    def test_leaf_operands(self):
+        source, trees = leafy_steps(11, 300)
+        assert self.check(source) > 3000
+        program = parse_program(source)
+        assert [[eq.rhs for eq in step.equations] for step in program.steps] == trees
+        # The source puts a name and a number before every token that ends an
+        # operand read in place, and after every binary operator.
+        spelled = [t[1] if t[0] in ("kw", "punct") else t[0] for t in tokenize(source)]
+        pairs = set(zip(spelled, spelled[1:]))
+        ends = ("->", "fby", "then", "else", "otherwise", ")", ",", ";", "}", *BINARY_OPS)
+        for leaf in ("ident", "int"):
+            assert {(leaf, end) for end in ends} <= pairs
+            assert {(op, leaf) for op in BINARY_OPS} <= pairs
+        # Negative numbers after an operator, and arguments of an application.
+        assert {(op, "-") for op in BINARY_OPS} & pairs
+        assert {("ident", "ident"), ("ident", "int"), ("ident", "(")} <= pairs
 
     def test_stub_lines(self):
         assert self.check(STUB_SOURCE, line=7) > 30
