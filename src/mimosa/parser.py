@@ -1,13 +1,15 @@
 """Lexer and recursive-descent parser for `.mim` source files.
 
-Grammar reference: docs/grammar.md. Infix operators desugar to applications
-of the symbol-named builtins (`x + y` becomes `+ (x, y)`).
+Grammar reference: docs/grammar.md. An expression is parsed by one precedence
+climber over the levels the printer reads too (`pretty.OPERATOR_LEVEL`).
+Infix operators desugar to applications of the symbol-named builtins
+(`x + y` becomes `+ (x, y)`).
 
 A token is a plain tuple `(kind, text, offset, value, source)`. Positions are
 offsets: a leaf node's location is its token and a composite node's its first
 and last token. A line and column are computed, from the source's table of
 line starts, only when a diagnostic or a runtime message asks for a `span`
-(`errors.span_of`). The descent reads a name or number operand in place when
+(`errors.span_of`). The climber reads a name or number operand in place when
 no argument and no tighter operator follows it.
 """
 
@@ -48,8 +50,8 @@ from .ast import (
     Value,
     nesting,
 )
-from .builtins import BINARY_LEVELS
 from .errors import Diagnostic, Loc, ParseError, Source, span_of
+from .pretty import ARROW, BINARY, EITHER, FBY, IF, OPERATOR_LEVEL
 from .types import BOOL, INT, REAL, UNIT, TOption, TTuple, Type, _parts as _type_parts
 
 KEYWORDS = set(
@@ -59,8 +61,6 @@ KEYWORDS = set(
 PUNCT = tuple("--> -> <= >= == != && || ( ) { } , ; : = ? + - * / < > !".split())
 
 DURATION_UNITS = {"us": 1, "ms": 1_000, "s": 1_000_000}
-
-_BINARY_LEVEL = {op: level for level, ops in enumerate(BINARY_LEVELS) for op in ops}
 
 # What an application's argument starts with: these kinds of token, or these words.
 _ATOM_KINDS = ("ident", "int", "real")
@@ -81,27 +81,17 @@ MAX_TYPE_DEPTH = 64
 
 _PUNCT = "|".join(re.escape(p) for p in sorted(PUNCT, key=len, reverse=True))
 
-# One alternative per token class, tried in order; punctuation longest first,
-# so `-->` is never read as `-` `->`, and the catch-all `error` matches any
-# character no other alternative accepts. A number's unit is any run of word
-# characters, so `1٣` and `12ab` are one malformed literal rather than a
-# number followed by something else. Each match takes the white space after
-# its token too, newlines included, so a match starts where its token does
-# and only white space at the start of the source is a match of its own.
-_TOKEN = re.compile(
-    r"(?:(?P<space>\s+)"
-    r"|(?P<comment>--(?!>)[^\n]*)"
-    r"|(?P<number>(?P<digits>[0-9]+(?P<fraction>\.[0-9]+(?:[eE][+-]?[0-9]+)?)?)(?P<unit>\w*))"
-    r"|(?P<word>\w+)"
-    r"|(?P<punct>" + _PUNCT + r")"
-    r"|(?P<error>.))\s*"
-)
+# The lexer's pattern: a token's spelling, and the white space after it,
+# newlines included, so a match starts where its token does. The spelling is
+# a comment, a number, a word, punctuation or any other one character, tried
+# in that order; punctuation longest first, so `-->` is never read as `-`
+# `->`. A number's unit is any run of word characters, so `1٣` and `12ab` are
+# one malformed literal rather than a number followed by something else.
+_FRACTION = r"\.[0-9]+(?:[eE][+-]?[0-9]+)?"
+_SPELLING = re.compile(r"(--(?!>)[^\n]*|[0-9]+(?:" + _FRACTION + r")?\w*|\w+|" + _PUNCT + r"|.)(\s*)")
 
-# The lexer's pattern: `_TOKEN`'s alternatives, unnamed, as one group, and the
-# white space after the token as a second.
-_SPELLING = re.compile(
-    r"(--(?!>)[^\n]*|[0-9]+(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?)?\w*|\w+|" + _PUNCT + r"|.)(\s*)"
-)
+# A number spelling's digits, fraction and unit.
+_NUMBER = re.compile(r"([0-9]+)(" + _FRACTION + r")?(\w*)")
 
 # The kind and value of each spelling of a keyword or punctuation; a comment's
 # kind is None.
@@ -146,24 +136,24 @@ def _classify(text: str, offset: int, origin: Source, file: str) -> tuple[str | 
         return "ident", None
     if text.startswith("--"):
         return _COMMENT
-    m = _TOKEN.match(origin.text, offset)
     try:
-        return _literal(m)
+        return _literal(text)
     except _Diag as exc:
-        where = (m.lastgroup, text, offset, None, origin)
+        where = ("error", text, offset, None, origin)
         raise ParseError([Diagnostic(str(exc), span_of(where), file=file)]) from None
 
 
-def _literal(m: re.Match) -> tuple[str, object]:
-    """The kind and value of the number `m` matched, or the error it is."""
-    kind, unit = m.lastgroup, m["unit"]
-    text = m[kind]
-    if kind == "error":
-        raise _Diag(f"unexpected character {text!r}")
-    # A number, or a word that starts with a digit other than 0-9.
-    if kind == "word" or (unit and not unit.isalpha()):
+def _literal(text: str) -> tuple[str, object]:
+    """The kind and value of the number spelled `text`, or the error it is."""
+    m = _NUMBER.fullmatch(text)
+    # Not a number: a character no token accepts, a word that starts with a
+    # digit other than 0-9, or a number whose unit is not all letters.
+    if m is None or (m[3] and not m[3].isalpha()):
+        if not text[0].isalnum():
+            raise _Diag(f"unexpected character {text!r}")
         raise _Diag(f"malformed number '{text}'")
-    if m["fraction"]:
+    digits, fraction, unit = m.groups()
+    if fraction:
         if unit:
             raise _Diag("durations take integer values")
         if math.isinf(value := float(text)):
@@ -172,9 +162,9 @@ def _literal(m: re.Match) -> tuple[str, object]:
     if unit and unit not in DURATION_UNITS:
         raise _Diag(f"unknown duration unit '{unit}' (use us, ms, or s)")
     try:
-        value = int(m["digits"])
+        value = int(digits)
     except ValueError:  # beyond the interpreter's limit on integer string conversion
-        raise _Diag(f"integer literal has too many digits ({len(m['digits'])})") from None
+        raise _Diag(f"integer literal has too many digits ({len(digits)})") from None
     if unit:
         return "duration", value * DURATION_UNITS[unit]
     return "int", value
@@ -557,73 +547,54 @@ class Parser:
     def expr_list(self) -> Expr:
         """One or more comma-separated expressions; several build a tuple."""
         start = self.tokens[self.pos]
-        items = [self.arrow_expr()]
+        items = [self.binary_expr()]
         while self.tokens[self.pos][1] == ",":
             self.pos += 1
-            items.append(self.arrow_expr())
+            items.append(self.binary_expr())
         if len(items) == 1:
             return items[0]
         return Tuple(tuple(items), self.loc_from(start))
 
-    # The descent below reads `self.tokens[self.pos]` itself rather than
+    # The climber below reads `self.tokens[self.pos]` itself rather than
     # through `at` and `peek`: it runs several tests per token. A keyword or
     # punctuation test that passes is never at the end-of-input token, so it
     # advances with `self.pos += 1`. It passes a node its location as a
     # positional argument: CPython 3.11 specializes only calls without
     # keywords, and `loc=` made the descent about a sixth slower.
 
-    def arrow_expr(self) -> Expr:
-        start = self.tokens[self.pos]
-        left = self.fby_expr()
-        if self.tokens[self.pos][1] == "->":
-            self.pos += 1
-            right = self.arrow_expr()
-            return Arrow(left, right, self.loc_from(start))
-        return left
-
-    def fby_expr(self) -> Expr:
-        start = self.tokens[self.pos]
-        left = self.either_expr()
-        if self.tokens[self.pos][1] == "fby":
-            self.pos += 1
-            right = self.fby_expr()
-            return Fby(left, right, self.loc_from(start))
-        return left
-
-    def either_expr(self) -> Expr:
-        start = self.tokens[self.pos]
-        if start[1] == "either":
-            self.pos += 1
-            scrutinee = self.either_expr()
-            self.expect("otherwise")
-            fallback = self.either_expr()
-            return Either(scrutinee, fallback, self.loc_from(start))
-        return self.if_expr()
-
-    def if_expr(self) -> Expr:
-        start = self.tokens[self.pos]
-        if start[1] == "if":
-            self.pos += 1
-            cond = self.binary_expr()
-            self.expect("then")
-            then = self.if_expr()
-            self.expect("else")
-            orelse = self.if_expr()
-            return If(cond, then, orelse, self.loc_from(start))
-        return self.binary_expr()
-
-    def binary_expr(self, min_level: int = 0) -> Expr:
-        """Precedence climbing over BINARY_LEVELS; every level is left-associative."""
+    def binary_expr(self, min_level: int = ARROW) -> Expr:
+        """An expression of level `min_level` or tighter, by precedence
+        climbing over the printer's levels. `either` and `if` start an operand
+        only where their level is allowed; `->` and `fby` join to the right
+        and every other operator to the left."""
         tokens = self.tokens
         start = tokens[self.pos]
-        left = self.unary_expr()
-        while (level := _BINARY_LEVEL.get((op := tokens[self.pos])[1], -1)) >= min_level:
+        if start[1] == "either" and min_level <= EITHER:
+            self.pos += 1
+            scrutinee = self.binary_expr(EITHER)
+            self.expect("otherwise")
+            left = Either(scrutinee, self.binary_expr(EITHER), self.loc_from(start))
+        elif start[1] == "if" and min_level <= IF:
+            self.pos += 1
+            cond = self.binary_expr(BINARY)
+            self.expect("then")
+            then = self.binary_expr(IF)
+            self.expect("else")
+            left = If(cond, then, self.binary_expr(IF), self.loc_from(start))
+        else:
+            left = self.unary_expr()
+        while (level := OPERATOR_LEVEL.get((op := tokens[self.pos])[1], -1)) >= min_level:
+            if level < BINARY:
+                self.pos += 1
+                right = self.binary_expr(level)
+                left = (Fby if level == FBY else Arrow)(left, right, (start, tokens[self.pos - 1]))
+                continue
             # A name or number followed by neither an argument nor a tighter
             # operator is the whole right operand: it is read in place.
             if (operand := tokens[self.pos + 1])[0] in _ATOM_KINDS and not (
                 (after := tokens[self.pos + 2])[0] in _ATOM_KINDS
                 or after[1] in _ATOM_WORDS
-                or _BINARY_LEVEL.get(after[1], -1) > level
+                or OPERATOR_LEVEL.get(after[1], -1) > level
             ):
                 self.pos += 2
                 right = _leaf(operand)

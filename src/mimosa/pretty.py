@@ -42,17 +42,19 @@ from .ast import (
 from .builtins import BINARY_LEVELS, BINARY_OPS, UNARY_OPS
 from .errors import InternalError
 
-# Precedence levels, loosest to tightest: the four prefix forms, one level per
-# row of BINARY_LEVELS starting at _BINARY, then unary, application and atoms.
-_ARROW, _FBY, _EITHER, _IF, _BINARY = range(5)
-_UNARY = _BINARY + len(BINARY_LEVELS)
+# Precedence levels, loosest to tightest, which the parser reads too: `->`,
+# `fby`, `either`, `if`, one level per row of BINARY_LEVELS starting at
+# BINARY, then unary, application and atoms.
+ARROW, FBY, EITHER, IF, BINARY = range(5)
+_UNARY = BINARY + len(BINARY_LEVELS)
 _APP, _ATOM = _UNARY + 1, _UNARY + 2
 
-_BINOP_LEVEL = {op: _BINARY + level for level, ops in enumerate(BINARY_LEVELS) for op in ops}
+# The level of each infix operator.
+OPERATOR_LEVEL = {"->": ARROW, "fby": FBY} | {op: BINARY + k for k, ops in enumerate(BINARY_LEVELS) for op in ops}
 
 
 def pretty_expr(e: Expr) -> str:
-    return _expr(e, _ARROW)
+    return _expr(e, ARROW)
 
 
 def _paren(text: str, level: int, minimum: int) -> str:
@@ -70,25 +72,25 @@ def _expr(e: Expr, minimum: int) -> str:
             prefix = type(value) is VSome or text.startswith("-")
             return _paren(text, _UNARY, minimum) if prefix else text
         case Tuple(items):
-            return "(" + ", ".join(_expr(i, _ARROW) for i in items) + ")"
+            return "(" + ", ".join(_expr(i, ARROW) for i in items) + ")"
         case Pre(inner):
             return _paren(f"pre {_expr(inner, _UNARY)}", _UNARY, minimum)
         case Some(inner):
             return _paren(f"Some {_expr(inner, _UNARY)}", _UNARY, minimum)
         case Fby(first, rest):
-            text = f"{_expr(first, _EITHER)} fby {_expr(rest, _FBY)}"
-            return _paren(text, _FBY, minimum)
+            text = f"{_expr(first, EITHER)} fby {_expr(rest, FBY)}"
+            return _paren(text, FBY, minimum)
         case Arrow(first, rest):
-            text = f"{_expr(first, _FBY)} -> {_expr(rest, _ARROW)}"
-            return _paren(text, _ARROW, minimum)
+            text = f"{_expr(first, FBY)} -> {_expr(rest, ARROW)}"
+            return _paren(text, ARROW, minimum)
         case If(cond, then, orelse):
-            text = f"if {_expr(cond, _BINARY)} then {_expr(then, _IF)} else {_expr(orelse, _IF)}"
-            return _paren(text, _IF, minimum)
+            text = f"if {_expr(cond, BINARY)} then {_expr(then, IF)} else {_expr(orelse, IF)}"
+            return _paren(text, IF, minimum)
         case Either(scrutinee, fallback):
-            text = f"either {_expr(scrutinee, _EITHER)} otherwise {_expr(fallback, _EITHER)}"
-            return _paren(text, _EITHER, minimum)
+            text = f"either {_expr(scrutinee, EITHER)} otherwise {_expr(fallback, EITHER)}"
+            return _paren(text, EITHER, minimum)
         case Apply(Var(op), Tuple((left, right))) if op in BINARY_OPS:
-            level = _BINOP_LEVEL[op]
+            level = OPERATOR_LEVEL[op]
             text = f"{_expr(left, level)} {op} {_expr(right, level + 1)}"
             return _paren(text, level, minimum)
         case Apply(Var(op), operand) if op in UNARY_OPS:
@@ -115,9 +117,9 @@ def _literal(value) -> str:
 def _equation(eq: Equation) -> str:
     rhs = eq.rhs
     if isinstance(rhs, Tuple):
-        rhs_text = ", ".join(_expr(i, _ARROW) for i in rhs.items)
+        rhs_text = ", ".join(_expr(i, ARROW) for i in rhs.items)
     else:
-        rhs_text = _expr(rhs, _ARROW)
+        rhs_text = _expr(rhs, ARROW)
     return f"{_lhs(eq.lhs)} = {rhs_text};"
 
 

@@ -400,6 +400,16 @@ class TestDeepExpressions:
         assert f"{path}:1:38: error: expression nested too deeply" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    def test_deep_parentheses_are_a_diagnostic(self, tmp_path, capsys, command):
+        # They overflow the parser's stack; the diagnostic names the
+        # parenthesis where it did, which depends on the caller's stack.
+        path = tmp_path / "parens.mim"
+        path.write_text(chain_program(0).replace("y = x", "y = " + "(" * 1000 + "x" + ")" * 1000))
+        assert main([command[0], str(path), *command[1:]]) == 1
+        err = capsys.readouterr().err
+        assert "error: expression nested too deeply" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
     def test_operator_chain_at_the_depth_limit_runs(self, tmp_path, capsys, command):
         # x + 1 + ... with k operators is a tree 2k + 1 levels deep.
         path = tmp_path / "chain.mim"

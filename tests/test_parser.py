@@ -31,10 +31,9 @@ from mimosa.ast import (
     VTuple,
     nesting,
 )
-from mimosa.builtins import BINARY_OPS
+from mimosa.builtins import BINARY_LEVELS, BINARY_OPS
 from mimosa.errors import Diagnostic, Located, Source, Span, span_of
 from mimosa.parser import (
-    _TOKEN,
     DURATION_UNITS,
     KEYWORDS,
     MAX_EXPR_DEPTH,
@@ -184,7 +183,7 @@ class TestLexer:
         for source in [path.read_text() for path in programs] + [generated]:
             tokens = tokenize(source)
             trivia = ("newline", "space", "comment")
-            starts = [m.start() for m in _TOKEN.finditer(source) if m.lastgroup not in trivia]
+            starts = [m.start() for m in REFERENCE_TOKEN.finditer(source) if m.lastgroup not in trivia]
             assert len(tokens) == len(starts) + 1
             for token, start in zip(tokens, starts + [len(source)]):
                 text = token[1]
@@ -323,6 +322,8 @@ TOKEN_EDGE_CASES = [
     "12 1.5 3e 2.5e3 1e400 4.0e999 10us 3s 7ms 0ms",
     "_ _x x_ \u00e9t\u00e9 true None Some",
     "1" * 5000,
+    "x + \u00b2",
+    "2.5 4.0e999",
 ]
 
 
@@ -522,6 +523,115 @@ class TestPositionOracle:
         assert step.span == Span(1, 1, 4, 1)
 
 
+class DescentParser(Parser):
+    """The expression grammar as a descent with one method per prefix level,
+    then precedence climbing over BINARY_LEVELS alone: the oracle for the one
+    climber over all levels."""
+
+    BINARY_LEVEL = {op: level for level, ops in enumerate(BINARY_LEVELS) for op in ops}
+
+    def expr_list(self) -> Expr:
+        start = self.peek()
+        items = self.comma_list(self.arrow_expr)
+        return items[0] if len(items) == 1 else Tuple(tuple(items), loc=self.loc_from(start))
+
+    def arrow_expr(self) -> Expr:
+        start = self.peek()
+        left = self.fby_expr()
+        if not self.at("->"):
+            return left
+        self.advance()
+        return Arrow(left, self.arrow_expr(), loc=self.loc_from(start))
+
+    def fby_expr(self) -> Expr:
+        start = self.peek()
+        left = self.either_expr()
+        if not self.at("fby"):
+            return left
+        self.advance()
+        return Fby(left, self.fby_expr(), loc=self.loc_from(start))
+
+    def either_expr(self) -> Expr:
+        start = self.peek()
+        if not self.at("either"):
+            return self.if_expr()
+        self.advance()
+        scrutinee = self.either_expr()
+        self.expect("otherwise")
+        return Either(scrutinee, self.either_expr(), loc=self.loc_from(start))
+
+    def if_expr(self) -> Expr:
+        start = self.peek()
+        if not self.at("if"):
+            return self.binary_expr()
+        self.advance()
+        cond = self.binary_expr()
+        self.expect("then")
+        then = self.if_expr()
+        self.expect("else")
+        return If(cond, then, self.if_expr(), loc=self.loc_from(start))
+
+    def binary_expr(self, min_level: int = 0) -> Expr:
+        start = self.peek()
+        left = self.unary_expr()
+        while (level := self.BINARY_LEVEL.get(self.peek()[1], -1)) >= min_level:
+            op = self.advance()
+            right = self.binary_expr(level + 1)
+            loc = self.loc_from(start)
+            left = Apply(Var(op[1], loc=op), Tuple((left, right), loc=loc), loc=loc)
+        return left
+
+
+# The tokens of the random strings the two expression parsers are compared on.
+ORACLE_ALPHABET = "a b f 1 2 -> fby either otherwise if then else ( ) + * == && ! pre Some - ,".split()
+
+
+def expression_outcome(source: str):
+    """The tree and every node's span, or the diagnostics' text and spans."""
+    try:
+        tree = parse_expression(source, "f.mim")
+    except ParseError as exc:
+        return [(d.text(), d.span) for d in exc.diagnostics]
+    spans, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        spans.append(node.span)
+        stack.extend(position_children(node))
+    return tree, spans
+
+
+class TestDescentOracle:
+    """`parse_expression` gives the same tree and spans, or the same
+    diagnostics, as it does with `DescentParser` in the parser's place."""
+
+    def compare(self, monkeypatch, sources: list[str]) -> int:
+        climbed = [expression_outcome(source) for source in sources]
+        monkeypatch.setattr("mimosa.parser.Parser", DescentParser)
+        for source, expected in zip(sources, climbed):
+            assert expression_outcome(source) == expected, source
+        return sum(type(outcome) is tuple for outcome in climbed)
+
+    def test_random_token_strings(self, monkeypatch):
+        rng = random.Random(22)
+        sources = [" ".join(rng.choices(ORACLE_ALPHABET, k=rng.randint(1, 14))) for _ in range(4000)]
+        assert self.compare(monkeypatch, sources) > 50
+
+    def test_mutated_expressions(self, monkeypatch):
+        # Printed expressions with a few tokens of the alphabet inserted or deleted.
+        rng = random.Random(23)
+        sources = []
+        for _ in range(1500):
+            printed = pretty_expr(gen_expr(rng, rng.choice(TOP_TYPES), rng.randrange(1, 6), False))
+            words = [t[1] for t in tokenize(printed)[:-1]]
+            for _ in range(rng.randrange(3)):
+                if words and rng.random() < 0.5:
+                    del words[rng.randrange(len(words))]
+                else:
+                    words.insert(rng.randrange(len(words) + 1), rng.choice(ORACLE_ALPHABET))
+            sources.append(" ".join(words))
+        assert self.compare(monkeypatch, sources) > 300
+
+
 class TestErrors:
     def test_duplicate_top_level_names(self):
         src = "channel a : int\nchannel a : bool"
@@ -587,7 +697,7 @@ class TestErrors:
 
 class TestNesting:
     def test_deep_nesting_is_a_diagnostic(self):
-        source = "(" * 200 + "x" + ")" * 200
+        source = "(" * 1000 + "x" + ")" * 1000
         for parse in (parse_expression, lambda text: parse_program(f"step f x --> y {{ y = {text} }}")):
             with pytest.raises(ParseError, match="expression nested too deeply") as err:
                 parse(source)
@@ -627,7 +737,7 @@ class TestNesting:
         assert parse_expression("(" * 40 + "x" + ")" * 40) == Var("x")
 
     def test_parsing_continues_after_deep_nesting(self):
-        deep = "(" * 200 + "x" + ")" * 200
+        deep = "(" * 1000 + "x" + ")" * 1000
         with pytest.raises(ParseError) as err:
             parse_program(f"step f x --> y {{ y = {deep} }}\nchannel c :\n")
         messages = [d.message for d in err.value.diagnostics]
