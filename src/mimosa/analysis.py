@@ -92,20 +92,19 @@ def init_all(t) -> bool:
 
 
 def _bind_init(statuses: dict, p: Pattern, t) -> None:
-    match p:
-        case PVar(name):
-            statuses[name] = t
-        case PWild() | PUnit():
-            pass
-        case PTuple(items):
-            if isinstance(t, bool):
-                parts = [t] * len(items)
-            elif len(t) == len(items):
-                parts = list(t)
-            else:
-                raise ValueError("initialization shapes disagree with pattern")
-            for sub, part in zip(items, parts):
-                _bind_init(statuses, sub, part)
+    kind = type(p)
+    if kind is PVar:
+        statuses[p.name] = t
+    elif kind is PTuple:
+        items = p.items
+        if isinstance(t, bool):
+            parts = [t] * len(items)
+        elif len(t) == len(items):
+            parts = list(t)
+        else:
+            raise ValueError("initialization shapes disagree with pattern")
+        for sub, part in zip(items, parts):
+            _bind_init(statuses, sub, part)
 
 
 class _InitCheck:
@@ -115,7 +114,9 @@ class _InitCheck:
     is deferred to the end of the step, as the evaluator defers it. Each
     failure is recorded at its position in a post-order traversal that
     descends into `pre` operands, and the earliest is reported: a position is
-    a tuple, and a deferred operand's positions extend its `pre`'s.
+    a tuple, and a deferred operand's positions extend its `pre`'s. An
+    application requires its applied step, then its argument, to be defined;
+    a name or literal there, or in an operand pair, is read without a call.
     """
 
     def __init__(self, statuses: dict, file: str):
@@ -137,9 +138,24 @@ class _InitCheck:
             return self.statuses.get(e.name, True)
         if kind is Const:
             return not contains_undef(e.value)
-        if kind is Apply:
-            self.status(e.fn)
-            self._require(self.status(e.arg), e.arg.loc, "step argument")
+        if kind is Apply:  # a name or literal child is read here, not by a call
+            get, fn, arg = self.statuses.get, e.fn, e.arg
+            sf = get(fn.name, True) if type(fn) is Var else self.status(fn)
+            k = type(arg)
+            if k is Tuple and len(arg.items) == 2:  # an operand pair
+                a, b = arg.items
+                k = type(a)
+                s1 = get(a.name, True) if k is Var else not contains_undef(a.value) if k is Const else self.status(a)
+                k = type(b)
+                s2 = get(b.name, True) if k is Var else not contains_undef(b.value) if k is Const else self.status(b)
+                sa = True if s1 is True and s2 is True else (s1, s2)
+            else:
+                sa = get(arg.name, True) if k is Var else not contains_undef(arg.value) if k is Const else self.status(arg)
+            if sf is True and sa is True:
+                self.count += 2  # the positions both requirements take
+            else:
+                self._require(sf, fn.loc, "applied step")
+                self._require(sa, arg.loc, "step argument")
             return True
         if kind is Pre:  # undefined on the first cycle, whatever its operand
             self.count += 1
@@ -223,11 +239,11 @@ def order_equations(
 ) -> tuple[Equation, ...]:
     """The step's equations in causal order. `reads` holds the causal names
     of each right-hand side and `binds` the names of each left-hand side, in
-    declaration order, as `check_network` records them; without them each
-    equation is walked here."""
+    declaration order, as `check_network` records them; without them the
+    step's right-hand sides are walked here, in one call."""
     equations = step.equations or ()
     if reads is None:
-        reads = tuple(nesting((eq.rhs,)).causal for eq in equations)
+        reads = nesting([eq.rhs for eq in equations]).reads
     if binds is None:
         binds = tuple(eq.lhs.names() for eq in equations)
     bound: list[set[str]] = [set(names) for names in binds]
@@ -300,8 +316,8 @@ class NetworkInfo:
     channel_writer: dict[str, str | None]
     channel_reader: dict[str, str | None]
     named_steps: frozenset[str]  # the steps some step body calls or passes as a value
-    # Per step, the causal names (`Nesting.causal`) of each right-hand side,
-    # in declaration order: the one dependency walk `order_equations` reads.
+    # Per step, the causal names (`Nesting.reads`) of each right-hand side,
+    # in declaration order, from the step's one dependency walk.
     causal_reads: dict[str, tuple[set[str], ...]]
     # Per step, the names each left-hand side binds, in declaration order.
     bound_names: dict[str, tuple[list[str], ...]]
@@ -367,28 +383,13 @@ def check_network(program: Program, *, complete: bool = True, file: str = "<stri
                     report(f"output '{name}' of step '{step.name}' is never defined", step.out_pattern.span)
 
     functions = step_names | set(BUILTIN_TYPES)
-    bodies: dict[str, Nesting] = {}
-    reads: dict[str, tuple[set[str], ...]] = {}
-    for step in program.steps:
-        facts = [nesting((eq.rhs,), functions) for eq in step.equations or ()]
-        bodies[step.name] = _merged(facts)
-        reads[step.name] = tuple(f.causal for f in facts)
+    bodies = {step.name: nesting([eq.rhs for eq in step.equations or ()], functions) for step in program.steps}
     step_order = _step_topo_order(program, bodies, report)
     if diags:
         raise NetworkError(diags)
     named = frozenset().union(*(body.mentioned for body in bodies.values())) & step_names
+    reads = {name: body.reads for name, body in bodies.items()}
     return NetworkInfo(step_order, writer, reader, named, reads, bound)
-
-
-def _merged(facts: list[Nesting]) -> Nesting:
-    """The `Nesting` of all the roots whose separate `Nesting`s are `facts`."""
-    return Nesting(
-        max((f.depth for f in facts), default=0),
-        set().union(*(f.mentioned for f in facts)),
-        set().union(*(f.passed for f in facts)),
-        any(f.applies_value for f in facts),
-        set().union(*(f.causal for f in facts)),
-    )
 
 
 def _has_wild(p: Pattern) -> bool:
@@ -483,41 +484,39 @@ class _Infer:
         raise TypeCheckError([Diagnostic(message, span, file=self.file)])
 
     def sig_type(self, p: Pattern, local: dict[str, Type], *, require_annot: bool, step: str) -> Type:
-        match p:
-            case PVar(name, annot):
-                if annot is None and require_annot:
-                    self.fail(f"prototype step '{step}' needs a type annotation on '{name}'", p.span)
-                t = annot if annot is not None else self.u.fresh()
-                local[name] = t
-                return t
-            case PWild(annot):
-                if annot is None and require_annot:
-                    self.fail(f"prototype step '{step}' needs a type annotation on '_'", p.span)
-                return annot if annot is not None else self.u.fresh()
-            case PUnit():
-                return UNIT
-            case PTuple(items):
-                return TTuple(tuple(self.sig_type(i, local, require_annot=require_annot, step=step) for i in items))
-            case _:
-                raise AssertionError(p)
+        kind = type(p)
+        if kind is PVar:
+            if p.annot is None and require_annot:
+                self.fail(f"prototype step '{step}' needs a type annotation on '{p.name}'", p.span)
+            t = p.annot if p.annot is not None else self.u.fresh()
+            local[p.name] = t
+            return t
+        if kind is PWild:
+            if p.annot is None and require_annot:
+                self.fail(f"prototype step '{step}' needs a type annotation on '_'", p.span)
+            return p.annot if p.annot is not None else self.u.fresh()
+        if kind is PUnit:
+            return UNIT
+        if kind is PTuple:
+            return TTuple(tuple(self.sig_type(i, local, require_annot=require_annot, step=step) for i in p.items))
+        raise AssertionError(p)
 
     def pattern_type(self, p: Pattern, local: dict[str, Type]) -> Type:
         """The type of an equation's left-hand side or a bodied step's output
         pattern, whose names are all in `local`; an annotation must agree."""
-        match p:
-            case PVar(name, annot):
-                t = local[name]
-                if annot is not None:
-                    self.u.unify(t, annot, p.loc, self.file)
-                return t
-            case PWild():
-                return self.u.fresh()
-            case PUnit():
-                return UNIT
-            case PTuple(items):
-                return TTuple(tuple(self.pattern_type(i, local) for i in items))
-            case _:
-                raise AssertionError(p)
+        kind = type(p)
+        if kind is PVar:
+            t = local[p.name]
+            if p.annot is not None:
+                self.u.unify(t, p.annot, p.loc, self.file)
+            return t
+        if kind is PWild:
+            return self.u.fresh()
+        if kind is PUnit:
+            return UNIT
+        if kind is PTuple:
+            return TTuple(tuple([self.pattern_type(i, local) for i in p.items]))
+        raise AssertionError(p)
 
     def expr(self, e: Expr, ctx: dict[str, Scheme], local: dict[str, Type]) -> Type:
         kind = type(e)

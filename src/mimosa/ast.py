@@ -308,15 +308,14 @@ UNIT_VALUE = VConst(UNIT_LIT)
 
 
 def contains_undef(v: Value) -> bool:
-    match v:
-        case VUndef():
-            return True
-        case VTuple(items):
-            return any(contains_undef(i) for i in items)
-        case VSome(inner):
-            return contains_undef(inner)
-        case _:
-            return False
+    kind = type(v)
+    if kind is VConst:
+        return False
+    if kind is VTuple:
+        return any(map(contains_undef, v.items))
+    if kind is VSome:
+        return contains_undef(v.value)
+    return kind is VUndef
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +328,7 @@ class Nesting(NamedTuple):
     passed: set[str]  # which of `names` they mention other than as an applied function
     applies_value: bool  # whether they apply a function that is not one of `names`
     causal: set[str]  # every name they read outside any `pre`, right arms of `fby` and `->` included
+    reads: tuple[set[str], ...]  # each root's causal names, in order; `causal` is their union
 
 
 # The child expressions of each node with children, left to right, for the
@@ -343,44 +343,54 @@ _CHILDREN: dict[type, Callable[[Expr], tuple[Expr, ...]]] = {
 
 
 def nesting(roots: Iterable[Expr], names: Container[str] = ()) -> Nesting:
-    """How deep `roots` nest and how they use `names`. Walked with an explicit
-    stack, so a deep tree cannot overflow the interpreter's. The right arms
-    of `fby` and `->` are causal reads: after one cycle each is the whole
-    expression."""
+    """How deep `roots` nest and how they use `names`, in one walk: a step's
+    right-hand sides take one call, and `reads` keeps each one's causal names.
+    Walked with an explicit stack, so a deep tree cannot overflow the
+    interpreter's. The right arms of `fby` and `->` are causal reads: after
+    one cycle each is the whole expression."""
     deepest = 0
     applied: set[str] = set()
     passed: set[str] = set()
-    causal: set[str] = set()
+    reads: list[set[str]] = []
     applies_value = False
-    stack = [(e, 1, False) for e in roots]
+    stack: list[tuple[Expr, int, bool]] = []
     pop, push = stack.pop, stack.append
-    while stack:
-        e, depth, delayed = pop()
-        if depth > deepest:
-            deepest = depth
-        kind = type(e)
-        if kind is Var:
-            if not delayed:
-                causal.add(e.name)
-            if e.name in names:
-                passed.add(e.name)
-            continue
-        if kind is Const:
-            continue
-        depth += 1
-        if kind is Apply:
-            fn = e.fn
-            if type(fn) is Var and fn.name in names:
-                applied.add(fn.name)
-                if not delayed:
-                    causal.add(fn.name)
+    for root in roots:
+        causal: set[str] = set()
+        reads.append(causal)
+        # Each pass reads the children of one node, all at `depth`: a name or
+        # a literal where it is met, anything else after a stack push.
+        children, depth, delayed = (root,), 1, False
+        while True:
+            if depth > deepest:
+                deepest = depth
+            for child in children:
+                kind = type(child)
+                if kind is Var:
+                    if not delayed:
+                        causal.add(child.name)
+                    if child.name in names:
+                        passed.add(child.name)
+                elif kind is not Const:
+                    push((child, depth, delayed))
+            if not stack:
+                break
+            e, depth, delayed = pop()
+            depth += 1
+            kind = type(e)
+            if kind is Apply:
+                fn = e.fn
+                if type(fn) is Var and fn.name in names:
+                    applied.add(fn.name)
+                    if not delayed:
+                        causal.add(fn.name)
+                    children = (e.arg,)
+                else:
+                    applies_value = True
+                    children = (fn, e.arg)
+            elif kind is Pre or kind is Some:
+                delayed = delayed or kind is Pre
+                children = (e.expr,)
             else:
-                applies_value = True
-                push((fn, depth, delayed))
-            push((e.arg, depth, delayed))
-        elif kind is Pre or kind is Some:
-            push((e.expr, depth, delayed or kind is Pre))
-        else:
-            for child in _CHILDREN[kind](e):
-                push((child, depth, delayed))
-    return Nesting(deepest, applied | passed, passed, applies_value, causal)
+                children = _CHILDREN[kind](e)
+    return Nesting(deepest, applied | passed, passed, applies_value, set().union(*reads), tuple(reads))

@@ -7,6 +7,7 @@ import pytest
 from exprgen import (
     BASE_VALUES,
     COMPARISON_OPS,
+    INC,
     INT_OPS,
     LOGIC_OPS,
     TOP_TYPES,
@@ -48,6 +49,8 @@ from mimosa.ast import (
     Var,
     VConst,
     VNone,
+    VTuple,
+    VUndef,
     contains_undef,
     nesting,
 )
@@ -580,11 +583,13 @@ def round_order_equations(step: StepDecl, file: str = "<string>") -> tuple[Equat
     return tuple(equations[i] for i in emitted)
 
 
-def rewrite(e: Expr, names: dict[str, str], keep_pre: bool = True) -> Expr:
-    """`e` with its variables renamed by `names`, and without its `pre`s
-    unless `keep_pre`, which turns the delayed references into causal ones."""
+def rewrite(e: Expr, names: dict[str, str | Expr], keep_pre: bool = True) -> Expr:
+    """`e` with its variables renamed by `names`, or replaced where `names`
+    maps one to an expression, and without its `pre`s unless `keep_pre`,
+    which turns the delayed references into causal ones."""
     if isinstance(e, Var):
-        return Var(names.get(e.name, e.name))
+        new = names.get(e.name, e.name)
+        return new if isinstance(new, Expr) else Var(new)
     if isinstance(e, Pre) and not keep_pre:
         return rewrite(e.expr, names, keep_pre)
     changes = {}
@@ -592,7 +597,7 @@ def rewrite(e: Expr, names: dict[str, str], keep_pre: bool = True) -> Expr:
         value = getattr(e, f.name)
         if isinstance(value, Expr):
             changes[f.name] = rewrite(value, names, keep_pre)
-        elif isinstance(value, tuple):
+        elif isinstance(value, tuple) and f.name != "loc":
             changes[f.name] = tuple(rewrite(v, names, keep_pre) for v in value)
     return dataclasses.replace(e, **changes)
 
@@ -698,9 +703,10 @@ class TwoPassInitCheck:
                     self._require(ss, scrutinee.span, "either scrutinee")
                 return sf
             case Apply(fn, arg):
-                self.status(fn, check)
+                sf = self.status(fn, check)
                 sa = self.status(arg, check)
                 if check:
+                    self._require(sf, fn.span, "applied step")
                     self._require(sa, arg.span, "step argument")
                 return True
 
@@ -792,6 +798,51 @@ def two_pass_failures(step: StepDecl, e: Expr) -> list[str]:
     checker._fail = fail
     checker.status(e, check=True)
     return failures
+
+
+def in_place_step(*applications: str) -> StepDecl:
+    """A step whose `a1`, `a2`, ... are `applications`, over `u`, undefined
+    on the first cycle; `p`, a pair whose first item is undefined then; `q`,
+    a defined pair; and the step values `f` and `g`, defined, and `h`, not."""
+    names = "u = pre x;\n  p = (pre x, x);\n  q = (x, 0 -> pre x);\n  g = f -> pre f;\n  h = pre f"
+    body = ";\n  ".join([names] + [f"a{k} = {text}" for k, text in enumerate(applications, 1)] + ["y = x"])
+    return step_of(f"step s (x : int, f) --> y {{\n  {body}\n}}")
+
+
+def first_failure_of_all_three(step: StepDecl):
+    """check_initialization's outcome, which both oracles must give too: the
+    two-pass one with its spans, the fixpoint one by message."""
+    ordered = order_equations(step)
+    first = located_outcome(lambda: check_initialization(step, ordered))
+    assert first == located_outcome(lambda: two_pass_initialization(step, ordered))
+    assert outcome(lambda: check_initialization(step, ordered)) == outcome(
+        lambda: fixpoint_initialization(step, ordered)
+    )
+    return first
+
+
+def gen_in_place_applications(rng: random.Random) -> list[str]:
+    """Two to four applications whose applied name, argument and operand-pair
+    items are each a defined leaf or step value, a `pre`, an undefined name,
+    `p` (whose pair has an undefined item), or a nested application, now and
+    then under a `pre`, which defers it."""
+
+    def operand(depth: int) -> str:
+        roll = rng.random()
+        if depth > 0 and roll < 0.2:
+            return f"({application(depth - 1)})" if roll < 0.15 else f"pre ({application(depth - 1)})"
+        return rng.choice(("pre x", "u", "p") if roll < 0.55 else ("x", "1", "q", "0 -> pre x"))
+
+    def application(depth: int) -> str:
+        roll = rng.random()
+        if roll < 0.3:
+            return f"({operand(depth)}) + ({operand(depth)})"
+        fn = rng.choice(("f", "g", "(0 -> pre f)") if rng.random() < 0.5 else ("(pre f)", "h", "u", "p"))
+        if roll < 0.65:
+            return f"{fn} (({operand(depth)}), ({operand(depth)}))"
+        return f"{fn} ({operand(depth)})"
+
+    return [application(2) for _ in range(rng.randrange(2, 5))]
 
 
 class TestInitialization:
@@ -961,6 +1012,43 @@ class TestInitialization:
             if sum(len(two_pass_failures(step, eq.rhs)) for eq in step.equations) > 1:
                 several += 1
         assert several >= 80
+
+    @pytest.mark.parametrize("position", ["({}) x", "f ({})", "f (({}), 1)", "x + ({})"])
+    @pytest.mark.parametrize("undefined", ["pre x", "u", "p", "z"])
+    def test_undefined_in_each_position_read_in_place(self, position, undefined):
+        # The applied name, the argument and each item of an operand pair:
+        # a `pre`, an undefined name, a name whose pair has an undefined
+        # item, and a literal pair with an undefined item, which no source
+        # text spells.
+        step = in_place_step(position.format(undefined))
+        literal = Const(VTuple((VUndef(), VConst(1))))
+        step = dataclasses.replace(
+            step, equations=tuple(dataclasses.replace(eq, rhs=rewrite(eq.rhs, {"z": literal})) for eq in step.equations)
+        )
+        what = "applied step" if position.startswith("({})") else "step argument"
+        [(message, _span)] = first_failure_of_all_three(step)
+        assert message == f"{what} may be undefined on some cycle"
+
+    @pytest.mark.parametrize("seed", range(300))
+    def test_in_place_positions_match_both_oracles(self, seed):
+        first_failure_of_all_three(in_place_step(*gen_in_place_applications(random.Random(seed))))
+
+    def test_in_place_steps_fail_in_several_places(self):
+        # Both messages of an application are among the failures, and most
+        # steps have more than one failure to choose among.
+        failures = [
+            [m for eq in step.equations for m in two_pass_failures(step, eq.rhs)]
+            for step in (in_place_step(*gen_in_place_applications(random.Random(seed))) for seed in range(300))
+        ]
+        assert sum(len(f) > 1 for f in failures) >= 150
+        messages = {m for f in failures for m in f}
+        assert {"applied step may be undefined on some cycle", "step argument may be undefined on some cycle"} <= messages
+
+    def test_applied_step_must_be_initialized(self):
+        for body in ("y = (pre f) x", "g = pre f; y = g x", "y = (if c then f else pre f) x"):
+            with pytest.raises(InitError, match="applied step may be undefined on some cycle"):
+                self.check(f"step app (f, x, c) --> y {{ {body} }}")
+        assert self.check("step app (f, x) --> y { y = (inc -> pre f) x }")["y"] is True
 
     def test_lattice_helpers(self):
         assert init_meet(True, True) is True
@@ -1135,4 +1223,37 @@ class TestInitSoundness:
         eqs = ordered
         for _ in range(8):
             eqs, env = eval_equations(base_env(), eqs)
+            assert not contains_undef(env["out"]), "accepted step leaked undef"
+
+    # Step values made from the parameter `f`, with and without a `pre`,
+    # each with whether the analysis proves it defined on every cycle.
+    STEP_VALUES = [
+        ("f", True),
+        ("pre f", False),
+        ("f -> pre f", True),
+        ("pre (f -> pre f)", False),
+        ("f fby f", True),
+        ("if b1 then f else pre f", False),
+        ("if b2 then f else (f -> pre f)", True),
+    ]
+
+    @pytest.mark.parametrize("value, defined", STEP_VALUES)
+    @pytest.mark.parametrize("seed", range(10))
+    def test_accepted_step_values_never_escape(self, value, defined, seed):
+        # Applied directly or through a name; the step value takes the
+        # parameter `f`, bound to `inc`.
+        rng = random.Random(seed)
+        arg = pretty_expr(gen_expr(rng, INT, depth=rng.randrange(1, 4), need_init=True))
+        applied = "g" if seed % 2 else f"({value})"
+        step = step_of(f"step s (f, i1) --> out {{ g = {value}; out = {applied} ({arg}) }}")
+        try:
+            ordered = order_equations(step)
+            check_initialization(step, ordered)
+        except InitError as exc:
+            assert not defined and exc.diagnostics[0].message == "applied step may be undefined on some cycle"
+            return
+        assert defined
+        eqs = ordered
+        for _ in range(8):
+            eqs, env = eval_equations(base_env() | {"f": INC}, eqs)
             assert not contains_undef(env["out"]), "accepted step leaked undef"

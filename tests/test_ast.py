@@ -73,10 +73,9 @@ def test_free_variables_fby_right_arm_is_causal():
 
 
 def reference_nesting(roots, names=()) -> tuple:
-    """A plain recursive `nesting`, field by field."""
+    """A plain recursive `nesting`, field by field, walking each root alone."""
     applied: set[str] = set()
     passed: set[str] = set()
-    causal: set[str] = set()
     applies_value = False
 
     def walk(e, delayed: bool) -> int:
@@ -112,8 +111,13 @@ def reference_nesting(roots, names=()) -> tuple:
                 return 1 + max(walk(cond, delayed), walk(then, delayed), walk(orelse, delayed))
         raise AssertionError(e)
 
-    depth = max([walk(root, False) for root in roots], default=0)
-    return (depth, applied | passed, passed, applies_value, causal)
+    depth = 0
+    reads = []
+    for root in roots:
+        causal: set[str] = set()  # the one `walk` adds to
+        depth = max(depth, walk(root, False))
+        reads.append(causal)
+    return (depth, applied | passed, passed, applies_value, set().union(*reads), tuple(reads))
 
 
 NAME_SETS = [(), frozenset(BUILTIN_VALUES), frozenset(BUILTIN_VALUES) | {"i1", "b1", "x", "f"}, {"+", "i2", "y"}]
