@@ -327,8 +327,7 @@ class Nesting(NamedTuple):
     mentioned: set[str]  # which of `names` the roots mention
     passed: set[str]  # which of `names` they mention other than as an applied function
     applies_value: bool  # whether they apply a function that is not one of `names`
-    causal: set[str]  # every name they read outside any `pre`, right arms of `fby` and `->` included
-    reads: tuple[set[str], ...]  # each root's causal names, in order; `causal` is their union
+    reads: tuple[set[str], ...]  # per root, each name read outside any `pre`, right arms of `fby` and `->` included
 
 
 # The child expressions of each node with children, left to right, for the
@@ -393,4 +392,4 @@ def nesting(roots: Iterable[Expr], names: Container[str] = ()) -> Nesting:
                 children = (e.expr,)
             else:
                 children = _CHILDREN[kind](e)
-    return Nesting(deepest, applied | passed, passed, applies_value, set().union(*reads), tuple(reads))
+    return Nesting(deepest, applied | passed, passed, applies_value, tuple(reads))

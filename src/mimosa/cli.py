@@ -105,6 +105,10 @@ def _registry_from_stubs(stubs: list[str], program: Program) -> HostRegistry:
             raise MimosaError([Diagnostic(message, argument="--stub")])
         specs[name] = spec
         step = program.step(name) if prototype.get(name) else None
+        if step is None:
+            why = "has a body" if name in prototype else "is not a step of the program"
+            message = f"in {stub!r}, step '{name}' {why}; only a prototype step takes a stub"
+            raise MimosaError([Diagnostic(message, argument="--stub")])
         if spec == "builtin:print":
             factory, value = print_host(), UNIT_VALUE
         elif spec.startswith("const:"):
@@ -112,10 +116,6 @@ def _registry_from_stubs(stubs: list[str], program: Program) -> HostRegistry:
             factory = const_seq(value)
         else:
             factory, value = from_file(spec, step), None  # checks each of its values itself
-        if step is None:
-            why = "has a body" if name in prototype else "is not a step of the program"
-            message = f"in {stub!r}, step '{name}' {why}; only a prototype step takes a stub"
-            raise MimosaError([Diagnostic(message, argument="--stub")])
         if value is not None:
             _option_value("--stub", stub, lambda: check_host_value(step, value))
         registry.bind(name, factory)

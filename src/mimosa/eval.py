@@ -24,11 +24,12 @@ holds the callee's closure value with its next equations, so the closure
 carries the call's state.
 
 The hot path is direct: `_eval` dispatches on the node's class, hot ones
-first. A name or literal child (of an application, either operand of an
-operator, a tuple item, the taken `if` branch, the operand of `Some` or of
-`pre`, or a whole right-hand side) is read by its parent with no recursive
-call, and is its own next expression; an unbound name goes to `_eval`, which
-reports it. So is the literal head of the `v -> pre e` that each `pre`
+first. A name or literal child is read by its parent with no recursive call,
+and is its own next expression, in the four positions where that measured as
+paying; any other child, and an unbound name, goes to `_eval`, which reports
+every error. The four are the applied expression, an application's argument
+(every firing's input literal), each operand of an operator, and the literal
+head of the `v -> pre e` that each `pre`
 leaves. An operator with a kernel on a pair expression evaluates both
 operands in place, and two operands of the kernel's plain type (`int`, or
 `bool` for `&&` and `||`) go to it with no pair built; other operands take
@@ -166,8 +167,7 @@ def _eval(env: Env, e: Expr, ctx: EvalContext, deferred: _Deferred | None) -> tu
     if kind is Apply:
         # A name or literal child is read in place, and is its own next
         # expression; an unbound name (`get` gives None) or any other child
-        # goes to _eval, which reports every error. Tuple below reads its
-        # items the same way.
+        # goes to _eval, which reports every error.
         fn, arg = e.fn, e.arg
         f = env.get(fn.name) if type(fn) is Var else fn.value if type(fn) is Const else None
         fn_next = fn
@@ -232,10 +232,7 @@ def _eval(env: Env, e: Expr, ctx: EvalContext, deferred: _Deferred | None) -> tu
         c, cond_next = _eval(env, cond, ctx, deferred)
         took_then = _branch(c, e)
         branch = e.then if took_then else e.orelse
-        value = env.get(branch.name) if type(branch) is Var else branch.value if type(branch) is Const else None
-        branch_next = branch
-        if value is None:
-            value, branch_next = _eval(env, branch, ctx, deferred)
+        value, branch_next = _eval(env, branch, ctx, deferred)
         if cond_next is cond and branch_next is branch:
             return value, e
         if took_then:
@@ -249,22 +246,14 @@ def _eval(env: Env, e: Expr, ctx: EvalContext, deferred: _Deferred | None) -> tu
         nexts = []
         same = True
         for item in e.items:
-            value = env.get(item.name) if type(item) is Var else item.value if type(item) is Const else None
-            item_next = item
-            if value is None:
-                value, item_next = _eval(env, item, ctx, deferred)
-                same = same and item_next is item
+            value, item_next = _eval(env, item, ctx, deferred)
+            same = same and item_next is item
             values.append(value)
             nexts.append(item_next)
         return VTuple(tuple(values)), e if same else Tuple(tuple(nexts), e.loc)
     if kind is Some:
-        inner = e.expr
-        value = env.get(inner.name) if type(inner) is Var else inner.value if type(inner) is Const else None
-        if value is None:
-            value, inner_next = _eval(env, inner, ctx, deferred)
-            if inner_next is not inner:
-                return VSome(value), Some(inner_next, e.loc)
-        return VSome(value), e
+        value, inner_next = _eval(env, e.expr, ctx, deferred)
+        return VSome(value), e if inner_next is e.expr else Some(inner_next, e.loc)
     if kind is Either:
         scrutinee, fallback = e.scrutinee, e.fallback
         option, scrutinee_next = _eval(env, scrutinee, ctx, deferred)
@@ -305,11 +294,9 @@ def _unbound(var: Var | PVar) -> InternalError:
 def _fill_pre(hole: Arrow, env: Env, operand: Expr, ctx: EvalContext) -> None:
     """Make hole `v -> pre e'`, the next expression of `pre operand`, keeping
     the `pre` if e' is operand; env must hold the activation's final values."""
-    value = env.get(operand.name) if type(operand) is Var else operand.value if type(operand) is Const else None
-    if value is None:
-        value, operand_next = _eval(env, operand, ctx, None)
-        if operand_next is not operand:
-            hole.rest = Pre(operand_next)
+    value, operand_next = _eval(env, operand, ctx, None)
+    if operand_next is not operand:
+        hole.rest = Pre(operand_next)
     hole.first = Const(value)
 
 
@@ -320,15 +307,8 @@ def _run_equations(env: Env, equations: tuple[Equation, ...], ctx: EvalContext) 
     rewritten = []
     same = True
     for eq in equations:
-        # One class test for the common case, a right-hand side that is no leaf.
         rhs = eq.rhs
-        kind = type(rhs)
-        if kind is Const:
-            value, rhs_next = rhs.value, rhs
-        elif kind is Var and (value := env.get(rhs.name)) is not None:
-            rhs_next = rhs
-        else:
-            value, rhs_next = _eval(env, rhs, ctx, deferred)
+        value, rhs_next = _eval(env, rhs, ctx, deferred)
         if type(eq.lhs) is PVar:
             env[eq.lhs.name] = value
         else:

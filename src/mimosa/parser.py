@@ -9,8 +9,8 @@ A token is a plain tuple `(kind, text, offset, value, source)`. Positions are
 offsets: a leaf node's location is its token and a composite node's its first
 and last token. A line and column are computed, from the source's table of
 line starts, only when a diagnostic or a runtime message asks for a `span`
-(`errors.span_of`). The climber reads a name or number operand in place when
-no argument and no tighter operator follows it.
+(`errors.span_of`). Only `unary_expr` reads a name or number operand in
+place, when no argument follows it.
 """
 
 from __future__ import annotations
@@ -584,25 +584,14 @@ class Parser:
         else:
             left = self.unary_expr()
         while (level := OPERATOR_LEVEL.get((op := tokens[self.pos])[1], -1)) >= min_level:
+            self.pos += 1
             if level < BINARY:
-                self.pos += 1
                 right = self.binary_expr(level)
                 left = (Fby if level == FBY else Arrow)(left, right, (start, tokens[self.pos - 1]))
-                continue
-            # A name or number followed by neither an argument nor a tighter
-            # operator is the whole right operand: it is read in place.
-            if (operand := tokens[self.pos + 1])[0] in _ATOM_KINDS and not (
-                (after := tokens[self.pos + 2])[0] in _ATOM_KINDS
-                or after[1] in _ATOM_WORDS
-                or OPERATOR_LEVEL.get(after[1], -1) > level
-            ):
-                self.pos += 2
-                right = _leaf(operand)
             else:
-                self.pos += 1
                 right = self.binary_expr(level + 1)
-            loc = (start, tokens[self.pos - 1])
-            left = Apply(Var(op[1], op), Tuple((left, right), loc), loc)
+                loc = (start, tokens[self.pos - 1])
+                left = Apply(Var(op[1], op), Tuple((left, right), loc), loc)
         return left
 
     def unary_expr(self) -> Expr:

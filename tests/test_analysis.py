@@ -560,7 +560,7 @@ def round_order_equations(step: StepDecl, file: str = "<string>") -> tuple[Equat
     owner = {n: i for i, names in enumerate(bound) for n in names}
     deps: list[set[int]] = [set() for _ in equations]
     for i, eq in enumerate(equations):
-        for name in sorted(nesting((eq.rhs,)).causal & owner.keys()):
+        for name in sorted(nesting((eq.rhs,)).reads[0] & owner.keys()):
             if owner[name] == i:
                 raise CausalityError(
                     [Diagnostic(f"equation for '{name}' depends on itself without a pre", eq.span, file=file)]
@@ -1180,7 +1180,7 @@ class TestSharedWalk:
         self.assert_stored_order_is_standalone(program)
         ordered = check_program(program, complete_network=False).ordered_equations["chain"]
         position = {eq.lhs.name: i for i, eq in enumerate(ordered)}
-        reads = [(position[n], i) for i, eq in enumerate(ordered) for n in nesting((eq.rhs,)).causal & position.keys()]
+        reads = [(position[n], i) for i, eq in enumerate(ordered) for n in nesting((eq.rhs,)).reads[0] & position.keys()]
         assert reads and all(j < i for j, i in reads)
         assert [eq.lhs.name for eq in ordered] != [eq.lhs.name for eq in program.step("chain").equations]
 
@@ -1192,7 +1192,7 @@ class TestSharedWalk:
         step = StepDecl("s", PUnit(), PVar(equations[0].lhs.names()[0]), tuple(equations))
         info = check_network(Program((step,), (), ()), complete=False)
         recorded, binds = info.causal_reads["s"], info.bound_names["s"]
-        assert recorded == tuple(nesting((eq.rhs,)).causal for eq in equations)
+        assert recorded == tuple(nesting((eq.rhs,)).reads[0] for eq in equations)
         assert binds == tuple(eq.lhs.names() for eq in equations)
         fresh = ordering_outcome(order_equations, step)
         assert ordering_outcome(lambda st: order_equations(st, "<string>", recorded, binds), step) == fresh

@@ -40,8 +40,8 @@ from mimosa.eval import Env
 
 
 def causal(text: str) -> set[str]:
-    """The names an expression reads in the current cycle (`nesting().causal`)."""
-    return nesting((parse_expression(text),)).causal
+    """The names an expression reads in the current cycle (`nesting().reads`)."""
+    return nesting((parse_expression(text),)).reads[0]
 
 
 def test_free_variables_delayed_under_pre():
@@ -52,7 +52,7 @@ def test_free_variables_delayed_under_pre():
 def test_free_variables_operator_application():
     assert causal("x + y") == {"+", "x", "y"}
     # An operator named among the functions is still a causal read.
-    assert nesting((parse_expression("x + y"),), {"+"}).causal == {"+", "x", "y"}
+    assert nesting((parse_expression("x + y"),), {"+"}).reads == ({"+", "x", "y"},)
 
 
 def test_free_variables_constant():
@@ -117,7 +117,7 @@ def reference_nesting(roots, names=()) -> tuple:
         causal: set[str] = set()  # the one `walk` adds to
         depth = max(depth, walk(root, False))
         reads.append(causal)
-    return (depth, applied | passed, passed, applies_value, set().union(*reads), tuple(reads))
+    return (depth, applied | passed, passed, applies_value, tuple(reads))
 
 
 NAME_SETS = [(), frozenset(BUILTIN_VALUES), frozenset(BUILTIN_VALUES) | {"i1", "b1", "x", "f"}, {"+", "i2", "y"}]

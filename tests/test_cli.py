@@ -164,7 +164,7 @@ class TestRun:
             (["--for", "10parsecs"], "--for", "in '10parsecs', unknown duration unit 'parsecs' (use us, ms, or s)"),
             (["--for", "0ms"], "--for", "in '0ms', durations must be positive"),
             (["--for", "10ms", "--stub", "oops"], "--stub", "expected STEP=SPEC, got 'oops'"),
-            (["--for", "10ms", "--stub", "p=const:(1"], "--stub", "in 'p=const:(1', expected ')'"),
+            (["--for", "10ms", "--stub", "print_int=const:(1"], "--stub", "in 'print_int=const:(1', expected ')'"),
         ],
     )
     def test_argument_errors_name_the_option(self, fib_file, capsys, argv, option, message):
@@ -279,7 +279,10 @@ class TestRun:
         "stub, why",
         [
             ("nosuch=builtin:print", "step 'nosuch' is not a step of the program"),
+            ("nosuch=/nonexistent.txt", "step 'nosuch' is not a step of the program"),
+            ("nosuch=const:zz", "step 'nosuch' is not a step of the program"),
             ("add=const:1", "step 'add' has a body"),
+            ("add=const:zz", "step 'add' has a body"),
         ],
     )
     def test_stub_for_a_step_that_is_not_a_prototype(self, fib_file, capsys, stub, why):

@@ -1123,11 +1123,31 @@ def eval_calls(monkeypatch):
 
 
 class TestCallCount:
-    """A name or literal child is read by its parent: it costs no call."""
+    """A name or literal child costs no call where its parent reads it in
+    place: the applied expression, an application's argument, an operator's
+    operands and the literal head of the `v -> pre e` each `pre` leaves. Each
+    of these reads was kept because it measured as paying; any other child is
+    one call."""
 
     def test_an_operator_on_two_leaves_is_one_call(self, eval_calls):
         assert eval_expr(env_of(x=1), parse_expression("x + 1")).value == VConst(2)
         assert eval_calls == ["Apply"]
+
+    def test_an_extern_firing_is_one_call(self, eval_calls):
+        # A prototype node's firing: its step's name applied to the literal of its input.
+        env = env_of() | {"pin": VExtern("pin", lambda v, host: VSome(v))}
+        assert eval_expr(env, Apply(Var("pin"), Const(VConst(5)))).value == VSome(VConst(5))
+        assert eval_calls == ["Apply"]
+
+    def test_the_head_of_a_pre_hole_costs_no_call(self, eval_calls):
+        body = (("s", "u + u"), ("a", "0 -> pre (s + 1)"))
+        step = VClosure(PVar("u"), PVar("a"), tuple(Equation(PVar(n), parse_expression(t)) for n, t in body))
+        first = eval_expr(env_of(), Apply(Const(step), Const(VConst(5))))
+        eval_calls.clear()
+        # The second firing: its call, `u + u`, the hole `11 -> pre (s + 1)`
+        # and its `pre`, and the deferred operand `s + 1`; no `Const`.
+        assert eval_expr(env_of(), first.next).value == VConst(11)
+        assert eval_calls == ["Apply", "Apply", "Arrow", "Pre", "Apply"]
 
     def test_one_activation_of_a_chain_step(self, eval_calls):
         body = [
@@ -1141,18 +1161,24 @@ class TestCallCount:
         # A node firing: the step's literal applied to the literal of its input.
         firing = Apply(Const(step), Const(VConst(5)))
         assert eval_expr(env_of(mix=mix), firing).value == VConst(1)
-        # The firing, then `mix`: its call, the pair, and `a * b` in its
-        # body; `->` and its `pre`; `fby` and its head, which only this first
-        # activation evaluates; `if`, its condition and the taken branch; and
-        # last the deferred `pre` operand `s + 1`.
-        calls = ["Apply", "Apply", "Tuple", "Apply", "Arrow", "Pre", "Fby", "Const", "If", "Apply", "Apply", "Apply"]
-        assert eval_calls == calls
+        # The firing, then `mix`: its call, the pair and each of its items,
+        # and `a * b` in its body; `->` and its `pre`; `fby` and its head,
+        # which only this first activation evaluates; `if`, its condition and
+        # the taken branch; and last the deferred `pre` operand `s + 1`.
+        assert eval_calls == [
+            "Apply", "Apply", "Tuple", "Var", "Const", "Apply",
+            "Arrow", "Pre", "Fby", "Const", "If", "Apply", "Apply", "Apply",
+        ]
 
-    def test_leaves_of_a_body_cost_no_call(self, eval_calls):
-        # A firing of `hold`, whose right-hand sides `a` and `2`, `Some` operand
-        # `m`, taken branch `o` and `pre` operand `c` are read in place: the
-        # firing; `->` and its `pre`; `Some`; `either`, its `if` and the
-        # condition `c > k`.
+    def test_other_leaves_of_a_body_are_one_call_each(self, eval_calls):
+        # A firing of `hold`, whose right-hand sides `a` and `2`, `Some`
+        # operand `m`, taken branch `o` and `pre` operand `c` are each one
+        # call: the firing; `a` and `2`; `->` and its `pre`; `Some` and `m`;
+        # `either`, its `if`, the condition `c > k` and the branch `o`; and
+        # last the deferred `pre` operand `c`.
         firing = Apply(Const(HOLD), Const(VConst(5)))
         assert eval_expr(leaf_env(), firing).value == VConst(0)
-        assert eval_calls == ["Apply", "Arrow", "Pre", "Some", "Either", "If", "Apply"]
+        assert eval_calls == [
+            "Apply", "Var", "Const", "Arrow", "Pre", "Some", "Var",
+            "Either", "If", "Apply", "Var", "Var",
+        ]
