@@ -357,39 +357,34 @@ def nesting(roots: Iterable[Expr], names: Container[str] = ()) -> Nesting:
     for root in roots:
         causal: set[str] = set()
         reads.append(causal)
-        # Each pass reads the children of one node, all at `depth`: a name or
-        # a literal where it is met, anything else after a stack push.
-        children, depth, delayed = (root,), 1, False
-        while True:
+        push((root, 1, False))
+        while stack:
+            e, depth, delayed = pop()
             if depth > deepest:
                 deepest = depth
-            for child in children:
-                kind = type(child)
-                if kind is Var:
-                    if not delayed:
-                        causal.add(child.name)
-                    if child.name in names:
-                        passed.add(child.name)
-                elif kind is not Const:
-                    push((child, depth, delayed))
-            if not stack:
-                break
-            e, depth, delayed = pop()
-            depth += 1
             kind = type(e)
+            if kind is Var:
+                if not delayed:
+                    causal.add(e.name)
+                if e.name in names:
+                    passed.add(e.name)
+                continue
+            if kind is Const:
+                continue
+            depth += 1
             if kind is Apply:
                 fn = e.fn
                 if type(fn) is Var and fn.name in names:
                     applied.add(fn.name)
                     if not delayed:
                         causal.add(fn.name)
-                    children = (e.arg,)
                 else:
                     applies_value = True
-                    children = (fn, e.arg)
+                    push((fn, depth, delayed))
+                push((e.arg, depth, delayed))
             elif kind is Pre or kind is Some:
-                delayed = delayed or kind is Pre
-                children = (e.expr,)
+                push((e.expr, depth, delayed or kind is Pre))
             else:
-                children = _CHILDREN[kind](e)
+                for child in _CHILDREN[kind](e):
+                    push((child, depth, delayed))
     return Nesting(deepest, applied | passed, passed, applies_value, tuple(reads))

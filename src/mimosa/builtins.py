@@ -103,12 +103,13 @@ def structural_cmp(a: Value, b: Value, op: str) -> int:
             raise EvalError(f"'{op}' cannot compare {_show(a)} and {_show(b)}")
 
 
-def _arith(op: str, fn) -> VExtern:
+def _binary(op: str, fn, operand, plain: type) -> VExtern:
+    # `operand` reads each operand of the pair as a `plain`: `_int` or `_bool`.
     def run(v, _ctx=None):
         a, b = _pair(v, op)
-        return VConst(fn(_int(a, op), _int(b, op)))
+        return VConst(fn(operand(a, op), operand(b, op)))
 
-    return VExtern(op, run, (int, fn))
+    return VExtern(op, run, (plain, fn))
 
 
 def _compare(op: str, order) -> VExtern:
@@ -118,14 +119,6 @@ def _compare(op: str, order) -> VExtern:
         return VConst(order(structural_cmp(a, b, op), 0))
 
     return VExtern(op, run, (int, order))
-
-
-def _logic(op: str, fn) -> VExtern:
-    def run(v, _ctx=None):
-        a, b = _pair(v, op)
-        return VConst(fn(_bool(a, op), _bool(b, op)))
-
-    return VExtern(op, run, (bool, fn))
 
 
 def _eq(op: str, want: bool) -> VExtern:
@@ -165,18 +158,18 @@ BUILTIN_TYPES: dict[str, Scheme] = {
 }
 
 BUILTIN_VALUES: dict[str, VExtern] = {
-    "+": _arith("+", operator.add),
-    "-": _arith("-", operator.sub),
-    "*": _arith("*", operator.mul),
-    "/": _arith("/", _trunc_div),
+    "+": _binary("+", operator.add, _int, int),
+    "-": _binary("-", operator.sub, _int, int),
+    "*": _binary("*", operator.mul, _int, int),
+    "/": _binary("/", _trunc_div, _int, int),
     "<": _compare("<", operator.lt),
     "<=": _compare("<=", operator.le),
     ">": _compare(">", operator.gt),
     ">=": _compare(">=", operator.ge),
     "==": _eq("==", True),
     "!=": _eq("!=", False),
-    "&&": _logic("&&", operator.and_),
-    "||": _logic("||", operator.or_),
+    "&&": _binary("&&", operator.and_, _bool, bool),
+    "||": _binary("||", operator.or_, _bool, bool),
     "!": VExtern("!", _not),
 }
 

@@ -51,7 +51,7 @@ from .ast import (
     nesting,
 )
 from .errors import Diagnostic, Loc, ParseError, Source, span_of
-from .pretty import ARROW, BINARY, EITHER, FBY, IF, OPERATOR_LEVEL
+from .pretty import ARROW, BINARY, DURATION_UNITS, EITHER, FBY, IF, OPERATOR_LEVEL
 from .types import BOOL, INT, REAL, UNIT, TOption, TTuple, Type, _parts as _type_parts
 
 KEYWORDS = set(
@@ -60,11 +60,12 @@ KEYWORDS = set(
 
 PUNCT = tuple("--> -> <= >= == != && || ( ) { } , ; : = ? + - * / < > !".split())
 
-DURATION_UNITS = {"us": 1, "ms": 1_000, "s": 1_000_000}
+# The value of each literal word; values are never mutated, so they are shared.
+_WORD_VALUES = {"true": VConst(True), "false": VConst(False), "None": VNone()}
 
 # What an application's argument starts with: these kinds of token, or these words.
 _ATOM_KINDS = ("ident", "int", "real")
-_ATOM_WORDS = ("(", "true", "false", "None")
+_ATOM_WORDS = ("(", *_WORD_VALUES)
 
 # The deepest expression tree the parser accepts: the checks, the printer and
 # the evaluator recurse per level, and all of them run at this depth under the
@@ -213,13 +214,11 @@ class Parser:
             self.pos += 1
         return t
 
-    def expect(self, text: str, what: str | None = None) -> tuple:
+    def expect(self, text: str) -> tuple:
         if self.at(text):
             return self.advance()
         t = self.peek()
-        found = t[1] or "end of input"
-        wanted = what or f"'{text}'"
-        raise _Diag(f"expected {wanted}, found '{found}'" if t[1] else f"expected {wanted}", t)
+        raise _Diag(f"expected '{text}', found '{t[1]}'" if t[1] else f"expected '{text}'", t)
 
     def expect_ident(self, what: str) -> tuple:
         if self.at_kind("ident"):
@@ -473,15 +472,9 @@ class Parser:
         if t[0] in ("int", "real"):
             self.advance()
             return VConst(t[3])
-        if self.at("true"):
+        if t[1] in _WORD_VALUES:
             self.advance()
-            return VConst(True)
-        if self.at("false"):
-            self.advance()
-            return VConst(False)
-        if self.at("None"):
-            self.advance()
-            return VNone()
+            return _WORD_VALUES[t[1]]
         if self.at("Some"):
             self.advance()
             return VSome(self.literal_term())
@@ -642,12 +635,9 @@ class Parser:
             inner = self.expr_list()
             self.expect(")")
             return inner
-        if text == "true" or text == "false":
+        if text in _WORD_VALUES:
             self.pos += 1
-            return Const(VConst(text == "true"), t)
-        if text == "None":
-            self.pos += 1
-            return Const(VNone(), t)
+            return Const(_WORD_VALUES[text], t)
         if kind == "duration":
             raise _Diag("durations only appear in node declarations", t)
         raise _Diag(f"expected an expression, found '{text or 'end of input'}'", t)

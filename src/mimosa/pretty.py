@@ -52,6 +52,9 @@ _APP, _ATOM = _UNARY + 1, _UNARY + 2
 # The level of each infix operator.
 OPERATOR_LEVEL = {"->": ARROW, "fby": FBY} | {op: BINARY + k for k, ops in enumerate(BINARY_LEVELS) for op in ops}
 
+# Microseconds per duration unit, which the parser reads too; largest first.
+DURATION_UNITS = {"s": 1_000_000, "ms": 1_000, "us": 1}
+
 
 def pretty_expr(e: Expr) -> str:
     return _expr(e, ARROW)
@@ -130,22 +133,9 @@ def _lhs(p: Pattern) -> str:
 
 
 def pretty_pattern(p: Pattern) -> str:
-    """Signature form: annotated variables need parentheses."""
-    match p:
-        case PVar(name, None):
-            return name
-        case PVar(name, annot):
-            return f"({name} : {annot})"
-        case PWild(None):
-            return "_"
-        case PWild(annot):
-            return f"(_ : {annot})"
-        case PUnit():
-            return "()"
-        case PTuple(items):
-            return "(" + ", ".join(_sig_entry(i) for i in items) + ")"
-        case _:
-            raise InternalError(f"unknown pattern {p!r}")
+    """Signature form: an annotated variable or `_` standing alone needs parentheses."""
+    text = _sig_entry(p)
+    return f"({text})" if type(p) in (PVar, PWild) and p.annot is not None else text
 
 
 def _sig_entry(p: Pattern) -> str:
@@ -158,8 +148,12 @@ def _sig_entry(p: Pattern) -> str:
             return "_"
         case PWild(annot):
             return f"_ : {annot}"
+        case PUnit():
+            return "()"
+        case PTuple(items):
+            return "(" + ", ".join(_sig_entry(i) for i in items) + ")"
         case _:
-            return pretty_pattern(p)
+            raise InternalError(f"unknown pattern {p!r}")
 
 
 def pretty_value(v: Value) -> str:
@@ -186,11 +180,9 @@ def pretty_value(v: Value) -> str:
 
 
 def format_duration(us: int) -> str:
-    if us % 1_000_000 == 0:
-        return f"{us // 1_000_000}s"
-    if us % 1_000 == 0:
-        return f"{us // 1_000}ms"
-    return f"{us}us"
+    for unit, scale in DURATION_UNITS.items():
+        if us % scale == 0:
+            return f"{us // scale}{unit}"
 
 
 def pretty_program(program: Program) -> str:

@@ -107,26 +107,18 @@ def print_host(sink=None) -> HostFactory:
 
 
 def const_seq(value: Value) -> HostFactory:
-    def factory() -> HostFn:
-        return lambda _arg, _ctx: value
-
-    return factory
+    return from_values((value,))
 
 
 def from_values(values: Sequence[Value]) -> HostFactory:
-    """Emits the given values on successive activations, holding the last one."""
+    """Emits the given values on successive calls, holding the last one."""
     values = tuple(values)
     if not values:
         raise SimError([Diagnostic("input stub needs at least one value")])
 
     def factory() -> HostFn:
-        calls = iter(range(len(values)))
-
-        def fn(_arg: Value, _ctx: HostContext | None) -> Value:
-            i = next(calls, len(values) - 1)
-            return values[min(i, len(values) - 1)]
-
-        return fn
+        calls = iter(values)
+        return lambda _arg, _ctx: next(calls, values[-1])
 
     return factory
 
@@ -141,7 +133,7 @@ def from_file(path: str, step: StepDecl | None = None) -> HostFactory:
             if step is not None:
                 check_host_value(step, values[-1], Span(number, 1, number, 1), path)
     if not values:
-        raise SimError([Diagnostic(f"stub input {path!r} contains no values")])
+        raise SimError([Diagnostic("stub input contains no values", file=path)])
     return from_values(values)
 
 

@@ -140,6 +140,27 @@ def test_nesting_matches_the_recursive_reference(seed):
             assert tuple(nesting(roots, names)) == reference_nesting(roots, names)
 
 
+def test_nesting_walks_a_deep_chain_without_recursion():
+    # 20,000 levels, far past the interpreter's recursion limit. Only what the
+    # outermost `pre` wraps is delayed, `x` among it.
+    wrappers = (
+        Pre,
+        Some,
+        lambda e: Apply(Var("f"), e),
+        lambda e: Fby(Const(VConst(0)), e),
+        lambda e: Tuple((e, Var("y"))),
+    )
+    e = Var("x")
+    for level in range(20_000):
+        e = wrappers[level % 5](e)
+    found = nesting((e,), {"f", "x"})
+    assert found.depth == 20_001
+    assert found.reads == ({"f", "y"},)
+    assert found.mentioned == {"f", "x"}
+    assert found.passed == {"x"}
+    assert not found.applies_value
+
+
 def test_equal_expr_identical():
     e = parse_expression("0 -> pre x")
     assert e == parse_expression("0 -> pre x")

@@ -347,6 +347,20 @@ class TestRun:
         (diag,) = json.loads(capsys.readouterr().err)
         assert (diag["file"], diag["line"], diag["col"], diag["message"]) == (str(levels), 3, 1, message)
 
+    def test_stub_file_with_no_values_names_the_file(self, tmp_path, capsys):
+        program = tmp_path / "edge.mim"
+        program.write_text(EDGE_NETWORK)
+        levels = tmp_path / "EMPTY"
+        levels.write_text("-- only a comment\n")
+        argv = ["run", str(program), "--for", "60ms", "--stub", f"pin={levels}", "--stub", "watch=builtin:print"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"{levels}: error: stub input contains no values\n"
+        assert "<string>" not in err
+        assert main([*argv, "--diag-format", "json"]) == 1
+        message = "stub input contains no values"
+        assert json.loads(capsys.readouterr().err) == [{"file": str(levels), "severity": "error", "message": message}]
+
     def test_default_print_int_must_return_unit(self, tmp_path, capsys):
         program = tmp_path / "p.mim"
         program.write_text(

@@ -19,6 +19,10 @@ from mimosa.ast import (
     Expr,
     Fby,
     If,
+    PTuple,
+    PUnit,
+    PVar,
+    PWild,
     Pre,
     Some,
     Tuple,
@@ -43,8 +47,8 @@ from mimosa.parser import (
     parse_literal,
     tokenize,
 )
-from mimosa.pretty import format_duration, pretty_expr, pretty_program
-from mimosa.types import BOOL, INT, TOption
+from mimosa.pretty import format_duration, pretty_expr, pretty_pattern, pretty_program
+from mimosa.types import BOOL, INT, REAL, TOption
 
 
 class TestExamplePrograms:
@@ -814,6 +818,22 @@ class TestRoundTrip:
         for program in (fib_program, edge_program):
             once = pretty_program(program)
             assert pretty_program(parse_program(once)) == once
+
+    @pytest.mark.parametrize(
+        "pattern, text",
+        [
+            (PVar("x"), "x"),
+            (PVar("x", INT), "(x : int)"),
+            (PWild(), "_"),
+            (PWild(BOOL), "(_ : bool)"),
+            (PUnit(), "()"),
+            (PTuple((PVar("a", INT), PTuple((PWild(REAL), PVar("b"))), PVar("c"))), "(a : int, (_ : real, b), c)"),
+        ],
+    )
+    def test_signature_pattern_round_trip(self, pattern, text):
+        assert pretty_pattern(pattern) == text
+        (step,) = parse_program(f"step f {text} --> ()").steps
+        assert step.in_pattern == pattern
 
     @pytest.mark.parametrize("value", [0.0, 1.5, 2.0, 1e20, 1e-05, 1.25e-300])
     def test_real_literal_round_trip(self, value):

@@ -490,10 +490,20 @@ node s implements sink (a) --> () every 10ms
         fn = from_values([VConst(1), VConst(2)])()
         got = [fn(UNIT_VALUE, None) for _ in range(4)]
         assert got == [VConst(1), VConst(2), VConst(2), VConst(2)]
+        # Each instance of one factory starts at the first value.
+        factory = from_values([VConst(1), VConst(2)])
+        first, second = factory(), factory()
+        assert [first(UNIT_VALUE, None), first(UNIT_VALUE, None)] == [VConst(1), VConst(2)]
+        assert [second(UNIT_VALUE, None), second(UNIT_VALUE, None)] == [VConst(1), VConst(2)]
 
     def test_const_seq(self):
         fn = const_seq(VConst(5))()
         assert [fn(UNIT_VALUE, None) for _ in range(3)] == [VConst(5)] * 3
+        factory = const_seq(VConst(5))
+        first, second = factory(), factory()
+        assert [first(UNIT_VALUE, None), second(UNIT_VALUE, None)] == [VConst(5)] * 2
+        same = from_values((VConst(5),))()
+        assert [same(UNIT_VALUE, None) for _ in range(3)] == [VConst(5)] * 3
 
     def test_from_file(self, tmp_path):
         path = tmp_path / "levels.txt"
