@@ -103,30 +103,35 @@ def structural_cmp(a: Value, b: Value, op: str) -> int:
             raise EvalError(f"'{op}' cannot compare {_show(a)} and {_show(b)}")
 
 
-def _binary(op: str, fn, operand, plain: type) -> VExtern:
+def _binary(op: str, fn, operand, plain: type) -> tuple[Scheme, VExtern]:
     # `operand` reads each operand of the pair as a `plain`: `_int` or `_bool`.
     def run(v, _ctx=None):
         a, b = _pair(v, op)
         return VConst(fn(operand(a, op), operand(b, op)))
 
-    return VExtern(op, run, (plain, fn))
+    t = INT if plain is int else BOOL
+    return Scheme((), TFunc(TTuple((t, t)), t)), VExtern(op, run, (plain, fn))
 
 
-def _compare(op: str, order) -> VExtern:
+_A = TVar(0)
+_CMP = Scheme((0,), TFunc(TTuple((_A, _A)), BOOL), first_order=(0,))
+
+
+def _compare(op: str, order) -> tuple[Scheme, VExtern]:
     # `order(a, b)` on ints is `order(structural_cmp(a, b), 0)` on anything.
     def run(v, _ctx=None):
         a, b = _pair(v, op)
         return VConst(order(structural_cmp(a, b, op), 0))
 
-    return VExtern(op, run, (int, order))
+    return _CMP, VExtern(op, run, (int, order))
 
 
-def _eq(op: str, want: bool) -> VExtern:
+def _eq(op: str, want: bool) -> tuple[Scheme, VExtern]:
     def run(v, _ctx=None):
         a, b = _pair(v, op)
         return VConst(structural_eq(a, b, op) == want)
 
-    return VExtern(op, run)
+    return _CMP, VExtern(op, run)
 
 
 def _not(v, _ctx=None):
@@ -135,29 +140,9 @@ def _not(v, _ctx=None):
     return VConst(not _bool(v, "!"))
 
 
-_A = TVar(0)
-
-_INT_BINOP = Scheme((), TFunc(TTuple((INT, INT)), INT))
-_CMP = Scheme((0,), TFunc(TTuple((_A, _A)), BOOL), first_order=(0,))
-_BOOL_BINOP = Scheme((), TFunc(TTuple((BOOL, BOOL)), BOOL))
-
-BUILTIN_TYPES: dict[str, Scheme] = {
-    "+": _INT_BINOP,
-    "-": _INT_BINOP,
-    "*": _INT_BINOP,
-    "/": _INT_BINOP,
-    "<": _CMP,
-    "<=": _CMP,
-    ">": _CMP,
-    ">=": _CMP,
-    "==": _CMP,
-    "!=": _CMP,
-    "&&": _BOOL_BINOP,
-    "||": _BOOL_BINOP,
-    "!": Scheme((), TFunc(BOOL, BOOL)),
-}
-
-BUILTIN_VALUES: dict[str, VExtern] = {
+# Each operator's type scheme and value. The schemes are built from the
+# `INT` and `BOOL` singletons, which type inference compares by identity.
+_BUILTINS: dict[str, tuple[Scheme, VExtern]] = {
     "+": _binary("+", operator.add, _int, int),
     "-": _binary("-", operator.sub, _int, int),
     "*": _binary("*", operator.mul, _int, int),
@@ -170,8 +155,10 @@ BUILTIN_VALUES: dict[str, VExtern] = {
     "!=": _eq("!=", False),
     "&&": _binary("&&", operator.and_, _bool, bool),
     "||": _binary("||", operator.or_, _bool, bool),
-    "!": VExtern("!", _not),
+    "!": (Scheme((), TFunc(BOOL, BOOL)), VExtern("!", _not)),
 }
+BUILTIN_TYPES: dict[str, Scheme] = {op: scheme for op, (scheme, _) in _BUILTINS.items()}
+BUILTIN_VALUES: dict[str, VExtern] = {op: value for op, (_, value) in _BUILTINS.items()}
 
 # Infix operators by precedence, loosest first; operators of one row share a
 # level, and every level is left-associative.

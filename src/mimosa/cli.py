@@ -127,36 +127,28 @@ def _registry_from_stubs(stubs: list[str], program: Program) -> HostRegistry:
 
 
 def _cmd_check(args) -> int:
-    try:
-        program = parse_program(read_text(args.file), file=args.file)
-        check_program(program, complete_network=not args.allow_unwired, file=args.file)
-    except MimosaError as exc:
-        _emit_diagnostics(exc, args.diag_format)
-        return 1
+    program = parse_program(read_text(args.file), file=args.file)
+    check_program(program, complete_network=not args.allow_unwired, file=args.file)
     return 0
 
 
 def _cmd_run(args) -> int:
-    try:
-        horizon = _option_value("--for", args.horizon, lambda: parse_duration(args.horizon))
-        program = parse_program(read_text(args.file), file=args.file)
-        checked = check_program(program, file=args.file)
-        registry = _registry_from_stubs(args.stub, program)
-        cfg = SimConfig(horizon_us=horizon, seed=args.seed, schedule=args.schedule)
-        with _trace_output(args.trace) as out:
-            try:
-                trace = run(checked, cfg, registry)
-            except SimError as exc:
-                # Runtime diagnostics are about the program: name its file.
-                exc.diagnostics = [
-                    replace(d, file=args.file) if d.file == "<string>" else d for d in exc.diagnostics
-                ]
-                raise
-            if out is not None:
-                out.write(trace.render_csv(include_idle=args.verbose_idle))
-    except MimosaError as exc:
-        _emit_diagnostics(exc, args.diag_format)
-        return 1
+    horizon = _option_value("--for", args.horizon, lambda: parse_duration(args.horizon))
+    if args.seed is not None and args.schedule != "randomized":
+        raise MimosaError([Diagnostic("only --schedule randomized takes a seed", argument="--seed")])
+    program = parse_program(read_text(args.file), file=args.file)
+    checked = check_program(program, file=args.file)
+    registry = _registry_from_stubs(args.stub, program)
+    cfg = SimConfig(horizon_us=horizon, seed=args.seed, schedule=args.schedule)
+    with _trace_output(args.trace) as out:
+        try:
+            trace = run(checked, cfg, registry)
+        except SimError as exc:
+            # Runtime diagnostics are about the program: name its file.
+            exc.diagnostics = [replace(d, file=args.file) if d.file == "<string>" else d for d in exc.diagnostics]
+            raise
+        if out is not None:
+            out.write(trace.render_csv(include_idle=args.verbose_idle))
     return 0
 
 
@@ -188,11 +180,7 @@ def _trace_output(path: str | None) -> Iterator[TextIO | None]:
 
 
 def _cmd_fmt(args) -> int:
-    try:
-        program = parse_program(read_text(args.file), file=args.file)
-    except MimosaError as exc:
-        _emit_diagnostics(exc, "text")
-        return 1
+    program = parse_program(read_text(args.file), file=args.file)
     sys.stdout.write(pretty_program(program))
     return 0
 
@@ -219,11 +207,7 @@ def _trace_events(path: str) -> dict[str, list[tuple[int, str]]]:
 
 
 def _cmd_explain_trace(args) -> int:
-    try:
-        channels = _trace_events(args.trace)
-    except MimosaError as exc:
-        _emit_diagnostics(exc, "text")
-        return 1
+    channels = _trace_events(args.trace)
     if not channels:
         print("no channel events")
         return 0
@@ -243,12 +227,19 @@ _COMMANDS = {"check": _cmd_check, "run": _cmd_run, "fmt": _cmd_fmt, "explain-tra
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit status. This is the one place a
+    failed command is reported: its diagnostics go to standard error, in the
+    command's `--diag-format` if it has one, and the status is 1."""
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        status = _COMMANDS[args.command](args)
+        try:
+            status = _COMMANDS[args.command](args)
+        except MimosaError as exc:
+            _emit_diagnostics(exc, getattr(args, "diag_format", "text"))
+            status = 1
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed standard output early (`mimosa run … | head`).

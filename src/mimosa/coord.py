@@ -236,14 +236,7 @@ def fire_node(ns: NetworkState, name: str) -> None:
     try:
         result = eval_expr(ns.env, Apply(node.expr, Const(argument)), ctx)
     except EvalError as exc:
-        raise SimError(
-            [
-                Diagnostic(
-                    f"node '{name}' failed at {format_duration(t)}: {exc.diagnostics[0].message}",
-                    node.span,
-                )
-            ]
-        ) from exc
+        raise _failure(node, f" failed at {format_duration(t)}: {exc.diagnostics[0].message}") from exc
     if not isinstance(result.next, Apply):
         raise InternalError(f"node '{name}': rewriting did not produce an application")
     node.expr = result.next.fn
@@ -258,12 +251,12 @@ def fire_node(ns: NetworkState, name: str) -> None:
     elif not outs and value == UNIT_VALUE:
         components = ()
     else:
-        shape = (
-            f"at {format_duration(t)}: output {pretty_value(value)} does not match its {len(outs)} ports"
+        raise _failure(
+            node,
+            f" at {format_duration(t)}: output {pretty_value(value)} does not match its {len(outs)} ports"
             if outs
-            else f"has no output ports but produced {pretty_value(value)}"
+            else f" has no output ports but produced {pretty_value(value)}",
         )
-        raise SimError([Diagnostic(f"node '{name}' {shape}", node.span)])
     tag = t + node.period_us
     for (ch, optional), component in zip(outs, components):
         if not optional:
@@ -271,28 +264,26 @@ def fire_node(ns: NetworkState, name: str) -> None:
         elif type(component) is VSome:
             _write(ns, ch, component.value, tag, name)
         elif type(component) is not VNone:
-            message = f"node '{name}': optional output '{ch.name}' produced non-option value {pretty_value(component)}"
-            raise SimError([Diagnostic(message, node.span)])
+            raise _failure(node, f": optional output '{ch.name}' produced non-option value {pretty_value(component)}")
     _advance(ns, node, FIRE)
 
 
 def _write(ns: NetworkState, ch: Channel, value: Value, tag: int, node: str) -> None:
     if contains_undef(value):
-        raise SimError(
-            [
-                Diagnostic(
-                    f"node '{node}' wrote an undefined value to channel '{ch.name}' at tag "
-                    f"{format_duration(tag)}",
-                    ns.nodes[node].span,
-                )
-            ]
-        )
+        message = f" wrote an undefined value to channel '{ch.name}' at tag {format_duration(tag)}"
+        raise _failure(ns.nodes[node], message)
     if tag < ch.validity:
         raise InternalError(
             f"write to '{ch.name}' tagged {tag} is below the channel validity {ch.validity}"
         )
     ch.queue.append((value, tag))
     ns.trace.append(TraceEvent(tag, ch.name, value, node))
+
+
+def _failure(node: NodeState, message: str) -> SimError:
+    """A runtime failure of `node`, located at its declaration: `message`
+    follows the node's name."""
+    return SimError([Diagnostic(f"node '{node.name}'{message}", node.span)])
 
 
 def idle_node(ns: NetworkState, name: str) -> None:

@@ -347,6 +347,12 @@ class Parser:
         return self.build_tuple_pattern(items, self.loc_from(start))
 
     def lhs_atom(self) -> Pattern:
+        return self.pattern(lambda: [self.lhs_pattern()], "a pattern")
+
+    def pattern(self, inside: Callable[[], list[Pattern]], what: str) -> Pattern:
+        """A name, `_`, `()`, or the patterns `inside` reads between
+        parentheses: one stands for itself, more are a tuple spanning the
+        parentheses. `what` names the pattern when none starts here."""
         t = self.peek()
         if t[0] == "ident":
             self.advance()
@@ -359,10 +365,10 @@ class Parser:
             if self.at(")"):
                 self.advance()
                 return PUnit(loc=self.loc_from(t))
-            inner = self.lhs_pattern()
+            items = inside()
             self.expect(")")
-            return inner
-        raise _Diag(f"expected a pattern, found '{t[1] or 'end of input'}'", t)
+            return items[0] if len(items) == 1 else self.build_tuple_pattern(items, self.loc_from(t))
+        raise _Diag(f"expected {what}, found '{t[1] or 'end of input'}'", t)
 
     def build_tuple_pattern(self, items: list[Pattern], loc: Loc) -> Pattern:
         try:
@@ -371,24 +377,7 @@ class Parser:
             raise _Diag(str(exc), loc) from None
 
     def signature_pattern(self) -> Pattern:
-        t = self.peek()
-        if t[0] == "ident":
-            self.advance()
-            return PVar(t[1], loc=t)
-        if self.at("_"):
-            self.advance()
-            return PWild(loc=t)
-        if self.at("("):
-            self.advance()
-            if self.at(")"):
-                self.advance()
-                return PUnit(loc=self.loc_from(t))
-            items = self.comma_list(self.signature_entry)
-            self.expect(")")
-            if len(items) == 1:
-                return items[0]
-            return self.build_tuple_pattern(items, self.loc_from(t))
-        raise _Diag(f"expected a parameter pattern, found '{t[1] or 'end of input'}'", t)
+        return self.pattern(lambda: self.comma_list(self.signature_entry), "a parameter pattern")
 
     def signature_entry(self) -> Pattern:
         pat = self.signature_pattern()

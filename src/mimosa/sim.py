@@ -44,7 +44,7 @@ from .coord import (
     node_enabled,
     port_status,
 )
-from .errors import Diagnostic, SimError, Span, read_text
+from .errors import Diagnostic, EvalError, MimosaError, SimError, Span, read_text
 from .eval import HostContext
 from .parser import parse_literal
 from .pretty import format_duration, pretty_value
@@ -243,14 +243,20 @@ class Simulation:
 
 def _per_node_host(step: str, registry: HostRegistry) -> VExtern:
     """The binding of a prototype step: every calling node gets its own
-    instance from the step's factory, made on that node's first call."""
+    instance from the step's factory, made on that node's first call. A host
+    or factory that raises fails its node; a BrokenPipeError passes as is."""
     instances: dict[str, HostFn] = {}
 
     def call(value: Value, ctx: HostContext) -> Value:
-        fn = instances.get(ctx.node)
-        if fn is None:
-            fn = instances[ctx.node] = registry.instantiate(step)
-        return fn(value, ctx)
+        try:
+            fn = instances.get(ctx.node)
+            if fn is None:
+                fn = instances[ctx.node] = registry.instantiate(step)
+            return fn(value, ctx)
+        except (MimosaError, BrokenPipeError):
+            raise
+        except Exception as exc:
+            raise EvalError(f"host step '{step}' raised {type(exc).__name__}: {exc}") from exc
 
     return VExtern(step, call)
 

@@ -8,7 +8,10 @@ import pytest
 
 from mimosa.ast import UNIT_VALUE, VConst, VNone, VSome, VTuple, VUndef
 from mimosa.builtins import (
+    BINARY_OPS,
+    BUILTIN_TYPES,
     BUILTIN_VALUES,
+    UNARY_OPS,
     _bool,
     _int,
     _pair,
@@ -17,6 +20,7 @@ from mimosa.builtins import (
     structural_eq,
 )
 from mimosa.errors import MimosaError
+from mimosa.types import BOOL, INT, TVar
 
 # ---------------------------------------------------------------------------
 # The checked closures, as they were before the fast paths.
@@ -150,3 +154,21 @@ def test_ill_typed_operands_print_in_mimosa_notation(function):
     with pytest.raises(MimosaError) as info:
         call()
     assert info.value.diagnostics[0].message == message
+
+
+def test_every_operator_has_one_type_and_one_value():
+    assert list(BUILTIN_TYPES) == list(BUILTIN_VALUES)
+    assert set(BUILTIN_TYPES) == set(BINARY_OPS + UNARY_OPS)
+
+
+@pytest.mark.parametrize("op", [op for op in BINARY_OPS if BUILTIN_VALUES[op].kernel])
+def test_kernel_plain_type_matches_the_operand_type(op):
+    # The evaluator applies a kernel to operands of its plain type, which the
+    # operator's scheme gives both operands: the very `INT` or `BOOL`, since
+    # type inference tests them by identity, or a comparison's variable.
+    plain, _ = BUILTIN_VALUES[op].kernel
+    operand = BUILTIN_TYPES[op].body.arg.items[0]
+    if type(operand) is TVar:
+        assert plain is int
+    else:
+        assert operand is {int: INT, bool: BOOL}[plain]

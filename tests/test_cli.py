@@ -93,6 +93,44 @@ class TestCheck:
         sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
         assert set(sub.choices) == set(_COMMANDS)
 
+    # One failed call of each command: exit 1, the exact diagnostics on
+    # stderr, in JSON where the command takes --diag-format, and no output.
+    DIVIDE = (
+        "step divide (x : int) --> (y : int) { y = 100 / x }\n"
+        "step g (v : int) --> (w : int) { w = v }\n"
+        "channel a : int = { 0 }\n"
+        "channel b : int\n"
+        "node n implements divide (a) --> (b) every 10ms\n"
+        "node m implements g (b) --> (a) every 10ms\n"
+    )
+    FAILED_COMMANDS = [
+        (
+            ["check", "--diag-format", "json"],
+            "step f x --> y { y = }\n",
+            [{"line": 1, "col": 22, "severity": "error", "message": "expected an expression, found '}'"}],
+        ),
+        (
+            ["run", "--for", "30ms", "--diag-format", "json"],
+            DIVIDE,
+            [{"line": 5, "col": 1, "severity": "error", "message": "node 'n' failed at 0s: division by zero"}],
+        ),
+        (["fmt"], "step f x --> y { y = }\n", "{path}:1:22: error: expected an expression, found '}'\n"),
+        (
+            ["explain-trace"],
+            "time,chan\n",
+            "{path}:1:1: error: not a trace: the header must name the columns time_us, channel and value\n",
+        ),
+    ]
+
+    @pytest.mark.parametrize("argv, source, expected", FAILED_COMMANDS, ids=["check", "run", "fmt", "explain-trace"])
+    def test_failed_command_is_reported_by_main(self, tmp_path, capsys, argv, source, expected):
+        path = tmp_path / "input"
+        path.write_text(source)
+        assert main([argv[0], str(path), *argv[1:]]) == 1
+        if type(expected) is list:
+            expected = json.dumps([{"file": str(path), **diag} for diag in expected], indent=2) + "\n"
+        assert capsys.readouterr() == ("", expected.replace("{path}", str(path)))
+
     def test_malformed_number_is_a_diagnostic(self, tmp_path, capsys):
         path = tmp_path / "bad.mim"
         path.write_text("step f x --> y { y = x + \u00b2 }\n", encoding="utf-8")
@@ -165,6 +203,7 @@ class TestRun:
             (["--for", "0ms"], "--for", "in '0ms', durations must be positive"),
             (["--for", "10ms", "--stub", "oops"], "--stub", "expected STEP=SPEC, got 'oops'"),
             (["--for", "10ms", "--stub", "print_int=const:(1"], "--stub", "in 'print_int=const:(1', expected ')'"),
+            (["--for", "10ms", "--seed", "3"], "--seed", "only --schedule randomized takes a seed"),
         ],
     )
     def test_argument_errors_name_the_option(self, fib_file, capsys, argv, option, message):

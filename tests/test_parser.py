@@ -699,6 +699,86 @@ class TestErrors:
         assert diag.span.line == 2
 
 
+def pattern_shape(p):
+    """`p` as its kind and span, with its name or its items."""
+    s = p.span
+    head = (type(p).__name__, (s.line, s.col, s.end_line, s.end_col))
+    if type(p) is PTuple:
+        return (*head, tuple(pattern_shape(item) for item in p.items))
+    if type(p) is PVar:
+        return (*head, p.name)
+    return head
+
+
+class TestPatterns:
+    """Left-hand sides and signatures share the reading of a name, `_`, `()`
+    and a parenthesised pattern; a tuple spans its items on the left and its
+    parentheses in a signature."""
+
+    @pytest.mark.parametrize(
+        "text, shape",
+        [
+            ("x", ("PVar", (1, 18, 1, 18), "x")),
+            ("_", ("PWild", (1, 18, 1, 18))),
+            ("()", ("PUnit", (1, 18, 1, 19))),
+            (
+                "(a, (b, c))",
+                (
+                    "PTuple",
+                    (1, 19, 1, 27),
+                    (
+                        ("PVar", (1, 19, 1, 19), "a"),
+                        ("PTuple", (1, 23, 1, 26), (("PVar", (1, 23, 1, 23), "b"), ("PVar", (1, 26, 1, 26), "c"))),
+                    ),
+                ),
+            ),
+            ("((x))", ("PVar", (1, 20, 1, 20), "x")),
+        ],
+    )
+    def test_left_hand_side(self, text, shape):
+        (equation,) = parse_program(f"step f a --> b {{ {text} = 1 }}").steps[0].equations
+        assert pattern_shape(equation.lhs) == shape
+
+    @pytest.mark.parametrize(
+        "text, shape",
+        [
+            ("x", ("PVar", (1, 8, 1, 8), "x")),
+            ("_", ("PWild", (1, 8, 1, 8))),
+            ("()", ("PUnit", (1, 8, 1, 9))),
+            (
+                "(a, (b, c))",
+                (
+                    "PTuple",
+                    (1, 8, 1, 18),
+                    (
+                        ("PVar", (1, 9, 1, 9), "a"),
+                        ("PTuple", (1, 12, 1, 17), (("PVar", (1, 13, 1, 13), "b"), ("PVar", (1, 16, 1, 16), "c"))),
+                    ),
+                ),
+            ),
+            ("((x))", ("PVar", (1, 10, 1, 10), "x")),
+        ],
+    )
+    def test_signature(self, text, shape):
+        (step,) = parse_program(f"step f {text} --> y").steps
+        assert pattern_shape(step.in_pattern) == shape
+
+    @pytest.mark.parametrize(
+        "source, message, span",
+        [
+            ("step f a --> b { a, = 1 }", "expected a pattern, found '='", Span(1, 21, 1, 21)),
+            ("step f --> y", "expected a parameter pattern, found '-->'", Span(1, 8, 1, 10)),
+            ("step f (a, a --> y", "expected ')', found '-->'", Span(1, 14, 1, 16)),
+            ("step f a --> b { (a, a = 1 }", "duplicate names in pattern: a", Span(1, 19, 1, 22)),
+        ],
+    )
+    def test_errors(self, source, message, span):
+        with pytest.raises(ParseError) as info:
+            parse_program(source)
+        ((got_message, got_span),) = [(d.message, d.span) for d in info.value.diagnostics]
+        assert (got_message, got_span) == (message, span)
+
+
 class TestNesting:
     def test_deep_nesting_is_a_diagnostic(self):
         source = "(" * 1000 + "x" + ")" * 1000

@@ -1,4 +1,5 @@
 import io
+import json
 import re
 from heapq import heapify, heappop, heappush
 
@@ -17,7 +18,7 @@ from mimosa import (
 from mimosa.ast import UNIT_VALUE, VConst
 from mimosa.cli import main
 from mimosa.coord import BLOCKED, FIRE, NetworkState, StepRecord, fire_node, idle_node, node_enabled
-from mimosa.errors import ParseError, SimError
+from mimosa.errors import ParseError, SimError, render_diagnostics
 from mimosa.sim import _livelock, builtin_hosts, const_seq, from_values, parse_literal, print_host
 
 MS = 1_000
@@ -426,6 +427,46 @@ class TestHosts:
     def test_unbound_prototype_reported_before_running(self, edge_network_checked):
         with pytest.raises(SimError, match="unbound prototype steps"):
             Simulation(edge_network_checked, SimConfig(horizon_us=MS), HostRegistry())
+
+    @staticmethod
+    def unplugged_at_30ms(exc: BaseException):
+        def fn(_value, ctx):
+            if ctx.time_us >= 30 * MS:
+                raise exc
+            return UNIT_VALUE
+
+        return HostRegistry().bind_fn("print_int", fn)
+
+    UNPLUGGED = "node 'print' failed at 30ms: host step 'print_int' raised ValueError: sensor unplugged"
+
+    def test_raising_host_fails_its_node(self, fib_checked):
+        hosts = self.unplugged_at_30ms(ValueError("sensor unplugged"))
+        with pytest.raises(SimError) as info:
+            run(fib_checked, SimConfig(horizon_us=60 * MS), hosts)
+        assert render_diagnostics(info.value.diagnostics) == f"<string>:12:1: error: {self.UNPLUGGED}"
+        assert type(info.value.__cause__.__cause__) is ValueError
+
+    def test_raising_host_fails_its_node_in_json(self, fib_checked):
+        hosts = self.unplugged_at_30ms(ValueError("sensor unplugged"))
+        with pytest.raises(SimError) as info:
+            run(fib_checked, SimConfig(horizon_us=60 * MS), hosts)
+        assert json.loads(render_diagnostics(info.value.diagnostics, "json")) == [
+            {"file": "<string>", "line": 12, "col": 1, "severity": "error", "message": self.UNPLUGGED}
+        ]
+
+    def test_raising_host_factory_fails_the_first_calling_node(self, fib_checked):
+        def factory():
+            raise OSError("no such device")
+
+        with pytest.raises(SimError) as info:
+            run(fib_checked, SimConfig(horizon_us=60 * MS), HostRegistry().bind("print_int", factory))
+        message = "node 'print' failed at 10ms: host step 'print_int' raised OSError: no such device"
+        assert render_diagnostics(info.value.diagnostics) == f"<string>:12:1: error: {message}"
+
+    def test_host_into_a_closed_pipe_still_raises_broken_pipe(self, fib_checked):
+        # The command line ends quietly on BrokenPipeError, so it passes unwrapped.
+        with pytest.raises(BrokenPipeError):
+            run(fib_checked, SimConfig(horizon_us=60 * MS), self.unplugged_at_30ms(BrokenPipeError()))
 
     TWICE = """\
 step sensor () --> (v : int)
