@@ -106,6 +106,8 @@ def _expr(e: Expr, minimum: int) -> str:
 
 
 def _literal(value) -> str:
+    if type(value) is int:
+        return str(value)
     if value is UNIT_LIT:
         return "()"
     if isinstance(value, bool):
@@ -157,9 +159,9 @@ def _sig_entry(p: Pattern) -> str:
 
 
 def pretty_value(v: Value) -> str:
+    if type(v) is VConst:
+        return _literal(v.value)
     match v:
-        case VConst(x):
-            return _literal(x)
         case VTuple(items):
             return "(" + ", ".join(pretty_value(i) for i in items) + ")"
         case VNone():

@@ -26,6 +26,7 @@ import random
 import sys
 from dataclasses import dataclass, replace
 from heapq import heapify, heappop, heappush, heapreplace
+from operator import attrgetter, itemgetter
 from typing import Callable, Sequence
 
 from .analysis import CheckedProgram, check_host_value
@@ -145,7 +146,10 @@ def builtin_hosts() -> HostRegistry:
 
 @dataclass(frozen=True)
 class Trace:
-    events: tuple[TraceEvent, ...]  # stably sorted by (time, commit order)
+    """`render_csv` relies on `events` being in (time, commit) order, which
+    `Simulation.trace()` builds; `steps` are in commit order."""
+
+    events: tuple[TraceEvent, ...]
     steps: tuple[StepRecord, ...]
 
     def per_channel(self) -> dict[str, list[tuple[int, Value]]]:
@@ -161,12 +165,12 @@ class Trace:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(["time_us", "channel", "value", "node"])
-        rows = [(ev.time_us, 1, i, ev.channel, pretty_value(ev.value), ev.node) for i, ev in enumerate(self.events)]
+        rows = [(ev.time_us, ev.channel, pretty_value(ev.value), ev.node) for ev in self.events]
         if include_idle:
-            idles = [s for s in self.steps if s.kind != FIRE]
-            rows.extend((s.time_us, 0, i, "", "idle", s.node) for i, s in enumerate(idles))
-        for time_us, _, _, channel, value, node in sorted(rows):
-            writer.writerow([time_us, channel, value, node])
+            # A stable sort by time alone: at one time, idle rows first, then writes.
+            idles = [(s.time_us, "", "idle", s.node) for s in self.steps if s.kind != FIRE]
+            rows = sorted(idles + rows, key=itemgetter(0))
+        writer.writerows(rows)
         return buffer.getvalue()
 
 
@@ -236,8 +240,8 @@ class Simulation:
         which has not appeared yet), sorted stably by time: `state.trace` is
         in commit order."""
         cutoff = self._observed_horizon
-        events = tuple(sorted((ev for ev in self.state.trace if ev.time_us <= cutoff), key=lambda ev: ev.time_us))
-        steps = tuple(s for s in self.state.steps if s.time_us <= cutoff)
+        events = tuple(sorted([ev for ev in self.state.trace if ev.time_us <= cutoff], key=attrgetter("time_us")))
+        steps = tuple([s for s in self.state.steps if s.time_us <= cutoff])
         return Trace(events, steps)
 
 
@@ -300,36 +304,48 @@ def run_randomized_equivalence(
     runs: int = 50,
 ) -> EquivalenceReport:
     """Check that `runs` randomized schedules reproduce the deterministic
-    per-channel (tag, value) histories exactly. Host bindings must be
-    deterministic functions of their inputs and call count."""
+    per-channel (tag, value) histories exactly, and then each node's
+    (activation, fire or idle) history: a sink's decisions reach no channel.
+    Host bindings must be deterministic functions of their inputs and call
+    count."""
     registry = hosts if hosts is not None else builtin_hosts()
     base = replace(cfg, schedule="deterministic")
     try:
-        reference = run(cp, base, registry).per_channel()
+        reference = _histories(run(cp, base, registry))
     except SimError as exc:
         return EquivalenceReport(False, 0, f"reference run aborted: {exc.diagnostics[0].message}")
     seed0 = cfg.seed if cfg.seed is not None else 0
     for k in range(runs):
         shuffled = replace(base, schedule="randomized", seed=seed0 + k + 1)
         try:
-            candidate = run(cp, shuffled, registry).per_channel()
+            candidate = _histories(run(cp, shuffled, registry))
         except SimError as exc:
             return EquivalenceReport(False, k + 1, f"run {k + 1} aborted: {exc.diagnostics[0].message}")
-        if candidate != reference:
-            return EquivalenceReport(False, k + 1, _first_divergence(reference, candidate, k + 1))
+        for what, ref, got, show in zip(("channel", "node"), reference, candidate, _SHOW):
+            if got != ref:
+                return EquivalenceReport(False, k + 1, _first_divergence(ref, got, k + 1, what, show))
     return EquivalenceReport(True, runs)
 
 
-def _first_divergence(reference, candidate, run_index: int) -> str:
-    for channel in sorted(set(reference) | set(candidate)):
-        ref = reference.get(channel, [])
-        got = candidate.get(channel, [])
+def _histories(trace: Trace) -> tuple[dict, dict[str, list[tuple[int, str]]]]:
+    """The per-channel (tag, value) and the per-node (activation, kind) histories."""
+    decisions: dict[str, list[tuple[int, str]]] = {}
+    for s in trace.steps:
+        decisions.setdefault(s.node, []).append((s.time_us, s.kind))
+    return trace.per_channel(), decisions
+
+
+# How `_first_divergence` shows an entry of each history: a (tag, value) write, an (activation, kind) step.
+_SHOW = (lambda e: f"{pretty_value(e[1])}@{e[0]}", lambda e: f"{e[1]}@{e[0]}")
+
+
+def _first_divergence(reference, candidate, run_index: int, what: str, show) -> str:
+    for key in sorted(set(reference) | set(candidate)):
+        ref = reference.get(key, [])
+        got = candidate.get(key, [])
         for i, (a, b) in enumerate(zip(ref, got)):
             if a != b:
-                return (
-                    f"run {run_index}: channel '{channel}' event {i}: expected "
-                    f"{pretty_value(a[1])}@{a[0]}, got {pretty_value(b[1])}@{b[0]}"
-                )
+                return f"run {run_index}: {what} '{key}' event {i}: expected {show(a)}, got {show(b)}"
         if len(ref) != len(got):
-            return f"run {run_index}: channel '{channel}' has {len(got)} events, expected {len(ref)}"
+            return f"run {run_index}: {what} '{key}' has {len(got)} events, expected {len(ref)}"
     return f"run {run_index}: traces differ"

@@ -1,7 +1,9 @@
+import csv
 import io
 import json
 import re
 from heapq import heapify, heappop, heappush
+from pathlib import Path
 
 import pytest
 
@@ -15,14 +17,16 @@ from mimosa import (
     run,
     run_randomized_equivalence,
 )
-from mimosa.ast import UNIT_VALUE, VConst
+from mimosa.ast import UNIT_VALUE, VConst, VSome, VTuple
 from mimosa.cli import main
-from mimosa.coord import BLOCKED, FIRE, NetworkState, StepRecord, fire_node, idle_node, node_enabled
+from mimosa.coord import BLOCKED, FIRE, IDLE, NetworkState, StepRecord, fire_node, idle_node, node_enabled
 from mimosa.errors import ParseError, SimError, render_diagnostics
-from mimosa.sim import _livelock, builtin_hosts, const_seq, from_values, parse_literal, print_host
+from mimosa.pretty import pretty_value
+from mimosa.sim import _livelock, builtin_hosts, const_seq, from_file, from_values, parse_literal, print_host
 
 MS = 1_000
 FIB = [0, 1, 1, 2, 3, 5, 8, 13, 21, 34, 55]
+PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 
 
 def fib_trace(fib_checked, horizon_ms=200, **kwargs):
@@ -172,6 +176,34 @@ class TestConfluence:
         assert "aborted" in (report.detail or "")
         # The livelock report names the channel each stuck node waits on.
         assert re.search(r"waits on '[xy]' \(validity 10ms\)", report.detail)
+
+    @staticmethod
+    def sink_only_mutant(ns: NetworkState, name: str) -> str:
+        """`node_enabled`, except that a node with no output ports decides an
+        empty input whose validity equals its activation as absent."""
+        node = ns.nodes[name]
+        t = node.activation
+        decision = FIRE
+        for ch, optional in node.in_ports:
+            if ch.queue:
+                if ch.queue[0][1] > t and not optional:
+                    decision = IDLE
+            elif ch.validity < t or (ch.validity == t and node.out_ports):
+                return BLOCKED
+            elif not optional:
+                decision = IDLE
+        return decision
+
+    def test_sink_only_mutant_is_caught(self, fib_checked, monkeypatch):
+        # A sink's decisions reach no channel, so only its decision history
+        # shows the mutant: the channel histories still agree.
+        monkeypatch.setattr("mimosa.sim.node_enabled", self.sink_only_mutant)
+        cfg = SimConfig(horizon_us=200 * MS)
+        channels = run(fib_checked, cfg, quiet_fib_hosts()).per_channel()
+        assert fib_trace(fib_checked, schedule="randomized", seed=1).per_channel() == channels
+        report = run_randomized_equivalence(fib_checked, cfg, quiet_fib_hosts(), runs=50)
+        assert not report.ok
+        assert re.fullmatch(r"run \d+: node 'print' event \d+: expected fire@(\d+), got idle@\1", report.detail)
 
     def test_deterministic_livelock_names_every_stuck_node(self, monkeypatch):
         monkeypatch.setattr("mimosa.sim.idle_node", broken_idle)
@@ -700,3 +732,64 @@ class TestTraceOutput:
         path = tmp_path / "trace.csv"
         assert main(["run", str(program), "--for", "50ms", "--trace", str(path)]) == 0
         assert path.read_text().startswith("time_us,channel,value,node\n")
+
+    @staticmethod
+    def reference_render_csv(trace, include_idle=False):
+        """A renderer that does not rely on the order of `events`: every row
+        keyed by time, idle before write and its index, then all sorted."""
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(["time_us", "channel", "value", "node"])
+        rows = [(ev.time_us, 1, i, ev.channel, pretty_value(ev.value), ev.node) for i, ev in enumerate(trace.events)]
+        if include_idle:
+            idles = [s for s in trace.steps if s.kind != FIRE]
+            rows.extend((s.time_us, 0, i, "", "idle", s.node) for i, s in enumerate(idles))
+        for time_us, _, _, channel, value, node in sorted(rows):
+            writer.writerow([time_us, channel, value, node])
+        return buffer.getvalue()
+
+    # Each shipped program with the hosts of the README's run commands
+    # (printers writing nowhere) and its horizon.
+    SHIPPED = {
+        "fib": (quiet_fib_hosts, 200 * MS),
+        "edge": (
+            lambda: HostRegistry()
+            .bind("pin", from_file(str(PROGRAMS / "edge_input.txt")))
+            .bind("watch", print_host(io.StringIO())),
+            600 * MS,
+        ),
+        "pipeline": (quiet_fib_hosts, 200 * MS),
+    }
+
+    @pytest.mark.parametrize("seed", [None, 1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("name", sorted(SHIPPED))
+    def test_csv_matches_the_sorting_renderer(self, name, seed):
+        hosts, horizon = self.SHIPPED[name]
+        cp = check_program(parse_program((PROGRAMS / f"{name}.mim").read_text()))
+        schedule = "deterministic" if seed is None else "randomized"
+        sim = Simulation(cp, SimConfig(horizon_us=horizon, schedule=schedule, seed=seed), hosts())
+        sim.run_until(horizon)
+        # The last firings wrote beyond the horizon, which the trace leaves out.
+        assert any(ev.time_us > horizon for ev in sim.state.trace)
+        trace = sim.trace()
+        assert trace.events and any(s.kind != FIRE for s in trace.steps)
+        for include_idle in (False, True):
+            assert trace.render_csv(include_idle) == self.reference_render_csv(trace, include_idle)
+
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            (VConst(True), "true"),
+            (VConst(False), "false"),
+            (VConst(1), "1"),
+            (VConst(-3), "-3"),
+            (VConst(1.0), "1.0"),
+            (VConst(1e20), "1.0e+20"),
+            (UNIT_VALUE, "()"),
+            (VSome(VSome(VConst(3))), "Some (Some 3)"),
+            (VTuple((VConst(1), VTuple((VConst(True), UNIT_VALUE)), VSome(VConst(2)))), "(1, (true, ()), Some 2)"),
+        ],
+    )
+    def test_pretty_value(self, value, text):
+        # A bool is an int, so the plain-int path must not print `true` as `1`.
+        assert pretty_value(value) == text
