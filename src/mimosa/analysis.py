@@ -48,10 +48,10 @@ from .errors import (
     Diagnostic,
     InitError,
     Loc,
+    MimosaError,
     NetworkError,
     Span,
     TypeCheckError,
-    span_of,
 )
 from .types import (
     BOOL,
@@ -119,9 +119,8 @@ class _InitCheck:
     a name or literal there, or in an operand pair, is read without a call.
     """
 
-    def __init__(self, statuses: dict, file: str):
+    def __init__(self, statuses: dict):
         self.statuses = statuses
-        self.file = file
         self.prefix: tuple[int, ...] = ()
         self.count = 0  # the last position taken under `prefix`
         self.deferred: list[tuple[tuple[int, ...], Expr]] = []
@@ -192,7 +191,7 @@ class _InitCheck:
         self.fail(f"cannot analyze expression {e!r}")
 
     def fail(self, message: str, loc: Loc = SYNTHETIC):
-        raise InitError([Diagnostic(message, span_of(loc), file=self.file)])
+        raise InitError([Diagnostic.at(message, loc)])
 
     def finish(self):
         """Check the deferred `pre` operands, then raise the earliest failure."""
@@ -204,9 +203,7 @@ class _InitCheck:
             self.fail(*min(self.failures)[1:])
 
 
-def check_initialization(
-    step: StepDecl, ordered: tuple[Equation, ...], file: str = "<string>"
-) -> dict:
+def check_initialization(step: StepDecl, ordered: tuple[Equation, ...]) -> dict:
     """Prove the step's outputs are defined on every cycle.
 
     `ordered` is the step's equations in causal order (`order_equations`).
@@ -214,7 +211,7 @@ def check_initialization(
     with the offending subexpression's span otherwise.
     """
     statuses: dict = {name: True for name in step.in_pattern.names()}
-    checker = _InitCheck(statuses, file)
+    checker = _InitCheck(statuses)
     # A status reads only references outside any pre, and causal order binds
     # those first, so one pass computes every status.
     for eq in ordered:
@@ -233,7 +230,6 @@ def check_initialization(
 
 def order_equations(
     step: StepDecl,
-    file: str = "<string>",
     reads: tuple[set[str], ...] | None = None,
     binds: tuple[list[str], ...] | None = None,
 ) -> tuple[Equation, ...]:
@@ -252,7 +248,7 @@ def order_equations(
     for eq, names, causal in zip(equations, bound, reads):
         if own := names & causal:
             message = f"equation for '{min(own)}' depends on itself without a pre"
-            raise CausalityError([Diagnostic(message, eq.span, file=file)])
+            raise CausalityError([Diagnostic.at(message, eq.loc)])
         deps.append({owner[name] for name in causal & owner.keys()})
 
     # Kahn's algorithm in rounds: a round is every equation whose last
@@ -278,10 +274,8 @@ def order_equations(
         remaining = set(range(len(equations))).difference(emitted)
         cycle_names = sorted(n for i in remaining for n in bound[i] if _in_cycle(i, deps, remaining))
         names = ", ".join(cycle_names) or "equations"
-        span = equations[min(remaining)].span
-        raise CausalityError(
-            [Diagnostic(f"causality cycle through {{{names}}} (no pre breaks it)", span, file=file)]
-        )
+        message = f"causality cycle through {{{names}}} (no pre breaks it)"
+        raise CausalityError([Diagnostic.at(message, equations[min(remaining)].loc)])
     return tuple(equations[i] for i in emitted)
 
 
@@ -323,39 +317,39 @@ class NetworkInfo:
     bound_names: dict[str, tuple[list[str], ...]]
 
 
-def check_network(program: Program, *, complete: bool = True, file: str = "<string>") -> NetworkInfo:
+def check_network(program: Program, *, complete: bool = True) -> NetworkInfo:
     diags: list[Diagnostic] = []
 
-    def report(message: str, span: Span) -> None:
-        diags.append(Diagnostic(message, span, file=file))
+    def report(message: str, loc: Loc) -> None:
+        diags.append(Diagnostic.at(message, loc))
 
     step_names = {s.name for s in program.steps}
     channel_names = {c.name for c in program.channels}
 
     for ch in program.channels:
         if not is_first_order(ch.elem_type):
-            report(f"channel '{ch.name}' must carry first-order data", ch.span)
+            report(f"channel '{ch.name}' must carry first-order data", ch.loc)
 
     writer: dict[str, str | None] = {c.name: None for c in program.channels}
     reader: dict[str, str | None] = {c.name: None for c in program.channels}
     for node in program.nodes:
         if node.step not in step_names:
-            report(f"unknown step '{node.step}'", node.span)
+            report(f"unknown step '{node.step}'", node.loc)
         for ports, user, verb in ((node.inputs, reader, "read"), (node.outputs, writer, "written")):
             for port in ports:
                 if port.channel not in channel_names:
-                    report(f"unknown channel '{port.channel}'", port.span)
+                    report(f"unknown channel '{port.channel}'", port.loc)
                 elif user[port.channel] is not None:
-                    report(f"channel '{port.channel}' already {verb} by node '{user[port.channel]}'", port.span)
+                    report(f"channel '{port.channel}' already {verb} by node '{user[port.channel]}'", port.loc)
                 else:
                     user[port.channel] = node.name
 
     if complete:
         for ch in program.channels:
             if writer.get(ch.name) is None:
-                report(f"channel '{ch.name}' has no writing node", ch.span)
+                report(f"channel '{ch.name}' has no writing node", ch.loc)
             if reader.get(ch.name) is None:
-                report(f"channel '{ch.name}' has no reading node", ch.span)
+                report(f"channel '{ch.name}' has no reading node", ch.loc)
 
     # Per-step name hygiene.
     reserved = step_names | set(BUILTIN_TYPES)
@@ -365,22 +359,22 @@ def check_network(program: Program, *, complete: bool = True, file: str = "<stri
         binders = set(inputs)
         for name in inputs:
             if name in reserved:
-                report(f"input '{name}' of step '{step.name}' shadows a step or builtin", step.span)
+                report(f"input '{name}' of step '{step.name}' shadows a step or builtin", step.loc)
         bound[step.name] = tuple(eq.lhs.names() for eq in step.equations or ())
         for eq, names in zip(step.equations or (), bound[step.name]):
             for name in names:
                 if name in reserved:
-                    report(f"'{name}' shadows a step or builtin", eq.span)
+                    report(f"'{name}' shadows a step or builtin", eq.loc)
                 elif name in binders:
-                    report(f"'{name}' is defined more than once in step '{step.name}'", eq.span)
+                    report(f"'{name}' is defined more than once in step '{step.name}'", eq.loc)
                 else:
                     binders.add(name)
         if _has_wild(step.out_pattern):
-            report(f"step '{step.name}' cannot use '_' in its output pattern", step.out_pattern.span)
+            report(f"step '{step.name}' cannot use '_' in its output pattern", step.out_pattern.loc)
         if not step.is_prototype:
             for name in step.out_pattern.names():
                 if name not in binders:
-                    report(f"output '{name}' of step '{step.name}' is never defined", step.out_pattern.span)
+                    report(f"output '{name}' of step '{step.name}' is never defined", step.out_pattern.loc)
 
     functions = step_names | set(BUILTIN_TYPES)
     bodies = {step.name: nesting([eq.rhs for eq in step.equations or ()], functions) for step in program.steps}
@@ -397,7 +391,7 @@ def _has_wild(p: Pattern) -> bool:
 
 
 def _step_topo_order(
-    program: Program, bodies: dict[str, Nesting], report: Callable[[str, Span], None]
+    program: Program, bodies: dict[str, Nesting], report: Callable[[str, Loc], None]
 ) -> tuple[str, ...]:
     steps = set(bodies)
     callees = {name: body.mentioned & steps for name, body in bodies.items()}
@@ -425,7 +419,7 @@ def _step_topo_order(
             elif state[callee] == 0:
                 path = [n for n, _ in stack]
                 cycle = path[path.index(callee) :] + [callee]
-                report("recursive steps are not allowed: " + " -> ".join(cycle), program.step(callee).span)
+                report("recursive steps are not allowed: " + " -> ".join(cycle), program.step(callee).loc)
                 state[callee] = 1
 
     # Callees come first in `order`, so one pass sums the depths along every
@@ -445,7 +439,7 @@ def _step_topo_order(
             report(
                 f"step '{name}' is passed as a value but applies a function value, itself or "
                 "through the steps it calls, so the depth of its calls cannot be bounded",
-                program.step(name).span,
+                program.step(name).loc,
             )
     if any(applies[name] for name in passed):
         return tuple(order)
@@ -459,7 +453,7 @@ def _step_topo_order(
             report(
                 f"expression nested too deeply: the calls from step '{name}' nest "
                 f"{nested[name]} levels (at most {MAX_CALL_DEPTH})",
-                program.step(name).span,
+                program.step(name).loc,
             )
     return tuple(order)
 
@@ -476,24 +470,23 @@ _OPERAND = {op: None if BUILTIN_TYPES[op].vars else BUILTIN_TYPES[op].body.arg.i
 
 
 class _Infer:
-    def __init__(self, file: str):
+    def __init__(self):
         self.u = Unifier()
-        self.file = file
 
-    def fail(self, message: str, span: Span):
-        raise TypeCheckError([Diagnostic(message, span, file=self.file)])
+    def fail(self, message: str, loc: Loc):
+        raise TypeCheckError([Diagnostic.at(message, loc)])
 
     def sig_type(self, p: Pattern, local: dict[str, Type], *, require_annot: bool, step: str) -> Type:
         kind = type(p)
         if kind is PVar:
             if p.annot is None and require_annot:
-                self.fail(f"prototype step '{step}' needs a type annotation on '{p.name}'", p.span)
+                self.fail(f"prototype step '{step}' needs a type annotation on '{p.name}'", p.loc)
             t = p.annot if p.annot is not None else self.u.fresh()
             local[p.name] = t
             return t
         if kind is PWild:
             if p.annot is None and require_annot:
-                self.fail(f"prototype step '{step}' needs a type annotation on '_'", p.span)
+                self.fail(f"prototype step '{step}' needs a type annotation on '_'", p.loc)
             return p.annot if p.annot is not None else self.u.fresh()
         if kind is PUnit:
             return UNIT
@@ -508,7 +501,7 @@ class _Infer:
         if kind is PVar:
             t = local[p.name]
             if p.annot is not None:
-                self.u.unify(t, p.annot, p.loc, self.file)
+                self.u.unify(t, p.annot, p.loc)
             return t
         if kind is PWild:
             return self.u.fresh()
@@ -526,7 +519,7 @@ class _Infer:
                 return local[name]
             if name in ctx:
                 return self.u.instantiate(ctx[name])
-            self.fail(f"unknown identifier '{name}'", e.span)
+            self.fail(f"unknown identifier '{name}'", e.loc)
         if kind is Const:
             return self.literal_type(e.value)
         if kind is Apply:
@@ -536,7 +529,7 @@ class _Infer:
             tfn = self.expr(fn, ctx, local)
             targ = self.expr(arg, ctx, local)
             result = self.u.fresh()
-            self.u.unify(tfn, TFunc(targ, result), e.loc, self.file)
+            self.u.unify(tfn, TFunc(targ, result), e.loc)
             return result
         if kind is Tuple:
             return TTuple(tuple([self.expr(i, ctx, local) for i in e.items]))
@@ -545,21 +538,21 @@ class _Infer:
         if kind is Fby or kind is Arrow:
             t1 = self.expr(e.first, ctx, local)
             t2 = self.expr(e.rest, ctx, local)
-            self.u.unify(t1, t2, e.loc, self.file)
+            self.u.unify(t1, t2, e.loc)
             return t1
         if kind is If:
             tc = self.expr(e.cond, ctx, local)
-            self.u.unify(tc, BOOL, e.cond.loc, self.file)
+            self.u.unify(tc, BOOL, e.cond.loc)
             tt = self.expr(e.then, ctx, local)
             to = self.expr(e.orelse, ctx, local)
-            self.u.unify(tt, to, e.loc, self.file)
+            self.u.unify(tt, to, e.loc)
             return tt
         if kind is Some:
             return TOption(self.expr(e.expr, ctx, local))
         if kind is Either:
             tf = self.expr(e.fallback, ctx, local)
             ts = self.expr(e.scrutinee, ctx, local)
-            self.u.unify(ts, TOption(tf), e.scrutinee.loc, self.file)
+            self.u.unify(ts, TOption(tf), e.scrutinee.loc)
             return tf
         raise AssertionError(e)
 
@@ -582,7 +575,7 @@ class _Infer:
         if t1 is t2 and (t1 is operand or operand is None and type(t1) is TBase):
             return scheme.body.result
         tfn = u.instantiate(scheme, first)
-        u.unify(tfn, TFunc(TTuple((t1, t2)), TVar(result)), e.loc, self.file)
+        u.unify(tfn, TFunc(TTuple((t1, t2)), TVar(result)), e.loc)
         return TVar(result)
 
     def literal_type(self, v: Value) -> Type:
@@ -598,14 +591,12 @@ class _Infer:
         raise AssertionError(v)
 
 
-def infer_types(
-    program: Program, info: NetworkInfo | None = None, file: str = "<string>"
-) -> tuple[dict[str, Scheme], dict[str, Type]]:
+def infer_types(program: Program, info: NetworkInfo | None = None) -> tuple[dict[str, Scheme], dict[str, Type]]:
     """Assign a principal type scheme to every step and a concrete signature to
     every node, checking port wiring against channel element types."""
     if info is None:
-        info = check_network(program, complete=False, file=file)
-    inf = _Infer(file)
+        info = check_network(program, complete=False)
+    inf = _Infer()
     ctx: dict[str, Scheme] = dict(BUILTIN_TYPES)
     steps = {s.name: s for s in program.steps}
 
@@ -622,7 +613,7 @@ def infer_types(
                     local.setdefault(n, inf.u.fresh())
             for eq in step.equations or ():
                 trhs = inf.expr(eq.rhs, ctx, local)
-                inf.u.unify(inf.pattern_type(eq.lhs, local), trhs, eq.loc, file)
+                inf.u.unify(inf.pattern_type(eq.lhs, local), trhs, eq.loc)
             tout = inf.pattern_type(step.out_pattern, local)
         ctx[name] = inf.u.generalize(TFunc(tin, tout))
 
@@ -631,14 +622,14 @@ def infer_types(
     channel_types = {c.name: c.elem_type for c in program.channels}
     for ch in program.channels:
         for value in ch.initial:
-            inf.u.unify(ch.elem_type, inf.literal_type(value), ch.loc, file)
+            inf.u.unify(ch.elem_type, inf.literal_type(value), ch.loc)
     node_sigs: dict[str, Type] = {}
     for node in program.nodes:
         scheme = schemes[node.step]
         sig = inf.u.instantiate(scheme)
         tin = _ports_type(node.inputs, channel_types)
         tout = _ports_type(node.outputs, channel_types)
-        inf.u.unify(sig, TFunc(tin, tout), node.loc, file)
+        inf.u.unify(sig, TFunc(tin, tout), node.loc)
         node_sigs[node.name] = inf.u.deep_resolve(sig)
     return schemes, node_sigs
 
@@ -646,13 +637,14 @@ def infer_types(
 def check_host_value(step: StepDecl, value: Value, span: Span = SYNTHETIC, file: str = "<string>") -> None:
     """Raise TypeCheckError unless the host value `value` can be a result of
     the prototype `step`, whose output signature is fully annotated."""
-    inf = _Infer(file)
+    inf = _Infer()
     declared = inf.sig_type(step.out_pattern, {}, require_annot=True, step=step.name)
     found = inf.literal_type(value)
     try:
-        inf.u.unify(declared, found, span, file)
+        inf.u.unify(declared, found, span)
     except TypeCheckError:
-        inf.fail(f"step '{step.name}' returns {declared}, but its host value has type {found}", span)
+        message = f"step '{step.name}' returns {declared}, but its host value has type {found}"
+        raise TypeCheckError([Diagnostic(message, span, file=file)]) from None
 
 
 def _ports_type(ports, channel_types) -> Type:
@@ -686,16 +678,18 @@ def check_program(
     """Run every static check and assemble the checked program.
 
     Raises NetworkError, TypeCheckError, CausalityError, or InitError with
-    source-located diagnostics.
+    source-located diagnostics; `file` names those that point at no source.
     """
-    info = check_network(program, complete=complete_network, file=file)
-    infer_types(program, info, file=file)
-    ordered: dict[str, tuple[Equation, ...]] = {}
-    for step in program.steps:
-        if step.is_prototype:
-            continue
-        ordered[step.name] = order_equations(step, file, info.causal_reads[step.name], info.bound_names[step.name])
-        check_initialization(step, ordered[step.name], file=file)
+    try:
+        info = check_network(program, complete=complete_network)
+        infer_types(program, info)
+        ordered: dict[str, tuple[Equation, ...]] = {}
+        for step in program.steps:
+            if not step.is_prototype:
+                ordered[step.name] = order_equations(step, info.causal_reads[step.name], info.bound_names[step.name])
+                check_initialization(step, ordered[step.name])
+    except MimosaError as exc:
+        raise exc.in_file(file)
     return CheckedProgram(
         program=program,
         ordered_equations=ordered,

@@ -8,7 +8,6 @@ import io
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
 from typing import Callable, Iterator, TextIO, TypeVar
 
 from .analysis import check_host_value, check_program
@@ -144,9 +143,7 @@ def _cmd_run(args) -> int:
         try:
             trace = run(checked, cfg, registry)
         except SimError as exc:
-            # Runtime diagnostics are about the program: name its file.
-            exc.diagnostics = [replace(d, file=args.file) if d.file == "<string>" else d for d in exc.diagnostics]
-            raise
+            raise exc.in_file(args.file)  # a failure with no location is the program's too
         if out is not None:
             out.write(trace.render_csv(include_idle=args.verbose_idle))
     return 0

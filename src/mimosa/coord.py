@@ -283,7 +283,7 @@ def _write(ns: NetworkState, ch: Channel, value: Value, tag: int, node: str) -> 
 def _failure(node: NodeState, message: str) -> SimError:
     """A runtime failure of `node`, located at its declaration: `message`
     follows the node's name."""
-    return SimError([Diagnostic(f"node '{node.name}'{message}", node.span)])
+    return SimError([Diagnostic.at(f"node '{node.name}'{message}", node.loc)])
 
 
 def idle_node(ns: NetworkState, name: str) -> None:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Union
 
 
@@ -57,15 +57,16 @@ class Located:
 
 
 class Source:
-    """A source text whose first line is line `first_line` of its file. It
-    turns offsets into lines and columns through a table of line starts, made
-    on first use: a source that raises no diagnostic never needs it."""
+    """A source text whose first line is line `first_line` of `file`. It turns
+    offsets into lines and columns through a table of line starts, made on
+    first use: a source that raises no diagnostic never needs it."""
 
-    __slots__ = ("text", "first_line", "_starts")
+    __slots__ = ("text", "first_line", "file", "_starts")
 
-    def __init__(self, text: str, first_line: int = 1):
+    def __init__(self, text: str, first_line: int = 1, file: str = "<string>"):
         self.text = text
         self.first_line = first_line
+        self.file = file
         self._starts: list[int] | None = None
 
     def locate(self, offset: int) -> tuple[int, int]:
@@ -84,6 +85,12 @@ class Diagnostic:
     severity: str = "error"
     file: str = "<string>"
     argument: str | None = None  # a command-line option, reported instead of a file position
+
+    @classmethod
+    def at(cls, message: str, loc: Loc) -> Diagnostic:
+        """An error at `loc`, in the file of its token (a pair's first); a `Span` names `<string>`."""
+        token = loc[0] if type(loc) is tuple and len(loc) == 2 else loc
+        return cls(message, span_of(loc), file=token[4].file if type(token) is tuple else "<string>")
 
     def text(self) -> str:
         if self.argument is not None:
@@ -113,6 +120,11 @@ class MimosaError(Exception):
             diagnostics = [Diagnostic(diagnostics)]
         self.diagnostics = diagnostics
         super().__init__("; ".join(d.message for d in diagnostics))
+
+    def in_file(self, file: str) -> MimosaError:
+        """This error, with `file` named on each diagnostic that points at no source text."""
+        self.diagnostics = [replace(d, file=file) if d.file == "<string>" else d for d in self.diagnostics]
+        return self
 
 
 class ParseError(MimosaError):

@@ -113,16 +113,16 @@ def tokenize(source: str, file: str = "<string>", line: int = 1) -> list[tuple]:
     """Split `source`, whose first line is line `line` of `file`, into tokens:
     tuples (kind, text, offset, value, source), where the kind is kw, ident,
     int, real, duration, punct or eof, and the offset is that of the token's
-    first character. `errors.span_of` gives a token's line and column. Each
-    distinct spelling is classified once."""
-    origin = Source(source, line)
+    first character. `errors.span_of` gives a token's line and column, and
+    diagnostics at it name `file`. Each distinct spelling is classified once."""
+    origin = Source(source, line, file)
     spelled = dict(_SPELLED)
     tokens: list[tuple] = []
     offset = len(source) - len(source.lstrip())  # `lstrip` strips what `\s` matches
     for text, space in _SPELLING.findall(source, offset):
         entry = spelled.get(text)
         if entry is None:
-            entry = spelled[text] = _classify(text, offset, origin, file)
+            entry = spelled[text] = _classify(text, offset, origin)
         if entry is not _COMMENT:
             tokens.append((entry[0], text, offset, entry[1], origin))
         offset += len(text) + len(space)
@@ -130,7 +130,7 @@ def tokenize(source: str, file: str = "<string>", line: int = 1) -> list[tuple]:
     return tokens
 
 
-def _classify(text: str, offset: int, origin: Source, file: str) -> tuple[str | None, object]:
+def _classify(text: str, offset: int, origin: Source) -> tuple[str | None, object]:
     """The kind and value of `text`, a spelling first seen at `offset` that
     is no keyword or punctuation."""
     if text[0].isalpha() or text[0] == "_":
@@ -140,8 +140,7 @@ def _classify(text: str, offset: int, origin: Source, file: str) -> tuple[str | 
     try:
         return _literal(text)
     except _Diag as exc:
-        where = ("error", text, offset, None, origin)
-        raise ParseError([Diagnostic(str(exc), span_of(where), file=file)]) from None
+        raise ParseError([Diagnostic.at(str(exc), ("error", text, offset, None, origin))]) from None
 
 
 def _literal(text: str) -> tuple[str, object]:
@@ -189,9 +188,8 @@ _T = TypeVar("_T")
 class Parser:
     MAX_ERRORS = 10
 
-    def __init__(self, tokens: list[tuple], file: str):
+    def __init__(self, tokens: list[tuple]):
         self.tokens = tokens
-        self.file = file
         self.pos = 0
         self.diags: list[Diagnostic] = []
 
@@ -272,7 +270,7 @@ class Parser:
         """A syntax error, or a stack overflow reported at the current token."""
         if isinstance(exc, RecursionError):
             exc = _Diag("expression nested too deeply", self.peek())
-        return Diagnostic(str(exc), span_of(exc.loc), file=self.file)
+        return Diagnostic.at(str(exc), exc.loc)
 
     def recover(self, start: int):
         """Skip to the next top-level declaration keyword after the one that
@@ -298,9 +296,7 @@ class Parser:
             seen: dict[str, object] = {}
             for d in decls:
                 if d.name in seen:
-                    self.diags.append(
-                        Diagnostic(f"duplicate {kind} name '{d.name}'", d.span, file=self.file)
-                    )
+                    self.diags.append(Diagnostic.at(f"duplicate {kind} name '{d.name}'", d.loc))
                 seen[d.name] = d
 
     def step_decl(self) -> StepDecl:
@@ -653,22 +649,22 @@ def _depth(root, parts: Callable) -> int:
 
 
 def parse_program(source: str, file: str = "<string>") -> Program:
-    return Parser(tokenize(source, file), file).parse_program()
+    return Parser(tokenize(source, file)).parse_program()
 
 
 def parse_expression(source: str, file: str = "<string>") -> Expr:
-    return _parse_all(source, file, Parser.expression)
+    return _parse_all(tokenize(source, file), Parser.expression)
 
 
 def parse_literal(source: str, file: str = "<literal>", line: int = 1) -> Value:
     """Parse one literal value, as allowed in channel initial-value lists;
     `source` is line `line` of `file`."""
-    return _parse_all(source, file, Parser.literal_value, line)
+    return _parse_all(tokenize(source, file, line), Parser.literal_value)
 
 
-def _parse_all(source: str, file: str, rule: Callable[[Parser], _T], line: int = 1) -> _T:
-    """Parse `source` as exactly one `rule`."""
-    parser = Parser(tokenize(source, file, line), file)
+def _parse_all(tokens: list[tuple], rule: Callable[[Parser], _T]) -> _T:
+    """Parse `tokens` as exactly one `rule`."""
+    parser = Parser(tokens)
     try:
         result = rule(parser)
         if not parser.at_kind("eof"):

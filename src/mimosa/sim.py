@@ -132,7 +132,8 @@ def from_file(path: str, step: StepDecl | None = None) -> HostFactory:
         if (text := line.strip()) and not text.startswith("--"):
             values.append(parse_literal(line, path, number))
             if step is not None:
-                check_host_value(step, values[-1], Span(number, 1, number, 1), path)
+                col = line.index(text) + 1  # at the literal, as its parse errors are
+                check_host_value(step, values[-1], Span(number, col, number, col), path)
     if not values:
         raise SimError([Diagnostic("stub input contains no values", file=path)])
     return from_values(values)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import Diagnostic, Loc, TypeCheckError, span_of
+from .errors import Diagnostic, Loc, TypeCheckError
 
 
 class Type:
@@ -168,7 +168,7 @@ class Unifier:
                 return True
         return False
 
-    def unify(self, a: Type, b: Type, loc: Loc, file: str = "<string>") -> None:
+    def unify(self, a: Type, b: Type, loc: Loc) -> None:
         """Make a and b equal, or raise TypeCheckError at `loc`."""
         subst = self._subst
         while type(a) is TVar and a.id in subst:
@@ -184,33 +184,33 @@ class Unifier:
             if type(b) is TVar and b.id == a.id:
                 return
             if self._occurs(a.id, b):
-                self._fail(f"occurs check: {self.render(a)} in {self.render(b)}", loc, file)
+                self._fail(f"occurs check: {self.render(a)} in {self.render(b)}", loc)
             if a.id in self._first_order:
-                self._only_first_order(b, loc, file)
+                self._only_first_order(b, loc)
             subst[a.id] = b
             return
         if kind is type(b):
             if kind is TOption:
-                self.unify(a.elem, b.elem, loc, file)
+                self.unify(a.elem, b.elem, loc)
                 return
             if kind is TFunc:
-                self.unify(a.arg, b.arg, loc, file)
-                self.unify(a.result, b.result, loc, file)
+                self.unify(a.arg, b.arg, loc)
+                self.unify(a.result, b.result, loc)
                 return
             if kind is TTuple and len(a.items) == len(b.items):
                 for x, y in zip(a.items, b.items):
-                    self.unify(x, y, loc, file)
+                    self.unify(x, y, loc)
                 return
             if kind is TBase and a.name == b.name:
                 return
-        self._fail(f"type mismatch: expected {self.render(a)}, found {self.render(b)}", loc, file)
+        self._fail(f"type mismatch: expected {self.render(a)}, found {self.render(b)}", loc)
 
-    def _only_first_order(self, t: Type, loc: Loc, file: str) -> None:
+    def _only_first_order(self, t: Type, loc: Loc) -> None:
         """Check that t, bound to a first-order variable, has no function in it,
         and make its variables first-order too."""
         t = self.deep_resolve(t)
         if not is_first_order(t):
-            self._fail(f"only first-order values can be compared, found {t}", loc, file)
+            self._fail(f"only first-order values can be compared, found {t}", loc)
         parts = [t]
         while parts:
             part = parts.pop()
@@ -218,8 +218,8 @@ class Unifier:
                 self._first_order.add(part.id)
             parts.extend(_parts(part))
 
-    def _fail(self, message: str, loc: Loc, file: str):
-        raise TypeCheckError([Diagnostic(message, span_of(loc), file=file)])
+    def _fail(self, message: str, loc: Loc):
+        raise TypeCheckError([Diagnostic.at(message, loc)])
 
     def instantiate(self, scheme: Scheme, first: int | None = None) -> Type:
         """`scheme`'s body with fresh variables, numbered from `first` if the

@@ -59,13 +59,13 @@ def test_criterion_1_golden_parse():
         started = time.perf_counter()
         for source, fname in ((FIB_SOURCE, "fib.mim"), (EDGE_SOURCE, "edge.mim")):
             program = parse_program(source, file=fname)
-            check_network(program, complete=False, file=fname)  # name resolution
-            infer_types(program, file=fname)  # type check
+            check_network(program, complete=False)  # name resolution
+            infer_types(program)  # type check
             for step in program.steps:
                 if step.is_prototype:
                     continue
-                ordered = order_equations(step, file=fname)  # causality check
-                check_initialization(step, ordered, file=fname)  # initialization check
+                ordered = order_equations(step)  # causality check
+                check_initialization(step, ordered)  # initialization check
         elapsed = time.perf_counter() - started
         assert elapsed < 1.0, f"front-end checks took {elapsed:.2f}s"
 

@@ -233,7 +233,7 @@ class GeneralInfer(_Infer):
         tfn = self.expr(e.fn, ctx, local)
         targ = self.expr(e.arg, ctx, local)
         result = self.u.fresh()
-        self.u.unify(tfn, TFunc(targ, result), e.loc, self.file)
+        self.u.unify(tfn, TFunc(targ, result), e.loc)
         return result
 
 
@@ -284,7 +284,7 @@ def typing_outcome(infer: type, e: Expr, untyped_ints: bool):
     """The scheme of `e` over the base names and a name `v` of unknown type,
     with the variables used; or the first diagnostic. If `untyped_ints`, the
     int names share one unknown type too, as unannotated inputs would."""
-    inf = infer("f.mim")
+    inf = infer()
     ctx = dict(BUILTIN_TYPES) | {"g": inf.u.generalize(TFunc(inf.u.fresh(), TVar(0)))}
     local = {name: inf.literal_type(value) for name, value in BASE_VALUES.items()} | {"v": inf.u.fresh()}
     if untyped_ints:
@@ -1195,7 +1195,7 @@ class TestSharedWalk:
         assert recorded == tuple(nesting((eq.rhs,)).reads[0] for eq in equations)
         assert binds == tuple(eq.lhs.names() for eq in equations)
         fresh = ordering_outcome(order_equations, step)
-        assert ordering_outcome(lambda st: order_equations(st, "<string>", recorded, binds), step) == fresh
+        assert ordering_outcome(lambda st: order_equations(st, recorded, binds), step) == fresh
 
 
 class TestInitSoundness:

@@ -13,6 +13,7 @@ from conftest import EDGE_NETWORK, EDGE_SOURCE, FIB_SOURCE
 from mimosa import SimConfig, builtin_hosts, check_program, parse_program, run
 from mimosa.analysis import MAX_CALL_DEPTH
 from mimosa.cli import _COMMANDS, _build_parser, main
+from mimosa.errors import MimosaError, render_diagnostics
 from mimosa.parser import MAX_EXPR_DEPTH, MAX_TYPE_DEPTH
 
 DIAGNOSTICS_ORACLE = Path(__file__).parent / "oracles" / "diagnostics.json"
@@ -38,14 +39,28 @@ class TestCheck:
     def test_fibonacci_checks_clean(self, fib_file):
         assert main(["check", fib_file]) == 0
 
-    @pytest.mark.parametrize("name", sorted(json.loads(DIAGNOSTICS_ORACLE.read_text())))
-    def test_recorded_diagnostics(self, name, tmp_path, capsys, monkeypatch):
+    # Each recorded program through the command line, and through the library
+    # with the file named only to the parser.
+    ROUTES = [
+        pytest.param(name, library, id=f"{name}-library" if library else name)
+        for name in sorted(json.loads(DIAGNOSTICS_ORACLE.read_text()))
+        for library in (False, True)
+    ]
+
+    @pytest.mark.parametrize("name, library", ROUTES)
+    def test_recorded_diagnostics(self, name, library, tmp_path, capsys, monkeypatch):
         # The JSON of each program's diagnostics, byte for byte, as CI checks it too.
         case = json.loads(DIAGNOSTICS_ORACLE.read_text())[name]
+        expected = json.dumps(case["diagnostics"], indent=2)
+        if library:
+            with pytest.raises(MimosaError) as info:
+                check_program(parse_program(case["source"], file=name))
+            assert render_diagnostics(info.value.diagnostics, "json") == expected
+            return
         (tmp_path / name).write_text(case["source"])
         monkeypatch.chdir(tmp_path)
         assert main(["check", "--diag-format", "json", name]) == 1
-        assert capsys.readouterr().err == json.dumps(case["diagnostics"], indent=2) + "\n"
+        assert capsys.readouterr().err == expected + "\n"
 
     def test_unwired_detector_needs_allow_unwired(self, tmp_path, capsys):
         path = tmp_path / "edge.mim"
@@ -377,14 +392,17 @@ class TestRun:
         program = tmp_path / "edge.mim"
         program.write_text(EDGE_NETWORK)
         levels = tmp_path / "levels.txt"
-        levels.write_text("true\n-- a comment\nSome true\n")
         argv = ["run", str(program), "--for", "10ms", "--stub", f"pin={levels}", "--stub", "watch=builtin:print"]
-        message = "step 'pin' returns bool, but its host value has type bool?"
-        assert main(argv) == 1
-        assert capsys.readouterr() == ("", f"{levels}:3:1: error: {message}\n")
-        assert main([*argv, "--diag-format", "json"]) == 1
-        (diag,) = json.loads(capsys.readouterr().err)
-        assert (diag["file"], diag["line"], diag["col"], diag["message"]) == (str(levels), 3, 1, message)
+        # The position is the literal's, as a parse error on its line gives.
+        cases = [("true\n-- a comment\nSome true\n", 3, 1, "bool?"), ("  true\n  3\n", 2, 3, "int")]
+        for text, line, col, found in cases:
+            levels.write_text(text)
+            message = f"step 'pin' returns bool, but its host value has type {found}"
+            assert main(argv) == 1
+            assert capsys.readouterr() == ("", f"{levels}:{line}:{col}: error: {message}\n")
+            assert main([*argv, "--diag-format", "json"]) == 1
+            (diag,) = json.loads(capsys.readouterr().err)
+            assert (diag["file"], diag["line"], diag["col"], diag["message"]) == (str(levels), line, col, message)
 
     def test_stub_file_with_no_values_names_the_file(self, tmp_path, capsys):
         program = tmp_path / "edge.mim"

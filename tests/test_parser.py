@@ -36,7 +36,7 @@ from mimosa.ast import (
     nesting,
 )
 from mimosa.builtins import BINARY_LEVELS, BINARY_OPS
-from mimosa.errors import Diagnostic, Located, Source, Span, span_of
+from mimosa.errors import SYNTHETIC, Diagnostic, Located, Source, Span, span_of
 from mimosa.parser import (
     DURATION_UNITS,
     KEYWORDS,
@@ -481,7 +481,7 @@ class TestPositionOracle:
         for t, span in zip(tokens, reference):
             assert span == Span(span.line, span.col, span.line, span.col + max(len(t[1]), 1) - 1)
         index = {id(t): k for k, t in enumerate(tokens)}
-        program = Parser(tokens, "f.mim").parse_program()
+        program = Parser(tokens).parse_program()
         seen = 0
         stack = [(node, 0, len(tokens) - 1) for node in program.steps + program.channels + program.nodes]
         while stack:
@@ -697,6 +697,20 @@ class TestErrors:
             parse_program("step f x --> y {\n  y = ;\n}")
         diag = err.value.diagnostics[0]
         assert diag.span.line == 2
+
+    # A token, a pair of tokens (the source of the first names the file) and
+    # a span, which has no source.
+    LOCATIONS = {
+        "token": (lambda toks: toks[3], "f.mim:3:4: error: m"),
+        "token pair": (lambda toks: (toks[2], toks[4]), "f.mim:3:3: error: m"),
+        "synthetic span": (lambda toks: SYNTHETIC, "<string>: error: m"),
+    }
+
+    @pytest.mark.parametrize("kind", LOCATIONS)
+    def test_diagnostic_at_names_the_file_of_its_location(self, kind):
+        locate, expected = self.LOCATIONS[kind]
+        tokens = tokenize("step f\n  (x) --> y", "f.mim", line=2)
+        assert Diagnostic.at("m", locate(tokens)).text() == expected
 
 
 def pattern_shape(p):

@@ -475,7 +475,7 @@ class TestHosts:
         hosts = self.unplugged_at_30ms(ValueError("sensor unplugged"))
         with pytest.raises(SimError) as info:
             run(fib_checked, SimConfig(horizon_us=60 * MS), hosts)
-        assert render_diagnostics(info.value.diagnostics) == f"<string>:12:1: error: {self.UNPLUGGED}"
+        assert render_diagnostics(info.value.diagnostics) == f"fib.mim:12:1: error: {self.UNPLUGGED}"
         assert type(info.value.__cause__.__cause__) is ValueError
 
     def test_raising_host_fails_its_node_in_json(self, fib_checked):
@@ -483,7 +483,7 @@ class TestHosts:
         with pytest.raises(SimError) as info:
             run(fib_checked, SimConfig(horizon_us=60 * MS), hosts)
         assert json.loads(render_diagnostics(info.value.diagnostics, "json")) == [
-            {"file": "<string>", "line": 12, "col": 1, "severity": "error", "message": self.UNPLUGGED}
+            {"file": "fib.mim", "line": 12, "col": 1, "severity": "error", "message": self.UNPLUGGED}
         ]
 
     def test_raising_host_factory_fails_the_first_calling_node(self, fib_checked):
@@ -493,7 +493,7 @@ class TestHosts:
         with pytest.raises(SimError) as info:
             run(fib_checked, SimConfig(horizon_us=60 * MS), HostRegistry().bind("print_int", factory))
         message = "node 'print' failed at 10ms: host step 'print_int' raised OSError: no such device"
-        assert render_diagnostics(info.value.diagnostics) == f"<string>:12:1: error: {message}"
+        assert render_diagnostics(info.value.diagnostics) == f"fib.mim:12:1: error: {message}"
 
     def test_host_into_a_closed_pipe_still_raises_broken_pipe(self, fib_checked):
         # The command line ends quietly on BrokenPipeError, so it passes unwrapped.
