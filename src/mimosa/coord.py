@@ -7,9 +7,10 @@ rewriting rules advance the acting node by one period and push its output
 channels' validity to activation + 2 * period.
 
 `init_network` resolves names once: each node gets its ports as (channel,
-optional) pairs, and each channel its writer's state. The rules and the
-invariant check after each rule read these, and keep the last validity the
-check saw on the channel itself, so a step does no lookup by name.
+optional) pairs and the literal of its step value, and each channel its
+writer's state. The rules and the invariant check after each rule read these,
+and keep the last validity the check saw on the channel itself, so a step
+does no lookup by name. A firing applies the node's step literal directly.
 """
 
 from __future__ import annotations
@@ -20,11 +21,9 @@ from typing import Mapping
 
 from .analysis import CheckedProgram
 from .ast import (
-    Apply,
     Const,
     Expr,
     PortRef,
-    Var,
     VClosure,
     VExtern,
     VNone,
@@ -148,9 +147,8 @@ def init_network(cp: CheckedProgram, hosts: Mapping[str, Value] | None = None) -
         writer = cp.channel_writer.get(ch.name)
         reader = cp.channel_reader.get(ch.name)
         if writer is None or reader is None:
-            raise SimError(
-                [Diagnostic(f"channel '{ch.name}' is not fully wired; simulation needs a complete network")]
-            )
+            message = f"channel '{ch.name}' is not fully wired; simulation needs a complete network"
+            raise SimError([Diagnostic.at(message, ch.loc)])
         channels[ch.name] = Channel(ch.name, writer, reader, deque((value, 0) for value in ch.initial), 0)
 
     nodes: dict[str, NodeState] = {}
@@ -159,7 +157,7 @@ def init_network(cp: CheckedProgram, hosts: Mapping[str, Value] | None = None) -
             decl.name,
             decl.period_us,
             0,
-            Var(decl.step),
+            Const(env_bindings[decl.step]),
             decl.inputs,
             decl.outputs,
             decl.loc,
@@ -234,12 +232,10 @@ def fire_node(ns: NetworkState, name: str) -> None:
 
     ctx = EvalContext(HostContext(t, name))
     try:
-        result = eval_expr(ns.env, Apply(node.expr, Const(argument)), ctx)
+        result = eval_expr(ns.env, node.expr, ctx, applied_to=argument)
     except EvalError as exc:
         raise _failure(node, f" failed at {format_duration(t)}: {exc.diagnostics[0].message}") from exc
-    if not isinstance(result.next, Apply):
-        raise InternalError(f"node '{name}': rewriting did not produce an application")
-    node.expr = result.next.fn
+    node.expr = result.next
 
     # One component per output port: a single port takes the whole value.
     value = result.value

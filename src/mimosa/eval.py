@@ -27,24 +27,26 @@ The hot path is direct: `_eval` dispatches on the node's class, hot ones
 first. A name or literal child is read by its parent with no recursive call,
 and is its own next expression, in the four positions where that measured as
 paying; any other child, and an unbound name, goes to `_eval`, which reports
-every error. The four are the applied expression, an application's argument
-(every firing's input literal), each operand of an operator, and the literal
-head of the `v -> pre e` that each `pre`
-leaves. An operator with a kernel on a pair expression evaluates both
-operands in place, and two operands of the kernel's plain type (`int`, or
-`bool` for `&&` and `||`) go to it with no pair built; other operands take
-its checked `run`. A node firing or step call starts its activation from
-the globals, not the caller's locals, which no checked body can read (a
-local may not shadow a step). Next expressions share structure: a `Tuple`,
-`Apply`, `If`, `Some` or `Either` whose evaluated children all come back as
-themselves (by identity) comes back as itself, and so does an equation whose
-right-hand side does, so a settled `fby`, `->` or operator allocates
-nothing, and a `pre` of a settled operand only the `v -> pre e` around its
-own node. A settled activation's closure is its own next state, so a
-stateless step allocates nothing after its first cycle. Sharing is sound
-because no node reachable from an earlier next expression is ever mutated:
-`_fill_pre` sets the fields of the placeholder `Arrow`s created by the
-current activation only.
+every error. The four are the applied expression, an application's argument,
+each operand of an operator, and the literal head of the `v -> pre e` that
+each `pre` leaves. An operator with a kernel on a pair expression evaluates
+both operands in place, and two operands of the kernel's plain type (`int`,
+or `bool` for `&&` and `||`) go to it with no pair built; other operands take
+its checked `run`. A node firing builds no application: `eval_expr` with
+`applied_to=v` applies a step literal to v, calling an extern with `ctx.host`
+or running a closure in `_activate`, the one activation step calls use too.
+An activation starts from the globals, not the caller's locals, which no
+checked body can read (a local may not shadow a step). Next expressions
+share structure: a `Tuple`, `Apply`, `If`, `Some` or `Either` whose evaluated
+children all come back as themselves (by identity) comes back as itself, and
+so does an equation whose right-hand side does, so a settled `fby`, `->` or
+operator allocates nothing, and a `pre` of a settled operand only the
+`v -> pre e` around its own node. A settled activation's closure is its own
+next state, so a stateless step allocates nothing after its first cycle, and
+its firing returns the literal it was given. Sharing is sound because no
+node reachable from an earlier next expression is ever mutated: `_fill_pre`
+sets the fields of the placeholder `Arrow`s created by the current
+activation only.
 """
 
 from __future__ import annotations
@@ -141,11 +143,19 @@ class EvalContext:
     globals: Env | None = field(default=None, init=False)
 
 
-def eval_expr(env: Env, e: Expr, ctx: EvalContext | None = None) -> EvalResult:
-    """The evaluation relation: env |- e  =>  value, next expression."""
+def eval_expr(env: Env, e: Expr, ctx: EvalContext | None = None, *, applied_to: Value | None = None) -> EvalResult:
+    """The evaluation relation: env |- e  =>  value, next expression. With
+    `applied_to`, a node's firing of step literal `e` (a `Const` of a closure
+    or an extern) on that value: the entry perfbench's tracer wraps."""
     ctx = ctx if ctx is not None else EvalContext()
     ctx.globals = env
-    return EvalResult(*_eval(env, e, ctx, None))
+    if applied_to is None:
+        return EvalResult(*_eval(env, e, ctx, None))
+    f = e.value
+    if type(f) is VExtern:
+        return EvalResult(f.fn(applied_to, ctx.host), e)
+    value, callee = _activate(f, applied_to, ctx)
+    return EvalResult(value, e if callee is f else Const(callee))
 
 
 # A `pre` met inside an equation list: the placeholder standing for its next
@@ -200,17 +210,12 @@ def _eval(env: Env, e: Expr, ctx: EvalContext, deferred: _Deferred | None) -> tu
             same = fn_next is fn and arg_next is arg
             return f.fn(arg_value, ctx.host), e if same else Apply(fn_next, arg_next, e.loc)
         if type(f) is VClosure:
-            # A call of a step, and every firing of a bodied node: an
-            # activation that starts from the globals, not the caller's locals.
-            inner = dict(ctx.globals)
-            _update_into(inner, f.in_pattern, arg_value)
-            equations = _run_equations(inner, f.equations, ctx)
+            value, callee = _activate(f, arg_value, ctx)
             # A settled call of a literal is its own next expression; a named
             # callee still becomes a literal, as the name may change meaning.
-            if equations is f.equations and type(fn) is Const and arg_next is arg:
-                return project(inner, f.out_pattern), e
-            callee = f if equations is f.equations else VClosure(f.in_pattern, f.out_pattern, equations)
-            return project(inner, f.out_pattern), Apply(Const(callee), arg_next, e.loc)
+            if callee is f and type(fn) is Const and arg_next is arg:
+                return value, e
+            return value, Apply(Const(callee), arg_next, e.loc)
         if type(f) is VUndef:
             raise UndefEscape(_escape("applied expression", e.span))
         raise EvalError(f"application of a non-function value {pretty_value(f)}")
@@ -289,6 +294,16 @@ def _escape(where: str, span: Span) -> str:
 
 def _unbound(var: Var | PVar) -> InternalError:
     return InternalError(f"unbound name '{var.name}'{_at(var.span)}")
+
+
+def _activate(f: VClosure, arg_value: Value, ctx: EvalContext) -> tuple[Value, VClosure]:
+    """One activation of step `f` on `arg_value`, from the globals: its output
+    and the closure holding its next equations, `f` itself if none changed."""
+    inner = dict(ctx.globals)
+    _update_into(inner, f.in_pattern, arg_value)
+    equations = _run_equations(inner, f.equations, ctx)
+    callee = f if equations is f.equations else VClosure(f.in_pattern, f.out_pattern, equations)
+    return project(inner, f.out_pattern), callee
 
 
 def _fill_pre(hole: Arrow, env: Env, operand: Expr, ctx: EvalContext) -> None:

@@ -92,6 +92,20 @@ step g (v : int) --> (w : int) { w = v }
         with pytest.raises(SimError, match="no host binding"):
             fire_node(ns, "pin")
 
+    def test_an_unwired_channel_is_located_at_its_declaration(self):
+        src = (
+            "step f (v : int) --> (w : int) { w = v }\n"
+            "channel a : int\n"
+            "channel b : int\n"
+            "node n implements f (a) --> (b) every 10ms\n"
+        )
+        cp = check_program(parse_program(src, file="u.mim"), complete_network=False)
+        with pytest.raises(SimError) as info:
+            init_network(cp)
+        assert [d.text() for d in info.value.diagnostics] == [
+            "u.mim:2:1: error: channel 'a' is not fully wired; simulation needs a complete network"
+        ]
+
 
 def two_node_state(fib_checked):
     return init_network(fib_checked)

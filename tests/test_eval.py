@@ -1,6 +1,7 @@
 import copy
 import random
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -28,12 +29,14 @@ from mimosa import (
     EvalError,
     SimConfig,
     Simulation,
+    check_program,
     eval_equations,
     eval_expr,
     order_equations,
     parse_expression,
     parse_program,
 )
+from mimosa.analysis import infer_types
 from mimosa.ast import (
     Apply,
     Arrow,
@@ -63,6 +66,7 @@ from mimosa.ast import (
     VUndef,
 )
 from mimosa.builtins import BUILTIN_VALUES
+from mimosa.coord import fire_node, init_network
 from mimosa.errors import InternalError, UndefEscape
 from mimosa.eval import (
     Env,
@@ -75,6 +79,9 @@ from mimosa.eval import (
     _update_into,
     project,
 )
+from mimosa.types import BOOL, UNIT, TOption, TTuple
+
+PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 
 
 def env_of(**bindings) -> Env:
@@ -814,12 +821,38 @@ class TestSharing:
 
     def test_a_settled_node_keeps_its_expression(self, fib_checked):
         sim = Simulation(fib_checked, SimConfig(horizon_us=200_000), quiet_fib_hosts())
+        # A prototype node holds the literal of its host binding from the start.
+        assert sim.state.nodes["print"].expr.value is sim.state.env["print_int"]
         sim.run_until(50_000)
         exprs = {name: node.expr for name, node in sim.state.nodes.items()}
         sim.run_until(200_000)
-        for name in ("add", "split"):
+        for name, step in (("add", "add"), ("split", "split"), ("print", "print_int")):
             assert sim.state.nodes[name].expr is exprs[name]
-            assert exprs[name].value is sim.state.env[name]
+            assert exprs[name].value is sim.state.env[step]
+
+    def test_a_node_with_a_pre_gets_a_new_literal_on_each_firing(self, monkeypatch):
+        source = """
+step inc (x : int) --> (y : int) { y = x + 1 }
+step delay (x : int) --> (y : int) { y = 0 -> pre x }
+channel a : int = { 0 }
+channel b : int
+node inc implements inc (a) --> (b) every 10ms
+node delay implements delay (b) --> (a) every 10ms
+"""
+        sim = Simulation(check_program(parse_program(source)), SimConfig(horizon_us=100_000))
+        literals = {"inc": [sim.state.nodes["inc"].expr], "delay": [sim.state.nodes["delay"].expr]}
+
+        def recording(ns, name):
+            fire_node(ns, name)
+            literals[name].append(ns.nodes[name].expr)
+
+        monkeypatch.setattr("mimosa.sim.fire_node", recording)
+        sim.run_until(100_000)
+        assert literals["delay"][0].value is sim.state.env["delay"] and len(literals["delay"]) > 5
+        assert len({id(expr.value) for expr in literals["delay"]}) == len(literals["delay"])
+        # The stateless node settles on its first firing.
+        first, *rest = literals["inc"][1:]
+        assert len(rest) > 3 and all(expr is first for expr in rest)
 
     @pytest.mark.parametrize("body, fresh", [("0 -> pre a", 5), ("0 fby 1 fby a", 2)])
     def test_a_step_with_memory_gets_a_fresh_closure_until_it_settles(self, body, fresh):
@@ -904,6 +937,78 @@ class TestSharing:
         got = outcome(lambda: eval_expr(env, e))
         want = outcome(lambda: reference_eval(env, e, reference_context(env), None))
         assert got == want == (InternalError, f"unbound name '{name}' at 1:{col}")
+
+
+def value_of(t, rng: random.Random):
+    """A random value of first-order type `t`; a type variable, or `int`, takes an int."""
+    if type(t) is TTuple:
+        return VTuple(tuple(value_of(item, rng) for item in t.items))
+    if type(t) is TOption:
+        return VSome(value_of(t.elem, rng)) if rng.random() < 0.5 else VNone()
+    if t == BOOL:
+        return VConst(rng.random() < 0.5)
+    if t == UNIT:
+        return UNIT_VALUE
+    return VConst(rng.randrange(-9, 10))
+
+
+def shipped_steps():
+    """(program, step) for each bodied step of the shipped programs."""
+    for path in sorted(PROGRAMS.glob("*.mim")):
+        for step in parse_program(path.read_text()).steps:
+            if not step.is_prototype:
+                yield path.stem, step.name
+
+
+class TestFiringEntry:
+    """`eval_expr(env, Const(f), ctx, applied_to=v)`, a node's firing, gives
+    what the application `f v` gives, with the step's next literal as its
+    next expression."""
+
+    CYCLES = 6
+
+    def assert_firings_agree(self, env, f, values):
+        direct = applied = Const(f)
+        for v in values:
+            e = Apply(applied, Const(v))
+            got = outcome(lambda: eval_expr(env, direct, EvalContext(HostContext(0, "n")), applied_to=v))
+            want = outcome(lambda: eval_expr(env, e, EvalContext(HostContext(0, "n"))))
+            if isinstance(want[0], type):
+                assert got == want
+                return
+            assert got[0] == want[0]
+            assert got[1].value == want[1].fn.value
+            assert (got[1] is direct) == (want[1] is e)
+            direct, applied = got[1], want[1].fn
+
+    @pytest.mark.parametrize("program, step", list(shipped_steps()))
+    def test_shipped_steps_agree_with_the_application(self, program, step):
+        checked = check_program(parse_program((PROGRAMS / f"{program}.mim").read_text()))
+        schemes, _ = infer_types(checked.program)
+        env = init_network(checked).env
+        rng = random.Random(program + step)
+        values = [value_of(schemes[step].body.arg, rng) for _ in range(self.CYCLES)]
+        self.assert_firings_agree(env, env[step], values)
+
+    @pytest.mark.parametrize("seed", range(100))
+    def test_systems_agree_with_the_application(self, seed):
+        rng = random.Random(seed)
+        equations = gen_system(rng, rng.randrange(1, 4))
+        out = equations[0].lhs.names()[0]
+        try:
+            ordered = order_equations(StepDecl("s", PVar("i0"), PVar(out), tuple(equations)))
+        except CausalityError:
+            return
+        values = [VConst(rng.randrange(-9, 10)) for _ in range(self.CYCLES)]
+        self.assert_firings_agree(system_env(), VClosure(PVar("i0"), PVar(out), ordered), values)
+
+    def test_an_extern_is_called_once_with_the_host_context(self):
+        calls = []
+        pin = Const(VExtern("pin", lambda v, host: calls.append((v, host)) or VSome(v)))
+        ctx = EvalContext(HostContext(30, "n"))
+        r = eval_expr(env_of(), pin, ctx, applied_to=VConst(5))
+        assert r.value == VSome(VConst(5)) and r.next is pin
+        assert calls == [(VConst(5), ctx.host)] and calls[0][1] is ctx.host
 
 
 def corresponding(a, b):
@@ -1134,7 +1239,7 @@ class TestCallCount:
         assert eval_calls == ["Apply"]
 
     def test_an_extern_firing_is_one_call(self, eval_calls):
-        # A prototype node's firing: its step's name applied to the literal of its input.
+        # A host step's name applied to a literal, as a step body calls it.
         env = env_of() | {"pin": VExtern("pin", lambda v, host: VSome(v))}
         assert eval_expr(env, Apply(Var("pin"), Const(VConst(5)))).value == VSome(VConst(5))
         assert eval_calls == ["Apply"]
@@ -1182,3 +1287,26 @@ class TestCallCount:
             "Apply", "Var", "Const", "Arrow", "Pre", "Some", "Var",
             "Either", "If", "Apply", "Var", "Var",
         ]
+
+    def test_a_firing_of_a_host_step_costs_no_call(self, eval_calls):
+        pin = Const(VExtern("pin", lambda v, host: VSome(v)))
+        assert eval_expr(env_of(), pin, applied_to=VConst(5)).value == VSome(VConst(5))
+        assert eval_calls == []
+
+    def test_a_firing_costs_no_call_of_its_own(self, eval_calls):
+        # `hold` fired through `applied_to`: the calls of its body only.
+        assert eval_expr(leaf_env(), Const(HOLD), applied_to=VConst(5)).value == VConst(0)
+        assert eval_calls == [
+            "Var", "Const", "Arrow", "Pre", "Some", "Var",
+            "Either", "If", "Apply", "Var", "Var",
+        ]
+
+    def test_a_second_firing_reads_its_pre_hole_in_place(self, eval_calls):
+        body = (("s", "u + u"), ("a", "0 -> pre (s + 1)"))
+        step = VClosure(PVar("u"), PVar("a"), tuple(Equation(PVar(n), parse_expression(t)) for n, t in body))
+        first = eval_expr(env_of(), Const(step), applied_to=VConst(5))
+        eval_calls.clear()
+        # `u + u`, the hole `11 -> pre (s + 1)` and its `pre`, and the
+        # deferred operand `s + 1`; no `Const`.
+        assert eval_expr(env_of(), first.next, applied_to=VConst(5)).value == VConst(11)
+        assert eval_calls == ["Apply", "Arrow", "Pre", "Apply"]
