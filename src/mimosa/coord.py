@@ -7,10 +7,11 @@ rewriting rules advance the acting node by one period and push its output
 channels' validity to activation + 2 * period.
 
 `init_network` resolves names once: each node gets its ports as (channel,
-optional) pairs and the literal of its step value, and each channel its
-writer's state. The rules and the invariant check after each rule read these,
-and keep the last validity the check saw on the channel itself, so a step
-does no lookup by name. A firing applies the node's step literal directly.
+optional) pairs, the literal of its step value and its evaluation context,
+and each channel its writer's state. The rules and the invariant check after
+each rule read these, and keep the last validity the check saw on the channel
+itself, so a step does no lookup by name. A firing applies the node's step
+literal directly.
 """
 
 from __future__ import annotations
@@ -69,21 +70,13 @@ class NodeState(Located):
     # The ports resolved by init_network: (channel, optional) pairs.
     in_ports: tuple[tuple[Channel, bool], ...] = field(repr=False, compare=False)
     out_ports: tuple[tuple[Channel, bool], ...] = field(repr=False, compare=False)
+    ctx: EvalContext = field(repr=False, compare=False)  # each firing sets `ctx.host.time_us`
 
 
-@dataclass(slots=True)
-class TraceEvent:
-    time_us: int
-    channel: str
-    value: Value
-    node: str
-
-
-@dataclass(slots=True)
-class StepRecord:
-    kind: str  # fire | idle
-    node: str
-    time_us: int
+# The run's records are plain tuples. A step record holds no container, so the
+# cyclic collector stops tracking it at its first collection.
+TraceEvent = tuple[int, str, Value, str]  # a write: (time_us, channel, value, node)
+StepRecord = tuple[str, str, int]  # a rule: (kind, node, time_us), kind fire | idle
 
 
 @dataclass
@@ -163,6 +156,7 @@ def init_network(cp: CheckedProgram, hosts: Mapping[str, Value] | None = None) -
             decl.loc,
             tuple([(channels[port.channel], port.optional) for port in decl.inputs]),
             tuple([(channels[port.channel], port.optional) for port in decl.outputs]),
+            EvalContext(HostContext(0, decl.name)),
         )
         for ch, _ in node.out_ports:
             ch.writer_node = node
@@ -230,7 +224,8 @@ def fire_node(ns: NetworkState, name: str) -> None:
     else:
         argument = VTuple(tuple(args))
 
-    ctx = EvalContext(HostContext(t, name))
+    ctx = node.ctx
+    ctx.host.time_us = t
     try:
         result = eval_expr(ns.env, node.expr, ctx, applied_to=argument)
     except EvalError as exc:
@@ -273,7 +268,7 @@ def _write(ns: NetworkState, ch: Channel, value: Value, tag: int, node: str) -> 
             f"write to '{ch.name}' tagged {tag} is below the channel validity {ch.validity}"
         )
     ch.queue.append((value, tag))
-    ns.trace.append(TraceEvent(tag, ch.name, value, node))
+    ns.trace.append((tag, ch.name, value, node))
 
 
 def _failure(node: NodeState, message: str) -> SimError:
@@ -296,5 +291,5 @@ def _advance(ns: NetworkState, node: NodeState, kind: str) -> None:
     node.activation = t + period
     for ch, _ in node.out_ports:
         ch.validity = t + 2 * period
-    ns.steps.append(StepRecord(kind, node.name, t))
+    ns.steps.append((kind, node.name, t))
     ns.check_invariants(node.name)

@@ -127,7 +127,9 @@ class EvalResult:
 
 @dataclass(slots=True)
 class HostContext:
-    """Passed through to host (external) steps on every invocation."""
+    """Passed to host (external) steps on every call: the firing node and its
+    activation. A node keeps one context and each firing sets its time, so a
+    host reads its context during the call and keeps no reference to it."""
 
     time_us: int
     node: str

@@ -26,7 +26,7 @@ import random
 import sys
 from dataclasses import dataclass, replace
 from heapq import heapify, heappop, heappush, heapreplace
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Callable, Sequence
 
 from .analysis import CheckedProgram, check_host_value
@@ -45,7 +45,7 @@ from .coord import (
     node_enabled,
     port_status,
 )
-from .errors import Diagnostic, EvalError, MimosaError, SimError, Span, read_text
+from .errors import Diagnostic, EvalError, InternalError, MimosaError, SimError, Span, read_text
 from .eval import HostContext
 from .parser import parse_literal
 from .pretty import format_duration, pretty_value
@@ -147,16 +147,17 @@ def builtin_hosts() -> HostRegistry:
 
 @dataclass(frozen=True)
 class Trace:
-    """`render_csv` relies on `events` being in (time, commit) order, which
-    `Simulation.trace()` builds; `steps` are in commit order."""
+    """`events` are (time_us, channel, value, node) tuples in (time, commit)
+    order, which `Simulation.trace()` builds and `render_csv` relies on;
+    `steps` are (kind, node, time_us) tuples in commit order."""
 
     events: tuple[TraceEvent, ...]
     steps: tuple[StepRecord, ...]
 
     def per_channel(self) -> dict[str, list[tuple[int, Value]]]:
         out: dict[str, list[tuple[int, Value]]] = {}
-        for ev in self.events:
-            out.setdefault(ev.channel, []).append((ev.time_us, ev.value))
+        for time_us, channel, value, _ in self.events:
+            out.setdefault(channel, []).append((time_us, value))
         return out
 
     def values(self, channel: str) -> list[Value]:
@@ -166,10 +167,10 @@ class Trace:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(["time_us", "channel", "value", "node"])
-        rows = [(ev.time_us, ev.channel, pretty_value(ev.value), ev.node) for ev in self.events]
+        rows = [(time_us, channel, pretty_value(value), node) for time_us, channel, value, node in self.events]
         if include_idle:
             # A stable sort by time alone: at one time, idle rows first, then writes.
-            idles = [(s.time_us, "", "idle", s.node) for s in self.steps if s.kind != FIRE]
+            idles = [(time_us, "", "idle", node) for kind, node, time_us in self.steps if kind != FIRE]
             rows = sorted(idles + rows, key=itemgetter(0))
         writer.writerows(rows)
         return buffer.getvalue()
@@ -241,8 +242,8 @@ class Simulation:
         which has not appeared yet), sorted stably by time: `state.trace` is
         in commit order."""
         cutoff = self._observed_horizon
-        events = tuple(sorted([ev for ev in self.state.trace if ev.time_us <= cutoff], key=attrgetter("time_us")))
-        steps = tuple([s for s in self.state.steps if s.time_us <= cutoff])
+        events = tuple(sorted([ev for ev in self.state.trace if ev[0] <= cutoff], key=itemgetter(0)))
+        steps = tuple([s for s in self.state.steps if s[2] <= cutoff])
         return Trace(events, steps)
 
 
@@ -331,8 +332,8 @@ def run_randomized_equivalence(
 def _histories(trace: Trace) -> tuple[dict, dict[str, list[tuple[int, str]]]]:
     """The per-channel (tag, value) and the per-node (activation, kind) histories."""
     decisions: dict[str, list[tuple[int, str]]] = {}
-    for s in trace.steps:
-        decisions.setdefault(s.node, []).append((s.time_us, s.kind))
+    for kind, node, time_us in trace.steps:
+        decisions.setdefault(node, []).append((time_us, kind))
     return trace.per_channel(), decisions
 
 
@@ -341,6 +342,8 @@ _SHOW = (lambda e: f"{pretty_value(e[1])}@{e[0]}", lambda e: f"{e[1]}@{e[0]}")
 
 
 def _first_divergence(reference, candidate, run_index: int, what: str, show) -> str:
+    """Where two unequal histories first differ. Some key's lists differ, as
+    no history holds an empty list."""
     for key in sorted(set(reference) | set(candidate)):
         ref = reference.get(key, [])
         got = candidate.get(key, [])
@@ -349,4 +352,4 @@ def _first_divergence(reference, candidate, run_index: int, what: str, show) -> 
                 return f"run {run_index}: {what} '{key}' event {i}: expected {show(a)}, got {show(b)}"
         if len(ref) != len(got):
             return f"run {run_index}: {what} '{key}' has {len(got)} events, expected {len(ref)}"
-    return f"run {run_index}: traces differ"
+    raise InternalError(f"run {run_index}: {what} histories differ at no key")

@@ -84,7 +84,7 @@ def test_criterion_2_fibonacci_end_to_end(fib_checked):
         trace = run(fib_checked, SimConfig(horizon_us=200 * MS), quiet_fib_hosts())
 
         # First five rule applications, exactly as recorded in the oracle.
-        assert [(s.kind, s.node, s.time_us) for s in trace.steps[:5]] == [
+        assert list(trace.steps[:5]) == [
             ("idle", "add", 0),
             ("fire", "split", 0),
             ("idle", "print", 0),
@@ -206,13 +206,13 @@ node consumer implements sink (x) --> () every 20ms
         trace = run(cp, SimConfig(horizon_us=400 * MS), hosts)
 
         writes = trace.per_channel()["x"]
-        consumer = [(s.kind, s.time_us) for s in trace.steps if s.node == "consumer"]
+        consumer = [(kind, t) for kind, node, t in trace.steps if node == "consumer"]
         fires = [t for kind, t in consumer if kind == "fire"]
         assert len(fires) == len(writes) == 10
         assert fires == [t for t, _ in writes]  # one firing per write, at its tag
 
         # Exact arithmetic progressions for both nodes, fire or idle.
         assert [t for _, t in consumer] == list(range(0, 400 * MS + 1, 20 * MS))
-        producer = [s.time_us for s in trace.steps if s.node == "producer"]
+        producer = [t for _, node, t in trace.steps if node == "producer"]
         assert producer == list(range(0, 400 * MS + 1, 40 * MS))
         assert all(kind == "idle" for kind, t in consumer if t not in fires)

@@ -163,7 +163,7 @@ class TestFireAndIdle:
         assert ns.channels["a"].queue[-1] == (VConst(0), 10 * MS)
         assert ns.channels["a"].validity == 20 * MS
         assert ns.nodes["split"].activation == 10 * MS
-        assert [(e.channel, e.time_us) for e in ns.trace] == [
+        assert [(channel, t) for t, channel, _, _ in ns.trace] == [
             ("a", 10 * MS),
             ("d", 10 * MS),
             ("c", 10 * MS),
@@ -205,7 +205,7 @@ class TestFireAndIdle:
         ns = init_network(fib_checked)
         fire_node(ns, "split")
         idle_node(ns, "add")
-        assert [(s.kind, s.node) for s in ns.steps] == [("fire", "split"), ("idle", "add")]
+        assert ns.steps == [("fire", "split", 0), ("idle", "add", 0)]
 
     def test_evaluator_failure_reports_node_and_time(self):
         src = """
@@ -363,6 +363,20 @@ class TestInvariants:
             elif decision == IDLE:
                 idle_node(ns, name)
             ns.check_invariants()  # raises on violation
+
+    def test_every_rule_checks_its_nodes_channels(self, fib_checked, monkeypatch):
+        # The full check of the initial configuration, then one check per rule of the acting node.
+        checked = []
+        original = coord.NetworkState.check_invariants
+
+        def recording(ns, node=None):
+            checked.append(node)
+            original(ns, node)
+
+        monkeypatch.setattr(coord.NetworkState, "check_invariants", recording)
+        sim = Simulation(fib_checked, SimConfig(horizon_us=100 * MS), quiet_fib_hosts())
+        sim.run_until(100 * MS)
+        assert checked == [None] + [node for _, node, _ in sim.state.steps]
 
     def test_write_below_validity_is_rejected(self, fib_checked):
         ns = init_network(fib_checked)

@@ -19,10 +19,21 @@ from mimosa import (
 )
 from mimosa.ast import UNIT_VALUE, VConst, VSome, VTuple
 from mimosa.cli import main
-from mimosa.coord import BLOCKED, FIRE, IDLE, NetworkState, StepRecord, fire_node, idle_node, node_enabled
-from mimosa.errors import ParseError, SimError, render_diagnostics
+from mimosa.coord import BLOCKED, FIRE, IDLE, NetworkState, fire_node, idle_node, node_enabled
+from mimosa.errors import InternalError, ParseError, SimError, render_diagnostics
 from mimosa.pretty import pretty_value
-from mimosa.sim import _livelock, builtin_hosts, const_seq, from_file, from_values, parse_literal, print_host
+from mimosa.sim import (
+    _SHOW,
+    EquivalenceReport,
+    _first_divergence,
+    _livelock,
+    builtin_hosts,
+    const_seq,
+    from_file,
+    from_values,
+    parse_literal,
+    print_host,
+)
 
 MS = 1_000
 FIB = [0, 1, 1, 2, 3, 5, 8, 13, 21, 34, 55]
@@ -37,7 +48,7 @@ def fib_trace(fib_checked, horizon_ms=200, **kwargs):
 def broken_idle(ns: NetworkState, name: str) -> None:
     node = ns.nodes[name]
     node.activation += node.period_us  # forgets the validity update
-    ns.steps.append(StepRecord("idle", name, node.activation - node.period_us))
+    ns.steps.append(("idle", name, node.activation - node.period_us))
 
 
 # Two nodes that feed each other, so a broken idle rule leaves both undecided.
@@ -67,14 +78,14 @@ class TestFibonacci:
     def test_activations_form_arithmetic_progressions(self, fib_checked):
         trace = fib_trace(fib_checked)
         for node in ("add", "split", "print"):
-            times = [s.time_us for s in trace.steps if s.node == node]
+            times = [t for _, n, t in trace.steps if n == node]
             assert times == list(range(0, 200 * MS + 1, 10 * MS))
 
     def test_every_tag_is_activation_plus_period(self, fib_checked):
         trace = fib_trace(fib_checked)
-        fires = {(s.node, s.time_us) for s in trace.steps if s.kind == "fire"}
-        for ev in trace.events:
-            assert (ev.node, ev.time_us - 10 * MS) in fires
+        fires = {(node, t) for kind, node, t in trace.steps if kind == "fire"}
+        for t, _, _, node in trace.events:
+            assert (node, t - 10 * MS) in fires
 
     def test_per_channel_tags_nondecreasing(self, fib_checked):
         for events in fib_trace(fib_checked).per_channel().values():
@@ -205,6 +216,20 @@ class TestConfluence:
         assert not report.ok
         assert re.fullmatch(r"run \d+: node 'print' event \d+: expected fire@(\d+), got idle@\1", report.detail)
 
+    def test_report_is_true_only_when_ok(self, fib_checked):
+        report = run_randomized_equivalence(fib_checked, SimConfig(horizon_us=50 * MS), quiet_fib_hosts(), runs=2)
+        assert report and report.ok and report.runs == 2 and report.detail is None
+        assert not EquivalenceReport(False, 1, "run 1: node 'print' has 0 events, expected 1")
+
+    def test_first_divergence_names_a_history_of_another_length(self):
+        ref = {"a": [(0, "fire")], "b": [(0, "idle"), (10 * MS, "fire")]}
+        shorter = {"a": [(0, "fire")], "b": [(0, "idle")]}
+        assert _first_divergence(ref, shorter, 3, "node", _SHOW[1]) == "run 3: node 'b' has 1 events, expected 2"
+        assert _first_divergence(ref, {"b": ref["b"]}, 1, "node", _SHOW[1]) == "run 1: node 'a' has 0 events, expected 1"
+        # Neither history holds an empty list, so equal ones have no divergence to name.
+        with pytest.raises(InternalError, match="differ at no key"):
+            _first_divergence(ref, dict(ref), 1, "node", _SHOW[1])
+
     def test_deterministic_livelock_names_every_stuck_node(self, monkeypatch):
         monkeypatch.setattr("mimosa.sim.idle_node", broken_idle)
         with pytest.raises(SimError) as err:
@@ -328,7 +353,7 @@ node n4 implements k () --> (w) every 50ms
         cp = check_program(parse_program(MUTUAL))
         trace = run(cp, SimConfig(horizon_us=100 * MS), HostRegistry())
         assert trace.events == ()
-        assert all(s.kind == "idle" for s in trace.steps)
+        assert all(kind == "idle" for kind, _, _ in trace.steps)
 
 
 class TestSelection:
@@ -533,6 +558,33 @@ node s2 implements sink (b) --> () every 20ms
         assert [v.value for v in trace.values("b")] == [1, 5]
         assert sorted(map(sorted, callers)) == [["t1"], ["t2"]]
 
+    def test_host_reads_each_firings_node_and_activation(self):
+        # `sink` is a prototype that nodes implement, `sensor` a prototype
+        # called from the step bodies of two nodes. Every call sees the node
+        # that fires and that firing's activation.
+        calls: list[tuple[str, str, int]] = []
+
+        def recording(step, result):
+            def fn(_value, ctx):
+                calls.append((step, ctx.node, ctx.time_us))
+                return result
+
+            return fn
+
+        hosts = HostRegistry().bind_fn("sensor", recording("sensor", VConst(1)))
+        hosts.bind_fn("sink", recording("sink", UNIT_VALUE))
+        sim = Simulation(check_program(parse_program(self.TWICE)), SimConfig(horizon_us=40 * MS), hosts)
+        sim.run_until(40 * MS)
+        expected = []
+        for kind, node, t in sim.state.steps:
+            if kind == FIRE:
+                expected += [("sensor", node, t)] * 2 if node in ("t1", "t2") else [("sink", node, t)]
+        assert calls == expected and {node for _, node, _ in calls} == {"t1", "t2", "s1", "s2"}
+        # One context per node, each naming its node, so per-node host instances hold.
+        contexts = [node.ctx for node in sim.state.nodes.values()]
+        assert [ctx.host.node for ctx in contexts] == list(sim.state.nodes)
+        assert len({id(ctx) for ctx in contexts}) == len({id(ctx.host) for ctx in contexts}) == 4
+
     def test_unbound_prototype_called_from_step_body_reported(self):
         cp = check_program(parse_program(self.TWICE))
         with pytest.raises(SimError, match=r"unbound prototype steps: sensor$"):
@@ -641,14 +693,14 @@ node consumer implements sink (x) --> () every 20ms
 
     def test_consumer_fires_once_per_write(self):
         trace = self.run_net()
-        writes_in_window = [e for e in trace.events if e.time_us <= 400 * MS]
-        consumer_fires = [s for s in trace.steps if s.node == "consumer" and s.kind == "fire"]
+        writes_in_window = [e for e in trace.events if e[0] <= 400 * MS]
+        consumer_fires = [t for kind, node, t in trace.steps if node == "consumer" and kind == "fire"]
         assert len(consumer_fires) == len(writes_in_window) == 10
-        assert [s.time_us for s in consumer_fires] == [t * MS for t in range(40, 401, 40)]
+        assert consumer_fires == [t * MS for t in range(40, 401, 40)]
 
     def test_consumer_idles_otherwise(self):
         trace = self.run_net()
-        consumer = [(s.kind, s.time_us) for s in trace.steps if s.node == "consumer"]
+        consumer = [(kind, t) for kind, node, t in trace.steps if node == "consumer"]
         assert [t for _, t in consumer] == [t * MS for t in range(0, 401, 20)]
         for kind, t in consumer:
             assert kind == ("fire" if t % (40 * MS) == 0 and t > 0 else "idle")
@@ -740,10 +792,10 @@ class TestTraceOutput:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(["time_us", "channel", "value", "node"])
-        rows = [(ev.time_us, 1, i, ev.channel, pretty_value(ev.value), ev.node) for i, ev in enumerate(trace.events)]
+        rows = [(t, 1, i, ch, pretty_value(v), node) for i, (t, ch, v, node) in enumerate(trace.events)]
         if include_idle:
-            idles = [s for s in trace.steps if s.kind != FIRE]
-            rows.extend((s.time_us, 0, i, "", "idle", s.node) for i, s in enumerate(idles))
+            idles = [(t, node) for kind, node, t in trace.steps if kind != FIRE]
+            rows.extend((t, 0, i, "", "idle", node) for i, (t, node) in enumerate(idles))
         for time_us, _, _, channel, value, node in sorted(rows):
             writer.writerow([time_us, channel, value, node])
         return buffer.getvalue()
@@ -770,9 +822,9 @@ class TestTraceOutput:
         sim = Simulation(cp, SimConfig(horizon_us=horizon, schedule=schedule, seed=seed), hosts())
         sim.run_until(horizon)
         # The last firings wrote beyond the horizon, which the trace leaves out.
-        assert any(ev.time_us > horizon for ev in sim.state.trace)
+        assert any(t > horizon for t, _, _, _ in sim.state.trace)
         trace = sim.trace()
-        assert trace.events and any(s.kind != FIRE for s in trace.steps)
+        assert trace.events and any(kind != FIRE for kind, _, _ in trace.steps)
         for include_idle in (False, True):
             assert trace.render_csv(include_idle) == self.reference_render_csv(trace, include_idle)
 
