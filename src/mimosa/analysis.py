@@ -47,6 +47,7 @@ from .errors import (
     CausalityError,
     Diagnostic,
     InitError,
+    InternalError,
     Loc,
     MimosaError,
     NetworkError,
@@ -80,8 +81,8 @@ def init_meet(a, b):
         return tuple(init_meet(a, x) for x in b)
     if isinstance(b, bool):
         return tuple(init_meet(x, b) for x in a)
-    if len(a) != len(b):
-        raise ValueError("initialization shapes disagree")
+    if len(a) != len(b):  # type inference rejects mismatched shapes first
+        raise InternalError("initialization shapes disagree")
     return tuple(init_meet(x, y) for x, y in zip(a, b))
 
 
@@ -102,7 +103,7 @@ def _bind_init(statuses: dict, p: Pattern, t) -> None:
         elif len(t) == len(items):
             parts = list(t)
         else:
-            raise ValueError("initialization shapes disagree with pattern")
+            raise InternalError("initialization shapes disagree with pattern")
         for sub, part in zip(items, parts):
             _bind_init(statuses, sub, part)
 

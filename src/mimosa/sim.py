@@ -3,18 +3,19 @@
 Each step applies the rule of the first candidate (a node activated within the
 horizon) in schedule order that is not BLOCKED. The deterministic order is by
 activation, ties in declaration order, so same-instant host side effects
-happen in declaration order: a heap keyed on (activation, declaration index).
-Its first candidate is never BLOCKED: an input's validity is its writer's
-activation plus period, and no writer is behind the earliest activation. So a
-deterministic step decides the head in place and then does one heap operation:
-it replaces the head with the node's next activation, or pops it once that is
-past the horizon. Should a broken rule leave the head BLOCKED, the driver pops
-it, sets it aside and tries the next, as if popping until a node is decidable,
-and pushes what it set aside back after the next rule. The randomized order is
-a lazy Fisher-Yates shuffle of a live-candidate list, one `random()` call a
+happen in declaration order. Nodes are time-triggered, so the driver walks
+instants: a heap of the distinct activations, each with its batch of node
+indices. It pops the earliest, sorts its batch, and decides and applies each
+node in turn, then appends the node to its next activation's batch; a rule
+does no heap operation. The head is never BLOCKED: an input's validity is its
+writer's activation plus period, and no writer is behind the earliest
+activation. Should a broken rule leave it BLOCKED, the driver applies the rule
+of the first decidable later candidate in (activation, index) order, as
+popping a heap would, then decides the head again. The randomized order is a
+lazy Fisher-Yates shuffle of a live-candidate list, one `random()` call a
 draw, so the chosen node is uniform among the enabled ones; it exercises
-confluence: any schedule must produce the same per-channel timed history. The
-heap and the list are built anew by each `run_until` call, so the state may
+confluence: any schedule must produce the same per-channel timed history.
+These structures are built anew by each `run_until` call, so the state may
 change between.
 """
 
@@ -25,7 +26,7 @@ import io
 import random
 import sys
 from dataclasses import dataclass, replace
-from heapq import heapify, heappop, heappush, heapreplace
+from heapq import heapify, heappop, heappush
 from operator import itemgetter
 from typing import Callable, Sequence
 
@@ -197,44 +198,51 @@ class Simulation:
     def run_until(self, horizon_us: int) -> None:
         """Apply rewrite rules until every activation exceeds the horizon."""
         self._observed_horizon = max(self._observed_horizon, horizon_us)
+        if self.cfg.schedule == "randomized":
+            self._shuffle_until(horizon_us)
+            return
         state = self.state
-        randomized = self.cfg.schedule == "randomized"
-        # (activation, declaration index, node) per node within the horizon: a heap
-        # if deterministic, else a draw pool whose activations go stale unread.
-        live = [(n.activation, i, n) for i, n in enumerate(state.nodes.values()) if n.activation <= horizon_us]
-        if not randomized:
-            heapify(live)
-        blocked = []  # heap entries set aside while the heap's head is BLOCKED
+        nodes = list(state.nodes.values())
+        # The declaration indices of the nodes due at each activation, and a heap of the activations.
+        due: dict[int, list[int]] = {}
+        for i, node in enumerate(nodes):
+            if node.activation <= horizon_us:
+                due.setdefault(node.activation, []).append(i)
+        instants = list(due)
+        heapify(instants)
+        while instants:
+            batch = due.pop(heappop(instants))
+            batch.sort()
+            for i in batch:
+                node = nodes[i]
+                while (decision := node_enabled(state, node.name)) == BLOCKED:
+                    _fall_back(state, nodes, due, instants, batch, i, horizon_us)
+                (fire_node if decision == FIRE else idle_node)(state, node.name)
+                if (t := node.activation) <= horizon_us:
+                    if (later := due.get(t)) is None:
+                        due[t] = [i]
+                        heappush(instants, t)
+                    else:
+                        later.append(i)
+
+    def _shuffle_until(self, horizon_us: int) -> None:
+        state = self.state
+        live = [n for n in state.nodes.values() if n.activation <= horizon_us]  # activations go stale unread
         draw = self._rng.random
         while live:
-            if randomized:
-                n = len(live)
-                for k in range(n):
-                    j = k + int(draw() * (n - k))  # uniform in [k, n), one call
-                    live[k], live[j] = live[j], live[k]
-                    if (decision := node_enabled(state, live[k][2].name)) != BLOCKED:
-                        break
-                else:
-                    raise _livelock([node for _, _, node in live])
-                _, index, node = live[k]
+            n = len(live)
+            for k in range(n):
+                j = k + int(draw() * (n - k))  # uniform in [k, n), one call
+                live[k], live[j] = live[j], live[k]
+                if (decision := node_enabled(state, live[k].name)) != BLOCKED:
+                    break
             else:
-                _, index, node = live[0]
-                if (decision := node_enabled(state, node.name)) == BLOCKED:
-                    blocked.append(heappop(live))
-                    if not live:
-                        raise _livelock([node for _, _, node in blocked])
-                    continue
+                raise _livelock(live)
+            node = live[k]
             (fire_node if decision == FIRE else idle_node)(state, node.name)
-            if randomized and node.activation > horizon_us:
+            if node.activation > horizon_us:
                 live[k] = live[-1]
                 live.pop()
-            elif not randomized:
-                if node.activation <= horizon_us:
-                    heapreplace(live, (node.activation, index, node))
-                else:
-                    heappop(live)
-                while blocked:
-                    heappush(live, blocked.pop())
 
     def trace(self) -> Trace:
         """The timed history observed so far: writes tagged at or before the
@@ -265,6 +273,29 @@ def _per_node_host(step: str, registry: HostRegistry) -> VExtern:
             raise EvalError(f"host step '{step}' raised {type(exc).__name__}: {exc}") from exc
 
     return VExtern(step, call)
+
+
+def _fall_back(
+    state: NetworkState, nodes: list[NodeState], due: dict, instants: list, batch: list, head: int, horizon_us: int
+) -> None:
+    """The walk's head, declaration index `head` of `batch`, is BLOCKED, which
+    correct rules never leave it: apply the rule of the first decidable later
+    candidate in (activation, index) order, the rest of the batch and then each
+    later instant's batch sorted, and take it out of its batch and reschedule
+    it, as popping a heap until a node is decidable would; with none, raise a livelock."""
+    later = [(batch, j) for j in batch[batch.index(head) + 1 :]]
+    later += [(due[t], j) for t in sorted(due) for j in sorted(due[t])]
+    for where, j in later:
+        node = nodes[j]
+        if (decision := node_enabled(state, node.name)) != BLOCKED:
+            (fire_node if decision == FIRE else idle_node)(state, node.name)
+            where.remove(j)
+            if (t := node.activation) <= horizon_us:
+                if t not in due:
+                    heappush(instants, t)
+                due.setdefault(t, []).append(j)
+            return
+    raise _livelock([nodes[head]] + [nodes[j] for _, j in later])
 
 
 def _livelock(stuck: list[NodeState]) -> SimError:

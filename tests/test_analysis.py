@@ -41,6 +41,7 @@ from mimosa.ast import (
     If,
     Pre,
     Program,
+    PTuple,
     PUnit,
     PVar,
     Some,
@@ -55,7 +56,7 @@ from mimosa.ast import (
     nesting,
 )
 from mimosa.builtins import BINARY_OPS, BUILTIN_TYPES
-from mimosa.errors import Diagnostic, Span
+from mimosa.errors import Diagnostic, InternalError, Span
 from mimosa.eval import eval_equations
 from mimosa.pretty import pretty_expr
 from mimosa.types import BOOL, INT, REAL, UNIT, Scheme, TFunc, TOption, TTuple, Type, TVar, Unifier
@@ -1053,6 +1054,20 @@ class TestInitialization:
     def test_lattice_helpers(self):
         assert init_meet(True, True) is True
         assert init_meet(True, (True, False)) == (True, False)
+
+    def test_tuple_statuses_meet_pointwise_in_a_program(self):
+        g = "step g (u : int) --> (p : int, q : int)\n"
+        for body in ("y = if u > 0 then (u, pre u) else g u", "y = if u > 0 then (u, pre u) else (pre u, u)"):
+            with pytest.raises(InitError, match="step output 'y' may be undefined on the first cycle"):
+                check_program(parse_program(g + f"step f (u : int) --> y {{ {body} }}\n"))
+        check_program(parse_program(g + "step f (u : int) --> (a, b) { a, b = g u }\n"))
+
+    def test_mismatched_shapes_are_internal_errors(self):
+        # Type inference rejects them before the initialization check runs.
+        with pytest.raises(InternalError, match="initialization shapes disagree"):
+            init_meet((True, False), (True, True, True))
+        with pytest.raises(InternalError, match="initialization shapes disagree with pattern"):
+            _bind_init({}, PTuple((PVar("a"), PVar("b"))), (True, True, True))
 
 
 class TestNetwork:

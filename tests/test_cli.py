@@ -100,6 +100,20 @@ class TestCheck:
             "message": "cannot read file: No such file or directory",
         }
 
+    @pytest.mark.parametrize(
+        "setting, error", [(None, "\x1b[31merror\x1b[0m"), ("1", "\x1b[31merror\x1b[0m"), ("0", "error")]
+    )
+    def test_text_diagnostics_on_a_terminal_are_colored_unless_mimosa_color_is_0(
+        self, capsys, monkeypatch, setting, error
+    ):
+        monkeypatch.setattr(sys.stderr, "isatty", lambda: True)
+        if setting is None:
+            monkeypatch.delenv("MIMOSA_COLOR", raising=False)
+        else:
+            monkeypatch.setenv("MIMOSA_COLOR", setting)
+        assert main(["check", "/nonexistent.mim"]) == 1
+        assert capsys.readouterr().err == f"/nonexistent.mim: {error}: cannot read file: No such file or directory\n"
+
     def test_usage_error_is_exit_2(self, capsys):
         assert main(["check"]) == 2
         assert main(["frobnicate"]) == 2

@@ -17,7 +17,7 @@ from mimosa import (
     run,
     run_randomized_equivalence,
 )
-from mimosa.ast import UNIT_VALUE, VConst, VSome, VTuple
+from mimosa.ast import UNIT_VALUE, PTuple, PVar, VClosure, VConst, VExtern, VSome, VTuple
 from mimosa.cli import main
 from mimosa.coord import BLOCKED, FIRE, IDLE, NetworkState, fire_node, idle_node, node_enabled
 from mimosa.errors import InternalError, ParseError, SimError, render_diagnostics
@@ -43,6 +43,24 @@ PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 def fib_trace(fib_checked, horizon_ms=200, **kwargs):
     cfg = SimConfig(horizon_us=horizon_ms * MS, **kwargs)
     return run(fib_checked, cfg, quiet_fib_hosts())
+
+
+def chains(periods: list[tuple[int, int, int]]) -> str:
+    """A network of src -> inc -> sink chains with the given (src, inc, sink) periods in ms."""
+    lines = [
+        "step count () --> (n : int) { n = 0 -> pre (n + 1) }",
+        "step inc (x : int) --> (y : int) { y = x + 1 }",
+        "step drop (_ : int) --> ()",
+    ]
+    for c, (src, inc, sink) in enumerate(periods, 1):
+        lines += [
+            f"channel a{c} : int",
+            f"channel b{c} : int",
+            f"node src{c} implements count () --> (a{c}) every {src}ms",
+            f"node inc{c} implements inc (a{c}) --> (b{c}) every {inc}ms",
+            f"node sink{c} implements drop (b{c}) --> () every {sink}ms",
+        ]
+    return "\n".join(lines) + "\n"
 
 
 def broken_idle(ns: NetworkState, name: str) -> None:
@@ -348,6 +366,34 @@ node n4 implements k () --> (w) every 50ms
             messages.append(err.value.diagnostics[0].message)
         assert messages[0] == messages[1]
         assert messages[0].startswith("livelock (internal invariant): 'n1' at 10ms waits on 'x'")
+
+    # 24 src -> inc -> sink chains whose periods (2, 3, 4, 6 and 12 ms, in no
+    # declaration order) make many nodes due at each instant, and a node
+    # rescheduled earlier than one declared before it at the same instant.
+    MIXED = chains([(12, 4, 6), (4, 2, 4), (6, 3, 3), (12, 6, 2), (4, 4, 4), (6, 2, 3), (3, 3, 3), (12, 3, 4)] * 3)
+
+    # One-shot runs, one of them to an instant at which every node of each
+    # network is due, and split runs.
+    @pytest.mark.parametrize("horizons", [(200,), (120,), (20, 50, 200)])
+    @pytest.mark.parametrize("network", ["fib", "wide", "mixed"])
+    def test_instant_walk_reproduces_the_heap_order(self, network, horizons, fib_checked):
+        if network == "fib":
+            cp, hosts = fib_checked, quiet_fib_hosts()
+        else:
+            cp = check_program(parse_program(TestSelection.WIDE if network == "wide" else self.MIXED))
+            hosts = HostRegistry().bind_fn("drop", silent)
+        runs = []
+        for runner in ("run_until", "reference"):
+            sim = Simulation(cp, SimConfig(horizon_us=horizons[-1] * MS), hosts)
+            for t in horizons:
+                if runner == "run_until":
+                    sim.run_until(t * MS)
+                else:
+                    self.reference_deterministic_run(sim, t * MS, node_enabled)
+            runs.append((sim.state.steps, sim.state.trace))
+        assert runs[0][0] == runs[1][0]  # every rule, in commit order
+        assert runs[0][1] == runs[1][1]
+        assert horizons[-1] * MS in {time_us for _, _, time_us in runs[0][0]}  # a rule at the horizon itself
 
     def test_mutually_idle_network_is_fine_with_correct_rules(self):
         cp = check_program(parse_program(MUTUAL))
@@ -840,6 +886,8 @@ class TestTraceOutput:
             (UNIT_VALUE, "()"),
             (VSome(VSome(VConst(3))), "Some (Some 3)"),
             (VTuple((VConst(1), VTuple((VConst(True), UNIT_VALUE)), VSome(VConst(2)))), "(1, (true, ()), Some 2)"),
+            (VClosure(PVar("x"), PTuple((PVar("y"), PVar("z"))), ()), "<step x --> (y, z)>"),
+            (VExtern("print_int", print), "<extern print_int>"),
         ],
     )
     def test_pretty_value(self, value, text):
