@@ -1,9 +1,11 @@
 """Abstract syntax: expressions, patterns, equations, declarations, and runtime values.
 
-Patterns and declarations are frozen. Expressions, equations and runtime
-values are never mutated after construction, except `_fill_pre`'s fresh holes
-in the evaluator; they are not frozen, for speed: the evaluator builds them on
-every firing, and a frozen dataclass costs several times as much to construct.
+Patterns, declarations, expressions, equations and runtime values are never
+mutated after construction, except `_fill_pre`'s fresh holes in the
+evaluator. They are slotted and not frozen, for speed: the evaluator builds
+expressions on every firing, the parser builds a pattern or declaration for
+every one it reads, and a frozen dataclass costs several times as much to
+construct.
 Source locations (`loc`, resolved by the `span` property) never participate
 in equality or hashing, so structural comparison of two trees ignores where
 they were parsed from.
@@ -47,29 +49,31 @@ UNIT_LIT = _Unit()
 
 
 class Pattern(Located):
+    __slots__ = ()
+
     def names(self) -> list[str]:
         return _pattern_names(self)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class PVar(Pattern):
     name: str
     annot: Type | None = None
     loc: Loc = field(default=SYNTHETIC, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class PWild(Pattern):
     annot: Type | None = None
     loc: Loc = field(default=SYNTHETIC, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class PUnit(Pattern):
     loc: Loc = field(default=SYNTHETIC, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class PTuple(Pattern):
     items: tuple[Pattern, ...]
     loc: Loc = field(default=SYNTHETIC, compare=False, repr=False)
@@ -190,7 +194,7 @@ class Equation(Located):
 # Top-level declarations
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class StepDecl(Located):
     name: str
     in_pattern: Pattern
@@ -203,7 +207,7 @@ class StepDecl(Located):
         return self.equations is None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ChannelDecl(Located):
     name: str
     elem_type: Type
@@ -211,14 +215,14 @@ class ChannelDecl(Located):
     loc: Loc = field(default=SYNTHETIC, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class PortRef(Located):
     channel: str
     optional: bool
     loc: Loc = field(default=SYNTHETIC, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class NodeDecl(Located):
     name: str
     step: str

@@ -184,6 +184,8 @@ def parse_duration(text: str) -> int:
 
 _T = TypeVar("_T")
 
+_BASE_TYPES = {"int": INT, "bool": BOOL, "real": REAL, "unit": UNIT}
+
 
 class Parser:
     MAX_ERRORS = 10
@@ -203,9 +205,6 @@ class Parser:
         other kind of token can spell one."""
         return self.tokens[self.pos][1] == text
 
-    def at_kind(self, kind: str) -> bool:
-        return self.peek()[0] == kind
-
     def advance(self) -> tuple:
         t = self.tokens[self.pos]
         if t[0] != "eof":
@@ -213,22 +212,24 @@ class Parser:
         return t
 
     def expect(self, text: str) -> tuple:
-        if self.at(text):
-            return self.advance()
-        t = self.peek()
+        t = self.tokens[self.pos]
+        if t[1] == text:
+            self.pos += 1
+            return t
         raise _Diag(f"expected '{text}', found '{t[1]}'" if t[1] else f"expected '{text}'", t)
 
     def expect_ident(self, what: str) -> tuple:
-        if self.at_kind("ident"):
-            return self.advance()
-        t = self.peek()
+        t = self.tokens[self.pos]
+        if t[0] == "ident":
+            self.pos += 1
+            return t
         raise _Diag(f"expected {what}, found '{t[1] or 'end of input'}'", t)
 
     def comma_list(self, item: Callable[[], _T]) -> list[_T]:
         """One or more `item`s separated by commas."""
         items = [item()]
-        while self.at(","):
-            self.advance()
+        while self.tokens[self.pos][1] == ",":
+            self.pos += 1
             items.append(item())
         return items
 
@@ -244,17 +245,16 @@ class Parser:
         steps: list[StepDecl] = []
         channels: list[ChannelDecl] = []
         nodes: list[NodeDecl] = []
-        while not self.at_kind("eof"):
+        while (t := self.tokens[self.pos])[0] != "eof":
             start = self.pos
             try:
-                if self.at("step"):
-                    steps.append(self.step_decl())
-                elif self.at("channel"):
-                    channels.append(self.channel_decl())
-                elif self.at("node"):
+                if t[1] == "node":
                     nodes.append(self.node_decl())
+                elif t[1] == "channel":
+                    channels.append(self.channel_decl())
+                elif t[1] == "step":
+                    steps.append(self.step_decl())
                 else:
-                    t = self.peek()
                     raise _Diag(f"expected a step, channel, or node declaration, found '{t[1]}'", t)
             except (_Diag, RecursionError) as exc:
                 self.diags.append(self.diagnostic(exc))
@@ -282,14 +282,13 @@ class Parser:
         if self.pos == start:
             self.advance()
         depth = sum((t[1] == "{") - (t[1] == "}") for t in self.tokens[start : self.pos])
-        while not self.at_kind("eof"):
-            t = self.peek()
+        while (t := self.tokens[self.pos])[0] != "eof":
             if t[1] in ("step", "channel", "node") and (
                 depth <= 0 or span_of(self.tokens[self.pos - 1]).end_line < span_of(t).line
             ):
                 return
             depth += (t[1] == "{") - (t[1] == "}")
-            self.advance()
+            self.pos += 1
 
     def check_duplicates(self, steps, channels, nodes):
         for kind, decls in (("step", steps), ("channel", channels), ("node", nodes)):
@@ -306,13 +305,13 @@ class Parser:
         self.expect("-->")
         out_pat = self.signature_pattern()
         equations: tuple[Equation, ...] | None = None
-        if self.at("{"):
+        if self.tokens[self.pos][1] == "{":
             equations = self.step_body()
-        return StepDecl(name, in_pat, out_pat, equations, loc=self.loc_from(start))
+        return StepDecl(name, in_pat, out_pat, equations, self.loc_from(start))
 
     def step_body(self) -> tuple[Equation, ...]:
         open_tok = self.expect("{")
-        if self.at("}"):
+        if self.tokens[self.pos][1] == "}":
             raise _Diag("step body must contain at least one equation", open_tok)
         eqs = [self.equation()]
         tokens = self.tokens
@@ -328,7 +327,7 @@ class Parser:
         start = self.tokens[self.pos]
         if start[0] == "ident" and self.tokens[self.pos + 1][1] == "=":
             self.pos += 2
-            lhs = PVar(start[1], loc=start)
+            lhs = PVar(start[1], None, start)
         else:
             lhs = self.lhs_pattern()
             self.expect("=")
@@ -336,7 +335,7 @@ class Parser:
         return Equation(lhs, rhs, self.loc_from(start))
 
     def lhs_pattern(self) -> Pattern:
-        start = self.peek()
+        start = self.tokens[self.pos]
         items = self.comma_list(self.lhs_atom)
         if len(items) == 1:
             return items[0]
@@ -349,18 +348,18 @@ class Parser:
         """A name, `_`, `()`, or the patterns `inside` reads between
         parentheses: one stands for itself, more are a tuple spanning the
         parentheses. `what` names the pattern when none starts here."""
-        t = self.peek()
+        t = self.tokens[self.pos]
         if t[0] == "ident":
-            self.advance()
-            return PVar(t[1], loc=t)
-        if self.at("_"):
-            self.advance()
-            return PWild(loc=t)
-        if self.at("("):
-            self.advance()
-            if self.at(")"):
-                self.advance()
-                return PUnit(loc=self.loc_from(t))
+            self.pos += 1
+            return PVar(t[1], None, t)
+        if t[1] == "_":
+            self.pos += 1
+            return PWild(None, t)
+        if t[1] == "(":
+            self.pos += 1
+            if self.tokens[self.pos][1] == ")":
+                self.pos += 1
+                return PUnit(self.loc_from(t))
             items = inside()
             self.expect(")")
             return items[0] if len(items) == 1 else self.build_tuple_pattern(items, self.loc_from(t))
@@ -368,7 +367,7 @@ class Parser:
 
     def build_tuple_pattern(self, items: list[Pattern], loc: Loc) -> Pattern:
         try:
-            return PTuple(tuple(items), loc=loc)
+            return PTuple(tuple(items), loc)
         except ValueError as exc:
             raise _Diag(str(exc), loc) from None
 
@@ -377,14 +376,15 @@ class Parser:
 
     def signature_entry(self) -> Pattern:
         pat = self.signature_pattern()
-        if self.at(":"):
-            colon = self.advance()
+        colon = self.tokens[self.pos]
+        if colon[1] == ":":
+            self.pos += 1
             annot = self.type_expr()
             match pat:
                 case PVar(name):
-                    return PVar(name, annot, loc=pat.loc)
+                    return PVar(name, annot, pat.loc)
                 case PWild():
-                    return PWild(annot, loc=pat.loc)
+                    return PWild(annot, pat.loc)
                 case _:
                     raise _Diag("type annotations attach to variables or '_' only", colon)
         return pat
@@ -406,22 +406,22 @@ class Parser:
         return self.bounded(self.type_term, _type_parts, "type")
 
     def type_term(self) -> Type:
-        t = self.peek()
+        tokens = self.tokens
+        t = tokens[self.pos]
         if t[0] == "ident":
-            base = {"int": INT, "bool": BOOL, "real": REAL, "unit": UNIT}.get(t[1])
-            if base is None:
+            ty = _BASE_TYPES.get(t[1])
+            if ty is None:
                 raise _Diag(f"unknown type '{t[1]}'", t)
-            self.advance()
-            ty = base
-        elif self.at("("):
-            self.advance()
+            self.pos += 1
+        elif t[1] == "(":
+            self.pos += 1
             items = self.comma_list(self.type_term)
             self.expect(")")
             ty = items[0] if len(items) == 1 else TTuple(tuple(items))
         else:
             raise _Diag(f"expected a type, found '{t[1] or 'end of input'}'", t)
-        while self.at("?"):
-            self.advance()
+        while tokens[self.pos][1] == "?":
+            self.pos += 1
             ty = TOption(ty)
         return ty
 
@@ -431,42 +431,42 @@ class Parser:
         self.expect(":")
         ty = self.type_expr()
         initial: tuple[Value, ...] = ()
-        if self.at("="):
-            self.advance()
+        if self.tokens[self.pos][1] == "=":
+            self.pos += 1
             self.expect("{")
             initial = tuple(self.comma_list(self.literal_value))
             self.expect("}")
-        return ChannelDecl(name, ty, initial, loc=self.loc_from(start))
+        return ChannelDecl(name, ty, initial, self.loc_from(start))
 
     def literal_value(self) -> Value:
         return self.bounded(self.literal_term, _value_parts, "literal value")
 
     def negative_number(self) -> VConst:
         """`-` and the int or real token after it, as one literal."""
-        self.advance()
-        num = self.peek()
+        self.pos += 1
+        num = self.tokens[self.pos]
         if num[0] not in ("int", "real"):
             raise _Diag("expected a number after '-'", num)
-        self.advance()
+        self.pos += 1
         return VConst(-num[3])
 
     def literal_term(self) -> Value:
-        t = self.peek()
-        if self.at("-"):
+        t = self.tokens[self.pos]
+        if t[1] == "-":
             return self.negative_number()
         if t[0] in ("int", "real"):
-            self.advance()
+            self.pos += 1
             return VConst(t[3])
         if t[1] in _WORD_VALUES:
-            self.advance()
+            self.pos += 1
             return _WORD_VALUES[t[1]]
-        if self.at("Some"):
-            self.advance()
+        if t[1] == "Some":
+            self.pos += 1
             return VSome(self.literal_term())
-        if self.at("("):
-            self.advance()
-            if self.at(")"):
-                self.advance()
+        if t[1] == "(":
+            self.pos += 1
+            if self.tokens[self.pos][1] == ")":
+                self.pos += 1
                 return ast.UNIT_VALUE
             items = self.comma_list(self.literal_term)
             self.expect(")")
@@ -484,20 +484,18 @@ class Parser:
         self.expect("-->")
         outputs = self.port_list()
         self.expect("every")
-        t = self.peek()
+        t = self.tokens[self.pos]
         if t[0] != "duration":
             raise _Diag(f"expected a period like 10ms, found '{t[1] or 'end of input'}'", t)
-        self.advance()
-        period = t[3]
-        assert isinstance(period, int)
-        if period <= 0:
+        self.pos += 1
+        if t[3] <= 0:
             raise _Diag("periods must be positive", t)
-        return NodeDecl(name, step, inputs, outputs, period, loc=self.loc_from(start))
+        return NodeDecl(name, step, inputs, outputs, t[3], (start, t))
 
     def port_list(self) -> tuple[PortRef, ...]:
         self.expect("(")
-        if self.at(")"):
-            self.advance()
+        if self.tokens[self.pos][1] == ")":
+            self.pos += 1
             return ()
         ports = self.comma_list(self.port)
         self.expect(")")
@@ -505,11 +503,11 @@ class Parser:
 
     def port(self) -> PortRef:
         t = self.expect_ident("channel name")
-        optional = False
-        if self.at("?"):
-            self.advance()
-            optional = True
-        return PortRef(t[1], optional, loc=self.loc_from(t))
+        after = self.tokens[self.pos]
+        if after[1] == "?":
+            self.pos += 1
+            return PortRef(t[1], True, (t, after))
+        return PortRef(t[1], False, t)
 
     # -- expressions ---------------------------------------------------------
 
@@ -533,12 +531,13 @@ class Parser:
             return items[0]
         return Tuple(tuple(items), self.loc_from(start))
 
-    # The climber below reads `self.tokens[self.pos]` itself rather than
-    # through `at` and `peek`: it runs several tests per token. A keyword or
-    # punctuation test that passes is never at the end-of-input token, so it
-    # advances with `self.pos += 1`. It passes a node its location as a
-    # positional argument: CPython 3.11 specializes only calls without
-    # keywords, and `loc=` made the descent about a sixth slower.
+    # The climber below, like the declaration and pattern rules above, reads
+    # `self.tokens[self.pos]` itself rather than through `at` and `peek`: it
+    # runs several tests per token. A keyword, punctuation or identifier test
+    # that passes is never at the end-of-input token, so it advances with
+    # `self.pos += 1`. It passes a node its location as a positional
+    # argument: CPython 3.11 specializes only calls without keywords, and
+    # `loc=` made the descent about a sixth slower.
 
     def binary_expr(self, min_level: int = ARROW) -> Expr:
         """An expression of level `min_level` or tighter, by precedence
@@ -667,8 +666,7 @@ def _parse_all(tokens: list[tuple], rule: Callable[[Parser], _T]) -> _T:
     parser = Parser(tokens)
     try:
         result = rule(parser)
-        if not parser.at_kind("eof"):
-            t = parser.peek()
+        if (t := parser.tokens[parser.pos])[0] != "eof":
             raise _Diag(f"unexpected trailing input '{t[1]}'", t)
     except (_Diag, RecursionError) as exc:
         raise ParseError([parser.diagnostic(exc)]) from None

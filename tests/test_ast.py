@@ -1,21 +1,26 @@
 import copy
+import dataclasses
 import random
 
 import pytest
 
 from exprgen import TOP_TYPES, gen_expr, gen_system
 
-from mimosa import check_program, eval_equations, parse_expression, parse_program
+from mimosa import ast, check_program, eval_equations, parse_expression, parse_program
 from mimosa.ast import (
     UNIT_VALUE,
     Apply,
     Arrow,
+    ChannelDecl,
     Const,
     Either,
     Fby,
     If,
+    NodeDecl,
+    PortRef,
     Pre,
     Some,
+    StepDecl,
     Equation,
     Expr,
     PTuple,
@@ -35,8 +40,10 @@ from mimosa.ast import (
     nesting,
 )
 from mimosa.builtins import BUILTIN_VALUES
-from mimosa.errors import Span
+from mimosa.errors import Located, Span
 from mimosa.eval import Env
+from mimosa.parser import tokenize
+from mimosa.types import INT
 
 
 def causal(text: str) -> set[str]:
@@ -275,3 +282,62 @@ def test_deepcopy_of_a_rewritten_body_is_equal():
         twin = copy.deepcopy(body)
         assert twin == body and hash(twin) == hash(body)
         assert all(a is not b for a, b in zip(nodes(twin[0]), nodes(body[0])))
+
+
+def _step(loc) -> StepDecl:
+    body = (Equation(PVar("y", None, loc), Var("x", loc), loc),)
+    return StepDecl("f", PVar("x", None, loc), PVar("y", None, loc), body, loc)
+
+
+def _host(v, ctx):
+    return v
+
+
+# One instance of each class of pattern, declaration, expression, equation
+# and value, every located node in it made at the location given.
+NODES = {
+    PVar: lambda loc: PVar("x", INT, loc),
+    PWild: lambda loc: PWild(None, loc),
+    PUnit: lambda loc: PUnit(loc),
+    PTuple: lambda loc: PTuple((PVar("a", None, loc), PTuple((PWild(None, loc), PUnit(loc)), loc)), loc),
+    StepDecl: _step,
+    ChannelDecl: lambda loc: ChannelDecl("c", INT, (VConst(1), VConst(-2)), loc),
+    PortRef: lambda loc: PortRef("c", True, loc),
+    NodeDecl: lambda loc: NodeDecl("n", "f", (PortRef("c", False, loc),), (PortRef("d", True, loc),), 10_000, loc),
+    Var: lambda loc: Var("x", loc),
+    Const: lambda loc: Const(VConst(1), loc),
+    Tuple: lambda loc: Tuple((Var("x", loc), Const(UNIT_VALUE, loc)), loc),
+    Pre: lambda loc: Pre(Var("x", loc), loc),
+    Fby: lambda loc: Fby(Const(VConst(0), loc), Var("x", loc), loc),
+    Arrow: lambda loc: Arrow(Const(VConst(0), loc), Pre(Var("x", loc), loc), loc),
+    Apply: lambda loc: Apply(Var("f", loc), Var("x", loc), loc),
+    If: lambda loc: If(Var("c", loc), Var("x", loc), Var("y", loc), loc),
+    Some: lambda loc: Some(Var("x", loc), loc),
+    Either: lambda loc: Either(Var("o", loc), Const(VConst(2), loc), loc),
+    Equation: lambda loc: Equation(PTuple((PVar("a", None, loc), PWild(None, loc)), loc), Var("x", loc), loc),
+    VConst: lambda loc: VConst(1),
+    VTuple: lambda loc: VTuple((VConst(1), VNone())),
+    VNone: lambda loc: VNone(),
+    VSome: lambda loc: VSome(VConst(True)),
+    VClosure: lambda loc: VClosure(PVar("x", None, loc), PVar("y", None, loc), _step(loc).equations),
+    VExtern: lambda loc: VExtern("h", _host),
+    VUndef: lambda loc: VUndef(),
+}
+
+
+def test_every_node_class_is_listed():
+    classes = {c for c in vars(ast).values() if isinstance(c, type) and issubclass(c, (Located, Value))}
+    assert {c for c in classes if dataclasses.is_dataclass(c)} == set(NODES)
+
+
+@pytest.mark.parametrize("cls", NODES, ids=lambda cls: cls.__name__)
+def test_slotted_and_equal_by_structure(cls):
+    # Slotted all the way up: a base class without `__slots__ = ()` gives
+    # every instance a `__dict__`.
+    here, there = tokenize("x\n  y", "f.mim")[:2]
+    a, b = NODES[cls](here), NODES[cls](there)
+    assert type(a) is cls and not hasattr(a, "__dict__")
+    # Two instances that differ only in where they were parsed are equal and hash equally.
+    if isinstance(a, Located):
+        assert a.span != b.span
+    assert a == b and hash(a) == hash(b)

@@ -14,17 +14,23 @@ from mimosa import ParseError, eval_expr, parse_duration, parse_expression, pars
 from mimosa.ast import (
     Apply,
     Arrow,
+    ChannelDecl,
     Const,
     Either,
+    Equation,
     Expr,
     Fby,
     If,
+    NodeDecl,
+    PortRef,
+    Program,
     PTuple,
     PUnit,
     PVar,
     PWild,
     Pre,
     Some,
+    StepDecl,
     Tuple,
     UNIT_VALUE,
     Var,
@@ -44,11 +50,12 @@ from mimosa.parser import (
     MAX_TYPE_DEPTH,
     PUNCT,
     Parser,
+    _Diag,
     parse_literal,
     tokenize,
 )
 from mimosa.pretty import format_duration, pretty_expr, pretty_pattern, pretty_program
-from mimosa.types import BOOL, INT, REAL, TOption
+from mimosa.types import BOOL, INT, REAL, UNIT, TOption, TTuple
 
 
 class TestExamplePrograms:
@@ -456,6 +463,59 @@ node n implements f (c, d?) --> (e) every 10ms
 """
 
 
+# Channel types, each with literal values of it (read in place of its `{}`).
+NETWORK_TYPES = {
+    "int": lambda rng: str(rng.randrange(-20, 100)),
+    "bool": lambda rng: rng.choice(("true", "false")),
+    "real": lambda rng: rng.choice(("0.5", "-2.25", "(1.0)")),
+    "unit": lambda rng: "()",
+    "int?": lambda rng: rng.choice(("None", f"Some {rng.randrange(-9, 9)}", "Some (3)")),
+    "(int, bool?)": lambda rng: f"({rng.randrange(-9, 9)}, {rng.choice(('None', 'Some false'))})",
+    "((int, real), unit)?": lambda rng: rng.choice(("None", f"Some (({rng.randrange(-5, 5)}, 2.5), ())")),
+}
+
+# Step signatures: prototypes, typed and untyped patterns, `_`, `()` and tuples.
+NETWORK_SIGNATURES = [
+    "() --> (y : int)",
+    "(x : int, _ : bool?) --> (y : int)",
+    "x --> y { y = x }",
+    "(a, (b, _ : unit)) --> (c, d) { c = a; d = b; }",
+    "_ --> () { () = () }",
+    "(x : (int, bool?)?) --> (y : real, z : unit)",
+]
+
+
+def generated_network(seed: int, count: int, periods: tuple[str, ...] = ("us", "ms", "s")) -> str:
+    """`count` of each declaration, shuffled, in every form the grammar has:
+    the forms of NETWORK_TYPES and NETWORK_SIGNATURES, initial values, nodes
+    with no, one or several ports, optional ones among them, and periods in
+    each unit of `periods` (a unit with a zero in front is a zero period).
+    Comments stand between declarations and after them on their lines.
+    Names need not resolve: only the parser reads it."""
+    rng = random.Random(seed)
+    decls = []
+    for k in range(count):
+        decls.append(f"step s{k} {rng.choice(NETWORK_SIGNATURES)}")
+        ty = rng.choice(list(NETWORK_TYPES))
+        initial = ", ".join(NETWORK_TYPES[ty](rng) for _ in range(rng.randrange(4)))
+        decls.append(f"channel c{k} : {ty}" + (f" = {{ {initial} }}" if initial else ""))
+        ports = [
+            ", ".join(f"c{rng.randrange(count)}" + rng.choice(("", "", "?")) for _ in range(rng.randrange(4)))
+            for _ in range(2)
+        ]
+        unit = rng.choice(periods)
+        period = f"{rng.randrange(1, 500)}{unit}" if unit[0] != "0" else unit
+        decls.append(f"node n{k} implements s{rng.randrange(count)} ({ports[0]}) --> ({ports[1]}) every {period}")
+    rng.shuffle(decls)
+    lines = []
+    for k, decl in enumerate(decls):
+        roll = rng.random()
+        if roll < 0.2:
+            lines.append(f"-- declaration {k}")
+        lines.append(decl + (f"  -- after {k}" if roll > 0.8 else ""))
+    return "\n".join(lines) + "\n"
+
+
 def position_children(node) -> list:
     """The located nodes directly under `node`: in its fields, or in tuples there."""
     children = []
@@ -520,6 +580,26 @@ class TestPositionOracle:
         # Negative numbers after an operator, and arguments of an application.
         assert {(op, "-") for op in BINARY_OPS} & pairs
         assert {("ident", "ident"), ("ident", "int"), ("ident", "(")} <= pairs
+
+    def test_generated_network(self):
+        source = generated_network(7, 120)
+        assert self.check(source) >= 1000
+        # Every declaration form is there: tuple, option and unit channel types,
+        program = parse_program(source)
+        types = {c.elem_type for c in program.channels}
+        assert UNIT in types and any(type(t) is TTuple for t in types) and any(type(t) is TOption for t in types)
+        # initial values with negative numbers, `Some`, `None`, tuples and `()`,
+        initial = [v for c in program.channels for v in c.initial]
+        assert any(type(v) is VConst and type(v.value) is int and v.value < 0 for v in initial)
+        assert UNIT_VALUE in initial and {VSome, VNone, VTuple} <= set(map(type, initial))
+        # optional input and output ports, nodes with several ports,
+        assert any(p.optional for n in program.nodes for p in n.inputs)
+        assert any(p.optional for n in program.nodes for p in n.outputs)
+        assert any(len(n.inputs) > 1 and len(n.outputs) > 1 for n in program.nodes)
+        # periods in each unit, and comments between declarations.
+        units = {re.search(r" every \d+([a-z]+)", line)[1] for line in source.splitlines() if " every " in line}
+        assert units == {"us", "ms", "s"}
+        assert "\n-- declaration" in source
 
     def test_stub_lines(self):
         assert self.check(STUB_SOURCE, line=7) > 30
@@ -634,6 +714,325 @@ class TestDescentOracle:
                     words.insert(rng.randrange(len(words) + 1), rng.choice(ORACLE_ALPHABET))
             sources.append(" ".join(words))
         assert self.compare(monkeypatch, sources) > 300
+
+
+class HelperDeclarationParser(Parser):
+    """The declaration and pattern rules read through the token helpers
+    `peek`, `at`, `advance` and `expect`, with locations passed by keyword:
+    the oracle for the rules that read tokens in place."""
+
+    def expect(self, text: str) -> tuple:
+        if self.at(text):
+            return self.advance()
+        t = self.peek()
+        raise _Diag(f"expected '{text}', found '{t[1]}'" if t[1] else f"expected '{text}'", t)
+
+    def expect_ident(self, what: str) -> tuple:
+        if self.peek()[0] == "ident":
+            return self.advance()
+        t = self.peek()
+        raise _Diag(f"expected {what}, found '{t[1] or 'end of input'}'", t)
+
+    def comma_list(self, item):
+        items = [item()]
+        while self.at(","):
+            self.advance()
+            items.append(item())
+        return items
+
+    def parse_program(self) -> Program:
+        steps, channels, nodes = [], [], []
+        while self.peek()[0] != "eof":
+            start = self.pos
+            try:
+                if self.at("step"):
+                    steps.append(self.step_decl())
+                elif self.at("channel"):
+                    channels.append(self.channel_decl())
+                elif self.at("node"):
+                    nodes.append(self.node_decl())
+                else:
+                    t = self.peek()
+                    raise _Diag(f"expected a step, channel, or node declaration, found '{t[1]}'", t)
+            except (_Diag, RecursionError) as exc:
+                self.diags.append(self.diagnostic(exc))
+                if len(self.diags) >= self.MAX_ERRORS:
+                    break
+                self.recover(start)
+        self.check_duplicates(steps, channels, nodes)
+        if self.diags:
+            raise ParseError(self.diags)
+        return Program(tuple(steps), tuple(channels), tuple(nodes))
+
+    def recover(self, start: int):
+        if self.pos == start:
+            self.advance()
+        depth = sum((t[1] == "{") - (t[1] == "}") for t in self.tokens[start : self.pos])
+        while self.peek()[0] != "eof":
+            t = self.peek()
+            if t[1] in ("step", "channel", "node") and (
+                depth <= 0 or span_of(self.tokens[self.pos - 1]).end_line < span_of(t).line
+            ):
+                return
+            depth += (t[1] == "{") - (t[1] == "}")
+            self.advance()
+
+    def step_decl(self) -> StepDecl:
+        start = self.expect("step")
+        name = self.expect_ident("step name")[1]
+        in_pat = self.signature_pattern()
+        self.expect("-->")
+        out_pat = self.signature_pattern()
+        equations = self.step_body() if self.at("{") else None
+        return StepDecl(name, in_pat, out_pat, equations, loc=self.loc_from(start))
+
+    def step_body(self) -> tuple:
+        open_tok = self.expect("{")
+        if self.at("}"):
+            raise _Diag("step body must contain at least one equation", open_tok)
+        eqs = [self.equation()]
+        while self.at(";"):
+            self.advance()
+            if self.at("}"):
+                break
+            eqs.append(self.equation())
+        self.expect("}")
+        return tuple(eqs)
+
+    def equation(self) -> Equation:
+        start = self.peek()
+        lhs = self.lhs_pattern()
+        self.expect("=")
+        return Equation(lhs, self.expression(), loc=self.loc_from(start))
+
+    def lhs_pattern(self):
+        start = self.peek()
+        items = self.comma_list(self.lhs_atom)
+        return items[0] if len(items) == 1 else self.build_tuple_pattern(items, self.loc_from(start))
+
+    def pattern(self, inside, what: str):
+        t = self.peek()
+        if t[0] == "ident":
+            self.advance()
+            return PVar(t[1], loc=t)
+        if self.at("_"):
+            self.advance()
+            return PWild(loc=t)
+        if self.at("("):
+            self.advance()
+            if self.at(")"):
+                self.advance()
+                return PUnit(loc=self.loc_from(t))
+            items = inside()
+            self.expect(")")
+            return items[0] if len(items) == 1 else self.build_tuple_pattern(items, self.loc_from(t))
+        raise _Diag(f"expected {what}, found '{t[1] or 'end of input'}'", t)
+
+    def build_tuple_pattern(self, items, loc):
+        try:
+            return PTuple(tuple(items), loc=loc)
+        except ValueError as exc:
+            raise _Diag(str(exc), loc) from None
+
+    def signature_entry(self):
+        pat = self.signature_pattern()
+        if self.at(":"):
+            colon = self.advance()
+            annot = self.type_expr()
+            if type(pat) is PVar:
+                return PVar(pat.name, annot, loc=pat.loc)
+            if type(pat) is PWild:
+                return PWild(annot, loc=pat.loc)
+            raise _Diag("type annotations attach to variables or '_' only", colon)
+        return pat
+
+    def type_term(self):
+        t = self.peek()
+        if t[0] == "ident":
+            base = {"int": INT, "bool": BOOL, "real": REAL, "unit": UNIT}.get(t[1])
+            if base is None:
+                raise _Diag(f"unknown type '{t[1]}'", t)
+            self.advance()
+            ty = base
+        elif self.at("("):
+            self.advance()
+            items = self.comma_list(self.type_term)
+            self.expect(")")
+            ty = items[0] if len(items) == 1 else TTuple(tuple(items))
+        else:
+            raise _Diag(f"expected a type, found '{t[1] or 'end of input'}'", t)
+        while self.at("?"):
+            self.advance()
+            ty = TOption(ty)
+        return ty
+
+    def channel_decl(self) -> ChannelDecl:
+        start = self.expect("channel")
+        name = self.expect_ident("channel name")[1]
+        self.expect(":")
+        ty = self.type_expr()
+        initial = ()
+        if self.at("="):
+            self.advance()
+            self.expect("{")
+            initial = tuple(self.comma_list(self.literal_value))
+            self.expect("}")
+        return ChannelDecl(name, ty, initial, loc=self.loc_from(start))
+
+    def negative_number(self):
+        self.advance()
+        num = self.peek()
+        if num[0] not in ("int", "real"):
+            raise _Diag("expected a number after '-'", num)
+        self.advance()
+        return VConst(-num[3])
+
+    def literal_term(self):
+        t = self.peek()
+        if self.at("-"):
+            return self.negative_number()
+        if t[0] in ("int", "real"):
+            self.advance()
+            return VConst(t[3])
+        if self.at("true") or self.at("false") or self.at("None"):
+            self.advance()
+            return {"true": VConst(True), "false": VConst(False), "None": VNone()}[t[1]]
+        if self.at("Some"):
+            self.advance()
+            return VSome(self.literal_term())
+        if self.at("("):
+            self.advance()
+            if self.at(")"):
+                self.advance()
+                return UNIT_VALUE
+            items = self.comma_list(self.literal_term)
+            self.expect(")")
+            return items[0] if len(items) == 1 else VTuple(tuple(items))
+        raise _Diag(f"expected a literal value, found '{t[1] or 'end of input'}'", t)
+
+    def node_decl(self) -> NodeDecl:
+        start = self.expect("node")
+        name = self.expect_ident("node name")[1]
+        self.expect("implements")
+        step = self.expect_ident("step name")[1]
+        inputs = self.port_list()
+        self.expect("-->")
+        outputs = self.port_list()
+        self.expect("every")
+        t = self.peek()
+        if t[0] != "duration":
+            raise _Diag(f"expected a period like 10ms, found '{t[1] or 'end of input'}'", t)
+        self.advance()
+        if t[3] <= 0:
+            raise _Diag("periods must be positive", t)
+        return NodeDecl(name, step, inputs, outputs, t[3], loc=self.loc_from(start))
+
+    def port_list(self) -> tuple:
+        self.expect("(")
+        if self.at(")"):
+            self.advance()
+            return ()
+        ports = self.comma_list(self.port)
+        self.expect(")")
+        return tuple(ports)
+
+    def port(self) -> PortRef:
+        t = self.expect_ident("channel name")
+        optional = False
+        if self.at("?"):
+            self.advance()
+            optional = True
+        return PortRef(t[1], optional, loc=self.loc_from(t))
+
+
+# The tokens of the random strings the two declaration parsers are compared
+# on, and runs of them that a declaration has, so that a string gets past
+# its first few tokens.
+DECLARATION_ALPHABET = (
+    "step channel node implements every --> ( ) , ? : = { } - Some None true int bool unit a b f 3 10ms 0ms".split()
+)
+DECLARATION_PHRASES = [
+    *DECLARATION_ALPHABET,
+    "node a implements f",
+    "( a , b ? )",
+    "( )",
+    "--> ( b )",
+    "every 10ms",
+    "every 0ms",
+    "channel a :",
+    "( int , bool ? )",
+    "unit",
+    "= { 3 , - 3 }",
+    "{ Some ( 3 , None ) }",
+    "step f",
+    "( a : int , _ )",
+    "--> b",
+]
+
+
+def program_outcome(source: str):
+    """The program and every node's span, or the diagnostics' text and spans."""
+    try:
+        program = parse_program(source, "f.mim")
+    except ParseError as exc:
+        return [(d.text(), d.span) for d in exc.diagnostics]
+    spans, stack = [], [*program.steps, *program.channels, *program.nodes]
+    while stack:
+        node = stack.pop()
+        spans.append(node.span)
+        stack.extend(position_children(node))
+    return program, spans
+
+
+def mutated_words(rng: random.Random, source: str, alphabet: list[str]) -> str:
+    """`source` with a few tokens of `alphabet` inserted or deleted, each line
+    kept a line and its tokens spaced; comments are dropped."""
+    words = [(span_of(t).line, t[1]) for t in tokenize(source)[:-1]]
+    for _ in range(rng.randrange(4)):
+        k = rng.randrange(len(words) + 1)
+        if words and rng.random() < 0.5:
+            del words[min(k, len(words) - 1)]
+        else:
+            words.insert(k, (words[min(k, len(words) - 1)][0] if words else 1, rng.choice(alphabet)))
+    lines: dict[int, list[str]] = {}
+    for line, word in words:
+        lines.setdefault(line, []).append(word)
+    return "\n".join(" ".join(ws) for ws in lines.values())
+
+
+class TestDeclarationOracle:
+    """`parse_program` gives the same program and spans, or the same
+    diagnostics, as it does with `HelperDeclarationParser` in the parser's
+    place."""
+
+    def compare(self, monkeypatch, sources: list[str]) -> list:
+        """Both parsers' outcomes agree on every source; the in-place ones."""
+        in_place = [program_outcome(source) for source in sources]
+        monkeypatch.setattr("mimosa.parser.Parser", HelperDeclarationParser)
+        for source, expected in zip(sources, in_place):
+            assert program_outcome(source) == expected, source
+        return in_place
+
+    def test_random_token_strings(self, monkeypatch):
+        rng = random.Random(33)
+        sources = [
+            "".join(w + rng.choice("    \n") for w in rng.choices(DECLARATION_PHRASES, k=rng.randint(1, 10)))
+            for _ in range(4000)
+        ]
+        outcomes = self.compare(monkeypatch, sources)
+        texts = [text for o in outcomes if type(o) is list for text, _ in o]
+        messages = {re.sub("'[^']*'", "'_'", text.split(": error: ")[1]) for text in texts}
+        assert len(messages) >= 9, sorted(messages)
+
+    def test_mutated_networks(self, monkeypatch):
+        # One network in three may have a zero period.
+        rng = random.Random(34)
+        units = [("us", "ms", "s", "0ms")[: 3 + (seed % 3 == 0)] for seed in range(1500)]
+        networks = [generated_network(seed, 3, units[seed]) for seed in range(1500)]
+        sources = [mutated_words(rng, network, DECLARATION_ALPHABET) for network in networks]
+        outcomes = self.compare(monkeypatch, sources)
+        assert sum(type(o) is tuple for o in outcomes) > 200
+        assert sum(type(o) is list and any("periods must be positive" in d for d, _ in o) for o in outcomes) > 100
 
 
 class TestErrors:
