@@ -9,6 +9,7 @@ of Standard ML."""
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from typing import Callable
 
@@ -680,7 +681,12 @@ def check_program(
 
     Raises NetworkError, TypeCheckError, CausalityError, or InitError with
     source-located diagnostics; `file` names those that point at no source.
+    Like `parser.parse_program`, it builds no cycles and runs with the cyclic
+    collector paused, process-wide: another thread's allocations go
+    uncollected meanwhile. The caller's state is restored.
     """
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         info = check_network(program, complete=complete_network)
         infer_types(program, info)
@@ -691,6 +697,9 @@ def check_program(
                 check_initialization(step, ordered[step.name])
     except MimosaError as exc:
         raise exc.in_file(file)
+    finally:
+        if enabled:
+            gc.enable()
     return CheckedProgram(
         program=program,
         ordered_equations=ordered,

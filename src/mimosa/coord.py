@@ -96,9 +96,10 @@ class NetworkState:
         if node is None:
             ports = [(ch, False) for ch in self.channels.values()]
             for ch, _ in ports:
-                tags = [tag for _, tag in ch.queue]
-                if any(a > b for a, b in zip(tags, tags[1:])):
-                    raise InternalError(f"channel '{ch.name}' queue is not tag-sorted: {tags}")
+                if len(ch.queue) > 1:
+                    tags = [tag for _, tag in ch.queue]
+                    if any(a > b for a, b in zip(tags, tags[1:])):
+                        raise InternalError(f"channel '{ch.name}' queue is not tag-sorted: {tags}")
         else:
             acting = self.nodes[node]
             ports = acting.in_ports + acting.out_ports
@@ -134,6 +135,8 @@ def init_network(cp: CheckedProgram, hosts: Mapping[str, Value] | None = None) -
             env_bindings[step.name] = VClosure(
                 step.in_pattern, step.out_pattern, cp.ordered_equations[step.name]
             )
+    # One literal per step, shared by its nodes: a literal is never mutated.
+    literals = {step.name: Const(env_bindings[step.name]) for step in program.steps}
 
     channels: dict[str, Channel] = {}
     for ch in program.channels:
@@ -142,7 +145,7 @@ def init_network(cp: CheckedProgram, hosts: Mapping[str, Value] | None = None) -
         if writer is None or reader is None:
             message = f"channel '{ch.name}' is not fully wired; simulation needs a complete network"
             raise SimError([Diagnostic.at(message, ch.loc)])
-        channels[ch.name] = Channel(ch.name, writer, reader, deque((value, 0) for value in ch.initial), 0)
+        channels[ch.name] = Channel(ch.name, writer, reader, deque(ch.initial and [(v, 0) for v in ch.initial]), 0)
 
     nodes: dict[str, NodeState] = {}
     for decl in program.nodes:
@@ -150,7 +153,7 @@ def init_network(cp: CheckedProgram, hosts: Mapping[str, Value] | None = None) -
             decl.name,
             decl.period_us,
             0,
-            Const(env_bindings[decl.step]),
+            literals[decl.step],
             decl.inputs,
             decl.outputs,
             decl.loc,

@@ -15,6 +15,7 @@ place, when no argument follows it.
 
 from __future__ import annotations
 
+import gc
 import math
 import re
 from typing import Callable, TypeVar
@@ -82,14 +83,14 @@ MAX_TYPE_DEPTH = 64
 
 _PUNCT = "|".join(re.escape(p) for p in sorted(PUNCT, key=len, reverse=True))
 
-# The lexer's pattern: a token's spelling, and the white space after it,
-# newlines included, so a match starts where its token does. The spelling is
-# a comment, a number, a word, punctuation or any other one character, tried
-# in that order; punctuation longest first, so `-->` is never read as `-`
-# `->`. A number's unit is any run of word characters, so `1٣` and `12ab` are
-# one malformed literal rather than a number followed by something else.
+# The lexer's pattern: a token's spelling and the white space after it, newlines
+# included, as one string whose `rstrip` is the spelling. The spelling is a
+# comment, a number, a word, punctuation or any other one character, tried in
+# that order; punctuation longest first, so `-->` is never read as `-` `->`. A
+# number's unit is any run of word characters, so `1٣` and `12ab` are one
+# malformed literal rather than a number followed by something else.
 _FRACTION = r"\.[0-9]+(?:[eE][+-]?[0-9]+)?"
-_SPELLING = re.compile(r"(--(?!>)[^\n]*|[0-9]+(?:" + _FRACTION + r")?\w*|\w+|" + _PUNCT + r"|.)(\s*)")
+_SPELLING = re.compile(r"(?:--(?!>)[^\n]*|[0-9]+(?:" + _FRACTION + r")?\w*|\w+|" + _PUNCT + r"|.)\s*")
 
 # A number spelling's digits, fraction and unit.
 _NUMBER = re.compile(r"([0-9]+)(" + _FRACTION + r")?(\w*)")
@@ -113,20 +114,22 @@ def tokenize(source: str, file: str = "<string>", line: int = 1) -> list[tuple]:
     """Split `source`, whose first line is line `line` of `file`, into tokens:
     tuples (kind, text, offset, value, source), where the kind is kw, ident,
     int, real, duration, punct or eof, and the offset is that of the token's
-    first character. `errors.span_of` gives a token's line and column, and
-    diagnostics at it name `file`. Each distinct spelling is classified once."""
+    first character (the end of input's is just past the last one not blank).
+    `errors.span_of` gives a token's line and column, and diagnostics at it
+    name `file`. Each distinct spelling is classified once."""
     origin = Source(source, line, file)
     spelled = dict(_SPELLED)
     tokens: list[tuple] = []
-    offset = len(source) - len(source.lstrip())  # `lstrip` strips what `\s` matches
-    for text, space in _SPELLING.findall(source, offset):
+    offset = len(source) - len(source.lstrip())  # `lstrip` and `rstrip` strip what `\s` matches
+    for match in _SPELLING.findall(source, offset):
+        text = match.rstrip()
         entry = spelled.get(text)
         if entry is None:
             entry = spelled[text] = _classify(text, offset, origin)
         if entry is not _COMMENT:
             tokens.append((entry[0], text, offset, entry[1], origin))
-        offset += len(text) + len(space)
-    tokens.append(("eof", "", len(source), None, origin))
+        offset += len(match)
+    tokens.append(("eof", "", len(source.rstrip()), None, origin))
     return tokens
 
 
@@ -648,7 +651,16 @@ def _depth(root, parts: Callable) -> int:
 
 
 def parse_program(source: str, file: str = "<string>") -> Program:
-    return Parser(tokenize(source, file)).parse_program()
+    """Parse `source`, the text of `file`. Tokens and trees hold no cycles, so
+    the cyclic collector is paused meanwhile, process-wide: another thread's
+    allocations go uncollected too. The caller's state is restored."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return Parser(tokenize(source, file)).parse_program()
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def parse_expression(source: str, file: str = "<string>") -> Expr:

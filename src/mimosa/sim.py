@@ -192,7 +192,7 @@ class Simulation:
             raise SimError([Diagnostic("unbound prototype steps: " + ", ".join(missing))])
         hosts_by_step = {name: _per_node_host(name, registry) for name in prototypes}
         self.state: NetworkState = init_network(cp, hosts_by_step)
-        self._rng = random.Random(cfg.seed)
+        self._rng = random.Random(cfg.seed) if cfg.schedule == "randomized" else None
         self._observed_horizon = 0
 
     def run_until(self, horizon_us: int) -> None:

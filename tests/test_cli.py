@@ -62,6 +62,28 @@ class TestCheck:
         assert main(["check", "--diag-format", "json", name]) == 1
         assert capsys.readouterr().err == expected + "\n"
 
+    # A diagnostic at the end of input is located just past the last character
+    # that is not blank, whether or not the file ends in a newline.
+    @pytest.mark.parametrize(
+        "source, where",
+        [
+            ("channel a : (int, bool", "1:23"),
+            ("channel a : (int, bool\n", "1:23"),
+            ("channel a : (int, bool\r\n", "1:23"),
+            ("channel a : (int, bool  \n\n\t\n", "1:23"),
+            ("channel a : (int, bool -- a comment \n\n", "1:36"),
+            ("node n implements", "1:18"),
+            ("node n implements\n", "1:18"),
+            ("step f () --> ()\nnode n implements f () --> ()", "2:30"),
+            ("step f () --> ()\nnode n implements f () --> ()\n", "2:30"),
+        ],
+    )
+    def test_end_of_input_is_located_inside_the_file(self, source, where, tmp_path, capsys):
+        path = tmp_path / "eof.mim"
+        path.write_bytes(source.encode())
+        assert main(["check", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"{path}:{where}: error: expected ")
+
     def test_unwired_detector_needs_allow_unwired(self, tmp_path, capsys):
         path = tmp_path / "edge.mim"
         path.write_text(EDGE_SOURCE)

@@ -195,8 +195,10 @@ class TestLexer:
             tokens = tokenize(source)
             trivia = ("newline", "space", "comment")
             starts = [m.start() for m in REFERENCE_TOKEN.finditer(source) if m.lastgroup not in trivia]
+            # The end of input is just past the last match that is not blank.
+            end = max(m.end() for m in REFERENCE_TOKEN.finditer(source) if m.lastgroup not in ("newline", "space"))
             assert len(tokens) == len(starts) + 1
-            for token, start in zip(tokens, starts + [len(source)]):
+            for token, start in zip(tokens, starts + [end]):
                 text = token[1]
                 assert token[2] == start and source[start : start + len(text)] == text
                 line = source.count("\n", 0, start) + 1
@@ -234,7 +236,7 @@ class TestLexer:
 REFERENCE_TOKEN = re.compile(
     r"(?P<newline>\n)"
     r"|(?P<space>[^\S\n]+)"
-    r"|(?P<comment>--(?!>)[^\n]*)"
+    r"|(?P<comment>--(?!>)(?:[^\n]*\S)?)"  # a comment's trailing blanks are spaces
     r"|(?P<number>(?P<digits>[0-9]+(?P<fraction>\.[0-9]+(?:[eE][+-]?[0-9]+)?)?)(?P<unit>\w*))"
     r"|(?P<word>\w+)"
     r"|(?P<punct>" + "|".join(re.escape(p) for p in sorted(PUNCT, key=len, reverse=True)) + r")"
@@ -254,14 +256,18 @@ class RefToken(NamedTuple):
 def reference_tokenize(source: str, file: str = "<string>", line: int = 1) -> list[RefToken]:
     tokens: list[RefToken] = []
     line_start = 0
+    eof = Span(line, 1, line, 1)  # just past the last match that is not blank
     for m in REFERENCE_TOKEN.finditer(source):
         kind = m.lastgroup
         if kind == "newline":
             line, line_start = line + 1, m.end()
-        elif kind != "space" and kind != "comment":
+        elif kind != "space":
             start, end = m.span()
             col = start - line_start + 1
             span = Span(line, col, line, col + end - start - 1)
+            eof = Span(line, span.end_col + 1, line, span.end_col + 1)
+            if kind == "comment":
+                continue
             if kind == "punct":
                 tokens.append(RefToken("punct", m.group(), span))
                 continue
@@ -269,8 +275,7 @@ def reference_tokenize(source: str, file: str = "<string>", line: int = 1) -> li
                 tokens.append(reference_token(m, span))
             except ValueError as exc:
                 raise ParseError([Diagnostic(str(exc), span, file=file)]) from None
-    col = len(source) - line_start + 1
-    tokens.append(RefToken("eof", "", Span(line, col, line, col)))
+    tokens.append(RefToken("eof", "", eof))
     return tokens
 
 
@@ -335,6 +340,14 @@ TOKEN_EDGE_CASES = [
     "1" * 5000,
     "x + \u00b2",
     "2.5 4.0e999",
+    # Blanks of every kind between and after tokens, and comments that end in
+    # blanks: a token's spelling is its match with the blanks stripped.
+    "x\r\n  -- comment \r\ny = 1\r\n",
+    "x\ty\x0bz\x0c1\u00a0two\u2003 3ms",
+    "x -- comment ending in blanks \t\ny",
+    "x -- comment ending in blanks at the end \u00a0\u2003",
+    " \t\x0b\x0c\u00a0\u2003\r\n\n",
+    "-- only a comment \t\n\n",
 ]
 
 
@@ -381,9 +394,9 @@ class TestTokenizerOracle:
             ("real", "2.5", 5, 2.5),
             ("duration", "3ms", 9, 3000),
             ("int", "12", 13, 12),
-            ("eof", "", 16, None),
+            ("eof", "", 15, None),
         ]
-        spans = [Span(1, 3, 1, 3), Span(2, 2, 2, 4), Span(2, 6, 2, 8), Span(2, 10, 2, 11), Span(2, 13, 2, 13)]
+        spans = [Span(1, 3, 1, 3), Span(2, 2, 2, 4), Span(2, 6, 2, 8), Span(2, 10, 2, 11), Span(2, 12, 2, 12)]
         assert [span_of(t) for t in tokens] == spans
         # A composite node's location is a pair: its first and last token.
         assert span_of((tokens[0], tokens[3])) == Span(1, 3, 2, 11)
@@ -1054,7 +1067,7 @@ class TestErrors:
             parse_program(src)
         assert [(d.message, d.span.line) for d in err.value.diagnostics] == [
             ("periods must be positive", 2),
-            ("expected a type, found 'end of input'", 4),
+            ("expected a type, found 'end of input'", 3),
         ]
 
     # A keyword inside the body a failing step left open is a misplaced word,
@@ -1067,7 +1080,7 @@ class TestErrors:
         ),
         "keyword mid-line, then one starting a line": (
             "step f () --> (y : int) { y = 1 + step;\n  z = 2 }\n  channel c :\n",
-            [("expected an expression, found 'step'", 1), ("expected a type, found 'end of input'", 4)],
+            [("expected an expression, found 'step'", 1), ("expected a type, found 'end of input'", 3)],
         ),
     }
 
