@@ -25,28 +25,30 @@ carries the call's state.
 
 The hot path is direct: `_eval` dispatches on the node's class, hot ones
 first. A name or literal child is read by its parent with no recursive call,
-and is its own next expression, in the four positions where that measured as
-paying; any other child, and an unbound name, goes to `_eval`, which reports
-every error. The four are the applied expression, an application's argument,
-each operand of an operator, and the literal head of the `v -> pre e` that
-each `pre` leaves. An operator with a kernel on a pair expression evaluates
-both operands in place, and two operands of the kernel's plain type (`int`,
-or `bool` for `&&` and `||`) go to it with no pair built; other operands take
-its checked `run`. A node firing builds no application: `eval_expr` with
-`applied_to=v` applies a step literal to v, calling an extern with `ctx.host`
-or running a closure in `_activate`, the one activation step calls use too.
-An activation starts from the globals, not the caller's locals, which no
-checked body can read (a local may not shadow a step). Next expressions
-share structure: a `Tuple`, `Apply`, `If`, `Some` or `Either` whose evaluated
-children all come back as themselves (by identity) comes back as itself, and
-so does an equation whose right-hand side does, so a settled `fby`, `->` or
-operator allocates nothing, and a `pre` of a settled operand only the
-`v -> pre e` around its own node. A settled activation's closure is its own
-next state, so a stateless step allocates nothing after its first cycle, and
-its firing returns the literal it was given. Sharing is sound because no
-node reachable from an earlier next expression is ever mutated: `_fill_pre`
-sets the fields of the placeholder `Arrow`s created by the current
-activation only.
+and is its own next expression, in the five positions where that measured as
+paying: the applied expression, an application's argument, each operand of
+an operator, each item of a tuple argument of a same-arity tuple pattern, and
+the literal head of the `v -> pre e` each `pre` leaves. Any other child, and
+an unbound name, goes to `_eval`, which reports every error. Two operands of
+an operator's kernel type (`int`, or `bool` for `&&` and `||`) go to the
+kernel with no pair built; others take its checked `run`. A tuple argument's
+items, once all evaluated, are bound straight into the callee's activation,
+with no `VTuple`, and in an equation list `v -> pre e` builds its `pre`'s
+next hole itself, with no call and no `VUndef`. A node firing builds no
+application: `eval_expr` with `applied_to=v` applies a step literal to v,
+calling an extern with `ctx.host` or running a closure in `_activate`, the
+one activation step calls use too. An activation starts from the globals,
+not the caller's locals, which no checked body can read (a local may not
+shadow a step). Next expressions share structure: a `Tuple`, `Apply`, `If`,
+`Some` or `Either` whose evaluated children all come back as themselves (by
+identity) comes back as itself, and so does an equation whose right-hand side
+does, so a settled `fby`, `->` or operator allocates nothing, and a `pre` of
+a settled operand only the `v -> pre e` around its own node. A settled
+activation's closure is its own next state, so a stateless step allocates
+nothing after its first cycle, and its firing returns the literal it was
+given. Sharing is sound because no node reachable from an earlier next
+expression is ever mutated: `_fill_pre` sets the fields of the placeholder
+`Arrow`s created by the current activation only.
 """
 
 from __future__ import annotations
@@ -204,15 +206,34 @@ def _eval(env: Env, e: Expr, ctx: EvalContext, deferred: _Deferred | None) -> tu
                 value = f.fn(VTuple((a, b)), ctx.host)
             same = fn_next is fn and left_next is left and right_next is right
             return value, e if same else Apply(fn_next, Tuple((left_next, right_next), arg.loc), e.loc)
-        arg_value = env.get(arg.name) if type(arg) is Var else arg.value if type(arg) is Const else None
-        arg_next = arg
-        if arg_value is None:
-            arg_value, arg_next = _eval(env, arg, ctx, deferred)
+        pattern, inner = f.in_pattern if type(f) is VClosure else None, None
+        if type(arg) is Tuple and type(pattern) is PTuple and len(arg.items) == len(pattern.items):
+            values, nexts, same = [], [], True
+            for item in arg.items:
+                value = env.get(item.name) if type(item) is Var else item.value if type(item) is Const else None
+                item_next = item
+                if value is None:
+                    value, item_next = _eval(env, item, ctx, deferred)
+                    same = same and item_next is item
+                values.append(value)
+                nexts.append(item_next)
+            inner = dict(ctx.globals)
+            for sub, value in zip(pattern.items, values):
+                if type(sub) is PVar:
+                    inner[sub.name] = value
+                else:
+                    _update_into(inner, sub, value)
+            arg_value, arg_next = None, arg if same else Tuple(tuple(nexts), arg.loc)
+        else:
+            arg_value = env.get(arg.name) if type(arg) is Var else arg.value if type(arg) is Const else None
+            arg_next = arg
+            if arg_value is None:
+                arg_value, arg_next = _eval(env, arg, ctx, deferred)
         if type(f) is VExtern:
             same = fn_next is fn and arg_next is arg
             return f.fn(arg_value, ctx.host), e if same else Apply(fn_next, arg_next, e.loc)
         if type(f) is VClosure:
-            value, callee = _activate(f, arg_value, ctx)
+            value, callee = _activate(f, arg_value, ctx, inner)
             # A settled call of a literal is its own next expression; a named
             # callee still becomes a literal, as the name may change meaning.
             if callee is f and type(fn) is Const and arg_next is arg:
@@ -224,9 +245,13 @@ def _eval(env: Env, e: Expr, ctx: EvalContext, deferred: _Deferred | None) -> tu
     if kind is Arrow:
         # Every firing evaluates the `v -> pre e` hole of each `pre`, whose head
         # is a literal; a parsed `->` is evaluated once and is then its rest.
-        first = e.first
+        first, rest = e.first, e.rest
         value = first.value if type(first) is Const else _eval(env, first, ctx, deferred)[0]
-        return value, _eval(env, e.rest, ctx, deferred)[1]
+        if type(rest) is Pre and deferred is not None:
+            hole = Arrow(rest.expr, rest, rest.loc)
+            deferred.append((hole, rest.expr))
+            return value, hole
+        return value, _eval(env, rest, ctx, deferred)[1]
     if kind is Pre:
         hole = Arrow(e.expr, e, e.loc)  # both fields are set by _fill_pre
         if deferred is None:
@@ -298,11 +323,13 @@ def _unbound(var: Var | PVar) -> InternalError:
     return InternalError(f"unbound name '{var.name}'{_at(var.span)}")
 
 
-def _activate(f: VClosure, arg_value: Value, ctx: EvalContext) -> tuple[Value, VClosure]:
-    """One activation of step `f` on `arg_value`, from the globals: its output
-    and the closure holding its next equations, `f` itself if none changed."""
-    inner = dict(ctx.globals)
-    _update_into(inner, f.in_pattern, arg_value)
+def _activate(f: VClosure, arg_value: Value, ctx: EvalContext, inner: Env | None = None) -> tuple[Value, VClosure]:
+    """One activation of step `f` on `arg_value`, from the globals, or in
+    `inner` that already holds them and the bound input: its output and the
+    closure holding its next equations, `f` itself if none changed."""
+    if inner is None:
+        inner = dict(ctx.globals)
+        _update_into(inner, f.in_pattern, arg_value)
     equations = _run_equations(inner, f.equations, ctx)
     callee = f if equations is f.equations else VClosure(f.in_pattern, f.out_pattern, equations)
     return project(inner, f.out_pattern), callee

@@ -23,9 +23,12 @@ from mimosa.ast import (
     If,
     Pre,
     PTuple,
+    PUnit,
     PVar,
+    PWild,
     Some,
     Tuple,
+    UNIT_VALUE,
     Var,
 )
 from mimosa.builtins import BUILTIN_VALUES
@@ -203,8 +206,19 @@ HOLD = VClosure(
 )
 
 
+# And `nest`, whose input pattern nests a tuple, a `_` and a `()`.
+NEST = VClosure(
+    PTuple((PTuple((PVar("a"), PWild())), PUnit())),
+    PVar("r"),
+    (
+        Equation(PVar("s"), parse_expression("a * 2")),
+        Equation(PVar("r"), parse_expression("s -> pre (s + a)")),
+    ),
+)
+
+
 def leaf_env() -> Env:
-    return base_env() | {"inc": INC, "mix": MIX, "hold": HOLD}
+    return base_env() | {"inc": INC, "mix": MIX, "hold": HOLD, "nest": NEST}
 
 
 def gen_leaf_expr(rng: random.Random, depth: int) -> Expr:
@@ -262,6 +276,54 @@ def gen_leaf_expr(rng: random.Random, depth: int) -> Expr:
         return If(condition(depth), int_child(depth), int_child(depth))
 
     return form(depth)
+
+
+def gen_call_expr(rng: random.Random, depth: int) -> Expr:
+    """A call of `mix` on a pair, or of `nest` on a pair and a unit, whose
+    items are leaves (now and then the unbound name `u`, each with its own
+    column), `pre`s, `v -> pre e`s or calls again. `nest`'s first item is a
+    pair expression, a pair literal or, now and then, `pre` of a pair, which
+    its tuple pattern rejects; its second is `()`, now and then `pre ()`,
+    which its `()` pattern rejects, or `u`. A leaf may read `w`, which the
+    caller may bind after the call. Closed under `leaf_env()` plus `w`, but
+    for `u`."""
+    columns = itertools.count(1)
+
+    def unbound() -> Expr:
+        return Var(UNBOUND, Span(1, next(columns)))
+
+    def item(depth: int) -> Expr:
+        roll = rng.random()
+        if depth <= 0 or roll < 0.4:
+            if roll < 0.03:
+                return unbound()
+            return Var(rng.choice(("i1", "i2", "w"))) if roll < 0.25 else Const(VConst(rng.randrange(-4, 5)))
+        if roll < 0.46:
+            return Pre(item(depth - 1))
+        if roll < 0.75:
+            return Arrow(item(depth - 1), Pre(item(depth - 1)))
+        return call(depth - 1)
+
+    def pair(depth: int) -> Expr:
+        roll = rng.random()
+        if roll < 0.7:
+            return Tuple((item(depth), item(depth)))
+        if roll < 0.94:
+            return Const(VTuple((VConst(rng.randrange(5)), VConst(rng.randrange(5)))))
+        return Pre(Tuple((item(depth), item(depth))))
+
+    def unit() -> Expr:
+        roll = rng.random()
+        if roll < 0.9:
+            return Const(UNIT_VALUE)
+        return Pre(Const(UNIT_VALUE)) if roll < 0.95 else unbound()
+
+    def call(depth: int) -> Expr:
+        if rng.random() < 0.5:
+            return Apply(rng.choice((Var("mix"), Const(MIX))), Tuple((item(depth), item(depth))))
+        return Apply(rng.choice((Var("nest"), Const(NEST))), Tuple((pair(depth), unit())))
+
+    return call(depth)
 
 
 # ---------------------------------------------------------------------------

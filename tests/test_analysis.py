@@ -194,6 +194,14 @@ step app (f, x) --> y { y = f x == x }
 """
 
 
+class TestPatternTypes:
+    def test_a_wildcard_equation_and_a_unit_output_type_check(self):
+        schemes, _ = infer_types(parse_program("step f (x : int) --> (y : int) { _ = x + 1; y = x }"))
+        assert str(schemes["f"]) == "int -> int"
+        schemes, _ = infer_types(parse_program("step g (x : int) --> () { () = () }"))
+        assert str(schemes["g"]) == "int -> unit"
+
+
 class TestFirstOrderComparison:
     """Compared values are first-order: a variable compared in a step stands
     only for types without a function in them."""

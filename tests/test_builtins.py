@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from mimosa import eval_expr, parse_expression
 from mimosa.ast import UNIT_VALUE, VConst, VNone, VSome, VTuple, VUndef
 from mimosa.builtins import (
     BINARY_OPS,
@@ -133,6 +134,11 @@ def test_builtins_match_the_checked_reference(op, seed):
         v = gen_argument(rng)
         assert outcome(fast, v) == outcome(REFERENCE[op], v), v
 
+
+
+def test_equal_tuples_compare_as_equal():
+    env = BUILTIN_VALUES | {"x": VConst(1)}
+    assert eval_expr(env, parse_expression("(x, 2) <= (x, 2)")).value == VConst(True)
 
 
 # An ill-typed operand, as a host can pass one, is named in Mimosa notation.

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -869,6 +870,14 @@ class TestInputOutputErrors:
             f"{trace}:3:1: error: malformed trace row: expected an integer time_us, a channel and a value\n"
         )
 
+    def test_trace_with_a_short_row(self, tmp_path, capsys):
+        trace = tmp_path / "short.csv"
+        trace.write_text("time_us,channel,value,node\n10000,a,1,n\n20000,a\n")
+        assert main(["explain-trace", str(trace)]) == 1
+        assert capsys.readouterr().err == (
+            f"{trace}:3:1: error: malformed trace row: expected an integer time_us, a channel and a value\n"
+        )
+
 
 class TestExplainTrace:
     def test_summary(self, fib_file, tmp_path, capsys):
@@ -985,6 +994,24 @@ class TestClosedOutput:
         line, status, err = self.first_line_then_close(["run", fib_file, "--for", "20000ms"])
         assert line == b"10ms: 0\n"
         assert (status, err) == (1, b"")
+
+    def test_run_into_a_pipe_closed_in_process(self, fib_file, capsys, monkeypatch):
+        # The same in this process, so the handler's own lines run here.
+        read_end, write_end = os.pipe()
+        out = open(write_end, "w")
+        monkeypatch.setattr(sys, "stdout", out)
+        lines = []
+
+        def first_line_then_close():
+            with open(read_end, "rb") as reader:
+                lines.append(reader.readline())
+
+        reader = threading.Thread(target=first_line_then_close)
+        reader.start()
+        status = main(["run", fib_file, "--for", "100s"])
+        reader.join()
+        out.close()
+        assert (lines, status, capsys.readouterr().err) == ([b"10ms: 0\n"], 1, "")
 
     def test_explain_trace_into_a_closed_pipe(self, fib_file, tmp_path, capsys):
         trace = tmp_path / "fib.csv"

@@ -15,6 +15,7 @@ from exprgen import (
     TOP_TYPES,
     UNBOUND,
     base_env,
+    gen_call_expr,
     gen_expr,
     gen_leaf_expr,
     gen_operator_expr,
@@ -929,6 +930,12 @@ node delay implements delay (b) --> (a) every 10ms
             ("u -> v", "u", 1),
             ("u fby v", "u", 1),
             ("if u then 1 else 2", "u", 4),
+            ("nest ((u, 1), ())", "u", 8),
+            ("nest ((1, u), u)", "u", 11),
+            ("nest ((1, 2), u)", "u", 15),
+            ("nest (pre (u, 1), ())", "u", 12),
+            ("mix (pre u, v)", "u", 10),
+            ("mix (i1 -> pre u, v)", "u", 16),
         ],
     )
     def test_an_unbound_leaf_fails_as_in_the_reference_evaluator(self, text, name, col):
@@ -937,6 +944,46 @@ node delay implements delay (b) --> (a) every 10ms
         got = outcome(lambda: eval_expr(env, e))
         want = outcome(lambda: reference_eval(env, e, reference_context(env), None))
         assert got == want == (InternalError, f"unbound name '{name}' at 1:{col}")
+
+    @pytest.mark.parametrize("seed", range(300))
+    def test_tuple_arguments_bound_in_place_match_the_reference_evaluator(self, seed):
+        rng = random.Random(seed)
+        call = gen_call_expr(rng, rng.randrange(1, 4))
+        env = leaf_env() | {"w": VConst(-1)}
+        context = reference_context(env)
+
+        def system(evaluate):
+            next_equations, bound = evaluate()
+            return EvalResult(bound, next_equations)
+
+        # The call alone, where a `pre` reads its operand at once, and as the
+        # first of two equations, where a `pre` waits for the second to bind
+        # `w`. Each pair is (evaluator, reference, first input).
+        cases = [
+            (lambda e: eval_expr(env, e), lambda e: reference_eval(env, e, context, None), call),
+            (
+                lambda eqs: system(lambda: eval_equations(env, eqs)),
+                lambda eqs: system(lambda: reference_run_equations(dict(env), eqs, context)),
+                (Equation(PVar("r"), call), Equation(PVar("w"), parse_expression("r + 1"))),
+            ),
+        ]
+        for evaluate, reference_evaluate, start in cases:
+            shared = reference = start
+            for _ in range(5):
+                before = copy.deepcopy(shared)
+                got = outcome(lambda: evaluate(shared))
+                want = outcome(lambda: reference_evaluate(reference))
+                assert shared == before
+                assert got == want
+                if isinstance(got[0], type):
+                    break
+                # Every node of its input that the reference keeps, the
+                # sharing evaluator keeps too, in the same place.
+                counterpart = {id(r): s for r, s in corresponding_roots(reference, shared)}
+                for w, g in corresponding_roots(want[1], got[1]):
+                    if id(w) in counterpart:
+                        assert g is counterpart[id(w)]
+                shared, reference = got[1], want[1]
 
 
 def value_of(t, rng: random.Random):
@@ -1019,6 +1066,15 @@ def corresponding(a, b):
         x, y = stack.pop()
         yield x, y
         stack.extend(zip(children(x), children(y)))
+
+
+def corresponding_roots(a, b):
+    """`corresponding` for two expressions or two equation lists."""
+    if type(a) is tuple:
+        for x, y in zip(a, b):
+            yield from corresponding(x.rhs, y.rhs)
+    else:
+        yield from corresponding(a, b)
 
 
 def children(node) -> list:
@@ -1249,10 +1305,11 @@ class TestCallCount:
         step = VClosure(PVar("u"), PVar("a"), tuple(Equation(PVar(n), parse_expression(t)) for n, t in body))
         first = eval_expr(env_of(), Apply(Const(step), Const(VConst(5))))
         eval_calls.clear()
-        # The second firing: its call, `u + u`, the hole `11 -> pre (s + 1)`
-        # and its `pre`, and the deferred operand `s + 1`; no `Const`.
+        # The second firing: its call, `u + u`, the hole `11 -> pre (s + 1)`,
+        # which builds its `pre`'s next hole itself, and the deferred operand
+        # `s + 1`; no `Const` and no `Pre`.
         assert eval_expr(env_of(), first.next).value == VConst(11)
-        assert eval_calls == ["Apply", "Apply", "Arrow", "Pre", "Apply"]
+        assert eval_calls == ["Apply", "Apply", "Arrow", "Apply"]
 
     def test_one_activation_of_a_chain_step(self, eval_calls):
         body = [
@@ -1266,25 +1323,26 @@ class TestCallCount:
         # A node firing: the step's literal applied to the literal of its input.
         firing = Apply(Const(step), Const(VConst(5)))
         assert eval_expr(env_of(mix=mix), firing).value == VConst(1)
-        # The firing, then `mix`: its call, the pair and each of its items,
-        # and `a * b` in its body; `->` and its `pre`; `fby` and its head,
-        # which only this first activation evaluates; `if`, its condition and
-        # the taken branch; and last the deferred `pre` operand `s + 1`.
+        # The firing, then `mix`: its call, whose pair of leaves is bound in
+        # place, and `a * b` in its body; `->`, which builds its `pre`'s hole
+        # itself; `fby` and its head, which only this first activation
+        # evaluates; `if`, its condition and the taken branch; and last the
+        # deferred `pre` operand `s + 1`.
         assert eval_calls == [
-            "Apply", "Apply", "Tuple", "Var", "Const", "Apply",
-            "Arrow", "Pre", "Fby", "Const", "If", "Apply", "Apply", "Apply",
+            "Apply", "Apply", "Apply",
+            "Arrow", "Fby", "Const", "If", "Apply", "Apply", "Apply",
         ]
 
     def test_other_leaves_of_a_body_are_one_call_each(self, eval_calls):
         # A firing of `hold`, whose right-hand sides `a` and `2`, `Some`
         # operand `m`, taken branch `o` and `pre` operand `c` are each one
-        # call: the firing; `a` and `2`; `->` and its `pre`; `Some` and `m`;
-        # `either`, its `if`, the condition `c > k` and the branch `o`; and
-        # last the deferred `pre` operand `c`.
+        # call: the firing; `a` and `2`; `->`, which builds its `pre`'s hole
+        # itself; `Some` and `m`; `either`, its `if`, the condition `c > k`
+        # and the branch `o`; and last the deferred `pre` operand `c`.
         firing = Apply(Const(HOLD), Const(VConst(5)))
         assert eval_expr(leaf_env(), firing).value == VConst(0)
         assert eval_calls == [
-            "Apply", "Var", "Const", "Arrow", "Pre", "Some", "Var",
+            "Apply", "Var", "Const", "Arrow", "Some", "Var",
             "Either", "If", "Apply", "Var", "Var",
         ]
 
@@ -1297,7 +1355,7 @@ class TestCallCount:
         # `hold` fired through `applied_to`: the calls of its body only.
         assert eval_expr(leaf_env(), Const(HOLD), applied_to=VConst(5)).value == VConst(0)
         assert eval_calls == [
-            "Var", "Const", "Arrow", "Pre", "Some", "Var",
+            "Var", "Const", "Arrow", "Some", "Var",
             "Either", "If", "Apply", "Var", "Var",
         ]
 
@@ -1306,7 +1364,7 @@ class TestCallCount:
         step = VClosure(PVar("u"), PVar("a"), tuple(Equation(PVar(n), parse_expression(t)) for n, t in body))
         first = eval_expr(env_of(), Const(step), applied_to=VConst(5))
         eval_calls.clear()
-        # `u + u`, the hole `11 -> pre (s + 1)` and its `pre`, and the
-        # deferred operand `s + 1`; no `Const`.
+        # `u + u`, the hole `11 -> pre (s + 1)`, which builds its `pre`'s
+        # next hole itself, and the deferred operand `s + 1`; no `Const`.
         assert eval_expr(env_of(), first.next, applied_to=VConst(5)).value == VConst(11)
-        assert eval_calls == ["Apply", "Arrow", "Pre", "Apply"]
+        assert eval_calls == ["Apply", "Arrow", "Apply"]

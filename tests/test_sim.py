@@ -657,6 +657,16 @@ node s implements sink (a) --> () every 10ms
         trace = run(cp, SimConfig(horizon_us=20 * MS), hosts)
         assert [v.value for v in trace.values("a")] == [5, 5]
 
+    def test_a_config_needs_a_positive_horizon_and_a_known_schedule(self):
+        with pytest.raises(ValueError, match="^horizon must be positive$"):
+            SimConfig(horizon_us=0)
+        with pytest.raises(ValueError, match="^unknown schedule 'fifo'$"):
+            SimConfig(1, schedule="fifo")
+
+    def test_from_values_needs_a_value(self):
+        with pytest.raises(SimError, match="input stub needs at least one value"):
+            from_values(())
+
     def test_from_values_holds_last(self):
         fn = from_values([VConst(1), VConst(2)])()
         got = [fn(UNIT_VALUE, None) for _ in range(4)]
