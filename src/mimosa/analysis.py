@@ -34,6 +34,7 @@ from .ast import (
     StepDecl,
     Tuple,
     Value,
+    UNIT_VALUE,
     Var,
     VConst,
     VNone,
@@ -582,7 +583,9 @@ class _Infer:
 
     def literal_type(self, v: Value) -> Type:
         kind = type(v)
-        if kind is VConst:
+        if kind in _CONST_TYPES:
+            return _CONST_TYPES[kind]
+        if kind is VConst:  # the unit value, or a host's boxed scalar
             return _CONST_TYPES.get(type(v.value), UNIT)
         if kind is VTuple:
             return TTuple(tuple([self.literal_type(i) for i in v.items]))
@@ -636,17 +639,64 @@ def infer_types(program: Program, info: NetworkInfo | None = None) -> tuple[dict
     return schemes, node_sigs
 
 
+def declared_type(step: StepDecl, pattern: Pattern) -> Type:
+    """The type of `pattern`, an input or output of prototype `step`."""
+    return _Infer().sig_type(pattern, {}, require_annot=True, step=step.name)
+
+
 def check_host_value(step: StepDecl, value: Value, span: Span = SYNTHETIC, file: str = "<string>") -> None:
     """Raise TypeCheckError unless the host value `value` can be a result of
     the prototype `step`, whose output signature is fully annotated."""
-    inf = _Infer()
-    declared = inf.sig_type(step.out_pattern, {}, require_annot=True, step=step.name)
-    found = inf.literal_type(value)
-    try:
-        inf.u.unify(declared, found, span)
-    except TypeCheckError:
+    declared = declared_type(step, step.out_pattern)
+    if host_unboxer(declared)(value) is None:
+        found = _Infer().literal_type(value)
         message = f"step '{step.name}' returns {declared}, but its host value has type {found}"
-        raise TypeCheckError([Diagnostic(message, span, file=file)]) from None
+        raise TypeCheckError([Diagnostic(message, span, file=file)])
+
+
+# A host gets and returns its scalars boxed in `VConst`; the run holds them plain.
+_SCALARS = {INT: int, BOOL: bool, REAL: float}
+
+
+def host_boxer(t: Type) -> Callable[[Value], Value] | None:
+    """Boxes the run's value of type `t` for a host; None where `t` holds no scalar."""
+    if t in _SCALARS:
+        return VConst
+    if type(t) is TOption and (box := host_boxer(t.elem)):
+        return lambda v: VSome(box(v.value)) if type(v) is VSome else v
+    boxes = [host_boxer(i) for i in t.items] if type(t) is TTuple else ()
+    if any(boxes):
+        return lambda v: VTuple(tuple([x if b is None else b(x) for b, x in zip(boxes, v.items)]))
+    return None
+
+
+def host_unboxer(t: Type) -> Callable[[Value], Value | None]:
+    """Unboxes a host's value of type `t` for the run; None for any other value."""
+    if t in _SCALARS:
+        scalar = _SCALARS[t]
+        return lambda v: v.value if type(v) is VConst and type(v.value) is scalar else None
+    if type(t) is TOption:
+        unbox = host_unboxer(t.elem)
+        return lambda v: (
+            v if type(v) is VNone else VSome(x) if type(v) is VSome and (x := unbox(v.value)) is not None else None
+        )
+    if type(t) is TTuple:
+        unboxes = [host_unboxer(i) for i in t.items]
+
+        def unbox_tuple(v: Value) -> Value | None:
+            if type(v) is not VTuple or len(v.items) != len(unboxes):
+                return None
+            items = [unbox(x) for unbox, x in zip(unboxes, v.items)]
+            return None if None in items else VTuple(tuple(items))
+
+        return unbox_tuple
+    return lambda v: UNIT_VALUE if v is UNIT_VALUE or v == UNIT_VALUE else None
+
+
+def boxed(v: Value) -> Value:
+    """Literal `v` as a host returns it: each scalar in a `VConst`."""
+    box = host_boxer(_Infer().literal_type(v))
+    return v if box is None else box(v)
 
 
 def _ports_type(ports, channel_types) -> Type:

@@ -10,13 +10,16 @@ Source locations (`loc`, resolved by the `span` property) never participate
 in equality or hashing, so structural comparison of two trees ignores where
 they were parsed from.
 
-A literal is its value: `Const` holds the runtime `Value` it evaluates to, so
+A literal is its value: `Const` holds the runtime value it evaluates to, so
 when `pre e` rewrites to `v -> pre e'` the current value `v` goes back into
-the program text as one `Const(v)`. `VUndef` is the only undefined value. A
-step value, too, has one form: a call `f a` rewrites to `Apply(Const(c), a')`,
-where the closure `c` holds the callee's next equations, so the closure
-carries the call's state. A settled activation's closure is its own next
-state, so a stateless step allocates nothing after its first cycle.
+the program text as one `Const(v)`. A scalar is a plain `int`, `bool` or
+`float`, tested with `type(v) is int` (a bool is an int to `isinstance`),
+boxed in `VConst` only for a host step; the unit value is `UNIT_VALUE`, and
+`VUndef` the only undefined value. A step value, too, has one form: a call
+`f a` rewrites to `Apply(Const(c), a')`, where the closure `c` holds the
+callee's next equations, so the closure carries the call's state. A settled
+activation's closure is its own next state, so a stateless step allocates
+nothing after its first cycle.
 """
 
 from __future__ import annotations
@@ -115,9 +118,9 @@ class Var(Expr):
 
 @dataclass(slots=True, unsafe_hash=True)
 class Const(Expr):
-    """A literal, holding the value it evaluates to: a `VConst` or `VNone` as
-    parsed, any value, `VUndef` included, that `pre` embeds, or the closure a
-    called step rewrites to."""
+    """A literal, holding the value it evaluates to: a plain scalar, the unit
+    value or `VNone` as parsed, any value, `VUndef` included, that `pre`
+    embeds, or the closure a called step rewrites to."""
 
     value: "Value"
     loc: Loc = field(default=SYNTHETIC, compare=False, repr=False)
@@ -313,8 +316,6 @@ UNIT_VALUE = VConst(UNIT_LIT)
 
 def contains_undef(v: Value) -> bool:
     kind = type(v)
-    if kind is VConst:
-        return False
     if kind is VTuple:
         return any(map(contains_undef, v.items))
     if kind is VSome:

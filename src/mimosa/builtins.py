@@ -4,10 +4,11 @@ Builtins are named by their operator symbol, which no identifier can spell,
 so user steps can never shadow them (programs may freely define steps called
 `add` and the like).
 
-A builtin's `run` is its checked path, which reports undefined and ill-typed
-operands. Binary operators but `==` and `!=` also carry a kernel
-(`VExtern.kernel`): the plain operand type, `int` (a bool is none) or `bool`
-for `&&` and `||`, and what the evaluator applies to two operands of it.
+Operands and results are plain Python scalars. A builtin's `run` is its
+checked path, which reports undefined and ill-typed operands. Binary
+operators but `==` and `!=` also carry a kernel (`VExtern.kernel`): the
+operand type, `int` (a bool is none) or `bool` for `&&` and `||`, and what
+the evaluator applies to two operands of it.
 """
 
 from __future__ import annotations
@@ -27,18 +28,18 @@ def _show(v: Value) -> str:
 
 
 def _int(v: Value, op: str) -> int:
-    if isinstance(v, VUndef):
+    if type(v) is int:
+        return v
+    if type(v) is VUndef:
         raise UndefEscape(f"undefined operand for '{op}'")
-    if isinstance(v, VConst) and not isinstance(v.value, bool) and isinstance(v.value, int):
-        return v.value
     raise EvalError(f"'{op}' expects integer operands, got {_show(v)}")
 
 
 def _bool(v: Value, op: str) -> bool:
-    if isinstance(v, VUndef):
+    if type(v) is bool:
+        return v
+    if type(v) is VUndef:
         raise UndefEscape(f"undefined operand for '{op}'")
-    if isinstance(v, VConst) and isinstance(v.value, bool):
-        return v.value
     raise EvalError(f"'{op}' expects boolean operands, got {_show(v)}")
 
 
@@ -55,12 +56,16 @@ def _trunc_div(a: int, b: int) -> int:
     return q if (a >= 0) == (b >= 0) else -q
 
 
+# The classes of a scalar or the unit value, which compare as Python values.
+_LEAVES = (int, bool, float, VConst)
+
+
 def structural_eq(a: Value, b: Value, op: str = "==") -> bool:
-    if isinstance(a, VUndef) or isinstance(b, VUndef):
+    if type(a) is VUndef or type(b) is VUndef:
         raise UndefEscape(f"undefined operand for '{op}'")
+    if type(a) in _LEAVES and type(b) in _LEAVES:
+        return a == b and (type(a) is bool) == (type(b) is bool)
     match (a, b):
-        case (VConst(x), VConst(y)):
-            return x == y and isinstance(x, bool) == isinstance(y, bool)
         case (VNone(), VNone()):
             return True
         case (VNone(), VSome()) | (VSome(), VNone()):
@@ -78,13 +83,13 @@ def structural_cmp(a: Value, b: Value, op: str) -> int:
 
     Bools order false < true; options order None < Some; tuples lexicographic.
     """
-    if isinstance(a, VUndef) or isinstance(b, VUndef):
+    if type(a) is VUndef or type(b) is VUndef:
         raise UndefEscape(f"undefined operand for '{op}'")
+    if type(a) in _LEAVES and type(b) in _LEAVES:
+        if type(a) is VConst or type(b) is VConst:
+            return 0 if a == b else 1  # unit: only equal to itself
+        return (a > b) - (a < b)
     match (a, b):
-        case (VConst(x), VConst(y)):
-            if not isinstance(x, (bool, int, float)) or not isinstance(y, (bool, int, float)):
-                return 0 if x == y else 1  # unit: only equal to itself
-            return (x > y) - (x < y)
         case (VNone(), VNone()):
             return 0
         case (VNone(), VSome()):
@@ -107,7 +112,7 @@ def _binary(op: str, fn, operand, plain: type) -> tuple[Scheme, VExtern]:
     # `operand` reads each operand of the pair as a `plain`: `_int` or `_bool`.
     def run(v, _ctx=None):
         a, b = _pair(v, op)
-        return VConst(fn(operand(a, op), operand(b, op)))
+        return fn(operand(a, op), operand(b, op))
 
     t = INT if plain is int else BOOL
     return Scheme((), TFunc(TTuple((t, t)), t)), VExtern(op, run, (plain, fn))
@@ -121,7 +126,7 @@ def _compare(op: str, order) -> tuple[Scheme, VExtern]:
     # `order(a, b)` on ints is `order(structural_cmp(a, b), 0)` on anything.
     def run(v, _ctx=None):
         a, b = _pair(v, op)
-        return VConst(order(structural_cmp(a, b, op), 0))
+        return order(structural_cmp(a, b, op), 0)
 
     return _CMP, VExtern(op, run, (int, order))
 
@@ -129,15 +134,13 @@ def _compare(op: str, order) -> tuple[Scheme, VExtern]:
 def _eq(op: str, want: bool) -> tuple[Scheme, VExtern]:
     def run(v, _ctx=None):
         a, b = _pair(v, op)
-        return VConst(structural_eq(a, b, op) == want)
+        return structural_eq(a, b, op) == want
 
     return _CMP, VExtern(op, run)
 
 
 def _not(v, _ctx=None):
-    if type(v) is VConst and type(v.value) is bool:
-        return VConst(not v.value)
-    return VConst(not _bool(v, "!"))
+    return not v if type(v) is bool else not _bool(v, "!")
 
 
 # Each operator's type scheme and value. The schemes are built from the

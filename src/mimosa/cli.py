@@ -10,7 +10,7 @@ import sys
 from contextlib import contextmanager
 from typing import Callable, Iterator, TextIO, TypeVar
 
-from .analysis import check_host_value, check_program
+from .analysis import boxed, check_host_value, check_program
 from .ast import UNIT_VALUE, Program
 from .errors import Diagnostic, MimosaError, SimError, Span, read_text, render_diagnostics
 from .parser import parse_duration, parse_literal, parse_program
@@ -111,7 +111,7 @@ def _registry_from_stubs(stubs: list[str], program: Program) -> HostRegistry:
         if spec == "builtin:print":
             factory, value = print_host(), UNIT_VALUE
         elif spec.startswith("const:"):
-            value = _option_value("--stub", stub, lambda: parse_literal(spec[len("const:") :]))
+            value = _option_value("--stub", stub, lambda: boxed(parse_literal(spec[len("const:") :])))
             factory = const_seq(value)
         else:
             factory, value = from_file(spec, step), None  # checks each of its values itself
@@ -242,7 +242,8 @@ def main(argv: list[str] | None = None) -> int:
         # The reader closed standard output early (`mimosa run … | head`).
         # Send what is still buffered to the null device, so the flush at exit
         # cannot fail again, and stop without a traceback.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 1
     return status
 

@@ -7,11 +7,11 @@ rewriting rules advance the acting node by one period and push its output
 channels' validity to activation + 2 * period.
 
 `init_network` resolves names once: each node gets its ports as (channel,
-optional) pairs, the literal of its step value and its evaluation context,
-and each channel its writer's state. The rules and the invariant check after
-each rule read these, and keep the last validity the check saw on the channel
-itself, so a step does no lookup by name. A firing applies the node's step
-literal directly.
+optional) pairs, the literal of its step value and its evaluation context.
+The rules and the invariant check after each rule read these, and keep the
+last validity the check saw on the channel itself, so a step does no lookup
+by name. A channel names its writer, so the run state holds no cycle. A
+firing applies the node's step literal directly.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .ast import (
     VSome,
     VTuple,
     Value,
-    contains_undef,
 )
 from .builtins import BUILTIN_VALUES
 from .errors import Diagnostic, EvalError, InternalError, Loc, Located, SimError
@@ -54,7 +53,6 @@ class Channel:
     reader: str
     queue: deque  # of (value, tag_us), oldest first
     validity: int
-    writer_node: NodeState | None = field(default=None, repr=False, compare=False)  # set by init_network
     last_validity: int = 0  # as the last invariant check saw it
 
 
@@ -112,8 +110,8 @@ class NetworkState:
             if validity < ch.last_validity:
                 raise InternalError(f"channel '{ch.name}' validity moved backwards")
             ch.last_validity = validity
-            writer = ch.writer_node
-            if validity != writer.activation + writer.period_us:
+            writer = self.nodes[ch.writer] if node is None else acting  # only its outputs moved
+            if writer.name == ch.writer and validity != writer.activation + writer.period_us:
                 raise InternalError(
                     f"channel '{ch.name}' validity {validity} is not its writer's next write time"
                 )
@@ -162,7 +160,6 @@ def init_network(cp: CheckedProgram, hosts: Mapping[str, Value] | None = None) -
             EvalContext(HostContext(0, decl.name)),
         )
         for ch, _ in node.out_ports:
-            ch.writer_node = node
             ch.validity = node.period_us
 
     state = NetworkState(nodes=nodes, channels=channels, env=env_bindings)
@@ -242,7 +239,7 @@ def fire_node(ns: NetworkState, name: str) -> None:
         components = (value,)
     elif outs and type(value) is VTuple and len(value.items) == len(outs):
         components = value.items
-    elif not outs and value == UNIT_VALUE:
+    elif not outs and value is UNIT_VALUE:
         components = ()
     else:
         raise _failure(
@@ -263,9 +260,6 @@ def fire_node(ns: NetworkState, name: str) -> None:
 
 
 def _write(ns: NetworkState, ch: Channel, value: Value, tag: int, node: str) -> None:
-    if contains_undef(value):
-        message = f" wrote an undefined value to channel '{ch.name}' at tag {format_duration(tag)}"
-        raise _failure(ns.nodes[node], message)
     if tag < ch.validity:
         raise InternalError(
             f"write to '{ch.name}' tagged {tag} is below the channel validity {ch.validity}"

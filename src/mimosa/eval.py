@@ -2,8 +2,9 @@
 
 Evaluating an expression yields both its current value and the expression to
 run on the next cycle; all stream state is carried by that rewriting, never by
-mutable cells. An environment is a plain dict from names to values, and one
-passed in by a caller is never mutated: each activation binds into its own.
+mutable cells. A scalar is a plain Python value, boxed only at a host call.
+An environment is a plain dict from names to values, and one passed in by a
+caller is never mutated: each activation binds into its own.
 
 An equation list is one activation and evaluates in a single pass. Each
 right-hand side runs once, in causal order, under the activation's own
@@ -75,7 +76,6 @@ from .ast import (
     UNIT_VALUE,
     Var,
     VClosure,
-    VConst,
     VExtern,
     VNone,
     VSome,
@@ -200,8 +200,8 @@ def _eval(env: Env, e: Expr, ctx: EvalContext, deferred: _Deferred | None) -> tu
             right_next = right
             if b is None:
                 b, right_next = _eval(env, right, ctx, deferred)
-            if type(a) is VConst and type(b) is VConst and type(a.value) is plain and type(b.value) is plain:
-                value = VConst(kernel(a.value, b.value))
+            if type(a) is plain and type(b) is plain:
+                value = kernel(a, b)
             else:
                 value = f.fn(VTuple((a, b)), ctx.host)
             same = fn_next is fn and left_next is left and right_next is right
@@ -303,8 +303,8 @@ def _eval(env: Env, e: Expr, ctx: EvalContext, deferred: _Deferred | None) -> tu
 
 
 def _branch(cond: Value, site: Expr) -> bool:
-    if type(cond) is VConst and type(cond.value) is bool:
-        return cond.value
+    if type(cond) is bool:
+        return cond
     if type(cond) is VUndef:
         raise UndefEscape(_escape("if condition", site.span))
     raise InternalError(f"if condition evaluated to non-boolean {cond!r}")

@@ -44,7 +44,6 @@ from .ast import (
     StepDecl,
     Tuple,
     Var,
-    VConst,
     VNone,
     VSome,
     VTuple,
@@ -62,7 +61,7 @@ KEYWORDS = set(
 PUNCT = tuple("--> -> <= >= == != && || ( ) { } , ; : = ? + - * / < > !".split())
 
 # The value of each literal word; values are never mutated, so they are shared.
-_WORD_VALUES = {"true": VConst(True), "false": VConst(False), "None": VNone()}
+_WORD_VALUES = {"true": True, "false": False, "None": VNone()}
 
 # What an application's argument starts with: these kinds of token, or these words.
 _ATOM_KINDS = ("ident", "int", "real")
@@ -444,14 +443,14 @@ class Parser:
     def literal_value(self) -> Value:
         return self.bounded(self.literal_term, _value_parts, "literal value")
 
-    def negative_number(self) -> VConst:
+    def negative_number(self) -> int | float:
         """`-` and the int or real token after it, as one literal."""
         self.pos += 1
         num = self.tokens[self.pos]
         if num[0] not in ("int", "real"):
             raise _Diag("expected a number after '-'", num)
         self.pos += 1
-        return VConst(-num[3])
+        return -num[3]
 
     def literal_term(self) -> Value:
         t = self.tokens[self.pos]
@@ -459,7 +458,7 @@ class Parser:
             return self.negative_number()
         if t[0] in ("int", "real"):
             self.pos += 1
-            return VConst(t[3])
+            return t[3]
         if t[1] in _WORD_VALUES:
             self.pos += 1
             return _WORD_VALUES[t[1]]
@@ -632,7 +631,7 @@ class Parser:
 
 def _leaf(t: tuple) -> Expr:
     """The name or number token `t` as an expression."""
-    return Var(t[1], t) if t[0] == "ident" else Const(VConst(t[3]), t)
+    return Var(t[1], t) if t[0] == "ident" else Const(t[3], t)
 
 
 def _value_parts(v: Value) -> tuple[Value, ...]:

@@ -105,20 +105,6 @@ def _expr(e: Expr, minimum: int) -> str:
             raise InternalError(f"pretty_expr: unknown expression {e!r}")
 
 
-def _literal(value) -> str:
-    if type(value) is int:
-        return str(value)
-    if value is UNIT_LIT:
-        return "()"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        # The grammar needs a fraction before any exponent: 1e+20 prints as 1.0e+20.
-        mantissa, e, exponent = repr(value).partition("e")
-        return (mantissa if "." in mantissa else mantissa + ".0") + e + exponent
-    return str(value)
-
-
 def _equation(eq: Equation) -> str:
     rhs = eq.rhs
     if isinstance(rhs, Tuple):
@@ -159,8 +145,19 @@ def _sig_entry(p: Pattern) -> str:
 
 
 def pretty_value(v: Value) -> str:
-    if type(v) is VConst:
-        return _literal(v.value)
+    if type(v) is VConst:  # a host's boxed scalar, or the unit value
+        v = v.value
+    kind = type(v)
+    if kind is int:
+        return str(v)
+    if kind is bool:
+        return "true" if v else "false"
+    if kind is float:
+        # The grammar needs a fraction before any exponent: 1e+20 prints as 1.0e+20.
+        mantissa, e, exponent = repr(v).partition("e")
+        return (mantissa if "." in mantissa else mantissa + ".0") + e + exponent
+    if v is UNIT_LIT:
+        return "()"
     match v:
         case VTuple(items):
             return "(" + ", ".join(pretty_value(i) for i in items) + ")"

@@ -30,7 +30,7 @@ from heapq import heapify, heappop, heappush
 from operator import itemgetter
 from typing import Callable, Sequence
 
-from .analysis import CheckedProgram, check_host_value
+from .analysis import CheckedProgram, boxed, check_host_value, declared_type, host_boxer, host_unboxer
 from .ast import UNIT_VALUE, StepDecl, VExtern, Value
 from .coord import (
     BLOCKED,
@@ -131,7 +131,7 @@ def from_file(path: str, step: StepDecl | None = None) -> HostFactory:
     values = []
     for number, line in enumerate(read_text(path, SimError).splitlines(), 1):
         if (text := line.strip()) and not text.startswith("--"):
-            values.append(parse_literal(line, path, number))
+            values.append(boxed(parse_literal(line, path, number)))
             if step is not None:
                 col = line.index(text) + 1  # at the literal, as its parse errors are
                 check_host_value(step, values[-1], Span(number, col, number, col), path)
@@ -186,11 +186,11 @@ class Simulation:
         registry = hosts if hosts is not None else builtin_hosts()
         # Prototypes that some node implements or some step body names.
         used = cp.named_steps.union(node.step for node in cp.program.nodes)
-        prototypes = [s.name for s in cp.program.steps if s.is_prototype and s.name in used]
-        missing = [name for name in prototypes if not registry.bound(name)]
+        prototypes = [s for s in cp.program.steps if s.is_prototype and s.name in used]
+        missing = [s.name for s in prototypes if not registry.bound(s.name)]
         if missing:
             raise SimError([Diagnostic("unbound prototype steps: " + ", ".join(missing))])
-        hosts_by_step = {name: _per_node_host(name, registry) for name in prototypes}
+        hosts_by_step = {s.name: _per_node_host(s, registry) for s in prototypes}
         self.state: NetworkState = init_network(cp, hosts_by_step)
         self._rng = random.Random(cfg.seed) if cfg.schedule == "randomized" else None
         self._observed_horizon = 0
@@ -255,24 +255,34 @@ class Simulation:
         return Trace(events, steps)
 
 
-def _per_node_host(step: str, registry: HostRegistry) -> VExtern:
+def _per_node_host(step: StepDecl, registry: HostRegistry) -> VExtern:
     """The binding of a prototype step: every calling node gets its own
-    instance from the step's factory, made on that node's first call. A host
-    or factory that raises fails its node; a BrokenPipeError passes as is."""
+    instance from the step's factory, made on that node's first call. It boxes
+    the argument and unboxes the result, which must have the declared type. A
+    host or factory that raises or returns another type fails its node; a
+    BrokenPipeError passes as is."""
     instances: dict[str, HostFn] = {}
+    name, declared = step.name, declared_type(step, step.out_pattern)
+    box, unbox = host_boxer(declared_type(step, step.in_pattern)), host_unboxer(declared)
 
     def call(value: Value, ctx: HostContext) -> Value:
+        if box is not None:
+            value = box(value)
         try:
             fn = instances.get(ctx.node)
             if fn is None:
-                fn = instances[ctx.node] = registry.instantiate(step)
-            return fn(value, ctx)
+                fn = instances[ctx.node] = registry.instantiate(name)
+            result = fn(value, ctx)
         except (MimosaError, BrokenPipeError):
             raise
         except Exception as exc:
-            raise EvalError(f"host step '{step}' raised {type(exc).__name__}: {exc}") from exc
+            raise EvalError(f"host step '{name}' raised {type(exc).__name__}: {exc}") from exc
+        if (value := unbox(result)) is None:
+            shown = pretty_value(result) if isinstance(result, Value) else f"Python {type(result).__name__} {result!r}"
+            raise EvalError(f"host step '{name}' returned {shown}, not a value of its declared type {declared}")
+        return value
 
-    return VExtern(step, call)
+    return VExtern(name, call)
 
 
 def _fall_back(

@@ -32,19 +32,19 @@ from mimosa.ast import (
     Var,
 )
 from mimosa.builtins import BUILTIN_VALUES
-from mimosa.ast import VClosure, VConst, VNone, VSome, VTuple, Value
+from mimosa.ast import VClosure, VNone, VSome, VTuple, Value
 from mimosa.errors import Span
 from mimosa.eval import Env, eval_equations
 from mimosa.types import BOOL, INT, REAL, TOption, Type
 
 # The evaluation environment every generated expression is closed under.
 BASE_VALUES: dict[str, Value] = {
-    "i1": VConst(3),
-    "i2": VConst(7),
-    "r1": VConst(2.5),
-    "b1": VConst(True),
-    "b2": VConst(False),
-    "oi": VSome(VConst(5)),
+    "i1": 3,
+    "i2": 7,
+    "r1": 2.5,
+    "b1": True,
+    "b2": False,
+    "oi": VSome(5),
     "ob": VNone(),
 }
 
@@ -68,11 +68,11 @@ def _leaf(rng: random.Random, ty: Type) -> Expr:
     if names and rng.random() < 0.5:
         return Var(rng.choice(names))
     if ty == INT:
-        return Const(VConst(rng.randrange(10)))
+        return Const(rng.randrange(10))
     if ty == REAL:
-        return Const(VConst(rng.choice((0.5, 1.25, 3.0))))
+        return Const(rng.choice((0.5, 1.25, 3.0)))
     if ty == BOOL:
-        return Const(VConst(rng.random() < 0.5))
+        return Const(rng.random() < 0.5)
     if isinstance(ty, TOption):
         if rng.random() < 0.4:
             return Const(VNone())
@@ -153,8 +153,8 @@ def gen_operator_expr(rng: random.Random, depth: int, ops: tuple[str, ...] = INT
         roll = rng.random()
         if depth <= 0 or roll < 0.35:
             if logic:
-                return Var(rng.choice(("b1", "b2"))) if roll < 0.1 else Const(VConst(rng.random() < 0.5))
-            return Var(rng.choice(("i1", "i2"))) if roll < 0.1 else Const(VConst(rng.randrange(-4, 5)))
+                return Var(rng.choice(("b1", "b2"))) if roll < 0.1 else Const(rng.random() < 0.5)
+            return Var(rng.choice(("i1", "i2"))) if roll < 0.1 else Const(rng.randrange(-4, 5))
         if roll < 0.45:
             return Pre(operand(depth - 1))
         if roll < 0.55:
@@ -162,9 +162,9 @@ def gen_operator_expr(rng: random.Random, depth: int, ops: tuple[str, ...] = INT
         if roll < 0.6:
             return Fby(operand(depth - 1), operand(depth - 1))
         if roll < 0.65:
-            return Var(rng.choice(("b1", "b2"))) if rng.random() < 0.5 else Const(VConst(rng.random() < 0.5))
+            return Var(rng.choice(("b1", "b2"))) if rng.random() < 0.5 else Const(rng.random() < 0.5)
         if roll < 0.7:
-            return Var("r1") if rng.random() < 0.5 else Const(VConst(-1.5))
+            return Var("r1") if rng.random() < 0.5 else Const(-1.5)
         usual = COMPARISON_OPS if logic else INT_OPS
         return gen_operator_expr(rng, depth - 1, usual if rng.random() < 0.85 else ops)
 
@@ -240,11 +240,11 @@ def gen_leaf_expr(rng: random.Random, depth: int) -> Expr:
 
     def int_child(depth: int) -> Expr:
         if depth <= 0 or rng.random() < 0.5:
-            return leaf(("i1", "i2"), VConst(rng.randrange(-4, 5)))
+            return leaf(("i1", "i2"), rng.randrange(-4, 5))
         return form(depth - 1)
 
     def bool_leaf() -> Expr:
-        return leaf(("b1", "b2"), VConst(rng.random() < 0.5))
+        return leaf(("b1", "b2"), rng.random() < 0.5)
 
     def condition(depth: int) -> Expr:
         roll = rng.random()
@@ -263,7 +263,7 @@ def gen_leaf_expr(rng: random.Random, depth: int) -> Expr:
         if kind == 1:
             return Apply(Var("mix"), Tuple((int_child(depth), int_child(depth))))
         if kind == 2:  # a node firing: a step applied to the literal of its inputs
-            argument = Const(VTuple((VConst(rng.randrange(5)), VConst(rng.randrange(5)))))
+            argument = Const(VTuple((rng.randrange(5), rng.randrange(5))))
             return Apply(rng.choice((Var("mix"), Const(MIX))), argument)
         if kind == 3:
             return Apply(rng.choice((Var("inc"), Const(INC), Var("hold"), Const(HOLD))), int_child(depth))
@@ -297,7 +297,7 @@ def gen_call_expr(rng: random.Random, depth: int) -> Expr:
         if depth <= 0 or roll < 0.4:
             if roll < 0.03:
                 return unbound()
-            return Var(rng.choice(("i1", "i2", "w"))) if roll < 0.25 else Const(VConst(rng.randrange(-4, 5)))
+            return Var(rng.choice(("i1", "i2", "w"))) if roll < 0.25 else Const(rng.randrange(-4, 5))
         if roll < 0.46:
             return Pre(item(depth - 1))
         if roll < 0.75:
@@ -309,7 +309,7 @@ def gen_call_expr(rng: random.Random, depth: int) -> Expr:
         if roll < 0.7:
             return Tuple((item(depth), item(depth)))
         if roll < 0.94:
-            return Const(VTuple((VConst(rng.randrange(5)), VConst(rng.randrange(5)))))
+            return Const(VTuple((rng.randrange(5), rng.randrange(5))))
         return Pre(Tuple((item(depth), item(depth))))
 
     def unit() -> Expr:
@@ -352,7 +352,7 @@ def gen_system(rng: random.Random, n_eqs: int) -> list[Equation]:
     def atom(visible: list[str]) -> Expr:
         roll = rng.random()
         if roll < 0.4:
-            return Const(VConst(rng.randrange(2)))
+            return Const(rng.randrange(2))
         if roll < 0.9 and visible:
             return Var(rng.choice(visible))
         return Var("i0")
@@ -385,7 +385,7 @@ def gen_system(rng: random.Random, n_eqs: int) -> list[Equation]:
     return [equations[-1]] + rest
 
 
-SYSTEM_BASE = {"i0": VConst(0), "b1": VConst(True)}
+SYSTEM_BASE = {"i0": 0, "b1": True}
 
 
 def system_env() -> Env:

@@ -37,7 +37,7 @@ from mimosa import (
     run,
     run_randomized_equivalence,
 )
-from mimosa.ast import Equation, PVar, VConst, VUndef, contains_undef
+from mimosa.ast import Equation, PVar, VUndef, contains_undef
 from mimosa.eval import Env
 
 MS = 1_000
@@ -92,7 +92,7 @@ def test_criterion_2_fibonacci_end_to_end(fib_checked):
             ("idle", "split", 10 * MS),
         ]
 
-        got = [(v.value, t) for t, v in trace.per_channel()["d"]]
+        got = [(v, t) for t, v in trace.per_channel()["d"]]
         expected = oracle_d_history()
         assert got == expected, f"channel d diverged from the recorded oracle: {got}"
         fib = [v for v, _ in got]
@@ -105,8 +105,8 @@ def test_criterion_3_edge_detector(edge_network_checked):
         hosts = edge_hosts(bools(False, False, True, True, False, False))
         trace = run(edge_network_checked, SimConfig(horizon_us=600 * MS), hosts)
         assert trace.per_channel().get("b") == [
-            (400 * MS, VConst(True)),
-            (600 * MS, VConst(False)),
+            (400 * MS, True),
+            (600 * MS, False),
         ]
 
 
@@ -145,7 +145,7 @@ def test_criterion_6_eqs_fixpoint():
         eqs = (Equation(PVar("x"), original),)
         for cycle in range(100):
             eqs, env = eval_equations(Env(), eqs)
-            assert env["x"] == VConst(0), f"cycle {cycle}: value drifted"
+            assert env["x"] == 0, f"cycle {cycle}: value drifted"
             assert eqs[0].rhs == original, f"cycle {cycle}: equation rewrote"
 
 
@@ -163,16 +163,16 @@ def test_criterion_7_initialization_conformance():
         for _ in range(4):
             eqs, env = eval_equations(Env(), eqs)
             values.append(env["x"])
-        assert values[0] == VConst(0)
+        assert values[0] == 0
         assert values[1] == VUndef(), "undefined value must appear exactly at cycle 2"
-        assert values[2] == VConst(0)
+        assert values[2] == 0
 
         # The alternating form is accepted and never goes undefined.
         good = parse_program("step f (x : int) --> y { y = 0 -> pre (0 -> pre x) }").steps[0]
         check_initialization(good, order_equations(good))
         eqs = (Equation(PVar("y"), parse_expression("0 -> pre (0 -> pre x)")),)
         for cycle in range(100):
-            eqs, env = eval_equations(Env({"x": VConst(cycle)}), eqs)
+            eqs, env = eval_equations(Env({"x": cycle}), eqs)
             assert not contains_undef(env["y"]), f"cycle {cycle} produced undef"
 
 

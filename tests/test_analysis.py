@@ -48,7 +48,6 @@ from mimosa.ast import (
     StepDecl,
     Tuple,
     Var,
-    VConst,
     VNone,
     VTuple,
     VUndef,
@@ -247,7 +246,7 @@ class GeneralInfer(_Infer):
 
 
 OPERAND_VARIANTS = (
-    Const(VConst(True)),
+    Const(True),
     Tuple((Var("i1"), Var("b1"))),
     Const(VNone()),
     Var("g"),
@@ -1030,7 +1029,7 @@ class TestInitialization:
         # item, and a literal pair with an undefined item, which no source
         # text spells.
         step = in_place_step(position.format(undefined))
-        literal = Const(VTuple((VUndef(), VConst(1))))
+        literal = Const(VTuple((VUndef(), 1)))
         step = dataclasses.replace(
             step, equations=tuple(dataclasses.replace(eq, rhs=rewrite(eq.rhs, {"z": literal})) for eq in step.equations)
         )

@@ -154,7 +154,7 @@ def test_nesting_walks_a_deep_chain_without_recursion():
         Pre,
         Some,
         lambda e: Apply(Var("f"), e),
-        lambda e: Fby(Const(VConst(0)), e),
+        lambda e: Fby(Const(0), e),
         lambda e: Tuple((e, Var("y"))),
     )
     e = Var("x")
@@ -189,7 +189,7 @@ def test_equal_expr_ignores_spans():
 
 def test_tuple_arity_is_checked():
     with pytest.raises(ValueError):
-        Tuple((Const(VConst(1)),))
+        Tuple((Const(1),))
     with pytest.raises(ValueError):
         PTuple((PVar("x"),))
 
@@ -276,7 +276,7 @@ def test_deepcopy_of_a_rewritten_body_is_equal():
         "step f (x : int) --> (y : int) { ps = 0 -> pre s; s = ps + x; p = 1 fby s * 2; y = if x > 0 then p else s }"
     )
     body = check_program(program, complete_network=False).ordered_equations["f"]
-    env = Env(dict(BUILTIN_VALUES) | {"x": VConst(3)})
+    env = Env(dict(BUILTIN_VALUES) | {"x": 3})
     for _ in range(3):
         body, _final = eval_equations(env, body)
         twin = copy.deepcopy(body)
@@ -301,24 +301,24 @@ NODES = {
     PUnit: lambda loc: PUnit(loc),
     PTuple: lambda loc: PTuple((PVar("a", None, loc), PTuple((PWild(None, loc), PUnit(loc)), loc)), loc),
     StepDecl: _step,
-    ChannelDecl: lambda loc: ChannelDecl("c", INT, (VConst(1), VConst(-2)), loc),
+    ChannelDecl: lambda loc: ChannelDecl("c", INT, (1, -2), loc),
     PortRef: lambda loc: PortRef("c", True, loc),
     NodeDecl: lambda loc: NodeDecl("n", "f", (PortRef("c", False, loc),), (PortRef("d", True, loc),), 10_000, loc),
     Var: lambda loc: Var("x", loc),
-    Const: lambda loc: Const(VConst(1), loc),
+    Const: lambda loc: Const(1, loc),
     Tuple: lambda loc: Tuple((Var("x", loc), Const(UNIT_VALUE, loc)), loc),
     Pre: lambda loc: Pre(Var("x", loc), loc),
-    Fby: lambda loc: Fby(Const(VConst(0), loc), Var("x", loc), loc),
-    Arrow: lambda loc: Arrow(Const(VConst(0), loc), Pre(Var("x", loc), loc), loc),
+    Fby: lambda loc: Fby(Const(0, loc), Var("x", loc), loc),
+    Arrow: lambda loc: Arrow(Const(0, loc), Pre(Var("x", loc), loc), loc),
     Apply: lambda loc: Apply(Var("f", loc), Var("x", loc), loc),
     If: lambda loc: If(Var("c", loc), Var("x", loc), Var("y", loc), loc),
     Some: lambda loc: Some(Var("x", loc), loc),
-    Either: lambda loc: Either(Var("o", loc), Const(VConst(2), loc), loc),
+    Either: lambda loc: Either(Var("o", loc), Const(2, loc), loc),
     Equation: lambda loc: Equation(PTuple((PVar("a", None, loc), PWild(None, loc)), loc), Var("x", loc), loc),
     VConst: lambda loc: VConst(1),
-    VTuple: lambda loc: VTuple((VConst(1), VNone())),
+    VTuple: lambda loc: VTuple((1, VNone())),
     VNone: lambda loc: VNone(),
-    VSome: lambda loc: VSome(VConst(True)),
+    VSome: lambda loc: VSome(True),
     VClosure: lambda loc: VClosure(PVar("x", None, loc), PVar("y", None, loc), _step(loc).equations),
     VExtern: lambda loc: VExtern("h", _host),
     VUndef: lambda loc: VUndef(),

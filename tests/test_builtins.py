@@ -7,7 +7,7 @@ import random
 import pytest
 
 from mimosa import eval_expr, parse_expression
-from mimosa.ast import UNIT_VALUE, VConst, VNone, VSome, VTuple, VUndef
+from mimosa.ast import UNIT_VALUE, VNone, VSome, VTuple, VUndef
 from mimosa.builtins import (
     BINARY_OPS,
     BUILTIN_TYPES,
@@ -30,7 +30,7 @@ from mimosa.types import BOOL, INT, TVar
 def reference_arith(op, fn):
     def run(v):
         a, b = _pair(v, op)
-        return VConst(fn(_int(a, op), _int(b, op)))
+        return fn(_int(a, op), _int(b, op))
 
     return run
 
@@ -38,7 +38,7 @@ def reference_arith(op, fn):
 def reference_compare(op, accept):
     def run(v):
         a, b = _pair(v, op)
-        return VConst(accept(structural_cmp(a, b, op)))
+        return accept(structural_cmp(a, b, op))
 
     return run
 
@@ -46,7 +46,7 @@ def reference_compare(op, accept):
 def reference_logic(op, fn):
     def run(v):
         a, b = _pair(v, op)
-        return VConst(fn(_bool(a, op), _bool(b, op)))
+        return fn(_bool(a, op), _bool(b, op))
 
     return run
 
@@ -54,13 +54,13 @@ def reference_logic(op, fn):
 def reference_eq(op, want):
     def run(v):
         a, b = _pair(v, op)
-        return VConst(structural_eq(a, b, op) == want)
+        return structural_eq(a, b, op) == want
 
     return run
 
 
 def reference_not(v):
-    return VConst(not _bool(v, "!"))
+    return not _bool(v, "!")
 
 
 REFERENCE = {
@@ -85,20 +85,20 @@ def gen_value(rng: random.Random, depth: int = 2):
     kinds = ["int", "int", "int", "bool", "bool", "unit", "real", "undef", "option", "tuple"]
     kind = rng.choice(kinds)
     if kind == "int":
-        return VConst(rng.choice([0, 1, -1, 2, -7, 10**20, -(10**20), rng.randrange(-1000, 1000)]))
+        return rng.choice([0, 1, -1, 2, -7, 10**20, -(10**20), rng.randrange(-1000, 1000)])
     if kind == "bool":
-        return VConst(rng.random() < 0.5)
+        return rng.random() < 0.5
     if kind == "unit":
         return UNIT_VALUE
     if kind == "real":
-        return VConst(rng.choice([0.0, 1.0, -2.5]))
+        return rng.choice([0.0, 1.0, -2.5])
     if kind == "undef":
         return VUndef()
     if kind == "option" and depth > 0:
         return VNone() if rng.random() < 0.3 else VSome(gen_value(rng, depth - 1))
     if kind == "tuple" and depth > 0:
         return VTuple(tuple(gen_value(rng, depth - 1) for _ in range(rng.choice([2, 2, 3]))))
-    return VConst(rng.randrange(-5, 5))
+    return rng.randrange(-5, 5)
 
 
 def gen_argument(rng: random.Random):
@@ -137,18 +137,18 @@ def test_builtins_match_the_checked_reference(op, seed):
 
 
 def test_equal_tuples_compare_as_equal():
-    env = BUILTIN_VALUES | {"x": VConst(1)}
-    assert eval_expr(env, parse_expression("(x, 2) <= (x, 2)")).value == VConst(True)
+    env = BUILTIN_VALUES | {"x": 1}
+    assert eval_expr(env, parse_expression("(x, 2) <= (x, 2)")).value is True
 
 
 # An ill-typed operand, as a host can pass one, is named in Mimosa notation.
 ILL_TYPED = {
-    "_int": (lambda: _int(VConst(True), "+"), "'+' expects integer operands, got true"),
-    "_bool": (lambda: _bool(VConst(3), "!"), "'!' expects boolean operands, got 3"),
-    "_pair": (lambda: _pair(VSome(VConst(1)), "-"), "'-' expects a pair of operands, got Some 1"),
-    "structural_eq": (lambda: structural_eq(VConst(1), VNone()), "'==' cannot compare 1 and None"),
+    "_int": (lambda: _int(True, "+"), "'+' expects integer operands, got true"),
+    "_bool": (lambda: _bool(3, "!"), "'!' expects boolean operands, got 3"),
+    "_pair": (lambda: _pair(VSome(1), "-"), "'-' expects a pair of operands, got Some 1"),
+    "structural_eq": (lambda: structural_eq(1, VNone()), "'==' cannot compare 1 and None"),
     "structural_cmp": (
-        lambda: structural_cmp(VTuple((VConst(1), VConst(False))), VConst(-3), "<"),
+        lambda: structural_cmp(VTuple((1, False)), -3, "<"),
         "'<' cannot compare (1, false) and -3",
     ),
 }

@@ -995,8 +995,7 @@ class TestClosedOutput:
         assert line == b"10ms: 0\n"
         assert (status, err) == (1, b"")
 
-    def test_run_into_a_pipe_closed_in_process(self, fib_file, capsys, monkeypatch):
-        # The same in this process, so the handler's own lines run here.
+    def run_into_a_pipe_closed_in_process(self, fib_file, monkeypatch) -> tuple[list[bytes], int]:
         read_end, write_end = os.pipe()
         out = open(write_end, "w")
         monkeypatch.setattr(sys, "stdout", out)
@@ -1011,7 +1010,20 @@ class TestClosedOutput:
         status = main(["run", fib_file, "--for", "100s"])
         reader.join()
         out.close()
+        return lines, status
+
+    def test_run_into_a_pipe_closed_in_process(self, fib_file, capsys, monkeypatch):
+        # The same in this process, so the handler's own lines run here.
+        lines, status = self.run_into_a_pipe_closed_in_process(fib_file, monkeypatch)
         assert (lines, status, capsys.readouterr().err) == ([b"10ms: 0\n"], 1, "")
+
+    @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="counts descriptors in /proc/self/fd")
+    def test_a_pipe_closed_in_process_leaks_no_descriptor(self, fib_file, capsys, monkeypatch):
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(3):
+            assert self.run_into_a_pipe_closed_in_process(fib_file, monkeypatch) == ([b"10ms: 0\n"], 1)
+        assert len(os.listdir("/proc/self/fd")) == before
+        assert capsys.readouterr().err == ""
 
     def test_explain_trace_into_a_closed_pipe(self, fib_file, tmp_path, capsys):
         trace = tmp_path / "fib.csv"

@@ -1,15 +1,17 @@
 """The front end runs with the cyclic collector paused: `parse_program` and
 `check_program` give the caller back its `gc.isenabled()` state on every
-exit, and build nothing the collector would have freed."""
+exit, and build nothing the collector would have freed. Nor does a run."""
 
 import gc
 import json
+import weakref
 from pathlib import Path
 
 import pytest
 
 from conftest import FIB_SOURCE
-from mimosa import check_program, parse_program
+from mimosa import HostRegistry, SimConfig, Simulation, check_program, parse_program
+from mimosa.ast import UNIT_VALUE
 from mimosa.errors import CausalityError, InitError, MimosaError, NetworkError, ParseError, TypeCheckError
 
 ROOT = Path(__file__).parent.parent
@@ -78,3 +80,24 @@ def test_the_front_end_leaves_no_cyclic_garbage(monkeypatch):
         if was:
             gc.enable()
     assert failed == len(cases)
+
+
+def test_a_dropped_simulation_is_freed_without_the_collector():
+    # The run state holds no cycle: a channel names its writer, and no node
+    # and channel point at each other. So once the last reference to a run
+    # is dropped, reference counting alone frees its state.
+    checked = check_program(parse_program((ROOT / "programs" / "pipeline.mim").read_text()))
+    hosts = HostRegistry().bind_fn("print_int", lambda _value, _ctx: UNIT_VALUE)
+    was = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        sim = Simulation(checked, SimConfig(horizon_us=50_000), hosts)
+        sim.run_until(50_000)
+        state = weakref.ref(sim.state)
+        del sim
+        assert state() is None
+        assert gc.collect() == 0
+    finally:
+        if was:
+            gc.enable()

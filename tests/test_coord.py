@@ -6,7 +6,7 @@ import pytest
 from conftest import quiet_fib_hosts, silent
 from mimosa import HostRegistry, SimConfig, Simulation, check_program, parse_program
 from mimosa import coord
-from mimosa.ast import UNIT_VALUE, VConst, VExtern, VNone, VSome, VTuple, VUndef
+from mimosa.ast import UNIT_VALUE, VExtern, VNone, VSome, VTuple
 from mimosa.coord import (
     ABSENT,
     AVAILABLE,
@@ -32,7 +32,7 @@ def channel(queue=(), validity=0) -> Channel:
 
 class TestPortStatus:
     def test_available_when_oldest_tag_reached(self):
-        assert port_status(channel([(VConst(5), 0)], validity=10 * MS), 10 * MS) == AVAILABLE
+        assert port_status(channel([(5, 0)], validity=10 * MS), 10 * MS) == AVAILABLE
 
     def test_decidably_absent_when_empty_but_valid_beyond_now(self):
         assert port_status(channel([], validity=30 * MS), 20 * MS) == ABSENT
@@ -41,7 +41,7 @@ class TestPortStatus:
         assert port_status(channel([], validity=10 * MS), 20 * MS) == UNDECIDED
 
     def test_decidably_absent_when_oldest_is_in_the_future(self):
-        st = port_status(channel([(VConst(5), 30 * MS)], validity=40 * MS), 20 * MS)
+        st = port_status(channel([(5, 30 * MS)], validity=40 * MS), 20 * MS)
         assert st == ABSENT
 
 
@@ -50,8 +50,8 @@ class TestInitNetwork:
         ns = init_network(fib_checked)
         assert [n.activation for n in ns.nodes.values()] == [0, 0, 0]
         a, b, c, d = (ns.channels[x] for x in "abcd")
-        assert list(a.queue) == [(VConst(1), 0)] and a.validity == 10 * MS
-        assert list(b.queue) == [(VConst(0), 0)] and b.validity == 10 * MS
+        assert list(a.queue) == [(1, 0)] and a.validity == 10 * MS
+        assert list(b.queue) == [(0, 0)] and b.validity == 10 * MS
         assert list(c.queue) == [] and c.validity == 10 * MS
         assert list(d.queue) == [] and d.validity == 10 * MS
         assert a.writer == "split" and a.reader == "add"
@@ -68,7 +68,7 @@ node c implements consume (x) --> () every 1ms
         ns = init_network(
             cp,
             {
-                "produce": VExtern("produce", lambda v, ctx: VConst(0)),
+                "produce": VExtern("produce", lambda v, ctx: 0),
                 "consume": VExtern("consume", lambda v, ctx: UNIT_VALUE),
             },
         )
@@ -85,7 +85,7 @@ step g (v : int) --> (w : int) { w = v }
 """
         cp = check_program(parse_program(src))
         ns = init_network(cp)
-        assert list(ns.channels["x"].queue) == [(VConst(1), 0), (VConst(2), 0)]
+        assert list(ns.channels["x"].queue) == [(1, 0), (2, 0)]
 
     def test_unbound_prototype_fails_when_fired(self, edge_network_checked):
         ns = init_network(edge_network_checked)  # no hosts bound
@@ -136,18 +136,18 @@ node c implements consume (b) --> () every 10ms
 """
         cp = check_program(parse_program(src))
         hosts = {
-            "produce": VExtern("produce", lambda v, ctx: VConst(7)),
+            "produce": VExtern("produce", lambda v, ctx: 7),
             "consume": VExtern("consume", lambda v, ctx: UNIT_VALUE),
         }
         ns = init_network(cp, hosts)
         # a is empty with validity 30ms > 0: decidably absent, fire with None.
         assert node_enabled(ns, "n") == FIRE
         fire_node(ns, "n")
-        assert list(ns.channels["b"].queue) == [(VConst(0), 10 * MS)]
+        assert list(ns.channels["b"].queue) == [(0, 10 * MS)]
 
     def test_zero_input_nodes_always_fire(self, edge_network_checked):
         hosts = {
-            "pin": VExtern("pin", lambda v, ctx: VConst(False)),
+            "pin": VExtern("pin", lambda v, ctx: False),
             "watch": VExtern("watch", lambda v, ctx: UNIT_VALUE),
         }
         ns = init_network(edge_network_checked, hosts)
@@ -159,8 +159,8 @@ class TestFireAndIdle:
         ns = init_network(fib_checked)
         fire_node(ns, "split")  # consumes b:0@0, writes a, d, c at 10ms
         assert list(ns.channels["b"].queue) == []
-        assert list(ns.channels["d"].queue) == [(VConst(0), 10 * MS)]
-        assert ns.channels["a"].queue[-1] == (VConst(0), 10 * MS)
+        assert list(ns.channels["d"].queue) == [(0, 10 * MS)]
+        assert ns.channels["a"].queue[-1] == (0, 10 * MS)
         assert ns.channels["a"].validity == 20 * MS
         assert ns.nodes["split"].activation == 10 * MS
         assert [(channel, t) for t, channel, _, _ in ns.trace] == [
@@ -190,7 +190,7 @@ class TestFireAndIdle:
         self, edge_network_checked
     ):
         hosts = {
-            "pin": VExtern("pin", lambda v, ctx: VConst(False)),
+            "pin": VExtern("pin", lambda v, ctx: False),
             "watch": VExtern("watch", lambda v, ctx: UNIT_VALUE),
         }
         ns = init_network(edge_network_checked, hosts)
@@ -222,11 +222,12 @@ step g (v : int) --> (w : int) { w = v }
             fire_node(ns, "n")
 
     # Output signature of `h`, the ports of node `n`, what the host returns, the message.
+    # An undefined result never gets here from a registered host: the host
+    # boundary rejects it (tests/test_sim.py, TestHostBoundary).
     OUTPUT_FAULTS = {
-        "undefined": ("(w : int)", "(y)", VUndef(), "wrote an undefined value to channel 'y'"),
-        "non-option": ("(w : int?)", "(y?)", VConst(1), "optional output 'y' produced non-option value 1"),
-        "shape": ("(w : int, z : int)", "(y, z)", VConst(1), "output 1 does not match its 2 ports"),
-        "no outputs": ("()", "()", VConst(1), "has no output ports but produced 1"),
+        "non-option": ("(w : int?)", "(y?)", 1, "optional output 'y' produced non-option value 1"),
+        "shape": ("(w : int, z : int)", "(y, z)", 1, "output 1 does not match its 2 ports"),
+        "no outputs": ("()", "()", 1, "has no output ports but produced 1"),
     }
 
     @pytest.mark.parametrize("fault", OUTPUT_FAULTS)
@@ -296,7 +297,7 @@ class TestResolvedPorts:
         )
         seen = []
         hosts = {
-            "w": VExtern("w", lambda _v, _ctx: VConst(0)),
+            "w": VExtern("w", lambda _v, _ctx: 0),
             "h": VExtern("h", lambda v, _ctx: seen.append(v) or UNIT_VALUE),
         }
         ns = init_network(check_program(parse_program(src)), hosts)
@@ -306,7 +307,7 @@ class TestResolvedPorts:
             ch.validity = self.T + rng.choice((-5, 0, 5)) * MS
             ns.nodes[f"w{i}"].activation = ch.validity - 5 * MS
             tags = sorted(self.T + rng.choice((-5, 0, 5)) * MS for _ in range(rng.randrange(3)))
-            ch.queue = deque((VConst(k), tag) for k, tag in enumerate(tags) if tag <= ch.validity)
+            ch.queue = deque((k, tag) for k, tag in enumerate(tags) if tag <= ch.validity)
         return ns, seen
 
     @pytest.mark.parametrize("seed", range(300))
@@ -343,13 +344,15 @@ class TestResolvedPorts:
             ]
             assert [ch for ch, _ in node.out_ports] == [ns.channels[p.channel] for p in node.outputs]
         for ch in ns.channels.values():
-            assert ch.writer_node is ns.nodes[ch.writer]
+            # A channel names its writer, and the run state holds no cycle.
+            assert ch in [c for c, _ in ns.nodes[ch.writer].out_ports]
+            assert not hasattr(ch, "writer_node")
             assert ch.last_validity == ch.validity
 
     def test_channel_built_with_a_writer_name_only(self):
-        ch = channel([(VConst(1), 0)], validity=10 * MS)
-        assert (ch.writer, ch.writer_node, ch.last_validity) == ("w", None, 0)
-        assert "writer_node" not in repr(ch)
+        ch = channel([(1, 0)], validity=10 * MS)
+        assert (ch.writer, ch.last_validity) == ("w", 0)
+        assert not hasattr(ch, "writer_node") and "writer_node" not in repr(ch)
 
 
 class TestInvariants:
@@ -387,7 +390,7 @@ class TestInvariants:
 
     def test_unsorted_queue_is_detected(self, fib_checked):
         ns = init_network(fib_checked)
-        ns.channels["a"].queue.appendleft((VConst(9), 5 * MS))
+        ns.channels["a"].queue.appendleft((9, 5 * MS))
         with pytest.raises(InternalError, match="not tag-sorted"):
             ns.check_invariants()
 
@@ -430,10 +433,10 @@ node sink implements drop (b) --> () every 10ms
     # One fault per invariant that the check after each rule still catches,
     # each planted in the idle rule, which `add` applies at 0ms in fib.
     MUTANTS = {
-        "beyond its validity": lambda ns, ch, t, period: ch.queue.append((VConst(0), t + 3 * period)),
+        "beyond its validity": lambda ns, ch, t, period: ch.queue.append((0, t + 3 * period)),
         "validity moved backwards": lambda ns, ch, t, period: setattr(ch, "validity", t),
         "not its writer's next write time": lambda ns, ch, t, period: setattr(ch, "validity", t + 3 * period),
-        "below the channel validity": lambda ns, ch, t, period: coord._write(ns, ch, VConst(0), t, ch.writer),
+        "below the channel validity": lambda ns, ch, t, period: coord._write(ns, ch, 0, t, ch.writer),
     }
 
     @pytest.mark.parametrize("fault", list(MUTANTS))

@@ -86,27 +86,24 @@ PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 
 
 def env_of(**bindings) -> Env:
-    values = dict(BUILTIN_VALUES)
-    for name, v in bindings.items():
-        values[name] = VConst(v) if not isinstance(v, (VConst, VTuple, VSome, VNone, VClosure)) else v
-    return values
+    return BUILTIN_VALUES | bindings
 
 
 class TestProjection:
     def test_single_variable(self):
-        env = {"x": VConst(1), "y": VConst(2)}
-        assert project(env, PVar("x")) == VConst(1)
+        env = {"x": 1, "y": 2}
+        assert project(env, PVar("x")) == 1
 
     def test_tuple(self):
-        env = {"x": VConst(1), "y": VConst(2)}
-        assert project(env, PTuple((PVar("x"), PVar("y")))) == VTuple((VConst(1), VConst(2)))
+        env = {"x": 1, "y": 2}
+        assert project(env, PTuple((PVar("x"), PVar("y")))) == VTuple((1, 2))
 
     def test_unit(self):
         assert project(Env(), PUnit()) == UNIT_VALUE
 
     def test_wildcard_never_projects(self):
         with pytest.raises(InternalError):
-            project({"x": VConst(1)}, PWild())
+            project({"x": 1}, PWild())
 
     def test_unbound_name_is_an_internal_error(self):
         with pytest.raises(InternalError, match="unbound name 'x'$"):
@@ -115,40 +112,40 @@ class TestProjection:
 
 class TestUpdate:
     def test_extends(self):
-        env = {"x": VConst(1), "y": VConst(2)}
-        _update_into(env, PVar("z"), VConst(3))
-        assert env["z"] == VConst(3)
+        env = {"x": 1, "y": 2}
+        _update_into(env, PVar("z"), 3)
+        assert env["z"] == 3
         assert list(env) == ["x", "y", "z"]
 
     def test_previous_bindings_are_lost(self):
-        env = {"x": VConst(1), "y": VConst(2)}
-        _update_into(env, PTuple((PVar("x"), PVar("y"))), VTuple((VConst(3), VConst(4))))
-        assert env["x"] == VConst(3) and env["y"] == VConst(4)
+        env = {"x": 1, "y": 2}
+        _update_into(env, PTuple((PVar("x"), PVar("y"))), VTuple((3, 4)))
+        assert env["x"] == 3 and env["y"] == 4
 
     def test_wildcard_discards(self):
-        env = {"x": VConst(1)}
-        _update_into(env, PWild(), VConst(5))
-        assert env == {"x": VConst(1)}
+        env = {"x": 1}
+        _update_into(env, PWild(), 5)
+        assert env == {"x": 1}
 
     def test_update_does_not_mutate(self):
         # A closure binds its parameter in a copy of the caller's bindings.
         ident = VClosure(PVar("x"), PVar("y"), (Equation(PVar("y"), Var("x")),))
-        env = {"x": VConst(1), "f": ident}
-        assert eval_expr(env, parse_expression("f 9")).value == VConst(9)
-        assert env == {"x": VConst(1), "f": ident}
+        env = {"x": 1, "f": ident}
+        assert eval_expr(env, parse_expression("f 9")).value == 9
+        assert env == {"x": 1, "f": ident}
 
     def test_shape_mismatch(self):
         with pytest.raises(EvalError):
-            _update_into(Env(), PTuple((PVar("a"), PVar("b"))), VConst(1))
+            _update_into(Env(), PTuple((PVar("a"), PVar("b"))), 1)
 
     # Ill-typed values, as a host can return them, are named in Mimosa notation.
     def test_shape_mismatch_message(self):
         with pytest.raises(EvalError, match=r"^value Some 1 does not match tuple pattern of arity 2$"):
-            _update_into(Env(), PTuple((PVar("a"), PVar("b"))), VSome(VConst(1)))
+            _update_into(Env(), PTuple((PVar("a"), PVar("b"))), VSome(1))
 
     def test_unit_mismatch(self):
         with pytest.raises(EvalError, match=r"^expected the unit value for pattern \(\), got \(1, true\)$"):
-            _update_into(Env(), PUnit(), VTuple((VConst(1), VConst(True))))
+            _update_into(Env(), PUnit(), VTuple((1, True)))
 
     def test_empty_tuple_is_told_apart_from_unit(self):
         # Both print as `()`, so the message names the empty tuple in words.
@@ -158,11 +155,11 @@ class TestUpdate:
 
 class TestPatternDispatch:
     def test_wildcard_and_unit_inside_a_tuple(self):
-        env = {"x": VConst(1)}
+        env = {"x": 1}
         pattern = PTuple((PVar("a"), PWild(), PTuple((PUnit(), PVar("b")))))
-        _update_into(env, pattern, VTuple((VConst(2), VConst(3), VTuple((UNIT_VALUE, VConst(4))))))
-        assert env == {"x": VConst(1), "a": VConst(2), "b": VConst(4)}
-        assert project(env, PTuple((PVar("a"), PUnit()))) == VTuple((VConst(2), UNIT_VALUE))
+        _update_into(env, pattern, VTuple((2, 3, VTuple((UNIT_VALUE, 4)))))
+        assert env == {"x": 1, "a": 2, "b": 4}
+        assert project(env, PTuple((PVar("a"), PUnit()))) == VTuple((2, UNIT_VALUE))
         with pytest.raises(InternalError, match="^wildcard patterns cannot be projected$"):
             project(env, pattern)
 
@@ -170,20 +167,24 @@ class TestPatternDispatch:
         fresh = VConst(UNIT_LIT)
         assert fresh is not UNIT_VALUE
         env = Env()
-        _update_into(env, PTuple((PUnit(), PVar("a"))), VTuple((fresh, VConst(1))))
-        assert env == {"a": VConst(1)}
+        _update_into(env, PTuple((PUnit(), PVar("a"))), VTuple((fresh, 1)))
+        assert env == {"a": 1}
 
     def test_a_nested_unit_mismatch(self):
         with pytest.raises(EvalError, match=r"^expected the unit value for pattern \(\), got 3$"):
-            _update_into(Env(), PTuple((PVar("a"), PUnit())), VTuple((VConst(1), VConst(3))))
+            _update_into(Env(), PTuple((PVar("a"), PUnit())), VTuple((1, 3)))
 
-    @pytest.mark.parametrize("value, shown", [(VSome(VConst(1)), "Some 1"), (VConst(7), "7"), (VNone(), "None")])
+    @pytest.mark.parametrize(
+        "value, shown",
+        [(VSome(1), "Some 1"), (7, "7"), (VNone(), "None")],
+        ids=["value0-Some 1", "value1-7", "value2-None"],
+    )
     def test_a_tuple_pattern_given_a_non_tuple(self, value, shown):
         with pytest.raises(EvalError, match=f"^value {shown} does not match tuple pattern of arity 2$"):
             _update_into(Env(), PTuple((PVar("a"), PVar("b"))), value)
 
     def test_a_tuple_of_the_wrong_arity(self):
-        value = VTuple((VConst(1), VConst(2), VConst(3)))
+        value = VTuple((1, 2, 3))
         with pytest.raises(EvalError, match=r"^value \(1, 2, 3\) does not match tuple pattern of arity 2$"):
             _update_into(Env(), PTuple((PVar("a"), PVar("b"))), value)
 
@@ -195,7 +196,7 @@ def pattern_with_value(draw, depth=2):
 
     def build(d):
         if d == 0 or draw(st.booleans()):
-            return PVar(f"v{next(counter)}"), VConst(draw(st.integers(-5, 5)))
+            return PVar(f"v{next(counter)}"), draw(st.integers(-5, 5))
         parts = [build(d - 1) for _ in range(draw(st.integers(min_value=2, max_value=3)))]
         return PTuple(tuple(p for p, _ in parts)), VTuple(tuple(v for _, v in parts))
 
@@ -206,10 +207,10 @@ class TestEnvProperties:
     @given(pattern_with_value())
     def test_update_then_project_round_trips(self, pv):
         pattern, value = pv
-        env = {"keep": VConst(99)}
+        env = {"keep": 99}
         _update_into(env, pattern, value)
         assert project(env, pattern) == value
-        assert env["keep"] == VConst(99)
+        assert env["keep"] == 99
 
     @given(pattern_with_value(), pattern_with_value())
     def test_update_is_destructive_per_name(self, first, second):
@@ -225,11 +226,11 @@ class TestRules:
     def test_var(self):
         env = env_of(x=1, y=2)
         r = eval_expr(env, parse_expression("x"))
-        assert r.value == VConst(1) and r.next == Var("x")
+        assert r.value == 1 and r.next == Var("x")
 
     def test_const(self):
         r = eval_expr(Env(), parse_expression("7"))
-        assert r.value == VConst(7) and r.next == Const(VConst(7))
+        assert r.value == 7 and r.next == Const(7)
 
     @pytest.mark.parametrize("text", ["7", "2.5", "true", "None", "()"])
     def test_literal_evaluates_to_its_own_value(self, text):
@@ -239,7 +240,7 @@ class TestRules:
 
     @pytest.mark.parametrize(
         "value",
-        [VTuple((VConst(1), VNone())), VSome(VConst(2)), VSome(VTuple((VConst(1), VSome(VConst(True)))))],
+        [VTuple((1, VNone())), VSome(2), VSome(VTuple((1, VSome(True))))],
     )
     def test_pre_embeds_its_value_as_one_literal(self, value):
         r = eval_expr(env_of(x=value), parse_expression("pre x"))
@@ -251,13 +252,13 @@ class TestRules:
 
     def test_fby_returns_head_and_keeps_tail_unevaluated(self):
         r = eval_expr(Env(), parse_expression("1 fby 2"))
-        assert r.value == VConst(1)
+        assert r.value == 1
         assert r.next == parse_expression("2")
 
     def test_fby_tail_untouched_even_if_unbound(self):
         # e2 is not evaluated this cycle, so an unbound name there is fine.
-        r = eval_expr(Env(), Fby(Const(VConst(1)), Var("nope")))
-        assert r.value == VConst(1) and r.next == Var("nope")
+        r = eval_expr(Env(), Fby(Const(1), Var("nope")))
+        assert r.value == 1 and r.next == Var("nope")
 
     def test_pre_of_constant(self):
         r = eval_expr(Env(), parse_expression("pre 7"))
@@ -266,32 +267,32 @@ class TestRules:
 
     def test_arrow_advances_right_state(self):
         r = eval_expr(env_of(x=5), parse_expression("1 -> pre x"))
-        assert r.value == VConst(1)
+        assert r.value == 1
         assert r.next == parse_expression("5 -> pre x")
 
     def test_if_true_keeps_else_branch_untouched(self):
         e = parse_expression("if true then 1 else pre y")
         r = eval_expr(Env(), e)
-        assert r.value == VConst(1)
+        assert r.value == 1
         assert r.next == e  # cond and taken branch are constants
 
     def test_if_false_keeps_then_branch_untouched(self):
         e = parse_expression("if false then pre y else 2")
         r = eval_expr(Env(), e)
-        assert r.value == VConst(2)
+        assert r.value == 2
         assert r.next == e
 
     def test_some_and_none(self):
         r = eval_expr(Env(), parse_expression("Some 3"))
-        assert r.value == VSome(VConst(3))
+        assert r.value == VSome(3)
         r = eval_expr(Env(), parse_expression("None"))
         assert r.value == VNone()
 
     def test_either_some_leaves_fallback(self):
-        env = env_of(o=VSome(VConst(4)))
+        env = env_of(o=VSome(4))
         e = parse_expression("either o otherwise pre z")
         r = eval_expr(env, e)
-        assert r.value == VConst(4)
+        assert r.value == 4
         assert r.next == e  # fallback untouched
 
     def test_either_none_advances_fallback(self):
@@ -313,27 +314,27 @@ class TestRules:
             eval_expr(env_of(f=1), parse_expression("f 2"))
 
     # The function position as a name, as a literal and as any other expression.
-    FUNCTIONS = {"name": Var("f"), "literal": Const(VTuple((VConst(1), VConst(True)))), "if": "if true then f else f"}
+    FUNCTIONS = {"name": Var("f"), "literal": Const(VTuple((1, True))), "if": "if true then f else f"}
 
     @pytest.mark.parametrize("form", FUNCTIONS)
     def test_apply_non_function_prints_the_value(self, form):
         fn = self.FUNCTIONS[form]
-        e = Apply(parse_expression(fn) if isinstance(fn, str) else fn, Const(VConst(2)))
+        e = Apply(parse_expression(fn) if isinstance(fn, str) else fn, Const(2))
         with pytest.raises(EvalError, match=r"^application of a non-function value \(1, true\)$"):
-            eval_expr(env_of(f=VTuple((VConst(1), VConst(True)))), e)
+            eval_expr(env_of(f=VTuple((1, True))), e)
 
     def test_apply_undefined_literal_aborts(self):
         with pytest.raises(UndefEscape, match="applied expression"):
-            eval_expr(Env(), Apply(Const(VUndef()), Const(VConst(2))))
+            eval_expr(Env(), Apply(Const(VUndef()), Const(2)))
 
     def test_builtin_application(self):
         r = eval_expr(env_of(x=1, y=2), parse_expression("x + y"))
-        assert r.value == VConst(3)
+        assert r.value == 3
         assert r.next == parse_expression("x + y")
 
     def test_division_truncates_toward_zero(self):
-        assert eval_expr(env_of(), parse_expression("7 / 2")).value == VConst(3)
-        assert eval_expr(env_of(), parse_expression("(0 - 7) / 2")).value == VConst(-3)
+        assert eval_expr(env_of(), parse_expression("7 / 2")).value == 3
+        assert eval_expr(env_of(), parse_expression("(0 - 7) / 2")).value == -3
 
     def test_division_by_zero_raises(self):
         with pytest.raises(EvalError, match="division by zero"):
@@ -341,9 +342,9 @@ class TestRules:
 
     def test_closure_application_rewrites_to_closure_literal(self):
         double = VClosure(PVar("a"), PVar("z"), (Equation(PVar("z"), parse_expression("a + a")),))
-        env = BUILTIN_VALUES | {"double": double, "x": VConst(21)}
+        env = BUILTIN_VALUES | {"double": double, "x": 21}
         r = eval_expr(env, parse_expression("double x"))
-        assert r.value == VConst(42)
+        assert r.value == 42
         assert r.next == Apply(Const(double), Var("x"))
 
     @pytest.mark.parametrize("form", ["double x", "(if true then double else double) x"])
@@ -351,17 +352,17 @@ class TestRules:
         # A step called through its closure literal, as after its first call,
         # gives what a call by name or through any other expression gives.
         double = VClosure(PVar("a"), PVar("z"), (Equation(PVar("z"), parse_expression("0 -> pre (a + a)")),))
-        env = BUILTIN_VALUES | {"double": double, "x": VConst(21)}
+        env = BUILTIN_VALUES | {"double": double, "x": 21}
         r = eval_expr(env, parse_expression(form))
-        assert r.value == VConst(0) and type(r.next.fn) is Const
-        again = eval_expr(env | {"x": VConst(5)}, r.next)
-        assert again.value == VConst(42) and type(again.next.fn) is Const
+        assert r.value == 0 and type(r.next.fn) is Const
+        again = eval_expr(env | {"x": 5}, r.next)
+        assert again.value == 42 and type(again.next.fn) is Const
         assert again.next.fn.value.equations == (Equation(PVar("z"), parse_expression("10 -> pre (a + a)")),)
 
     def test_called_step_holds_its_rewritten_equations(self):
         mem = VClosure(PVar("mv"), PVar("mw"), (Equation(PVar("mw"), parse_expression("0 -> pre mv")),))
         r = eval_expr(env_of(mem=mem, v=4), parse_expression("mem v"))
-        assert r.value == VConst(0)
+        assert r.value == 0
         callee = r.next.fn.value
         assert type(r.next.fn) is Const and type(callee) is VClosure
         assert callee.equations == (Equation(PVar("mw"), parse_expression("4 -> pre mv")),)
@@ -369,7 +370,7 @@ class TestRules:
         assert eval_expr(Env(), r.next.fn).value is callee
         # Next cycle the call runs the rewritten equations.
         r = eval_expr(env_of(v=5), r.next)
-        assert r.value == VConst(4)
+        assert r.value == 4
         assert r.next.fn.value.equations[0].rhs == parse_expression("5 -> pre mv")
 
     def test_unbound_name_has_no_made_up_position(self):
@@ -385,24 +386,24 @@ class TestEquations:
     def test_constant_stream_fixpoint(self):
         eqs = (Equation(PVar("x"), parse_expression("0 -> pre x")),)
         next_eqs, env = eval_equations(Env(), eqs)
-        assert env["x"] == VConst(0)
+        assert env["x"] == 0
         assert next_eqs[0].rhs == parse_expression("0 -> pre x")
         # Iterating keeps both the value and the equation fixed.
         for _ in range(10):
             next_eqs, env = eval_equations(Env(), next_eqs)
-            assert env["x"] == VConst(0)
+            assert env["x"] == 0
             assert next_eqs[0].rhs == parse_expression("0 -> pre x")
 
     def test_fby_pre_yields_undef_at_cycle_two(self):
         eqs = [Equation(PVar("x"), parse_expression("0 fby pre x"))]
         cycles = run_cycles(eqs, Env, 2)
-        assert cycles[0]["x"] == VConst(0)
+        assert cycles[0]["x"] == 0
         assert cycles[1]["x"] == VUndef()
 
     def test_nested_pre_counterexample_cycle_values(self):
         eqs = [Equation(PVar("x"), parse_expression("0 -> 0 -> pre pre x"))]
         cycles = run_cycles(eqs, Env, 2)
-        assert cycles[0]["x"] == VConst(0)
+        assert cycles[0]["x"] == 0
         assert cycles[1]["x"] == VUndef()
 
     def test_edge_detector_equations_hand_trace(self):
@@ -419,7 +420,7 @@ class TestEquations:
         for level in (False, True, True, False):
             eqs, env = eval_equations(env_of(**{"in": level}), eqs)
             outs.append(env["out"])
-        assert outs == [VNone(), VSome(VConst(True)), VNone(), VSome(VConst(False))]
+        assert outs == [VNone(), VSome(True), VNone(), VSome(False)]
 
     def test_later_equation_value_captured_by_earlier_pre(self):
         # a's next expression embeds b's final value even though b is bound
@@ -429,7 +430,7 @@ class TestEquations:
             Equation(PVar("b"), parse_expression("1")),
         )
         next_eqs, env = eval_equations(Env(), eqs)
-        assert env["a"] == VConst(0) and env["b"] == VConst(1)
+        assert env["a"] == 0 and env["b"] == 1
         assert next_eqs[0].rhs == parse_expression("1 -> pre b")
 
     def test_purity_env_is_never_mutated(self):
@@ -444,7 +445,7 @@ class TestEquations:
 class TestNestedSteps:
     def make_env(self, v):
         mem = VClosure(PVar("mv"), PVar("mw"), (Equation(PVar("mw"), parse_expression("0 -> pre mv")),))
-        return BUILTIN_VALUES | {"mem": mem, "v": VConst(v)}
+        return BUILTIN_VALUES | {"mem": mem, "v": v}
 
     def test_each_call_site_gets_its_own_memory(self):
         eqs = (
@@ -457,9 +458,9 @@ class TestNestedSteps:
             eqs, env = eval_equations(self.make_env(v), eqs)
             observed.append((env["a"], env["b"], env["w"]))
         assert observed == [
-            (VConst(0), VConst(0), VConst(0)),
-            (VConst(5), VConst(6), VConst(11)),
-            (VConst(7), VConst(8), VConst(15)),
+            (0, 0, 0),
+            (5, 6, 11),
+            (7, 8, 15),
         ]
 
     def test_call_state_survives_in_the_closure_literal(self):
@@ -477,21 +478,21 @@ class TestLexicalScope:
 
     def test_a_callee_does_not_see_its_callers_locals(self):
         # Unchecked: `z` is a local of the caller, which the body of `f` reads.
-        eqs = (Equation(PVar("z"), Const(VConst(1))), Equation(PVar("r"), parse_expression("f ()")))
+        eqs = (Equation(PVar("z"), Const(1)), Equation(PVar("r"), parse_expression("f ()")))
         with pytest.raises(InternalError, match=r"^unbound name 'z'"):
             eval_equations(BUILTIN_VALUES | {"f": self.READ_Z}, eqs)
 
     def test_a_callee_sees_the_globals(self):
         eqs = (Equation(PVar("r"), parse_expression("f ()")),)
-        _, env = eval_equations(BUILTIN_VALUES | {"f": self.READ_Z, "z": VConst(4)}, eqs)
-        assert env["r"] == VConst(4)
+        _, env = eval_equations(BUILTIN_VALUES | {"f": self.READ_Z, "z": 4}, eqs)
+        assert env["r"] == 4
 
     def test_a_reused_context_takes_each_evaluations_globals(self):
         e = parse_expression("f ()")
         ctx = EvalContext()
-        assert eval_expr({"f": self.READ_Z, "z": VConst(5)}, e, ctx).value == VConst(5)
-        env = {"f": self.READ_Z, "z": VConst(6)}
-        assert eval_expr(env, e, ctx).value == VConst(6) and ctx.globals is env
+        assert eval_expr({"f": self.READ_Z, "z": 5}, e, ctx).value == 5
+        env = {"f": self.READ_Z, "z": 6}
+        assert eval_expr(env, e, ctx).value == 6 and ctx.globals is env
 
 
 class TestHostCalls:
@@ -500,7 +501,7 @@ class TestHostCalls:
 
         def fn(value, ctx):
             calls.append(value)
-            return VConst(len(calls))
+            return len(calls)
 
         return VExtern("counter", fn), calls
 
@@ -526,15 +527,15 @@ class TestHostCalls:
             Equation(PVar("b"), parse_expression("g 2")),
         )
         _, env_out = eval_equations(env, eqs)
-        assert calls == [VConst(1), VConst(2)]
-        assert env_out["a"] == VConst(1) and env_out["b"] == VConst(2)
+        assert calls == [1, 2]
+        assert env_out["a"] == 1 and env_out["b"] == 2
 
     def test_host_receives_context(self):
         seen = {}
 
         def fn(value, ctx):
             seen["ctx"] = ctx
-            return VConst(0)
+            return 0
 
         env = {"h": VExtern("h", fn)}
         ctx = EvalContext(host=HostContext(time_us=1234, node="n"))
@@ -560,7 +561,7 @@ class TestEqsUniqueness:
     a tiny value domain and check the single-pass evaluation finds the unique
     fixpoint."""
 
-    DOMAIN = (VConst(0), VConst(1), VUndef())
+    DOMAIN = (0, 1, VUndef())
 
     def brute_force(self, equations):
         import itertools
@@ -598,10 +599,10 @@ class TestEqsUniqueness:
 class TestValueEmbedding:
     def test_round_trip_through_expr(self):
         values = [
-            VConst(5),
-            VConst(True),
-            VTuple((VConst(1), VNone())),
-            VSome(VConst(2)),
+            5,
+            True,
+            VTuple((1, VNone())),
+            VSome(2),
             VUndef(),
             VClosure(PVar("a"), PVar("z"), (Equation(PVar("z"), Var("a")),)),
         ]
@@ -753,7 +754,7 @@ class TestSharing:
     def test_a_callee_reads_the_globals_in_both_evaluators(self):
         # Unchecked: `g` calls `f`, whose body reads `z`, a local of `g`.
         read_z = VClosure(PUnit(), PVar("y"), (Equation(PVar("y"), Var("z")),))
-        body = (Equation(PVar("z"), Const(VConst(1))), Equation(PVar("r"), parse_expression("f ()")))
+        body = (Equation(PVar("z"), Const(1)), Equation(PVar("r"), parse_expression("f ()")))
         env = BUILTIN_VALUES | {"f": read_z, "g": VClosure(PUnit(), PVar("r"), body)}
         e = parse_expression("g ()")
         got = outcome(lambda: eval_expr(env, e))
@@ -780,7 +781,7 @@ class TestSharing:
         assert r.next is not e and r.next.cond is e.cond and r.next.orelse is e.orelse
 
     def test_tuple_some_and_either_are_shared(self):
-        env = env_of(x=1, o=VSome(VConst(2)))
+        env = env_of(x=1, o=VSome(2))
         for text in ("(x, 1)", "Some x", "either o otherwise pre x"):
             e = parse_expression(text)
             assert eval_expr(env, e).next is e
@@ -796,7 +797,7 @@ class TestSharing:
             assert got == want and shared == reference
         # From the first cycle on the next expression is `v -> pre x`: a new
         # arrow each cycle around the parsed `pre`.
-        assert shared[0].rhs == Arrow(Const(VConst(5)), pre) and shared[0].rhs.rest is pre
+        assert shared[0].rhs == Arrow(Const(5), pre) and shared[0].rhs.rest is pre
 
     def test_a_pre_whose_operand_rewrites_gets_a_new_node(self):
         e = parse_expression("pre (0 -> pre x)")
@@ -816,9 +817,9 @@ class TestSharing:
     def test_a_settled_activation_is_its_own_next_state(self):
         env = env_of(f=INC, x=1)
         first = eval_expr(env, parse_expression("f x"))
-        assert first.value == VConst(2) and first.next.fn.value is INC
+        assert first.value == 2 and first.next.fn.value is INC
         second = eval_expr(env, first.next)
-        assert second.value == VConst(2) and second.next is first.next
+        assert second.value == 2 and second.next is first.next
 
     def test_a_settled_node_keeps_its_expression(self, fib_checked):
         sim = Simulation(fib_checked, SimConfig(horizon_us=200_000), quiet_fib_hosts())
@@ -883,7 +884,7 @@ node delay implements delay (b) --> (a) every 10ms
             assert got.value == want.value and got.next == want.next
             values.append(got.value)
             shared, reference = got.next, want.next
-        assert values == [VConst(6)] * 3
+        assert values == [6] * 3
 
     @pytest.mark.parametrize("seed", range(300))
     def test_leaves_read_in_place_match_the_reference_evaluator(self, seed):
@@ -949,7 +950,7 @@ node delay implements delay (b) --> (a) every 10ms
     def test_tuple_arguments_bound_in_place_match_the_reference_evaluator(self, seed):
         rng = random.Random(seed)
         call = gen_call_expr(rng, rng.randrange(1, 4))
-        env = leaf_env() | {"w": VConst(-1)}
+        env = leaf_env() | {"w": -1}
         context = reference_context(env)
 
         def system(evaluate):
@@ -993,10 +994,10 @@ def value_of(t, rng: random.Random):
     if type(t) is TOption:
         return VSome(value_of(t.elem, rng)) if rng.random() < 0.5 else VNone()
     if t == BOOL:
-        return VConst(rng.random() < 0.5)
+        return rng.random() < 0.5
     if t == UNIT:
         return UNIT_VALUE
-    return VConst(rng.randrange(-9, 10))
+    return rng.randrange(-9, 10)
 
 
 def shipped_steps():
@@ -1046,16 +1047,16 @@ class TestFiringEntry:
             ordered = order_equations(StepDecl("s", PVar("i0"), PVar(out), tuple(equations)))
         except CausalityError:
             return
-        values = [VConst(rng.randrange(-9, 10)) for _ in range(self.CYCLES)]
+        values = [rng.randrange(-9, 10) for _ in range(self.CYCLES)]
         self.assert_firings_agree(system_env(), VClosure(PVar("i0"), PVar(out), ordered), values)
 
     def test_an_extern_is_called_once_with_the_host_context(self):
         calls = []
         pin = Const(VExtern("pin", lambda v, host: calls.append((v, host)) or VSome(v)))
         ctx = EvalContext(HostContext(30, "n"))
-        r = eval_expr(env_of(), pin, ctx, applied_to=VConst(5))
-        assert r.value == VSome(VConst(5)) and r.next is pin
-        assert calls == [(VConst(5), ctx.host)] and calls[0][1] is ctx.host
+        r = eval_expr(env_of(), pin, ctx, applied_to=5)
+        assert r.value == VSome(5) and r.next is pin
+        assert calls == [(5, ctx.host)] and calls[0][1] is ctx.host
 
 
 def corresponding(a, b):
@@ -1156,7 +1157,7 @@ class TestOperatorKernels:
                 if isinstance(got[0], type):
                     seen.add(got[1].split(",")[0])
                     break
-                seen.add(type(got[0].value).__name__)
+                seen.add(type(got[0]).__name__)
                 e = got[1]
         assert {"int", "bool", "division by zero", "undefined operand for '+'"} <= seen
         assert any(kind.endswith("expects integer operands") for kind in seen)
@@ -1165,7 +1166,7 @@ class TestOperatorKernels:
         "x, y, quotient", [(7, 2, 3), (-7, 2, -3), (7, -2, -3), (-7, -2, 3), (0, 5, 0), (-1, 3, 0)]
     )
     def test_division_truncates_toward_zero(self, x, y, quotient):
-        assert eval_expr(env_of(x=x, y=y), parse_expression("x / y")).value == VConst(quotient)
+        assert eval_expr(env_of(x=x, y=y), parse_expression("x / y")).value == quotient
 
     def test_division_by_zero(self):
         with pytest.raises(EvalError, match="^division by zero$"):
@@ -1174,16 +1175,16 @@ class TestOperatorKernels:
     @pytest.mark.parametrize("op", ["+", "-", "*", "/", "<", "<=", ">", ">="])
     def test_bool_operands_take_the_checked_path(self, op):
         for left, right in ((True, 1), (1, False), (True, True)):
-            e = Apply(Var(op), Tuple((Const(VConst(left)), Const(VConst(right)))))
+            e = Apply(Var(op), Tuple((Const(left), Const(right))))
             want = outcome(lambda: reference_eval(BUILTIN_VALUES, e, reference_context(BUILTIN_VALUES), None))
             assert outcome(lambda: eval_expr(BUILTIN_VALUES, e)) == want
         if op in INT_OPS:
-            e = Apply(Var(op), Tuple((Const(VConst(True)), Const(VConst(1)))))
+            e = Apply(Var(op), Tuple((Const(True), Const(1))))
             with pytest.raises(EvalError, match=f"^'\\{op}' expects integer operands, got true$"):
                 eval_expr(BUILTIN_VALUES, e)
         else:  # false < true
-            e = Apply(Var(op), Tuple((Const(VConst(True)), Const(VConst(False)))))
-            assert eval_expr(BUILTIN_VALUES, e).value == VConst(op in (">", ">="))
+            e = Apply(Var(op), Tuple((Const(True), Const(False))))
+            assert eval_expr(BUILTIN_VALUES, e).value == (op in (">", ">="))
 
     @pytest.mark.parametrize("seed", range(200))
     def test_logical_operators_match_the_reference_evaluator(self, seed):
@@ -1208,7 +1209,7 @@ class TestOperatorKernels:
                 if isinstance(got[0], type):
                     seen.add(got[1])
                     break
-                seen.add(type(got[0].value).__name__)
+                seen.add(type(got[0]).__name__)
                 e = got[1]
         assert "bool" in seen and "int" not in seen
         for op in LOGIC_OPS:
@@ -1218,10 +1219,10 @@ class TestOperatorKernels:
     @pytest.mark.parametrize("op", LOGIC_OPS)
     def test_int_operands_of_a_logical_operator_take_the_checked_path(self, op):
         for left, right in ((1, True), (False, 1), (1, 0)):
-            e = Apply(Var(op), Tuple((Const(VConst(left)), Const(VConst(right)))))
+            e = Apply(Var(op), Tuple((Const(left), Const(right))))
             want = outcome(lambda: reference_eval(BUILTIN_VALUES, e, reference_context(BUILTIN_VALUES), None))
             assert outcome(lambda: eval_expr(BUILTIN_VALUES, e)) == want
-        e = Apply(Var(op), Tuple((Const(VConst(1)), Const(VConst(True)))))
+        e = Apply(Var(op), Tuple((Const(1), Const(True))))
         with pytest.raises(EvalError, match="^" + re.escape(f"'{op}' expects boolean operands, got 1") + "$"):
             eval_expr(BUILTIN_VALUES, e)
 
@@ -1232,7 +1233,7 @@ class TestOperatorKernels:
             e = parse_expression(text)
             r = eval_expr(env, e)
             # A settled operator comes back as itself.
-            assert r.value == VConst(want) and type(r.value.value) is bool and r.next is e
+            assert r.value == want and type(r.value) is bool and r.next is e
 
     def test_not_reports_an_ill_typed_operand(self):
         with pytest.raises(EvalError, match="^'!' expects boolean operands, got 1$"):
@@ -1249,13 +1250,13 @@ class TestOperatorKernels:
         env = env_of(x=x, y=y)
         for op, want in (("<", x < y), ("<=", x <= y), (">", x > y), (">=", x >= y), ("==", x == y)):
             value = eval_expr(env, parse_expression(f"x {op} y")).value
-            assert value == VConst(want) and type(value.value) is bool
+            assert value == want and type(value) is bool
 
     def test_settled_operator_comes_back_as_itself(self):
         e = parse_expression("x + 1")
         for x in (1, -4, 2**70):
             r = eval_expr(env_of(x=x), e)
-            assert r.value == VConst(x + 1) and r.next is e
+            assert r.value == x + 1 and r.next is e
         e = parse_expression("(x + 1) * (x - 2) < x / 3")
         assert eval_expr(env_of(x=9), e).next is e
         e = parse_expression("r < 1.5")  # the checked path
@@ -1264,7 +1265,7 @@ class TestOperatorKernels:
     def test_an_operand_that_rewrites_rebuilds_the_pair(self):
         e = parse_expression("x + (0 -> pre x)")
         r = eval_expr(env_of(x=2), e)
-        assert r.value == VConst(2)
+        assert r.value == 2
         assert r.next == parse_expression("x + (2 -> pre x)")
         assert r.next.fn is e.fn and r.next.arg.items[0] is e.arg.items[0] and r.next.arg.span == e.arg.span
 
@@ -1291,24 +1292,24 @@ class TestCallCount:
     one call."""
 
     def test_an_operator_on_two_leaves_is_one_call(self, eval_calls):
-        assert eval_expr(env_of(x=1), parse_expression("x + 1")).value == VConst(2)
+        assert eval_expr(env_of(x=1), parse_expression("x + 1")).value == 2
         assert eval_calls == ["Apply"]
 
     def test_an_extern_firing_is_one_call(self, eval_calls):
         # A host step's name applied to a literal, as a step body calls it.
         env = env_of() | {"pin": VExtern("pin", lambda v, host: VSome(v))}
-        assert eval_expr(env, Apply(Var("pin"), Const(VConst(5)))).value == VSome(VConst(5))
+        assert eval_expr(env, Apply(Var("pin"), Const(5))).value == VSome(5)
         assert eval_calls == ["Apply"]
 
     def test_the_head_of_a_pre_hole_costs_no_call(self, eval_calls):
         body = (("s", "u + u"), ("a", "0 -> pre (s + 1)"))
         step = VClosure(PVar("u"), PVar("a"), tuple(Equation(PVar(n), parse_expression(t)) for n, t in body))
-        first = eval_expr(env_of(), Apply(Const(step), Const(VConst(5))))
+        first = eval_expr(env_of(), Apply(Const(step), Const(5)))
         eval_calls.clear()
         # The second firing: its call, `u + u`, the hole `11 -> pre (s + 1)`,
         # which builds its `pre`'s next hole itself, and the deferred operand
         # `s + 1`; no `Const` and no `Pre`.
-        assert eval_expr(env_of(), first.next).value == VConst(11)
+        assert eval_expr(env_of(), first.next).value == 11
         assert eval_calls == ["Apply", "Apply", "Arrow", "Apply"]
 
     def test_one_activation_of_a_chain_step(self, eval_calls):
@@ -1321,8 +1322,8 @@ class TestCallCount:
         step = VClosure(PVar("u"), PVar("y"), tuple(Equation(PVar(n), parse_expression(t)) for n, t in body))
         mix = VClosure(PTuple((PVar("a"), PVar("b"))), PVar("r"), (Equation(PVar("r"), parse_expression("a * b")),))
         # A node firing: the step's literal applied to the literal of its input.
-        firing = Apply(Const(step), Const(VConst(5)))
-        assert eval_expr(env_of(mix=mix), firing).value == VConst(1)
+        firing = Apply(Const(step), Const(5))
+        assert eval_expr(env_of(mix=mix), firing).value == 1
         # The firing, then `mix`: its call, whose pair of leaves is bound in
         # place, and `a * b` in its body; `->`, which builds its `pre`'s hole
         # itself; `fby` and its head, which only this first activation
@@ -1339,8 +1340,8 @@ class TestCallCount:
         # call: the firing; `a` and `2`; `->`, which builds its `pre`'s hole
         # itself; `Some` and `m`; `either`, its `if`, the condition `c > k`
         # and the branch `o`; and last the deferred `pre` operand `c`.
-        firing = Apply(Const(HOLD), Const(VConst(5)))
-        assert eval_expr(leaf_env(), firing).value == VConst(0)
+        firing = Apply(Const(HOLD), Const(5))
+        assert eval_expr(leaf_env(), firing).value == 0
         assert eval_calls == [
             "Apply", "Var", "Const", "Arrow", "Some", "Var",
             "Either", "If", "Apply", "Var", "Var",
@@ -1348,12 +1349,12 @@ class TestCallCount:
 
     def test_a_firing_of_a_host_step_costs_no_call(self, eval_calls):
         pin = Const(VExtern("pin", lambda v, host: VSome(v)))
-        assert eval_expr(env_of(), pin, applied_to=VConst(5)).value == VSome(VConst(5))
+        assert eval_expr(env_of(), pin, applied_to=5).value == VSome(5)
         assert eval_calls == []
 
     def test_a_firing_costs_no_call_of_its_own(self, eval_calls):
         # `hold` fired through `applied_to`: the calls of its body only.
-        assert eval_expr(leaf_env(), Const(HOLD), applied_to=VConst(5)).value == VConst(0)
+        assert eval_expr(leaf_env(), Const(HOLD), applied_to=5).value == 0
         assert eval_calls == [
             "Var", "Const", "Arrow", "Some", "Var",
             "Either", "If", "Apply", "Var", "Var",
@@ -1362,9 +1363,9 @@ class TestCallCount:
     def test_a_second_firing_reads_its_pre_hole_in_place(self, eval_calls):
         body = (("s", "u + u"), ("a", "0 -> pre (s + 1)"))
         step = VClosure(PVar("u"), PVar("a"), tuple(Equation(PVar(n), parse_expression(t)) for n, t in body))
-        first = eval_expr(env_of(), Const(step), applied_to=VConst(5))
+        first = eval_expr(env_of(), Const(step), applied_to=5)
         eval_calls.clear()
         # `u + u`, the hole `11 -> pre (s + 1)`, which builds its `pre`'s
         # next hole itself, and the deferred operand `s + 1`; no `Const`.
-        assert eval_expr(env_of(), first.next, applied_to=VConst(5)).value == VConst(11)
+        assert eval_expr(env_of(), first.next, applied_to=5).value == 11
         assert eval_calls == ["Apply", "Arrow", "Apply"]

@@ -34,7 +34,6 @@ from mimosa.ast import (
     Tuple,
     UNIT_VALUE,
     Var,
-    VConst,
     VExtern,
     VNone,
     VSome,
@@ -65,8 +64,8 @@ class TestExamplePrograms:
         assert p.step("print_int").is_prototype
         assert not p.step("add").is_prototype
         assert [c.name for c in p.channels] == ["a", "b", "c", "d"]
-        assert p.channel("a").initial == (VConst(1),)
-        assert p.channel("b").initial == (VConst(0),)
+        assert p.channel("a").initial == (1,)
+        assert p.channel("b").initial == (0,)
         assert p.channel("c").initial == ()
         assert [n.name for n in p.nodes] == ["add", "split", "print"]
         assert all(n.period_us == 10_000 for n in p.nodes)
@@ -99,7 +98,7 @@ class TestExpressions:
             "if !pre_in && in then (Some true) else if pre_in && !in then (Some false) else None"
         )
         assert isinstance(e, If)
-        assert e.then == Some(Const(VConst(True)))
+        assert e.then == Some(Const(True))
         inner = e.orelse
         assert isinstance(inner, If)
         assert inner.orelse == Const(VNone())
@@ -133,7 +132,7 @@ class TestExpressions:
 
     def test_either_otherwise(self):
         e = parse_expression("either o otherwise 0")
-        assert e == Either(Var("o"), Const(VConst(0)))
+        assert e == Either(Var("o"), Const(0))
 
     def test_either_nests_to_the_right(self):
         assert parse_expression("either a otherwise either b otherwise c") == Either(
@@ -177,7 +176,7 @@ class TestLexer:
         assert p.step("f")
 
     def test_real_literals(self):
-        assert parse_expression("1.5") == Const(VConst(1.5))
+        assert parse_expression("1.5") == Const(1.5)
         with pytest.raises(ParseError):
             parse_expression("1.")
 
@@ -422,10 +421,10 @@ def gen_leafy_expr(rng: random.Random, depth: int) -> Expr:
         if roll < 0.45:
             return Var(rng.choice(("a", "b", "c")))
         if roll < 0.8:
-            return Const(VConst(rng.randrange(-20, 100)))
+            return Const(rng.randrange(-20, 100))
         if roll < 0.9:
-            return Const(VConst(rng.choice((0.5, -2.25))))
-        return Const(VConst(rng.random() < 0.5))
+            return Const(rng.choice((0.5, -2.25)))
+        return Const(rng.random() < 0.5)
 
     def expr(depth: int) -> Expr:
         if depth <= 0 or rng.random() < 0.25:
@@ -603,7 +602,7 @@ class TestPositionOracle:
         assert UNIT in types and any(type(t) is TTuple for t in types) and any(type(t) is TOption for t in types)
         # initial values with negative numbers, `Some`, `None`, tuples and `()`,
         initial = [v for c in program.channels for v in c.initial]
-        assert any(type(v) is VConst and type(v.value) is int and v.value < 0 for v in initial)
+        assert any(type(v) is int and v < 0 for v in initial)
         assert UNIT_VALUE in initial and {VSome, VNone, VTuple} <= set(map(type, initial))
         # optional input and output ports, nodes with several ports,
         assert any(p.optional for n in program.nodes for p in n.inputs)
@@ -898,7 +897,7 @@ class HelperDeclarationParser(Parser):
         if num[0] not in ("int", "real"):
             raise _Diag("expected a number after '-'", num)
         self.advance()
-        return VConst(-num[3])
+        return -num[3]
 
     def literal_term(self):
         t = self.peek()
@@ -906,10 +905,10 @@ class HelperDeclarationParser(Parser):
             return self.negative_number()
         if t[0] in ("int", "real"):
             self.advance()
-            return VConst(t[3])
+            return t[3]
         if self.at("true") or self.at("false") or self.at("None"):
             self.advance()
-            return {"true": VConst(True), "false": VConst(False), "None": VNone()}[t[1]]
+            return {"true": True, "false": False, "None": VNone()}[t[1]]
         if self.at("Some"):
             self.advance()
             return VSome(self.literal_term())
@@ -1296,7 +1295,7 @@ class TestTypeAndLiteralDepth:
         pair = parse_literal("(1, " * (MAX_TYPE_DEPTH - 1) + "1" + ")" * (MAX_TYPE_DEPTH - 1))
         for _ in range(MAX_TYPE_DEPTH - 1):
             some, pair = some.value, pair.items[1]
-        assert some == pair == VConst(1)
+        assert some == pair == 1
 
     @pytest.mark.parametrize("depth", [MAX_TYPE_DEPTH + 1, 3000])
     @pytest.mark.parametrize("shape", ["option", "tuple"])
@@ -1343,11 +1342,11 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("value", [0.0, 1.5, 2.0, 1e20, 1e-05, 1.25e-300])
     def test_real_literal_round_trip(self, value):
-        assert parse_expression(pretty_expr(Const(VConst(value)))) == Const(VConst(value))
+        assert parse_expression(pretty_expr(Const(value))) == Const(value)
 
     @pytest.mark.parametrize(
         "value, text",
-        [(VSome(VConst(1)), "f (Some 1)"), (VSome(VTuple((VConst(2), VNone()))), "f (Some (2, None))")],
+        [(VSome(1), "f (Some 1)"), (VSome(VTuple((2, VNone()))), "f (Some (2, None))")],
     )
     def test_some_literal_argument_round_trip(self, value, text):
         # A firing applies the node's step to its argument as one literal.
@@ -1361,7 +1360,7 @@ class TestRoundTrip:
 
     def test_negative_pre_value_reparses(self):
         # After one cycle `pre x` holds x's value as a literal, here negative.
-        rewritten = eval_expr({"x": VConst(-3)}, parse_expression("pre x")).next
+        rewritten = eval_expr({"x": -3}, parse_expression("pre x")).next
         printed = pretty_expr(rewritten)
         assert printed == "-3 -> pre x"
         assert parse_expression(printed) == rewritten
@@ -1370,12 +1369,12 @@ class TestRoundTrip:
     @pytest.mark.parametrize(
         "text, expected",
         [
-            ("f (-3)", Apply(Var("f"), Const(VConst(-3)))),
-            ("-2.5", Const(VConst(-2.5))),
-            ("x - -3", Apply(Var("-"), Tuple((Var("x"), Const(VConst(-3)))))),
-            ("-3 * x", Apply(Var("*"), Tuple((Const(VConst(-3)), Var("x"))))),
-            ("Some -1", Some(Const(VConst(-1)))),
-            ("(-1, -2)", Tuple((Const(VConst(-1)), Const(VConst(-2))))),
+            ("f (-3)", Apply(Var("f"), Const(-3))),
+            ("-2.5", Const(-2.5)),
+            ("x - -3", Apply(Var("-"), Tuple((Var("x"), Const(-3))))),
+            ("-3 * x", Apply(Var("*"), Tuple((Const(-3), Var("x"))))),
+            ("Some -1", Some(Const(-1))),
+            ("(-1, -2)", Tuple((Const(-1), Const(-2)))),
         ],
     )
     def test_negative_literal_round_trip(self, text, expected):
@@ -1384,7 +1383,7 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("text", ["x -3", "f -3"])
     def test_minus_after_an_operand_is_subtraction(self, text):
-        assert parse_expression(text) == Apply(Var("-"), Tuple((Var(text[0]), Const(VConst(3)))))
+        assert parse_expression(text) == Apply(Var("-"), Tuple((Var(text[0]), Const(3))))
 
     def test_minus_before_a_name_is_not_a_literal(self):
         with pytest.raises(ParseError, match="expected an expression, found '-'"):
@@ -1397,7 +1396,7 @@ class TestRoundTrip:
         # numbers in the environment make negative literals common.
         rng = random.Random(seed)
         expr = gen_expr(rng, rng.choice(TOP_TYPES), depth=rng.randrange(1, 5), need_init=False)
-        env = base_env() | {"i1": VConst(-3), "r1": VConst(-2.5)}
+        env = base_env() | {"i1": -3, "r1": -2.5}
         for _ in range(4):
             expr = eval_expr(env, expr).next
             printed = pretty_expr(expr)

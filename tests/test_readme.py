@@ -16,4 +16,4 @@ def test_readme_python_example_runs(monkeypatch, capsys):
     monkeypatch.chdir(ROOT)  # the example opens programs/fib.mim
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
-    assert "[(10000, VConst(value=0)), (30000, VConst(value=1))" in capsys.readouterr().out
+    assert "[(10000, 0), (30000, 1)" in capsys.readouterr().out

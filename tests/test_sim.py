@@ -2,11 +2,14 @@ import csv
 import io
 import json
 import re
+import sys
 from heapq import heapify, heappop, heappush
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import mimosa
 from conftest import FIB_SOURCE, bools, edge_hosts, quiet_fib_hosts, silent
 from mimosa import (
     HostRegistry,
@@ -17,10 +20,11 @@ from mimosa import (
     run,
     run_randomized_equivalence,
 )
-from mimosa.ast import UNIT_VALUE, PTuple, PVar, VClosure, VConst, VExtern, VSome, VTuple
+from mimosa.analysis import _Infer, check_host_value, host_boxer, host_unboxer
+from mimosa.ast import UNIT_VALUE, PTuple, PUnit, PVar, StepDecl, VClosure, VConst, VExtern, VNone, VSome, VTuple, VUndef
 from mimosa.cli import main
 from mimosa.coord import BLOCKED, FIRE, IDLE, NetworkState, fire_node, idle_node, node_enabled
-from mimosa.errors import InternalError, ParseError, SimError, render_diagnostics
+from mimosa.errors import SYNTHETIC, InternalError, ParseError, SimError, TypeCheckError, render_diagnostics
 from mimosa.pretty import pretty_value
 from mimosa.sim import (
     _SHOW,
@@ -34,6 +38,7 @@ from mimosa.sim import (
     parse_literal,
     print_host,
 )
+from mimosa.types import BOOL, INT, REAL, UNIT, TOption, TTuple
 
 MS = 1_000
 FIB = [0, 1, 1, 2, 3, 5, 8, 13, 21, 34, 55]
@@ -85,12 +90,12 @@ class TestFibonacci:
         # Writes tagged beyond the horizon (55@210ms) have not appeared yet.
         trace = fib_trace(fib_checked)
         got = trace.per_channel()["d"]
-        expected = [(10 * MS + 20 * MS * k, VConst(v)) for k, v in enumerate(FIB[:10])]
+        expected = [(10 * MS + 20 * MS * k, v) for k, v in enumerate(FIB[:10])]
         assert got == expected
 
     def test_channel_b_carries_the_sums(self, fib_checked):
         got = fib_trace(fib_checked).per_channel()["b"]
-        assert [v.value for _, v in got] == FIB[1:]
+        assert [v for _, v in got] == FIB[1:]
         assert [t for t, _ in got] == [20 * MS * (k + 1) for k in range(len(FIB) - 1)]
 
     def test_activations_form_arithmetic_progressions(self, fib_checked):
@@ -116,8 +121,8 @@ class TestEdgeDetector:
         hosts = edge_hosts(bools(False, False, True, True, False, False))
         trace = run(edge_network_checked, SimConfig(horizon_us=600 * MS), hosts)
         assert trace.per_channel().get("b") == [
-            (400 * MS, VConst(True)),
-            (600 * MS, VConst(False)),
+            (400 * MS, True),
+            (600 * MS, False),
         ]
 
     def test_constant_input_emits_nothing(self, edge_network_checked):
@@ -600,8 +605,8 @@ node s2 implements sink (b) --> () every 20ms
         cp = check_program(parse_program(self.TWICE))
         trace = run(cp, SimConfig(horizon_us=40 * MS), hosts)
         # Each node's own counter yields 0, 1 on its first firing, 2, 3 on its second...
-        assert [v.value for v in trace.values("a")] == [1, 5, 9, 13]
-        assert [v.value for v in trace.values("b")] == [1, 5]
+        assert trace.values("a") == [1, 5, 9, 13]
+        assert trace.values("b") == [1, 5]
         assert sorted(map(sorted, callers)) == [["t1"], ["t2"]]
 
     def test_host_reads_each_firings_node_and_activation(self):
@@ -655,7 +660,7 @@ node s implements sink (a) --> () every 10ms
             Simulation(cp, SimConfig(horizon_us=MS), HostRegistry().bind_fn("sink", silent))
         hosts = HostRegistry().bind_fn("sink", silent).bind("sensor", const_seq(VConst(4)))
         trace = run(cp, SimConfig(horizon_us=20 * MS), hosts)
-        assert [v.value for v in trace.values("a")] == [5, 5]
+        assert trace.values("a") == [5, 5]
 
     def test_a_config_needs_a_positive_horizon_and_a_known_schedule(self):
         with pytest.raises(ValueError, match="^horizon must be positive$"):
@@ -701,10 +706,11 @@ node s implements sink (a) --> () every 10ms
             from_file("/nonexistent/path.txt")
 
     def test_parse_literal(self):
-        assert parse_literal("42") == VConst(42)
-        assert parse_literal("-3") == VConst(-3)
-        assert parse_literal("Some true").value == VConst(True)
-        assert parse_literal("(1, 2)").items == (VConst(1), VConst(2))
+        # A literal is a value as the run holds it: its scalars are plain.
+        assert type(parse_literal("42")) is int and parse_literal("42") == 42
+        assert parse_literal("-3") == -3
+        assert parse_literal("Some true").value is True
+        assert parse_literal("(1, 2)").items == (1, 2)
 
     @pytest.mark.parametrize("text", ["foo", "1 2", ")", "\u00b2"])
     def test_malformed_literal_is_a_parse_error(self, text):
@@ -729,8 +735,8 @@ node t2 implements take (y) --> () every 10ms
         hosts.bind_fn("take", silent)
         trace = run(cp, SimConfig(horizon_us=30 * MS), hosts)
         per = trace.per_channel()
-        assert [v.value for _, v in per["x"]] == [1, 2, 3]
-        assert [v.value for _, v in per["y"]] == [1, 2, 3]
+        assert [v for _, v in per["x"]] == [1, 2, 3]
+        assert [v for _, v in per["y"]] == [1, 2, 3]
 
 
 class TestProducerConsumer:
@@ -764,7 +770,7 @@ node consumer implements sink (x) --> () every 20ms
     def test_producer_counts_up(self):
         # Writes land at 40, 80, ..., 400 ms; the 11th is tagged past the horizon.
         trace = self.run_net()
-        assert [v.value for _, v in trace.per_channel()["x"]] == list(range(1, 11))
+        assert [v for _, v in trace.per_channel()["x"]] == list(range(1, 11))
 
 
 class TestNestedStepState:
@@ -784,9 +790,9 @@ node consumer implements sink (y) --> () every 10ms
         hosts = HostRegistry().bind_fn("sink", silent)
         trace = run(cp, SimConfig(horizon_us=100 * MS), hosts)
         per = trace.per_channel()
-        assert [v.value for _, v in per["x"]] == list(range(1, 11))
+        assert [v for _, v in per["x"]] == list(range(1, 11))
         # delay pipes x through a nested stateful step: one-cycle delay, 0 seed.
-        assert [v.value for _, v in per["y"]] == [0, 1, 2, 3, 4, 5, 6, 7, 8]
+        assert [v for _, v in per["y"]] == [0, 1, 2, 3, 4, 5, 6, 7, 8]
 
     @pytest.mark.parametrize("schedule, seed", [("deterministic", None), ("randomized", 3), ("randomized", 11)])
     def test_helper_and_caller_with_the_same_local_names(self, schedule, seed):
@@ -809,7 +815,7 @@ node consumer implements sink (x) --> () every 10ms
         cp = check_program(parse_program(src))
         hosts = HostRegistry().bind_fn("sink", silent)
         trace = run(cp, SimConfig(horizon_us=100 * MS, schedule=schedule, seed=seed), hosts)
-        assert [v.value for _, v in trace.per_channel()["x"]] == [k * (k + 1) * 10 + k for k in range(10)]
+        assert [v for _, v in trace.per_channel()["x"]] == [k * (k + 1) * 10 + k for k in range(10)]
 
 
 class TestTraceOutput:
@@ -901,5 +907,312 @@ class TestTraceOutput:
         ],
     )
     def test_pretty_value(self, value, text):
+        # A host's boxed scalars print as the run's plain ones do.
         # A bool is an int, so the plain-int path must not print `true` as `1`.
         assert pretty_value(value) == text
+
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            (True, "true"),
+            (False, "false"),
+            (1, "1"),
+            (-3, "-3"),
+            (0, "0"),
+            (1.0, "1.0"),
+            (0.0, "0.0"),
+            (1e20, "1.0e+20"),
+            (VSome(VSome(3)), "Some (Some 3)"),
+            (VTuple((1, VTuple((True, UNIT_VALUE)), VSome(2))), "(1, (true, ()), Some 2)"),
+        ],
+    )
+    def test_pretty_plain_value(self, value, text):
+        assert pretty_value(value) == text
+
+
+# ---------------------------------------------------------------------------
+# The host boundary: a host gets and returns boxed scalars, the run holds
+# plain ones, and a result is checked against the step's declared type.
+
+
+def host_result_program(signature: str, channels: dict[str, str]) -> str:
+    """Prototype `f () --> signature`, implemented by node `n`, which writes
+    the channels (name: element type), each read by a prototype sink."""
+    lines = [f"step f () --> {signature}"]
+    for name, elem in channels.items():
+        lines += [
+            f"step drop_{name} (_ : {elem}) --> ()",
+            f"channel {name} : {elem}",
+            f"node s_{name} implements drop_{name} ({name}) --> () every 10ms",
+        ]
+    ports = "(" + ", ".join(channels) + ")"
+    lines.append(f"node n implements f () --> {ports} every 10ms")
+    return "\n".join(lines) + "\n"
+
+
+def host_result_run(signature: str, channels: dict[str, str], result, cp=None) -> dict:
+    """The per-channel histories of 10ms of that program, whose host `f` returns `result`."""
+    hosts = HostRegistry().bind_fn("f", lambda _v, _ctx: result)
+    for name in channels:
+        hosts.bind_fn(f"drop_{name}", silent)
+    cp = cp or check_program(parse_program(host_result_program(signature, channels)))
+    return run(cp, SimConfig(horizon_us=10 * MS), hosts).per_channel()
+
+
+class TestHostBoundary:
+    # Per shape: the declared result, its channels, a result of that type and
+    # the channels' plain histories, a result of another type and how it prints.
+    SHAPES = {
+        "base": ("(y : int)", {"b": "int"}, VConst(3), {"b": [3]}, VSome(VConst(3)), "Some 3", "int"),
+        "option": ("(y : int?)", {"b": "int?"}, VSome(VConst(3)), {"b": [VSome(3)]}, VSome(VConst(True)), "Some true", "int?"),
+        "tuple": (
+            "(y : int, z : bool)",
+            {"b": "int", "c": "bool"},
+            VTuple((VConst(1), VConst(True))),
+            {"b": [1], "c": [True]},
+            VTuple((VConst(1), VConst(2))),
+            "(1, 2)",
+            "(int, bool)",
+        ),
+        "unit": ("()", {}, UNIT_VALUE, {}, VConst(0), "0", "unit"),
+        "undefined": ("(y : int)", {"b": "int"}, VConst(0), {"b": [0]}, VUndef(), "⊥", "int"),
+    }
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_a_result_of_the_declared_type_enters_the_run_plain(self, shape):
+        signature, channels, good, histories, _, _, _ = self.SHAPES[shape]
+        per = host_result_run(signature, channels, good)
+        assert {name: [v for _, v in per[name]] for name in channels} == histories
+        for name in channels:
+            (value,) = [v for _, v in per[name]]
+            plain = value.value if type(value) is VSome else value
+            assert type(plain) in (int, bool), plain
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_a_result_of_another_type_fails_its_node(self, shape):
+        signature, channels, _, _, bad, shown, declared = self.SHAPES[shape]
+        cp = check_program(parse_program(host_result_program(signature, channels)))
+        with pytest.raises(SimError) as info:
+            host_result_run(signature, channels, bad, cp)
+        (diag,) = info.value.diagnostics
+        assert diag.message == (
+            f"node 'n' failed at 0s: host step 'f' returned {shown}, not a value of its declared type {declared}"
+        )
+        assert diag.span == cp.program.node("n").span != SYNTHETIC
+
+    def test_a_host_result_of_the_wrong_shape_is_no_longer_written(self):
+        # A host for `f (x : int) --> (y : int)` that returns `Some 3` used
+        # to write it into an `int` channel, and the run succeeded.
+        source = (
+            "step count () --> (n : int) { n = 0 -> pre (n + 1) }\n"
+            "step f (x : int) --> (y : int)\n"
+            "step print_int (_ : int) --> ()\n"
+            "channel a : int\n"
+            "channel b : int\n"
+            "node src implements count () --> (a) every 10ms\n"
+            "node n implements f (a) --> (b) every 10ms\n"
+            "node print implements print_int (b) --> () every 10ms\n"
+        )
+        hosts = HostRegistry().bind_fn("f", lambda v, c: VSome(VConst(3))).bind_fn("print_int", silent)
+        cp = check_program(parse_program(source, file="repro.mim"), file="repro.mim")
+        with pytest.raises(SimError) as info:
+            run(cp, SimConfig(horizon_us=50 * MS), hosts)
+        assert render_diagnostics(info.value.diagnostics) == (
+            "repro.mim:7:1: error: node 'n' failed at 10ms: "
+            "host step 'f' returned Some 3, not a value of its declared type int"
+        )
+
+    def test_a_plain_python_result_is_not_a_host_value(self):
+        with pytest.raises(SimError, match=r"host step 'f' returned Python int 3, not a value of its declared type int$"):
+            host_result_run("(y : int)", {"b": "int"}, 3)
+        with pytest.raises(SimError, match=r"host step 'f' returned Python str 'x', not a value of its declared type int$"):
+            host_result_run("(y : int)", {"b": "int"}, "x")
+
+    def test_a_host_gets_its_argument_boxed(self):
+        got = []
+
+        def sink(value, _ctx):
+            got.append(value)
+            return UNIT_VALUE
+
+        source = (
+            "step src () --> (p : (int, real?, bool))\n"
+            "step sink (_ : (int, real?, bool)) --> ()\n"
+            "channel a : (int, real?, bool)\n"
+            "node src implements src () --> (a) every 10ms\n"
+            "node sink implements sink (a) --> () every 10ms\n"
+        )
+        result = VTuple((VConst(1), VSome(VConst(2.5)), VConst(False)))
+        hosts = HostRegistry().bind_fn("src", lambda _v, _c: result).bind_fn("sink", sink)
+        trace = run(check_program(parse_program(source)), SimConfig(horizon_us=10 * MS), hosts)
+        assert trace.values("a") == [VTuple((1, VSome(2.5), False))]
+        assert got == [result] and type(got[0].items[2].value) is bool
+
+
+def host_value_of(t):
+    """A strategy for host values of type t."""
+    if type(t) is TOption:
+        return st.one_of(st.just(VNone()), host_value_of(t.elem).map(VSome))
+    if type(t) is TTuple:
+        return st.tuples(*map(host_value_of, t.items)).map(VTuple)
+    return {
+        INT: st.integers(-3, 3).map(VConst),
+        BOOL: st.booleans().map(VConst),
+        REAL: st.sampled_from([0.0, -1.5]).map(VConst),
+        UNIT: st.just(UNIT_VALUE),
+    }[t]
+
+
+DECLARED_TYPES = st.recursive(
+    st.sampled_from([INT, BOOL, REAL, UNIT]),
+    lambda inner: st.one_of(inner.map(TOption), st.lists(inner, min_size=2, max_size=3).map(lambda ts: TTuple(tuple(ts)))),
+    max_leaves=5,
+)
+HOST_VALUES = st.recursive(
+    st.one_of(st.sampled_from([INT, BOOL, REAL, UNIT]).flatmap(host_value_of), st.just(VNone())),
+    lambda inner: st.one_of(inner.map(VSome), st.lists(inner, min_size=2, max_size=3).map(lambda vs: VTuple(tuple(vs)))),
+    max_leaves=5,
+)
+
+
+def unifies(declared, value) -> bool:
+    """The check the boundary replaces: type the value, then unify."""
+    inf = _Infer()
+    try:
+        inf.u.unify(declared, inf.literal_type(value), SYNTHETIC)
+    except TypeCheckError:
+        return False
+    return True
+
+
+def holds_a_box(value) -> bool:
+    if type(value) is VConst:
+        return value is not UNIT_VALUE
+    if type(value) is VSome:
+        return holds_a_box(value.value)
+    return type(value) is VTuple and any(map(holds_a_box, value.items))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_the_boundary_predicate_agrees_with_check_host_value(data):
+    declared = data.draw(DECLARED_TYPES)
+    value = data.draw(st.one_of(host_value_of(declared), HOST_VALUES))
+    try:
+        check_host_value(StepDecl("f", PUnit(), PVar("y", declared), None), value)
+        accepted = True
+    except TypeCheckError:
+        accepted = False
+    assert accepted == unifies(declared, value)
+    plain = host_unboxer(declared)(value)
+    assert (plain is not None) == accepted
+    if accepted:
+        # The run's form holds no box, and boxing it gives the host's value back.
+        box = host_boxer(declared)
+        assert not holds_a_box(plain)
+        assert (plain if box is None else box(plain)) == value
+
+
+# Plain scalars are falsy where a box was not: `0`, `0.0`, `false`, and an
+# option holding one, must still flow through `if` and `either` as values.
+FALSY = """
+step src () --> (i : int, b : bool, oi : int?, ob : bool?, r : real)
+{
+    i = 0 -> pre (1 - i);
+    b = i == 1;
+    oi = if b then None else Some 0;
+    ob = if b then None else Some false;
+    r = if b then 2.5 else 0.0;
+}
+step use (i, b, oi, ob, r) --> (j, c, k, d, s)
+{
+    j = if b then 5 else i;
+    c = if b then b else false;
+    k = either oi otherwise 7;
+    d = either ob otherwise true;
+    s = if b then 1.5 else r;
+}
+step drop x --> () { () = () }
+""" + "\n".join(
+    [f"channel {name} : {elem}" for name, elem in zip("ibxyrjckds", "int bool int? bool? real int bool int bool real".split())]
+    + ["node src implements src () --> (i, b, x, y, r) every 10ms"]
+    + ["node use implements use (i, b, x, y, r) --> (j, c, k, d, s) every 10ms"]
+    + [f"node drop_{name} implements drop ({name}) --> () every 10ms" for name in "jckds"]
+)
+
+
+@pytest.mark.parametrize("schedule", ["deterministic", "randomized"])
+def test_falsy_plain_values_flow_through_if_and_either(schedule):
+    cp = check_program(parse_program(FALSY))
+    trace = run(cp, SimConfig(horizon_us=40 * MS, seed=5 if schedule == "randomized" else None, schedule=schedule))
+    got = {name: [(t // MS, pretty_value(v)) for t, v in history] for name, history in trace.per_channel().items()}
+    assert got["x"] == [(10, "Some 0"), (20, "None"), (30, "Some 0"), (40, "None")]
+    assert got["y"] == [(10, "Some false"), (20, "None"), (30, "Some false"), (40, "None")]
+    assert {name: [v for _, v in got[name]] for name in "jckds"} == {
+        "j": ["0", "5", "0"],
+        "c": ["false", "true", "false"],
+        "k": ["0", "7", "0"],
+        "d": ["false", "true", "false"],
+        "s": ["0.0", "1.5", "0.0"],
+    }
+    assert [type(v) for _, v in trace.per_channel()["s"]] == [float] * 3
+
+
+class TestBoxesPerRun:
+    """The run holds plain scalars: the library builds a `VConst` only to hand
+    a host an argument that holds a scalar. Counted with a profile hook on
+    every `VConst.__init__` called from the library's own code."""
+
+    LIBRARY = str(Path(mimosa.__file__).resolve().parent)
+
+    def boxes(self, sim: Simulation, horizon_us: int) -> int:
+        count = 0
+        init = VConst.__init__.__code__
+
+        def profile(frame, event, _arg):
+            nonlocal count
+            if event == "call" and frame.f_code is init and frame.f_back.f_code.co_filename.startswith(self.LIBRARY):
+                count += 1
+
+        sys.setprofile(profile)
+        try:
+            sim.run_until(horizon_us)
+        finally:
+            sys.setprofile(None)
+        return count
+
+    @staticmethod
+    def recording(calls: list[bool]):
+        """Wraps a host to note, per call, whether its argument holds a scalar."""
+
+        def wrap(fn):
+            def wrapped(value, ctx):
+                calls.append(holds_a_box(value))
+                return fn(value, ctx)
+
+            return wrapped
+
+        return wrap
+
+    def test_a_deep_workload_boxes_only_the_sinks_arguments(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(PROGRAMS.parent / "perfbench"))
+        import workloads
+
+        wl = workloads.make("deep", 7, "tiny")
+        calls: list[bool] = []
+        registry, _ = wl.hosts(self.recording(calls))
+        sim = Simulation(check_program(parse_program(wl.source)), SimConfig(horizon_us=wl.horizon_us), registry)
+        # The source's unit arguments cross with no box; each sink argument takes one.
+        assert self.boxes(sim, wl.horizon_us) == sum(calls) > 0
+        assert len(calls) > sum(calls)
+
+    def test_fib_boxes_each_printed_number(self):
+        calls: list[bool] = []
+        hosts = HostRegistry().bind_fn("print_int", self.recording(calls)(silent))
+        sim = Simulation(check_program(parse_program((PROGRAMS / "fib.mim").read_text())), SimConfig(200 * MS), hosts)
+        assert self.boxes(sim, 200 * MS) == len(calls) == sum(calls) == 10
+
+    def test_a_run_without_hosts_boxes_nothing(self):
+        sim = Simulation(check_program(parse_program(FALSY)), SimConfig(horizon_us=40 * MS))
+        assert self.boxes(sim, 40 * MS) == 0
+        assert sim.trace().values("k") == [0, 7, 0]
