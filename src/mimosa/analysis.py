@@ -56,6 +56,7 @@ from .errors import (
     Span,
     TypeCheckError,
 )
+from .pretty import pretty_value
 from .types import (
     BOOL,
     INT,
@@ -649,8 +650,11 @@ def check_host_value(step: StepDecl, value: Value, span: Span = SYNTHETIC, file:
     the prototype `step`, whose output signature is fully annotated."""
     declared = declared_type(step, step.out_pattern)
     if host_unboxer(declared)(value) is None:
-        found = _Infer().literal_type(value)
-        message = f"step '{step.name}' returns {declared}, but its host value has type {found}"
+        try:
+            found = f"has type {_Infer().literal_type(value)}"
+        except AssertionError:  # no literal denotes it: undefined, a closure or an extern
+            found = f"{pretty_value(value)} has no type"
+        message = f"step '{step.name}' returns {declared}, but its host value {found}"
         raise TypeCheckError([Diagnostic(message, span, file=file)])
 
 

@@ -7,11 +7,11 @@ happen in declaration order. Nodes are time-triggered, so the driver walks
 instants: a heap of the distinct activations, each with its batch of node
 indices. It pops the earliest, sorts its batch, and decides and applies each
 node in turn, then appends the node to its next activation's batch; a rule
-does no heap operation. The head is never BLOCKED: an input's validity is its
-writer's activation plus period, and no writer is behind the earliest
-activation. Should a broken rule leave it BLOCKED, the driver applies the rule
-of the first decidable later candidate in (activation, index) order, as
-popping a heap would, then decides the head again. The randomized order is a
+does no heap operation. The head is never BLOCKED: every rule leaves each
+channel's validity at its writer's activation plus period, which the invariant
+check after each rule enforces, and no writer is behind the earliest
+activation. A BLOCKED head is therefore a broken rule, reported as a livelock
+over it and the rest of its batch that is BLOCKED. The randomized order is a
 lazy Fisher-Yates shuffle of a live-candidate list, one `random()` call a
 draw, so the chosen node is uniform among the enabled ones; it exercises
 confluence: any schedule must produce the same per-channel timed history.
@@ -215,8 +215,9 @@ class Simulation:
             batch.sort()
             for i in batch:
                 node = nodes[i]
-                while (decision := node_enabled(state, node.name)) == BLOCKED:
-                    _fall_back(state, nodes, due, instants, batch, i, horizon_us)
+                if (decision := node_enabled(state, node.name)) == BLOCKED:
+                    rest = [nodes[j] for j in batch[batch.index(i) :]]
+                    raise _livelock([n for n in rest if node_enabled(state, n.name) == BLOCKED])
                 (fire_node if decision == FIRE else idle_node)(state, node.name)
                 if (t := node.activation) <= horizon_us:
                     if (later := due.get(t)) is None:
@@ -245,14 +246,13 @@ class Simulation:
                 live.pop()
 
     def trace(self) -> Trace:
-        """The timed history observed so far: writes tagged at or before the
-        horizon (a node's last firing may produce a write tagged beyond it,
-        which has not appeared yet), sorted stably by time: `state.trace` is
-        in commit order."""
+        """The timed history observed so far: every rule applied (none is past
+        the horizon), and the writes tagged at or before the horizon (a node's
+        last firing may produce a write tagged beyond it, which has not
+        appeared yet), sorted stably by time: `state.trace` is in commit order."""
         cutoff = self._observed_horizon
         events = tuple(sorted([ev for ev in self.state.trace if ev[0] <= cutoff], key=itemgetter(0)))
-        steps = tuple([s for s in self.state.steps if s[2] <= cutoff])
-        return Trace(events, steps)
+        return Trace(events, tuple(self.state.steps))
 
 
 def _per_node_host(step: StepDecl, registry: HostRegistry) -> VExtern:
@@ -285,31 +285,9 @@ def _per_node_host(step: StepDecl, registry: HostRegistry) -> VExtern:
     return VExtern(name, call)
 
 
-def _fall_back(
-    state: NetworkState, nodes: list[NodeState], due: dict, instants: list, batch: list, head: int, horizon_us: int
-) -> None:
-    """The walk's head, declaration index `head` of `batch`, is BLOCKED, which
-    correct rules never leave it: apply the rule of the first decidable later
-    candidate in (activation, index) order, the rest of the batch and then each
-    later instant's batch sorted, and take it out of its batch and reschedule
-    it, as popping a heap until a node is decidable would; with none, raise a livelock."""
-    later = [(batch, j) for j in batch[batch.index(head) + 1 :]]
-    later += [(due[t], j) for t in sorted(due) for j in sorted(due[t])]
-    for where, j in later:
-        node = nodes[j]
-        if (decision := node_enabled(state, node.name)) != BLOCKED:
-            (fire_node if decision == FIRE else idle_node)(state, node.name)
-            where.remove(j)
-            if (t := node.activation) <= horizon_us:
-                if t not in due:
-                    heappush(instants, t)
-                due.setdefault(t, []).append(j)
-            return
-    raise _livelock([nodes[head]] + [nodes[j] for _, j in later])
-
-
 def _livelock(stuck: list[NodeState]) -> SimError:
-    """Every candidate is blocked: name the inputs each one waits on, then list all of them."""
+    """Every node in `stuck` is BLOCKED, which only a broken rule brings about:
+    name the inputs each one waits on, then list all of them."""
     waits = []
     for node in sorted(stuck, key=lambda n: n.name):
         inputs = [ch for ch, _ in node.in_ports]

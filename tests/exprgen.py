@@ -1,7 +1,8 @@
 """Seeded generator for well-typed expressions and equation systems.
 
 Used by the determinism, round-trip, Eqs-uniqueness, initialization
-soundness and evaluator differential tests. Generation mirrors the initialization rules: with
+soundness and evaluator differential tests, and (`networks`) by the
+whole-network run property. Generation mirrors the initialization rules: with
 `need_init=True` the produced expression is defined from the first cycle on,
 so it never feeds an undefined value to a guarded position.
 """
@@ -10,6 +11,8 @@ from __future__ import annotations
 
 import itertools
 import random
+
+from hypothesis import strategies as st
 
 from mimosa import parse_expression
 from mimosa.ast import (
@@ -402,3 +405,40 @@ def run_cycles(equations, make_base_env, cycles: int) -> list[dict[str, Value]]:
         eqs, env = eval_equations(make_base_env(), eqs)
         out.append({n: env[n] for n in names})
     return out
+
+
+# ---------------------------------------------------------------------------
+# Int-only networks of periodic nodes, each with its own bodied step.
+
+PERIODS_MS = (1, 2, 3, 4, 6, 12)
+
+# What an output of a node with inputs computes from `acc`, the sum of its
+# inputs; one with no inputs counts instead.
+OUTPUT_FORMS = ("acc + {k}", "{k} -> pre acc", "if acc > {k} then acc else {k}")
+
+
+@st.composite
+def networks(draw) -> str:
+    """The source of a network of 2-6 nodes with periods from PERIODS_MS and
+    1-8 channels, each wired from a random writer to a random reader, so
+    cycles and self-loops occur. A channel may hold initial tokens, and may be
+    read through an optional port, which the step reads with `either`."""
+    n = draw(st.integers(2, 6))
+    periods = draw(st.lists(st.sampled_from(PERIODS_MS), min_size=n, max_size=n))
+    wire = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.booleans(), st.lists(st.integers(-3, 3), max_size=2))
+    wires = draw(st.lists(wire, min_size=1, max_size=8))
+    lines = []
+    for c, (_, _, _, initial) in enumerate(wires):
+        lines.append(f"channel c{c} : int" + (" = { " + ", ".join(map(str, initial)) + " }" if initial else ""))
+    for i, period in enumerate(periods):
+        ins = [(c, optional) for c, (_, reader, optional, _) in enumerate(wires) if reader == i]
+        outs = [c for c, (writer, _, _, _) in enumerate(wires) if writer == i]
+        terms = [f"(either v{c} otherwise {c})" if optional else f"v{c}" for c, optional in ins]
+        body = [f"acc = {' + '.join(terms)}" if terms else "acc = 0 -> pre (acc + 1)"]
+        body += [f"w{c} = " + draw(st.sampled_from(OUTPUT_FORMS)).format(k=c) for c in outs]
+        params = ", ".join(f"v{c}" for c, _ in ins)
+        results = ", ".join(f"w{c}" for c in outs)
+        lines.append(f"step s{i} ({params}) --> ({results}) {{ {'; '.join(body)} }}")
+        ports = ", ".join(f"c{c}?" if optional else f"c{c}" for c, optional in ins)
+        lines.append(f"node n{i} implements s{i} ({ports}) --> ({', '.join(f'c{c}' for c in outs)}) every {period}ms")
+    return "\n".join(lines) + "\n"

@@ -21,7 +21,7 @@ from mimosa.coord import (
     node_enabled,
     port_status,
 )
-from mimosa.errors import SYNTHETIC, InternalError, SimError
+from mimosa.errors import InternalError, SimError
 
 MS = 1_000
 
@@ -220,31 +220,6 @@ step g (v : int) --> (w : int) { w = v }
         ns = init_network(cp)
         with pytest.raises(SimError, match=r"node 'n' failed at 0s: division by zero"):
             fire_node(ns, "n")
-
-    # Output signature of `h`, the ports of node `n`, what the host returns, the message.
-    # An undefined result never gets here from a registered host: the host
-    # boundary rejects it (tests/test_sim.py, TestHostBoundary).
-    OUTPUT_FAULTS = {
-        "non-option": ("(w : int?)", "(y?)", 1, "optional output 'y' produced non-option value 1"),
-        "shape": ("(w : int, z : int)", "(y, z)", 1, "output 1 does not match its 2 ports"),
-        "no outputs": ("()", "()", 1, "has no output ports but produced 1"),
-    }
-
-    @pytest.mark.parametrize("fault", OUTPUT_FAULTS)
-    def test_output_errors_are_located_at_the_node(self, fault):
-        signature, ports, result, message = self.OUTPUT_FAULTS[fault]
-        channels = [c for c in "yz" if c in ports]
-        src = "\n".join(
-            [f"step h () --> {signature}", "step sink (_ : int) --> ()"]
-            + [f"channel {c} : int" for c in channels]
-            + [f"node n implements h () --> {ports} every 10ms"]
-            + [f"node s{c} implements sink ({c}) --> () every 10ms" for c in channels]
-        )
-        cp = check_program(parse_program(src))
-        ns = init_network(cp, {"h": VExtern("h", lambda _arg, _ctx: result)})
-        with pytest.raises(SimError, match=message) as info:
-            fire_node(ns, "n")
-        assert info.value.diagnostics[0].span == cp.program.node("n").span != SYNTHETIC
 
 
 def reference_decision(ns, name):

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import mimosa
 from conftest import FIB_SOURCE, bools, edge_hosts, quiet_fib_hosts, silent
+from exprgen import networks
 from mimosa import (
     HostRegistry,
     SimConfig,
@@ -23,7 +24,7 @@ from mimosa import (
 from mimosa.analysis import _Infer, check_host_value, host_boxer, host_unboxer
 from mimosa.ast import UNIT_VALUE, PTuple, PUnit, PVar, StepDecl, VClosure, VConst, VExtern, VNone, VSome, VTuple, VUndef
 from mimosa.cli import main
-from mimosa.coord import BLOCKED, FIRE, IDLE, NetworkState, fire_node, idle_node, node_enabled
+from mimosa.coord import BLOCKED, FIRE, IDLE, NetworkState, idle_node, node_enabled
 from mimosa.errors import SYNTHETIC, InternalError, ParseError, SimError, TypeCheckError, render_diagnostics
 from mimosa.pretty import pretty_value
 from mimosa.sim import (
@@ -244,6 +245,23 @@ class TestConfluence:
         assert report and report.ok and report.runs == 2 and report.detail is None
         assert not EquivalenceReport(False, 1, "run 1: node 'print' has 0 events, expected 1")
 
+    def test_a_run_that_fails_aborts_the_report(self, fib_checked):
+        # The reference run instantiates `print_int` once; the first randomized run's instance raises.
+        made = []
+
+        def factory():
+            made.append(None)
+            if len(made) > 1:
+                raise OSError("no such device")
+            return silent
+
+        report = run_randomized_equivalence(
+            fib_checked, SimConfig(horizon_us=50 * MS), HostRegistry().bind("print_int", factory), runs=3
+        )
+        assert report == EquivalenceReport(
+            False, 1, "run 1 aborted: node 'print' failed at 10ms: host step 'print_int' raised OSError: no such device"
+        )
+
     def test_first_divergence_names_a_history_of_another_length(self):
         ref = {"a": [(0, "fire")], "b": [(0, "idle"), (10 * MS, "fire")]}
         shorter = {"a": [(0, "fire")], "b": [(0, "idle")]}
@@ -257,6 +275,17 @@ class TestConfluence:
         monkeypatch.setattr("mimosa.sim.idle_node", broken_idle)
         with pytest.raises(SimError) as err:
             run(check_program(parse_program(MUTUAL)), SimConfig(horizon_us=100 * MS), HostRegistry())
+        assert err.value.diagnostics[0].message == (
+            "livelock (internal invariant): "
+            "'n1' at 10ms waits on 'x' (validity 10ms) (inputs: 'x' undecided); "
+            "'n2' at 10ms waits on 'y' (validity 10ms) (inputs: 'y' undecided)"
+        )
+
+    def test_randomized_livelock_names_every_stuck_node(self, monkeypatch):
+        monkeypatch.setattr("mimosa.sim.idle_node", broken_idle)
+        cfg = SimConfig(horizon_us=100 * MS, seed=5, schedule="randomized")
+        with pytest.raises(SimError) as err:
+            run(check_program(parse_program(MUTUAL)), cfg, HostRegistry())
         assert err.value.diagnostics[0].message == (
             "livelock (internal invariant): "
             "'n1' at 10ms waits on 'x' (validity 10ms) (inputs: 'x' undecided); "
@@ -287,30 +316,6 @@ node n4 implements k () --> (w) every 50ms
             in err.value.diagnostics[0].message
         )
 
-    # Decisions the patched rule reports as BLOCKED once, so that the heap's
-    # head is BLOCKED and a later node acts first.
-    SPURIOUS = {("split", 10 * MS), ("add", 20 * MS), ("print", 20 * MS), ("add", 40 * MS)}
-
-    def logged_rules(self, patch, log, spurious):
-        def decide(ns, name):
-            key = (name, ns.nodes[name].activation)
-            decision = BLOCKED if key in spurious else node_enabled(ns, name)
-            spurious.discard(key)
-            log.append(("decide", *key, decision))
-            return decision
-
-        def act(rule):
-            def apply(ns, name):
-                log.append((rule.__name__, name, ns.nodes[name].activation))
-                rule(ns, name)
-
-            return apply
-
-        patch.setattr("mimosa.sim.node_enabled", decide)
-        patch.setattr("mimosa.sim.fire_node", act(fire_node))
-        patch.setattr("mimosa.sim.idle_node", act(idle_node))
-        return decide
-
     @staticmethod
     def reference_deterministic_run(sim, horizon_us, decide):
         """The deterministic loop as it was before it decided the heap's head
@@ -333,28 +338,6 @@ node n4 implements k () --> (w) every 50ms
             (module.fire_node if decision == FIRE else module.idle_node)(state, node.name)
             if node.activation <= horizon_us:
                 heappush(live, (node.activation, index, node))
-
-    def test_blocked_head_falls_back_to_the_reference_order(self, fib_checked, monkeypatch):
-        horizon = 60 * MS
-        logs = []
-        for runner in ("run_until", "reference"):
-            log: list = []
-            with monkeypatch.context() as patch:
-                decide = self.logged_rules(patch, log, set(self.SPURIOUS))
-                sim = Simulation(fib_checked, SimConfig(horizon_us=horizon), quiet_fib_hosts())
-                if runner == "run_until":
-                    sim.run_until(horizon)
-                else:
-                    self.reference_deterministic_run(sim, horizon, decide)
-            logs.append((log, sim.trace().render_csv(include_idle=True)))
-        assert logs[0] == logs[1]
-        log = logs[0][0]
-        # Each spurious BLOCKED was met at the heap's head, and the next entry was decided next.
-        for name, t in self.SPURIOUS:
-            i = log.index(("decide", name, t, BLOCKED))
-            assert log[i + 1][0] == "decide" and log[i + 1][1:3] != (name, t)
-            # It is decided again, once, after that node's rule.
-            assert [entry[:3] for entry in log].count(("decide", name, t)) == 2
 
     def test_livelock_text_matches_the_reference_loop(self, monkeypatch):
         cp = check_program(parse_program(MUTUAL))
@@ -405,6 +388,21 @@ node n4 implements k () --> (w) every 50ms
         trace = run(cp, SimConfig(horizon_us=100 * MS), HostRegistry())
         assert trace.events == ()
         assert all(kind == "idle" for kind, _, _ in trace.steps)
+
+
+@settings(max_examples=100, deadline=None)
+@given(networks(), st.integers(1, 60))
+def test_a_checked_network_runs_on_both_schedules(source, horizon_ms):
+    # The instant walk's premise: its head is never BLOCKED, so the run
+    # completes; and no rule applies beyond the horizon it runs under.
+    cp = check_program(parse_program(source))
+    cfg = SimConfig(horizon_us=horizon_ms * MS)
+    sim = Simulation(cp, cfg, HostRegistry())
+    for horizon_us in (horizon_ms // 2 * MS, cfg.horizon_us):
+        sim.run_until(horizon_us)
+        assert all(time_us <= horizon_us for _, _, time_us in sim.state.steps)
+    report = run_randomized_equivalence(cp, cfg, HostRegistry(), runs=3)
+    assert report.ok, report.detail
 
 
 class TestSelection:
@@ -976,6 +974,16 @@ class TestHostBoundary:
         ),
         "unit": ("()", {}, UNIT_VALUE, {}, VConst(0), "0", "unit"),
         "undefined": ("(y : int)", {"b": "int"}, VConst(0), {"b": [0]}, VUndef(), "⊥", "int"),
+        "non-option": ("(y : int?)", {"b": "int?"}, VSome(VConst(4)), {"b": [VSome(4)]}, VConst(1), "1", "int?"),
+        "shape": (
+            "(y : int, z : int)",
+            {"b": "int", "c": "int"},
+            VTuple((VConst(1), VConst(2))),
+            {"b": [1], "c": [2]},
+            VConst(1),
+            "1",
+            "(int, int)",
+        ),
     }
 
     @pytest.mark.parametrize("shape", SHAPES)
@@ -1021,6 +1029,15 @@ class TestHostBoundary:
             "repro.mim:7:1: error: node 'n' failed at 10ms: "
             "host step 'f' returned Some 3, not a value of its declared type int"
         )
+
+    @pytest.mark.parametrize(
+        "value, shown",
+        [(VUndef(), "⊥"), (VTuple((VConst(1), VUndef())), "(1, ⊥)"), (VExtern("g", silent), "<extern g>")],
+    )
+    def test_check_host_value_names_a_value_of_no_type(self, value, shown):
+        with pytest.raises(TypeCheckError) as info:
+            check_host_value(StepDecl("f", PUnit(), PVar("y", INT), None), value)
+        assert info.value.diagnostics[0].message == f"step 'f' returns int, but its host value {shown} has no type"
 
     def test_a_plain_python_result_is_not_a_host_value(self):
         with pytest.raises(SimError, match=r"host step 'f' returned Python int 3, not a value of its declared type int$"):
