@@ -6,7 +6,7 @@ import pytest
 from conftest import quiet_fib_hosts, silent
 from mimosa import HostRegistry, SimConfig, Simulation, check_program, parse_program
 from mimosa import coord
-from mimosa.ast import UNIT_VALUE, VExtern, VNone, VSome, VTuple
+from mimosa.ast import UNIT_VALUE, VConst, VExtern, VNone, VSome, VTuple
 from mimosa.coord import (
     ABSENT,
     AVAILABLE,
@@ -21,7 +21,7 @@ from mimosa.coord import (
     node_enabled,
     port_status,
 )
-from mimosa.errors import InternalError, SimError
+from mimosa.errors import SYNTHETIC, InternalError, SimError
 
 MS = 1_000
 
@@ -220,6 +220,25 @@ step g (v : int) --> (w : int) { w = v }
         ns = init_network(cp)
         with pytest.raises(SimError, match=r"node 'n' failed at 0s: division by zero"):
             fire_node(ns, "n")
+
+    # Output signature of `h`, the ports of node `n`, what its host returns, the message.
+    # fire_node trusts its step's result: the host boundary checks a host's
+    # result before the node writes it (tests/test_sim.py, TestHostBoundary).
+    OUTPUT_FAULTS = {
+        "no outputs": ("()", "()", VConst(1), "host step 'h' returned 1, not a value of its declared type unit"),
+    }
+
+    @pytest.mark.parametrize("fault", OUTPUT_FAULTS)
+    def test_output_errors_are_located_at_the_node(self, fault):
+        signature, ports, result, message = self.OUTPUT_FAULTS[fault]
+        src = f"step h () --> {signature}\nnode n implements h () --> {ports} every 10ms\n"
+        cp = check_program(parse_program(src))
+        sim = Simulation(cp, SimConfig(horizon_us=10 * MS), HostRegistry().bind_fn("h", lambda _v, _ctx: result))
+        with pytest.raises(SimError) as info:
+            sim.run_until(10 * MS)
+        (diag,) = info.value.diagnostics
+        assert diag.message == f"node 'n' failed at 0s: {message}"
+        assert diag.span == cp.program.node("n").span != SYNTHETIC
 
 
 def reference_decision(ns, name):
