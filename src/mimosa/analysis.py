@@ -56,7 +56,7 @@ from .errors import (
     Span,
     TypeCheckError,
 )
-from .pretty import pretty_value
+from .pretty import pretty_host_value
 from .types import (
     BOOL,
     INT,
@@ -650,10 +650,10 @@ def check_host_value(step: StepDecl, value: Value, span: Span = SYNTHETIC, file:
     the prototype `step`, whose output signature is fully annotated."""
     declared = declared_type(step, step.out_pattern)
     if host_unboxer(declared)(value) is None:
-        try:
-            found = f"has type {_Infer().literal_type(value)}"
-        except AssertionError:  # no literal denotes it: undefined, a closure or an extern
-            found = f"{pretty_value(value)} has no type"
+        try:  # a non-`Value`, such as the run's plain `3`, goes in as None, which no literal denotes
+            found = f"has type {_Infer().literal_type(value if isinstance(value, Value) else None)}"
+        except AssertionError:  # no literal denotes it: undefined, a closure, an extern or a non-`Value`
+            found = f"{pretty_host_value(value)} has no type"
         message = f"step '{step.name}' returns {declared}, but its host value {found}"
         raise TypeCheckError([Diagnostic(message, span, file=file)])
 

@@ -7,11 +7,14 @@ rewriting rules advance the acting node by one period and push its output
 channels' validity to activation + 2 * period.
 
 `init_network` resolves names once: each node gets its ports as (channel,
-optional) pairs, the literal of its step value and its evaluation context.
-The rules and the invariant check after each rule read these, and keep the
-last validity the check saw on the channel itself, so a step does no lookup
-by name. A channel names its writer, so the run state holds no cycle. A
-firing applies the node's step literal directly.
+optional) pairs, its inputs and outputs in one tuple too, the literal of its
+step value and its evaluation context. The rules and the invariant check after
+each rule read these, and keep the last validity the check saw on the channel
+itself, so a step does no lookup by name. A channel names its writer, so the
+run state holds no cycle. A firing applies the node's step literal directly,
+on the path its port shape picks: no input passes the unit value, one input
+its value (`Some`/`None` if optional), and one output takes the step's value
+(a `Some`'s payload if optional). Only several ports build or read a tuple.
 """
 
 from __future__ import annotations
@@ -68,6 +71,7 @@ class NodeState(Located):
     # The ports resolved by init_network: (channel, optional) pairs.
     in_ports: tuple[tuple[Channel, bool], ...] = field(repr=False, compare=False)
     out_ports: tuple[tuple[Channel, bool], ...] = field(repr=False, compare=False)
+    ports: tuple[tuple[Channel, bool], ...] = field(repr=False, compare=False)  # in_ports + out_ports
     ctx: EvalContext = field(repr=False, compare=False)  # each firing sets `ctx.host.time_us`
 
 
@@ -100,7 +104,7 @@ class NetworkState:
                         raise InternalError(f"channel '{ch.name}' queue is not tag-sorted: {tags}")
         else:
             acting = self.nodes[node]
-            ports = acting.in_ports + acting.out_ports
+            ports = acting.ports
         for ch, _ in ports:
             validity = ch.validity
             if ch.queue and ch.queue[-1][1] > validity:
@@ -147,6 +151,7 @@ def init_network(cp: CheckedProgram, hosts: Mapping[str, Value] | None = None) -
 
     nodes: dict[str, NodeState] = {}
     for decl in program.nodes:
+        ports = tuple([(channels[port.channel], port.optional) for port in decl.inputs + decl.outputs])
         node = nodes[decl.name] = NodeState(
             decl.name,
             decl.period_us,
@@ -155,8 +160,9 @@ def init_network(cp: CheckedProgram, hosts: Mapping[str, Value] | None = None) -
             decl.inputs,
             decl.outputs,
             decl.loc,
-            tuple([(channels[port.channel], port.optional) for port in decl.inputs]),
-            tuple([(channels[port.channel], port.optional) for port in decl.outputs]),
+            ports[: len(decl.inputs)],
+            ports[len(decl.inputs) :],
+            ports,
             EvalContext(HostContext(0, decl.name)),
         )
         for ch, _ in node.out_ports:
@@ -207,43 +213,49 @@ def node_enabled(ns: NetworkState, name: str) -> str:
 def fire_node(ns: NetworkState, name: str) -> None:
     node = ns.nodes[name]
     t = node.activation
-    args: list[Value] = []
-    for ch, optional in node.in_ports:
-        queue = ch.queue
-        if queue and queue[0][1] <= t:
-            value = queue.popleft()[0]
-            args.append(VSome(value) if optional else value)
-        elif optional and (queue or ch.validity > t):
-            args.append(VNone())
-        else:
-            raise InternalError(f"fire_node('{name}') called while not enabled")
-    if not args:
-        argument: Value = UNIT_VALUE
-    elif len(args) == 1:
-        argument = args[0]
+    # The port shape picks the path: only several inputs build a tuple, and several outputs read one.
+    ins = node.in_ports
+    if len(ins) == 1:
+        argument = _take(ins[0], t, name)
+    elif ins:
+        argument = VTuple(tuple([_take(port, t, name) for port in ins]))
     else:
-        argument = VTuple(tuple(args))
+        argument = UNIT_VALUE
 
     ctx = node.ctx
     ctx.host.time_us = t
     try:
         result = eval_expr(ns.env, node.expr, ctx, applied_to=argument)
-    except EvalError as exc:
-        raise _failure(node, f" failed at {format_duration(t)}: {exc.diagnostics[0].message}") from exc
+    except EvalError as exc:  # located at the node's declaration
+        message = f"node '{name}' failed at {format_duration(t)}: {exc.diagnostics[0].message}"
+        raise SimError([Diagnostic.at(message, node.loc)]) from exc
     node.expr = result.next
 
-    # One component per output port: a single port takes the whole value. It needs no check: type
+    # A single port takes the whole value, each of several one item. It needs no check: type
     # inference gives a bodied step's value the ports' types, and `sim._per_node_host` a host's.
     value = result.value
     outs = node.out_ports
-    components = (value,) if len(outs) == 1 else value.items if outs else ()
     tag = t + node.period_us
-    for (ch, optional), component in zip(outs, components):
-        if not optional:
-            _write(ns, ch, component, tag, name)
-        elif type(component) is VSome:
-            _write(ns, ch, component.value, tag, name)
+    if len(outs) == 1:
+        ch, optional = outs[0]
+        if not optional or type(value) is VSome:  # an optional port writes a `Some`'s payload, and no `None`
+            _write(ns, ch, value.value if optional else value, tag, name)
+    elif outs:
+        for (ch, optional), component in zip(outs, value.items):
+            if not optional or type(component) is VSome:
+                _write(ns, ch, component.value if optional else component, tag, name)
     _advance(ns, node, FIRE)
+
+
+def _take(port: tuple[Channel, bool], t: int, name: str) -> Value:
+    """What a firing at t reads from a port: its oldest value, `Some`/`None` if optional."""
+    ch, optional = port
+    queue = ch.queue
+    if queue and queue[0][1] <= t:
+        return VSome(queue.popleft()[0]) if optional else queue.popleft()[0]
+    if optional and (queue or ch.validity > t):
+        return VNone()
+    raise InternalError(f"fire_node('{name}') called while not enabled")
 
 
 def _write(ns: NetworkState, ch: Channel, value: Value, tag: int, node: str) -> None:
@@ -253,12 +265,6 @@ def _write(ns: NetworkState, ch: Channel, value: Value, tag: int, node: str) -> 
         )
     ch.queue.append((value, tag))
     ns.trace.append((tag, ch.name, value, node))
-
-
-def _failure(node: NodeState, message: str) -> SimError:
-    """A runtime failure of `node`, located at its declaration: `message`
-    follows the node's name."""
-    return SimError([Diagnostic.at(f"node '{node.name}'{message}", node.loc)])
 
 
 def idle_node(ns: NetworkState, name: str) -> None:

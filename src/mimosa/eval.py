@@ -329,10 +329,14 @@ def _activate(f: VClosure, arg_value: Value, ctx: EvalContext, inner: Env | None
     closure holding its next equations, `f` itself if none changed."""
     if inner is None:
         inner = dict(ctx.globals)
-        _update_into(inner, f.in_pattern, arg_value)
+        if type(f.in_pattern) is PVar:
+            inner[f.in_pattern.name] = arg_value
+        else:
+            _update_into(inner, f.in_pattern, arg_value)
     equations = _run_equations(inner, f.equations, ctx)
     callee = f if equations is f.equations else VClosure(f.in_pattern, f.out_pattern, equations)
-    return project(inner, f.out_pattern), callee
+    out = f.out_pattern
+    return inner[out.name] if type(out) is PVar and out.name in inner else project(inner, out), callee
 
 
 def _fill_pre(hole: Arrow, env: Env, operand: Expr, ctx: EvalContext) -> None:

@@ -178,6 +178,11 @@ def pretty_value(v: Value) -> str:
             raise InternalError(f"pretty_value: unknown value {v!r}")
 
 
+def pretty_host_value(v: object) -> str:
+    """A host's value as a diagnostic names it: a non-`Value` such as `3` as `Python int 3`."""
+    return pretty_value(v) if isinstance(v, Value) else f"Python {type(v).__name__} {v!r}"
+
+
 def format_duration(us: int) -> str:
     for unit, scale in DURATION_UNITS.items():
         if us % scale == 0:

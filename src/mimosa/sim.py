@@ -49,7 +49,7 @@ from .coord import (
 from .errors import Diagnostic, EvalError, InternalError, MimosaError, SimError, Span, read_text
 from .eval import HostContext
 from .parser import parse_literal
-from .pretty import format_duration, pretty_value
+from .pretty import format_duration, pretty_host_value, pretty_value
 
 HostFn = Callable[[Value, HostContext | None], Value]
 HostFactory = Callable[[], HostFn]
@@ -278,7 +278,7 @@ def _per_node_host(step: StepDecl, registry: HostRegistry) -> VExtern:
         except Exception as exc:
             raise EvalError(f"host step '{name}' raised {type(exc).__name__}: {exc}") from exc
         if (value := unbox(result)) is None:
-            shown = pretty_value(result) if isinstance(result, Value) else f"Python {type(result).__name__} {result!r}"
+            shown = pretty_host_value(result)
             raise EvalError(f"host step '{name}' returned {shown}, not a value of its declared type {declared}")
         return value
 

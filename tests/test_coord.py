@@ -1,5 +1,6 @@
 import random
 from collections import deque
+from pathlib import Path
 
 import pytest
 
@@ -22,8 +23,10 @@ from mimosa.coord import (
     port_status,
 )
 from mimosa.errors import SYNTHETIC, InternalError, SimError
+from mimosa.sim import from_file
 
 MS = 1_000
+PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 
 
 def channel(queue=(), validity=0) -> Channel:
@@ -349,6 +352,139 @@ class TestResolvedPorts:
         assert not hasattr(ch, "writer_node") and "writer_node" not in repr(ch)
 
 
+def reference_fire_node(ns, name):
+    """The firing rule as one general loop over the ports, whatever their
+    number: collect the arguments, build the argument from their count, and
+    split the value into one component per output port."""
+    node = ns.nodes[name]
+    t = node.activation
+    args = []
+    for ch, optional in node.in_ports:
+        queue = ch.queue
+        if queue and queue[0][1] <= t:
+            value = queue.popleft()[0]
+            args.append(VSome(value) if optional else value)
+        elif optional and (queue or ch.validity > t):
+            args.append(VNone())
+        else:
+            raise InternalError(f"fire_node('{name}') called while not enabled")
+    argument = UNIT_VALUE if not args else args[0] if len(args) == 1 else VTuple(tuple(args))
+    node.ctx.host.time_us = t
+    result = coord.eval_expr(ns.env, node.expr, node.ctx, applied_to=argument)
+    node.expr = result.next
+    outs = node.out_ports
+    components = (result.value,) if len(outs) == 1 else result.value.items if outs else ()
+    for (ch, optional), component in zip(outs, components):
+        if not optional:
+            coord._write(ns, ch, component, t + node.period_us, name)
+        elif type(component) is VSome:
+            coord._write(ns, ch, component.value, t + node.period_us, name)
+    coord._advance(ns, node, FIRE)
+
+
+class TestPortShapes:
+    """`fire_node` takes a path by the node's number of ports; each path
+    matches the general loop, `reference_fire_node`."""
+
+    # Input ports of node `n`: (optional, holds a value at 0ms). An empty one is
+    # decided absent at 0ms, since its writer's first write is tagged 10ms.
+    INPUTS = {
+        "none": (),
+        "mandatory": ((False, True),),
+        "optional present": ((True, True),),
+        "optional absent": ((True, False),),
+        "two mixed": ((False, True), (True, False)),
+    }
+    # Output ports of node `n` (optional or not), and the value its step returns.
+    OUTPUTS = {
+        "none": ((), UNIT_VALUE),
+        "mandatory": ((False,), 5),
+        "optional Some": ((True,), VSome(5)),
+        "optional None": ((True,), VNone()),
+        "two with an optional None": ((False, True), VTuple((5, VNone()))),
+    }
+    # Inputs with a mandatory port absent at 0ms, so `n` idles; each arity.
+    NOT_ENABLED = {
+        "one": ((False, False),),
+        "two": ((True, True), (False, False)),
+    }
+
+    def network(self, inputs, outputs, result):
+        """Node `n` at 0ms with the given ports, each input fed by its own
+        writer and each output drained by its own reader, and the arguments
+        its step received."""
+        params = ", ".join(f"p{i} : int{'?' * o}" for i, (o, _) in enumerate(inputs))
+        results = ", ".join(f"q{i} : int{'?' * o}" for i, o in enumerate(outputs))
+        src = ["step w () --> (v : int)", "step r (_ : int) --> ()", f"step h ({params}) --> ({results})"]
+        for i, (_, present) in enumerate(inputs):
+            initial = " = { 7 }" if present else ""
+            src += [f"channel c{i} : int{initial}", f"node w{i} implements w () --> (c{i}) every 10ms"]
+        for i in range(len(outputs)):
+            src += [f"channel o{i} : int", f"node r{i} implements r (o{i}) --> () every 10ms"]
+        ins = ", ".join(f"c{i}{'?' * o}" for i, (o, _) in enumerate(inputs))
+        outs = ", ".join(f"o{i}{'?' * o}" for i, o in enumerate(outputs))
+        src.append(f"node n implements h ({ins}) --> ({outs}) every 10ms")
+        seen = []
+        hosts = {"h": VExtern("h", lambda v, _ctx: seen.append(v) or result)}
+        return init_network(check_program(parse_program("\n".join(src))), hosts), seen
+
+    @staticmethod
+    def outcome(ns, seen):
+        queues = {name: list(ch.queue) for name, ch in ns.channels.items()}
+        validities = {name: ch.validity for name, ch in ns.channels.items()}
+        return seen, queues, validities, ns.trace, ns.steps, ns.nodes["n"].activation
+
+    @pytest.mark.parametrize("outputs", OUTPUTS)
+    @pytest.mark.parametrize("inputs", INPUTS)
+    def test_each_shape_fires_as_the_general_loop_does(self, inputs, outputs):
+        ports, result = self.OUTPUTS[outputs]
+        fired, seen = self.network(self.INPUTS[inputs], ports, result)
+        reference, reference_seen = self.network(self.INPUTS[inputs], ports, result)
+        assert node_enabled(fired, "n") == FIRE
+        fire_node(fired, "n")
+        reference_fire_node(reference, "n")
+        assert self.outcome(fired, seen) == self.outcome(reference, reference_seen)
+        assert len(seen) == 1 and fired.steps == [(FIRE, "n", 0)]
+
+    def test_the_shapes_pass_and_write_what_their_ports_declare(self):
+        arguments = {}
+        for inputs, ports in self.INPUTS.items():
+            ns, seen = self.network(ports, (), UNIT_VALUE)
+            fire_node(ns, "n")
+            arguments[inputs] = seen[0]
+        assert arguments == {
+            "none": UNIT_VALUE,
+            "mandatory": 7,
+            "optional present": VSome(7),
+            "optional absent": VNone(),
+            "two mixed": VTuple((7, VNone())),
+        }
+        writes = {}
+        for outputs, (ports, result) in self.OUTPUTS.items():
+            ns, _ = self.network((), ports, result)
+            fire_node(ns, "n")
+            writes[outputs] = [(ch, value) for _, ch, value, _ in ns.trace]
+        assert writes == {
+            "none": [],
+            "mandatory": [("o0", 5)],
+            "optional Some": [("o0", 5)],
+            "optional None": [],
+            "two with an optional None": [("o0", 5)],
+        }
+
+    @pytest.mark.parametrize("arity", NOT_ENABLED)
+    def test_a_node_not_enabled_fails_at_each_arity(self, arity):
+        fired, seen = self.network(self.NOT_ENABLED[arity], (), UNIT_VALUE)
+        reference, reference_seen = self.network(self.NOT_ENABLED[arity], (), UNIT_VALUE)
+        assert node_enabled(fired, "n") == IDLE
+        for ns, fire in ((fired, fire_node), (reference, reference_fire_node)):
+            with pytest.raises(InternalError, match=r"^fire_node\('n'\) called while not enabled$"):
+                fire(ns, "n")
+        # The ports before the failing one were read, as in the general loop.
+        assert self.outcome(fired, seen) == self.outcome(reference, reference_seen)
+        assert seen == [] and fired.steps == []
+
+
 class TestInvariants:
     def test_rules_preserve_channel_invariants(self, fib_checked):
         ns = init_network(fib_checked, {"print_int": VExtern("print_int", lambda v, ctx: UNIT_VALUE)})
@@ -374,6 +510,37 @@ class TestInvariants:
         sim = Simulation(fib_checked, SimConfig(horizon_us=100 * MS), quiet_fib_hosts())
         sim.run_until(100 * MS)
         assert checked == [None] + [node for _, node, _ in sim.state.steps]
+
+    # The shipped programs with their README hosts, printers writing nowhere:
+    # edge has an optional output, fib a 2-input `add` and a 3-output `split`.
+    SHIPPED = {
+        "edge": (
+            lambda: HostRegistry().bind("pin", from_file(str(PROGRAMS / "edge_input.txt"))).bind_fn("watch", silent),
+            600 * MS,
+        ),
+        "fib": (quiet_fib_hosts, 200 * MS),
+    }
+
+    @pytest.mark.parametrize("seed", [None, 3])
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_every_firing_evaluates_once(self, name, seed, monkeypatch):
+        # The per-firing contract perfbench's tracer relies on: one
+        # `coord.eval_expr` call per firing, by the firing node at its time.
+        calls = []
+        original = coord.eval_expr
+
+        def counting(env, e, ctx, **kwargs):
+            calls.append((FIRE, ctx.host.node, ctx.host.time_us))
+            return original(env, e, ctx, **kwargs)
+
+        monkeypatch.setattr(coord, "eval_expr", counting)
+        hosts, horizon = self.SHIPPED[name]
+        cp = check_program(parse_program((PROGRAMS / f"{name}.mim").read_text()))
+        schedule = "deterministic" if seed is None else "randomized"
+        sim = Simulation(cp, SimConfig(horizon_us=horizon, schedule=schedule, seed=seed), hosts())
+        sim.run_until(horizon)
+        fires = [step for step in sim.state.steps if step[0] == FIRE]
+        assert calls == fires and len(fires) > 10
 
     def test_write_below_validity_is_rejected(self, fib_checked):
         ns = init_network(fib_checked)

@@ -1032,7 +1032,15 @@ class TestHostBoundary:
 
     @pytest.mark.parametrize(
         "value, shown",
-        [(VUndef(), "⊥"), (VTuple((VConst(1), VUndef())), "(1, ⊥)"), (VExtern("g", silent), "<extern g>")],
+        [
+            (VUndef(), "⊥"),
+            (VTuple((VConst(1), VUndef())), "(1, ⊥)"),
+            (VExtern("g", silent), "<extern g>"),
+            # The run's plain scalars and other non-`Value`s, named as a host's result is.
+            (3, "Python int 3"),
+            (True, "Python bool True"),
+            ("x", "Python str 'x'"),
+        ],
     )
     def test_check_host_value_names_a_value_of_no_type(self, value, shown):
         with pytest.raises(TypeCheckError) as info:
