@@ -1,11 +1,11 @@
 """Static checks: network well-formedness, causality ordering, initialization
 analysis, and Hindley-Milner type inference for steps and node wiring.
 
-A builtin binary operator applied to operands that already have its operand
-type is typed in place, without unification; the variables it would have
-used are taken all the same, so messages name variables as the general path
-does. Compared values must be first-order, like the equality type variables
-of Standard ML."""
+A binary operator whose operands already have its operand type is typed in
+place, without unification; the variables it would have used are taken all
+the same, so messages name variables as the general path does. Compared
+values must be first-order, like the equality type variables of Standard
+ML."""
 
 from __future__ import annotations
 
@@ -16,6 +16,7 @@ from typing import Callable
 from .ast import (
     Apply,
     Arrow,
+    Binary,
     Const,
     Either,
     Equation,
@@ -119,8 +120,9 @@ class _InitCheck:
     failure is recorded at its position in a post-order traversal that
     descends into `pre` operands, and the earliest is reported: a position is
     a tuple, and a deferred operand's positions extend its `pre`'s. An
-    application requires its applied step, then its argument, to be defined;
-    a name or literal there, or in an operand pair, is read without a call.
+    application requires its applied step, then its argument, to be defined,
+    and an operator takes the same two positions for its operand pair; a name
+    or literal there, or as an operand, is read without a call.
     """
 
     def __init__(self, statuses: dict):
@@ -141,24 +143,22 @@ class _InitCheck:
             return self.statuses.get(e.name, True)
         if kind is Const:
             return not contains_undef(e.value)
+        if kind is Binary:  # an operator, applied to the pair of its operands
+            get, a, b = self.statuses.get, e.left, e.right
+            k = type(a)
+            s1 = get(a.name, True) if k is Var else not contains_undef(a.value) if k is Const else self.status(a)
+            k = type(b)
+            s2 = get(b.name, True) if k is Var else not contains_undef(b.value) if k is Const else self.status(b)
+            self.count += 1  # the position of the applied step, always defined
+            self._require(True if s1 is True and s2 is True else (s1, s2), e.loc, "step argument")
+            return True
         if kind is Apply:  # a name or literal child is read here, not by a call
             get, fn, arg = self.statuses.get, e.fn, e.arg
             sf = get(fn.name, True) if type(fn) is Var else self.status(fn)
             k = type(arg)
-            if k is Tuple and len(arg.items) == 2:  # an operand pair
-                a, b = arg.items
-                k = type(a)
-                s1 = get(a.name, True) if k is Var else not contains_undef(a.value) if k is Const else self.status(a)
-                k = type(b)
-                s2 = get(b.name, True) if k is Var else not contains_undef(b.value) if k is Const else self.status(b)
-                sa = True if s1 is True and s2 is True else (s1, s2)
-            else:
-                sa = get(arg.name, True) if k is Var else not contains_undef(arg.value) if k is Const else self.status(arg)
-            if sf is True and sa is True:
-                self.count += 2  # the positions both requirements take
-            else:
-                self._require(sf, fn.loc, "applied step")
-                self._require(sa, arg.loc, "step argument")
+            sa = get(arg.name, True) if k is Var else not contains_undef(arg.value) if k is Const else self.status(arg)
+            self._require(sf, fn.loc, "applied step")
+            self._require(sa, arg.loc, "step argument")
             return True
         if kind is Pre:  # undefined on the first cycle, whatever its operand
             self.count += 1
@@ -526,10 +526,10 @@ class _Infer:
             self.fail(f"unknown identifier '{name}'", e.loc)
         if kind is Const:
             return self.literal_type(e.value)
+        if kind is Binary:
+            return self.operator(e, ctx, local)
         if kind is Apply:
             fn, arg = e.fn, e.arg
-            if type(fn) is Var and fn.name in _OPERAND and type(arg) is Tuple and len(arg.items) == 2:
-                return self.operator(e, ctx, local)
             tfn = self.expr(fn, ctx, local)
             targ = self.expr(arg, ctx, local)
             result = self.u.fresh()
@@ -560,20 +560,19 @@ class _Infer:
             return tf
         raise AssertionError(e)
 
-    def operator(self, e: Apply, ctx: dict[str, Scheme], local: dict[str, Type]) -> Type:
-        """`e` applies a builtin binary operator to a pair. If both operands
+    def operator(self, e: Binary, ctx: dict[str, Scheme], local: dict[str, Type]) -> Type:
+        """`e`, typed as its builtin applied to the operand pair. If both
         resolve to the operator's operand type (for a comparison, to one base
-        type), its result type is the operator's, with no unification; else
-        `e` is typed as any application is. Either way the operator's
-        variables, then the result's, take the ids the general path gives
-        them, since messages print variables by id."""
+        type), its result type is the operator's, with no unification; else it
+        unifies as any application does. Either way the operator's variables,
+        then the result's, take the ids the general path gives them, since
+        messages print variables by id."""
         u = self.u
         name = e.fn.name
         scheme = ctx[name]
         first = u.reserve(len(scheme.vars))
-        left, right = e.arg.items
-        t1 = u.resolve(self.expr(left, ctx, local))
-        t2 = u.resolve(self.expr(right, ctx, local))
+        t1 = u.resolve(self.expr(e.left, ctx, local))
+        t2 = u.resolve(self.expr(e.right, ctx, local))
         result = u.reserve(1)
         operand = _OPERAND[name]
         if t1 is t2 and (t1 is operand or operand is None and type(t1) is TBase):

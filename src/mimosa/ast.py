@@ -164,6 +164,17 @@ class Apply(Expr):
 
 
 @dataclass(slots=True, unsafe_hash=True)
+class Binary(Expr):
+    """An infix operator on two operands, holding its builtin step value as a
+    literal holds its value; `fn.name` is its symbol."""
+
+    fn: "VExtern"
+    left: Expr
+    right: Expr
+    loc: Loc = field(default=SYNTHETIC, compare=False, repr=False)
+
+
+@dataclass(slots=True, unsafe_hash=True)
 class If(Expr):
     cond: Expr
     then: Expr
@@ -351,7 +362,8 @@ def nesting(roots: Iterable[Expr], names: Container[str] = ()) -> Nesting:
     right-hand sides take one call, and `reads` keeps each one's causal names.
     Walked with an explicit stack, so a deep tree cannot overflow the
     interpreter's. The right arms of `fby` and `->` are causal reads: after
-    one cycle each is the whole expression."""
+    one cycle each is the whole expression. An operator is two levels, the
+    application and operand pair it stands for, and its symbol is no name."""
     deepest = 0
     applied: set[str] = set()
     passed: set[str] = set()
@@ -375,6 +387,10 @@ def nesting(roots: Iterable[Expr], names: Container[str] = ()) -> Nesting:
                     passed.add(e.name)
                 continue
             if kind is Const:
+                continue
+            if kind is Binary:  # two levels: the application and its operand pair
+                push((e.left, depth + 2, delayed))
+                push((e.right, depth + 2, delayed))
                 continue
             depth += 1
             if kind is Apply:

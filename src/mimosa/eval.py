@@ -24,32 +24,37 @@ step rewrites the same way: `f a` rewrites to `c a'`, where the literal `c`
 holds the callee's closure value with its next equations, so the closure
 carries the call's state.
 
-The hot path is direct: `_eval` dispatches on the node's class, hot ones
-first. A name or literal child is read by its parent with no recursive call,
-and is its own next expression, in the five positions where that measured as
-paying: the applied expression, an application's argument, each operand of
-an operator, each item of a tuple argument of a same-arity tuple pattern, and
-the literal head of the `v -> pre e` each `pre` leaves. Any other child, and
-an unbound name, goes to `_eval`, which reports every error. Two operands of
-an operator's kernel type (`int`, or `bool` for `&&` and `||`) go to the
-kernel with no pair built; others take its checked `run`. A tuple argument's
-items, once all evaluated, are bound straight into the callee's activation,
-with no `VTuple`, and in an equation list `v -> pre e` builds its `pre`'s
-next hole itself, with no call and no `VUndef`. A node firing builds no
-application: `eval_expr` with `applied_to=v` applies a step literal to v,
-calling an extern with `ctx.host` or running a closure in `_activate`, the
-one activation step calls use too. An activation starts from the globals,
-not the caller's locals, which no checked body can read (a local may not
-shadow a step). Next expressions share structure: a `Tuple`, `Apply`, `If`,
-`Some` or `Either` whose evaluated children all come back as themselves (by
-identity) comes back as itself, and so does an equation whose right-hand side
-does, so a settled `fby`, `->` or operator allocates nothing, and a `pre` of
-a settled operand only the `v -> pre e` around its own node. A settled
-activation's closure is its own next state, so a stateless step allocates
-nothing after its first cycle, and its firing returns the literal it was
-given. Sharing is sound because no node reachable from an earlier next
-expression is ever mutated: `_fill_pre` sets the fields of the placeholder
-`Arrow`s created by the current activation only.
+The hot path is direct: `_eval` dispatches on the node's class, in the order
+of measured entry counts: an operator (`Binary`), `->`, `if`, an application,
+then names and literals, which their parents mostly read. An operator holds
+its builtin, so it is evaluated with no lookup of its symbol and no
+application. A name or
+literal child is read by its parent with no recursive call, and is its own
+next expression, in the five positions where that measured as paying: the
+applied expression, an application's argument, each operand of an operator,
+each item of a tuple argument of a same-arity tuple pattern, and the literal
+head of the `v -> pre e` each `pre` leaves. Any other child, and an unbound
+name, goes to `_eval`, which reports every error. Two operands of an
+operator's kernel type (`int`, or `bool` for `&&` and `||`) go to the kernel
+with no pair built; others take its checked `run`, as an application of the
+builtin to the pair would. A tuple argument's items, once all evaluated, are
+bound straight into the callee's activation, with no `VTuple`, and in an
+equation list `v -> pre e` builds its `pre`'s next hole itself, with no call
+and no `VUndef`. A node firing builds no application: `eval_expr` with
+`applied_to=v` applies a step literal to v, calling an extern with `ctx.host`
+or running a closure in `_activate`, the one activation step calls use too. An
+activation starts from the globals, not the caller's locals, which no checked
+body can read (a local may not shadow a step). Next expressions share
+structure: a `Binary`, `Tuple`, `Apply`, `If`, `Some` or `Either` whose
+evaluated children all come back as themselves (by identity) comes back as
+itself, and so does an equation whose right-hand side does, so a settled
+`fby`, `->` or operator allocates nothing, and a `pre` of a settled operand
+only the `v -> pre e` around its own node. A settled activation's closure is
+its own next state, so a stateless step allocates nothing after its first
+cycle, and its firing returns the literal it was given. Sharing is sound
+because no node reachable from an earlier next expression is ever mutated:
+`_fill_pre` sets the fields of the placeholder `Arrow`s created by the current
+activation only.
 """
 
 from __future__ import annotations
@@ -59,6 +64,7 @@ from dataclasses import dataclass, field
 from .ast import (
     Arrow,
     Apply,
+    Binary,
     Const,
     Either,
     Equation,
@@ -169,43 +175,55 @@ _Deferred = list[tuple[Arrow, Expr]]
 
 def _eval(env: Env, e: Expr, ctx: EvalContext, deferred: _Deferred | None) -> tuple[Value, Expr]:
     """`eval_expr` as a (value, next expression) pair."""
-    # One class test per production, the hot ones first.
+    # One class test per production, the most entered ones first.
     kind = type(e)
-    if kind is Var:
-        try:
-            return env[e.name], e
-        except KeyError:
-            raise _unbound(e) from None
-    if kind is Const:
-        return e.value, e
-    if kind is Apply:
-        # A name or literal child is read in place, and is its own next
+    if kind is Binary:
+        # A name or literal operand is read in place, and is its own next
         # expression; an unbound name (`get` gives None) or any other child
         # goes to _eval, which reports every error.
+        f, left, right = e.fn, e.left, e.right
+        a = env.get(left.name) if type(left) is Var else left.value if type(left) is Const else None
+        left_next = left
+        if a is None:
+            a, left_next = _eval(env, left, ctx, deferred)
+        b = env.get(right.name) if type(right) is Var else right.value if type(right) is Const else None
+        right_next = right
+        if b is None:
+            b, right_next = _eval(env, right, ctx, deferred)
+        kernel = f.kernel  # for two operands of its plain type; others take the checked path
+        if kernel is not None and type(a) is kernel[0] and type(b) is kernel[0]:
+            value = kernel[1](a, b)
+        else:
+            value = f.fn(VTuple((a, b)), ctx.host)
+        return value, e if left_next is left and right_next is right else Binary(f, left_next, right_next, e.loc)
+    if kind is Arrow:
+        # Every firing evaluates the `v -> pre e` hole of each `pre`, whose head
+        # is a literal; a parsed `->` is evaluated once and is then its rest.
+        first, rest = e.first, e.rest
+        value = first.value if type(first) is Const else _eval(env, first, ctx, deferred)[0]
+        if type(rest) is Pre and deferred is not None:
+            hole = Arrow(rest.expr, rest, rest.loc)
+            deferred.append((hole, rest.expr))
+            return value, hole
+        return value, _eval(env, rest, ctx, deferred)[1]
+    if kind is If:
+        cond = e.cond
+        c, cond_next = _eval(env, cond, ctx, deferred)
+        took_then = _branch(c, e)
+        branch = e.then if took_then else e.orelse
+        value, branch_next = _eval(env, branch, ctx, deferred)
+        if cond_next is cond and branch_next is branch:
+            return value, e
+        if took_then:
+            return value, If(cond_next, branch_next, e.orelse, e.loc)
+        return value, If(cond_next, e.then, branch_next, e.loc)
+    if kind is Apply:
+        # A name or literal child is read in place, as an operand is.
         fn, arg = e.fn, e.arg
         f = env.get(fn.name) if type(fn) is Var else fn.value if type(fn) is Const else None
         fn_next = fn
         if f is None:
             f, fn_next = _eval(env, fn, ctx, deferred)
-        if type(f) is VExtern and f.kernel is not None and type(arg) is Tuple and len(arg.items) == 2:
-            # An operator on two operands, evaluated in place: two operands of
-            # its plain type go to its kernel, anything else to its checked path.
-            plain, kernel = f.kernel
-            left, right = arg.items
-            a = env.get(left.name) if type(left) is Var else left.value if type(left) is Const else None
-            left_next = left
-            if a is None:
-                a, left_next = _eval(env, left, ctx, deferred)
-            b = env.get(right.name) if type(right) is Var else right.value if type(right) is Const else None
-            right_next = right
-            if b is None:
-                b, right_next = _eval(env, right, ctx, deferred)
-            if type(a) is plain and type(b) is plain:
-                value = kernel(a, b)
-            else:
-                value = f.fn(VTuple((a, b)), ctx.host)
-            same = fn_next is fn and left_next is left and right_next is right
-            return value, e if same else Apply(fn_next, Tuple((left_next, right_next), arg.loc), e.loc)
         pattern, inner = f.in_pattern if type(f) is VClosure else None, None
         if type(arg) is Tuple and type(pattern) is PTuple and len(arg.items) == len(pattern.items):
             values, nexts, same = [], [], True
@@ -242,16 +260,13 @@ def _eval(env: Env, e: Expr, ctx: EvalContext, deferred: _Deferred | None) -> tu
         if type(f) is VUndef:
             raise UndefEscape(_escape("applied expression", e.span))
         raise EvalError(f"application of a non-function value {pretty_value(f)}")
-    if kind is Arrow:
-        # Every firing evaluates the `v -> pre e` hole of each `pre`, whose head
-        # is a literal; a parsed `->` is evaluated once and is then its rest.
-        first, rest = e.first, e.rest
-        value = first.value if type(first) is Const else _eval(env, first, ctx, deferred)[0]
-        if type(rest) is Pre and deferred is not None:
-            hole = Arrow(rest.expr, rest, rest.loc)
-            deferred.append((hole, rest.expr))
-            return value, hole
-        return value, _eval(env, rest, ctx, deferred)[1]
+    if kind is Var:
+        try:
+            return env[e.name], e
+        except KeyError:
+            raise _unbound(e) from None
+    if kind is Const:
+        return e.value, e
     if kind is Pre:
         hole = Arrow(e.expr, e, e.loc)  # both fields are set by _fill_pre
         if deferred is None:
@@ -259,17 +274,6 @@ def _eval(env: Env, e: Expr, ctx: EvalContext, deferred: _Deferred | None) -> tu
         else:
             deferred.append((hole, e.expr))
         return VUndef(), hole
-    if kind is If:
-        cond = e.cond
-        c, cond_next = _eval(env, cond, ctx, deferred)
-        took_then = _branch(c, e)
-        branch = e.then if took_then else e.orelse
-        value, branch_next = _eval(env, branch, ctx, deferred)
-        if cond_next is cond and branch_next is branch:
-            return value, e
-        if took_then:
-            return value, If(cond_next, branch_next, e.orelse, e.loc)
-        return value, If(cond_next, e.then, branch_next, e.loc)
     if kind is Fby:
         return _eval(env, e.first, ctx, deferred)[0], e.rest
     if kind is Tuple:

@@ -2,8 +2,8 @@
 
 Grammar reference: docs/grammar.md. An expression is parsed by one precedence
 climber over the levels the printer reads too (`pretty.OPERATOR_LEVEL`).
-Infix operators desugar to applications of the symbol-named builtins
-(`x + y` becomes `+ (x, y)`).
+An infix operator is one node holding its symbol-named builtin (`x + y`
+becomes `Binary(+, x, y)`); the prefix `!` is an application of its builtin.
 
 A token is a plain tuple `(kind, text, offset, value, source)`. Positions are
 offsets: a leaf node's location is its token and a composite node's its first
@@ -24,6 +24,7 @@ from . import ast
 from .ast import (
     Arrow,
     Apply,
+    Binary,
     ChannelDecl,
     Const,
     Either,
@@ -50,6 +51,7 @@ from .ast import (
     Value,
     nesting,
 )
+from .builtins import BUILTIN_VALUES
 from .errors import Diagnostic, Loc, ParseError, Source, span_of
 from .pretty import ARROW, BINARY, DURATION_UNITS, EITHER, FBY, IF, OPERATOR_LEVEL
 from .types import BOOL, INT, REAL, UNIT, TOption, TTuple, Type, _parts as _type_parts
@@ -569,8 +571,7 @@ class Parser:
                 left = (Fby if level == FBY else Arrow)(left, right, (start, tokens[self.pos - 1]))
             else:
                 right = self.binary_expr(level + 1)
-                loc = (start, tokens[self.pos - 1])
-                left = Apply(Var(op[1], op), Tuple((left, right), loc), loc)
+                left = Binary(BUILTIN_VALUES[op[1]], left, right, (start, tokens[self.pos - 1]))
         return left
 
     def unary_expr(self) -> Expr:

@@ -1,7 +1,7 @@
 """Canonical concrete-syntax printing for programs, expressions, and values.
 
-parse . pretty . parse == parse holds for every parseable program; printing
-re-sugars builtin applications back to infix operators.
+parse . pretty . parse == parse holds for every parseable program; an
+operator prints infix, and an application of `!` prefix.
 """
 
 from __future__ import annotations
@@ -9,6 +9,7 @@ from __future__ import annotations
 from .ast import (
     Arrow,
     Apply,
+    Binary,
     ChannelDecl,
     Const,
     Either,
@@ -39,7 +40,7 @@ from .ast import (
     VUndef,
     Value,
 )
-from .builtins import BINARY_LEVELS, BINARY_OPS, UNARY_OPS
+from .builtins import BINARY_LEVELS, UNARY_OPS
 from .errors import InternalError
 
 # Precedence levels, loosest to tightest, which the parser reads too: `->`,
@@ -92,9 +93,9 @@ def _expr(e: Expr, minimum: int) -> str:
         case Either(scrutinee, fallback):
             text = f"either {_expr(scrutinee, EITHER)} otherwise {_expr(fallback, EITHER)}"
             return _paren(text, EITHER, minimum)
-        case Apply(Var(op), Tuple((left, right))) if op in BINARY_OPS:
-            level = OPERATOR_LEVEL[op]
-            text = f"{_expr(left, level)} {op} {_expr(right, level + 1)}"
+        case Binary(fn, left, right):
+            level = OPERATOR_LEVEL[fn.name]
+            text = f"{_expr(left, level)} {fn.name} {_expr(right, level + 1)}"
             return _paren(text, level, minimum)
         case Apply(Var(op), operand) if op in UNARY_OPS:
             return _paren(f"{op}{_expr(operand, _UNARY)}", _UNARY, minimum)

@@ -128,13 +128,17 @@ def from_values(values: Sequence[Value]) -> HostFactory:
 def from_file(path: str, step: StepDecl | None = None) -> HostFactory:
     """The values of the literal lines of the file at `path`, as `from_values`
     emits them; with `step`, each must be a result of that prototype step."""
-    values = []
+    values, unbox = [], None
     for number, line in enumerate(read_text(path, SimError).splitlines(), 1):
         if (text := line.strip()) and not text.startswith("--"):
             values.append(boxed(parse_literal(line, path, number)))
             if step is not None:
-                col = line.index(text) + 1  # at the literal, as its parse errors are
-                check_host_value(step, values[-1], Span(number, col, number, col), path)
+                # The unboxer of the step's declared type, derived once, is
+                # the predicate on which `check_host_value` reports a value.
+                unbox = unbox or host_unboxer(declared_type(step, step.out_pattern))
+                if unbox(values[-1]) is None:
+                    col = line.index(text) + 1  # at the literal, as its parse errors are
+                    check_host_value(step, values[-1], Span(number, col, number, col), path)
     if not values:
         raise SimError([Diagnostic("stub input contains no values", file=path)])
     return from_values(values)

@@ -9,6 +9,7 @@ so it never feeds an undefined value to a guarded position.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 
@@ -18,6 +19,7 @@ from mimosa import parse_expression
 from mimosa.ast import (
     Arrow,
     Apply,
+    Binary,
     Const,
     Either,
     Equation,
@@ -84,7 +86,27 @@ def _leaf(rng: random.Random, ty: Type) -> Expr:
 
 
 def _binop(op: str, left: Expr, right: Expr) -> Expr:
-    return Apply(Var(op), Tuple((left, right)))
+    return Binary(BUILTIN_VALUES[op], left, right)
+
+
+def as_application(e: Binary) -> Apply:
+    """Operator `e` as the application of its builtin to its operand pair:
+    the form the reference checks and evaluators take it in."""
+    return Apply(Var(e.fn.name, e.loc), Tuple((e.left, e.right), e.loc), e.loc)
+
+
+def desugared(e: Expr) -> Expr:
+    """`e` with every operator written as the application of its builtin."""
+    if type(e) is Binary:
+        e = as_application(e)
+    changes = {}
+    for f in dataclasses.fields(e):
+        value = getattr(e, f.name)
+        if isinstance(value, Expr):
+            changes[f.name] = desugared(value)
+        elif isinstance(value, tuple) and all(isinstance(v, Expr) for v in value):
+            changes[f.name] = tuple(map(desugared, value))
+    return dataclasses.replace(e, **changes)
 
 
 def gen_expr(rng: random.Random, ty: Type, depth: int, need_init: bool) -> Expr:
@@ -142,7 +164,7 @@ LOGIC_OPS = ("&&", "||")
 
 
 def gen_operator_expr(rng: random.Random, depth: int, ops: tuple[str, ...] = INT_OPS + COMPARISON_OPS) -> Expr:
-    """An application of one of `ops` to two operands, closed under
+    """One of the operators `ops` on two operands, closed under
     `base_env()`. An operand is a small int literal (zero and negatives
     included, so divisors are zero and quotients negative), an int name, `pre`
     of an operand (undefined on the first cycle), `v -> pre e`, a `fby`, a

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import random
 from pathlib import Path
@@ -11,7 +12,9 @@ from exprgen import (
     INT_OPS,
     LOGIC_OPS,
     TOP_TYPES,
+    as_application,
     base_env,
+    desugared,
     gen_expr,
     gen_operator_expr,
     gen_system,
@@ -29,10 +32,11 @@ from mimosa import (
     parse_expression,
     parse_program,
 )
-from mimosa.analysis import _Infer, _bind_init, _in_cycle, init_all, init_meet
+from mimosa.analysis import _InitCheck, _Infer, _bind_init, _in_cycle, init_all, init_meet
 from mimosa.ast import (
     Apply,
     Arrow,
+    Binary,
     Const,
     Either,
     Equation,
@@ -54,8 +58,8 @@ from mimosa.ast import (
     contains_undef,
     nesting,
 )
-from mimosa.builtins import BINARY_OPS, BUILTIN_TYPES
-from mimosa.errors import Diagnostic, InternalError, Span
+from mimosa.builtins import BUILTIN_TYPES
+from mimosa.errors import Diagnostic, InternalError, Span, span_of
 from mimosa.eval import eval_equations
 from mimosa.pretty import pretty_expr
 from mimosa.types import BOOL, INT, REAL, UNIT, Scheme, TFunc, TOption, TTuple, Type, TVar, Unifier
@@ -236,6 +240,8 @@ class GeneralInfer(_Infer):
     reference for the operators typed in place."""
 
     def expr(self, e, ctx, local):
+        if type(e) is Binary:
+            e = as_application(e)
         if type(e) is not Apply:
             return super().expr(e, ctx, local)
         tfn = self.expr(e.fn, ctx, local)
@@ -255,7 +261,7 @@ OPERAND_VARIANTS = (
 
 
 def is_operator(e: Expr) -> bool:
-    return type(e) is Apply and type(e.fn) is Var and e.fn.name in BINARY_OPS
+    return type(e) is Binary
 
 
 def operator_count(e: Expr) -> int:
@@ -269,9 +275,7 @@ def replace_operand(e: Expr, k: int, side: int, new: Expr) -> tuple[Expr, int]:
     preorder, replaced by `new`; and k less the applications passed."""
     if is_operator(e):
         if k == 0:
-            items = list(e.arg.items)
-            items[side] = new
-            return dataclasses.replace(e, arg=Tuple(tuple(items))), -1
+            return dataclasses.replace(e, **{("left", "right")[side]: new}), -1
         k -= 1
     changes = {}
     for f in dataclasses.fields(e):
@@ -710,6 +714,8 @@ class TwoPassInitCheck:
                 if check:
                     self._require(ss, scrutinee.span, "either scrutinee")
                 return sf
+            case Binary():
+                return self.status(as_application(e), check)
             case Apply(fn, arg):
                 sf = self.status(fn, check)
                 sa = self.status(arg, check)
@@ -1040,6 +1046,48 @@ class TestInitialization:
     @pytest.mark.parametrize("seed", range(300))
     def test_in_place_positions_match_both_oracles(self, seed):
         first_failure_of_all_three(in_place_step(*gen_in_place_applications(random.Random(seed))))
+
+    @pytest.mark.parametrize(
+        "body, message, cited",
+        [
+            ("y = if pre x > 0 then (pre x) * 2 else 0", "step argument", "pre x > 0"),
+            ("a = x + (0 -> pre x); y = (pre a) fby (a - pre x)", "step argument", "a - pre x"),
+            ("y = either (pre o) otherwise (pre x + 1)", "step argument", "pre x + 1"),
+            ("y = if pre c then pre x + 1 else 0", "step argument", "pre x + 1"),
+            ("y = (pre x fby 1) + pre x", "left operand of fby", "pre x"),
+            ("y = 0 -> pre (pre x + 1) * (pre x)", "step argument", "pre x + 1"),
+        ],
+    )
+    def test_an_operator_fails_where_its_application_did(self, body, message, cited):
+        # An operator's operands and a later requirement both fail: the first
+        # failure is the one the application of its builtin to the operand
+        # pair gave, at the same position and span.
+        source = f"step f (x : int, c : bool, o : int?) --> (y : int) {{ {body} }}"
+        with pytest.raises(InitError) as err:
+            check_program(parse_program(source, "f.mim"), complete_network=False)
+        (diag,) = err.value.diagnostics
+        assert diag.message == f"{message} may be undefined on some cycle"
+        assert diag.span.line == diag.span.end_line == 1
+        assert source[diag.span.col - 1 : diag.span.end_col] == cited
+
+    @pytest.mark.parametrize("seed", range(100))
+    def test_an_operator_takes_the_positions_of_its_application(self, seed):
+        # The statuses of `in_place_step`'s names; each generated expression
+        # and its operators written as applications give the same status,
+        # positions and failures, `pre` operands included.
+        statuses = {"x": True, "u": False, "p": (False, True), "q": (True, True), "f": True, "g": True, "h": False}
+
+        def walk(e):
+            checker = _InitCheck(dict(statuses))
+            status = checker.status(e)
+            count = checker.count
+            with contextlib.suppress(InitError):
+                checker.finish()
+            return status, count, [(position, message, span_of(loc)) for position, message, loc in checker.failures]
+
+        for text in gen_in_place_applications(random.Random(seed)):
+            e = parse_expression(text, "f.mim")
+            assert walk(e) == walk(desugared(e))
 
     def test_in_place_steps_fail_in_several_places(self):
         # Both messages of an application are among the failures, and most

@@ -4,13 +4,14 @@ import random
 
 import pytest
 
-from exprgen import TOP_TYPES, gen_expr, gen_system
+from exprgen import TOP_TYPES, desugared, gen_expr, gen_system
 
 from mimosa import ast, check_program, eval_equations, parse_expression, parse_program
 from mimosa.ast import (
     UNIT_VALUE,
     Apply,
     Arrow,
+    Binary,
     ChannelDecl,
     Const,
     Either,
@@ -57,9 +58,11 @@ def test_free_variables_delayed_under_pre():
 
 
 def test_free_variables_operator_application():
-    assert causal("x + y") == {"+", "x", "y"}
-    # An operator named among the functions is still a causal read.
-    assert nesting((parse_expression("x + y"),), {"+"}).reads == ({"+", "x", "y"},)
+    assert causal("x + y") == {"x", "y"}
+    # An operator's symbol is no name, even among the functions; the prefix
+    # `!` is an application of its builtin's name.
+    assert nesting((parse_expression("x + y"),), {"+"}) == (3, set(), set(), False, ({"x", "y"},))
+    assert causal("!x") == {"!", "x"}
 
 
 def test_free_variables_constant():
@@ -67,8 +70,8 @@ def test_free_variables_constant():
 
 
 def test_free_variables_causal_wins_over_delayed():
-    assert causal("x + pre x") == {"+", "x"}
-    assert causal("pre (x + y) + y") == {"+", "y"}
+    assert causal("x + pre x") == {"x"}
+    assert causal("pre (x + y) + y") == {"y"}
 
 
 def test_free_variables_fby_right_arm_is_causal():
@@ -96,6 +99,8 @@ def reference_nesting(roots, names=()) -> tuple:
                 return 1
             case Const():
                 return 1
+            case Binary(_, left, right):  # the application and its operand pair
+                return 2 + max(walk(left, delayed), walk(right, delayed))
             case Apply(Var(name), arg) if name in names:
                 applied.add(name)
                 if not delayed:
@@ -145,6 +150,23 @@ def test_nesting_matches_the_recursive_reference(seed):
     for roots in nesting_trees(seed):
         for names in NAME_SETS:
             assert tuple(nesting(roots, names)) == reference_nesting(roots, names)
+
+
+@pytest.mark.parametrize(
+    "text, depth",
+    [
+        ("x + 1", 3),
+        ("x + 1 + 1", 5),
+        ("(x + 1) * (y - 2) / 3", 7),
+        ("if pre (a + 1) < b then (0 -> pre (c * (d - 1))) else Some (x + 1) fby !(y && z)", 9),
+    ],
+)
+def test_an_operator_nests_as_the_application_it_stands_for(text, depth):
+    # Two levels per operator, as `Apply(Var(op), Tuple((l, r)))` takes, so
+    # the expression and call depth limits accept the programs they did.
+    e = parse_expression(text)
+    assert nesting((e,)).depth == nesting((e,), set(BUILTIN_VALUES)).depth == depth
+    assert nesting((e,)).depth == nesting((desugared(e),)).depth
 
 
 def test_nesting_walks_a_deep_chain_without_recursion():
@@ -210,7 +232,7 @@ def test_pattern_names_are_in_binding_order():
 
 
 # Every production once, so each expression class is compared and hashed.
-EVERY_PRODUCTION = "if c then (x fby 1, 0 -> pre x) else (None, either Some (f x) otherwise 2)"
+EVERY_PRODUCTION = "if c then (x fby 1, 0 -> pre x) else (None, either Some (f x) otherwise 2 + y)"
 
 
 def nodes(root):
@@ -237,7 +259,7 @@ def test_equality_and_hash_ignore_spans():
     assert a == b and hash(a) == hash(b)
     assert {a: "found"}[b] == "found"
     kinds = {type(e).__name__ for e in nodes(a)}
-    assert kinds >= {"If", "Tuple", "Fby", "Arrow", "Pre", "Either", "Some", "Apply", "Var", "Const"}
+    assert kinds >= {"If", "Tuple", "Fby", "Arrow", "Pre", "Either", "Some", "Apply", "Binary", "Var", "Const"}
     for e in nodes(a):
         assert not hasattr(e, "__dict__")
 
@@ -311,6 +333,7 @@ NODES = {
     Fby: lambda loc: Fby(Const(0, loc), Var("x", loc), loc),
     Arrow: lambda loc: Arrow(Const(0, loc), Pre(Var("x", loc), loc), loc),
     Apply: lambda loc: Apply(Var("f", loc), Var("x", loc), loc),
+    Binary: lambda loc: Binary(BUILTIN_VALUES["+"], Var("x", loc), Const(1, loc), loc),
     If: lambda loc: If(Var("c", loc), Var("x", loc), Var("y", loc), loc),
     Some: lambda loc: Some(Var("x", loc), loc),
     Either: lambda loc: Either(Var("o", loc), Const(2, loc), loc),

@@ -41,6 +41,7 @@ from mimosa.analysis import infer_types
 from mimosa.ast import (
     Apply,
     Arrow,
+    Binary,
     Const,
     Either,
     Equation,
@@ -66,7 +67,7 @@ from mimosa.ast import (
     VTuple,
     VUndef,
 )
-from mimosa.builtins import BUILTIN_VALUES
+from mimosa.builtins import BINARY_OPS, BUILTIN_VALUES
 from mimosa.coord import fire_node, init_network
 from mimosa.errors import InternalError, UndefEscape
 from mimosa.eval import (
@@ -674,6 +675,11 @@ def reference_eval(env: Env, e: Expr, ctx: EvalContext, deferred: list | None) -
                     raise UndefEscape(_escape("either scrutinee", e.span))
                 case other:
                     raise InternalError(f"either scrutinee evaluated to non-option {other!r}")
+        case Binary(fn, left, right):
+            # Its builtin applied to the pair of its operands.
+            rl = reference_eval(env, left, ctx, deferred)
+            rr = reference_eval(env, right, ctx, deferred)
+            return EvalResult(fn.fn(VTuple((rl.value, rr.value)), ctx.host), Binary(fn, rl.next, rr.next, loc=e.loc))
         case Apply(fn, arg):
             rf = reference_eval(env, fn, ctx, deferred)
             ra = reference_eval(env, arg, ctx, deferred)
@@ -1091,16 +1097,13 @@ def children(node) -> list:
 def leaves_read_in_place(e: Expr):
     """(position, leaf kind) for each name or literal under `e` that its
     parent reads in place."""
-    operand_pairs = set()
     for node, _ in corresponding(e, e):
         kind = type(node)
-        f = BUILTIN_VALUES.get(node.fn.name) if kind is Apply and type(node.fn) is Var else None
-        if f is not None and f.kernel is not None and type(node.arg) is Tuple:
-            operand_pairs.add(id(node.arg))
-            pairs = [("operand", item) for item in node.arg.items]
+        if kind is Binary:
+            pairs = [("operand", node.left), ("operand", node.right)]
         elif kind is Apply:
             pairs = [("argument", node.arg)]
-        elif kind is Tuple and id(node) not in operand_pairs:
+        elif kind is Tuple:
             pairs = [("item", item) for item in node.items]
         elif kind is Arrow and type(node.first) is Const:
             pairs = [("head of ->", node.first)]
@@ -1133,6 +1136,30 @@ def outcome(evaluate):
 
 class TestOperatorKernels:
     SEEDS = range(400)
+
+    # One operand of each kind: int (zero included), bool, real, unit, tuple,
+    # `None`, `Some` and undefined.
+    OPERANDS = (0, 3, -7, True, False, 1.5, UNIT_VALUE, VTuple((1, True)), VNone(), VSome(2), VUndef())
+
+    @pytest.mark.parametrize("op", BINARY_OPS)
+    def test_an_operator_is_the_application_of_its_builtin(self, op):
+        # Every pair of operands, as literals and as names read in place: the
+        # same value, of the same class, or the same error as the general
+        # application of the builtin to the pair; and both settle.
+        env = BUILTIN_VALUES | {"a": None, "b": None}
+        for a in self.OPERANDS:
+            for b in self.OPERANDS:
+                env["a"], env["b"] = a, b
+                for left, right in ((Const(a), Const(b)), (Var("a"), Var("b"))):
+                    e = Binary(BUILTIN_VALUES[op], left, right)
+                    general = Apply(Var(op), Tuple((left, right)))
+                    got = outcome(lambda: eval_expr(env, e))
+                    want = outcome(lambda: eval_expr(env, general))
+                    if isinstance(want[0], type):
+                        assert got == want
+                    else:
+                        assert type(got[0]) is type(want[0]) and got[0] == want[0]
+                        assert got[1] is e and want[1] is general
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_operators_match_the_reference_evaluator(self, seed):
@@ -1175,15 +1202,15 @@ class TestOperatorKernels:
     @pytest.mark.parametrize("op", ["+", "-", "*", "/", "<", "<=", ">", ">="])
     def test_bool_operands_take_the_checked_path(self, op):
         for left, right in ((True, 1), (1, False), (True, True)):
-            e = Apply(Var(op), Tuple((Const(left), Const(right))))
+            e = Binary(BUILTIN_VALUES[op], Const(left), Const(right))
             want = outcome(lambda: reference_eval(BUILTIN_VALUES, e, reference_context(BUILTIN_VALUES), None))
             assert outcome(lambda: eval_expr(BUILTIN_VALUES, e)) == want
         if op in INT_OPS:
-            e = Apply(Var(op), Tuple((Const(True), Const(1))))
+            e = Binary(BUILTIN_VALUES[op], Const(True), Const(1))
             with pytest.raises(EvalError, match=f"^'\\{op}' expects integer operands, got true$"):
                 eval_expr(BUILTIN_VALUES, e)
         else:  # false < true
-            e = Apply(Var(op), Tuple((Const(True), Const(False))))
+            e = Binary(BUILTIN_VALUES[op], Const(True), Const(False))
             assert eval_expr(BUILTIN_VALUES, e).value == (op in (">", ">="))
 
     @pytest.mark.parametrize("seed", range(200))
@@ -1219,10 +1246,10 @@ class TestOperatorKernels:
     @pytest.mark.parametrize("op", LOGIC_OPS)
     def test_int_operands_of_a_logical_operator_take_the_checked_path(self, op):
         for left, right in ((1, True), (False, 1), (1, 0)):
-            e = Apply(Var(op), Tuple((Const(left), Const(right))))
+            e = Binary(BUILTIN_VALUES[op], Const(left), Const(right))
             want = outcome(lambda: reference_eval(BUILTIN_VALUES, e, reference_context(BUILTIN_VALUES), None))
             assert outcome(lambda: eval_expr(BUILTIN_VALUES, e)) == want
-        e = Apply(Var(op), Tuple((Const(1), Const(True))))
+        e = Binary(BUILTIN_VALUES[op], Const(1), Const(True))
         with pytest.raises(EvalError, match="^" + re.escape(f"'{op}' expects boolean operands, got 1") + "$"):
             eval_expr(BUILTIN_VALUES, e)
 
@@ -1267,7 +1294,7 @@ class TestOperatorKernels:
         r = eval_expr(env_of(x=2), e)
         assert r.value == 2
         assert r.next == parse_expression("x + (2 -> pre x)")
-        assert r.next.fn is e.fn and r.next.arg.items[0] is e.arg.items[0] and r.next.arg.span == e.arg.span
+        assert type(r.next) is Binary and r.next.fn is e.fn and r.next.left is e.left and r.next.span == e.span
 
 
 @pytest.fixture
@@ -1293,7 +1320,7 @@ class TestCallCount:
 
     def test_an_operator_on_two_leaves_is_one_call(self, eval_calls):
         assert eval_expr(env_of(x=1), parse_expression("x + 1")).value == 2
-        assert eval_calls == ["Apply"]
+        assert eval_calls == ["Binary"]
 
     def test_an_extern_firing_is_one_call(self, eval_calls):
         # A host step's name applied to a literal, as a step body calls it.
@@ -1310,7 +1337,7 @@ class TestCallCount:
         # which builds its `pre`'s next hole itself, and the deferred operand
         # `s + 1`; no `Const` and no `Pre`.
         assert eval_expr(env_of(), first.next).value == 11
-        assert eval_calls == ["Apply", "Apply", "Arrow", "Apply"]
+        assert eval_calls == ["Apply", "Binary", "Arrow", "Binary"]
 
     def test_one_activation_of_a_chain_step(self, eval_calls):
         body = [
@@ -1330,8 +1357,8 @@ class TestCallCount:
         # evaluates; `if`, its condition and the taken branch; and last the
         # deferred `pre` operand `s + 1`.
         assert eval_calls == [
-            "Apply", "Apply", "Apply",
-            "Arrow", "Fby", "Const", "If", "Apply", "Apply", "Apply",
+            "Apply", "Apply", "Binary",
+            "Arrow", "Fby", "Const", "If", "Binary", "Binary", "Binary",
         ]
 
     def test_other_leaves_of_a_body_are_one_call_each(self, eval_calls):
@@ -1344,7 +1371,7 @@ class TestCallCount:
         assert eval_expr(leaf_env(), firing).value == 0
         assert eval_calls == [
             "Apply", "Var", "Const", "Arrow", "Some", "Var",
-            "Either", "If", "Apply", "Var", "Var",
+            "Either", "If", "Binary", "Var", "Var",
         ]
 
     def test_a_firing_of_a_host_step_costs_no_call(self, eval_calls):
@@ -1357,7 +1384,7 @@ class TestCallCount:
         assert eval_expr(leaf_env(), Const(HOLD), applied_to=5).value == 0
         assert eval_calls == [
             "Var", "Const", "Arrow", "Some", "Var",
-            "Either", "If", "Apply", "Var", "Var",
+            "Either", "If", "Binary", "Var", "Var",
         ]
 
     def test_a_second_firing_reads_its_pre_hole_in_place(self, eval_calls):
@@ -1368,4 +1395,4 @@ class TestCallCount:
         # `u + u`, the hole `11 -> pre (s + 1)`, which builds its `pre`'s
         # next hole itself, and the deferred operand `s + 1`; no `Const`.
         assert eval_expr(env_of(), first.next, applied_to=5).value == 11
-        assert eval_calls == ["Apply", "Arrow", "Apply"]
+        assert eval_calls == ["Binary", "Arrow", "Binary"]

@@ -14,6 +14,7 @@ from mimosa import ParseError, eval_expr, parse_duration, parse_expression, pars
 from mimosa.ast import (
     Apply,
     Arrow,
+    Binary,
     ChannelDecl,
     Const,
     Either,
@@ -40,7 +41,7 @@ from mimosa.ast import (
     VTuple,
     nesting,
 )
-from mimosa.builtins import BINARY_LEVELS, BINARY_OPS
+from mimosa.builtins import BINARY_LEVELS, BINARY_OPS, BUILTIN_VALUES
 from mimosa.errors import SYNTHETIC, Diagnostic, Located, Source, Span, span_of
 from mimosa.parser import (
     DURATION_UNITS,
@@ -55,6 +56,10 @@ from mimosa.parser import (
 )
 from mimosa.pretty import format_duration, pretty_expr, pretty_pattern, pretty_program
 from mimosa.types import BOOL, INT, REAL, UNIT, TOption, TTuple
+
+
+def operator(symbol: str, left: Expr, right: Expr) -> Binary:
+    return Binary(BUILTIN_VALUES[symbol], left, right)
 
 
 class TestExamplePrograms:
@@ -103,10 +108,12 @@ class TestExpressions:
         assert isinstance(inner, If)
         assert inner.orelse == Const(VNone())
         cond = e.cond
-        assert cond == Apply(Var("&&"), Tuple((Apply(Var("!"), Var("pre_in")), Var("in"))))
+        assert cond == operator("&&", Apply(Var("!"), Var("pre_in")), Var("in"))
 
     def test_operator_desugaring(self):
-        assert parse_expression("x + y") == Apply(Var("+"), Tuple((Var("x"), Var("y"))))
+        e = parse_expression("x + y")
+        assert e == operator("+", Var("x"), Var("y"))
+        assert e.fn is BUILTIN_VALUES["+"]
 
     def test_precedence_mul_binds_tighter(self):
         assert parse_expression("a + b * c") == parse_expression("a + (b * c)")
@@ -431,7 +438,7 @@ def gen_leafy_expr(rng: random.Random, depth: int) -> Expr:
             return leaf()
         kind = rng.randrange(11)
         if kind < 4:
-            return Apply(Var(rng.choice(BINARY_OPS)), Tuple((expr(depth - 1), expr(depth - 1))))
+            return operator(rng.choice(BINARY_OPS), expr(depth - 1), expr(depth - 1))
         if kind == 4:
             fn = Var("f") if rng.random() < 0.7 else Apply(Var("f"), expr(depth - 1))
             return Apply(fn, expr(depth - 1))
@@ -614,7 +621,8 @@ class TestPositionOracle:
         assert "\n-- declaration" in source
 
     def test_stub_lines(self):
-        assert self.check(STUB_SOURCE, line=7) > 30
+        # Every located node: an operator is one, its symbol no node of its own.
+        assert self.check(STUB_SOURCE, line=7) == 28
         (step,) = parse_program(STUB_SOURCE).steps
         assert step.span == Span(1, 1, 4, 1)
 
@@ -673,8 +681,7 @@ class DescentParser(Parser):
         while (level := self.BINARY_LEVEL.get(self.peek()[1], -1)) >= min_level:
             op = self.advance()
             right = self.binary_expr(level + 1)
-            loc = self.loc_from(start)
-            left = Apply(Var(op[1], loc=op), Tuple((left, right), loc=loc), loc=loc)
+            left = Binary(BUILTIN_VALUES[op[1]], left, right, loc=self.loc_from(start))
         return left
 
 
@@ -1371,8 +1378,8 @@ class TestRoundTrip:
         [
             ("f (-3)", Apply(Var("f"), Const(-3))),
             ("-2.5", Const(-2.5)),
-            ("x - -3", Apply(Var("-"), Tuple((Var("x"), Const(-3))))),
-            ("-3 * x", Apply(Var("*"), Tuple((Const(-3), Var("x"))))),
+            ("x - -3", operator("-", Var("x"), Const(-3))),
+            ("-3 * x", operator("*", Const(-3), Var("x"))),
             ("Some -1", Some(Const(-1))),
             ("(-1, -2)", Tuple((Const(-1), Const(-2)))),
         ],
@@ -1383,7 +1390,7 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("text", ["x -3", "f -3"])
     def test_minus_after_an_operand_is_subtraction(self, text):
-        assert parse_expression(text) == Apply(Var("-"), Tuple((Var(text[0]), Const(3))))
+        assert parse_expression(text) == operator("-", Var(text[0]), Const(3))
 
     def test_minus_before_a_name_is_not_a_literal(self):
         with pytest.raises(ParseError, match="expected an expression, found '-'"):

@@ -697,6 +697,23 @@ node s implements sink (a) --> () every 10ms
         fn = from_file(str(path))()
         assert [fn(UNIT_VALUE, None) for _ in range(3)] == bools(True, False, True)
 
+    def test_from_file_derives_the_declared_type_once(self, tmp_path, monkeypatch):
+        calls = []
+        declared_type = mimosa.sim.declared_type
+        monkeypatch.setattr(mimosa.sim, "declared_type", lambda *a: calls.append(a) or declared_type(*a))
+        step = StepDecl("pin", PUnit(), PVar("y", INT), None)
+        path = tmp_path / "pin.txt"
+        path.write_text("1\n-- comment\n  2\n\n3\n")
+        fn = from_file(str(path), step)()
+        assert [fn(UNIT_VALUE, None) for _ in range(3)] == [VConst(1), VConst(2), VConst(3)]
+        assert len(calls) == 1
+        # A bad line is still named, at its literal.
+        path.write_text("1\n2\n  true\n4\n")
+        with pytest.raises(TypeCheckError) as info:
+            from_file(str(path), step)
+        (diag,) = info.value.diagnostics
+        assert diag.text() == f"{path}:3:3: error: step 'pin' returns int, but its host value has type bool"
+
     def test_from_file_missing(self):
         from mimosa.sim import from_file
 
