@@ -1,15 +1,15 @@
 """Static checks: network well-formedness, causality ordering, initialization
-analysis, and Hindley-Milner type inference for steps and node wiring.
+analysis, and Hindley-Milner type inference for steps and node wiring. The
+only names they resolve are the program's: an operator, and the literal the
+prefix `!` applies, holds its builtin, typed by the builtin's own scheme.
 
 A binary operator whose operands already have its operand type is typed in
 place, without unification; the variables it would have used are taken all
 the same, so messages name variables as the general path does. Compared
-values must be first-order, like the equality type variables of Standard
-ML."""
+values must be first-order, like the equality type variables of Standard ML."""
 
 from __future__ import annotations
 
-import gc
 from dataclasses import dataclass
 from typing import Callable
 
@@ -38,13 +38,15 @@ from .ast import (
     UNIT_VALUE,
     Var,
     VConst,
+    VExtern,
     VNone,
     VSome,
     VTuple,
+    collector_paused,
     contains_undef,
     nesting,
 )
-from .builtins import BINARY_OPS, BUILTIN_TYPES
+from .builtins import BINARY_OPS, BUILTIN_TYPES, BUILTIN_VALUES
 from .errors import (
     SYNTHETIC,
     CausalityError,
@@ -356,18 +358,17 @@ def check_network(program: Program, *, complete: bool = True) -> NetworkInfo:
                 report(f"channel '{ch.name}' has no reading node", ch.loc)
 
     # Per-step name hygiene.
-    reserved = step_names | set(BUILTIN_TYPES)
     bound: dict[str, tuple[list[str], ...]] = {}
     for step in program.steps:
         inputs = step.in_pattern.names()
         binders = set(inputs)
         for name in inputs:
-            if name in reserved:
+            if name in step_names:
                 report(f"input '{name}' of step '{step.name}' shadows a step or builtin", step.loc)
         bound[step.name] = tuple(eq.lhs.names() for eq in step.equations or ())
         for eq, names in zip(step.equations or (), bound[step.name]):
             for name in names:
-                if name in reserved:
+                if name in step_names:
                     report(f"'{name}' shadows a step or builtin", eq.loc)
                 elif name in binders:
                     report(f"'{name}' is defined more than once in step '{step.name}'", eq.loc)
@@ -380,12 +381,11 @@ def check_network(program: Program, *, complete: bool = True) -> NetworkInfo:
                 if name not in binders:
                     report(f"output '{name}' of step '{step.name}' is never defined", step.out_pattern.loc)
 
-    functions = step_names | set(BUILTIN_TYPES)
-    bodies = {step.name: nesting([eq.rhs for eq in step.equations or ()], functions) for step in program.steps}
+    bodies = {step.name: nesting([eq.rhs for eq in step.equations or ()], step_names) for step in program.steps}
     step_order = _step_topo_order(program, bodies, report)
     if diags:
         raise NetworkError(diags)
-    named = frozenset().union(*(body.mentioned for body in bodies.values())) & step_names
+    named = frozenset().union(*(body.mentioned for body in bodies.values()))
     reads = {name: body.reads for name, body in bodies.items()}
     return NetworkInfo(step_order, writer, reader, named, reads, bound)
 
@@ -397,8 +397,6 @@ def _has_wild(p: Pattern) -> bool:
 def _step_topo_order(
     program: Program, bodies: dict[str, Nesting], report: Callable[[str, Loc], None]
 ) -> tuple[str, ...]:
-    steps = set(bodies)
-    callees = {name: body.mentioned & steps for name, body in bodies.items()}
     order: list[str] = []
     state: dict[str, int] = {}  # 0 = visiting, 1 = done
 
@@ -409,7 +407,7 @@ def _step_topo_order(
         if root in state:
             continue
         state[root] = 0
-        stack = [(root, iter(sorted(callees[root])))]
+        stack = [(root, iter(sorted(bodies[root].mentioned)))]
         while stack:
             name, pending = stack[-1]
             callee = next(pending, None)
@@ -419,7 +417,7 @@ def _step_topo_order(
                 order.append(name)
             elif callee not in state:
                 state[callee] = 0
-                stack.append((callee, iter(sorted(callees[callee]))))
+                stack.append((callee, iter(sorted(bodies[callee].mentioned))))
             elif state[callee] == 0:
                 path = [n for n, _ in stack]
                 cycle = path[path.index(callee) :] + [callee]
@@ -437,8 +435,8 @@ def _step_topo_order(
     by_name: dict[str, int] = {}
     for name in order:
         body = bodies[name]
-        applies[name] = body.applies_value or any(applies.get(c, False) for c in callees[name])
-        by_name[name] = body.depth + max((by_name.get(c, 0) for c in callees[name]), default=0)
+        applies[name] = body.applies_value or any(applies.get(c, False) for c in body.mentioned)
+        by_name[name] = body.depth + max((by_name.get(c, 0) for c in body.mentioned), default=0)
         if name in passed and applies[name]:
             report(
                 f"step '{name}' is passed as a value but applies a function value, itself or "
@@ -451,7 +449,7 @@ def _step_topo_order(
     nested: dict[str, int] = {}
     for name in order:
         body = bodies[name]
-        below = max([nested.get(c, 0) for c in callees[name]] + [value_depth if body.applies_value else 0])
+        below = max([nested.get(c, 0) for c in body.mentioned] + [value_depth if body.applies_value else 0])
         nested[name] = body.depth + below
         if nested[name] > MAX_CALL_DEPTH and below <= MAX_CALL_DEPTH:
             report(
@@ -525,7 +523,10 @@ class _Infer:
                 return self.u.instantiate(ctx[name])
             self.fail(f"unknown identifier '{name}'", e.loc)
         if kind is Const:
-            return self.literal_type(e.value)
+            v = e.value
+            if type(v) is VExtern and BUILTIN_VALUES.get(v.name) is v:  # the prefix `!`
+                return self.u.instantiate(BUILTIN_TYPES[v.name])
+            return self.literal_type(v)
         if kind is Binary:
             return self.operator(e, ctx, local)
         if kind is Apply:
@@ -569,7 +570,7 @@ class _Infer:
         messages print variables by id."""
         u = self.u
         name = e.fn.name
-        scheme = ctx[name]
+        scheme = BUILTIN_TYPES[name]
         first = u.reserve(len(scheme.vars))
         t1 = u.resolve(self.expr(e.left, ctx, local))
         t2 = u.resolve(self.expr(e.right, ctx, local))
@@ -602,7 +603,7 @@ def infer_types(program: Program, info: NetworkInfo | None = None) -> tuple[dict
     if info is None:
         info = check_network(program, complete=False)
     inf = _Infer()
-    ctx: dict[str, Scheme] = dict(BUILTIN_TYPES)
+    ctx: dict[str, Scheme] = {}
     steps = {s.name: s for s in program.steps}
 
     for name in info.step_order:
@@ -622,21 +623,18 @@ def infer_types(program: Program, info: NetworkInfo | None = None) -> tuple[dict
             tout = inf.pattern_type(step.out_pattern, local)
         ctx[name] = inf.u.generalize(TFunc(tin, tout))
 
-    schemes = {s.name: ctx[s.name] for s in program.steps}
-
     channel_types = {c.name: c.elem_type for c in program.channels}
     for ch in program.channels:
         for value in ch.initial:
             inf.u.unify(ch.elem_type, inf.literal_type(value), ch.loc)
     node_sigs: dict[str, Type] = {}
     for node in program.nodes:
-        scheme = schemes[node.step]
-        sig = inf.u.instantiate(scheme)
+        sig = inf.u.instantiate(ctx[node.step])
         tin = _ports_type(node.inputs, channel_types)
         tout = _ports_type(node.outputs, channel_types)
         inf.u.unify(sig, TFunc(tin, tout), node.loc)
         node_sigs[node.name] = inf.u.deep_resolve(sig)
-    return schemes, node_sigs
+    return {s.name: ctx[s.name] for s in program.steps}, node_sigs
 
 
 def declared_type(step: StepDecl, pattern: Pattern) -> Type:
@@ -727,6 +725,7 @@ class CheckedProgram:
     named_steps: frozenset[str]  # the steps some step body calls or passes as a value
 
 
+@collector_paused()
 def check_program(
     program: Program, *, complete_network: bool = True, file: str = "<string>"
 ) -> CheckedProgram:
@@ -734,12 +733,8 @@ def check_program(
 
     Raises NetworkError, TypeCheckError, CausalityError, or InitError with
     source-located diagnostics; `file` names those that point at no source.
-    Like `parser.parse_program`, it builds no cycles and runs with the cyclic
-    collector paused, process-wide: another thread's allocations go
-    uncollected meanwhile. The caller's state is restored.
+    Like `parser.parse_program`, it builds no cycles and pauses the collector.
     """
-    enabled = gc.isenabled()
-    gc.disable()
     try:
         info = check_network(program, complete=complete_network)
         infer_types(program, info)
@@ -750,9 +745,6 @@ def check_program(
                 check_initialization(step, ordered[step.name])
     except MimosaError as exc:
         raise exc.in_file(file)
-    finally:
-        if enabled:
-            gc.enable()
     return CheckedProgram(
         program=program,
         ordered_equations=ordered,

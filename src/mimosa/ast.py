@@ -24,6 +24,8 @@ nothing after its first cycle.
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Callable, Container, Iterable, NamedTuple
@@ -45,6 +47,18 @@ class _Unit:
 
 
 UNIT_LIT = _Unit()
+
+
+@contextmanager
+def collector_paused():
+    """Pause the cyclic collector, process-wide; restore the caller's state on every exit."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +356,7 @@ class Nesting(NamedTuple):
     depth: int  # of the deepest root; a name or a literal is one level
     mentioned: set[str]  # which of `names` the roots mention
     passed: set[str]  # which of `names` they mention other than as an applied function
-    applies_value: bool  # whether they apply a function that is not one of `names`
+    applies_value: bool  # whether they apply a function that is neither one of `names` nor a literal
     reads: tuple[set[str], ...]  # per root, each name read outside any `pre`, right arms of `fby` and `->` included
 
 
@@ -363,7 +377,8 @@ def nesting(roots: Iterable[Expr], names: Container[str] = ()) -> Nesting:
     Walked with an explicit stack, so a deep tree cannot overflow the
     interpreter's. The right arms of `fby` and `->` are causal reads: after
     one cycle each is the whole expression. An operator is two levels, the
-    application and operand pair it stands for, and its symbol is no name."""
+    application and operand pair it stands for. No builtin is a name: an
+    operator holds its own, and the prefix `!` applies a literal holding it."""
     deepest = 0
     applied: set[str] = set()
     passed: set[str] = set()
@@ -399,7 +414,7 @@ def nesting(roots: Iterable[Expr], names: Container[str] = ()) -> Nesting:
                     applied.add(fn.name)
                     if not delayed:
                         causal.add(fn.name)
-                else:
+                elif type(fn) is not Const:  # a literal: the builtin a prefix `!` applies
                     applies_value = True
                     push((fn, depth, delayed))
                 push((e.arg, depth, delayed))

@@ -1,8 +1,8 @@
-"""The builtin step library backing the infix operators.
+"""The builtin step library backing the operators.
 
-Builtins are named by their operator symbol, which no identifier can spell,
-so user steps can never shadow them (programs may freely define steps called
-`add` and the like).
+A builtin is held by its operator, never named: `x + y` holds `+`, and `!x`
+applies a literal holding `!`. So no step can shadow one (programs may freely
+define steps called `add` and the like).
 
 Operands and results are plain Python scalars. A builtin's `run` is its
 checked path, which reports undefined and ill-typed operands. Binary

@@ -8,13 +8,14 @@ channels' validity to activation + 2 * period.
 
 `init_network` resolves names once: each node gets its ports as (channel,
 optional) pairs, its inputs and outputs in one tuple too, the literal of its
-step value and its evaluation context. The rules and the invariant check after
-each rule read these, and keep the last validity the check saw on the channel
-itself, so a step does no lookup by name. A channel names its writer, so the
-run state holds no cycle. A firing applies the node's step literal directly,
-on the path its port shape picks: no input passes the unit value, one input
-its value (`Some`/`None` if optional), and one output takes the step's value
-(a `Some`'s payload if optional). Only several ports build or read a tuple.
+step value and its evaluation context, whose globals are the program's steps
+only. The rules and the invariant check after each rule read these, and keep
+the last validity the check saw on the channel itself, so a step does no
+lookup by name. A channel names its writer, so the run state holds no cycle. A
+firing applies the node's step literal directly, on the path its port shape
+picks: no input passes the unit value, one input its value (`Some`/`None` if
+optional), and one output takes the step's value (a `Some`'s payload if
+optional). Only several ports build or read a tuple.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .ast import (
     VTuple,
     Value,
 )
-from .builtins import BUILTIN_VALUES
 from .errors import Diagnostic, EvalError, InternalError, Loc, Located, SimError
 from .eval import Env, EvalContext, HostContext, UNIT_VALUE, eval_expr
 from .pretty import format_duration
@@ -124,12 +124,12 @@ class NetworkState:
 def init_network(cp: CheckedProgram, hosts: Mapping[str, Value] | None = None) -> NetworkState:
     """Build the correct initial configuration: every node at activation 0,
     every channel valid from its writer's first possible write time, initial
-    values enqueued with tag 0 (oldest first). Every step is bound once under
-    its own name: a bodied step as its closure, a prototype as `hosts[name]`."""
+    values enqueued with tag 0 (oldest first). The globals are only the steps:
+    a bodied step as its closure, a prototype as `hosts[name]`."""
     hosts = hosts or {}
     program = cp.program
 
-    env_bindings: Env = dict(BUILTIN_VALUES)
+    env_bindings: Env = {}
     for step in program.steps:
         if step.is_prototype:
             env_bindings[step.name] = hosts.get(step.name) or _unbound_host(step.name)

@@ -28,30 +28,30 @@ The hot path is direct: `_eval` dispatches on the node's class, in the order
 of measured entry counts: an operator (`Binary`), `->`, `if`, an application,
 then names and literals, which their parents mostly read. An operator holds
 its builtin, so it is evaluated with no lookup of its symbol and no
-application. A name or
-literal child is read by its parent with no recursive call, and is its own
-next expression, in the five positions where that measured as paying: the
-applied expression, an application's argument, each operand of an operator,
-each item of a tuple argument of a same-arity tuple pattern, and the literal
-head of the `v -> pre e` each `pre` leaves. Any other child, and an unbound
-name, goes to `_eval`, which reports every error. Two operands of an
-operator's kernel type (`int`, or `bool` for `&&` and `||`) go to the kernel
-with no pair built; others take its checked `run`, as an application of the
-builtin to the pair would. A tuple argument's items, once all evaluated, are
-bound straight into the callee's activation, with no `VTuple`, and in an
-equation list `v -> pre e` builds its `pre`'s next hole itself, with no call
-and no `VUndef`. A node firing builds no application: `eval_expr` with
-`applied_to=v` applies a step literal to v, calling an extern with `ctx.host`
-or running a closure in `_activate`, the one activation step calls use too. An
-activation starts from the globals, not the caller's locals, which no checked
-body can read (a local may not shadow a step). Next expressions share
-structure: a `Binary`, `Tuple`, `Apply`, `If`, `Some` or `Either` whose
-evaluated children all come back as themselves (by identity) comes back as
-itself, and so does an equation whose right-hand side does, so a settled
-`fby`, `->` or operator allocates nothing, and a `pre` of a settled operand
-only the `v -> pre e` around its own node. A settled activation's closure is
-its own next state, so a stateless step allocates nothing after its first
-cycle, and its firing returns the literal it was given. Sharing is sound
+application. A name or literal child is read by its parent with no recursive
+call, and is its own next expression, in the five positions where that
+measured as paying: the applied expression, an application's argument, each
+operand of an operator, each item of a tuple argument of a same-arity tuple
+pattern, and the literal head of the `v -> pre e` each `pre` leaves. Any other
+child, and an unbound name, goes to `_eval`, which reports every error. Two
+operands of an operator's kernel type (`int`, or `bool` for `&&` and `||`) go
+to the kernel with no pair built; others take its checked `run`, as an
+application of the builtin to the pair would. A tuple argument's items, once
+all evaluated, are bound straight into the callee's activation, with no
+`VTuple`, and in an equation list `v -> pre e` builds its `pre`'s next hole
+itself, with no call and no `VUndef`. A node firing builds no application:
+`eval_expr` with `applied_to=v` applies a step literal to v, calling an extern
+with `ctx.host` or running a closure in `_activate`, the one activation step
+calls use too. An activation starts from the globals, which are the program's
+steps and no builtin (an operator holds its own), not from the caller's
+locals, which no checked body can read (a local may not shadow a step). Next
+expressions share structure: a `Binary`, `Tuple`, `Apply`, `If`, `Some` or
+`Either` whose evaluated children all come back as themselves (by identity)
+comes back as itself, and so does an equation whose right-hand side does, so a
+settled `fby`, `->` or operator allocates nothing, and a `pre` of a settled
+operand only the `v -> pre e` around its own node. A settled activation's
+closure is its own next state, so a stateless step allocates nothing after its
+first cycle, and its firing returns the literal it was given. Sharing is sound
 because no node reachable from an earlier next expression is ever mutated:
 `_fill_pre` sets the fields of the placeholder `Arrow`s created by the current
 activation only.

@@ -2,8 +2,8 @@
 
 Grammar reference: docs/grammar.md. An expression is parsed by one precedence
 climber over the levels the printer reads too (`pretty.OPERATOR_LEVEL`).
-An infix operator is one node holding its symbol-named builtin (`x + y`
-becomes `Binary(+, x, y)`); the prefix `!` is an application of its builtin.
+An infix operator is one node holding its builtin (`x + y` becomes
+`Binary(+, x, y)`), and `!x` applies a literal holding `!`: no builtin is a name.
 
 A token is a plain tuple `(kind, text, offset, value, source)`. Positions are
 offsets: a leaf node's location is its token and a composite node's its first
@@ -15,7 +15,6 @@ place, when no argument follows it.
 
 from __future__ import annotations
 
-import gc
 import math
 import re
 from typing import Callable, TypeVar
@@ -49,6 +48,7 @@ from .ast import (
     VSome,
     VTuple,
     Value,
+    collector_paused,
     nesting,
 )
 from .builtins import BUILTIN_VALUES
@@ -587,8 +587,7 @@ class Parser:
         text = start[1]
         if text == "!":
             self.pos += 1
-            operand = self.unary_expr()
-            return Apply(Var("!", start), operand, self.loc_from(start))
+            return Apply(Const(BUILTIN_VALUES["!"], start), self.unary_expr(), self.loc_from(start))
         if text == "pre":
             self.pos += 1
             return Pre(self.unary_expr(), self.loc_from(start))
@@ -650,17 +649,11 @@ def _depth(root, parts: Callable) -> int:
     return deepest
 
 
+@collector_paused()
 def parse_program(source: str, file: str = "<string>") -> Program:
     """Parse `source`, the text of `file`. Tokens and trees hold no cycles, so
-    the cyclic collector is paused meanwhile, process-wide: another thread's
-    allocations go uncollected too. The caller's state is restored."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return Parser(tokenize(source, file)).parse_program()
-    finally:
-        if enabled:
-            gc.enable()
+    the cyclic collector is paused meanwhile."""
+    return Parser(tokenize(source, file)).parse_program()
 
 
 def parse_expression(source: str, file: str = "<string>") -> Expr:

@@ -97,7 +97,7 @@ def _expr(e: Expr, minimum: int) -> str:
             level = OPERATOR_LEVEL[fn.name]
             text = f"{_expr(left, level)} {fn.name} {_expr(right, level + 1)}"
             return _paren(text, level, minimum)
-        case Apply(Var(op), operand) if op in UNARY_OPS:
+        case Apply(Const(VExtern(op)), operand) if op in UNARY_OPS:
             return _paren(f"{op}{_expr(operand, _UNARY)}", _UNARY, minimum)
         case Apply(fn, arg):
             text = f"{_expr(fn, _APP)} {_expr(arg, _ATOM)}"

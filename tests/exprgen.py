@@ -89,6 +89,11 @@ def _binop(op: str, left: Expr, right: Expr) -> Expr:
     return Binary(BUILTIN_VALUES[op], left, right)
 
 
+def negation(operand: Expr) -> Apply:
+    """`!operand`, as the parser builds it: the application of a literal holding the builtin."""
+    return Apply(Const(BUILTIN_VALUES["!"]), operand)
+
+
 def as_application(e: Binary) -> Apply:
     """Operator `e` as the application of its builtin to its operand pair:
     the form the reference checks and evaluators take it in."""
@@ -151,7 +156,7 @@ def gen_expr(rng: random.Random, ty: Type, depth: int, need_init: bool) -> Expr:
         op = rng.choice(("&&", "||"))
         return _binop(op, gen_expr(rng, BOOL, depth - 1, True), gen_expr(rng, BOOL, depth - 1, True))
     if form == "not":
-        return Apply(Var("!"), gen_expr(rng, BOOL, depth - 1, True))
+        return negation(gen_expr(rng, BOOL, depth - 1, True))
     raise AssertionError(form)
 
 
@@ -276,7 +281,7 @@ def gen_leaf_expr(rng: random.Random, depth: int) -> Expr:
         if roll < 0.3:
             return bool_leaf()
         if roll < 0.55:
-            return Apply(Var("!"), bool_leaf())
+            return negation(bool_leaf())
         if roll < 0.9:
             return _binop("<", int_child(depth), int_child(depth))
         return Pre(bool_leaf())

@@ -53,16 +53,17 @@ from mimosa.ast import (
     Tuple,
     Var,
     VNone,
+    VSome,
     VTuple,
     VUndef,
     contains_undef,
     nesting,
 )
-from mimosa.builtins import BUILTIN_TYPES
+from mimosa.builtins import BUILTIN_TYPES, BUILTIN_VALUES
 from mimosa.errors import Diagnostic, InternalError, Span, span_of
 from mimosa.eval import eval_equations
 from mimosa.pretty import pretty_expr
-from mimosa.types import BOOL, INT, REAL, UNIT, Scheme, TFunc, TOption, TTuple, Type, TVar, Unifier
+from mimosa.types import BOOL, INT, REAL, UNIT, Scheme, TBase, TFunc, TOption, TTuple, Type, TVar, Unifier
 
 
 def step_of(source: str) -> StepDecl:
@@ -115,6 +116,20 @@ node n implements f (a?) --> (b) every 10ms
     def test_unknown_identifier(self):
         with pytest.raises(TypeCheckError, match="unknown identifier 'q'"):
             infer_types(parse_program("step f x --> y { y = q }"))
+
+    @pytest.mark.parametrize("symbol, arg", [("!", Var("x")), ("+", Tuple((Var("x"), Var("x"))))])
+    def test_a_builtin_is_no_name(self, symbol, arg):
+        # An operator holds its builtin, so a tree that names one is rejected:
+        # the run has no such name.
+        body = (Equation(PVar("y"), Apply(Var(symbol), arg)),)
+        program = Program((StepDecl("f", PVar("x"), PVar("y"), body),), (), ())
+        with pytest.raises(TypeCheckError, match=f"unknown identifier '\\{symbol}'"):
+            check_program(program, complete_network=False)
+
+    def test_a_literal_builtin_has_its_scheme(self):
+        body = (Equation(PVar("y"), Apply(Const(BUILTIN_VALUES["+"]), Tuple((Var("x"), Const(1))))),)
+        schemes, _ = infer_types(Program((StepDecl("f", PVar("x"), PVar("y"), body),), (), ()))
+        assert str(schemes["f"]) == "int -> int"
 
     def test_port_arity_mismatch(self):
         src = """
@@ -486,6 +501,9 @@ class TestTypeTraversal:
     def test_tuple_type_needs_two_items(self, items):
         with pytest.raises(ValueError, match="at least two components"):
             TTuple(items)
+
+    def test_equal_base_types_unify(self):
+        Unifier().unify(TBase("int"), INT, Span())  # equal, though not the same object
 
     def test_unifying_a_variable_with_itself_binds_nothing(self):
         u = Unifier()
@@ -917,6 +935,12 @@ class TestInitialization:
     def test_either_result_takes_fallback_status(self):
         statuses = self.check("step f (o : int?, x : int) --> (y) { z = either o otherwise pre x; y = 0 -> z }")
         assert statuses["z"] is False and statuses["y"] is True
+
+    def test_an_undefined_option_payload_is_undefined(self):
+        # A literal as `pre`'s rewriting embeds it, `Some` of the undefined value.
+        step = StepDecl("f", PUnit(), PVar("y"), (Equation(PVar("y"), Const(VSome(VUndef()))),))
+        with pytest.raises(InitError, match="step output 'y' may be undefined"):
+            check_initialization(step, step.equations)
 
     def test_tuple_statuses_are_pointwise(self):
         step = step_of("step f (x : int) --> y { a, b = (pre x, 0); y = 0 -> a + b }")

@@ -60,9 +60,10 @@ def test_free_variables_delayed_under_pre():
 def test_free_variables_operator_application():
     assert causal("x + y") == {"x", "y"}
     # An operator's symbol is no name, even among the functions; the prefix
-    # `!` is an application of its builtin's name.
+    # `!` applies a literal holding its builtin, which is no function value.
     assert nesting((parse_expression("x + y"),), {"+"}) == (3, set(), set(), False, ({"x", "y"},))
-    assert causal("!x") == {"!", "x"}
+    assert causal("!x") == {"x"}
+    assert nesting((parse_expression("!x"),), {"!"}) == (2, set(), set(), False, ({"x"},))
 
 
 def test_free_variables_constant():
@@ -105,6 +106,8 @@ def reference_nesting(roots, names=()) -> tuple:
                 applied.add(name)
                 if not delayed:
                     causal.add(name)
+                return 1 + walk(arg, delayed)
+            case Apply(Const(), arg):  # a builtin
                 return 1 + walk(arg, delayed)
             case Apply(fn, arg):
                 applies_value = True

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import runpy
 import subprocess
 import sys
 import tempfile
@@ -39,6 +40,19 @@ def fib_file(tmp_path):
 class TestCheck:
     def test_fibonacci_checks_clean(self, fib_file):
         assert main(["check", fib_file]) == 0
+
+    @pytest.mark.parametrize("module", ["mimosa", "mimosa.cli"])
+    @pytest.mark.parametrize("source, status", [(FIB_SOURCE, 0), (BAD_INIT, 1)], ids=["clean", "error"])
+    def test_the_module_exits_with_the_status(self, module, source, status, tmp_path, capsys, monkeypatch):
+        # `python -m module`, in-process; the module is run afresh from its source.
+        path = tmp_path / "program.mim"
+        path.write_text(source)
+        monkeypatch.delitem(sys.modules, "mimosa.__main__" if module == "mimosa" else module, raising=False)
+        monkeypatch.setattr(sys, "argv", [module, "check", str(path)])
+        with pytest.raises(SystemExit) as info:
+            runpy.run_module(module, run_name="__main__")
+        assert info.value.code == status
+        assert bool(capsys.readouterr().err) == bool(status)
 
     # Each recorded program through the command line, and through the library
     # with the file named only to the parser.
@@ -535,6 +549,16 @@ class TestDeepExpressions:
         somes = "Some " * 252
         path = tmp_path / "chain.mim"
         path.write_text(chain_program(0).replace("y = x", f"y = if {somes}x == {somes}x then x + 1 else 0"))
+        assert main([command[0], str(path), *command[1:]]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    def test_negation_chain_at_the_depth_limit_runs(self, tmp_path, capsys, command):
+        # !!...!x with k negations is a tree k + 1 levels deep.
+        negations = "!" * (MAX_EXPR_DEPTH - 1)
+        source = chain_program(0).replace("int", "bool").replace("{ 0 }", "{ true }")
+        path = tmp_path / "chain.mim"
+        path.write_text(source.replace("y = x", f"y = {negations}x"))
         assert main([command[0], str(path), *command[1:]]) == 0
         assert capsys.readouterr().err == ""
 

@@ -90,6 +90,13 @@ step g (v : int) --> (w : int) { w = v }
         ns = init_network(cp)
         assert list(ns.channels["x"].queue) == [(1, 0), (2, 0)]
 
+    @pytest.mark.parametrize("path", sorted(PROGRAMS.glob("*.mim")), ids=lambda p: p.name)
+    def test_the_globals_are_only_the_programs_steps(self, path):
+        # An operator holds its builtin, so no builtin is a name of the run.
+        program = parse_program(path.read_text())
+        ns = init_network(check_program(program))
+        assert set(ns.env) == {step.name for step in program.steps}
+
     def test_unbound_prototype_fails_when_fired(self, edge_network_checked):
         ns = init_network(edge_network_checked)  # no hosts bound
         with pytest.raises(SimError, match="no host binding"):

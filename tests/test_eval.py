@@ -239,6 +239,11 @@ class TestRules:
         r = eval_expr(Env(), e)
         assert r.value is e.value and r.next is e
 
+    def test_negation_needs_no_builtin_in_the_environment(self):
+        e = parse_expression("!x")
+        r = eval_expr({"x": True}, e)
+        assert r.value is False and r.next is e
+
     @pytest.mark.parametrize(
         "value",
         [VTuple((1, VNone())), VSome(2), VSome(VTuple((1, VSome(True))))],

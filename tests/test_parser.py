@@ -2,14 +2,13 @@ import dataclasses
 import math
 import random
 import re
-from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
 import pytest
 from hypothesis import given, strategies as st
 
-from exprgen import TOP_TYPES, base_env, gen_expr
+from exprgen import TOP_TYPES, base_env, gen_expr, negation
 from mimosa import ParseError, eval_expr, parse_duration, parse_expression, parse_program
 from mimosa.ast import (
     Apply,
@@ -108,12 +107,18 @@ class TestExpressions:
         assert isinstance(inner, If)
         assert inner.orelse == Const(VNone())
         cond = e.cond
-        assert cond == operator("&&", Apply(Var("!"), Var("pre_in")), Var("in"))
+        assert cond == operator("&&", negation(Var("pre_in")), Var("in"))
 
     def test_operator_desugaring(self):
         e = parse_expression("x + y")
         assert e == operator("+", Var("x"), Var("y"))
         assert e.fn is BUILTIN_VALUES["+"]
+
+    def test_negation_applies_a_literal_holding_its_builtin(self):
+        assert parse_expression("!x") == negation(Var("x"))
+        e = parse_expression("y && !x").right
+        assert e.fn.value is BUILTIN_VALUES["!"]
+        assert e.fn.span == Span(1, 6, 1, 6) and e.span == Span(1, 6, 1, 7)
 
     def test_precedence_mul_binds_tighter(self):
         assert parse_expression("a + b * c") == parse_expression("a + (b * c)")
@@ -452,7 +457,7 @@ def gen_leafy_expr(rng: random.Random, depth: int) -> Expr:
             return Either(expr(depth - 1), expr(depth - 1))
         if kind == 9:
             return Tuple(tuple(expr(depth - 1) for _ in range(rng.randrange(2, 4))))
-        wrap = rng.choice((Pre, Some, partial(Apply, Var("!"))))
+        wrap = rng.choice((Pre, Some, negation))
         return wrap(expr(depth - 1))
 
     return expr(depth)
